@@ -24,12 +24,19 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction as Q
 from typing import Callable, Sequence
 
 from . import diagram as dg
 from . import oracle, rewrite, rootsys, weyl
-from .exactla import Vector, cyclotomic, poly_mul, poly_str
+from .exactla import (
+    Vector,
+    cyclotomic,
+    mat_mul,
+    poly_mul,
+    poly_str,
+    power_plus_one,
+    transpose,
+)
 
 ROOT_GRAMMAR = """\
 root literals:
@@ -78,14 +85,9 @@ def _roots_arg(system: rootsys.RootSystem, text: str) -> tuple[Vector, ...]:
         if not chunk:
             raise _UsageError("empty entry in the root list")
         try:
-            v = system.parse_root(chunk)
+            out.append(system.parse_root(chunk))
         except ValueError as exc:
             raise _UsageError(f"cannot parse root {chunk!r}: {exc}") from exc
-        if not system.is_root(v):
-            raise _UsageError(
-                f"{chunk!r} is not a root of {system.name()}"
-            )
-        out.append(v)
     return tuple(out)
 
 
@@ -340,14 +342,10 @@ def _expect(cond: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _t_power_plus_one(m: int):
-    return (Q(1),) + (Q(0),) * (m - 1) + (Q(1),)
-
-
 def _suite_table1() -> list[tuple[str, str, str]]:
     rows: list[tuple[str, str, int | None, tuple]] = [
         ("D6(b2)", "D6(a2)", None,
-         poly_mul(_t_power_plus_one(3), _t_power_plus_one(3))),
+         poly_mul(power_plus_one(3), power_plus_one(3))),
         ("E7(b2)", "E7(a2)", None,
          poly_mul(poly_mul(cyclotomic(12), cyclotomic(6)), cyclotomic(2))),
         ("E8(b3)", "E8(a3)", None,
@@ -357,7 +355,7 @@ def _suite_table1() -> list[tuple[str, str, str]]:
     for l in (6, 8, 10, 12):
         rows.append(
             (f"Dl(b) l={l}", f"D{l}(a{l // 2 - 1})", l,
-             poly_mul(_t_power_plus_one(l // 2), _t_power_plus_one(l // 2)))
+             poly_mul(power_plus_one(l // 2), power_plus_one(l // 2)))
         )
     items = []
     for label_name, target, l, expected in rows:
@@ -415,7 +413,7 @@ def _suite_fivecycle() -> list[tuple[str, str, str]]:
             )
             u = result.conjugator
             w = weyl.evaluate(system, orientations[r])
-            moved = _mat_conj(u, w)
+            moved = mat_mul(mat_mul(u, w), transpose(u))
             _expect(
                 moved == weyl.evaluate(system, result.word),
                 "the returned conjugator does not carry the orientation "
@@ -440,13 +438,6 @@ def _suite_fivecycle() -> list[tuple[str, str, str]]:
 
     items.append(_item("fivecycle/partition", partition_item))
     return items
-
-
-def _mat_conj(u, w):
-    ut = tuple(tuple(u[j][i] for j in range(len(u))) for i in range(len(u)))
-    from .exactla import mat_mul
-
-    return mat_mul(mat_mul(u, w), ut)
 
 
 def _suite_uniqueness() -> list[tuple[str, str, str]]:

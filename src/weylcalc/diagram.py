@@ -31,6 +31,7 @@ from .exactla import (
     gram_positive_definite,
     poly_mul,
     poly_str,
+    power_plus_one,
     rank,
 )
 from .rootsys import RootSystem
@@ -403,11 +404,6 @@ class CatalogEntry:
     charpoly: Poly
 
 
-def _poly_one_plus(power: int) -> Poly:
-    """t^power + 1."""
-    return tuple([Q(1)] + [Q(0)] * (power - 1) + [Q(1)])
-
-
 def _poly_all_ones(degree: int) -> Poly:
     """1 + t + ... + t^degree."""
     return tuple([Q(1)] * (degree + 1))
@@ -526,8 +522,8 @@ _FROZEN_CHARPOLY: dict[str, Poly] = {
     "E8(b3)": poly_mul(cyclotomic(12), cyclotomic(12)),
     "E7(a2)": poly_mul(poly_mul(cyclotomic(12), cyclotomic(6)), cyclotomic(2)),
     "E7(b2)": poly_mul(poly_mul(cyclotomic(12), cyclotomic(6)), cyclotomic(2)),
-    "D6(a2)": poly_mul(_poly_one_plus(3), _poly_one_plus(3)),
-    "D6(b2)": poly_mul(_poly_one_plus(3), _poly_one_plus(3)),
+    "D6(a2)": poly_mul(power_plus_one(3), power_plus_one(3)),
+    "D6(b2)": poly_mul(power_plus_one(3), power_plus_one(3)),
     "E6(a1)": cyclotomic(9),
     "E6(a2)": poly_mul(poly_mul(cyclotomic(6), cyclotomic(6)), cyclotomic(3)),
     "E8(b5)": cyclotomic(15),
@@ -549,7 +545,7 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
     for n in range(4, 9):
         system = rootsys.build("D", n)
         word = _bicolored_root_order(system, list(system.simple_roots))
-        cp = poly_mul(_poly_one_plus(n - 1), _poly_one_plus(1))
+        cp = poly_mul(power_plus_one(n - 1), power_plus_one(1))
         specs.append((f"D{n}", f"D{n}", word, None, cp))
 
     e_polys = {
@@ -566,12 +562,12 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
         for k in range(1, (l - 2) // 2 + 1):
             if (l, k) == (6, 2):
                 continue  # covered by the frozen script-tied realization below
-            cp = poly_mul(_poly_one_plus(k + 1), _poly_one_plus(l - k - 1))
+            cp = poly_mul(power_plus_one(k + 1), power_plus_one(l - k - 1))
             specs.append((f"D{l}(a{k})", f"D{l}", _d_ak_word(l, k), None, cp))
 
     for l in range(8, DL_MAX + 1, 2):
         m = l // 2 - 1
-        cp = poly_mul(_poly_one_plus(l // 2), _poly_one_plus(l // 2))
+        cp = poly_mul(power_plus_one(l // 2), power_plus_one(l // 2))
         specs.append((f"D{l}(b{m})", f"D{l}", _d_cycle_word(l), None, cp))
 
     for name, (system_name, literals, labels) in _FROZEN.items():

@@ -45,10 +45,6 @@ def dot(x: Vector, y: Vector) -> Q:
     return sum((a * b for a, b in zip(x, y)), ZERO)
 
 
-def is_zero_vector(x: Vector) -> bool:
-    return all(a == 0 for a in x)
-
-
 def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(Q(e) for e in row) for row in rows)
 
@@ -67,13 +63,8 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
     return tuple(dot(row, x) for row in a)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Q(c)
-    return tuple(tuple(c * e for e in row) for row in a)
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -254,6 +245,11 @@ def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return poly_trim(quot), poly_trim(p)
 
 
+def power_plus_one(m: int) -> Poly:
+    """``x^m + 1``."""
+    return (ONE,) + (ZERO,) * (m - 1) + (ONE,)
+
+
 def poly_eval(p: Poly, x) -> Q:
     x = Q(x)
     acc = ZERO
@@ -368,25 +364,7 @@ def _euler_phi(n: int) -> int:
 
 def is_product_of_cyclotomics(p: Poly) -> bool:
     """True when the monic polynomial factors completely into cyclotomics."""
-    p = poly_trim(p)
-    if p[-1] != 1:
-        return False
-    deg = poly_degree(p)
-    if deg == 0:
-        return True
-    # phi(n) >= sqrt(n/2), so phi(n) <= deg forces n <= 2*deg^2
-    candidates = [n for n in range(1, 2 * deg * deg + 3) if _euler_phi(n) <= deg]
-    remaining = p
-    for n in candidates:
-        phi_n = cyclotomic(n)
-        while poly_degree(remaining) >= poly_degree(phi_n):
-            quot, rem = poly_divmod(remaining, phi_n)
-            if rem != (ZERO,):
-                break
-            remaining = quot
-        if poly_degree(remaining) == 0:
-            break
-    return poly_degree(remaining) == 0 and remaining[-1] == 1
+    return cyclotomic_factors(p) is not None
 
 
 def cyclotomic_factors(p: Poly) -> list[int] | None:

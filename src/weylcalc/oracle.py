@@ -9,32 +9,20 @@ certifies that none exists.  The module is deliberately slow-and-sure;
 it is the referee against which the algebraic shortcuts elsewhere in
 the package are checked.
 
-A Weyl group acts faithfully on its root set, so an element is stored
-as the permutation it induces on the sorted tuple ``system.roots``.
-Permutations over at most 256 roots are packed into ``bytes`` and
-composed with ``bytes.translate``; larger systems fall back to integer
-tuples.  Ambient matrices are reconstructed on demand (the group fixes
-the orthogonal complement of the root span pointwise, which pins the
-matrix down), so no exactness is lost at the API boundary.
+Group elements are handled as root permutations (``weyl.PermSpace``);
+ambient matrices are built only where they cross the API: group-table
+elements, conjugacy inputs and witnesses, and corrector conjugators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from . import diagram as dg
 from . import weyl
-from .exactla import (
-    Matrix,
-    Vector,
-    dot,
-    mat_mul,
-    mat_vec,
-    solve,
-    vec_sub,
-)
+from .exactla import Matrix, Vector, dot, identity, mat_mul, transpose, vec_sub
 from .rootsys import RootSystem, lex_positive_rep
 
 DEFAULT_GROUP_CAP = 400_000
@@ -73,150 +61,6 @@ def weyl_group_order(system: RootSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Permutation encoding
-
-
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(col) for col in zip(*m))
-
-
-class _PermSpace:
-    """Encodes W-elements as permutations of the root list."""
-
-    def __init__(self, system: RootSystem):
-        self.system = system
-        self.roots = system.roots
-        self.n = len(self.roots)
-        self.index = system.index
-        self.packed = self.n <= 256
-        if self.packed:
-            self.ident = bytes(range(self.n))
-        else:
-            self.ident = tuple(range(self.n))
-        self._gen_tables = None
-        self._basis = None
-
-    def _wrap(self, images: list[int]):
-        return bytes(images) if self.packed else tuple(images)
-
-    def perm_of_matrix(self, m: Matrix):
-        images = []
-        for r in self.roots:
-            image = mat_vec(m, r)
-            idx = self.index.get(image)
-            if idx is None:
-                raise ValueError(
-                    f"matrix does not permute the roots of {self.system.name()}"
-                )
-            images.append(idx)
-        return self._wrap(images)
-
-    def reflection_perm(self, root: Vector):
-        images = [self.index[self.system.reflect(root, r)] for r in self.roots]
-        return self._wrap(images)
-
-    def table(self, p):
-        """Left-composition table for ``mul``: pad to 256 when packed."""
-        if self.packed:
-            return p + bytes(range(self.n, 256))
-        return p
-
-    def mul(self, table_a, b):
-        """Permutation of the matrix product a @ b (b applied first).
-
-        ``table_a`` must come from :meth:`table`; ``b`` is a raw perm.
-        """
-        if self.packed:
-            return b.translate(table_a)
-        return tuple(table_a[i] for i in b)
-
-    def inverse(self, p):
-        images = [0] * self.n
-        for i, j in enumerate(p):
-            images[j] = i
-        return self._wrap(images)
-
-    def _ambient_basis(self):
-        """(S, S_inv) where the columns of S are the simples + a fixed basis
-        of their orthogonal complement."""
-        if self._basis is not None:
-            return self._basis
-        sys = self.system
-        cols = [tuple(r) for r in sys.simple_roots]
-        cols.extend(_orthogonal_complement(cols, sys.dim))
-        if len(cols) != sys.dim:
-            raise AssertionError("root span + complement must fill the ambient space")
-        s = _transpose(tuple(cols))
-        s_inv = _matrix_inverse(s)
-        self._basis = (s, s_inv, tuple(cols))
-        return self._basis
-
-    def matrix_of_perm(self, p) -> Matrix:
-        sys = self.system
-        _, s_inv, cols = self._ambient_basis()
-        target_cols = []
-        for j, simple in enumerate(sys.simple_roots):
-            target_cols.append(self.roots[p[self.index[tuple(simple)]]])
-        target_cols.extend(cols[sys.rank :])
-        t = _transpose(tuple(target_cols))
-        return mat_mul(t, s_inv)
-
-
-def _orthogonal_complement(vectors: Sequence[Vector], dim: int) -> list[Vector]:
-    """A basis of the subspace orthogonal to every given vector."""
-    rows = [list(v) for v in vectors]
-    # Row-reduce, tracking pivot columns.
-    pivots = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    out = []
-    for c in free:
-        v = [Q(0)] * dim
-        v[c] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][c]
-        out.append(tuple(v))
-    return out
-
-
-def _matrix_inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    cols = []
-    for i in range(n):
-        e = tuple(Q(1) if j == i else Q(0) for j in range(n))
-        x = solve(m, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    return _transpose(tuple(cols))
-
-
-_SPACES: dict[str, _PermSpace] = {}
-
-
-def _perm_space(system: RootSystem) -> _PermSpace:
-    key = system.name()
-    space = _SPACES.get(key)
-    if space is None or space.system is not system:
-        space = _PermSpace(system)
-        _SPACES[key] = space
-    return space
-
-
-# ---------------------------------------------------------------------------
 # Group enumeration
 
 
@@ -228,11 +72,10 @@ class GroupTable:
     even for W(E6).
     """
 
-    def __init__(self, system: RootSystem, space: _PermSpace, perms: tuple):
+    def __init__(self, system: RootSystem, space: weyl.PermSpace, perms: tuple):
         self.system = system
         self._space = space
         self._perms = perms
-        self._perm_set = frozenset(perms)
         self.size = len(perms)
         self.generators = tuple(
             weyl.reflection(system, r) for r in system.simple_roots
@@ -249,13 +92,6 @@ class GroupTable:
         for p in self._perms:
             yield self._space.matrix_of_perm(p)
 
-    def contains_matrix(self, m: Matrix) -> bool:
-        try:
-            p = self._space.perm_of_matrix(m)
-        except ValueError:
-            return False
-        return p in self._perm_set
-
 
 def enumerate_group(system: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
     """Breadth-first closure of the simple reflections.
@@ -270,8 +106,8 @@ def enumerate_group(system: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> GroupTa
             f"W({system.name()}) has {order} elements, beyond the cap of {cap}; "
             "this oracle only enumerates small groups"
         )
-    space = _perm_space(system)
-    gen_tables = [space.table(space.reflection_perm(r)) for r in system.simple_roots]
+    space = weyl.perm_space(system)
+    gens = [space.reflection_perm(r) for r in system.simple_roots]
     seen = {space.ident}
     found = [space.ident]
     frontier = [space.ident]
@@ -279,9 +115,9 @@ def enumerate_group(system: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> GroupTa
         nxt = []
         for p in frontier:
             tp = space.table(p)
-            for gt in gen_tables:
+            for g in gens:
                 # p·g: walk the Cayley graph by right multiplication.
-                q = space.mul(tp, _gen_raw(space, gt))
+                q = space.mul(tp, g)
                 if q not in seen:
                     if len(seen) >= cap:
                         raise RuntimeError(
@@ -293,10 +129,6 @@ def enumerate_group(system: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> GroupTa
                     nxt.append(q)
         frontier = nxt
     return GroupTable(system, space, tuple(found))
-
-
-def _gen_raw(space: _PermSpace, table):
-    return table[: space.n] if space.packed else table
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +164,33 @@ def are_conjugate(
     witness is rebuilt as an exact matrix and re-verified before it is
     returned.
     """
-    space = _perm_space(system)
+    space = weyl.perm_space(system)
     p1 = space.perm_of_matrix(w1)
     p2 = space.perm_of_matrix(w2)
     if p1 == p2:
-        ident = tuple(
-            tuple(Q(1) if i == j else Q(0) for j in range(system.dim))
-            for i in range(system.dim)
-        )
-        return ConjugacyResult("conjugate", ident)
-    gens = [space.reflection_perm(r) for r in system.simple_roots]
+        return ConjugacyResult("conjugate", identity(system.dim))
+    parent = _class_walk(space, p1, cap, stop=p2)
+    if parent is None:
+        return ConjugacyResult("unresolved")
+    if p2 not in parent:
+        return ConjugacyResult("not-conjugate")
+    witness = space.matrix_of_perm(_witness_perm(space, parent, p2))
+    if mat_mul(mat_mul(witness, w1), transpose(witness)) != w2:
+        raise AssertionError("conjugacy witness failed exact verification")
+    return ConjugacyResult("conjugate", witness)
+
+
+def _class_walk(space: weyl.PermSpace, start, cap: int, stop=None) -> dict | None:
+    """Breadth-first walk of the conjugacy class of ``start``.
+
+    Returns the parent map ``{q: (p, gi)}`` (q = g_gi p g_gi, ``start``
+    maps to None) over the whole class, or over the part walked before
+    ``stop`` was met; None when the class outgrows ``cap``.
+    """
+    gens = [space.reflection_perm(r) for r in space.system.simple_roots]
     gen_tables = [space.table(g) for g in gens]
-    parent: dict = {p1: None}
-    frontier = [p1]
+    parent: dict = {start: None}
+    frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
@@ -353,37 +199,23 @@ def are_conjugate(
                 q = space.mul(space.table(half), gens[gi])  # (g·p)·g = g p g^-1
                 if q not in parent:
                     if len(parent) >= cap:
-                        return ConjugacyResult("unresolved")
+                        return None
                     parent[q] = (p, gi)
-                    if q == p2:
-                        witness = _witness_matrix(system, parent, p2)
-                        _check_witness(witness, w1, w2)
-                        return ConjugacyResult("conjugate", witness)
+                    if q == stop:
+                        return parent
                     nxt.append(q)
         frontier = nxt
-    return ConjugacyResult("not-conjugate")
+    return parent
 
 
-def _witness_matrix(system: RootSystem, parent: dict, end) -> Matrix:
+def _witness_perm(space: weyl.PermSpace, parent: dict, end):
+    """u with u start u^-1 = end: the conjugating reflections, last first."""
     chain = []
     node = end
     while parent[node] is not None:
         node, gi = parent[node]
-        chain.append(gi)
-    # chain holds generator indices from last conjugation to first;
-    # u = g_last @ ... @ g_first.
-    u = tuple(
-        tuple(Q(1) if i == j else Q(0) for j in range(system.dim))
-        for i in range(system.dim)
-    )
-    for gi in reversed(chain):
-        u = mat_mul(weyl.reflection(system, system.simple_roots[gi]), u)
-    return u
-
-
-def _check_witness(u: Matrix, w1: Matrix, w2: Matrix) -> None:
-    if mat_mul(mat_mul(u, w1), _transpose(u)) != w2:
-        raise AssertionError("conjugacy witness failed exact verification")
+        chain.append(space.reflection_perm(space.system.simple_roots[gi]))
+    return space.compose(*chain)
 
 
 # ---------------------------------------------------------------------------
@@ -602,43 +434,19 @@ def verify_unique_class(
     found = find_subsets(system, entry.diagram)
     if not found:
         raise ValueError(f"{name} has no realization in {system.name()}")
-    space = _perm_space(system)
-    refl_cache: dict[Vector, object] = {}
+    space = weyl.perm_space(system)
     elements = []
     for item in found:
         parts = dg.bipartition(item.diagram)
         if parts is None:
             raise AssertionError(f"realization of {name} is not bicolorable")
-        order = parts[0] + parts[1]
-        p = space.ident
-        for i in order:
-            root = item.roots[i]
-            t = refl_cache.get(root)
-            if t is None:
-                t = space.reflection_perm(root)
-                refl_cache[root] = t
-            p = space.mul(space.table(p), t)
-        elements.append(p)
-    first = elements[0]
-    gens = [space.reflection_perm(r) for r in system.simple_roots]
-    gen_tables = [space.table(g) for g in gens]
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gi, gt in enumerate(gen_tables):
-                half = space.mul(gt, p)
-                q = space.mul(space.table(half), gens[gi])
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise RuntimeError(
-                            f"conjugacy class of {name} in W({system.name()}) "
-                            f"exceeded the cap of {cap}; inconclusive"
-                        )
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+        elements.append(space.word_perm([item.roots[i] for i in parts[0] + parts[1]]))
+    seen = _class_walk(space, elements[0], cap)
+    if seen is None:
+        raise RuntimeError(
+            f"conjugacy class of {name} in W({system.name()}) "
+            f"exceeded the cap of {cap}; inconclusive"
+        )
     return all(p in seen for p in elements[1:])
 
 

@@ -20,6 +20,11 @@ in D_5.
 
 Composition convention: a word (r_1, ..., r_k) denotes the product
 s_{r_1} ... s_{r_k} acting on column vectors, rightmost factor first.
+
+Every identity a move claims is re-proved exactly by comparing root
+permutations (``weyl.PermSpace``): W acts faithfully on its roots and
+fixes the orthogonal complement of their span, so equal permutations
+mean equal matrices.
 """
 
 from __future__ import annotations
@@ -38,15 +43,13 @@ from .exactla import (
     Vector,
     charpoly,
     dot,
-    identity,
-    mat_mul,
-    mat_vec,
     poly_str,
     vec_add,
     vec_neg,
     vec_sub,
 )
 from .rootsys import RootSystem
+from .weyl import Perm, Word
 
 __all__ = [
     "ScriptIntegrityError",
@@ -78,10 +81,6 @@ class ScriptIntegrityError(RuntimeError):
         self.message = message
 
 
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
-
-
 # --------------------------------------------------------------------------
 # States and primitive operations.
 # --------------------------------------------------------------------------
@@ -89,12 +88,21 @@ def _transpose(m: Matrix) -> Matrix:
 @dataclass(frozen=True)
 class RewriteState:
     """A reflection word together with its product and the accumulated
-    conjugator: conjugator @ initial_element @ conjugator^T == element."""
+    conjugator, both as root permutations:
+    conjugator · initial element · conjugator^-1 == element."""
 
     system: RootSystem
     word: tuple[Vector, ...]
-    element: Matrix
-    conjugator: Matrix
+    element_perm: Perm
+    conjugator_perm: Perm
+
+    @property
+    def element(self) -> Matrix:
+        return weyl.perm_space(self.system).matrix_of_perm(self.element_perm)
+
+    @property
+    def conjugator(self) -> Matrix:
+        return weyl.perm_space(self.system).matrix_of_perm(self.conjugator_perm)
 
 
 def initial_state(system: RootSystem, word: Sequence[Vector]) -> RewriteState:
@@ -102,29 +110,39 @@ def initial_state(system: RootSystem, word: Sequence[Vector]) -> RewriteState:
     for r in roots:
         if not system.is_root(r):
             raise ValueError(f"{system.format_root(r)} is not a root of {system.name()}")
-    return RewriteState(system, roots, weyl.evaluate(system, roots), identity(system.dim))
+    space = weyl.perm_space(system)
+    return RewriteState(system, roots, space.word_perm(roots), space.ident)
 
 
 def apply_conjugation(s: RewriteState, u: Matrix) -> RewriteState:
-    """Conjugate the whole word by the element u: w -> u w u^{-1}."""
+    """Conjugate the whole word by the element u: w -> u w u^{-1}.
+
+    ``u`` must permute the roots and fix the orthogonal complement of
+    their span pointwise, as every element of W does; any other matrix
+    is rejected with ValueError, since a root permutation cannot record
+    it.
+    """
     n = s.system.dim
     if len(u) != n or any(len(row) != n for row in u):
         raise ValueError("conjugating matrix has the wrong shape")
-    ut = _transpose(u)
-    if mat_mul(u, ut) != identity(n):
-        raise ValueError("conjugating matrix is not orthogonal")
-    word = tuple(mat_vec(u, r) for r in s.word)
-    for r in word:
-        if not s.system.is_root(r):
-            raise ValueError("conjugation does not map the word onto roots")
+    space = weyl.perm_space(s.system)
+    p = space.perm_of_matrix(u)
+    if space.matrix_of_perm(p) != tuple(tuple(row) for row in u):
+        raise ValueError(
+            "conjugating matrix moves the orthogonal complement of the roots")
+    return _conjugate(s, p)
+
+
+def _conjugate(s: RewriteState, u: Perm) -> RewriteState:
+    space = weyl.perm_space(s.system)
+    word = tuple(space.image(u, r) for r in s.word)
     # Exactness per letter: u s_r u^{-1} == s_{u(r)}.  Together these prove
     # that the new element equals the evaluation of the new word.
     for old, new in zip(s.word, word):
-        lhs = mat_mul(mat_mul(u, weyl.reflection(s.system, old)), ut)
-        if lhs != weyl.reflection(s.system, new):
+        if space.conjugate(u, space.reflection_perm(old)) != space.reflection_perm(new):
             raise ScriptIntegrityError("conjugation", "reflection transport identity failed")
-    element = mat_mul(mat_mul(u, s.element), ut)
-    return RewriteState(s.system, word, element, mat_mul(u, s.conjugator))
+    element = space.conjugate(u, s.element_perm)
+    return RewriteState(s.system, word, element, space.compose(u, s.conjugator_perm))
 
 
 def apply_s_permutation(s: RewriteState, i: int, direction: str) -> RewriteState:
@@ -143,11 +161,11 @@ def apply_s_permutation(s: RewriteState, i: int, direction: str) -> RewriteState
         pair = (s.system.reflect(a, b), a)
     else:
         pair = (b, s.system.reflect(b, a))
-    refl = lambda r: weyl.reflection(s.system, r)  # noqa: E731
-    if mat_mul(refl(a), refl(b)) != mat_mul(refl(pair[0]), refl(pair[1])):
+    space = weyl.perm_space(s.system)
+    if space.word_perm((a, b)) != space.word_perm(pair):
         raise ScriptIntegrityError("s-permutation", "two-letter product identity failed")
     word = s.word[:i] + pair + s.word[i + 2:]
-    return RewriteState(s.system, word, s.element, s.conjugator)
+    return RewriteState(s.system, word, s.element_perm, s.conjugator_perm)
 
 
 def apply_sign_flip(s: RewriteState, i: int) -> RewriteState:
@@ -155,10 +173,11 @@ def apply_sign_flip(s: RewriteState, i: int) -> RewriteState:
     if not 0 <= i < len(s.word):
         raise ValueError(f"position {i} out of range for a word of length {len(s.word)}")
     neg = vec_neg(s.word[i])
-    if weyl.reflection(s.system, neg) != weyl.reflection(s.system, s.word[i]):
+    space = weyl.perm_space(s.system)
+    if space.reflection_perm(neg) != space.reflection_perm(s.word[i]):
         raise ScriptIntegrityError("sign flip", "reflection changed under negation")
     word = s.word[:i] + (neg,) + s.word[i + 1:]
-    return RewriteState(s.system, word, s.element, s.conjugator)
+    return RewriteState(s.system, word, s.element_perm, s.conjugator_perm)
 
 
 # --------------------------------------------------------------------------
@@ -209,9 +228,10 @@ def replay(trace: RewriteTrace) -> bool:
     """Re-run every recorded operation from the initial state and compare
     each snapshot exactly."""
     state = trace.initial_state
+    space = weyl.perm_space(state.system)
     for step in trace.steps[1:]:
         if step.op == "conj":
-            state = apply_conjugation(state, weyl.evaluate(state.system, step.args[0]))
+            state = _conjugate(state, space.word_perm(step.args[0]))
         elif step.op == "perm":
             state = apply_s_permutation(state, step.args[0], step.args[1])
         elif step.op == "flip":
@@ -234,6 +254,7 @@ class _Script:
         self.system = system
         start = initial_state(system, word)
         self.steps: list[RewriteStep] = [RewriteStep("start", (), note, start)]
+        self._space = weyl.perm_space(system)
         self._stage = ""
 
     # -- bookkeeping --------------------------------------------------------
@@ -252,32 +273,31 @@ class _Script:
     def _detail(self, text: str) -> str:
         return f"{self._stage}: {text}" if self._stage else text
 
+    def _check_conjugator(self, state: RewriteState) -> None:
+        w0 = self.steps[0].state.element_perm
+        if self._space.conjugate(state.conjugator_perm, w0) != state.element_perm:
+            raise ScriptIntegrityError(self.name, "conjugator invariant broken")
+
     def _push(self, op: str, args: tuple, detail: str, new_state: RewriteState) -> None:
         # Permutations and sign flips change neither the element nor the
         # conjugator (each carries its own local product check), so the
         # global invariant only needs re-proving after a conjugation.
         if op == "conj":
-            w0 = self.steps[0].state.element
-            c = new_state.conjugator
-            if mat_mul(mat_mul(c, w0), _transpose(c)) != new_state.element:
-                raise ScriptIntegrityError(self.name, "conjugator invariant broken")
+            self._check_conjugator(new_state)
         self.steps.append(RewriteStep(op, args, self._detail(detail), new_state))
 
     def trace(self) -> RewriteTrace:
         first, last = self.steps[0].state, self.steps[-1].state
         if word_charpoly(self.system, first.word) != word_charpoly(self.system, last.word):
             raise ScriptIntegrityError(self.name, "word characteristic polynomial drifted")
-        c = last.conjugator
-        if mat_mul(mat_mul(c, first.element), _transpose(c)) != last.element:
-            raise ScriptIntegrityError(self.name, "conjugator invariant broken")
+        self._check_conjugator(last)
         return RewriteTrace(self.name, tuple(self.steps))
 
     # -- primitive moves ----------------------------------------------------
 
     def conj(self, u_word: Sequence[Vector], note: str = "") -> None:
         u_word = tuple(tuple(r) for r in u_word)
-        u = weyl.evaluate(self.system, u_word)
-        st = apply_conjugation(self.state, u)
+        st = _conjugate(self.state, self._space.word_perm(u_word))
         label = " ".join("s_" + self.system.format_root(r) for r in u_word)
         self._push("conj", (u_word,), note or f"conjugate by {label}", st)
 
@@ -408,165 +428,108 @@ def _system_of(entry: dg.CatalogEntry) -> RootSystem:
 # delivered inverted (b -> a).
 # --------------------------------------------------------------------------
 
-def _forward_e8(system: RootSystem) -> _Script:
-    """E8(a3) word -> E8(b3) word."""
-    a = dg.catalog("E8(a3)")
-    lab = _entry_labels(a)
-    sc = _Script("E8(a3) → E8(b3)", system, a.word)
+@dataclass(frozen=True)
+class _Case:
+    """A named case script, written a -> b in three stages.
 
-    sc.set_stage("stage 1")
-    sc.swap(2)
-    sc.swap(1)
-    sc.swap(5)
-    sc.swap(4)
-    sc.perm(3, "left", "absorb: s_{a3} carries b3 to b3+a3")
-    sc.perm(2, "left", "absorb: s_{a2} carries b3+a3 to the new root mu")
-    mu = vec_sub(vec_add(lab["beta3"], lab["alpha3"]), lab["alpha2"])
-    sc.require_root_at(2, mu, "mu = b3 + a3 - a2")
+    Stages 1 and 2 each swap orthogonal pairs into place and absorb two
+    letters at ``absorb``, creating mu and then sigma; stage 3 plays the
+    move list, where an int is an orthogonal swap at that position and a
+    string names a rotation macro of :class:`_Script`.
+    """
 
-    sc.set_stage("stage 2")
-    sc.rotate_last_to_front()
-    sc.rotate_last_to_front()
-    sc.swap(1)
-    sc.swap(0)
-    sc.swap(2)
-    sc.swap(1)
-    sc.perm(3, "left", "absorb: s_{b4} carries mu to mu+b4")
-    sc.perm(2, "left", "absorb: s_{b2} carries mu+b4 to the new root sigma")
-    sigma = vec_sub(vec_add(mu, lab["beta4"]), lab["beta2"])
-    sc.require_root_at(2, sigma, "sigma = mu + b4 - b2")
-
-    sc.set_stage("stage 3")
-    sc.swap(0)
-    sc.rotate_first_to_last()
-    sc.swap(6)
-    sc.swap(5)
-    sc.swap(4)
-    sc.swap(0)
-    sc.rotate_first_to_last()
-    sc.swap(6)
-    sc.swap(0)
-    sc.swap(1)
-    sc.swap(2)
-    sc.rotate_last_to_front()
-    sc.set_stage("")
-    return sc
+    a_name: str
+    absorb: int
+    stage1: tuple[int, ...]
+    stage2: tuple[int, ...]
+    stage3: tuple[int | str, ...]
+    # Normalized inner products of the cut root sigma against every other
+    # letter of the b-side word, asserted before the inverted script runs.
+    sigma_relations: tuple[tuple[str, Q], ...]
 
 
-def _forward_e7(system: RootSystem) -> _Script:
-    """E7(a2) word -> E7(b2) word."""
-    a = dg.catalog("E7(a2)")
-    lab = _entry_labels(a)
-    sc = _Script("E7(a2) → E7(b2)", system, a.word)
+_FIRST_TO_LAST = "rotate_first_to_last"
+_LAST_TO_FRONT = "rotate_last_to_front"
 
-    sc.set_stage("stage 1")
-    sc.swap(1)
-    sc.swap(0)
-    sc.swap(4)
-    sc.swap(3)
-    sc.perm(2, "left", "absorb: s_{a3} carries b3 to b3+a3")
-    sc.perm(1, "left", "absorb: s_{a2} carries b3+a3 to the new root mu")
-    mu = vec_sub(vec_add(lab["beta3"], lab["alpha3"]), lab["alpha2"])
-    sc.require_root_at(1, mu, "mu = b3 + a3 - a2")
-
-    sc.set_stage("stage 2")
-    sc.rotate_last_to_front()
-    sc.rotate_last_to_front()
-    sc.swap(1)
-    sc.swap(0)
-    sc.perm(2, "left", "absorb: s_{b4} carries mu to mu+b4")
-    sc.perm(1, "left", "absorb: s_{b2} carries mu+b4 to the new root sigma")
-    sigma = vec_sub(vec_add(mu, lab["beta4"]), lab["beta2"])
-    sc.require_root_at(1, sigma, "sigma = mu + b4 - b2")
-
-    sc.set_stage("stage 3")
-    sc.rotate_first_to_last()
-    sc.swap(5)
-    sc.swap(4)
-    sc.swap(3)
-    sc.rotate_first_to_last()
-    sc.swap(5)
-    sc.rotate_last_to_front()
-    sc.set_stage("")
-    return sc
-
-
-def _forward_d6(system: RootSystem) -> _Script:
-    """D6(a2) word -> D6(b2) word."""
-    a = dg.catalog("D6(a2)")
-    lab = _entry_labels(a)
-    sc = _Script("D6(a2) → D6(b2)", system, a.word)
-
-    sc.set_stage("stage 1")
-    sc.swap(3)
-    sc.swap(2)
-    sc.perm(1, "left", "absorb: s_{a3} carries b3 to b3+a3")
-    sc.perm(0, "left", "absorb: s_{a2} carries b3+a3 to the new root mu")
-    mu = vec_sub(vec_add(lab["beta3"], lab["alpha3"]), lab["alpha2"])
-    sc.require_root_at(0, mu, "mu = b3 + a3 - a2")
-
-    sc.set_stage("stage 2")
-    sc.rotate_last_to_front()
-    sc.rotate_last_to_front()
-    sc.perm(1, "left", "absorb: s_{b4} carries mu to mu+b4")
-    sc.perm(0, "left", "absorb: s_{b2} carries mu+b4 to the new root sigma")
-    sigma = vec_sub(vec_add(mu, lab["beta4"]), lab["beta2"])
-    sc.require_root_at(0, sigma, "sigma = mu + b4 - b2")
-
-    sc.set_stage("stage 3")
-    sc.rotate_first_to_last()
-    sc.swap(4)
-    sc.rotate_last_to_front()
-    sc.set_stage("")
-    return sc
-
-
-_FORWARD_BUILDERS = {
-    "E8(b3)": ("E8(a3)", _forward_e8),
-    "E7(b2)": ("E7(a2)", _forward_e7),
-    "D6(b2)": ("D6(a2)", _forward_d6),
+_CASES = {
+    "E8(b3)": _Case(
+        "E8(a3)", 3, (2, 1, 5, 4), (1, 0, 2, 1),
+        (0, _FIRST_TO_LAST, 6, 5, 4, 0, _FIRST_TO_LAST, 6, 0, 1, 2, _LAST_TO_FRONT),
+        (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)), ("alpha1", Q(0)),
+         ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)), ("alpha4", Q(-1, 2)))),
+    "E7(b2)": _Case(
+        "E7(a2)", 2, (1, 0, 4, 3), (1, 0),
+        (_FIRST_TO_LAST, 5, 4, 3, _FIRST_TO_LAST, 5, _LAST_TO_FRONT),
+        (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)),
+         ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)), ("alpha4", Q(-1, 2)))),
+    "D6(b2)": _Case(
+        "D6(a2)", 1, (3, 2), (),
+        (_FIRST_TO_LAST, 4, _LAST_TO_FRONT),
+        (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)),
+         ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)))),
 }
 
-# Normalized inner products of the cut root sigma against every other
-# letter of the b-side word, asserted before each inverted script runs.
-_SIGMA_RELATIONS = {
-    "E8(b3)": (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)), ("alpha1", Q(0)),
-               ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)), ("alpha4", Q(-1, 2))),
-    "E7(b2)": (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)),
-               ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)), ("alpha4", Q(-1, 2))),
-    "D6(b2)": (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)),
-               ("beta4", Q(1, 2)), ("beta2", Q(-1, 2))),
-}
+
+def _forward_case(name: str, system: RootSystem) -> _Script:
+    """The catalog word of the case's a-diagram -> the b-diagram word."""
+    case = _CASES[name]
+    a = dg.catalog(case.a_name)
+    lab = _entry_labels(a)
+    sc = _Script(f"{case.a_name} → {name}", system, a.word)
+    p = case.absorb
+
+    sc.set_stage("stage 1")
+    for i in case.stage1:
+        sc.swap(i)
+    sc.perm(p, "left", "absorb: s_{a3} carries b3 to b3+a3")
+    sc.perm(p - 1, "left", "absorb: s_{a2} carries b3+a3 to the new root mu")
+    mu = vec_sub(vec_add(lab["beta3"], lab["alpha3"]), lab["alpha2"])
+    sc.require_root_at(p - 1, mu, "mu = b3 + a3 - a2")
+
+    sc.set_stage("stage 2")
+    sc.rotate_last_to_front()
+    sc.rotate_last_to_front()
+    for i in case.stage2:
+        sc.swap(i)
+    sc.perm(p, "left", "absorb: s_{b4} carries mu to mu+b4")
+    sc.perm(p - 1, "left", "absorb: s_{b2} carries mu+b4 to the new root sigma")
+    sigma = vec_sub(vec_add(mu, lab["beta4"]), lab["beta2"])
+    sc.require_root_at(p - 1, sigma, "sigma = mu + b4 - b2")
+
+    sc.set_stage("stage 3")
+    for move in case.stage3:
+        if isinstance(move, int):
+            sc.swap(move)
+        else:
+            getattr(sc, move)()
+    sc.set_stage("")
+    return sc
+
 
 LONG_CYCLE_NAMES = ("D6(b2)", "E7(b2)", "E8(b3)", "E8(b5)", "Dl(b)")
 
 
-def _assert_sigma_relations(name: str, system: RootSystem) -> None:
-    lab = _entry_labels(dg.catalog(name))
-    sigma = lab["sigma"]
-    for other, expected in _SIGMA_RELATIONS[name]:
-        got = system.normalized_inner(sigma, lab[other])
+def _inverted_case_trace(name: str) -> RewriteTrace:
+    case = _CASES[name]
+    b_entry = dg.catalog(name)
+    a_entry = dg.catalog(case.a_name)
+    system = _system_of(b_entry)
+    lab = _entry_labels(b_entry)
+    for other, expected in case.sigma_relations:
+        got = system.normalized_inner(lab["sigma"], lab[other])
         if got != expected:
             raise ScriptIntegrityError(
                 name, f"(sigma, {other}) = {got}, expected {expected}")
 
-
-def _inverted_case_trace(name: str) -> RewriteTrace:
-    a_name, builder = _FORWARD_BUILDERS[name]
-    b_entry = dg.catalog(name)
-    a_entry = dg.catalog(a_name)
-    system = _system_of(b_entry)
-    _assert_sigma_relations(name, system)
-
-    fwd = builder(system)
+    fwd = _forward_case(name, system)
     fwd.require_word(b_entry.word, "forward script must land on the catalog word")
     ops = [(st.op, st.args) for st in fwd.steps[1:]]
 
-    sc = _Script(f"{name} → {a_name}", system, b_entry.word,
+    sc = _Script(f"{name} → {case.a_name}", system, b_entry.word,
                  note=f"catalog word of {name}")
     for op, args in _invert_ops(ops):
         sc.play(op, args)
-    sc.require_word(a_entry.word, f"final word must be the catalog word of {a_name}")
+    sc.require_word(a_entry.word, f"final word must be the catalog word of {case.a_name}")
     return sc.trace()
 
 
@@ -829,9 +792,10 @@ def verify_commutation(system: RootSystem, case: str) -> bool:
         raise ValueError(f"case {case} does not match l={l}")
     k = l // 4 if case == "4k" else (l + 2) // 4
     alphas, betas = _canonical_cycle_labels(l)
-    prod_a = weyl.evaluate(system, alphas)
-    prod_b = weyl.evaluate(system, betas)
-    refl = lambda r: weyl.reflection(system, r)  # noqa: E731
+    space = weyl.perm_space(system)
+    prod_a = space.word_perm(alphas)
+    prod_b = space.word_perm(betas)
+    refl = space.reflection_perm
 
     def chain(pair: str, L: int, R: int) -> Vector:
         return _chain_vector(pair, alphas, betas, L, R)
@@ -841,14 +805,14 @@ def verify_commutation(system: RootSystem, case: str) -> bool:
     # passing the alpha block: s_{chain(beta,L,R)} A == A s_{chain(alpha,L,R+1)}
     for R in range(1, (k if case == "4k" else k - 1) + 1):
         L = beta_sum - R
-        lhs = mat_mul(refl(chain("beta", L, R)), prod_a)
-        rhs = mat_mul(prod_a, refl(chain("alpha", L, R + 1)))
+        lhs = space.compose(refl(chain("beta", L, R)), prod_a)
+        rhs = space.compose(prod_a, refl(chain("alpha", L, R + 1)))
         ok = ok and lhs == rhs
     # passing the beta block: s_{chain(alpha,L,R)} B == B s_{chain(beta,L-1,R)}
     for R in range(2, k + 1):
         L = beta_sum + 1 - R
-        lhs = mat_mul(refl(chain("alpha", L, R)), prod_b)
-        rhs = mat_mul(prod_b, refl(chain("beta", L - 1, R)))
+        lhs = space.compose(refl(chain("alpha", L, R)), prod_b)
+        rhs = space.compose(prod_b, refl(chain("beta", L - 1, R)))
         ok = ok and lhs == rhs
     return ok
 
@@ -934,20 +898,12 @@ def _dl_trace(l: int) -> RewriteTrace:
 # Public entry point for the long-cycle scripts.
 # --------------------------------------------------------------------------
 
-_PAIRED_NAME = {
-    "E8(b3)": "E8(a3)",
-    "E7(b2)": "E7(a2)",
-    "D6(b2)": "D6(a2)",
-    "E8(b5)": "E8(a5)",
-}
-
-
 def transform_long_cycle(name: str, l: int | None = None) -> RewriteTrace:
     """Run the elimination script for a long-cycle diagram.
 
     Every trace starts at the catalog word of the named b-diagram and ends
     at a word whose diagram identifies as the paired a-diagram; each step
-    is verified as an exact matrix identity while the trace is built.
+    is verified as an exact permutation identity while the trace is built.
     """
     if name == "Dl(b)":
         if l is None:
@@ -958,13 +914,12 @@ def transform_long_cycle(name: str, l: int | None = None) -> RewriteTrace:
         if l is not None:
             raise ValueError("the parameter l is only valid for Dl(b)")
         if name == "E8(b5)":
-            trace = _e8b5_trace()
-        elif name in _FORWARD_BUILDERS:
-            trace = _inverted_case_trace(name)
+            trace, expected = _e8b5_trace(), "E8(a5)"
+        elif name in _CASES:
+            trace, expected = _inverted_case_trace(name), _CASES[name].a_name
         else:
             raise ValueError(
                 f"unknown transform {name!r}; valid names: {', '.join(LONG_CYCLE_NAMES)}")
-        expected = _PAIRED_NAME[name]
 
     system = trace.initial_state.system
     final = dg.from_roots(system, trace.final_state.word)
@@ -1118,15 +1073,15 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
         omega = (p1, p2, p3, p4, p5)
         paired = _five_cycle_r1(system, phi)
         name = "D5"
-    w = weyl.evaluate(system, omega)
-    target = paired.final_state.element
-    result = oracle.are_conjugate(system, w, target)
+    result = oracle.are_conjugate(
+        system, weyl.evaluate(system, omega), paired.final_state.element)
     if result.status != "conjugate":
         raise ScriptIntegrityError(
             "5-cycle classification",
             f"orientation {r_lambda} is not conjugate to the paired scripted word")
     word = paired.final_state.word
     u = result.witness
-    if mat_mul(mat_mul(u, w), _transpose(u)) != weyl.evaluate(system, word):
+    space = weyl.perm_space(system)
+    if space.conjugate(space.perm_of_matrix(u), space.word_perm(omega)) != space.word_perm(word):
         raise ScriptIntegrityError("5-cycle classification", "witness check failed")
     return FiveCycleResult(name, word, u)

@@ -1,4 +1,5 @@
-"""Weyl group elements as exact matrices, and reflection-word utilities.
+"""Weyl group elements as root permutations and exact matrices, and
+reflection-word utilities.
 
 Composition convention
 ----------------------
@@ -9,13 +10,23 @@ A word ``(r_1, ..., r_k)`` denotes the product of reflection matrices
 acting on column vectors, i.e. the *rightmost* reflection is applied to
 a vector first.  Every matrix in this package follows that convention;
 it matches the way the bicolored words in the diagram layer are read.
+
+Element representation
+----------------------
+A Weyl group acts faithfully on its root set and fixes the orthogonal
+complement of the root span pointwise, so inside the package an element
+is the permutation it induces on the sorted tuple ``system.roots``
+(see :class:`PermSpace`).  Two elements are equal exactly when their
+permutations are, and the ambient matrix is rebuilt on demand with no
+loss of exactness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import lcm
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .exactla import (
     Matrix,
@@ -26,11 +37,16 @@ from .exactla import (
     identity,
     mat_mul,
     mat_pow,
+    mat_vec,
     rank,
+    solve,
+    transpose,
 )
 from .rootsys import RootSystem
 
 Word = tuple[Vector, ...]
+#: A root permutation: ``bytes`` for at most 256 roots, else an int tuple.
+Perm = bytes | tuple[int, ...]
 
 
 def reflection(system: RootSystem, root: Vector) -> Matrix:
@@ -126,11 +142,11 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
 
 def is_involution(system: RootSystem, word: Sequence[Vector]) -> str:
     """Classify the element: ``identity``, ``involution`` or ``not-involution``."""
-    m = evaluate(system, word)
-    n = system.dim
-    if m == identity(n):
+    space = perm_space(system)
+    p = space.word_perm(word)
+    if p == space.ident:
         return "identity"
-    if mat_mul(m, m) == identity(n):
+    if space.compose(p, p) == space.ident:
         return "involution"
     return "not-involution"
 
@@ -161,7 +177,8 @@ def verify_bicolored(
     combined = alpha + beta
     if rank(combined) != len(combined):
         return False, "dependent"
-    if evaluate(system, word) != evaluate(system, combined):
+    space = perm_space(system)
+    if space.word_perm(word) != space.word_perm(combined):
         return False, "product-mismatch"
     return True, None
 
@@ -203,3 +220,184 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Elements as root permutations
+
+
+class PermSpace:
+    """Encodes the elements of W(system) as permutations of ``system.roots``.
+
+    ``p[i] == j`` means the element maps root ``i`` to root ``j``.
+    Permutations of at most 256 roots are packed into ``bytes`` and
+    composed with ``bytes.translate``; larger ones are integer tuples.
+    Every table is built on first use.
+    """
+
+    def __init__(self, system: RootSystem):
+        self.system = system
+        self.roots = system.roots
+        self.n = len(self.roots)
+        self.index = system.index
+        self.packed = self.n <= 256
+        self.ident = self._wrap(range(self.n))
+        self._reflections: dict[Vector, Perm] = {}
+        self._scaled = None
+        self._basis = None
+
+    def _wrap(self, images: Iterable[int]) -> Perm:
+        return bytes(images) if self.packed else tuple(images)
+
+    def table(self, p: Perm) -> Perm:
+        """Left-composition table of ``p`` for :meth:`mul`."""
+        if self.packed:
+            return p + bytes(range(self.n, 256))
+        return p
+
+    def mul(self, table_a: Perm, b: Perm) -> Perm:
+        """Permutation of the matrix product a @ b (b applied first).
+
+        ``table_a`` must come from :meth:`table`; ``b`` is a raw perm.
+        """
+        if self.packed:
+            return b.translate(table_a)
+        return itemgetter(*b)(table_a)
+
+    def compose(self, *perms: Perm) -> Perm:
+        """Permutation of the matrix product of ``perms``, left to right."""
+        out = self.ident
+        for p in perms:
+            out = self.mul(self.table(out), p)
+        return out
+
+    def inverse(self, p: Perm) -> Perm:
+        images = [0] * self.n
+        for i, j in enumerate(p):
+            images[j] = i
+        return self._wrap(images)
+
+    def conjugate(self, u: Perm, p: Perm) -> Perm:
+        """Permutation of u p u^-1."""
+        return self.compose(u, p, self.inverse(u))
+
+    def image(self, p: Perm, root: Vector) -> Vector:
+        return self.roots[p[self.index[tuple(root)]]]
+
+    def reflection_perm(self, root: Vector) -> Perm:
+        """Permutation of s_root, cached per signed root.
+
+        ``root`` and ``-root`` are computed and cached apart, so comparing
+        their permutations is a real check, not a cache hit.
+        """
+        root = tuple(root)
+        p = self._reflections.get(root)
+        if p is None:
+            if not self.system.is_root(root):
+                raise ValueError(f"{root} is not a root of {self.system.name()}")
+            if self._scaled is None:
+                # Integer multiples of the roots: s_r(v) = v - <v, r^vee> r
+                # with an integer Cartan number, so no Fraction is needed.
+                den = lcm(*(c.denominator for r in self.roots for c in r))
+                self._scaled = [tuple(int(c * den) for c in r) for r in self.roots]
+                self._scaled_index = {v: i for i, v in enumerate(self._scaled)}
+            r = self._scaled[self.index[root]]
+            rr = sum(x * x for x in r)
+            images = []
+            for v in self._scaled:
+                c = 2 * sum(a * b for a, b in zip(v, r)) // rr
+                images.append(self._scaled_index[tuple(a - c * b for a, b in zip(v, r))])
+            p = self._wrap(images)
+            self._reflections[root] = p
+        return p
+
+    def word_perm(self, word: Sequence[Vector]) -> Perm:
+        """Permutation of the word's product (see the composition convention)."""
+        return self.compose(*(self.reflection_perm(r) for r in word))
+
+    def perm_of_matrix(self, m: Matrix) -> Perm:
+        images = []
+        for r in self.roots:
+            idx = self.index.get(mat_vec(m, r))
+            if idx is None:
+                raise ValueError(
+                    f"matrix does not permute the roots of {self.system.name()}"
+                )
+            images.append(idx)
+        return self._wrap(images)
+
+    def _ambient_basis(self):
+        """(S^-1, cols): the columns of S are the simple roots followed by a
+        fixed basis of their orthogonal complement."""
+        if self._basis is None:
+            sys = self.system
+            cols = [tuple(r) for r in sys.simple_roots]
+            cols.extend(_orthogonal_complement(cols, sys.dim))
+            if len(cols) != sys.dim:
+                raise AssertionError("root span + complement must fill the ambient space")
+            self._basis = (_matrix_inverse(transpose(tuple(cols))), tuple(cols))
+        return self._basis
+
+    def matrix_of_perm(self, p: Perm) -> Matrix:
+        """Ambient matrix of the element: it moves each simple root as ``p``
+        says and fixes the orthogonal complement pointwise."""
+        sys = self.system
+        s_inv, cols = self._ambient_basis()
+        target_cols = [self.image(p, simple) for simple in sys.simple_roots]
+        target_cols.extend(cols[sys.rank:])
+        return mat_mul(transpose(tuple(target_cols)), s_inv)
+
+
+def _orthogonal_complement(vectors: Sequence[Vector], dim: int) -> list[Vector]:
+    """A basis of the subspace orthogonal to every given vector."""
+    rows = [list(v) for v in vectors]
+    # Row-reduce, tracking pivot columns.
+    pivots = []
+    r = 0
+    for c in range(dim):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Q(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(dim) if c not in pivots]
+    out = []
+    for c in free:
+        v = [Q(0)] * dim
+        v[c] = Q(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][c]
+        out.append(tuple(v))
+    return out
+
+
+def _matrix_inverse(m: Matrix) -> Matrix:
+    n = len(m)
+    cols = []
+    for i in range(n):
+        e = tuple(Q(1) if j == i else Q(0) for j in range(n))
+        x = solve(m, e)
+        if x is None:
+            raise ValueError("matrix is singular")
+        cols.append(x)
+    return transpose(tuple(cols))
+
+
+_SPACES: dict[str, PermSpace] = {}
+
+
+def perm_space(system: RootSystem) -> PermSpace:
+    """The (cached) permutation encoding of W(system)."""
+    key = system.name()
+    space = _SPACES.get(key)
+    if space is None or space.system is not system:
+        space = PermSpace(system)
+        _SPACES[key] = space
+    return space

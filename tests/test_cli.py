@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,28 @@ def test_transform_json(capsys):
     assert obj["steps"][0]["word_roots"] == obj["initial_word"]
     assert obj["steps"][-1]["word_roots"] == obj["final_word"]
     assert len({step["charpoly"] for step in obj["steps"]}) == 1
+
+
+# SHA-256 of the JSON stdout of `weylcalc transform NAME`, recorded from the
+# dense-matrix implementation: any change to the element representation
+# must leave every trace byte-identical.
+TRANSFORM_SHA256 = {
+    "d6b2": "6dbffd6666600576e375a2e9ecbcf28aadc85ca56289ac0deb59837c07600516",
+    "e7b2": "73ba3bfa73e8737304831967c5ca0ee628c777c5414cb6ac3c6f02594b02bc86",
+    "e8b3": "ed57635f512fabc22e17552d1508c6a799907a4420abd62fe6dd0a79240faee8",
+    "e8b5": "b342dd88ad495dc86ec283fc27be9d675ce0dca8ef41ec37d8c9da5fc7cc48ea",
+    "dl:6": "a2b4f2715e332fd9538807aa42f0c2fd81481adbb87fa37e5148c52d194147dd",
+    "dl:8": "01e7784e602aa94531ef2d5aed3b870acb27753e1b3437c2edcc6d0bf64d6f3f",
+    "dl:10": "c9de09b96c619f76e779651fa20e31edef03403c9057fd0b6a5a9663e07c48cb",
+    "dl:12": "8b37463cd4cd484c9ac18529495f4053218790948e812ed647f619a89c3d74fd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_SHA256))
+def test_transform_stdout_is_pinned(capsys, name):
+    code, out, _ = run_capture(capsys, ["transform", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSFORM_SHA256[name]
 
 
 def test_transform_unknown_name_exits_2(capsys):

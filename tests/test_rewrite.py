@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction as Q
 
 from weylcalc import diagram as dg
-from weylcalc.exactla import cyclotomic, dot, identity, mat_mul, poly_mul
+from weylcalc.exactla import cyclotomic, dot, identity, mat_mul, mat_vec, poly_mul
 from weylcalc.rootsys import build_by_name
 from weylcalc.rewrite import (
     LONG_CYCLE_NAMES,
@@ -57,6 +57,27 @@ def test_apply_conjugation_updates_element_and_conjugator():
         apply_conjugation(st, ((Q(2), Q(0), Q(0), Q(0)),) + tuple(
             tuple(Q(1) if i == j else Q(0) for j in range(4)) for i in range(1, 4)
         ))
+
+
+def test_apply_conjugation_rejects_a_moved_complement():
+    """An orthogonal matrix that fixes every E6 root but reflects their
+    orthogonal complement in R^8 is no element of W(E6): a root
+    permutation cannot record it, so it is refused, not dropped."""
+    e6 = build_by_name("E6")
+    word = e6.simple_roots[:2]
+    st = initial_state(e6, word)
+    v = (Q(0),) * 6 + (Q(1), Q(1))
+    assert all(dot(v, r) == 0 for r in e6.simple_roots)
+    u = tuple(
+        tuple((Q(1) if i == j else Q(0)) - v[i] * v[j] for j in range(8))
+        for i in range(8)
+    )
+    assert mat_mul(u, transpose(u)) == identity(8)
+    assert all(mat_vec(u, r) == r for r in e6.roots)
+    with pytest.raises(ValueError):
+        apply_conjugation(st, u)
+    w = weyl.reflection(e6, e6.simple_roots[3])
+    assert apply_conjugation(st, w).conjugator == w
 
 
 def test_apply_s_permutation_preserves_product():

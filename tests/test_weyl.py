@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction as Q
+from hypothesis import given, settings, strategies as st
 
 from weylcalc.exactla import charpoly, identity, mat, mat_mul, mat_vec
 from weylcalc.rootsys import build_by_name
@@ -11,6 +12,7 @@ from weylcalc.weyl import (
     evaluate,
     is_involution,
     order_or_infinite,
+    perm_space,
     reflection,
     verify_bicolored,
     word_matrix,
@@ -127,3 +129,21 @@ def test_word_rejects_non_roots():
     s = build_by_name("A3")
     with pytest.raises(ValueError):
         evaluate(s, ((Q(1), Q(0), Q(0), Q(0)),))
+    with pytest.raises(ValueError):
+        perm_space(s).reflection_perm((Q(2), Q(-2), Q(0), Q(0)))
+
+
+# E6 sits in R^8, so its elements must also fix a 2-dimensional complement.
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D5", "E6"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_perm_encoding_matches_matrices(name, data):
+    """The product of reflection permutations is the word's matrix, and
+    the matrix encodes back to the same permutation."""
+    s = build_by_name(name)
+    word = data.draw(st.lists(st.sampled_from(s.roots), max_size=8))
+    space = perm_space(s)
+    p = space.compose(*(space.reflection_perm(r) for r in word))
+    m = space.matrix_of_perm(p)
+    assert m == evaluate(s, word)
+    assert space.perm_of_matrix(m) == p
