@@ -35,6 +35,7 @@ from .exactla import (
     poly_mul,
     poly_str,
     power_plus_one,
+    rank,
     transpose,
 )
 
@@ -88,6 +89,8 @@ def _roots_arg(system: rootsys.RootSystem, text: str) -> tuple[Vector, ...]:
             out.append(system.parse_root(chunk))
         except ValueError as exc:
             raise _UsageError(f"cannot parse root {chunk!r}: {exc}") from exc
+    if rank(out) != len(out):
+        raise _UsageError(f"the roots {text!r} are linearly dependent")
     return tuple(out)
 
 

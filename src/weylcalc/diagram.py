@@ -29,6 +29,7 @@ from .exactla import (
     charpoly,
     cyclotomic,
     gram_positive_definite,
+    idot,
     poly_mul,
     poly_str,
     power_plus_one,
@@ -71,13 +72,6 @@ class Diagram:
             if (a, b) == (i, j):
                 return style
         return None
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for a, b, _ in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(sorted(deg))
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -144,32 +138,42 @@ def from_roots(
 ) -> Diagram:
     """Diagram of a root list: edge where the inner product is nonzero."""
     rr = [tuple(r) for r in roots]
+    lattice = []
     for r in rr:
-        if not system.is_root(r):
+        i = system.root_index(r)
+        if i is None:
             raise ValueError(f"{r} is not a root of {system.name()}")
+        lattice.append(system.int_roots[i])
     edges = []
     for i in range(len(rr)):
         for j in range(i + 1, len(rr)):
-            x = system.normalized_inner(rr[i], rr[j])
+            x = idot(lattice[i], lattice[j])
             if x != 0:
                 edges.append((i, j, DOTTED if x > 0 else SOLID))
     longs = tuple(system.is_long(r) for r in rr)
     return make_diagram(len(rr), edges, longs=longs, labels=labels)
 
 
+def _int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
+    """``(scale * gram(d, t), scale)``: the normalized Gram matrix scaled to
+    integers by ``scale = 2 * denominator(t)``."""
+    t = Q(t)
+    scale = 2 * t.denominator
+    short, long = scale // 2, t.numerator  # 1/2 and t/2, scaled
+    n = d.n
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * long if d.longs[i] else scale
+    for a, b, style in d.edges:
+        w = long if d.longs[a] or d.longs[b] else short
+        rows[a][b] = rows[b][a] = -w if style == SOLID else w
+    return rows, scale
+
+
 def gram(d: Diagram, t: Q = Q(1)) -> Matrix:
     """Normalized Gram matrix of the diagram at length ratio ``t``."""
-    t = Q(t)
-    n = d.n
-    rows = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = t if d.longs[i] else Q(1)
-    for a, b, style in d.edges:
-        w = Q(1, 2) if not (d.longs[a] or d.longs[b]) else t / 2
-        if style == SOLID:
-            w = -w
-        rows[a][b] = rows[b][a] = w
-    return tuple(tuple(r) for r in rows)
+    rows, scale = _int_gram(d, t)
+    return tuple(tuple(Q(x, scale) for x in row) for row in rows)
 
 
 def tits_value(d: Diagram, coeffs: Sequence, t: Q = Q(1)) -> Q:
@@ -187,7 +191,7 @@ def tits_value(d: Diagram, coeffs: Sequence, t: Q = Q(1)) -> Q:
 
 def is_realizable(d: Diagram, t: Q = Q(1)) -> bool:
     """True iff the Gram matrix is positive definite (independent roots exist)."""
-    return gram_positive_definite(gram(d, t))
+    return gram_positive_definite(_int_gram(d, t)[0])
 
 
 def _adjacency(d: Diagram) -> list[set[int]]:
@@ -339,7 +343,7 @@ def bicolored_word_order(d: Diagram) -> tuple[int, ...]:
 @lru_cache(maxsize=4096)
 def _bicolored_charpoly_cached(d: Diagram, t: Q) -> Poly:
     order = bicolored_word_order(d)
-    return charpoly(word_matrix_from_gram(gram(d, t), order))
+    return charpoly(word_matrix_from_gram(_int_gram(d, t)[0], order))
 
 
 def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:
@@ -352,9 +356,16 @@ def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:
 
 
 def invariant(d: Diagram) -> tuple:
-    """Matching key for identify(): counts, degrees, cycle lengths, charpoly."""
+    """Matching key for identify(): counts, (length class, degree) of each
+    vertex, cycle lengths, charpoly.
+
+    The length classes keep a diagram with long vertices from matching a
+    simply-laced one of the same shape.
+    """
+    adj = _adjacency(d)
+    vertices = tuple(sorted((d.longs[i], len(adj[i])) for i in range(d.n)))
     cyc = tuple(sorted(len(c) for c in cycles(d)))
-    return (d.n, d.degree_sequence(), cyc, bicolored_charpoly(d))
+    return (d.n, vertices, cyc, bicolored_charpoly(d))
 
 
 def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
@@ -579,9 +590,10 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
 
 
 @lru_cache(maxsize=1)
-def _catalog() -> dict[str, CatalogEntry]:
+def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
+    """(entries by name, entry name by invariant), built and checked once."""
     entries: dict[str, CatalogEntry] = {}
-    seen_invariants: dict[tuple, str] = {}
+    by_invariant: dict[tuple, str] = {}
     for name, system_name, word, labels, stated in _catalog_specs():
         if name in entries:
             raise RuntimeError(f"duplicate catalog name {name}")
@@ -606,21 +618,21 @@ def _catalog() -> dict[str, CatalogEntry]:
                 f"!= stored {poly_str(stated)}"
             )
         inv = invariant(d)
-        if inv in seen_invariants:
+        if inv in by_invariant:
             raise RuntimeError(
-                f"catalog invariant collision: {name} vs {seen_invariants[inv]}"
+                f"catalog invariant collision: {name} vs {by_invariant[inv]}"
             )
-        seen_invariants[inv] = name
+        by_invariant[inv] = name
         entries[name] = CatalogEntry(name, system_name, word, d, stated)
-    return entries
+    return entries, by_invariant
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_catalog().keys())
+    return tuple(_catalog()[0].keys())
 
 
 def catalog(name: str) -> CatalogEntry:
-    entries = _catalog()
+    entries = _catalog()[0]
     if name not in entries:
         raise KeyError(f"unknown catalog name {name!r}")
     return entries[name]
@@ -630,11 +642,7 @@ def identify(d: Diagram) -> str | None:
     """Catalog name whose invariant tuple matches, or None when unknown."""
     if bipartition(d) is None:
         return None
-    inv = invariant(d)
-    for entry in _catalog().values():
-        if invariant(entry.diagram) == inv:
-            return entry.name
-    return None
+    return _catalog()[1].get(invariant(d))
 
 
 def identify_components(d: Diagram) -> str | None:

@@ -1,15 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package runs on ``fractions.Fraction``; no floats
-anywhere.  Vectors are tuples of Fractions, matrices are tuples of row
-tuples, and polynomials are tuples of coefficients in *ascending* degree
-order (``poly[i]`` is the coefficient of ``x**i``).
+Every number that crosses the package API is a ``fractions.Fraction``
+(or a plain ``int``); no floats anywhere.  Vectors are tuples of
+Fractions, matrices are tuples of row tuples, and polynomials are tuples
+of coefficients in *ascending* degree order (``poly[i]`` is the
+coefficient of ``x**i``).
+
+Inside, the eliminations run fraction-free: a rational matrix is scaled
+to integers by its common denominator (:func:`_integer_matrix`) and
+reduced with exact integer division, never ``/`` between two ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -43,6 +49,11 @@ def vec_neg(x: Vector) -> Vector:
 
 def dot(x: Vector, y: Vector) -> Q:
     return sum((a * b for a, b in zip(x, y)), ZERO)
+
+
+def idot(x: Sequence[int], y: Sequence[int]) -> int:
+    """Inner product of two integer vectors."""
+    return sum(map(mul, x, y))
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -82,28 +93,34 @@ def trace(a: Matrix) -> Q:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
+def _integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """``(den * a, den)`` with ``den`` the least common denominator of the
+    entries, so the scaled matrix is integral.  Accepts ints and Fractions."""
+    den = 1
+    for row in a:
+        for e in row:
+            if e.denominator != 1:
+                den = lcm(den, e.denominator)
+    return [[e.numerator * (den // e.denominator) for e in row] for row in a], den
+
+
 def charpoly(a: Matrix) -> Poly:
     """Characteristic polynomial ``det(x*I - a)`` by Faddeev-LeVerrier.
 
-    Returned monic, ascending coefficient order.  The recursion runs on a
-    common-denominator integer scaling of the matrix: plain machine
-    integers skip the gcd bookkeeping every Fraction operation pays for,
-    and the result maps back exactly.
+    Returned monic, ascending coefficient order.  The recursion runs on
+    integers (an integer matrix as given, a rational one scaled by its
+    common denominator), and the result maps back exactly.
     """
     n = len(a)
     if n == 0:
         return (ONE,)
-    den = 1
-    for row in a:
-        for e in row:
-            den = den * e.denominator // gcd(den, e.denominator)
-    ai = [[int(e * den) for e in row] for row in a]
+    ai, den = _integer_matrix(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         cols = list(zip(*m))
-        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in ai]
+        m = [[sum(map(mul, row, col)) for col in cols] for row in ai]
         tr = sum(m[i][i] for i in range(n))
         assert tr % k == 0
         c = -(tr // k)
@@ -115,9 +132,9 @@ def charpoly(a: Matrix) -> Poly:
     return tuple(Q(coeffs[k], den ** (n - k)) for k in range(n + 1))
 
 
-def rank(rows: Sequence[Vector]) -> int:
-    """Rank of the span of the given vectors (Gaussian elimination)."""
-    work = [list(r) for r in rows]
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of the span of the given vectors (fraction-free elimination)."""
+    work, _ = _integer_matrix(rows)
     r = 0
     ncols = len(work[0]) if work else 0
     for col in range(ncols):
@@ -126,10 +143,13 @@ def rank(rows: Sequence[Vector]) -> int:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col] / prow[col]
-                work[i] = [e - factor * p for e, p in zip(work[i], prow)]
+        p = prow[col]
+        for i in range(r + 1, len(work)):
+            f = work[i][col]
+            if f != 0:
+                row = [p * e - f * q for e, q in zip(work[i], prow)]
+                g = gcd(*row)
+                work[i] = [e // g for e in row] if g > 1 else row
         r += 1
         if r == len(work):
             break
@@ -170,13 +190,14 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def det(a: Matrix) -> Q:
-    """Determinant via fraction-free Bareiss elimination."""
+    """Determinant via fraction-free Bareiss elimination on the integer
+    scaling of ``a`` (every division is exact)."""
     n = len(a)
     if n == 0:
         return ONE
-    work = [list(row) for row in a]
+    work, den = _integer_matrix(a)
     sign = 1
-    prev = ONE
+    prev = 1
     for k in range(n - 1):
         if work[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
@@ -186,20 +207,57 @@ def det(a: Matrix) -> Q:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) / prev
-            work[i][k] = ZERO
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
+            work[i][k] = 0
         prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+    return Q(sign * work[n - 1][n - 1], den ** n)
+
+
+class LeadingMinors:
+    """Leading principal minors of a growing symmetric integer matrix.
+
+    Fraction-free (Bareiss) elimination, one bordering row at a time:
+    ``elim[j][i]`` is entry (j, i) of the matrix after i elimination
+    steps, and ``minors[j]`` the leading minor of order j + 1.  Every
+    division is exact.  By Sylvester's criterion the matrix stays positive
+    definite exactly while each new minor is positive.
+    """
+
+    def __init__(self):
+        self.elim: list[list[int]] = []
+        self.minors: list[int] = []
+
+    def push(self, col: Sequence[int], diag: int) -> bool:
+        """Border the matrix with ``col`` (the new row's entries against the
+        rows so far) and ``diag``.  Kept, and True, iff the new leading
+        minor is positive."""
+        k = len(self.minors)
+        v = list(col) + [diag]
+        prev = 1
+        for i in range(k):
+            piv, vi = self.minors[i], v[i]
+            for j in range(i + 1, k):
+                v[j] = (piv * v[j] - vi * self.elim[j][i]) // prev
+            v[k] = (piv * v[k] - vi * vi) // prev
+            prev = piv
+        if v[k] <= 0:
+            return False
+        self.elim.append(v[:k])
+        self.minors.append(v[k])
+        return True
+
+    def pop(self) -> None:
+        self.elim.pop()
+        self.minors.pop()
 
 
 def gram_positive_definite(g: Matrix) -> bool:
-    """Sylvester's criterion: all leading principal minors positive."""
-    n = len(g)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
-        if det(minor) <= 0:
-            return False
-    return True
+    """Sylvester's criterion for a symmetric ``g``: all leading principal
+    minors positive, on its integer scaling (a positive factor keeps
+    every sign)."""
+    work, _ = _integer_matrix(g)
+    minors = LeadingMinors()
+    return all(minors.push(row[:k], row[k]) for k, row in enumerate(work))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,22 @@ elements, conjugacy inputs and witnesses, and corrector conjugators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterator
 
 from . import diagram as dg
 from . import weyl
-from .exactla import Matrix, Vector, dot, identity, mat_mul, transpose, vec_sub
-from .rootsys import RootSystem, lex_positive_rep
+from .exactla import (
+    LeadingMinors,
+    Matrix,
+    Vector,
+    dot,
+    identity,
+    idot,
+    mat_mul,
+    transpose,
+    vec_sub,
+)
+from .rootsys import RootSystem, doubled, lex_positive_rep
 
 DEFAULT_GROUP_CAP = 400_000
 DEFAULT_CONJUGACY_CAP = 1_000_000
@@ -231,25 +240,32 @@ class LabeledDiagram:
 
 
 class _SubsetIndex:
-    """Pairwise inner-product tables over sign-class reps, as bitmasks."""
+    """Pairwise inner-product tables over sign-class reps, as bitmasks.
+
+    ``inner`` holds integer inner products of doubled coordinates (four
+    times the Fraction ones).  ``mag_masks`` is keyed by twice the absolute
+    inner product, which for an adjacent pair is the squared length of its
+    longer root in doubled coordinates: ``int_short_norm`` between short
+    roots and ``int_long_norm`` once a long root is involved.
+    """
 
     def __init__(self, system: RootSystem):
         reps = system.sign_class_reps()
         m = len(reps)
         self.reps = reps
-        self.inner = [[dot(a, b) for b in reps] for a in reps]
-        short = system.short_norm
+        lattice = [doubled(r) for r in reps]
+        self.inner = [[idot(a, b) for b in lattice] for a in lattice]
         self.orth_mask = [0] * m
-        self.mag_masks: dict[Q, list[int]] = {}
+        self.mag_masks: dict[int, list[int]] = {}
         for i in range(m):
             for j in range(m):
                 if i == j:
                     continue
-                x = self.inner[i][j] / short
+                x = self.inner[i][j]
                 if x == 0:
                     self.orth_mask[i] |= 1 << j
                 else:
-                    masks = self.mag_masks.setdefault(abs(x), [0] * m)
+                    masks = self.mag_masks.setdefault(2 * abs(x), [0] * m)
                     masks[i] |= 1 << j
         self.long_mask = 0
         for i, r in enumerate(reps):
@@ -295,7 +311,6 @@ def find_subsets(
         return []
     if k > system.rank:
         return []  # more vertices than independent roots can exist
-    ratio = system.ratio
     idx = _subset_index(system)
     reps = idx.reps
     m = len(reps)
@@ -312,10 +327,11 @@ def find_subsets(
         visit.append(best)
         remaining.discard(best)
 
-    def edge_magnitude(a: int, b: int) -> Q:
+    def edge_magnitude(a: int, b: int) -> int:
+        """The ``mag_masks`` key of an edge between vertices a and b."""
         if target.longs[a] or target.longs[b]:
-            return ratio / 2
-        return Q(1, 2)
+            return system.int_long_norm
+        return system.int_short_norm
 
     empty = [0] * m
     all_mask = (1 << m) - 1
@@ -338,26 +354,13 @@ def find_subsets(
     seen_sets: set[frozenset] = set()
     chosen_pos: list[int] = []  # rep indices, in visit order
     chosen: list[Vector | None] = [None] * k  # indexed by target vertex
-    # LDL^T state for the positive-definiteness of the running Gram.
-    lrows: list[list[Q]] = []
-    pivots: list[Q] = []
+    vertex_pos = [0] * k  # rep index chosen for each target vertex
+    # Leading minors of the running Gram, for its positive-definiteness.
+    minors = LeadingMinors()
 
     def pd_extend(pos: int) -> bool:
-        inner = idx.inner
-        row: list[Q] = []
-        for i, p in enumerate(chosen_pos):
-            val = inner[pos][p]
-            for j in range(i):
-                val -= row[j] * lrows[i][j] * pivots[j]
-            row.append(val / pivots[i])
-        piv = inner[pos][pos]
-        for j in range(len(row)):
-            piv -= row[j] * row[j] * pivots[j]
-        if piv <= 0:
-            return False
-        lrows.append(row)
-        pivots.append(piv)
-        return True
+        row = idx.inner[pos]
+        return minors.push([row[p] for p in chosen_pos], row[pos])
 
     def styles_match() -> bool:
         """Realized styles must differ from the target on a cut."""
@@ -370,7 +373,7 @@ def find_subsets(
             while queue:
                 a = queue.pop()
                 for b in adj[a]:
-                    x = dot(chosen[a], chosen[b])
+                    x = idx.inner[vertex_pos[a]][vertex_pos[b]]
                     realized = dg.DOTTED if x > 0 else dg.SOLID
                     want = 0 if realized == target.edge_style(a, b) else 1
                     if b in color:
@@ -407,12 +410,12 @@ def find_subsets(
             if pd_extend(pos):
                 chosen_pos.append(pos)
                 chosen[v] = reps[pos]
+                vertex_pos[v] = pos
                 if descend(depth + 1, used | bit):
                     return True
                 chosen[v] = None
                 chosen_pos.pop()
-                lrows.pop()
-                pivots.pop()
+                minors.pop()
         return False
 
     descend(0, 0)
@@ -464,13 +467,9 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
     """
     if k not in (2, 3):
         raise ValueError("only pairs and triples are supported")
-    reps = system.sign_class_reps()
-    m = len(reps)
-    rep_index = {r: i for i, r in enumerate(reps)}
-    ortho = [
-        frozenset(j for j in range(m) if j != i and dot(reps[i], reps[j]) == 0)
-        for i in range(m)
-    ]
+    idx = _subset_index(system)
+    m = len(idx.reps)
+    ortho = idx.orth_mask
 
     tuples: list[tuple[int, ...]] = []
     tuple_index: dict[tuple[int, ...], int] = {}
@@ -481,7 +480,7 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
             tuples.append(prefix)
             return
         for j in range(start, m):
-            if all(j in ortho[i] for i in prefix):
+            if all(ortho[i] >> j & 1 for i in prefix):
                 grow(prefix + (j,), j + 1)
 
     grow((), 0)
@@ -494,11 +493,16 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
             x = uf[x]
         return x
 
+    # Generator g sends rep i to root g[root_of_rep[i]], whose sign class
+    # is rep rep_of_root[g[root_of_rep[i]]].
+    space = weyl.perm_space(system)
+    rep_index = {r: i for i, r in enumerate(idx.reps)}
+    root_of_rep = [system.root_index(r) for r in idx.reps]
+    rep_of_root = [rep_index[lex_positive_rep(r)] for r in system.roots]
+    gens = [space.reflection_perm(s) for s in system.simple_roots]
     for t_idx, t in enumerate(tuples):
-        for s in system.simple_roots:
-            image = tuple(
-                sorted(rep_index[lex_positive_rep(system.reflect(s, reps[i]))] for i in t)
-            )
+        for g in gens:
+            image = tuple(sorted(rep_of_root[g[root_of_rep[i]]] for i in t))
             a, b = root_of(t_idx), root_of(tuple_index[image])
             if a != b:
                 uf[a] = b

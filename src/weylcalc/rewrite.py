@@ -1050,8 +1050,8 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
 
     Orientations 1 and 4 give the tree class D5; orientations 2 and 3 give
     D5(a1).  For 1 and 2 the conjugator comes from the explicit script; for
-    3 and 4 it is found by the brute-force orbit search against the paired
-    script's element.
+    3 and 4 it is found by walking the conjugacy class (as root
+    permutations) to the paired script's element.
     """
     if r_lambda not in (1, 2, 3, 4):
         raise ValueError("orientation index must be 1, 2, 3 or 4")
@@ -1073,15 +1073,16 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
         omega = (p1, p2, p3, p4, p5)
         paired = _five_cycle_r1(system, phi)
         name = "D5"
-    result = oracle.are_conjugate(
-        system, weyl.evaluate(system, omega), paired.final_state.element)
-    if result.status != "conjugate":
+    space = weyl.perm_space(system)
+    start = space.word_perm(omega)
+    end = paired.final_state.element_perm
+    parent = oracle._class_walk(space, start, oracle.DEFAULT_CONJUGACY_CAP, stop=end)
+    if parent is None or end not in parent:
         raise ScriptIntegrityError(
             "5-cycle classification",
             f"orientation {r_lambda} is not conjugate to the paired scripted word")
     word = paired.final_state.word
-    u = result.witness
-    space = weyl.perm_space(system)
-    if space.conjugate(space.perm_of_matrix(u), space.word_perm(omega)) != space.word_perm(word):
+    u = oracle._witness_perm(space, parent, end)
+    if space.conjugate(u, start) != space.word_perm(word):
         raise ScriptIntegrityError("5-cycle classification", "witness check failed")
-    return FiveCycleResult(name, word, u)
+    return FiveCycleResult(name, word, space.matrix_of_perm(u))

@@ -8,15 +8,25 @@ simply-laced families, 2 for B/C/F, 3 for G_2).  With that convention
 two connected short roots have inner product +-1/2 and a pair involving
 a long root has inner product +-t/2, which is the bookkeeping the
 diagram layer relies on.
+
+Every root has coordinates in (1/2)Z, so each system also holds its
+roots as *doubled-integer* coordinates (``int_roots``, aligned index
+for index with ``roots``).  Closure, norms, inner products and
+reflections run on those integers; the Cartan number
+``2<v, r>/<r, r>`` is an integer and unchanged by the doubling, so a
+reflection needs no division.  The ``Fraction`` tuples in ``roots`` are
+made once, from an intern table, and are what the API hands out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
-from .exactla import Vector, dot, solve, vec_neg, vec_scale, vec_sub
+from .exactla import Vector, dot, idot, solve, vec_neg, vec_scale, vec_sub
+
+IntVector = Tuple[int, ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -96,6 +106,47 @@ def _simple_roots(family: str, rank: int) -> tuple[Vector, ...]:
     raise ValueError(f"unknown family {family!r}")
 
 
+#: Shared Fraction objects for the halved coordinates of every root here.
+_HALVES = {k: Q(k, 2) for k in range(-8, 9)}
+
+
+def halved(v: Sequence[int]) -> Vector:
+    """Fraction coordinates of a doubled-integer vector."""
+    return tuple(_HALVES[k] if -8 <= k <= 8 else Q(k, 2) for k in v)
+
+
+def doubled(v: Vector) -> IntVector:
+    """Doubled-integer coordinates of a vector with entries in (1/2)Z."""
+    out = []
+    for c in v:
+        d = c.denominator
+        if d == 1:
+            out.append(2 * c.numerator)
+        elif d == 2:
+            out.append(c.numerator)
+        else:
+            raise ValueError(f"coordinate {c} is not a multiple of 1/2")
+    return tuple(out)
+
+
+def _close_under_reflections(simple: Sequence[IntVector]) -> list[IntVector]:
+    norms = [idot(s, s) for s in simple]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s, ss in zip(simple, norms):
+                c = 2 * idot(v, s) // ss  # a Cartan number: exact
+                if c:
+                    image = tuple([a - c * b for a, b in zip(v, s)])
+                    if image not in roots:
+                        roots.add(image)
+                        nxt.append(image)
+        frontier = nxt
+    return sorted(roots)
+
+
 class RootSystem:
     """An irreducible root system with exact rational coordinates."""
 
@@ -108,56 +159,59 @@ class RootSystem:
             raise ValueError(f"rank {rank} out of range for {family} ({lo}..{hi})")
         self.family = family
         self.rank = rank
-        self.simple_roots = _simple_roots(family, rank)
-        self.dim = len(self.simple_roots[0])
-        self.roots = self._close_under_reflections()
+        simple = [doubled(s) for s in _simple_roots(family, rank)]
+        self.dim = len(simple[0])
+        # Sorting doubled coordinates gives the order of the Fraction ones.
+        self.int_roots = tuple(_close_under_reflections(simple))
         expected = _ROOT_COUNT[family](rank)
-        if len(self.roots) != expected:
+        if len(self.int_roots) != expected:
             raise AssertionError(
-                f"{family}{rank}: built {len(self.roots)} roots, expected {expected}"
+                f"{family}{rank}: built {len(self.int_roots)} roots, expected {expected}"
             )
-        self.short_norm = min(dot(r, r) for r in self.roots)
-        self.long_norm = max(dot(r, r) for r in self.roots)
-        self.ratio = self.long_norm / self.short_norm  # the integer t
-        self._root_set = frozenset(self.roots)
-        self.index = {r: i for i, r in enumerate(self.roots)}
-
-    # -- construction -----------------------------------------------------
-
-    def _close_under_reflections(self) -> tuple[Vector, ...]:
-        roots = set(self.simple_roots)
-        frontier = list(self.simple_roots)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for s in self.simple_roots:
-                    image = _reflect_raw(s, r)
-                    if image not in roots:
-                        roots.add(image)
-                        nxt.append(image)
-            frontier = nxt
-        return tuple(sorted(roots))
+        self.roots = tuple(halved(r) for r in self.int_roots)
+        self.int_index = {r: i for i, r in enumerate(self.int_roots)}
+        self.simple_roots = tuple(self.roots[self.int_index[s]] for s in simple)
+        #: squared lengths of doubled coordinates: 4x the Fraction norms
+        self.int_short_norm = min(idot(r, r) for r in self.int_roots)
+        self.int_long_norm = max(idot(r, r) for r in self.int_roots)
+        self.short_norm = Q(self.int_short_norm, 4)
+        self.long_norm = Q(self.int_long_norm, 4)
+        self.ratio = Q(self.int_long_norm, self.int_short_norm)  # the integer t
 
     # -- queries -----------------------------------------------------------
 
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
+    def root_index(self, v: Vector) -> int | None:
+        """Position of ``v`` in ``roots``, or None when it is not a root."""
+        try:
+            return self.int_index.get(doubled(v))
+        except ValueError:
+            return None
+
     def is_root(self, v: Vector) -> bool:
-        return tuple(v) in self._root_set
+        return self.root_index(v) is not None
 
     def normalized_inner(self, x: Vector, y: Vector) -> Q:
-        return dot(x, y) / self.short_norm
+        return Q(idot(doubled(x), doubled(y)), self.int_short_norm)
 
     def normalized_norm(self, x: Vector) -> Q:
-        return dot(x, x) / self.short_norm
+        return self.normalized_inner(x, x)
 
     def is_long(self, root: Vector) -> bool:
-        return dot(root, root) == self.long_norm and self.long_norm != self.short_norm
+        r = doubled(root)
+        return idot(r, r) == self.int_long_norm != self.int_short_norm
 
     def reflect(self, root: Vector, v: Vector) -> Vector:
         """Image of ``v`` under the reflection in the hyperplane of ``root``."""
-        return _reflect_raw(root, v)
+        r, x = doubled(root), doubled(v)
+        num, den = 2 * idot(x, r), idot(r, r)
+        if num % den:  # <v, r^vee> is not an integer: v is off the root lattice
+            c = Q(num, den)
+            return tuple(a - c * b for a, b in zip(v, root))
+        c = num // den
+        return halved([a - c * b for a, b in zip(x, r)])
 
     def positive_roots(self) -> tuple[Vector, ...]:
         return tuple(r for r in self.roots if _lex_positive(r))
@@ -207,11 +261,6 @@ class RootSystem:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family!r}, {self.rank})"
-
-
-def _reflect_raw(root: Vector, v: Vector) -> Vector:
-    c = 2 * dot(v, root) / dot(root, root)
-    return vec_sub(v, vec_scale(c, root))
 
 
 def _lex_positive(v: Vector) -> bool:

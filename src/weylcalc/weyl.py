@@ -34,6 +34,7 @@ from .exactla import (
     charpoly,
     cyclotomic_factors,
     dot,
+    idot,
     identity,
     mat_mul,
     mat_pow,
@@ -42,7 +43,7 @@ from .exactla import (
     solve,
     transpose,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, doubled
 
 Word = tuple[Vector, ...]
 #: A root permutation: ``bytes`` for at most 256 roots, else an int tuple.
@@ -103,19 +104,22 @@ def conjugate(system: RootSystem, word: Sequence[Vector], u: Sequence[Vector]) -
     return tuple(apply_word(system, u, tuple(r)) for r in word)
 
 
-def word_matrix_from_gram(gram: Matrix, order: Sequence[int]) -> Matrix:
+def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Matrix:
     """Matrix of a reflection word over the basis the Gram matrix indexes.
 
     ``order`` lists basis indices in word order; index ``i`` stands for the
     reflection in basis vector ``i``.  Works for any symmetric bilinear
     form with nonzero diagonal, so abstract diagrams (no ambient
-    realization) are handled too.
+    realization) are handled too.  ``gram`` may hold ints or Fractions and
+    any positive scaling of it gives the same matrix: the reflections only
+    see the Cartan numbers ``2 g_qi / g_ii``.  Those are integers for
+    roots, so a root Gram gives an integer product, returned as Fractions.
     """
     n = len(gram)
-    work = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in order:
         # s_i = I + e_i w^T, so A @ s_i = A + (column i of A) outer w.
-        w = [-2 * gram[q][i] / gram[i][i] for q in range(n)]
+        w = [-_cartan_number(gram[q][i], gram[i][i]) for q in range(n)]
         for p in range(n):
             api = work[p][i]
             if api == 0:
@@ -123,7 +127,13 @@ def word_matrix_from_gram(gram: Matrix, order: Sequence[int]) -> Matrix:
             row = work[p]
             for q in range(n):
                 row[q] += api * w[q]
-    return tuple(tuple(row) for row in work)
+    return tuple(tuple(Q(x) for x in row) for row in work)
+
+
+def _cartan_number(x, d):
+    """``2x/d``: an int when exact (always for roots), else a Fraction."""
+    c, rem = divmod(2 * x, d)
+    return c if rem == 0 else Q(2 * x) / d
 
 
 def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
@@ -132,11 +142,12 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     Requires the word's roots to be linearly independent (true for any
     reduced decomposition); the resulting matrix has size ``len(word)``,
     so its characteristic polynomial has the word's length as degree.
+    Computed on the doubled-integer Gram matrix of the roots.
     """
-    roots = [tuple(r) for r in word]
+    roots = [doubled(r) for r in word]
     if rank(roots) != len(roots):
         raise ValueError("word roots are linearly dependent")
-    gram = tuple(tuple(dot(a, b) for b in roots) for a in roots)
+    gram = [[idot(a, b) for b in roots] for a in roots]
     return word_matrix_from_gram(gram, range(len(roots)))
 
 
@@ -164,21 +175,20 @@ def verify_bicolored(
     ``non-orthogonal-alpha``, ``non-orthogonal-beta``, ``dependent``,
     ``product-mismatch``.
     """
-    alpha = [tuple(r) for r in alpha_set]
-    beta = [tuple(r) for r in beta_set]
+    alpha = [doubled(r) for r in alpha_set]
+    beta = [doubled(r) for r in beta_set]
     for i in range(len(alpha)):
         for j in range(i + 1, len(alpha)):
-            if dot(alpha[i], alpha[j]) != 0:
+            if idot(alpha[i], alpha[j]) != 0:
                 return False, "non-orthogonal-alpha"
     for i in range(len(beta)):
         for j in range(i + 1, len(beta)):
-            if dot(beta[i], beta[j]) != 0:
+            if idot(beta[i], beta[j]) != 0:
                 return False, "non-orthogonal-beta"
-    combined = alpha + beta
-    if rank(combined) != len(combined):
+    if rank(alpha + beta) != len(alpha) + len(beta):
         return False, "dependent"
     space = perm_space(system)
-    if space.word_perm(word) != space.word_perm(combined):
+    if space.word_perm(word) != space.word_perm(tuple(alpha_set) + tuple(beta_set)):
         return False, "product-mismatch"
     return True, None
 
@@ -239,11 +249,9 @@ class PermSpace:
         self.system = system
         self.roots = system.roots
         self.n = len(self.roots)
-        self.index = system.index
         self.packed = self.n <= 256
         self.ident = self._wrap(range(self.n))
-        self._reflections: dict[Vector, Perm] = {}
-        self._scaled = None
+        self._reflections: dict[tuple[int, ...], Perm] = {}  # by doubled root
         self._basis = None
 
     def _wrap(self, images: Iterable[int]) -> Perm:
@@ -282,7 +290,7 @@ class PermSpace:
         return self.compose(u, p, self.inverse(u))
 
     def image(self, p: Perm, root: Vector) -> Vector:
-        return self.roots[p[self.index[tuple(root)]]]
+        return self.roots[p[self.system.int_index[doubled(root)]]]
 
     def reflection_perm(self, root: Vector) -> Perm:
         """Permutation of s_root, cached per signed root.
@@ -290,25 +298,21 @@ class PermSpace:
         ``root`` and ``-root`` are computed and cached apart, so comparing
         their permutations is a real check, not a cache hit.
         """
-        root = tuple(root)
-        p = self._reflections.get(root)
+        r = doubled(root)
+        p = self._reflections.get(r)
         if p is None:
-            if not self.system.is_root(root):
-                raise ValueError(f"{root} is not a root of {self.system.name()}")
-            if self._scaled is None:
-                # Integer multiples of the roots: s_r(v) = v - <v, r^vee> r
-                # with an integer Cartan number, so no Fraction is needed.
-                den = lcm(*(c.denominator for r in self.roots for c in r))
-                self._scaled = [tuple(int(c * den) for c in r) for r in self.roots]
-                self._scaled_index = {v: i for i, v in enumerate(self._scaled)}
-            r = self._scaled[self.index[root]]
-            rr = sum(x * x for x in r)
+            lattice, index = self.system.int_roots, self.system.int_index
+            if r not in index:
+                raise ValueError(f"{tuple(root)} is not a root of {self.system.name()}")
+            # s_r(v) = v - <v, r^vee> r on doubled coordinates, with an
+            # integer Cartan number, so no Fraction is needed.
+            rr = idot(r, r)
             images = []
-            for v in self._scaled:
-                c = 2 * sum(a * b for a, b in zip(v, r)) // rr
-                images.append(self._scaled_index[tuple(a - c * b for a, b in zip(v, r))])
+            for i, v in enumerate(lattice):
+                c = 2 * idot(v, r) // rr
+                images.append(index[tuple([a - c * b for a, b in zip(v, r)])] if c else i)
             p = self._wrap(images)
-            self._reflections[root] = p
+            self._reflections[r] = p
         return p
 
     def word_perm(self, word: Sequence[Vector]) -> Perm:
@@ -318,7 +322,7 @@ class PermSpace:
     def perm_of_matrix(self, m: Matrix) -> Perm:
         images = []
         for r in self.roots:
-            idx = self.index.get(mat_vec(m, r))
+            idx = self.system.root_index(mat_vec(m, r))
             if idx is None:
                 raise ValueError(
                     f"matrix does not permute the roots of {self.system.name()}"

@@ -238,3 +238,19 @@ def test_charpoly_of_square_classes_differ():
     assert dg.bicolored_charpoly(even) == poly_mul(
         poly_mul((Q(1), Q(-1)), (Q(1), Q(-1))), (Q(1), Q(2), Q(1))
     )
+
+
+def test_identify_is_length_aware():
+    """Long vertices never match a simply-laced catalog entry."""
+    b3 = build_by_name("B3")
+    b3_coxeter = [b3.parse_root(t) for t in ("e1-e2", "e2-e3", "e3")]
+    d = dg.from_roots(b3, b3_coxeter)
+    assert d.longs == (True, True, False)
+    assert dg.identify(d) is None
+    g2 = build_by_name("G2")
+    d = dg.from_roots(g2, [g2.parse_root(t) for t in ("e1-e2", "-2e1+e2+e3")])
+    assert d.longs == (False, True)
+    assert dg.identify(d) is None
+    # all-short roots of B3 still form an ordinary A1 + A1
+    short = dg.from_roots(b3, [b3.parse_root("e1"), b3.parse_root("e2")])
+    assert dg.identify_components(short) == "A1+A1"

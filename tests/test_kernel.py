@@ -1,0 +1,263 @@
+"""The integer lattice kernel against plain Fraction references.
+
+Roots, Gram matrices, word matrices and positive-definiteness checks run
+on doubled-integer coordinates inside the package.  Each property here
+recomputes the same object the textbook way, in ``Fraction`` arithmetic,
+with reference code kept in this file, and demands exact equality.  The
+last property checks that no float ever crosses the API.
+"""
+
+from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylcalc import diagram as dg
+from weylcalc import oracle, rewrite
+from weylcalc.exactla import (
+    LeadingMinors,
+    charpoly,
+    det,
+    gram_positive_definite,
+    rank,
+)
+from weylcalc.rootsys import build_by_name, doubled
+from weylcalc.weyl import word_matrix, word_matrix_from_gram
+
+SMALL = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+         "D3", "D4", "D5", "E6", "F4", "G2")
+WORD_SYSTEMS = ("A4", "B3", "C4", "D5", "E6", "F4", "G2")
+
+
+# ---------------------------------------------------------------------------
+# Fraction references
+
+
+def ref_dot(x, y):
+    return sum((Q(a) * Q(b) for a, b in zip(x, y)), Q(0))
+
+
+def ref_reflect(r, v):
+    c = 2 * ref_dot(v, r) / ref_dot(r, r)
+    return tuple(a - c * b for a, b in zip(v, r))
+
+
+def ref_closure(simple):
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in simple:
+                image = ref_reflect(s, v)
+                if image not in roots:
+                    roots.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return tuple(sorted(roots))
+
+
+def ref_rank(rows):
+    work = [[Q(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            f = work[i][col] / work[r][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+def ref_det(m):
+    work = [[Q(x) for x in row] for row in m]
+    n = len(work)
+    out = Q(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            out = -out
+        out *= work[k][k]
+        for i in range(k + 1, n):
+            f = work[i][k] / work[k][k]
+            work[i] = [a - f * b for a, b in zip(work[i], work[k])]
+    return out
+
+
+def ref_positive_definite(g):
+    return all(ref_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+
+
+def ref_word_matrix(word):
+    return ref_word_matrix_from_gram([[ref_dot(a, b) for b in word] for a in word],
+                                     range(len(word)))
+
+
+def ref_word_matrix_from_gram(g, order):
+    n = len(g)
+    work = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in order:
+        w = [-2 * Q(g[q][i]) / g[i][i] for q in range(n)]
+        for row in work:
+            api = row[i]
+            for q in range(n):
+                row[q] += api * w[q]
+    return tuple(tuple(row) for row in work)
+
+
+def ref_charpoly(m):
+    """Faddeev-LeVerrier in Fractions, ascending coefficients."""
+    n = len(m)
+    coeffs = [Q(0)] * n + [Q(1)]
+    acc = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        acc = [[sum((m[i][t] * acc[t][j] for t in range(n)), Q(0)) for j in range(n)]
+               for i in range(n)]
+        c = -sum(acc[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            acc[i][i] += c
+    return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def independent_words(draw, systems=WORD_SYSTEMS):
+    """A system and a list of linearly independent roots of it."""
+    system = build_by_name(draw(st.sampled_from(systems)))
+    picks = draw(st.lists(st.integers(0, len(system.roots) - 1),
+                          min_size=1, max_size=system.rank))
+    word = []
+    for i in picks:
+        root = system.roots[i]
+        if ref_rank(word + [root]) == len(word) + 1:
+            word.append(root)
+    return system, tuple(word)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=len(SMALL) * 2, deadline=None)
+@given(st.sampled_from(SMALL))
+def test_closure_matches_fraction_closure(name):
+    system = build_by_name(name)
+    assert system.roots == ref_closure(system.simple_roots)
+    assert all(doubled(r) == l for r, l in zip(system.roots, system.int_roots))
+    assert system.short_norm == min(ref_dot(r, r) for r in system.roots)
+    assert system.long_norm == max(ref_dot(r, r) for r in system.roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL), st.data())
+def test_reflect_and_inner_match_fraction_formulas(name, data):
+    system = build_by_name(name)
+    n = len(system.roots)
+    r = system.roots[data.draw(st.integers(0, n - 1))]
+    v = system.roots[data.draw(st.integers(0, n - 1))]
+    assert system.reflect(r, v) == ref_reflect(r, v)
+    assert system.normalized_inner(r, v) == ref_dot(r, v) / system.short_norm
+    assert system.is_long(r) == (
+        ref_dot(r, r) == system.long_norm != system.short_norm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(independent_words())
+def test_word_matrix_and_charpoly_match_fraction_formula(case):
+    system, word = case
+    reference = ref_word_matrix(word)
+    assert word_matrix(system, word) == reference
+    assert rewrite.word_charpoly(system, word) == ref_charpoly(reference)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """A small symmetric rational matrix with nonzero diagonal and a word
+    order over its basis: most Cartan numbers are not integers."""
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    g = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = draw(entry.filter(bool))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(entry)
+    order = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    return g, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_forms())
+def test_word_matrix_from_gram_matches_reference_on_any_form(case):
+    g, order = case
+    assert word_matrix_from_gram(g, order) == ref_word_matrix_from_gram(g, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(WORD_SYSTEMS), st.data())
+def test_leading_minors_match_sylvester(name, data):
+    """The incremental Bareiss test in the subset search accepts a root
+    exactly while the running Gram matrix stays positive definite."""
+    system = build_by_name(name)
+    idx = oracle._subset_index(system)
+    m = len(idx.reps)
+    picks = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=system.rank + 1))
+    minors = LeadingMinors()
+    chosen = []
+    for pos in picks:
+        roots = [idx.reps[p] for p in chosen + [pos]]
+        gram = [[ref_dot(a, b) for b in roots] for a in roots]
+        expected = ref_positive_definite(gram)
+        assert gram_positive_definite(gram) == expected
+        row = idx.inner[pos]
+        assert minors.push([row[p] for p in chosen], row[pos]) == expected
+        if not expected:
+            break
+        chosen.append(pos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_words())
+def test_no_float_crosses_the_api(case):
+    system, word = case
+
+    def fractions(values):
+        return all(type(x) is Q for x in values)
+
+    assert fractions(c for r in system.roots for c in r)
+    assert fractions(c for r in system.simple_roots for c in r)
+    assert fractions((system.short_norm, system.long_norm, system.ratio))
+    assert fractions(system.reflect(word[0], word[-1]))
+    assert fractions([system.normalized_inner(word[0], word[-1])])
+    matrix = word_matrix(system, word)
+    assert fractions(x for row in matrix for x in row)
+    assert fractions(rewrite.word_charpoly(system, word))
+    d = dg.from_roots(system, word)
+    assert fractions(x for row in dg.gram(d, system.ratio) for x in row)
+    if dg.is_admissible(d):
+        assert fractions(dg.bicolored_charpoly(d, system.ratio))
+    int_gram = [[2 * int(x) for x in row] for row in ((2, -1), (-1, 2))]
+    assert fractions(x for row in word_matrix_from_gram(int_gram, (0, 1)) for x in row)
+    assert fractions(charpoly(int_gram))
+    assert fractions([det(int_gram)])
+    assert type(rank([doubled(r) for r in word])) is int
+
+
+def test_integer_inputs_divide_exactly():
+    """int / int would be a float: every kernel entry point takes ints."""
+    g = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert det(g) == 4 and type(det(g)) is Q
+    assert det(((0, 1), (1, 0))) == -1
+    assert charpoly(g) == (-4, 10, -6, 1)
+    assert gram_positive_definite(g)
+    assert not gram_positive_definite(((2, 3), (3, 2)))
+    assert rank(((2, 4), (1, 2), (0, 0))) == 1
