@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, Sequence
 
@@ -488,7 +487,9 @@ def _suite_orbits() -> list[tuple[str, str, str]]:
             return f"highest-root complement is {'+'.join(expected)}"
         items.append(_item(f"orbits/complement {sysname}", fn))
 
-    orbit_rows = (("E6", 2, 1), ("D5", 2, 2), ("D6", 2, 2), ("E6", 3, 1))
+    orbit_rows = (
+        ("E6", 2, 1), ("D5", 2, 2), ("D6", 2, 2), ("E6", 3, 1), ("E7", 3, 2),
+    )
     for sysname, k, expected in orbit_rows:
         def fn(sysname=sysname, k=k, expected=expected):
             system = rootsys.build_by_name(sysname)
@@ -497,21 +498,6 @@ def _suite_orbits() -> list[tuple[str, str, str]]:
             return f"{expected} orbit(s) of orthogonal {k}-sets"
         items.append(_item(f"orbits/{sysname} k={k}", fn))
 
-    if os.environ.get("WEYLCALC_ENABLE_E7"):
-        def e7_fn():
-            system = rootsys.build_by_name("E7")
-            got = oracle.orthogonal_tuple_orbits(system, 3)
-            _expect(got == 2, f"counted {got} orbits, expected 2")
-            return "2 orbit(s) of orthogonal 3-sets"
-        items.append(_item("orbits/E7 k=3", e7_fn))
-    else:
-        items.append(
-            (
-                "orbits/E7 k=3",
-                "SKIP",
-                "W(E7) work is large; set WEYLCALC_ENABLE_E7=1 to include it",
-            )
-        )
     return items
 
 

@@ -16,7 +16,7 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -418,10 +418,6 @@ class CatalogEntry:
 def _poly_all_ones(degree: int) -> Poly:
     """1 + t + ... + t^degree."""
     return tuple([Q(1)] * (degree + 1))
-
-
-def _e(i: int, dim: int) -> Vector:
-    return tuple(Q(1) if j == i - 1 else Q(0) for j in range(dim))
 
 
 def _chain(i: int, dim: int) -> Vector:

@@ -132,85 +132,87 @@ def charpoly(a: Matrix) -> Poly:
     return tuple(Q(coeffs[k], den ** (n - k)) for k in range(n + 1))
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of the span of the given vectors (fraction-free elimination)."""
-    work, _ = _integer_matrix(rows)
+def _echelon(work: list[list[int]]) -> tuple[list[int], int, int]:
+    """Bring the integer rows ``work`` to row echelon form, in place.
+
+    Fraction-free: a row below the pivot row becomes ``p*row - f*prow``
+    (``p`` the pivot) divided by the gcd of its entries, so rows stay
+    primitive.  Returns ``(cols, num, den)``: ``cols[i]`` is the pivot
+    column of row ``i``, and for a square matrix
+    ``det(before) = num / den * det(after)``, where ``num`` collects the
+    row-swap sign and the divided-out gcds and ``den`` the pivots each
+    updated row was scaled by.
+    """
+    cols: list[int] = []
+    num = den = 1
     r = 0
     ncols = len(work[0]) if work else 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            num = -num
         prow = work[r]
         p = prow[col]
         for i in range(r + 1, len(work)):
             f = work[i][col]
             if f != 0:
                 row = [p * e - f * q for e, q in zip(work[i], prow)]
+                den *= p
                 g = gcd(*row)
-                work[i] = [e // g for e in row] if g > 1 else row
+                if g > 1:
+                    row = [e // g for e in row]
+                    num *= g
+                work[i] = row
+        cols.append(col)
         r += 1
         if r == len(work):
             break
-    return r
+    return cols, num, den
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of the span of the given vectors (fraction-free elimination)."""
+    work, _ = _integer_matrix(rows)
+    return len(_echelon(work)[0])
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """Solve ``a x = b``; None when the system is inconsistent.
 
-    ``a`` may be rectangular (rows >= cols); a particular solution is
-    returned when one exists (unique in our uses: independent columns).
+    ``a`` may be rectangular; when solutions exist, the one with every
+    free variable 0 is returned (unique in our uses: independent
+    columns).  The augmented matrix is eliminated on integers and the
+    echelon form back-substituted over Fractions.
     """
-    nrows, ncols = len(a), len(a[0])
-    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        prow = aug[r]
-        inv = ONE / prow[col]
-        aug[r] = [e * inv for e in prow]
-        for i in range(nrows):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [e - factor * p for e, p in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
+    ncols = len(a[0])
+    work, _ = _integer_matrix([list(row) + [c] for row, c in zip(a, b)])
+    cols, _, _ = _echelon(work)
+    if cols and cols[-1] == ncols:  # a pivot in b's column: 0 = nonzero
+        return None
     x = [ZERO] * ncols
-    for row_idx, col in enumerate(pivots):
-        x[col] = aug[row_idx][ncols]
+    for row, col in reversed(list(zip(work, cols))):
+        tail = sum((row[j] * x[j] for j in range(col + 1, ncols)), ZERO)
+        x[col] = (row[ncols] - tail) / row[col]
     return tuple(x)
 
 
 def det(a: Matrix) -> Q:
-    """Determinant via fraction-free Bareiss elimination on the integer
-    scaling of ``a`` (every division is exact)."""
+    """Determinant from the fraction-free echelon form of the integer
+    scaling of ``a``: the product of its pivots, rescaled exactly."""
     n = len(a)
     if n == 0:
         return ONE
-    work, den = _integer_matrix(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
-            if pivot is None:
-                return ZERO
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return Q(sign * work[n - 1][n - 1], den ** n)
+    work, scale = _integer_matrix(a)
+    cols, num, den = _echelon(work)
+    if len(cols) < n:
+        return ZERO
+    pivots = 1
+    for i in range(n):
+        pivots *= work[i][i]
+    return Q(num * pivots, den * scale ** n)
 
 
 class LeadingMinors:

@@ -86,9 +86,6 @@ class GroupTable:
         self._space = space
         self._perms = perms
         self.size = len(perms)
-        self.generators = tuple(
-            weyl.reflection(system, r) for r in system.simple_roots
-        )
 
     def __len__(self) -> int:
         return self.size
@@ -628,6 +625,4 @@ def corrector_conjugator(system: RootSystem, wrong: Vector, right: Vector) -> Ma
             raise ValueError(f"{v} is not a root of {system.name()}")
     if wrong == right or wrong == tuple(-x for x in right):
         raise ValueError("degenerate corrector: the roots coincide up to sign")
-    sw = weyl.reflection(system, wrong)
-    sr = weyl.reflection(system, right)
-    return mat_mul(mat_mul(sw, sr), sw)
+    return weyl.evaluate(system, (wrong, right, wrong))

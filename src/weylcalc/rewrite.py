@@ -974,15 +974,13 @@ class FiveCycleResult:
     conjugator: Matrix
 
 
+#: The oriented 5-cycle phi_1, ..., phi_5 in D5.
+_D5_CYCLE = ("e1-e2", "e2-e3", "e3-e4", "e4-e5", "-e1-e5")
+
+
 def _d5_cycle_roots() -> tuple[RootSystem, list[Vector]]:
     system = rootsys.build_by_name("D5")
-
-    def e(i: int) -> Vector:
-        return tuple(Q(1) if j == i - 1 else Q(0) for j in range(5))
-
-    phi = [vec_sub(e(i), e(i + 1)) for i in range(1, 5)]
-    phi.append(vec_neg(vec_add(e(1), e(5))))
-    return system, phi
+    return system, [rootsys.parse_vector(s, system.dim) for s in _D5_CYCLE]
 
 
 def _five_cycle_r1(system: RootSystem, phi: Sequence[Vector]) -> RewriteTrace:

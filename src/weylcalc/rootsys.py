@@ -21,7 +21,8 @@ made once, from an intern table, and are what the API hands out.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Sequence, Tuple
 
 from .exactla import Vector, dot, idot, solve, vec_neg, vec_scale, vec_sub
@@ -220,33 +221,51 @@ class RootSystem:
         """One representative per {r, -r} pair, the lex-positive one."""
         return self.positive_roots()
 
+    @cached_property
+    def coefficient_map(self) -> tuple[tuple[IntVector, ...], int]:
+        """``(rows, den)``: the rank x dim matrix ``K = G^-1 S^T`` as integer
+        rows over one common denominator, ``K = rows / den`` (built on
+        first use).
+
+        ``S`` has the simple roots as columns and ``G = S^T S`` is their
+        Gram matrix, so ``K v`` is the simple-root coefficient vector of
+        any ``v`` in the root span and ``K v = 0`` for ``v`` orthogonal to
+        it.  Column ``j`` solves ``G k = S^T e_j``, on the integer Gram
+        matrix of the doubled simple roots (which is ``4 G``).
+        """
+        simple = [doubled(s) for s in self.simple_roots]
+        gram = [[idot(a, b) for b in simple] for a in simple]
+        cols = [solve(gram, [2 * s[j] for s in simple]) for j in range(self.dim)]
+        den = lcm(*(c.denominator for col in cols for c in col))
+        rows = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                     for row in zip(*cols))
+        return rows, den
+
     def max_root(self) -> Vector:
         """The highest root: the unique root dominant against all simples."""
-        best = None
-        best_height = None
-        for r in self.roots:
-            coeffs = self.simple_coefficients(r)
-            height = sum(coeffs)
-            if best_height is None or height > best_height:
-                best, best_height = r, height
-        assert best is not None
+        # Height <h, r> with h = 1^T K: the sum of r's simple coefficients,
+        # here scaled by 2 * den (doubled roots, integer rows of K).
+        rows, _ = self.coefficient_map
+        h = [sum(col) for col in zip(*rows)]
+        heights = [idot(h, r) for r in self.int_roots]
+        best_height = max(heights)
+        best = self.roots[heights.index(best_height)]
         dominant = [
             r
-            for r in self.roots
+            for r, height in zip(self.roots, heights)
             if all(dot(r, s) >= 0 for s in self.simple_roots)
-            and sum(self.simple_coefficients(r)) == best_height
+            and height == best_height
         ]
         assert dominant == [best], "highest root must be the unique dominant root"
         return best
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
-        """Coordinates of ``v`` in the simple-root basis."""
-        matrix = tuple(
-            tuple(self.simple_roots[j][i] for j in range(self.rank))
-            for i in range(self.dim)
-        )
-        coeffs = solve(matrix, tuple(v))
-        if coeffs is None:
+        """Coordinates of ``v`` in the simple-root basis: ``K v``."""
+        rows, den = self.coefficient_map
+        coeffs = tuple(dot(row, v) / den for row in rows)
+        span = [sum((c * s[i] for c, s in zip(coeffs, self.simple_roots)), Q(0))
+                for i in range(self.dim)]
+        if span != list(v):
             raise ValueError("vector is not in the root lattice span")
         return coeffs
 
@@ -300,8 +319,8 @@ def parse_vector(text: str, dim: int) -> Vector:
     raw = text.strip().replace(" ", "")
     if not raw:
         raise ValueError("empty root literal")
-    halved = raw.endswith("/2")
-    if halved:
+    over_two = raw.endswith("/2")
+    if over_two:
         raw = raw[:-2]
     out = [Q(0)] * dim
     token = ""
@@ -313,19 +332,20 @@ def parse_vector(text: str, dim: int) -> Vector:
     while i < len(raw):
         ch = raw[i]
         if ch in "+-":
-            _apply_term(out, token, sign, dim)
+            _apply_term_coeff(out, token, sign, dim)
             sign = -1 if ch == "-" else 1
             token = ""
         else:
             token += ch
         i += 1
-    _apply_term(out, token, sign, dim)
-    if halved:
+    _apply_term_coeff(out, token, sign, dim)
+    if over_two:
         out = [c / 2 for c in out]
     return tuple(out)
 
 
 def _apply_term_coeff(out: list[Q], token: str, sign: int, dim: int) -> None:
+    """Add one term ``[k]e<i>`` (coefficient ``k`` defaults to 1) to ``out``."""
     k = 0
     while k < len(token) and token[k].isdigit():
         k += 1
@@ -339,23 +359,11 @@ def _apply_term_coeff(out: list[Q], token: str, sign: int, dim: int) -> None:
     out[idx] += sign * coeff
 
 
-def _apply_term(out: list[Q], token: str, sign: int, dim: int) -> None:
-    if token[:1].isdigit():
-        _apply_term_coeff(out, token, sign, dim)
-        return
-    if not token.startswith("e") or not token[1:].isdigit():
-        raise ValueError(f"bad root term {token!r}")
-    idx = int(token[1:])
-    if not 1 <= idx <= dim:
-        raise ValueError(f"coordinate e{idx} out of range for dimension {dim}")
-    out[idx - 1] += sign
-
-
 def format_vector(v: Vector) -> str:
-    halves = any(c.denominator == 2 for c in v)
-    if halves:
-        doubled = [c * 2 for c in v]
-        return _format_unit_combo(doubled) + "/2"
+    has_halves = any(c.denominator == 2 for c in v)
+    if has_halves:
+        twice = [c * 2 for c in v]
+        return _format_unit_combo(twice) + "/2"
     return _format_unit_combo(list(v))
 
 

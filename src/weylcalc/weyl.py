@@ -36,12 +36,9 @@ from .exactla import (
     dot,
     idot,
     identity,
-    mat_mul,
     mat_pow,
     mat_vec,
     rank,
-    solve,
-    transpose,
 )
 from .rootsys import RootSystem, doubled
 
@@ -52,21 +49,7 @@ Perm = bytes | tuple[int, ...]
 
 def reflection(system: RootSystem, root: Vector) -> Matrix:
     """Ambient matrix of the reflection in the hyperplane of ``root``."""
-    if not system.is_root(tuple(root)):
-        raise ValueError(f"{root} is not a root of {system.name()}")
-    return _reflection_matrix(tuple(root), system.dim)
-
-
-def _reflection_matrix(root: Vector, dim: int) -> Matrix:
-    norm = dot(root, root)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            base = Q(1) if i == j else Q(0)
-            row.append(base - 2 * root[i] * root[j] / norm)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return evaluate(system, (root,))
 
 
 def evaluate(system: RootSystem, word: Sequence[Vector]) -> Matrix:
@@ -252,7 +235,6 @@ class PermSpace:
         self.packed = self.n <= 256
         self.ident = self._wrap(range(self.n))
         self._reflections: dict[tuple[int, ...], Perm] = {}  # by doubled root
-        self._basis = None
 
     def _wrap(self, images: Iterable[int]) -> Perm:
         return bytes(images) if self.packed else tuple(images)
@@ -330,68 +312,29 @@ class PermSpace:
             images.append(idx)
         return self._wrap(images)
 
-    def _ambient_basis(self):
-        """(S^-1, cols): the columns of S are the simple roots followed by a
-        fixed basis of their orthogonal complement."""
-        if self._basis is None:
-            sys = self.system
-            cols = [tuple(r) for r in sys.simple_roots]
-            cols.extend(_orthogonal_complement(cols, sys.dim))
-            if len(cols) != sys.dim:
-                raise AssertionError("root span + complement must fill the ambient space")
-            self._basis = (_matrix_inverse(transpose(tuple(cols))), tuple(cols))
-        return self._basis
-
     def matrix_of_perm(self, p: Perm) -> Matrix:
-        """Ambient matrix of the element: it moves each simple root as ``p``
-        says and fixes the orthogonal complement pointwise."""
-        sys = self.system
-        s_inv, cols = self._ambient_basis()
-        target_cols = [self.image(p, simple) for simple in sys.simple_roots]
-        target_cols.extend(cols[sys.rank:])
-        return mat_mul(transpose(tuple(target_cols)), s_inv)
+        """Ambient matrix ``I + (T - S) K`` of the element.
 
-
-def _orthogonal_complement(vectors: Sequence[Vector], dim: int) -> list[Vector]:
-    """A basis of the subspace orthogonal to every given vector."""
-    rows = [list(v) for v in vectors]
-    # Row-reduce, tracking pivot columns.
-    pivots = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    out = []
-    for c in free:
-        v = [Q(0)] * dim
-        v[c] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][c]
-        out.append(tuple(v))
-    return out
-
-
-def _matrix_inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    cols = []
-    for i in range(n):
-        e = tuple(Q(1) if j == i else Q(0) for j in range(n))
-        x = solve(m, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    return transpose(tuple(cols))
+        ``S`` has the simple roots as columns, ``T`` their images under
+        ``p`` and ``K`` is the system's simple-coefficient map.  A vector
+        ``v = S c`` of the root span has ``K v = c`` and goes to ``T c``;
+        a vector orthogonal to the span has ``K v = 0`` and is fixed.
+        Computed on integers: doubled roots and ``K = rows / den``.
+        """
+        system = self.system
+        rows, den = system.coefficient_map
+        lattice, index = system.int_roots, system.int_index
+        moved = []  # 2 (T - S), by column
+        for s in system.simple_roots:
+            i = index[doubled(s)]
+            moved.append([a - b for a, b in zip(lattice[p[i]], lattice[i])])
+        scale = 2 * den
+        kcols = tuple(zip(*rows))
+        return tuple(
+            tuple(Q((scale if i == j else 0) + idot(row, col), scale)
+                  for j, col in enumerate(kcols))
+            for i, row in enumerate(zip(*moved))
+        )
 
 
 _SPACES: dict[str, PermSpace] = {}

@@ -7,7 +7,6 @@ diagram catalog, so they measure the computations themselves rather than
 first-use construction of shared tables.
 """
 
-import os
 import time
 
 import pytest
@@ -303,8 +302,8 @@ def test_criterion_08_impossibility_searches_certified_empty():
 # -- 9 ---------------------------------------------------------------------
 
 def test_criterion_09_orthogonality_tables():
-    """Highest-root complements and orthogonal-set orbit counts; the W(E7)
-    row is skipped with an explicit notice unless enabled."""
+    """Highest-root complements and orthogonal-set orbit counts, W(E7)
+    k=3 included."""
     started = time.perf_counter()
     items = cli._suite_orbits()
     by_label = {label: (status, detail) for label, status, detail in items}
@@ -313,14 +312,9 @@ def test_criterion_09_orthogonality_tables():
         "orbits/complement D6", "orbits/complement E8", "orbits/complement D4",
         "orbits/complement D5", "orbits/complement D7",
         "orbits/E6 k=2", "orbits/D5 k=2", "orbits/D6 k=2", "orbits/E6 k=3",
+        "orbits/E7 k=3",
     ):
         assert by_label[label][0] == "PASS", (label, by_label[label])
-    e7_status, e7_detail = by_label["orbits/E7 k=3"]
-    if os.environ.get("WEYLCALC_ENABLE_E7"):
-        assert e7_status == "PASS"
-    else:
-        assert e7_status == "SKIP"
-        assert "large" in e7_detail
     assert time.perf_counter() - started < 120.0
 
 

@@ -65,6 +65,16 @@ def test_charpoly_bad_root_exits_2(capsys):
     assert code == 2  # a vector, but not a root of A3
 
 
+@pytest.mark.parametrize("system,literal", [
+    ("D4", "e0-e1"), ("A8", "e1-e10"), ("D4", "2x1"), ("D4", "e1--e2"),
+])
+def test_bad_root_literal_exits_2(capsys, system, literal):
+    code, out, err = run_capture(capsys, ["diagram", "--system", system,
+                                          "--roots", literal])
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_diagram_json(capsys):
     code, out, _ = run_capture(capsys, [
         "diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3",

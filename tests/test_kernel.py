@@ -1,7 +1,8 @@
 """The integer lattice kernel against plain Fraction references.
 
 Roots, Gram matrices, word matrices and positive-definiteness checks run
-on doubled-integer coordinates inside the package.  Each property here
+on doubled-integer coordinates inside the package, and ``rank``, ``det``
+and ``solve`` share one fraction-free echelon routine.  Each property here
 recomputes the same object the textbook way, in ``Fraction`` arithmetic,
 with reference code kept in this file, and demands exact equality.  The
 last property checks that no float ever crosses the API.
@@ -20,9 +21,10 @@ from weylcalc.exactla import (
     det,
     gram_positive_definite,
     rank,
+    solve,
 )
 from weylcalc.rootsys import build_by_name, doubled
-from weylcalc.weyl import word_matrix, word_matrix_from_gram
+from weylcalc.weyl import perm_space, word_matrix, word_matrix_from_gram
 
 SMALL = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
          "D3", "D4", "D5", "E6", "F4", "G2")
@@ -90,6 +92,33 @@ def ref_det(m):
     return out
 
 
+def ref_solve(a, b):
+    """Gauss-Jordan on the augmented matrix; free variables 0, None when
+    the system is inconsistent."""
+    nrows, ncols = len(a), len(a[0])
+    aug = [[Q(x) for x in row] + [Q(c)] for row, c in zip(a, b)]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        p = aug[r][col]
+        aug[r] = [x / p for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+    if any(aug[i][ncols] != 0 for i in range(len(pivots), nrows)):
+        return None
+    x = [Q(0)] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][ncols]
+    return tuple(x)
+
+
 def ref_positive_definite(g):
     return all(ref_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
 
@@ -142,6 +171,27 @@ def independent_words(draw, systems=WORD_SYSTEMS):
         if ref_rank(word + [root]) == len(word) + 1:
             word.append(root)
     return system, tuple(word)
+
+
+#: Small rationals; st.fractions is ten times slower to draw from.
+ENTRIES = st.builds(Q, st.integers(-9, 9), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """A small rational matrix, often rank-deficient: the product of an
+    m x k and a k x n factor, k drawn from 0 to max(m, n).  Integral
+    entries are sometimes plain ints (int / int would be a float)."""
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(1, 5))
+    k = draw(st.integers(0, max(m, n)))
+    left = [[draw(ENTRIES) for _ in range(k)] for _ in range(m)]
+    right = [[draw(ENTRIES) for _ in range(n)] for _ in range(k)]
+    a = [[ref_dot(row, col) for col in zip(*right)] if k else [Q(0)] * n
+         for row in left]
+    if draw(st.booleans()):
+        a = [[int(x) if x.denominator == 1 else x for x in row] for row in a]
+    return tuple(tuple(row) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +252,31 @@ def test_word_matrix_from_gram_matches_reference_on_any_form(case):
     assert word_matrix_from_gram(g, order) == ref_word_matrix_from_gram(g, order)
 
 
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_rank_and_solve_match_gauss_jordan(a, data):
+    """One echelon routine: rank, and solve's particular solution (free
+    variables 0) or None exactly when ``a x = b`` is inconsistent."""
+    assert rank(a) == ref_rank(a)
+    if data.draw(st.booleans(), label="consistent"):
+        x0 = [data.draw(ENTRIES) for _ in a[0]]
+        b = tuple(ref_dot(row, x0) for row in a)
+    else:
+        b = tuple(data.draw(ENTRIES) for _ in a)
+    x = solve(a, b)
+    assert x == ref_solve(a, b)
+    if x is not None:
+        assert all(type(c) is Q for c in x)
+        assert tuple(ref_dot(row, x) for row in a) == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_gaussian_elimination(a):
+    d = det(a)
+    assert d == ref_det(a) and type(d) is Q
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(WORD_SYSTEMS), st.data())
 def test_leading_minors_match_sylvester(name, data):
@@ -249,6 +324,12 @@ def test_no_float_crosses_the_api(case):
     assert fractions(x for row in word_matrix_from_gram(int_gram, (0, 1)) for x in row)
     assert fractions(charpoly(int_gram))
     assert fractions([det(int_gram)])
+    assert fractions(solve(int_gram, (1, 0)))
+    assert fractions(solve(((2,),), (4,)))
+    assert fractions(system.simple_coefficients(word[0]))
+    assert fractions(system.max_root())
+    space = perm_space(system)
+    assert fractions(x for row in space.matrix_of_perm(space.word_perm(word)) for x in row)
     assert type(rank([doubled(r) for r in word])) is int
 
 

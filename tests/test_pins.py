@@ -1,0 +1,115 @@
+"""SHA-256 pins of the simple-root coefficients, the highest roots, the
+five-cycle conjugators and the enumerated group matrices.
+
+The digests were recorded from the implementation that built ambient
+matrices from an explicit complement basis and its inverse; the
+coefficient map ``K = G^-1 S^T`` and ``I + (T - S) K`` must reproduce
+every value exactly.
+"""
+
+import hashlib
+
+import pytest
+
+from weylcalc import oracle, rewrite
+from weylcalc.rootsys import build
+
+#: Every root system the benchmark builds.
+SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 17)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def digest(rows) -> str:
+    """SHA-256 of one line per vector (or matrix row), entries as ``str``."""
+    text = "".join(" ".join(str(c) for c in row) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def coefficient_rows(system):
+    """The simple coefficients of every root, then the highest root."""
+    return [system.simple_coefficients(r) for r in system.roots] + [system.max_root()]
+
+
+def matrix_rows(matrices):
+    return [row for m in matrices for row in m]
+
+
+COEFFICIENT_SHA256 = {
+    "A1": "f6ce8e24b7ffdb9d4a48c737cf949430fc6490388175fc16c8e204b983382bf7",
+    "A2": "f5e0b86ec6d553a6a9a8cdfce903bf55430677d45c055f6f308c9b462bf7a8e8",
+    "A3": "7ece7e950bd721de4ea90192c8a4c49c574662166bf04046ad1a218f89bc38df",
+    "A4": "5e1f076d840c40c54285f952dd3d9e3666b81858136edcd2768a8a4ce537b38b",
+    "A5": "1de30445e788c0ba986cc1f8a27e65564a5f48df42e9688b46b74f09990d25de",
+    "A6": "fd0b62014b34d38811062e7890a9a6617b9d666023ece97789a44c480490f081",
+    "A7": "b7f595cb341916360c4e924adfb8f7784d381527ac6a000c5a79168b07940f88",
+    "A8": "fe5dceda158e74e72bbebe103a7874a250e37f219d46bb75c6e065797101ecf8",
+    "B2": "27b323d318a5b86fe04b7db333faa88f2262e493723ce66f98bae160e71461e2",
+    "B3": "6bd96a72e6425c9d185d2870f864d4c90e08b66a25eeb3ee5719e48e2fe22429",
+    "B4": "483d4fac52e3691c1e3b7fc5fd8b8fba2ad204af53f86fa9f791bdcada64a3a0",
+    "B5": "8f6f24c69dd5405d9a5d7c7eb9d5d6470f02eccb18fa157a840d7bee0e156790",
+    "B6": "ded8673aba934c0e6bed6f69c450d01877d12e02ce34026ce9371e678c7f79d8",
+    "B7": "56737e9ab6bb2f7359e435c54c68e09254465968dfccf6c37a881fe1409abbbd",
+    "B8": "e997828d44aba7454383bbdddade51d22cfdd0d6280fede2ea937743c318ecd6",
+    "C2": "2d9f9ec1b09e00c0148c5a9a085e3b796b75b0e0b6dc915447cb2cee7b00b097",
+    "C3": "6a34ceaad8cccb7ea5ab5e1bd93ab810fc628e532f3b0c5d8ab61f7a0b64994b",
+    "C4": "a20d3e49d31eb43646daef7eb448fe80926ac4e4a3c7ea53def415c5dd163c8a",
+    "C5": "7d60f2856f75c038e1836f5a97f459f081a95423b3d681b8bde4557c00cc2476",
+    "C6": "0bb48fc1d33d13cf8c0c9904c551632ee88d208deef7878e25fdbb6e3852d168",
+    "C7": "6d33c33840418e30a96eae0156140e645dd262b42d36473d7ab3c7d89319af06",
+    "C8": "9adeea8d7e72c002233c045cb2b461533a5e79bf6002989dd3472e31d114c55f",
+    "D4": "0988c8a7ee5a198dc5701715b2ca57a49953006a83181e9afca4b1d050b225ed",
+    "D5": "f34b7e899c4364c394623540b5396e4a6c4959e84e0cffc8fd4bfca54d3395d6",
+    "D6": "4a3a44785a63a1be75ffd71098753c0c8cf9c9817ec15e143c4c0fd9fa104877",
+    "D7": "e0fbc71f4ba86bddd47d8ebf1dcffb4eaf649d9219f0c2b14c59f4ee00232a87",
+    "D8": "d7564225fed7ddaef2d3d165604639bbfd0121c300386e016b65ff34297a2480",
+    "D9": "8b961f9d53710ab5415b9b37a3ebfe63bd28ccdd6b2db570b404c00a29da81e5",
+    "D10": "3441c89ebd93148de02415387c2cece3905f40e10cfa9cffc4bacf114ccda343",
+    "D11": "da1f027814ebd1af0a1fd9c6f65b04c53513eb1c2b487c428ae2b450d75f93d3",
+    "D12": "398fe8c17da7ae1dbdc144f0d93640731e136369862758e230f749898b97735b",
+    "D13": "a5b9d388915026a0f3af62ea3d6118513eeab3d22a535ffce3ffe8590e0c3d0c",
+    "D14": "2c9291cf2c0938a73940e15fc509d0c9ff3781235cb6e261ddb6db8fe3ef7d52",
+    "D15": "f74843b45855e5242e7c88f368cb355e6444032f02c69e341f83ff089ffadd44",
+    "D16": "75b2a6d5f85cf30a35e973a21848f87881ca81a03ea9cbf6224aed90e3640002",
+    "E6": "e10cbb456bde3d392e2dea0cb7ac8dfde9acd3e2a923e37f3f4fcc6e2a8eec81",
+    "E7": "ca962c2d11c7373c28549861d32a6c9296dded38e091294e3f7fd2e12f0a4862",
+    "E8": "815d675db801f8ecf259da347727b5e2147194fa03ac3006a17ad32117ea196f",
+    "F4": "7d9be279034b76223b47b6a0c1720b075b15a9e87ec74d38fb8feefa5d0f2d8b",
+    "G2": "8167e44004bde6d35e7d4c9e848773667e7fce22a2aaab382abe8b89e393469a",
+}
+
+CONJUGATOR_SHA256 = {
+    1: "745d59e66abb325e4a91f1f4a589e0da4ddf5b3dc82c909edf371f33d082967e",
+    2: "0b7de16be0aa1767ff3a476fa92ebeadfefcb38ee901055e0fb6312742e4e2d8",
+    3: "77185bdc0f8930d82746c8ec9dec355d68a9ad2ad541b0f27bb610e653b76ac1",
+    4: "c88e8dd1acc9de01197aaaba125006e71313a68186614eecb49550bfc5dca6b6",
+}
+
+GROUP_MATRIX_SHA256 = {
+    "A3": "63050040ecb49a3118058aa4d30160c213fe18e9acbec633106612ebdfa23628",
+    "B3": "966caa103e9a81c89f68e2889ab5d9f1afe576b16e13b773f0bd0387a7316217",
+    "G2": "d1f92ca4401b99675af84fb1da6c96b49fc44589c535b154cc9fa0d8fc2644e9",
+}
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS, ids=[f"{f}{n}" for f, n in SYSTEMS])
+def test_simple_coefficients_and_max_root_are_pinned(family, rank):
+    system = build(family, rank)
+    assert digest(coefficient_rows(system)) == COEFFICIENT_SHA256[system.name()]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_five_cycle_conjugators_are_pinned(r):
+    conj = rewrite.five_cycle_classify(r).conjugator
+    assert digest(conj) == CONJUGATOR_SHA256[r]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_group_matrices_are_pinned(name):
+    table = oracle.enumerate_group(build(name[0], int(name[1:])))
+    matrices = [table.matrix(i) for i in range(len(table))]
+    assert digest(matrix_rows(matrices)) == GROUP_MATRIX_SHA256[name]

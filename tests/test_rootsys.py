@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 from weylcalc.exactla import dot, vec_add, vec_neg, vec_scale
 from weylcalc.rootsys import (
+    RootSystem,
     build,
     build_by_name,
     format_vector,
@@ -97,6 +98,17 @@ def test_parse_vector_grammar():
             parse_vector(bad, 4)
 
 
+@pytest.mark.parametrize("text,dim,message", [
+    ("e0", 4, "coordinate e0 out of range for dimension 4"),
+    ("e1-e10", 9, "coordinate e10 out of range for dimension 9"),
+    ("2x1", 4, "bad term '2x1'"),
+    ("e1--e2", 4, "bad term ''"),
+])
+def test_parse_vector_error_paths(text, dim, message):
+    with pytest.raises(ValueError, match=message):
+        parse_vector(text, dim)
+
+
 def test_format_vector_shapes():
     assert format_vector((1, -1, 0, 0)) == "e1-e2"
     assert format_vector((0, 0, 2, 0)) == "2e3"
@@ -140,6 +152,22 @@ def test_simple_coefficients_reconstruct():
         for c, simple in zip(coeffs, s.simple_roots):
             total = vec_add(total, vec_scale(c, simple))
         assert total == r
+
+
+def test_coefficient_map_is_built_on_first_use():
+    s = RootSystem("A", 5)
+    assert "coefficient_map" not in vars(s)
+    assert s.simple_coefficients(s.max_root()) == (1, 1, 1, 1, 1)
+    rows, den = s.coefficient_map
+    assert len(rows) == s.rank and all(len(row) == s.dim for row in rows)
+    assert type(den) is int and all(type(x) is int for row in rows for x in row)
+
+
+def test_simple_coefficients_reject_vectors_off_the_span():
+    s = build_by_name("A3")  # the span is the sum-zero hyperplane of R^4
+    with pytest.raises(ValueError):
+        s.simple_coefficients((Q(1), Q(0), Q(0), Q(0)))
+    assert s.simple_coefficients((Q(1, 3), Q(-1, 3), Q(0), Q(0))) == (Q(1, 3), 0, 0)
 
 
 def test_normalized_inner():

@@ -133,8 +133,10 @@ def test_word_rejects_non_roots():
         perm_space(s).reflection_perm((Q(2), Q(-2), Q(0), Q(0)))
 
 
-# E6 sits in R^8, so its elements must also fix a 2-dimensional complement.
-@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D5", "E6"])
+# A_n, E6, E7 and G2 span a proper subspace of their ambient space, so
+# their elements must also fix the orthogonal complement.
+@pytest.mark.parametrize(
+    "name", ["A1", "A3", "A8", "B3", "C4", "G2", "D5", "E6", "E7", "F4"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_perm_encoding_matches_matrices(name, data):
