@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from . import rootsys
 from .exactla import (
+    LeadingMinors,
     Matrix,
     Poly,
     Vector,
@@ -33,7 +34,6 @@ from .exactla import (
     poly_mul,
     poly_str,
     power_plus_one,
-    rank,
 )
 from .rootsys import RootSystem
 from .weyl import word_matrix, word_matrix_from_gram
@@ -56,14 +56,16 @@ class Diagram:
     def n(self) -> int:
         return len(self.longs)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
+    def adjacency(self) -> list[set[int]]:
+        """Neighbour set of every vertex, built afresh on each call."""
+        adj = [set() for _ in range(self.n)]
         for a, b, _ in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+            adj[a].add(b)
+            adj[b].add(a)
+        return adj
+
+    def neighbors(self, i: int) -> list[int]:
+        return sorted(self.adjacency()[i])
 
     def edge_style(self, i: int, j: int) -> str | None:
         if i > j:
@@ -136,7 +138,10 @@ def make_diagram(
 def from_roots(
     system: RootSystem, roots: Sequence[Vector], labels: Sequence[str] | None = None
 ) -> Diagram:
-    """Diagram of a root list: edge where the inner product is nonzero."""
+    """Diagram of a root list: edge where the inner product is nonzero.
+
+    Raises ValueError unless the roots are independent (their Gram matrix
+    positive definite): a repeated or dependent list has no diagram."""
     rr = [tuple(r) for r in roots]
     lattice = []
     for r in rr:
@@ -145,11 +150,13 @@ def from_roots(
             raise ValueError(f"{r} is not a root of {system.name()}")
         lattice.append(system.int_roots[i])
     edges = []
-    for i in range(len(rr)):
-        for j in range(i + 1, len(rr)):
-            x = idot(lattice[i], lattice[j])
-            if x != 0:
-                edges.append((i, j, DOTTED if x > 0 else SOLID))
+    minors = LeadingMinors()
+    for j, y in enumerate(lattice):
+        col = [idot(x, y) for x in lattice[:j]]
+        if not minors.push(col, idot(y, y)):
+            raise ValueError(f"the roots are linearly dependent: "
+                             f"{system.format_root(rr[j])} depends on the roots before it")
+        edges += [(i, j, DOTTED if x > 0 else SOLID) for i, x in enumerate(col) if x]
     longs = tuple(system.is_long(r) for r in rr)
     return make_diagram(len(rr), edges, longs=longs, labels=labels)
 
@@ -194,34 +201,43 @@ def is_realizable(d: Diagram, t: Q = Q(1)) -> bool:
     return gram_positive_definite(_int_gram(d, t)[0])
 
 
-def _adjacency(d: Diagram) -> list[set[int]]:
-    adj = [set() for _ in range(d.n)]
-    for a, b, _ in d.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+def two_coloring(n: int, edges: Iterable[tuple[int, int, int]]) -> list[int] | None:
+    """Signed two-colouring: colours 0/1 with ``colour[a] ^ colour[b] == odd``
+    on every edge ``(a, b, odd)``, or None when no such colouring exists.
 
-
-def bipartition(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two-coloring of the vertices, or None when an odd cycle exists."""
-    adj = _adjacency(d)
-    color: list[int | None] = [None] * d.n
-    for s in range(d.n):
+    A depth-first walk from each uncoloured vertex in index order, which
+    takes colour 0.  With every edge odd this is a bipartition; with ``odd``
+    marking where two stylings differ, a colouring exists exactly when they
+    differ on a cut, i.e. negating one colour class turns one into the other.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, odd in edges:
+        adj[a].append((b, odd))
+        adj[b].append((a, odd))
+    color: list[int | None] = [None] * n
+    for s in range(n):
         if color[s] is not None:
             continue
         color[s] = 0
         stack = [s]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            for v, odd in adj[u]:
+                want = color[u] ^ odd
                 if color[v] is None:
-                    color[v] = 1 - color[u]
+                    color[v] = want
                     stack.append(v)
-                elif color[v] == color[u]:
+                elif color[v] != want:
                     return None
-    part0 = tuple(i for i in range(d.n) if color[i] == 0)
-    part1 = tuple(i for i in range(d.n) if color[i] == 1)
-    return part0, part1
+    return color
+
+
+def bipartition(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two-coloring of the vertices, or None when an odd cycle exists."""
+    color = two_coloring(d.n, [(a, b, 1) for a, b, _ in d.edges])
+    if color is None:
+        return None
+    return tuple(i for i in range(d.n) if not color[i]), tuple(i for i in range(d.n) if color[i])
 
 
 def is_admissible(d: Diagram) -> bool:
@@ -235,7 +251,7 @@ def cycles(d: Diagram) -> tuple[tuple[int, ...], ...]:
     A cycle is listed once, starting from its smallest vertex and walking
     toward the smaller of that vertex's two cycle neighbors.
     """
-    adj = _adjacency(d)
+    adj = d.adjacency()
     found = []
 
     def extend(path: list[int], members: set[int]) -> None:
@@ -302,34 +318,18 @@ def flip_vertex(d: Diagram, i: int) -> Diagram:
 
 
 def sign_normalize_tree(d: Diagram) -> Diagram:
-    """Flip vertices of a forest until every edge is solid.
+    """The all-solid diagram that vertex flips of a forest reach.
 
-    Walks each component from its smallest vertex; a dotted edge to an
-    unvisited child flips the child.  Cycles are rejected: on a cycle the
-    dotted count's parity is a flip invariant, so normalization is a
-    tree-only notion.
+    On a forest every edge set is a cut, so the dotted edges can always
+    be flipped away and the result is ``d`` with every edge solid.
+    Cycles are rejected: on a cycle the dotted count's parity is a flip
+    invariant, so normalization is a tree-only notion.
     """
     if cycles(d):
         raise ValueError("diagram has a cycle")
-    out = d
-    adj = _adjacency(d)
-    seen = [False] * d.n
-    for s in range(d.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = [s]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj[u]):
-                if seen[v]:
-                    continue
-                seen[v] = True
-                if out.edge_style(u, v) == DOTTED:
-                    out = flip_vertex(out, v)
-                queue.append(v)
-    assert all(style == SOLID for _, _, style in out.edges)
-    return out
+    if all(style == SOLID for _, _, style in d.edges):
+        return d
+    return replace(d, edges=tuple((a, b, SOLID) for a, b, _ in d.edges))
 
 
 def bicolored_word_order(d: Diagram) -> tuple[int, ...]:
@@ -362,14 +362,14 @@ def invariant(d: Diagram) -> tuple:
     The length classes keep a diagram with long vertices from matching a
     simply-laced one of the same shape.
     """
-    adj = _adjacency(d)
+    adj = d.adjacency()
     vertices = tuple(sorted((d.longs[i], len(adj[i])) for i in range(d.n)))
     cyc = tuple(sorted(len(c) for c in cycles(d)))
     return (d.n, vertices, cyc, bicolored_charpoly(d))
 
 
 def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    adj = _adjacency(d)
+    adj = d.adjacency()
     seen = [False] * d.n
     comps = []
     for s in range(d.n):
@@ -599,8 +599,6 @@ def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
             raise RuntimeError(f"catalog entry {name} is not admissible")
         if not dotted_parity_ok(d):
             raise RuntimeError(f"catalog entry {name} fails dotted parity")
-        if rank(list(word)) != len(word):
-            raise RuntimeError(f"catalog entry {name} has dependent roots")
         computed = charpoly(word_matrix(system, word))
         if computed != stated:
             raise RuntimeError(
@@ -650,8 +648,13 @@ def identify_components(d: Diagram) -> str | None:
         if name is None:
             return None
         names.append(name)
-    names.sort(key=lambda s: (-int("".join(ch for ch in s if ch.isdigit()) or 0), s))
-    return "+".join(names)
+    return "+".join(sorted(names, key=component_key))
+
+
+def component_key(name: str) -> tuple[int, str]:
+    """Order of component names: higher rank first, then by name.  The rank
+    is the number after the family letter (``D4(a1)`` has rank 4)."""
+    return (-int(name[1:].split("(")[0]), name)
 
 
 # --------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def find_subsets(
     # Visit high-degree vertices early so edge constraints bind sooner.
     visit: list[int] = []
     remaining = set(range(k))
-    adj = {i: set(target.neighbors(i)) for i in range(k)}
+    adj = target.adjacency()
     while remaining:
         best = max(
             remaining,
@@ -359,27 +359,14 @@ def find_subsets(
         row = idx.inner[pos]
         return minors.push([row[p] for p in chosen_pos], row[pos])
 
+    target_dotted = [(a, b, style == dg.DOTTED) for a, b, style in target.edges]
+
     def styles_match() -> bool:
         """Realized styles must differ from the target on a cut."""
-        color: dict[int, int] = {}
-        for start in range(k):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                a = queue.pop()
-                for b in adj[a]:
-                    x = idx.inner[vertex_pos[a]][vertex_pos[b]]
-                    realized = dg.DOTTED if x > 0 else dg.SOLID
-                    want = 0 if realized == target.edge_style(a, b) else 1
-                    if b in color:
-                        if color[a] ^ color[b] != want:
-                            return False
-                    else:
-                        color[b] = color[a] ^ want
-                        queue.append(b)
-        return True
+        return dg.two_coloring(k, [
+            (a, b, (idx.inner[vertex_pos[a]][vertex_pos[b]] > 0) != dotted)
+            for a, b, dotted in target_dotted
+        ]) is not None
 
     def descend(depth: int, used: int) -> bool:
         """Returns True when the limit is reached."""
@@ -435,12 +422,10 @@ def verify_unique_class(
     if not found:
         raise ValueError(f"{name} has no realization in {system.name()}")
     space = weyl.perm_space(system)
-    elements = []
-    for item in found:
-        parts = dg.bipartition(item.diagram)
-        if parts is None:
-            raise AssertionError(f"realization of {name} is not bicolorable")
-        elements.append(space.word_perm([item.roots[i] for i in parts[0] + parts[1]]))
+    elements = [
+        space.word_perm([item.roots[i] for i in dg.bicolored_word_order(item.diagram)])
+        for item in found
+    ]
     seen = _class_walk(space, elements[0], cap)
     if seen is None:
         raise RuntimeError(
@@ -524,47 +509,28 @@ def max_root_complement(system: RootSystem) -> list[str]:
         for p in positives
         if not any(vec_sub(p, q) in pos_set for q in positives if q != p)
     ]
-    if not base:
-        return []
+    d = dg.from_roots(system, base)
     return sorted(
-        (_classify_component(system, comp) for comp in _split_components(base)),
-        key=lambda s: (-int(s[1:]), s),
+        (_classify_component(system, dg.induced_subdiagram(d, comp))
+         for comp in dg.components(d)),
+        key=dg.component_key,
     )
 
 
-def _split_components(base: list[Vector]) -> list[list[Vector]]:
-    comps = []
-    unvisited = list(base)
-    while unvisited:
-        comp = [unvisited.pop(0)]
-        changed = True
-        while changed:
-            changed = False
-            for r in list(unvisited):
-                if any(dot(r, c) != 0 for c in comp):
-                    comp.append(r)
-                    unvisited.remove(r)
-                    changed = True
-        comps.append(comp)
-    return comps
-
-
-def _classify_component(system: RootSystem, comp: list[Vector]) -> str:
-    n = len(comp)
+def _classify_component(system: RootSystem, comp: dg.Diagram) -> str:
+    n = comp.n
     if n == 1:
         return "A1"
-    degrees = [sum(1 for other in comp if other != r and dot(r, other) != 0) for r in comp]
-    edge_count = sum(degrees) // 2
-    if edge_count != n - 1:
+    adj = comp.adjacency()
+    degrees = [len(nb) for nb in adj]
+    if len(comp.edges) != n - 1:
         raise AssertionError("complement base must be a tree")
-    norms = [dot(r, r) for r in comp]
-    mixed = len(set(norms)) > 1
-    if not mixed:
+    if len(set(comp.longs)) == 1:
         if max(degrees) <= 2:
             return f"A{n}"
         if max(degrees) > 3 or degrees.count(3) != 1:
             raise AssertionError("unrecognized branching in complement base")
-        branches = sorted(_branch_lengths(comp, degrees))
+        branches = sorted(_branch_lengths(adj, degrees.index(3)))
         if branches[:2] == [1, 1]:
             return f"D{n}"
         if branches[:2] == [1, 2]:
@@ -572,10 +538,9 @@ def _classify_component(system: RootSystem, comp: list[Vector]) -> str:
         raise AssertionError(f"unrecognized simply-laced tree {branches}")
     if max(degrees) > 2:
         raise AssertionError("mixed-length complement base must be a path")
-    low = min(norms)
-    shorts = norms.count(low)
+    shorts = comp.longs.count(False)
     if n == 2:
-        return "G2" if max(norms) // low == 3 else "B2"
+        return "G2" if system.ratio == 3 else "B2"
     if shorts == 2 and n == 4:
         return "F4"
     if shorts == 1:
@@ -585,23 +550,14 @@ def _classify_component(system: RootSystem, comp: list[Vector]) -> str:
     raise AssertionError("unrecognized mixed-length path")
 
 
-def _branch_lengths(comp: list[Vector], degrees: list[int]) -> list[int]:
-    hub = comp[degrees.index(3)]
+def _branch_lengths(adj: list[set[int]], hub: int) -> list[int]:
+    """Vertex count of each path that leaves the one branch vertex."""
     lengths = []
-    for start in comp:
-        if start == hub or dot(start, hub) == 0:
-            continue
-        length = 1
-        prev, node = hub, start
-        while True:
-            nxt = [
-                r
-                for r in comp
-                if r != prev and r != node and dot(r, node) != 0
-            ]
-            if not nxt:
-                break
-            (node, prev), length = (nxt[0], node), length + 1
+    for node in adj[hub]:
+        prev, length = hub, 1
+        while len(adj[node]) == 2:
+            (nxt,) = adj[node] - {prev}
+            prev, node, length = node, nxt, length + 1
         lengths.append(length)
     return lengths
 

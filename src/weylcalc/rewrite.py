@@ -685,18 +685,13 @@ def _cycle_labels(system: RootSystem, word: Sequence[Vector]
     if l % 2:
         raise ScriptIntegrityError("cycle labels", "odd word length")
     m = l // 2
-    inner = [[system.normalized_inner(x, y) for y in word] for x in word]
-    for block in (range(m), range(m, l)):
-        for i in block:
-            for j in block:
-                if i < j and inner[i][j] != 0:
-                    raise ScriptIntegrityError(
-                        "cycle labels", "word halves are not orthogonal sets")
-    neighbors = {i: [j for j in range(l) if j != i and inner[i][j] != 0]
-                 for i in range(l)}
-    if any(len(nb) != 2 for nb in neighbors.values()):
+    d = dg.from_roots(system, word)
+    if any((i < m) == (j < m) for i, j, _ in d.edges):
+        raise ScriptIntegrityError("cycle labels", "word halves are not orthogonal sets")
+    adj = d.adjacency()
+    if any(len(nb) != 2 for nb in adj):
         raise ScriptIntegrityError("cycle labels", "word is not a single cycle")
-    dotted = [(i, j) for i in range(l) for j in range(i + 1, l) if inner[i][j] > 0]
+    dotted = [(i, j) for i, j, style in d.edges if style == dg.DOTTED]
     if len(dotted) != 1:
         raise ScriptIntegrityError("cycle labels", "expected exactly one dotted edge")
     i, j = dotted[0]
@@ -705,12 +700,11 @@ def _cycle_labels(system: RootSystem, word: Sequence[Vector]
     alphas = [a_idx]
     betas = [b_idx]
     for _ in range(m - 1):
-        nb = [t for t in neighbors[betas[-1]] if t != alphas[-1]]
-        alphas.append(nb[0])
-        nb = [t for t in neighbors[alphas[-1]] if t != betas[-1]]
-        betas.append(nb[0])
-    closing = [t for t in neighbors[alphas[0]] if t != betas[0]]
-    if closing != [betas[-1]]:
+        (a,) = adj[betas[-1]] - {alphas[-1]}
+        alphas.append(a)
+        (b,) = adj[alphas[-1]] - {betas[-1]}
+        betas.append(b)
+    if adj[alphas[0]] - {betas[0]} != {betas[-1]}:
         raise ScriptIntegrityError("cycle labels", "cycle walk failed to close")
     return [word[t] for t in alphas], [word[t] for t in betas]
 

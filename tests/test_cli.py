@@ -375,6 +375,21 @@ def test_verify_titsform_suite(capsys):
     assert lines[-1] == "titsform: 18 passed, 0 failed, 0 skipped"
 
 
+# SHA-256 of the stdout of `weylcalc verify SUITE`, recorded before the
+# graph walks of diagram, oracle and rewrite moved into the diagram layer.
+VERIFY_SHA256 = {
+    "orbits": "0e9763290731dd283aa13552b1cfdc1e323a7724ae39c5a32c1b51f31539cca5",
+    "titsform": "477151b4614b3e31d756b53d6b6788ec6987581f22f7f39a7484c660233decee",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SHA256))
+def test_verify_stdout_is_pinned(capsys, suite):
+    code, out, _ = run_capture(capsys, ["verify", suite])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[suite]
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, _ = run_capture(capsys, ["verify", "everything"])
     assert code == 2

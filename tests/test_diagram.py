@@ -2,11 +2,15 @@
 
 import pytest
 from fractions import Fraction as Q
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
-from weylcalc.exactla import poly_mul
-from weylcalc.rootsys import build_by_name
-from weylcalc.rewrite import word_charpoly
+from weylcalc.exactla import idot, poly_mul
+from weylcalc.rootsys import build_by_name, doubled
+from weylcalc.rewrite import eliminate_4cycle, initial_state, word_charpoly
 
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
 
@@ -59,6 +63,31 @@ def test_from_roots_rejects_non_root():
     s = build_by_name("A3")
     with pytest.raises(ValueError):
         dg.from_roots(s, ((Q(1), Q(0), Q(0), Q(0)),))
+
+
+#: Root lists that are not linearly independent: a root and its negative,
+#: a repeated root, and the A3 4-cycle whose roots sum to zero.
+DEPENDENT_A3 = {
+    "negative": ("e1-e2", "e2-e1"),
+    "repeated": ("e1-e2", "e1-e2"),
+    "4-cycle": ("e1-e2", "e2-e3", "e3-e4", "-e1+e4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEPENDENT_A3))
+def test_from_roots_rejects_dependent_lists(case):
+    """A dependent list used to yield a diagram (``[e1-e2, e2-e1]`` identified
+    as A2, the 4-cycle was admissible); it has no Carter diagram."""
+    s = build_by_name("A3")
+    with pytest.raises(ValueError, match="linearly dependent"):
+        dg.from_roots(s, [s.parse_root(t) for t in DEPENDENT_A3[case]])
+
+
+def test_eliminate_4cycle_rejects_dependent_cycle():
+    s = build_by_name("A3")
+    word = [s.parse_root(t) for t in DEPENDENT_A3["4-cycle"]]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        eliminate_4cycle(initial_state(s, word))
 
 
 def test_to_dict_round_trip():
@@ -221,6 +250,18 @@ def test_identify_components():
     assert dg.identify(a1) == "A1"
 
 
+def test_identify_components_orders_by_rank_then_name():
+    """Components are ordered by rank, not by every digit of the name (which
+    ranked ``D4(a1)`` as 41, ahead of ``A5``)."""
+    d10 = build_by_name("D10")
+    literals = "e1-e2,e3-e4,e2-e3,e2+e3,e5-e6,e6-e7,e7-e8,e8-e9,e9-e10".split(",")
+    d = dg.from_roots(d10, [d10.parse_root(t) for t in literals])
+    assert dg.identify_components(d) == "A5+D4(a1)"
+    names = ["A1", "D4(a1)", "E8(b5)", "A5", "D12(a3)", "D4"]
+    assert sorted(names, key=dg.component_key) == [
+        "D12(a3)", "E8(b5)", "A5", "D4", "D4(a1)", "A1"]
+
+
 def test_invariant_separates_styles_within_class():
     """The invariant is a cut-class invariant: equal across sign flips,
     different between the two square classes."""
@@ -254,3 +295,81 @@ def test_identify_is_length_aware():
     # all-short roots of B3 still form an ordinary A1 + A1
     short = dg.from_roots(b3, [b3.parse_root("e1"), b3.parse_root("e2")])
     assert dg.identify_components(short) == "A1+A1"
+
+
+# --------------------------------------------------------------------------
+# Properties: the signed two-colouring against brute force over vertex cuts,
+# and identification under the moves that keep a diagram's class.
+
+
+@st.composite
+def signed_graphs(draw, max_n=6, max_edges=None):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)
+                  if pairs else st.just([]))
+    odd = draw(st.lists(st.integers(0, 1), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(a, b, o) for (a, b), o in zip(chosen, odd)]
+
+
+def cut_exists(n, edges):
+    """Some vertex set S has exactly the odd edges crossing it."""
+    return any(all(((cut >> a ^ cut >> b) & 1) == odd for a, b, odd in edges)
+               for cut in range(1 << n))
+
+
+@given(signed_graphs())
+def test_two_coloring_exists_iff_odd_edges_form_a_cut(graph):
+    n, edges = graph
+    color = dg.two_coloring(n, edges)
+    assert (color is not None) == cut_exists(n, edges)
+    if color is not None:
+        assert len(color) == n and set(color) <= {0, 1}
+        assert all(color[a] ^ color[b] == odd for a, b, odd in edges)
+
+
+@settings(max_examples=40)
+@given(signed_graphs(max_n=5, max_edges=6), st.data())
+def test_two_coloring_agrees_with_style_classes(graph, data):
+    """Two stylings of one shape differ on a cut iff they share a
+    representative, and the representatives are pairwise inequivalent."""
+    n, edges = graph
+    shape = [(a, b) for a, b, _ in edges]
+    reps = dg.style_class_representatives(n, shape)
+
+    def equivalent(m1, m2):
+        diff = m1 ^ m2
+        return dg.two_coloring(n, [(a, b, diff >> k & 1)
+                                   for k, (a, b) in enumerate(shape)]) is not None
+
+    def rep_of(mask):
+        (rep,) = [r for r in reps if equivalent(mask, r)]
+        return rep
+
+    masks = st.integers(0, (1 << len(shape)) - 1)
+    m1, m2 = data.draw(masks), data.draw(masks)
+    assert equivalent(m1, m2) == (rep_of(m1) == rep_of(m2))
+
+
+SMALL_CATALOG = [name for name in dg.catalog_names() if len(dg.catalog(name).word) <= 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_CATALOG), st.data())
+def test_identify_is_stable_under_class_moves(name, data):
+    """W-conjugation, swaps of adjacent orthogonal letters and sign flips keep
+    a catalog word's identification and admissibility."""
+    entry = dg.catalog(name)
+    system = build_by_name(entry.system)
+    word = list(entry.word)
+    simple = system.simple_roots
+    for i in data.draw(st.lists(st.integers(0, len(simple) - 1), max_size=6)):
+        word = [system.reflect(simple[i], r) for r in word]
+    for i in data.draw(st.lists(st.integers(0, max(len(word) - 2, 0)), max_size=6)):
+        if i + 1 < len(word) and idot(doubled(word[i]), doubled(word[i + 1])) == 0:
+            word[i], word[i + 1] = word[i + 1], word[i]
+    for i in data.draw(st.lists(st.integers(0, len(word) - 1), unique=True)):
+        word[i] = tuple(-c for c in word[i])
+    d = dg.from_roots(system, word)
+    assert dg.identify(d) == name
+    assert dg.is_admissible(d)

@@ -1,10 +1,14 @@
 """SHA-256 pins of the simple-root coefficients, the highest roots, the
-five-cycle conjugators and the enumerated group matrices.
+five-cycle conjugators, the enumerated group matrices and the
+highest-root complements.
 
-The digests were recorded from the implementation that built ambient
-matrices from an explicit complement basis and its inverse; the
-coefficient map ``K = G^-1 S^T`` and ``I + (T - S) K`` must reproduce
-every value exactly.
+The coefficient, conjugator and matrix digests were recorded from the
+implementation that built ambient matrices from an explicit complement
+basis and its inverse; the coefficient map ``K = G^-1 S^T`` and
+``I + (T - S) K`` must reproduce every value exactly.  The complement
+digests were recorded from the implementation that split the complement
+base into components by dot products of ``Fraction`` vectors, before it
+went through the diagram layer.
 """
 
 import hashlib
@@ -95,6 +99,49 @@ GROUP_MATRIX_SHA256 = {
     "G2": "d1f92ca4401b99675af84fb1da6c96b49fc44589c535b154cc9fa0d8fc2644e9",
 }
 
+MAX_ROOT_COMPLEMENT_SHA256 = {
+    "A1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "A2": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "A3": "4fc93a7e3b47e4212e938e7565c56b87fea6951468f59b1fd19cc4c1d8343f22",
+    "A4": "09d0e85fc483bcd80dc0d863b033e14450dff829a1959465b6cfad1bf1575b5d",
+    "A5": "66ca42dd6c8e5078fb3f6b08d2c1391f9dbb66f308f798c33cab860793dffa2e",
+    "A6": "c4634e95e28c7d4d21f60d5d02ecc907e0274eee8ad245b33677bf825f75707f",
+    "A7": "f2eef778c8f0b01efd103083a81574c9d6babdd107f0d32741f775f747687805",
+    "A8": "4052e30df2f4ace70e2b7074c0637d0198e793cd0d2d93aa1cef9db4f48a4a0d",
+    "B2": "4fc93a7e3b47e4212e938e7565c56b87fea6951468f59b1fd19cc4c1d8343f22",
+    "B3": "23190e1734345983ff957ab231cc66363bc3035108cb93eb24605b6b7a5c32f0",
+    "B4": "ff6d26ff92d58cd7777dbcf1da0115dfba3d03a8ac152562e53c5b6a08254867",
+    "B5": "c9991831116c222e0536bd23aa61c9d8b8e153052ea98a8c56a42c8a7b6fe50e",
+    "B6": "c6acbf2fe0611eff954f9435bab693a22fc3c7439d5283672c742d5413b76586",
+    "B7": "90b2788608542fd31a81782212164321a5fb02b244ccead8f3f6bf81158954b1",
+    "B8": "f5d996e4d25c6a5d3dcd195624c238e9ff7320fb39710afa780b9f70d3d4b4f1",
+    "C2": "4fc93a7e3b47e4212e938e7565c56b87fea6951468f59b1fd19cc4c1d8343f22",
+    "C3": "9a66cad0c766cb805dadfcfdc06f3efed248914d70b1ca335e921c7cfcdf8a37",
+    "C4": "6cc82c2de234e5129b3911843024ed4cf7114fc267af12bd84e397f34866fc23",
+    "C5": "aa02ff1ae97dfec761b2542ff1ae990f359426f463f4649675647a5be0188d6a",
+    "C6": "86049aa5444410b04cadb017ab420e8a27b16b3fb81c06e96b457308af621151",
+    "C7": "fbe7bc61c5b17cd2c8055d8547dbb3dccc2934f7a636ae9f434680359e66196f",
+    "C8": "ba302f3fceaebe6dfd581f55cb8b4729b2231f65b15312e66080dd286e16f684",
+    "D4": "77de4a641ddac96987f9f6e5c96553236d86fef75b1251c52d15356048fabd9c",
+    "D5": "2e8e14dbb74aa15b8bb105d25f1b5feae39fbcbe46729a6f44b96c1cc9bc5377",
+    "D6": "ecc6f4cd64d793f3ecf1ed6587382bee8e8e0e544dd4ed979e00bbafb3a78785",
+    "D7": "dd7862f39248666c1b71a02d413dcc4c7322e1a6faf7f54f16f1745389448f05",
+    "D8": "4fcf6a59ee59e071f75dbf9284fc312e03ac9a9fa7fe6fb751006fa15386d197",
+    "D9": "d2586b0c28274789c30a7d2433e18f24933342db5b31e897a9ba141b3a4b7d39",
+    "D10": "83abb0a2eee9f1af1a09627954d94eb265ca9ed87a191b0252c1f1b88a3ee461",
+    "D11": "c95f16bd7b81dcb5f6e4c8bf1086159ac9d864e64032a6c28422bf11b7d0e039",
+    "D12": "f63a398ba11918cf35a738dd92c04c7c808a97e9849089eb88e0fc9e630ebb21",
+    "D13": "312e788891de094ef4e7f796ec3b4c3d02acb6158fd28ab6b19a654aa1592f8f",
+    "D14": "7fad182d6b8a8e146521ca17c82c8577b8291ef76699fcfc0b4990324aada624",
+    "D15": "cde4fd39a4353a30bbe93fbf746ca2006efed0e2cb190f3eda1bf68f649f1c0a",
+    "D16": "e7c9024a650a400be9a1843070272551f22827840518b0b9e7526d855cfb7be6",
+    "E6": "f2eef778c8f0b01efd103083a81574c9d6babdd107f0d32741f775f747687805",
+    "E7": "e02b0e14b146b9294de9e870c51f8b86974b897363aa71a70f74a57425e60b21",
+    "E8": "4bad213660c11fa41d223d1df941725baeb1ec88095cff7b03ed845bc3fb8b94",
+    "F4": "6cc82c2de234e5129b3911843024ed4cf7114fc267af12bd84e397f34866fc23",
+    "G2": "4fc93a7e3b47e4212e938e7565c56b87fea6951468f59b1fd19cc4c1d8343f22",
+}
+
 
 @pytest.mark.parametrize("family,rank", SYSTEMS, ids=[f"{f}{n}" for f, n in SYSTEMS])
 def test_simple_coefficients_and_max_root_are_pinned(family, rank):
@@ -113,3 +160,10 @@ def test_group_matrices_are_pinned(name):
     table = oracle.enumerate_group(build(name[0], int(name[1:])))
     matrices = [table.matrix(i) for i in range(len(table))]
     assert digest(matrix_rows(matrices)) == GROUP_MATRIX_SHA256[name]
+
+
+@pytest.mark.parametrize("family,rank", SYSTEMS, ids=[f"{f}{n}" for f, n in SYSTEMS])
+def test_max_root_complement_is_pinned(family, rank):
+    system = build(family, rank)
+    names = oracle.max_root_complement(system)
+    assert digest([[name] for name in names]) == MAX_ROOT_COMPLEMENT_SHA256[system.name()]
