@@ -21,6 +21,7 @@ trips, 2 for usage errors or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Sequence
@@ -34,7 +35,6 @@ from .exactla import (
     poly_mul,
     poly_str,
     power_plus_one,
-    rank,
     transpose,
 )
 
@@ -88,9 +88,14 @@ def _roots_arg(system: rootsys.RootSystem, text: str) -> tuple[Vector, ...]:
             out.append(system.parse_root(chunk))
         except ValueError as exc:
             raise _UsageError(f"cannot parse root {chunk!r}: {exc}") from exc
-    if rank(out) != len(out):
-        raise _UsageError(f"the roots {text!r} are linearly dependent")
     return tuple(out)
+
+
+def _diagram_arg(system: rootsys.RootSystem, roots: tuple[Vector, ...]) -> dg.Diagram:
+    try:
+        return dg.from_roots(system, roots)
+    except ValueError as exc:  # a dependent or repeated root list
+        raise _UsageError(str(exc)) from exc
 
 
 def _emit_json(obj) -> None:
@@ -132,7 +137,10 @@ def _cmd_rootsys(args) -> int:
 def _cmd_charpoly(args) -> int:
     system = _system_arg(args.system)
     word = _roots_arg(system, args.word)
-    p = rewrite.word_charpoly(system, word)
+    try:
+        p = rewrite.word_charpoly(system, word)
+    except ValueError as exc:  # a dependent or repeated root list
+        raise _UsageError(str(exc)) from exc
     text = poly_str(p, "t")
     if args.pretty:
         print(f"charpoly = {text}")
@@ -151,7 +159,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_diagram(args) -> int:
     system = _system_arg(args.system)
     roots = _roots_arg(system, args.roots)
-    d = dg.from_roots(system, roots)
+    d = _diagram_arg(system, roots)
     admissible = dg.is_admissible(d)
     identified = dg.identify_components(d)
     if args.pretty:
@@ -308,7 +316,7 @@ def _cmd_render_dot(args) -> int:
     elif args.system and args.roots:
         system = _system_arg(args.system)
         roots = _roots_arg(system, args.roots)
-        d = dg.from_roots(system, roots)
+        d = _diagram_arg(system, roots)
         labels = [system.format_root(r) for r in roots]
         title = system.name()
     else:
@@ -590,7 +598,10 @@ _SUITES: dict[str, Callable[[], list[tuple[str, str, str]]]] = {
 # Parser and entry points
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``weylcalc`` parser, built on first use and shared by every later
+    :func:`run` in the process (parsing leaves the parser unchanged)."""
     parser = argparse.ArgumentParser(
         prog="weylcalc",
         description="Exact diagram calculus for finite Weyl groups.",

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import rootsys
@@ -36,7 +38,7 @@ from .exactla import (
     power_plus_one,
 )
 from .rootsys import RootSystem
-from .weyl import word_matrix, word_matrix_from_gram
+from .weyl import cartan_number, word_matrix
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -332,18 +334,52 @@ def sign_normalize_tree(d: Diagram) -> Diagram:
     return replace(d, edges=tuple((a, b, SOLID) for a, b, _ in d.edges))
 
 
-def bicolored_word_order(d: Diagram) -> tuple[int, ...]:
-    """Vertex order of the diagram's bicolored word (part 0, then part 1)."""
+def _bicolored_parts(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     parts = bipartition(d)
     if parts is None:
         raise ValueError("diagram is not admissible (odd cycle)")
-    return parts[0] + parts[1]
+    return parts
+
+
+def bicolored_word_order(d: Diagram) -> tuple[int, ...]:
+    """Vertex order of the diagram's bicolored word (part 0, then part 1)."""
+    x, y = _bicolored_parts(d)
+    return x + y
 
 
 @lru_cache(maxsize=4096)
 def _bicolored_charpoly_cached(d: Diagram, t: Q) -> Poly:
-    order = bicolored_word_order(d)
-    return charpoly(word_matrix_from_gram(_int_gram(d, t)[0], order))
+    """``det(t - s_X s_Y)`` from the Cartan blocks between the two parts.
+
+    Over the basis X then Y, ``s_X = [[-I, C], [0, I]]`` and
+    ``s_Y = [[I, 0], [D, -I]]`` with ``C[x][y] = -2 g_xy / g_xx`` and
+    ``D[y][x] = -2 g_xy / g_yy``.  A Schur complement on the ``(t+1)I``
+    block gives, for the smaller part U (m vertices, the other part m + r)
+    and its block product B (``C D`` when U = X, ``D C`` when U = Y),
+
+        det(t - s_X s_Y) = (t+1)^r * sum_k c_k (t+1)^(2k) t^(m-k)
+
+    where ``c_k`` is the coefficient of ``x^k`` in ``charpoly(B)``, an m x m
+    matrix with m <= n/2.  The Cartan numbers are integers unless ``t`` is
+    not crystallographic, so the expansion runs on integers over the
+    common denominator of the ``c_k``.
+    """
+    g = _int_gram(d, t)[0]
+    small, large = sorted(_bicolored_parts(d), key=len)
+    m, r = len(small), len(large) - len(small)
+    # B[u][w] = sum_v (2 g_uv / g_uu) (2 g_vw / g_vv); the two minus signs cancel.
+    out = [[cartan_number(g[u][v], g[u][u]) for v in large] for u in small]
+    back = [[cartan_number(g[v][w], g[v][v]) for w in small] for v in large]
+    cols = list(zip(*back))
+    c = charpoly([[sum(map(mul, row, col)) for col in cols] for row in out])
+    den = lcm(*(x.denominator for x in c))
+    c = [x.numerator * (den // x.denominator) for x in c]
+    # coefficient of t^j: sum_k c_k * binom(2k + r, j - m + k)
+    return tuple(
+        Q(sum(c[k] * comb(2 * k + r, j - m + k)
+              for k in range(max(0, m - j), m + 1)), den)
+        for j in range(d.n + 1)
+    )
 
 
 def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:

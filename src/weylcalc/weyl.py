@@ -34,6 +34,7 @@ from .exactla import (
     charpoly,
     cyclotomic_factors,
     dot,
+    gram_positive_definite,
     idot,
     identity,
     mat_pow,
@@ -102,7 +103,7 @@ def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Mat
     work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in order:
         # s_i = I + e_i w^T, so A @ s_i = A + (column i of A) outer w.
-        w = [-_cartan_number(gram[q][i], gram[i][i]) for q in range(n)]
+        w = [-cartan_number(gram[q][i], gram[i][i]) for q in range(n)]
         for p in range(n):
             api = work[p][i]
             if api == 0:
@@ -113,7 +114,7 @@ def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Mat
     return tuple(tuple(Q(x) for x in row) for row in work)
 
 
-def _cartan_number(x, d):
+def cartan_number(x, d):
     """``2x/d``: an int when exact (always for roots), else a Fraction."""
     c, rem = divmod(2 * x, d)
     return c if rem == 0 else Q(2 * x) / d
@@ -125,12 +126,13 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     Requires the word's roots to be linearly independent (true for any
     reduced decomposition); the resulting matrix has size ``len(word)``,
     so its characteristic polynomial has the word's length as degree.
-    Computed on the doubled-integer Gram matrix of the roots.
+    Computed on the doubled-integer Gram matrix of the roots, whose
+    leading minors also settle independence (positive definiteness).
     """
     roots = [doubled(r) for r in word]
-    if rank(roots) != len(roots):
-        raise ValueError("word roots are linearly dependent")
     gram = [[idot(a, b) for b in roots] for a in roots]
+    if not gram_positive_definite(gram):
+        raise ValueError("word roots are linearly dependent")
     return word_matrix_from_gram(gram, range(len(roots)))
 
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylcalc
 from weylcalc import cli, rootsys
 from weylcalc import diagram as dg
 
@@ -415,3 +420,35 @@ def test_help_exits_zero(capsys):
 def test_main_raises_system_exit(capsys):
     with pytest.raises(SystemExit):
         cli.main()
+
+
+README_WORD = "e1-e2,e3-e4,e2-e3,e2+e3"
+
+#: A usage error, help, a dependent list, then the README quick start.
+REUSE_SEQUENCE = (
+    ["diagram", "--system", "X9", "--roots", "e1-e2"],
+    ["--help"],
+    ["diagram", "--system", "D4", "--roots", "e1-e2,e2-e3,e1-e3"],
+    ["diagram", "--system", "D4", "--roots", README_WORD, "--pretty"],
+    ["charpoly", "--system", "D4", "--word", README_WORD, "--pretty"],
+)
+
+
+def run_fresh(argv):
+    """``(exit code, stdout, stderr)`` of the command in a new interpreter."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(weylcalc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "weylcalc.cli", *argv],
+                          capture_output=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_request(capsys, monkeypatch):
+    """The parser is built once per process, and a request that errors or
+    prints help leaves nothing behind that changes a later answer."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    for argv in REUSE_SEQUENCE:
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out.encode(), err.encode()) == run_fresh(argv), argv
+    assert cli._build_parser.cache_info().misses == 1

@@ -10,7 +10,7 @@ last property checks that no float ever crosses the API.
 
 from fractions import Fraction as Q
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
@@ -250,6 +250,44 @@ def symmetric_forms(draw):
 def test_word_matrix_from_gram_matches_reference_on_any_form(case):
     g, order = case
     assert word_matrix_from_gram(g, order) == ref_word_matrix_from_gram(g, order)
+
+
+@st.composite
+def bipartite_diagrams(draw):
+    """A diagram on at most 10 vertices with random long vertices whose
+    edges, each solid or dotted at random, all cross one random cut."""
+    n = draw(st.integers(0, 10))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    longs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges = [(i, j, draw(st.sampled_from((dg.SOLID, dg.DOTTED))))
+             for i in range(n) for j in range(i + 1, n)
+             if side[i] != side[j] and draw(st.booleans())]
+    return dg.make_diagram(n, edges, longs=longs)
+
+
+def ref_bicolored_charpoly(d, t):
+    """The charpoly of the dense n x n matrix of the bicolored word."""
+    return charpoly(word_matrix_from_gram(dg._int_gram(d, t)[0],
+                                          dg.bicolored_word_order(d)))
+
+
+_EDGELESS = dg.make_diagram(3, [], longs=(False, True, False))
+_STAR = dg.make_diagram(4, [(0, 1, dg.SOLID), (0, 2, dg.DOTTED), (0, 3, dg.SOLID)],
+                        longs=(True, False, False, False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_diagrams(), st.sampled_from((Q(1), Q(2), Q(3), Q(5, 3))))
+@example(dg.make_diagram(0, []), Q(1))
+@example(_EDGELESS, Q(2))                   # one part empty
+@example(_STAR, Q(5, 3))                    # parts of sizes 1 and 3
+@example(dg.flip_vertex(_STAR, 1), Q(3))
+def test_bicolored_charpoly_matches_dense_word_matrix(d, t):
+    """The half-dimension Schur-complement form equals the charpoly of the
+    bicolored word's full matrix, and hands out Fractions only."""
+    got = dg.bicolored_charpoly(d, t)
+    assert got == ref_bicolored_charpoly(d, t)
+    assert len(got) == d.n + 1 and all(type(c) is Q for c in got)
 
 
 @settings(max_examples=200, deadline=None)
