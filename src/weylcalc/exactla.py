@@ -6,9 +6,20 @@ Fractions, matrices are tuples of row tuples, and polynomials are tuples
 of coefficients in *ascending* degree order (``poly[i]`` is the
 coefficient of ``x**i``).
 
-Inside, the eliminations run fraction-free: a rational matrix is scaled
-to integers by its common denominator (:func:`_integer_matrix`) and
-reduced with exact integer division, never ``/`` between two ints.
+Inside, a rational matrix is first scaled to integers by its common
+denominator (:func:`_integer_matrix`).  The eliminations behind rank,
+det and solve then run fraction-free, with exact integer division and
+never ``/`` between two ints.
+
+The characteristic polynomial (:func:`charpoly`) is exact in O(n^3)
+operations.  Every coefficient of the integer matrix's charpoly is at
+most ``B = (1 + R)**n`` in absolute value, ``R`` the largest absolute row
+sum.  The matrix is reduced to upper Hessenberg form by similarity
+modulo the first Mersenne prime ``p = 2**e - 1 > 2B`` with ``e`` from
+:data:`MERSENNE_EXPONENTS` (61 up to 19937), and the symmetric residues
+of the Hessenberg recurrence's coefficients are the integers themselves.
+A bound past ``2**19937 - 1`` raises ValueError: the answer is then
+absent, never wrong.
 """
 
 from __future__ import annotations
@@ -104,32 +115,82 @@ def _integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[e.numerator * (den // e.denominator) for e in row] for row in a], den
 
 
-def charpoly(a: Matrix) -> Poly:
-    """Characteristic polynomial ``det(x*I - a)`` by Faddeev-LeVerrier.
+#: Exponents ``e`` of the Mersenne primes ``2**e - 1`` that :func:`charpoly`
+#: works modulo, ascending; the first one above twice the coefficient bound
+#: is used.
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                      4253, 4423, 9689, 9941, 11213, 19937)
 
-    Returned monic, ascending coefficient order.  The recursion runs on
-    integers (an integer matrix as given, a rational one scaled by its
-    common denominator), and the result maps back exactly.
+
+def charpoly(a: Matrix) -> Poly:
+    """Characteristic polynomial ``det(x*I - a)``, monic, ascending order.
+
+    ``a`` is scaled to an integer matrix ``A = den * a``
+    (:func:`_integer_matrix`).  With ``R`` the largest absolute row sum of
+    ``A``, every eigenvalue has ``|lambda| <= R``, so the coefficient of
+    ``x**j`` is at most ``C(n, j) * R**(n - j) <= B = (1 + R)**n`` in
+    absolute value.  ``A`` is reduced by similarity to upper Hessenberg
+    form modulo the first prime ``p > 2B`` of :data:`MERSENNE_EXPONENTS`
+    (``2**61 - 1`` for every catalog word), the Hessenberg recurrence gives
+    ``det(x*I - A) mod p`` in O(n^3), and each coefficient's symmetric
+    residue in ``(-p/2, p/2)`` is the exact integer.  The result maps back
+    exactly: the coefficient of ``x**k`` is divided by ``den**(n - k)``.
+
+    Raises ValueError when ``2B`` exceeds the last table prime
+    ``2**19937 - 1``.
     """
     n = len(a)
     if n == 0:
         return (ONE,)
-    ai, den = _integer_matrix(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        cols = list(zip(*m))
-        m = [[sum(map(mul, row, col)) for col in cols] for row in ai]
-        tr = sum(m[i][i] for i in range(n))
-        assert tr % k == 0
-        c = -(tr // k)
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                m[i][i] += c
-    # char of a = den**-n * char_{den*a}(den*x)
-    return tuple(Q(coeffs[k], den ** (n - k)) for k in range(n + 1))
+    h, den = _integer_matrix(a)
+    bound = (1 + max(sum(map(abs, row)) for row in h)) ** n
+    p = next((p for p in ((1 << e) - 1 for e in MERSENNE_EXPONENTS)
+              if p > 2 * bound), None)
+    if p is None:
+        raise ValueError(f"charpoly coefficient bound 2 * (1 + R)^n has "
+                         f"{(2 * bound).bit_length()} bits, past the largest "
+                         f"table prime 2^{MERSENNE_EXPONENTS[-1]} - 1")
+    h = [[e % p for e in row] for row in h]
+    # Similarity to upper Hessenberg form: clear column col below row m.
+    for m in range(1, n - 1):
+        col = m - 1
+        if not any(h[i][col] for i in range(m + 1, n)):
+            continue  # already zero below the subdiagonal
+        piv = next(i for i in range(m, n) if h[i][col])
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        prow = h[m][col:]
+        inv = pow(prow[0], -1, p)
+        us = [h[i][col] * inv % p for i in range(m + 1, n)]
+        # Row i -= u_i * row m, then column m += u_i * column i: the inverse.
+        for i, u in enumerate(us, m + 1):
+            if u:
+                h[i][col:] = [(x - u * y) % p for x, y in zip(h[i][col:], prow)]
+        for row in h:
+            row[m] = (row[m] + sum(map(mul, us, row[m + 1:]))) % p
+    # polys[m] = det(x*I - H[:m, :m]), expanded along its last column.
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        c = h[m - 1][m - 1]
+        new = [0] + prev
+        for k, y in enumerate(prev):
+            new[k] -= c * y
+        sub = 1
+        for i in range(1, m):
+            sub = sub * h[m - i][m - i - 1] % p
+            if not sub:
+                break
+            f = sub * h[m - i - 1][m - 1] % p
+            if f:
+                for k, y in enumerate(polys[m - i - 1]):
+                    new[k] -= f * y
+        polys.append([x % p for x in new])
+    half = p >> 1
+    return tuple(Q(c if c <= half else c - p, den ** (n - k))
+                 for k, c in enumerate(polys[n]))
 
 
 def _echelon(work: list[list[int]]) -> tuple[list[int], int, int]:
@@ -409,7 +470,9 @@ def cyclotomic(n: int) -> Poly:
     for d in range(1, n):
         if n % d == 0:
             num, rem = poly_divmod(num, cyclotomic(d))
-            assert rem == (ZERO,)
+            if rem != (ZERO,):
+                raise RuntimeError(f"Phi_{d} does not divide x^{n} - 1 "
+                                   f"with zero remainder")
     _CYCLOTOMIC_CACHE[n] = num
     return num
 

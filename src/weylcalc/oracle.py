@@ -359,28 +359,28 @@ def find_subsets(
         row = idx.inner[pos]
         return minors.push([row[p] for p in chosen_pos], row[pos])
 
-    target_dotted = [(a, b, style == dg.DOTTED) for a, b, style in target.edges]
-
-    def styles_match() -> bool:
-        """Realized styles must differ from the target on a cut."""
-        return dg.two_coloring(k, [
-            (a, b, (idx.inner[vertex_pos[a]][vertex_pos[b]] > 0) != dotted)
-            for a, b, dotted in target_dotted
-        ]) is not None
-
     def descend(depth: int, used: int) -> bool:
         """Returns True when the limit is reached."""
         if depth == k:
             key = frozenset(chosen)
-            if key not in seen_sets and styles_match():
-                seen_sets.add(key)
-                roots = tuple(chosen)
-                results.append(
-                    LabeledDiagram(roots, dg.from_roots(system, roots))
-                )
-                if limit is not None and len(results) >= limit:
-                    return True
-            return False
+            if key in seen_sets:
+                return False
+            realized = [
+                (a, b, dg.DOTTED if idx.inner[vertex_pos[a]][vertex_pos[b]] > 0
+                 else dg.SOLID)
+                for a, b, _ in target.edges
+            ]
+            # Realized styles must differ from the target on a cut.
+            if dg.two_coloring(k, [
+                (a, b, style != want)
+                for (a, b, style), (_, _, want) in zip(realized, target.edges)
+            ]) is None:
+                return False
+            seen_sets.add(key)
+            # Adjacency and length classes equal the target's by construction.
+            results.append(LabeledDiagram(
+                tuple(chosen), dg.make_diagram(k, realized, longs=target.longs)))
+            return limit is not None and len(results) >= limit
         v, fams = placement[depth]
         cand = base_mask[v] & ~used & all_mask
         for i, fam in enumerate(fams):

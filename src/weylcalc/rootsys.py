@@ -256,7 +256,9 @@ class RootSystem:
             if all(dot(r, s) >= 0 for s in self.simple_roots)
             and height == best_height
         ]
-        assert dominant == [best], "highest root must be the unique dominant root"
+        if dominant != [best]:
+            raise RuntimeError(f"{self.name()}: the highest root is not the "
+                               f"unique dominant root")
         return best
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:

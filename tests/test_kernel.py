@@ -10,12 +10,14 @@ last property checks that no float ever crosses the API.
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc import oracle, rewrite
 from weylcalc.exactla import (
+    MERSENNE_EXPONENTS,
     LeadingMinors,
     charpoly,
     det,
@@ -288,6 +290,69 @@ def test_bicolored_charpoly_matches_dense_word_matrix(d, t):
     got = dg.bicolored_charpoly(d, t)
     assert got == ref_bicolored_charpoly(d, t)
     assert len(got) == d.n + 1 and all(type(c) is Q for c in got)
+
+
+@st.composite
+def square_matrices(draw):
+    """A rational n x n matrix, n <= 12, about half its entries zero.  The
+    numerators reach 2**4, 2**60 or 2**200, so the coefficient bound needs
+    primes from 2**61 - 1 to 2**4423 - 1."""
+    n = draw(st.integers(0, 12))
+    bits = draw(st.sampled_from((4, 60, 200)))
+    entry = st.one_of(st.just(Q(0)), st.builds(
+        Q, st.integers(-2 ** bits, 2 ** bits), st.sampled_from((1, 2, 3, 7))))
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+def _jordan_block(n):
+    return tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n))
+
+
+#: (matrix, det(x*I - matrix)) for the shapes the reduction treats apart.
+FIXED_CHARPOLYS = [
+    ((), (1,)),
+    (((Q(-3, 2),),), (Q(3, 2), 1)),
+    # |c_0| = R with B = 1 + R between p = 2**61 - 1 and p / 2: p > B does
+    # not recover c_0 from its residue; p > 2B does.
+    (((-(3 << 59),),), (3 << 59, 1)),
+    (((0,) * 4,) * 4, (0, 0, 0, 0, 1)),                       # zero
+    (((1, 0, 0), (0, 2, 0), (0, 0, 3)), (-6, 11, -6, 1)),      # diagonal
+    (_jordan_block(5), (0, 0, 0, 0, 0, 1)),                    # nilpotent
+    (((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+     (-1, 0, 0, 0, 1)),                                        # 4-cycle
+    # Zero under the diagonal of column 0 but not below it: the pivot
+    # search swaps rows and columns 1 and 2.
+    (((1, 2, 3), (0, 4, 5), (6, 7, 8)), (15, -9, -13, 1)),
+    # The same in column 1 after column 0 is cleared.
+    (((1, 0, 2, 0), (1, 1, 0, 3), (0, 0, 1, 0), (0, 1, 0, 2)),
+     (-1, -1, 6, -5, 1)),
+]
+
+
+@pytest.mark.parametrize("m, expected", FIXED_CHARPOLYS)
+def test_charpoly_fixed_examples(m, expected):
+    got = charpoly(m)
+    assert got == tuple(Q(c) for c in expected) == ref_charpoly(m)
+    assert all(type(c) is Q for c in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices())
+def test_charpoly_matches_faddeev_leverrier(m):
+    """The Hessenberg reduction modulo a Mersenne prime against the
+    Fraction Faddeev-LeVerrier reference, on any rational matrix."""
+    assert charpoly(m) == ref_charpoly(m)
+
+
+def test_charpoly_bound_past_the_prime_table_raises():
+    """Past the last table prime the answer is absent, never wrong."""
+    last = MERSENNE_EXPONENTS[-1]
+    near = 2 ** (last - 3)       # 2 * (1 + R) stays below 2**last - 1
+    assert charpoly(((near,),)) == (-near, 1)
+    with pytest.raises(ValueError, match=f"2\\^{last} - 1"):
+        charpoly(((2 * near,) * 2,) * 2)
+    with pytest.raises(ValueError):
+        charpoly(((2 ** last,),))
 
 
 @settings(max_examples=200, deadline=None)

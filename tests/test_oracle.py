@@ -152,3 +152,28 @@ def test_corrector_conjugator_degenerate():
         corrector_conjugator(d5, r, r)
     with pytest.raises(ValueError):
         corrector_conjugator(d5, tuple(-c for c in r), r)
+
+
+@pytest.mark.parametrize("name", ["D4(a1)", "D5(a1)"])
+def test_find_subsets_leaf_diagram_is_from_roots(name):
+    """The search builds each realization's diagram from its own inner
+    product table; it must be the diagram of the roots it reports."""
+    entry = dg.catalog(name)
+    system = build_by_name(entry.system)
+    items = find_subsets(system, entry.diagram)
+    assert items
+    for item in items:
+        assert item.diagram == dg.from_roots(system, item.roots)
+
+
+def test_realize_lookup_diagrams_are_from_roots():
+    """Find-first lookups (``limit=1``) on every catalog entry of a system
+    of rank at most 6."""
+    names = [n for n in dg.catalog_names()
+             if build_by_name(dg.catalog(n).system).rank <= 6]
+    assert len(names) >= 10
+    for name in names:
+        entry = dg.catalog(name)
+        system = build_by_name(entry.system)
+        (item,) = find_subsets(system, entry.diagram, limit=1)
+        assert item.diagram == dg.from_roots(system, item.roots), name
