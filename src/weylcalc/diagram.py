@@ -66,9 +66,6 @@ class Diagram:
             adj[b].add(a)
         return adj
 
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(self.adjacency()[i])
-
     def edge_style(self, i: int, j: int) -> str | None:
         if i > j:
             i, j = j, i
@@ -317,21 +314,6 @@ def flip_vertex(d: Diagram, i: int) -> Diagram:
             style = DOTTED if style == SOLID else SOLID
         new_edges.append((a, b, style))
     return replace(d, edges=tuple(sorted(new_edges)))
-
-
-def sign_normalize_tree(d: Diagram) -> Diagram:
-    """The all-solid diagram that vertex flips of a forest reach.
-
-    On a forest every edge set is a cut, so the dotted edges can always
-    be flipped away and the result is ``d`` with every edge solid.
-    Cycles are rejected: on a cycle the dotted count's parity is a flip
-    invariant, so normalization is a tree-only notion.
-    """
-    if cycles(d):
-        raise ValueError("diagram has a cycle")
-    if all(style == SOLID for _, _, style in d.edges):
-        return d
-    return replace(d, edges=tuple((a, b, SOLID) for a, b, _ in d.edges))
 
 
 def _bicolored_parts(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,8 +1,8 @@
-"""Brute-force verification engine over small Weyl groups.
+"""Brute-force verification engine over Weyl groups.
 
-Everything here is exhaustive and exact: groups are enumerated as
-permutations of their (finitely many) roots, conjugacy is settled by a
-breadth-first orbit walk that either produces an explicit witness or
+Everything here is exhaustive and exact: group elements are permutations
+of their (finitely many) roots, conjugacy is settled by a breadth-first
+walk of one conjugacy class that either produces an explicit witness or
 exhausts the class, and diagram-realization questions are settled by a
 backtracking search over root subsets that either lists every match or
 certifies that none exists.  The module is deliberately slow-and-sure;
@@ -10,14 +10,14 @@ it is the referee against which the algebraic shortcuts elsewhere in
 the package are checked.
 
 Group elements are handled as root permutations (``weyl.PermSpace``);
-ambient matrices are built only where they cross the API: group-table
-elements, conjugacy inputs and witnesses, and corrector conjugators.
+ambient matrices are built only where they cross the API: conjugacy
+inputs and witnesses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import diagram as dg
 from . import weyl
@@ -34,7 +34,6 @@ from .exactla import (
 )
 from .rootsys import RootSystem, doubled, lex_positive_rep
 
-DEFAULT_GROUP_CAP = 400_000
 DEFAULT_CONJUGACY_CAP = 1_000_000
 
 #: |W| for each family, from the standard order formulas.
@@ -67,74 +66,6 @@ def weyl_group_order(system: RootSystem) -> int:
             out *= i
         return out
     return _EXCEPTIONAL_ORDER[system.name()]
-
-
-# ---------------------------------------------------------------------------
-# Group enumeration
-
-
-class GroupTable:
-    """Every element of a small Weyl group, in discovery (BFS) order.
-
-    Elements are held as root permutations; ``matrix`` / ``elements``
-    rebuild exact ambient matrices on demand, so the table stays small
-    even for W(E6).
-    """
-
-    def __init__(self, system: RootSystem, space: weyl.PermSpace, perms: tuple):
-        self.system = system
-        self._space = space
-        self._perms = perms
-        self.size = len(perms)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def matrix(self, i: int) -> Matrix:
-        return self._space.matrix_of_perm(self._perms[i])
-
-    def elements(self) -> Iterator[Matrix]:
-        """Yield every group element as an exact ambient matrix."""
-        for p in self._perms:
-            yield self._space.matrix_of_perm(p)
-
-
-def enumerate_group(system: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> GroupTable:
-    """Breadth-first closure of the simple reflections.
-
-    Deterministic: elements appear in BFS discovery order, generators in
-    simple-root order.  Refuses groups whose order formula already
-    exceeds ``cap`` (W(E7) and W(E8) at the default).
-    """
-    order = weyl_group_order(system)
-    if order > cap:
-        raise ValueError(
-            f"W({system.name()}) has {order} elements, beyond the cap of {cap}; "
-            "this oracle only enumerates small groups"
-        )
-    space = weyl.perm_space(system)
-    gens = [space.reflection_perm(r) for r in system.simple_roots]
-    seen = {space.ident}
-    found = [space.ident]
-    frontier = [space.ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            tp = space.table(p)
-            for g in gens:
-                # p·g: walk the Cayley graph by right multiplication.
-                q = space.mul(tp, g)
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise RuntimeError(
-                            f"enumeration of W({system.name()}) passed {cap} elements "
-                            f"with {len(frontier)} words still in the frontier"
-                        )
-                    seen.add(q)
-                    found.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return GroupTable(system, space, tuple(found))
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +202,9 @@ class _SubsetIndex:
         self.short_mask = ((1 << m) - 1) ^ self.long_mask
 
 
-_SUBSET_INDEXES: dict[str, _SubsetIndex] = {}
-
-
+@functools.cache
 def _subset_index(system: RootSystem) -> _SubsetIndex:
-    key = system.name()
-    idx = _SUBSET_INDEXES.get(key)
-    if idx is None:
-        idx = _SubsetIndex(system)
-        _SUBSET_INDEXES[key] = idx
-    return idx
+    return _SubsetIndex(system)
 
 
 def find_subsets(
@@ -300,9 +224,11 @@ def find_subsets(
     sign flips (style differences must form a cut of the target graph).
 
     Matches are reported once per root set, in the order the search
-    finds them; ``limit`` stops early (the result is then not
-    exhaustive).
+    finds them; ``limit`` (None or at least 1) stops early (the result
+    is then not exhaustive).
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be None or at least 1, not {limit}")
     k = target.n
     if k == 0:
         return []
@@ -561,24 +487,3 @@ def _branch_lengths(adj: list[set[int]], hub: int) -> list[int]:
         lengths.append(length)
     return lengths
 
-
-# ---------------------------------------------------------------------------
-# Corrector reflections
-
-
-def corrector_conjugator(system: RootSystem, wrong: Vector, right: Vector) -> Matrix:
-    """The reflection product T = s_wrong s_right s_wrong.
-
-    When the two roots are adjacent (inner product ±1/2 after
-    normalization), T carries s_right to s_wrong under conjugation —
-    the standard repair when a relation was written with the wrong
-    root.  Roots orthogonal to both are fixed by T.
-    """
-    wrong = tuple(wrong)
-    right = tuple(right)
-    for v in (wrong, right):
-        if not system.is_root(v):
-            raise ValueError(f"{v} is not a root of {system.name()}")
-    if wrong == right or wrong == tuple(-x for x in right):
-        raise ValueError("degenerate corrector: the roots coincide up to sign")
-    return weyl.evaluate(system, (wrong, right, wrong))

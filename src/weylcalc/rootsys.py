@@ -214,12 +214,9 @@ class RootSystem:
         c = num // den
         return halved([a - c * b for a, b in zip(x, r)])
 
-    def positive_roots(self) -> tuple[Vector, ...]:
-        return tuple(r for r in self.roots if _lex_positive(r))
-
     def sign_class_reps(self) -> tuple[Vector, ...]:
         """One representative per {r, -r} pair, the lex-positive one."""
-        return self.positive_roots()
+        return tuple(r for r in self.roots if _lex_positive(r))
 
     @cached_property
     def coefficient_map(self) -> tuple[tuple[IntVector, ...], int]:

@@ -23,6 +23,7 @@ loss of exactness.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as Q
 from math import lcm
 from operator import itemgetter
@@ -75,19 +76,6 @@ def evaluate(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     return tuple(tuple(row) for row in work)
 
 
-def apply_word(system: RootSystem, word: Sequence[Vector], v: Vector) -> Vector:
-    """Apply the word to a vector without forming the full matrix."""
-    out = tuple(v)
-    for root in reversed(word):
-        out = system.reflect(tuple(root), out)
-    return out
-
-
-def conjugate(system: RootSystem, word: Sequence[Vector], u: Sequence[Vector]) -> Word:
-    """Word for ``u w u^{-1}``: every root of ``w`` mapped through ``u``."""
-    return tuple(apply_word(system, u, tuple(r)) for r in word)
-
-
 def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Matrix:
     """Matrix of a reflection word over the basis the Gram matrix indexes.
 
@@ -134,17 +122,6 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     if not gram_positive_definite(gram):
         raise ValueError("word roots are linearly dependent")
     return word_matrix_from_gram(gram, range(len(roots)))
-
-
-def is_involution(system: RootSystem, word: Sequence[Vector]) -> str:
-    """Classify the element: ``identity``, ``involution`` or ``not-involution``."""
-    space = perm_space(system)
-    p = space.word_perm(word)
-    if p == space.ident:
-        return "identity"
-    if space.compose(p, p) == space.ident:
-        return "involution"
-    return "not-involution"
 
 
 def verify_bicolored(
@@ -339,14 +316,7 @@ class PermSpace:
         )
 
 
-_SPACES: dict[str, PermSpace] = {}
-
-
+@functools.cache
 def perm_space(system: RootSystem) -> PermSpace:
     """The (cached) permutation encoding of W(system)."""
-    key = system.name()
-    space = _SPACES.get(key)
-    if space is None or space.system is not system:
-        space = PermSpace(system)
-        _SPACES[key] = space
-    return space
+    return PermSpace(system)

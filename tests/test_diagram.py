@@ -26,7 +26,7 @@ def test_make_diagram_normalizes_edges():
     assert d.edge_style(0, 2) == "solid"
     assert d.edge_style(2, 1) == "dotted"
     assert d.edge_style(0, 1) is None
-    assert d.neighbors(2) == [0, 1]
+    assert d.adjacency()[2] == {0, 1}
 
 
 def test_make_diagram_rejects_bad_input():
@@ -175,14 +175,6 @@ def test_flip_vertex_toggles_incident_styles():
     assert f.edge_style(0, 3) == "dotted"
     assert f.edge_style(1, 2) == "solid"
     assert dg.flip_vertex(f, 0) == d
-
-
-def test_sign_normalize_tree():
-    messy = dg.make_diagram(3, [(0, 1, dg.DOTTED), (1, 2, dg.DOTTED)])
-    clean = dg.sign_normalize_tree(messy)
-    assert all(style == "solid" for _, _, style in clean.edges)
-    with pytest.raises(ValueError):
-        dg.sign_normalize_tree(dg.styled_diagram(4, SQUARE, 1))
 
 
 def test_style_class_representatives():

@@ -4,11 +4,9 @@ import pytest
 from fractions import Fraction as Q
 
 from weylcalc import diagram as dg
-from weylcalc.exactla import dot, identity, mat_mul, mat_vec, rank
+from weylcalc.exactla import identity, mat_mul, rank
 from weylcalc.oracle import (
     are_conjugate,
-    corrector_conjugator,
-    enumerate_group,
     find_subsets,
     max_root_complement,
     orthogonal_tuple_orbits,
@@ -35,13 +33,6 @@ def test_weyl_group_orders():
     }
     for name, order in expected.items():
         assert weyl_group_order(build_by_name(name)) == order, name
-
-
-def test_enumerate_group():
-    table = enumerate_group(build_by_name("A2"))
-    assert table.size == 6
-    with pytest.raises(ValueError):
-        enumerate_group(build_by_name("A3"), cap=5)
 
 
 def test_are_conjugate_reflections():
@@ -108,6 +99,13 @@ def test_find_subsets_respects_limit():
     assert len(capped) == 1
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_find_subsets_rejects_limit_below_one(limit):
+    target = dg.catalog("D4(a1)").diagram
+    with pytest.raises(ValueError, match="limit"):
+        find_subsets(build_by_name("D4"), target, limit=limit)
+
+
 def test_verify_unique_class_smallest_case():
     d4 = build_by_name("D4")
     assert verify_unique_class(d4, "D4(a1)")
@@ -128,30 +126,6 @@ def test_max_root_complement_values():
     assert max_root_complement(build_by_name("E6")) == ["A5"]
     assert max_root_complement(build_by_name("D4")) == ["A1", "A1", "A1"]
     assert max_root_complement(build_by_name("A5")) == ["A3"]
-
-
-def test_corrector_conjugator():
-    d5 = build_by_name("D5")
-    wrong = d5.parse_root("e1-e3")
-    right = d5.parse_root("e1-e2")
-    t = corrector_conjugator(d5, wrong, right)
-    assert mat_vec(t, right) == wrong
-    s_wrong = weyl.reflection(d5, wrong)
-    s_right = weyl.reflection(d5, right)
-    assert mat_mul(mat_mul(t, s_right), transpose(t)) == s_wrong
-    for fixed in ("e4-e5", "e4+e5"):
-        v = d5.parse_root(fixed)
-        assert dot(v, wrong) == 0 and dot(v, right) == 0
-        assert mat_vec(t, v) == v
-
-
-def test_corrector_conjugator_degenerate():
-    d5 = build_by_name("D5")
-    r = d5.parse_root("e1-e2")
-    with pytest.raises(ValueError):
-        corrector_conjugator(d5, r, r)
-    with pytest.raises(ValueError):
-        corrector_conjugator(d5, tuple(-c for c in r), r)
 
 
 @pytest.mark.parametrize("name", ["D4(a1)", "D5(a1)"])

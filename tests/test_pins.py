@@ -1,5 +1,5 @@
 """SHA-256 pins of the simple-root coefficients, the highest roots, the
-five-cycle conjugators, the enumerated group matrices and the
+five-cycle conjugators, the matrices of small Weyl groups and the
 highest-root complements.
 
 The coefficient, conjugator and matrix digests were recorded from the
@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from weylcalc import oracle, rewrite
+from weylcalc import oracle, rewrite, weyl
 from weylcalc.rootsys import build
 
 #: Every root system the benchmark builds.
@@ -155,10 +155,35 @@ def test_five_cycle_conjugators_are_pinned(r):
     assert digest(conj) == CONJUGATOR_SHA256[r]
 
 
+def group_perms(system):
+    """Every element of W(system) as a root permutation, in breadth-first
+    discovery order from the identity, right-multiplying by the simple
+    reflections in simple-root order (the order the matrix pins fix)."""
+    space = weyl.perm_space(system)
+    gens = [space.reflection_perm(r) for r in system.simple_roots]
+    found = [space.ident]
+    seen = {space.ident}
+    frontier = [space.ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = space.compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    found.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    return found
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
 def test_group_matrices_are_pinned(name):
-    table = oracle.enumerate_group(build(name[0], int(name[1:])))
-    matrices = [table.matrix(i) for i in range(len(table))]
+    system = build(name[0], int(name[1:]))
+    perms = group_perms(system)
+    assert len(perms) == oracle.weyl_group_order(system)
+    space = weyl.perm_space(system)
+    matrices = [space.matrix_of_perm(p) for p in perms]
     assert digest(matrix_rows(matrices)) == GROUP_MATRIX_SHA256[name]
 
 

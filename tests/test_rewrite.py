@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 from fractions import Fraction as Q
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc.exactla import cyclotomic, dot, identity, mat_mul, mat_vec, poly_mul
@@ -277,3 +279,34 @@ def test_verify_commutation():
         verify_commutation(build_by_name("E6"), "4k")
     with pytest.raises(ValueError):
         verify_commutation(build_by_name("D6"), "mystery")
+
+
+SMALL_WORDS = [name for name in dg.catalog_names() if len(dg.catalog(name).word) <= 6]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_WORDS), st.data())
+def test_random_moves_keep_word_charpoly(name, data):
+    """s-permutations, sign flips and conjugations by reflections keep the
+    word's charpoly, and the conjugator carries the initial element to the
+    current one after every move."""
+    entry = dg.catalog(name)
+    system = build_by_name(entry.system)
+    space = weyl.perm_space(system)
+    start = initial_state(system, entry.word)
+    poly = word_charpoly(system, start.word)
+    k = len(start.word)
+    moves = ("perm", "flip", "conj") if k > 1 else ("flip", "conj")
+    state = start
+    for move in data.draw(st.lists(st.sampled_from(moves), min_size=1, max_size=8)):
+        if move == "perm":
+            i = data.draw(st.integers(0, k - 2))
+            state = apply_s_permutation(state, i, data.draw(st.sampled_from(("left", "right"))))
+        elif move == "flip":
+            state = apply_sign_flip(state, data.draw(st.integers(0, k - 1)))
+        else:
+            root = data.draw(st.sampled_from(system.roots))
+            state = apply_conjugation(state, weyl.reflection(system, root))
+        assert word_charpoly(system, state.word) == poly
+        assert space.conjugate(state.conjugator_perm, start.element_perm) == state.element_perm
+        assert space.word_perm(state.word) == state.element_perm

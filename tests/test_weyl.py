@@ -7,10 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weylcalc.exactla import charpoly, identity, mat, mat_mul, mat_vec
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
-    apply_word,
-    conjugate,
     evaluate,
-    is_involution,
     order_or_infinite,
     perm_space,
     reflection,
@@ -47,10 +44,6 @@ def test_evaluate_composition_order():
     b = s.parse_root("e2-e3")
     ab = evaluate(s, (a, b))
     assert ab == mat_mul(reflection(s, a), reflection(s, b))
-    v = s.parse_root("e3-e4")
-    assert apply_word(s, (a, b), v) == mat_vec(
-        reflection(s, a), mat_vec(reflection(s, b), v)
-    )
     assert ab != evaluate(s, (b, a))  # the two reflections do not commute
 
 
@@ -70,25 +63,6 @@ def test_word_matrix_from_gram_small():
     c = word_matrix_from_gram(g, (0, 1))
     assert charpoly(c) == (1, 1, 1)
     assert mat_mul(mat_mul(c, c), c) == identity(2)
-
-
-def test_is_involution():
-    s = build_by_name("A3")
-    a = s.parse_root("e1-e2")
-    b = s.parse_root("e3-e4")
-    assert is_involution(s, (a, a)) == "identity"
-    assert is_involution(s, (a, b)) == "involution"
-    assert is_involution(s, (a, s.parse_root("e2-e3"))) == "not-involution"
-
-
-def test_conjugate_word():
-    s = build_by_name("D4")
-    word = tuple(s.parse_root(t) for t in ("e1-e2", "e3-e4", "e2-e3", "e2+e3"))
-    u = (s.parse_root("e1-e3"),)
-    moved = conjugate(s, word, u)
-    assert all(s.is_root(r) for r in moved)
-    um = evaluate(s, u)
-    assert evaluate(s, moved) == mat_mul(mat_mul(um, evaluate(s, word)), um)
 
 
 def test_verify_bicolored():
