@@ -7,9 +7,12 @@ of coefficients in *ascending* degree order (``poly[i]`` is the
 coefficient of ``x**i``).
 
 Inside, a rational matrix is first scaled to integers by its common
-denominator (:func:`_integer_matrix`).  The eliminations behind rank,
-det and solve then run fraction-free, with exact integer division and
-never ``/`` between two ints.
+denominator (:func:`_integer_matrix`).  Elimination serves two ends:
+:func:`solve`, by a row echelon form, and the leading minors
+(:class:`LeadingMinors`, Bareiss), which decide positive definiteness
+and so, for a Gram matrix, linear independence.  Both run
+fraction-free, with exact integer division and never ``/`` between two
+ints.
 
 The characteristic polynomial (:func:`charpoly`) is exact in O(n^3)
 operations.  Every coefficient of the integer matrix's charpoly is at
@@ -98,10 +101,6 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
         base = mat_mul(base, base)
         k >>= 1
     return result
-
-
-def trace(a: Matrix) -> Q:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
 def _integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -193,64 +192,37 @@ def charpoly(a: Matrix) -> Poly:
                  for k, c in enumerate(polys[n]))
 
 
-def _echelon(work: list[list[int]]) -> tuple[list[int], int, int]:
-    """Bring the integer rows ``work`` to row echelon form, in place.
+def solve(a: Matrix, b: Vector) -> Vector | None:
+    """Solve ``a x = b``; None when the system is inconsistent.
 
-    Fraction-free: a row below the pivot row becomes ``p*row - f*prow``
-    (``p`` the pivot) divided by the gcd of its entries, so rows stay
-    primitive.  Returns ``(cols, num, den)``: ``cols[i]`` is the pivot
-    column of row ``i``, and for a square matrix
-    ``det(before) = num / den * det(after)``, where ``num`` collects the
-    row-swap sign and the divided-out gcds and ``den`` the pivots each
-    updated row was scaled by.
+    ``a`` may be rectangular; when solutions exist, the one with every
+    free variable 0 is returned (unique in our uses: independent
+    columns).  The augmented matrix is scaled to integers and brought to
+    row echelon form fraction-free: a row below the pivot row becomes
+    ``p*row - f*prow`` (``p`` the pivot) divided by the gcd of its
+    entries, so rows stay primitive.  The echelon form is then
+    back-substituted over Fractions.
     """
-    cols: list[int] = []
-    num = den = 1
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
+    ncols = len(a[0])
+    work, _ = _integer_matrix([list(row) + [c] for row, c in zip(a, b)])
+    cols: list[int] = []  # cols[i]: the pivot column of row i
+    for col in range(ncols + 1):
+        r = len(cols)
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if pivot is None:
             continue
-        if pivot != r:
-            work[r], work[pivot] = work[pivot], work[r]
-            num = -num
+        work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
         p = prow[col]
         for i in range(r + 1, len(work)):
             f = work[i][col]
             if f != 0:
                 row = [p * e - f * q for e, q in zip(work[i], prow)]
-                den *= p
                 g = gcd(*row)
-                if g > 1:
-                    row = [e // g for e in row]
-                    num *= g
-                work[i] = row
+                work[i] = [e // g for e in row] if g > 1 else row
         cols.append(col)
-        r += 1
-        if r == len(work):
+        if len(cols) == len(work):
             break
-    return cols, num, den
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of the span of the given vectors (fraction-free elimination)."""
-    work, _ = _integer_matrix(rows)
-    return len(_echelon(work)[0])
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """Solve ``a x = b``; None when the system is inconsistent.
-
-    ``a`` may be rectangular; when solutions exist, the one with every
-    free variable 0 is returned (unique in our uses: independent
-    columns).  The augmented matrix is eliminated on integers and the
-    echelon form back-substituted over Fractions.
-    """
-    ncols = len(a[0])
-    work, _ = _integer_matrix([list(row) + [c] for row, c in zip(a, b)])
-    cols, _, _ = _echelon(work)
     if cols and cols[-1] == ncols:  # a pivot in b's column: 0 = nonzero
         return None
     x = [ZERO] * ncols
@@ -258,22 +230,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
         tail = sum((row[j] * x[j] for j in range(col + 1, ncols)), ZERO)
         x[col] = (row[ncols] - tail) / row[col]
     return tuple(x)
-
-
-def det(a: Matrix) -> Q:
-    """Determinant from the fraction-free echelon form of the integer
-    scaling of ``a``: the product of its pivots, rescaled exactly."""
-    n = len(a)
-    if n == 0:
-        return ONE
-    work, scale = _integer_matrix(a)
-    cols, num, den = _echelon(work)
-    if len(cols) < n:
-        return ZERO
-    pivots = 1
-    for i in range(n):
-        pivots *= work[i][i]
-    return Q(num * pivots, den * scale ** n)
 
 
 class LeadingMinors:
@@ -317,7 +273,8 @@ class LeadingMinors:
 def gram_positive_definite(g: Matrix) -> bool:
     """Sylvester's criterion for a symmetric ``g``: all leading principal
     minors positive, on its integer scaling (a positive factor keeps
-    every sign)."""
+    every sign).  Only the lower triangle ``g[k][:k + 1]`` is read, so
+    the rows may stop at the diagonal."""
     work, _ = _integer_matrix(g)
     minors = LeadingMinors()
     return all(minors.push(row[:k], row[k]) for k, row in enumerate(work))

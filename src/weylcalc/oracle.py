@@ -1,13 +1,14 @@
 """Brute-force verification engine over Weyl groups.
 
 Everything here is exhaustive and exact: group elements are permutations
-of their (finitely many) roots, conjugacy is settled by a breadth-first
-walk of one conjugacy class that either produces an explicit witness or
-exhausts the class, and diagram-realization questions are settled by a
-backtracking search over root subsets that either lists every match or
-certifies that none exists.  The module is deliberately slow-and-sure;
-it is the referee against which the algebraic shortcuts elsewhere in
-the package are checked.
+of their (finitely many) roots, conjugacy is settled in one place
+(:func:`conjugating_perm`) by a breadth-first walk of one conjugacy
+class that either produces an explicit, checked witness or exhausts the
+class, and diagram-realization questions are settled by a backtracking
+search over root subsets that either lists every match or certifies
+that none exists.  The module is deliberately slow-and-sure; it is the
+referee against which the algebraic shortcuts elsewhere in the package
+are checked.
 
 Group elements are handled as root permutations (``weyl.PermSpace``);
 ambient matrices are built only where they cross the API: conjugacy
@@ -26,7 +27,6 @@ from .exactla import (
     Matrix,
     Vector,
     dot,
-    identity,
     idot,
     mat_mul,
     transpose,
@@ -102,19 +102,43 @@ def are_conjugate(
     returned.
     """
     space = weyl.perm_space(system)
-    p1 = space.perm_of_matrix(w1)
-    p2 = space.perm_of_matrix(w2)
-    if p1 == p2:
-        return ConjugacyResult("conjugate", identity(system.dim))
-    parent = _class_walk(space, p1, cap, stop=p2)
-    if parent is None:
-        return ConjugacyResult("unresolved")
-    if p2 not in parent:
-        return ConjugacyResult("not-conjugate")
-    witness = space.matrix_of_perm(_witness_perm(space, parent, p2))
+    status, u = conjugating_perm(space, space.perm_of_matrix(w1),
+                                 space.perm_of_matrix(w2), cap)
+    if u is None:
+        return ConjugacyResult(status)
+    witness = space.matrix_of_perm(u)
     if mat_mul(mat_mul(witness, w1), transpose(witness)) != w2:
         raise AssertionError("conjugacy witness failed exact verification")
-    return ConjugacyResult("conjugate", witness)
+    return ConjugacyResult(status, witness)
+
+
+def conjugating_perm(
+    space: weyl.PermSpace, p: weyl.Perm, q: weyl.Perm, cap: int,
+) -> tuple[str, weyl.Perm | None]:
+    """Decide whether the root permutations p and q are conjugate.
+
+    Returns ``("conjugate", u)`` with u p u^-1 == q checked,
+    ``("not-conjugate", None)`` once the class of p is walked without
+    meeting q, or ``("unresolved", None)`` when the class outgrows
+    ``cap``.  u is the product of the conjugating simple reflections
+    along the walk's path to q, last first.
+    """
+    if p == q:
+        return "conjugate", space.ident
+    parent = _class_walk(space, p, cap, stop=q)
+    if parent is None:
+        return "unresolved", None
+    if q not in parent:
+        return "not-conjugate", None
+    chain = []
+    node = q
+    while parent[node] is not None:
+        node, gi = parent[node]
+        chain.append(space.reflection_perm(space.system.simple_roots[gi]))
+    u = space.compose(*chain)
+    if space.conjugate(u, p) != q:
+        raise AssertionError("conjugating permutation failed verification")
+    return "conjugate", u
 
 
 def _class_walk(space: weyl.PermSpace, start, cap: int, stop=None) -> dict | None:
@@ -143,16 +167,6 @@ def _class_walk(space: weyl.PermSpace, start, cap: int, stop=None) -> dict | Non
                     nxt.append(q)
         frontier = nxt
     return parent
-
-
-def _witness_perm(space: weyl.PermSpace, parent: dict, end):
-    """u with u start u^-1 = end: the conjugating reflections, last first."""
-    chain = []
-    node = end
-    while parent[node] is not None:
-        node, gi = parent[node]
-        chain.append(space.reflection_perm(space.system.simple_roots[gi]))
-    return space.compose(*chain)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +362,10 @@ def verify_unique_class(
     if not found:
         raise ValueError(f"{name} has no realization in {system.name()}")
     space = weyl.perm_space(system)
-    elements = [
-        space.word_perm([item.roots[i] for i in dg.bicolored_word_order(item.diagram)])
-        for item in found
-    ]
+    # Every realization has the target's adjacency, so one two-colouring
+    # orders them all.
+    order = dg.bicolored_word_order(entry.diagram)
+    elements = [space.word_perm([item.roots[i] for i in order]) for item in found]
     seen = _class_walk(space, elements[0], cap)
     if seen is None:
         raise RuntimeError(

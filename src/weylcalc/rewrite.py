@@ -286,7 +286,8 @@ class _Script:
             self._check_conjugator(new_state)
         self.steps.append(RewriteStep(op, args, self._detail(detail), new_state))
 
-    def trace(self) -> RewriteTrace:
+    def finish(self) -> RewriteTrace:
+        """Re-check the whole-script invariants and return the trace."""
         first, last = self.steps[0].state, self.steps[-1].state
         if word_charpoly(self.system, first.word) != word_charpoly(self.system, last.word):
             raise ScriptIntegrityError(self.name, "word characteristic polynomial drifted")
@@ -339,12 +340,8 @@ class _Script:
             self.swap(p)
 
     def rotate_last_to_front(self, note: str = "") -> None:
-        k = len(self.word)
-        self.conj((self.word[-1],),
-                  note or "rotate: conjugate by the last reflection")
-        self.flip(k - 1)
-        for p in range(k - 2, -1, -1):
-            self.perm(p, "right")
+        self.conjugate_to_front(len(self.word) - 1,
+                                note or "rotate: conjugate by the last reflection")
 
     def rotate_first_to_last(self, note: str = "") -> None:
         k = len(self.word)
@@ -530,7 +527,7 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
     for op, args in _invert_ops(ops):
         sc.play(op, args)
     sc.require_word(a_entry.word, f"final word must be the catalog word of {case.a_name}")
-    return sc.trace()
+    return sc.finish()
 
 
 # --------------------------------------------------------------------------
@@ -656,7 +653,7 @@ def _e8b5_trace() -> RewriteTrace:
 
     ok, reason = weyl.verify_bicolored(system, sc.word, (b4, b3, b1, v), (u, x, y, a2))
     sc.require(ok, f"final word is not bicolored: {reason}")
-    return sc.trace()
+    return sc.finish()
 
 
 # --------------------------------------------------------------------------
@@ -885,7 +882,7 @@ def _dl_trace(l: int) -> RewriteTrace:
 
     ok, reason = weyl.verify_bicolored(system, sc.word, alpha_part, beta_part)
     sc.require(ok, f"final word is not bicolored: {reason}")
-    return sc.trace()
+    return sc.finish()
 
 
 # --------------------------------------------------------------------------
@@ -954,7 +951,7 @@ def eliminate_4cycle(state: RewriteState) -> RewriteTrace:
                "final diagram is not the D4 tree")
     ok, reason = weyl.verify_bicolored(system, sc.word, (a1, a2, tau), (b2,))
     sc.require(ok, f"final word is not bicolored: {reason}")
-    return sc.trace()
+    return sc.finish()
 
 
 # --------------------------------------------------------------------------
@@ -972,14 +969,26 @@ class FiveCycleResult:
 _D5_CYCLE = ("e1-e2", "e2-e3", "e3-e4", "e4-e5", "-e1-e5")
 
 
-def _d5_cycle_roots() -> tuple[RootSystem, list[Vector]]:
+def five_cycle_orientations() -> tuple[RootSystem, dict[int, Word]]:
+    """The four oriented words of the D5 pentagon, keyed by orientation index.
+
+    Orientation r reads the cycle roots in the order the corresponding
+    oriented Coxeter element multiplies them; all four words use the same
+    underlying root pentagon.
+    """
     system = rootsys.build_by_name("D5")
-    return system, [rootsys.parse_vector(s, system.dim) for s in _D5_CYCLE]
+    p1, p2, p3, p4, p5 = (rootsys.parse_vector(s, system.dim) for s in _D5_CYCLE)
+    return system, {
+        1: (p1, p5, p4, p3, p2),
+        2: (p1, p2, p5, p4, p3),
+        3: (p1, p3, p4, p5, p2),
+        4: (p1, p2, p3, p4, p5),
+    }
 
 
-def _five_cycle_r1(system: RootSystem, phi: Sequence[Vector]) -> RewriteTrace:
-    p1, p2, p3, p4, p5 = phi
-    sc = _Script("5-cycle orientation 1", system, (p1, p5, p4, p3, p2))
+def _five_cycle_r1(system: RootSystem, word: Word) -> RewriteTrace:
+    p1, p5, p4, p3, p2 = word
+    sc = _Script("5-cycle orientation 1", system, word)
     sc.perm(2, "right", "absorb: s_{phi3} carries phi4 to phi3+phi4")
     sc.rotate_first_to_last()
     sc.swap(0)
@@ -996,12 +1005,12 @@ def _five_cycle_r1(system: RootSystem, phi: Sequence[Vector]) -> RewriteTrace:
     sc.require(ok, f"final word is not bicolored: {reason}")
     sc.require(dg.identify(dg.from_roots(system, sc.word)) == "D5",
                "final diagram is not the D5 tree")
-    return sc.trace()
+    return sc.finish()
 
 
-def _five_cycle_r2(system: RootSystem, phi: Sequence[Vector]) -> RewriteTrace:
-    p1, p2, p3, p4, p5 = phi
-    sc = _Script("5-cycle orientation 2", system, (p1, p2, p5, p4, p3))
+def _five_cycle_r2(system: RootSystem, word: Word) -> RewriteTrace:
+    p1, p2, p5, p4, p3 = word
+    sc = _Script("5-cycle orientation 2", system, word)
     sc.perm(3, "right", "absorb: s_{phi3} carries phi4 to phi3+phi4")
     sc.rotate_last_to_front()
     sc.swap(0)
@@ -1017,24 +1026,7 @@ def _five_cycle_r2(system: RootSystem, phi: Sequence[Vector]) -> RewriteTrace:
     sc.require(ok, f"final word is not bicolored: {reason}")
     sc.require(dg.identify(dg.from_roots(system, sc.word)) == "D5(a1)",
                "final diagram is not D5(a1)")
-    return sc.trace()
-
-
-def five_cycle_orientations() -> tuple[RootSystem, dict[int, Word]]:
-    """The four oriented words of the D5 pentagon, keyed by orientation index.
-
-    Orientation r reads the cycle roots in the order the corresponding
-    oriented Coxeter element multiplies them; all four words use the same
-    underlying root pentagon.
-    """
-    system, phi = _d5_cycle_roots()
-    p1, p2, p3, p4, p5 = phi
-    return system, {
-        1: (p1, p5, p4, p3, p2),
-        2: (p1, p2, p5, p4, p3),
-        3: (p1, p3, p4, p5, p2),
-        4: (p1, p2, p3, p4, p5),
-    }
+    return sc.finish()
 
 
 def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
@@ -1047,34 +1039,22 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
     """
     if r_lambda not in (1, 2, 3, 4):
         raise ValueError("orientation index must be 1, 2, 3 or 4")
-    system, phi = _d5_cycle_roots()
-    p1, p2, p3, p4, p5 = phi
-    if r_lambda == 1:
-        trace = _five_cycle_r1(system, phi)
-        return FiveCycleResult("D5", trace.final_state.word,
-                               trace.final_state.conjugator)
-    if r_lambda == 2:
-        trace = _five_cycle_r2(system, phi)
-        return FiveCycleResult("D5(a1)", trace.final_state.word,
-                               trace.final_state.conjugator)
-    if r_lambda == 3:
-        omega = (p1, p3, p4, p5, p2)
-        paired = _five_cycle_r2(system, phi)
-        name = "D5(a1)"
+    system, words = five_cycle_orientations()
+    if r_lambda in (1, 4):
+        name, paired = "D5", _five_cycle_r1(system, words[1])
     else:
-        omega = (p1, p2, p3, p4, p5)
-        paired = _five_cycle_r1(system, phi)
-        name = "D5"
+        name, paired = "D5(a1)", _five_cycle_r2(system, words[2])
+    word = paired.final_state.word
+    if r_lambda in (1, 2):
+        return FiveCycleResult(name, word, paired.final_state.conjugator)
     space = weyl.perm_space(system)
-    start = space.word_perm(omega)
-    end = paired.final_state.element_perm
-    parent = oracle._class_walk(space, start, oracle.DEFAULT_CONJUGACY_CAP, stop=end)
-    if parent is None or end not in parent:
+    start = space.word_perm(words[r_lambda])
+    _, u = oracle.conjugating_perm(space, start, paired.final_state.element_perm,
+                                   oracle.DEFAULT_CONJUGACY_CAP)
+    if u is None:
         raise ScriptIntegrityError(
             "5-cycle classification",
             f"orientation {r_lambda} is not conjugate to the paired scripted word")
-    word = paired.final_state.word
-    u = oracle._witness_perm(space, parent, end)
     if space.conjugate(u, start) != space.word_perm(word):
         raise ScriptIntegrityError("5-cycle classification", "witness check failed")
     return FiveCycleResult(name, word, space.matrix_of_perm(u))

@@ -40,7 +40,6 @@ from .exactla import (
     identity,
     mat_pow,
     mat_vec,
-    rank,
 )
 from .rootsys import RootSystem, doubled
 
@@ -137,17 +136,15 @@ def verify_bicolored(
     ``non-orthogonal-alpha``, ``non-orthogonal-beta``, ``dependent``,
     ``product-mismatch``.
     """
-    alpha = [doubled(r) for r in alpha_set]
-    beta = [doubled(r) for r in beta_set]
-    for i in range(len(alpha)):
-        for j in range(i + 1, len(alpha)):
-            if idot(alpha[i], alpha[j]) != 0:
-                return False, "non-orthogonal-alpha"
-    for i in range(len(beta)):
-        for j in range(i + 1, len(beta)):
-            if idot(beta[i], beta[j]) != 0:
-                return False, "non-orthogonal-beta"
-    if rank(alpha + beta) != len(alpha) + len(beta):
+    roots = [doubled(r) for r in (*alpha_set, *beta_set)]
+    # The lower triangle of their Gram matrix, all that is read below.
+    gram = [[idot(a, b) for b in roots[:i + 1]] for i, a in enumerate(roots)]
+    k = len(alpha_set)
+    for reason, block in (("non-orthogonal-alpha", range(k)),
+                          ("non-orthogonal-beta", range(k, len(roots)))):
+        if any(gram[i][j] for i in block for j in block if j < i):
+            return False, reason
+    if not gram_positive_definite(gram):  # for a Gram matrix: independence
         return False, "dependent"
     space = perm_space(system)
     if space.word_perm(word) != space.word_perm(tuple(alpha_set) + tuple(beta_set)):

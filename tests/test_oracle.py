@@ -1,10 +1,9 @@
 """Brute-force group oracles: orders, conjugacy, subset searches, orbits."""
 
 import pytest
-from fractions import Fraction as Q
 
 from weylcalc import diagram as dg
-from weylcalc.exactla import identity, mat_mul, rank
+from weylcalc.exactla import identity, mat_mul
 from weylcalc.oracle import (
     are_conjugate,
     find_subsets,
@@ -54,6 +53,16 @@ def test_are_conjugate_separates_lengths():
     assert result.witness is None
 
 
+def test_are_conjugate_unresolved_past_cap():
+    """Two reflections of one class, but the walk stops at two elements."""
+    d4 = build_by_name("D4")
+    w1 = weyl.reflection(d4, d4.parse_root("e1-e2"))
+    w2 = weyl.reflection(d4, d4.parse_root("e1+e2"))
+    result = are_conjugate(d4, w1, w2, cap=2)
+    assert result.status == "unresolved" and result.witness is None
+    assert are_conjugate(d4, w1, w2).status == "conjugate"
+
+
 def test_are_conjugate_identity_fast_path():
     a2 = build_by_name("A2")
     m = identity(a2.dim)
@@ -66,8 +75,8 @@ def test_find_subsets_positive_controls():
     hits = find_subsets(d4, dg.styled_diagram(4, SQUARE, 1))
     assert hits, "the odd square realizes in D4"
     for labeled in hits:
-        assert rank(labeled.roots) == 4
-        realized = dg.from_roots(d4, labeled.roots)
+        realized = dg.from_roots(d4, labeled.roots)  # raises unless independent
+        assert realized.n == 4
         assert dg.identify(realized) == "D4(a1)"
 
     d5 = build_by_name("D5")

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
-from weylcalc.exactla import cyclotomic, dot, identity, mat_mul, mat_vec, poly_mul
+from weylcalc.exactla import dot, identity, mat_mul, mat_vec, poly_mul
 from weylcalc.rootsys import build_by_name
 from weylcalc.rewrite import (
     LONG_CYCLE_NAMES,
-    ScriptIntegrityError,
     apply_conjugation,
     apply_s_permutation,
     apply_sign_flip,

@@ -78,6 +78,13 @@ def test_verify_bicolored():
     assert not bad and why == "non-orthogonal-alpha"
     flipped, why = verify_bicolored(s, (a2, a1, b1, b2), (a1, a2), (b2, b1))
     assert flipped and why is None  # orthogonal letters commute inside a block
+    bad, why = verify_bicolored(s, word, (a1, a2), (b1, a1))
+    assert not bad and why == "non-orthogonal-beta"
+    e12 = s.parse_root("e1+e2")
+    bad, why = verify_bicolored(s, (a1, e12, a1), (a1, e12), (a1,))
+    assert not bad and why == "dependent"  # orthogonal blocks, a repeated root
+    bad, why = verify_bicolored(s, (a1, a2, b1), (a1, a2), (b1, b2))
+    assert not bad and why == "product-mismatch"
 
 
 def test_order_or_infinite_finite():
