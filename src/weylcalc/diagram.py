@@ -32,7 +32,6 @@ from .exactla import (
     charpoly,
     cyclotomic,
     gram_positive_definite,
-    idot,
     poly_mul,
     poly_str,
     power_plus_one,
@@ -91,6 +90,8 @@ class Diagram:
     @staticmethod
     def from_dict(data: dict) -> "Diagram":
         verts = sorted(data["vertices"], key=lambda v: v["index"])
+        if [v["index"] for v in verts] != list(range(len(verts))):
+            raise ValueError("vertex indices must be 0..n-1, each once")
         longs = tuple(bool(v.get("long", False)) for v in verts)
         labels = tuple(str(v.get("label", f"v{v['index']}")) for v in verts)
         edges = []
@@ -142,17 +143,12 @@ def from_roots(
     Raises ValueError unless the roots are independent (their Gram matrix
     positive definite): a repeated or dependent list has no diagram."""
     rr = [tuple(r) for r in roots]
-    lattice = []
-    for r in rr:
-        i = system.root_index(r)
-        if i is None:
-            raise ValueError(f"{r} is not a root of {system.name()}")
-        lattice.append(system.int_roots[i])
+    g = system.int_gram(rr)
     edges = []
     minors = LeadingMinors()
-    for j, y in enumerate(lattice):
-        col = [idot(x, y) for x in lattice[:j]]
-        if not minors.push(col, idot(y, y)):
+    for j, row in enumerate(g):
+        col = row[:j]
+        if not minors.push(col, row[j]):
             raise ValueError(f"the roots are linearly dependent: "
                              f"{system.format_root(rr[j])} depends on the roots before it")
         edges += [(i, j, DOTTED if x > 0 else SOLID) for i, x in enumerate(col) if x]

@@ -27,6 +27,7 @@ absent, never wrong.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
@@ -412,16 +413,11 @@ def real_root_in_interval(p: Poly, lo, hi) -> bool:
 # cyclotomic machinery
 
 
-_CYCLOTOMIC_CACHE: dict[int, Poly] = {}
-
-
+@functools.cache
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, exact coefficients."""
+    """The n-th cyclotomic polynomial, exact coefficients (cached)."""
     if n < 1:
         raise ValueError("n must be positive")
-    cached = _CYCLOTOMIC_CACHE.get(n)
-    if cached is not None:
-        return cached
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n
     num: Poly = tuple([-ONE] + [ZERO] * (n - 1) + [ONE])
     for d in range(1, n):
@@ -430,7 +426,6 @@ def cyclotomic(n: int) -> Poly:
             if rem != (ZERO,):
                 raise RuntimeError(f"Phi_{d} does not divide x^{n} - 1 "
                                    f"with zero remainder")
-    _CYCLOTOMIC_CACHE[n] = num
     return num
 
 

@@ -27,12 +27,11 @@ from .exactla import (
     Matrix,
     Vector,
     dot,
-    idot,
     mat_mul,
     transpose,
     vec_sub,
 )
-from .rootsys import RootSystem, doubled, lex_positive_rep
+from .rootsys import RootSystem
 
 DEFAULT_CONJUGACY_CAP = 1_000_000
 
@@ -195,8 +194,7 @@ class _SubsetIndex:
         reps = system.sign_class_reps()
         m = len(reps)
         self.reps = reps
-        lattice = [doubled(r) for r in reps]
-        self.inner = [[idot(a, b) for b in lattice] for a in lattice]
+        self.inner = system.int_gram(reps)
         self.orth_mask = [0] * m
         self.mag_masks: dict[int, list[int]] = {}
         for i in range(m):
@@ -415,16 +413,16 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
             x = uf[x]
         return x
 
-    # Generator g sends rep i to root g[root_of_rep[i]], whose sign class
-    # is rep rep_of_root[g[root_of_rep[i]]].
+    # Rep i is root h + i; root j and its negative, root n - 1 - j, share
+    # the class of rep max(j, n - 1 - j) - h.  Each g acts on reps.
     space = weyl.perm_space(system)
-    rep_index = {r: i for i, r in enumerate(idx.reps)}
-    root_of_rep = [system.root_index(r) for r in idx.reps]
-    rep_of_root = [rep_index[lex_positive_rep(r)] for r in system.roots]
-    gens = [space.reflection_perm(s) for s in system.simple_roots]
+    n = len(system.roots)
+    h = n // 2
+    gens = [[max(j, n - 1 - j) - h for j in space.reflection_perm(s)[h:]]
+            for s in system.simple_roots]
     for t_idx, t in enumerate(tuples):
         for g in gens:
-            image = tuple(sorted(rep_of_root[g[root_of_rep[i]]] for i in t))
+            image = tuple(sorted(g[i] for i in t))
             a, b = root_of(t_idx), root_of(tuple_index[image])
             if a != b:
                 uf[a] = b
@@ -441,8 +439,7 @@ def max_root_complement(system: RootSystem) -> list[str]:
     ``D3``).
     """
     delta = system.max_root()
-    members = [r for r in system.roots if dot(r, delta) == 0]
-    positives = [r for r in members if lex_positive_rep(r) == r]
+    positives = [r for r in system.sign_class_reps() if dot(r, delta) == 0]
     pos_set = set(positives)
     base = [
         p

@@ -107,30 +107,14 @@ class RewriteState:
 
 def initial_state(system: RootSystem, word: Sequence[Vector]) -> RewriteState:
     roots = tuple(tuple(Q(c) for c in r) for r in word)
-    for r in roots:
-        if not system.is_root(r):
-            raise ValueError(f"{system.format_root(r)} is not a root of {system.name()}")
     space = weyl.perm_space(system)
     return RewriteState(system, roots, space.word_perm(roots), space.ident)
 
 
 def apply_conjugation(s: RewriteState, u: Matrix) -> RewriteState:
-    """Conjugate the whole word by the element u: w -> u w u^{-1}.
-
-    ``u`` must permute the roots and fix the orthogonal complement of
-    their span pointwise, as every element of W does; any other matrix
-    is rejected with ValueError, since a root permutation cannot record
-    it.
-    """
-    n = s.system.dim
-    if len(u) != n or any(len(row) != n for row in u):
-        raise ValueError("conjugating matrix has the wrong shape")
-    space = weyl.perm_space(s.system)
-    p = space.perm_of_matrix(u)
-    if space.matrix_of_perm(p) != tuple(tuple(row) for row in u):
-        raise ValueError(
-            "conjugating matrix moves the orthogonal complement of the roots")
-    return _conjugate(s, p)
+    """Conjugate the whole word by the element u: w -> u w u^{-1}; any ``u``
+    that ``weyl.PermSpace.perm_of_matrix`` rejects is a ValueError."""
+    return _conjugate(s, weyl.perm_space(s.system).perm_of_matrix(u))
 
 
 def _conjugate(s: RewriteState, u: Perm) -> RewriteState:
@@ -157,11 +141,11 @@ def apply_s_permutation(s: RewriteState, i: int, direction: str) -> RewriteState
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
     a, b = s.word[i], s.word[i + 1]
-    if direction == "left":
-        pair = (s.system.reflect(a, b), a)
-    else:
-        pair = (b, s.system.reflect(b, a))
     space = weyl.perm_space(s.system)
+    if direction == "left":
+        pair = (space.image(space.reflection_perm(a), b), a)
+    else:
+        pair = (b, space.image(space.reflection_perm(b), a))
     if space.word_perm((a, b)) != space.word_perm(pair):
         raise ScriptIntegrityError("s-permutation", "two-letter product identity failed")
     word = s.word[:i] + pair + s.word[i + 2:]

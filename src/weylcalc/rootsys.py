@@ -15,7 +15,9 @@ for index with ``roots``).  Closure, norms, inner products and
 reflections run on those integers; the Cartan number
 ``2<v, r>/<r, r>`` is an integer and unchanged by the doubling, so a
 reflection needs no division.  The ``Fraction`` tuples in ``roots`` are
-made once, from an intern table, and are what the API hands out.
+made once, from an intern table, and are what the API hands out; other
+modules ask by root (``index``, ``int_gram``, ``reflection_images``) and
+never convert.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence, Tuple
 
-from .exactla import Vector, dot, idot, solve, vec_neg, vec_scale, vec_sub
+from .exactla import Vector, dot, idot, solve, vec_scale, vec_sub
 
 IntVector = Tuple[int, ...]
 
@@ -191,32 +193,51 @@ class RootSystem:
         except ValueError:
             return None
 
+    def index(self, v: Vector) -> int:
+        """Position of the root ``v`` in ``roots``; ValueError for a non-root."""
+        try:
+            return self.int_index[doubled(v)]
+        except (KeyError, ValueError):
+            coords = ", ".join(map(str, v))
+            raise ValueError(f"({coords}) is not a root of {self.name()}") from None
+
     def is_root(self, v: Vector) -> bool:
         return self.root_index(v) is not None
 
+    def int_gram(self, roots: Sequence[Vector]) -> list[list[int]]:
+        """Gram matrix of a root list on doubled coordinates: 4x the
+        ``Fraction`` one.  ValueError for a non-root."""
+        lattice = [self.int_roots[self.index(r)] for r in roots]
+        g = [[0] * len(lattice) for _ in lattice]
+        for i, a in enumerate(lattice):  # each product once: g is symmetric
+            for j in range(i + 1):
+                g[i][j] = g[j][i] = idot(a, lattice[j])
+        return g
+
+    def reflection_images(self, root: Vector) -> list[int]:
+        """Index of ``s_root(roots[i])`` for every ``i`` (ValueError for a non-root)."""
+        r = self.int_roots[self.index(root)]
+        # s_r(v) = v - <v, r^vee> r on doubled coordinates, with an
+        # integer Cartan number, so no Fraction is needed.
+        rr, index = idot(r, r), self.int_index
+        images = []
+        for i, v in enumerate(self.int_roots):
+            c = 2 * idot(v, r) // rr
+            images.append(index[tuple([a - c * b for a, b in zip(v, r)])] if c else i)
+        return images
+
     def normalized_inner(self, x: Vector, y: Vector) -> Q:
         return Q(idot(doubled(x), doubled(y)), self.int_short_norm)
-
-    def normalized_norm(self, x: Vector) -> Q:
-        return self.normalized_inner(x, x)
 
     def is_long(self, root: Vector) -> bool:
         r = doubled(root)
         return idot(r, r) == self.int_long_norm != self.int_short_norm
 
-    def reflect(self, root: Vector, v: Vector) -> Vector:
-        """Image of ``v`` under the reflection in the hyperplane of ``root``."""
-        r, x = doubled(root), doubled(v)
-        num, den = 2 * idot(x, r), idot(r, r)
-        if num % den:  # <v, r^vee> is not an integer: v is off the root lattice
-            c = Q(num, den)
-            return tuple(a - c * b for a, b in zip(v, root))
-        c = num // den
-        return halved([a - c * b for a, b in zip(x, r)])
-
     def sign_class_reps(self) -> tuple[Vector, ...]:
-        """One representative per {r, -r} pair, the lex-positive one."""
-        return tuple(r for r in self.roots if _lex_positive(r))
+        """One representative per {r, -r} pair, the lex-positive one: negation
+        reverses the sorted order (``roots[-1 - i] == -roots[i]``), so these
+        are the upper half of ``roots``."""
+        return self.roots[len(self.roots) // 2:]
 
     @cached_property
     def coefficient_map(self) -> tuple[tuple[IntVector, ...], int]:
@@ -230,9 +251,8 @@ class RootSystem:
         it.  Column ``j`` solves ``G k = S^T e_j``, on the integer Gram
         matrix of the doubled simple roots (which is ``4 G``).
         """
-        simple = [doubled(s) for s in self.simple_roots]
-        gram = [[idot(a, b) for b in simple] for a in simple]
-        cols = [solve(gram, [2 * s[j] for s in simple]) for j in range(self.dim)]
+        gram = self.int_gram(self.simple_roots)
+        cols = [solve(gram, [4 * s[j] for s in self.simple_roots]) for j in range(self.dim)]
         den = lcm(*(c.denominator for col in cols for c in col))
         rows = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
                      for row in zip(*cols))
@@ -279,17 +299,6 @@ class RootSystem:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family!r}, {self.rank})"
-
-
-def _lex_positive(v: Vector) -> bool:
-    for a in v:
-        if a != 0:
-            return a > 0
-    return False
-
-
-def lex_positive_rep(v: Vector) -> Vector:
-    return tuple(v) if _lex_positive(v) else vec_neg(v)
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ from .exactla import (
     mat_pow,
     mat_vec,
 )
-from .rootsys import RootSystem, doubled
+from .rootsys import RootSystem
 
 Word = tuple[Vector, ...]
 #: A root permutation: ``bytes`` for at most 256 roots, else an int tuple.
@@ -59,8 +59,7 @@ def evaluate(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     work = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
     for root in word:
         r = tuple(root)
-        if not system.is_root(r):
-            raise ValueError(f"{r} is not a root of {system.name()}")
+        system.index(r)  # ValueError for a non-root
         c = 2 / dot(r, r)
         # A @ refl(r) = A - c * (A r) outer r
         for p in range(n):
@@ -115,12 +114,12 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     so its characteristic polynomial has the word's length as degree.
     Computed on the doubled-integer Gram matrix of the roots, whose
     leading minors also settle independence (positive definiteness).
+    ValueError for a non-root or a dependent word.
     """
-    roots = [doubled(r) for r in word]
-    gram = [[idot(a, b) for b in roots] for a in roots]
+    gram = system.int_gram(word)
     if not gram_positive_definite(gram):
         raise ValueError("word roots are linearly dependent")
-    return word_matrix_from_gram(gram, range(len(roots)))
+    return word_matrix_from_gram(gram, range(len(gram)))
 
 
 def verify_bicolored(
@@ -136,12 +135,10 @@ def verify_bicolored(
     ``non-orthogonal-alpha``, ``non-orthogonal-beta``, ``dependent``,
     ``product-mismatch``.
     """
-    roots = [doubled(r) for r in (*alpha_set, *beta_set)]
-    # The lower triangle of their Gram matrix, all that is read below.
-    gram = [[idot(a, b) for b in roots[:i + 1]] for i, a in enumerate(roots)]
+    gram = system.int_gram((*alpha_set, *beta_set))
     k = len(alpha_set)
     for reason, block in (("non-orthogonal-alpha", range(k)),
-                          ("non-orthogonal-beta", range(k, len(roots)))):
+                          ("non-orthogonal-beta", range(k, len(gram)))):
         if any(gram[i][j] for i in block for j in block if j < i):
             return False, reason
     if not gram_positive_definite(gram):  # for a Gram matrix: independence
@@ -210,7 +207,7 @@ class PermSpace:
         self.n = len(self.roots)
         self.packed = self.n <= 256
         self.ident = self._wrap(range(self.n))
-        self._reflections: dict[tuple[int, ...], Perm] = {}  # by doubled root
+        self._reflections: dict[int, Perm] = {}  # by root index
 
     def _wrap(self, images: Iterable[int]) -> Perm:
         return bytes(images) if self.packed else tuple(images)
@@ -248,7 +245,8 @@ class PermSpace:
         return self.compose(u, p, self.inverse(u))
 
     def image(self, p: Perm, root: Vector) -> Vector:
-        return self.roots[p[self.system.int_index[doubled(root)]]]
+        """The root ``p`` sends ``root`` to; ValueError for a non-root."""
+        return self.roots[p[self.system.index(root)]]
 
     def reflection_perm(self, root: Vector) -> Perm:
         """Permutation of s_root, cached per signed root.
@@ -256,21 +254,10 @@ class PermSpace:
         ``root`` and ``-root`` are computed and cached apart, so comparing
         their permutations is a real check, not a cache hit.
         """
-        r = doubled(root)
-        p = self._reflections.get(r)
+        i = self.system.index(root)
+        p = self._reflections.get(i)
         if p is None:
-            lattice, index = self.system.int_roots, self.system.int_index
-            if r not in index:
-                raise ValueError(f"{tuple(root)} is not a root of {self.system.name()}")
-            # s_r(v) = v - <v, r^vee> r on doubled coordinates, with an
-            # integer Cartan number, so no Fraction is needed.
-            rr = idot(r, r)
-            images = []
-            for i, v in enumerate(lattice):
-                c = 2 * idot(v, r) // rr
-                images.append(index[tuple([a - c * b for a, b in zip(v, r)])] if c else i)
-            p = self._wrap(images)
-            self._reflections[r] = p
+            p = self._reflections[i] = self._wrap(self.system.reflection_images(root))
         return p
 
     def word_perm(self, word: Sequence[Vector]) -> Perm:
@@ -278,6 +265,12 @@ class PermSpace:
         return self.compose(*(self.reflection_perm(r) for r in word))
 
     def perm_of_matrix(self, m: Matrix) -> Perm:
+        """Permutation of an element's ambient matrix.  Any ``m`` that does
+        not permute the roots and fix the orthogonal complement of their
+        span pointwise, as every element of W does, is a ValueError."""
+        n = self.system.dim
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ValueError("matrix has the wrong shape")
         images = []
         for r in self.roots:
             idx = self.system.root_index(mat_vec(m, r))
@@ -286,7 +279,10 @@ class PermSpace:
                     f"matrix does not permute the roots of {self.system.name()}"
                 )
             images.append(idx)
-        return self._wrap(images)
+        p = self._wrap(images)
+        if self.matrix_of_perm(p) != tuple(tuple(row) for row in m):
+            raise ValueError("matrix moves the orthogonal complement of the roots")
+        return p
 
     def matrix_of_perm(self, p: Perm) -> Matrix:
         """Ambient matrix ``I + (T - S) K`` of the element.
@@ -299,10 +295,10 @@ class PermSpace:
         """
         system = self.system
         rows, den = system.coefficient_map
-        lattice, index = system.int_roots, system.int_index
+        lattice = system.int_roots
         moved = []  # 2 (T - S), by column
         for s in system.simple_roots:
-            i = index[doubled(s)]
+            i = system.index(s)
             moved.append([a - b for a, b in zip(lattice[p[i]], lattice[i])])
         scale = 2 * den
         kcols = tuple(zip(*rows))

@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -452,3 +453,23 @@ def test_one_parser_serves_every_request(capsys, monkeypatch):
         code, out, err = run_capture(capsys, argv)
         assert (code, out.encode(), err.encode()) == run_fresh(argv), argv
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_readme_python_quick_start():
+    """The README's Python block runs, and each expression statement's
+    trailing ``# value`` comment is the repr of what it evaluates to."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, got, want = {}, [], []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            comment = lines[node.end_lineno - 1][node.end_col_offset:].strip()
+            assert comment.startswith("# "), comment
+            want.append(comment[2:])
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            got.append(repr(value))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert len(want) == 3
+    assert got == want

@@ -11,6 +11,7 @@ from weylcalc import diagram as dg
 from weylcalc.exactla import idot, poly_mul
 from weylcalc.rootsys import build_by_name, doubled
 from weylcalc.rewrite import eliminate_4cycle, initial_state, word_charpoly
+from weylcalc.weyl import perm_space
 
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
 
@@ -96,6 +97,14 @@ def test_to_dict_round_trip():
     back = dg.Diagram.from_dict(d.to_dict())
     assert back == d
     assert back.label(0) == "e1-e2"
+
+
+@pytest.mark.parametrize("indices", [[0, 0], [3, 7], [1, 2], [0, 2]])
+def test_from_dict_rejects_vertex_indices_other_than_0_to_n_minus_1(indices):
+    data = {"vertices": [{"index": i} for i in indices],
+            "edges": [{"source": indices[0], "target": indices[1], "style": dg.SOLID}]}
+    with pytest.raises(ValueError, match="vertex indices"):
+        dg.Diagram.from_dict(data)
 
 
 def test_gram_values():
@@ -355,8 +364,9 @@ def test_identify_is_stable_under_class_moves(name, data):
     system = build_by_name(entry.system)
     word = list(entry.word)
     simple = system.simple_roots
+    space = perm_space(system)
     for i in data.draw(st.lists(st.integers(0, len(simple) - 1), max_size=6)):
-        word = [system.reflect(simple[i], r) for r in word]
+        word = [space.image(space.reflection_perm(simple[i]), r) for r in word]
     for i in data.draw(st.lists(st.integers(0, max(len(word) - 2, 0)), max_size=6)):
         if i + 1 < len(word) and idot(doubled(word[i]), doubled(word[i + 1])) == 0:
             word[i], word[i + 1] = word[i + 1], word[i]

@@ -216,10 +216,19 @@ def test_reflect_and_inner_match_fraction_formulas(name, data):
     n = len(system.roots)
     r = system.roots[data.draw(st.integers(0, n - 1))]
     v = system.roots[data.draw(st.integers(0, n - 1))]
-    assert system.reflect(r, v) == ref_reflect(r, v)
+    space = perm_space(system)
+    assert space.image(space.reflection_perm(r), v) == ref_reflect(r, v)
     assert system.normalized_inner(r, v) == ref_dot(r, v) / system.short_norm
     assert system.is_long(r) == (
         ref_dot(r, r) == system.long_norm != system.short_norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL), st.data())
+def test_int_gram_is_four_times_the_fraction_gram(name, data):
+    system = build_by_name(name)
+    roots = data.draw(st.lists(st.sampled_from(system.roots), max_size=8))
+    assert system.int_gram(roots) == [[4 * ref_dot(a, b) for b in roots] for a in roots]
 
 
 @settings(max_examples=80, deadline=None)
@@ -405,7 +414,9 @@ def test_no_float_crosses_the_api(case):
     assert fractions(c for r in system.roots for c in r)
     assert fractions(c for r in system.simple_roots for c in r)
     assert fractions((system.short_norm, system.long_norm, system.ratio))
-    assert fractions(system.reflect(word[0], word[-1]))
+    space = perm_space(system)
+    image = space.image(space.reflection_perm(word[0]), word[-1])
+    assert image == ref_reflect(word[0], word[-1]) and fractions(image)
     assert fractions([system.normalized_inner(word[0], word[-1])])
     matrix = word_matrix(system, word)
     assert fractions(x for row in matrix for x in row)

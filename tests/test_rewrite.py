@@ -26,6 +26,7 @@ from weylcalc.rewrite import (
     word_charpoly,
 )
 from weylcalc import weyl
+from weylcalc.oracle import are_conjugate
 
 
 def connection_square_state():
@@ -60,25 +61,37 @@ def test_apply_conjugation_updates_element_and_conjugator():
         ))
 
 
+def complement_reflection(system, v):
+    """The reflection of R^dim in ``v``, which is orthogonal to every root."""
+    assert all(dot(v, r) == 0 for r in system.simple_roots)
+    n, vv = system.dim, dot(v, v)
+    return tuple(
+        tuple((Q(1) if i == j else Q(0)) - 2 * v[i] * v[j] / vv for j in range(n))
+        for i in range(n)
+    )
+
+
 def test_apply_conjugation_rejects_a_moved_complement():
     """An orthogonal matrix that fixes every E6 root but reflects their
     orthogonal complement in R^8 is no element of W(E6): a root
-    permutation cannot record it, so it is refused, not dropped."""
+    permutation cannot record it, so it is refused, not dropped, by
+    ``apply_conjugation`` and ``are_conjugate`` alike (in A2 too)."""
     e6 = build_by_name("E6")
     word = e6.simple_roots[:2]
     st = initial_state(e6, word)
-    v = (Q(0),) * 6 + (Q(1), Q(1))
-    assert all(dot(v, r) == 0 for r in e6.simple_roots)
-    u = tuple(
-        tuple((Q(1) if i == j else Q(0)) - v[i] * v[j] for j in range(8))
-        for i in range(8)
-    )
+    u = complement_reflection(e6, (Q(0),) * 6 + (Q(1), Q(1)))
     assert mat_mul(u, transpose(u)) == identity(8)
     assert all(mat_vec(u, r) == r for r in e6.roots)
     with pytest.raises(ValueError):
         apply_conjugation(st, u)
     w = weyl.reflection(e6, e6.simple_roots[3])
     assert apply_conjugation(st, w).conjugator == w
+    a2 = build_by_name("A2")
+    for system, m in ((e6, u), (a2, complement_reflection(a2, (Q(1),) * 3))):
+        with pytest.raises(ValueError, match="orthogonal complement"):
+            are_conjugate(system, m, identity(system.dim))
+        with pytest.raises(ValueError, match="orthogonal complement"):
+            are_conjugate(system, m, m)
 
 
 def test_apply_s_permutation_preserves_product():

@@ -5,13 +5,14 @@ from fractions import Fraction as Q
 
 from weylcalc.exactla import dot, vec_add, vec_neg, vec_scale
 from weylcalc.rootsys import (
+    _RANK_RANGE,
     RootSystem,
     build,
     build_by_name,
     format_vector,
-    lex_positive_rep,
     parse_vector,
 )
+from weylcalc.weyl import perm_space
 
 ROOT_COUNTS = {
     "A4": 20,
@@ -63,9 +64,10 @@ def test_membership_and_closure():
     assert s.is_root(s.parse_root("e1+e2"))
     assert not s.is_root((Q(1), Q(0), Q(0), Q(0)))  # that one lives in B4
     # closed under negation and reflection
+    space = perm_space(s)
     for r in s.roots:
         assert s.is_root(vec_neg(r))
-        assert s.is_root(s.reflect(s.roots[0], r))
+        assert s.is_root(space.image(space.reflection_perm(s.roots[0]), r))
 
 
 def test_parse_format_round_trip_simply_laced():
@@ -123,15 +125,16 @@ def test_parse_root_validates_membership():
         s.parse_root("e1+e2")  # a vector, but not a root of A3
 
 
-def test_lex_positive_rep():
-    s = build_by_name("D4")
-    for r in s.roots:
-        rep = lex_positive_rep(r)
-        assert rep == lex_positive_rep(vec_neg(r))
-        assert rep in (r, vec_neg(r))
-    reps = s.sign_class_reps()
-    assert len(reps) == len(s.roots) // 2
-    assert set(reps) == {lex_positive_rep(r) for r in s.roots}
+def test_sign_classes_are_the_upper_half():
+    systems = [build(family, rank) for family, (lo, hi) in _RANK_RANGE.items()
+               for rank in range(lo, hi + 1)]
+    assert len(systems) == 65
+    for s in systems:
+        assert all(s.roots[-1 - i] == vec_neg(r) for i, r in enumerate(s.roots))
+        # the reps are exactly the roots whose first nonzero coordinate is positive
+        lex_positive = tuple(r for r in s.roots if next(c for c in r if c) > 0)
+        assert s.sign_class_reps() == lex_positive, s.name()
+        assert len(lex_positive) == len(s.roots) // 2
 
 
 def test_max_root_is_dominant_and_long():
@@ -174,7 +177,7 @@ def test_normalized_inner():
     s = build_by_name("B3")
     long_root = s.parse_root("e1-e2")
     short_root = s.parse_root("e3")
-    assert s.normalized_norm(short_root) == 1
-    assert s.normalized_norm(long_root) == 2
+    assert s.normalized_inner(short_root, short_root) == 1
+    assert s.normalized_inner(long_root, long_root) == 2
     assert s.is_long(long_root)
     assert not s.is_long(short_root)

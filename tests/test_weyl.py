@@ -4,6 +4,8 @@ import pytest
 from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
+from weylcalc import diagram as dg
+from weylcalc import rewrite
 from weylcalc.exactla import charpoly, identity, mat, mat_mul, mat_vec
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
@@ -112,6 +114,33 @@ def test_word_rejects_non_roots():
         evaluate(s, ((Q(1), Q(0), Q(0), Q(0)),))
     with pytest.raises(ValueError):
         perm_space(s).reflection_perm((Q(2), Q(-2), Q(0), Q(0)))
+
+
+NON_ROOTS_OF_A3 = {
+    "lattice vector": (Q(1), Q(0), Q(0), Q(0)),
+    "long multiple": (Q(2), Q(-2), Q(0), Q(0)),
+    "off the half lattice": (Q(1, 3), Q(-1, 3), Q(0), Q(0)),
+    "wrong dimension": (Q(1), Q(-1), Q(0)),
+}
+ENTRY_POINTS = {
+    "from_roots": dg.from_roots,
+    "word_matrix": word_matrix,
+    "word_charpoly": rewrite.word_charpoly,
+    "evaluate": evaluate,
+    "initial_state": rewrite.initial_state,
+    "image": lambda s, word: perm_space(s).image(perm_space(s).ident, word[-1]),
+    "reflection_perm": lambda s, word: perm_space(s).reflection_perm(word[-1]),
+    "int_gram": lambda s, word: s.int_gram(word),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(NON_ROOTS_OF_A3))
+def test_non_roots_raise_value_error_at_every_entry_point(entry, bad):
+    s = build_by_name("A3")
+    word = (s.parse_root("e1-e2"), NON_ROOTS_OF_A3[bad])
+    with pytest.raises(ValueError, match="is not a root of A3"):
+        ENTRY_POINTS[entry](s, word)
 
 
 # A_n, E6, E7 and G2 span a proper subspace of their ambient space, so
