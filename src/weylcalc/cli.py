@@ -304,6 +304,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_render_dot(args) -> int:
+    if args.name and (args.system or args.roots):
+        raise _UsageError("render-dot takes --name, or --system and --roots, not both")
     if args.name:
         try:
             entry = dg.catalog(args.name)

@@ -29,7 +29,6 @@ from .exactla import (
     dot,
     mat_mul,
     transpose,
-    vec_sub,
 )
 from .rootsys import RootSystem
 
@@ -177,7 +176,6 @@ class LabeledDiagram:
     """A realization: roots aligned to the target's vertices."""
 
     roots: tuple[Vector, ...]
-    diagram: dg.Diagram
 
 
 class _SubsetIndex:
@@ -286,57 +284,46 @@ def find_subsets(
         placement.append((v, fams))
 
     results: list[LabeledDiagram] = []
-    seen_sets: set[frozenset] = set()
-    chosen_pos: list[int] = []  # rep indices, in visit order
-    chosen: list[Vector | None] = [None] * k  # indexed by target vertex
-    vertex_pos = [0] * k  # rep index chosen for each target vertex
+    seen_sets: set[int] = set()  # ``used`` masks of the reported root sets
+    chosen: list[int] = []  # rep positions, in visit order
+    slot = [0] * k  # depth at which each target vertex is placed
+    for depth, v in enumerate(visit):
+        slot[v] = depth
     # Leading minors of the running Gram, for its positive-definiteness.
     minors = LeadingMinors()
-
-    def pd_extend(pos: int) -> bool:
-        row = idx.inner[pos]
-        return minors.push([row[p] for p in chosen_pos], row[pos])
 
     def descend(depth: int, used: int) -> bool:
         """Returns True when the limit is reached."""
         if depth == k:
-            key = frozenset(chosen)
-            if key in seen_sets:
+            if used in seen_sets:
                 return False
-            realized = [
-                (a, b, dg.DOTTED if idx.inner[vertex_pos[a]][vertex_pos[b]] > 0
-                 else dg.SOLID)
-                for a, b, _ in target.edges
-            ]
-            # Realized styles must differ from the target on a cut.
+            # Realized styles must differ from the target on a cut; adjacency
+            # and length classes equal the target's by construction.
             if dg.two_coloring(k, [
-                (a, b, style != want)
-                for (a, b, style), (_, _, want) in zip(realized, target.edges)
+                (a, b, (idx.inner[chosen[slot[a]]][chosen[slot[b]]] > 0)
+                 != (style == dg.DOTTED))
+                for a, b, style in target.edges
             ]) is None:
                 return False
-            seen_sets.add(key)
-            # Adjacency and length classes equal the target's by construction.
-            results.append(LabeledDiagram(
-                tuple(chosen), dg.make_diagram(k, realized, longs=target.longs)))
+            seen_sets.add(used)
+            results.append(LabeledDiagram(tuple(reps[chosen[s]] for s in slot)))
             return limit is not None and len(results) >= limit
         v, fams = placement[depth]
         cand = base_mask[v] & ~used & all_mask
-        for i, fam in enumerate(fams):
-            cand &= fam[chosen_pos[i]]
+        for p, fam in zip(chosen, fams):
+            cand &= fam[p]
             if not cand:
                 return False
         while cand:
             bit = cand & -cand
             cand ^= bit
             pos = bit.bit_length() - 1
-            if pd_extend(pos):
-                chosen_pos.append(pos)
-                chosen[v] = reps[pos]
-                vertex_pos[v] = pos
+            row = idx.inner[pos]
+            if minors.push([row[p] for p in chosen], row[pos]):
+                chosen.append(pos)
                 if descend(depth + 1, used | bit):
                     return True
-                chosen[v] = None
-                chosen_pos.pop()
+                chosen.pop()
                 minors.pop()
         return False
 
@@ -363,14 +350,14 @@ def verify_unique_class(
     # Every realization has the target's adjacency, so one two-colouring
     # orders them all.
     order = dg.bicolored_word_order(entry.diagram)
-    elements = [space.word_perm([item.roots[i] for i in order]) for item in found]
-    seen = _class_walk(space, elements[0], cap)
+    elements = (space.word_perm([item.roots[i] for i in order]) for item in found)
+    seen = _class_walk(space, next(elements), cap)
     if seen is None:
         raise RuntimeError(
             f"conjugacy class of {name} in W({system.name()}) "
             f"exceeded the cap of {cap}; inconclusive"
         )
-    return all(p in seen for p in elements[1:])
+    return all(p in seen for p in elements)
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +419,14 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
 def max_root_complement(system: RootSystem) -> list[str]:
     """Component names of the subsystem orthogonal to the highest root.
 
-    The roots orthogonal to the highest root form a root subsystem; its
-    positive part's indecomposable elements are a simple system, whose
-    components are classified by shape and length pattern.  Names use
-    the smallest-rank convention (a path of three is ``A3``, never
-    ``D3``).
+    The roots orthogonal to the highest root form a root subsystem.  The
+    highest root is dominant, so the simple roots orthogonal to it are a
+    simple system of that subsystem (Humphreys §1.12), whose components
+    are classified by shape and length pattern.  Names use the
+    smallest-rank convention (a path of three is ``A3``, never ``D3``).
     """
     delta = system.max_root()
-    positives = [r for r in system.sign_class_reps() if dot(r, delta) == 0]
-    pos_set = set(positives)
-    base = [
-        p
-        for p in positives
-        if not any(vec_sub(p, q) in pos_set for q in positives if q != p)
-    ]
+    base = [s for s in system.simple_roots if dot(s, delta) == 0]
     d = dg.from_roots(system, base)
     return sorted(
         (_classify_component(system, dg.induced_subdiagram(d, comp))

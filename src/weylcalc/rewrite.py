@@ -210,17 +210,20 @@ def word_charpoly(system: RootSystem, word: Sequence[Vector]) -> Poly:
 
 def replay(trace: RewriteTrace) -> bool:
     """Re-run every recorded operation from the initial state and compare
-    each snapshot exactly."""
+    each snapshot exactly; a step that cannot be re-run is a False verdict."""
     state = trace.initial_state
     space = weyl.perm_space(state.system)
     for step in trace.steps[1:]:
-        if step.op == "conj":
-            state = _conjugate(state, space.word_perm(step.args[0]))
-        elif step.op == "perm":
-            state = apply_s_permutation(state, step.args[0], step.args[1])
-        elif step.op == "flip":
-            state = apply_sign_flip(state, step.args[0])
-        else:
+        try:
+            if step.op == "conj":
+                state = _conjugate(state, space.word_perm(step.args[0]))
+            elif step.op == "perm":
+                state = apply_s_permutation(state, step.args[0], step.args[1])
+            elif step.op == "flip":
+                state = apply_sign_flip(state, step.args[0])
+            else:
+                return False
+        except (ValueError, IndexError, TypeError, ScriptIntegrityError):
             return False
         if state != step.state:
             return False

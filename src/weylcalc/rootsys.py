@@ -325,11 +325,11 @@ def build_by_name(name: str) -> RootSystem:
 
 def parse_vector(text: str, dim: int) -> Vector:
     raw = text.strip().replace(" ", "")
-    if not raw:
-        raise ValueError("empty root literal")
     over_two = raw.endswith("/2")
     if over_two:
         raw = raw[:-2]
+    if not raw:
+        raise ValueError("empty root literal")
     out = [Q(0)] * dim
     token = ""
     sign = 1

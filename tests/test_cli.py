@@ -73,6 +73,7 @@ def test_charpoly_bad_root_exits_2(capsys):
 
 @pytest.mark.parametrize("system,literal", [
     ("D4", "e0-e1"), ("A8", "e1-e10"), ("D4", "2x1"), ("D4", "e1--e2"),
+    ("D4", "/2"),
 ])
 def test_bad_root_literal_exits_2(capsys, system, literal):
     code, out, err = run_capture(capsys, ["diagram", "--system", system,
@@ -352,6 +353,14 @@ def test_render_dot(capsys):
 def test_render_dot_requires_input(capsys):
     code, _, err = run_capture(capsys, ["render-dot"])
     assert code == 2 and "render-dot needs" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--system", "D4", "--roots", "e1-e2"], ["--system", "D4"], ["--roots", "e1-e2"],
+])
+def test_render_dot_rejects_name_with_roots(capsys, extra):
+    code, out, err = run_capture(capsys, ["render-dot", "--name", "D4", *extra])
+    assert code == 2 and out == "" and "not both" in err
 
 
 def test_render_dot_from_roots_marks_long_vertices(capsys):

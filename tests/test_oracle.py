@@ -1,6 +1,8 @@
 """Brute-force group oracles: orders, conjugacy, subset searches, orbits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc.exactla import identity, mat_mul
@@ -137,16 +139,27 @@ def test_max_root_complement_values():
     assert max_root_complement(build_by_name("A5")) == ["A3"]
 
 
+def assert_realizes(system, target, roots):
+    """``roots`` realize ``target`` up to sign flips: their diagram has the
+    target's lengths and adjacency, and its styles differ on a cut."""
+    d = dg.from_roots(system, roots)  # raises unless the roots are independent
+    assert d.longs == target.longs
+    assert d.adjacency() == target.adjacency()
+    assert dg.two_coloring(target.n, [
+        (a, b, d.edge_style(a, b) != style) for a, b, style in target.edges
+    ]) is not None
+
+
 @pytest.mark.parametrize("name", ["D4(a1)", "D5(a1)"])
 def test_find_subsets_leaf_diagram_is_from_roots(name):
-    """The search builds each realization's diagram from its own inner
-    product table; it must be the diagram of the roots it reports."""
+    """The search reads edge styles off its own inner product table; the
+    roots it reports must realize the target."""
     entry = dg.catalog(name)
     system = build_by_name(entry.system)
     items = find_subsets(system, entry.diagram)
     assert items
     for item in items:
-        assert item.diagram == dg.from_roots(system, item.roots)
+        assert_realizes(system, entry.diagram, item.roots)
 
 
 def test_realize_lookup_diagrams_are_from_roots():
@@ -159,4 +172,26 @@ def test_realize_lookup_diagrams_are_from_roots():
         entry = dg.catalog(name)
         system = build_by_name(entry.system)
         (item,) = find_subsets(system, entry.diagram, limit=1)
-        assert item.diagram == dg.from_roots(system, item.roots), name
+        assert_realizes(system, entry.diagram, item.roots)
+
+
+@st.composite
+def connected_targets(draw):
+    """A connected diagram on 2-4 vertices with random edge styles."""
+    n = draw(st.integers(2, 4))
+    tree = {(draw(st.integers(0, j - 1)), j) for j in range(1, n)}
+    others = [(i, j) for j in range(n) for i in range(j) if (i, j) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    edges = sorted(tree | set(extra))
+    return dg.styled_diagram(n, edges, draw(st.integers(0, (1 << len(edges)) - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A4", "D4", "D5"]), connected_targets())
+def test_find_subsets_reports_each_root_set_once(name, target):
+    system = build_by_name(name)
+    found = find_subsets(system, target)
+    for item in found:
+        assert_realizes(system, target, item.roots)
+    assert len({frozenset(item.roots) for item in found}) == len(found)
+    assert find_subsets(system, target, limit=1) == found[:1]

@@ -201,6 +201,15 @@ def test_replay_rejects_tampering():
         + trace.steps[6:],
     )
     assert not replay(broken_op)
+    # steps whose arguments cannot be re-run are False verdicts, not errors
+    assert trace.steps[6].op == "conj"
+    not_a_root = ((Q(1),) + (Q(0),) * 5,)  # e1 is not a root of D6
+    for i, args in [(5, (99, "left")), (5, (0, "up")), (5, ()),
+                    (6, (not_a_root,))]:
+        step = dataclasses.replace(trace.steps[i], args=args)
+        bad_args = dataclasses.replace(
+            trace, steps=trace.steps[:i] + (step,) + trace.steps[i + 1:])
+        assert not replay(bad_args), args
 
 
 def test_eliminate_4cycle():
