@@ -37,7 +37,7 @@ from .exactla import (
     power_plus_one,
 )
 from .rootsys import RootSystem
-from .weyl import cartan_number, word_matrix
+from .weyl import cartan_number, int_word_matrix
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -613,7 +613,7 @@ def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
             raise RuntimeError(f"catalog entry {name} is not admissible")
         if not dotted_parity_ok(d):
             raise RuntimeError(f"catalog entry {name} fails dotted parity")
-        computed = charpoly(word_matrix(system, word))
+        computed = charpoly(int_word_matrix(system, word))
         if computed != stated:
             raise RuntimeError(
                 f"catalog entry {name}: realized charpoly {poly_str(computed)} "

@@ -236,6 +236,17 @@ def find_subsets(
     Matches are reported once per root set, in the order the search
     finds them; ``limit`` (None or at least 1) stops early (the result
     is then not exhaustive).
+
+    A find-first search (``limit == 1``) is anchored: the first-placed
+    vertex only tries the lowest representative of its length class.
+    W is transitive on the roots of each length (the system is
+    irreducible) and keeps lengths, adjacency, independence and styles up
+    to sign flips, so any realization has a W-image through that
+    representative.  The unanchored search explores that representative
+    first, so the anchored one returns the same realization, and an empty
+    result is still an emptiness certificate.  Full enumerations stay
+    unanchored: the uniqueness check in the benchmark's ``unique``
+    operation needs every realization from one exhaustive call.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be None or at least 1, not {limit}")
@@ -314,6 +325,8 @@ def find_subsets(
             cand &= fam[p]
             if not cand:
                 return False
+        if not depth and limit == 1:
+            cand &= -cand  # the anchor: see the docstring
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -368,52 +381,102 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
     """Number of W-orbits of unordered k-tuples of orthogonal root pairs.
 
     A tuple is a sorted k-subset of sign-class representatives, mutually
-    orthogonal; W acts through its generators, with images reduced back
-    to representatives.  Counted by union-find over the full tuple set,
-    so no group enumeration is needed.
+    orthogonal; W acts through root permutations, with images reduced
+    back to representatives.  No group enumeration is needed, and only
+    the tuples through one anchor per length class are built:
+
+    - W is transitive on the roots of each length, so each orbit holds a
+      tuple through the dominant root ``a`` of one length class: the long
+      one when the tuple has a long root, else the short one (and then
+      the tuple has no long root).
+    - If w sends a tuple S through ``a`` to T, then w(a) = +-b for a
+      member b of T of a's length, and w_b w fixes +-a, where w_b is a
+      fixed element with w_b(b) = +-a.  So S and T share an orbit exactly
+      when g(S) = w_b(T) for some g fixing +-a.
+    - ``a`` is dominant, so the elements fixing it are generated by the
+      simple reflections orthogonal to it (Steinberg 1964; Humphreys
+      §1.12); with s_a they generate the elements fixing +-a.
+
+    Union-find over the tuples through ``a``, joined by those generators
+    and by each w_b, therefore counts the orbits of a's class.
     """
     if k not in (2, 3):
         raise ValueError("only pairs and triples are supported")
     idx = _subset_index(system)
-    m = len(idx.reps)
     ortho = idx.orth_mask
-
-    tuples: list[tuple[int, ...]] = []
-    tuple_index: dict[tuple[int, ...], int] = {}
-
-    def grow(prefix: tuple[int, ...], start: int) -> None:
-        if len(prefix) == k:
-            tuple_index[prefix] = len(tuples)
-            tuples.append(prefix)
-            return
-        for j in range(start, m):
-            if all(ortho[i] >> j & 1 for i in prefix):
-                grow(prefix + (j,), j + 1)
-
-    grow((), 0)
-
-    uf = list(range(len(tuples)))
-
-    def root_of(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
     # Rep i is root h + i; root j and its negative, root n - 1 - j, share
-    # the class of rep max(j, n - 1 - j) - h.  Each g acts on reps.
+    # the class of rep max(j, n - 1 - j) - h.  Each element acts on reps.
     space = weyl.perm_space(system)
     n = len(system.roots)
     h = n // 2
-    gens = [[max(j, n - 1 - j) - h for j in space.reflection_perm(s)[h:]]
-            for s in system.simple_roots]
-    for t_idx, t in enumerate(tuples):
-        for g in gens:
-            image = tuple(sorted(g[i] for i in t))
-            a, b = root_of(t_idx), root_of(tuple_index[image])
-            if a != b:
-                uf[a] = b
-    return len({root_of(i) for i in range(len(tuples))})
+
+    def on_reps(root) -> list[int]:
+        return [max(j, n - 1 - j) - h for j in space.reflection_perm(root)[h:]]
+
+    simple = [on_reps(s) for s in system.simple_roots]
+    orbits = 0
+    for long in (True, False) if idx.long_mask else (False,):
+        anchor = system.dominant_root(long)
+        j = system.index(anchor)
+        a = max(j, n - 1 - j) - h
+        same = idx.long_mask if long else idx.short_mask
+        reanchor = _transversal(simple, a)
+        if len(reanchor) != same.bit_count():
+            raise AssertionError("W is not transitive on a length class")
+        stabilizer = [g for g, s in zip(simple, system.simple_roots)
+                      if dot(s, anchor) == 0] + [on_reps(anchor)]
+
+        others = ortho[a] if long else ortho[a] & same
+        tuples: list[tuple[int, ...]] = []
+
+        def grow(prefix: tuple[int, ...], cand: int) -> None:
+            if len(prefix) == k:
+                tuples.append(tuple(sorted(prefix)))
+                return
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                b = bit.bit_length() - 1
+                grow(prefix + (b,), cand & ortho[b])
+
+        grow((a,), others)
+        where = {t: i for i, t in enumerate(tuples)}
+        uf = list(range(len(tuples)))
+
+        def root_of(x: int) -> int:
+            while uf[x] != x:
+                uf[x] = uf[uf[x]]
+                x = uf[x]
+            return x
+
+        for t_idx, t in enumerate(tuples):
+            moves = stabilizer + [reanchor[b] for b in t
+                                  if b != a and same >> b & 1]
+            for g in moves:
+                x, y = root_of(t_idx), root_of(where[tuple(sorted(g[i] for i in t))])
+                if x != y:
+                    uf[x] = y
+        orbits += sum(root_of(i) == i for i in range(len(tuples)))
+    return orbits
+
+
+def _transversal(gens: list[list[int]], a: int) -> dict[int, list[int]]:
+    """``{b: w_b}`` over the orbit of ``a`` under the involutions ``gens``
+    (permutations as lists), with w_b(b) = a.  Read off a breadth-first
+    walk from ``a``: w_{g(c)} = w_c g."""
+    out = {a: list(range(len(gens[0])))}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for g in gens:
+                b = g[c]
+                if b not in out:
+                    w = out[c]
+                    out[b] = [w[x] for x in g]
+                    nxt.append(b)
+        frontier = nxt
+    return out
 
 
 def max_root_complement(system: RootSystem) -> list[str]:

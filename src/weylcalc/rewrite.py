@@ -205,13 +205,17 @@ class RewriteTrace:
 def word_charpoly(system: RootSystem, word: Sequence[Vector]) -> Poly:
     """Characteristic polynomial of the word's product in the word-root
     basis (degree equals the word length)."""
-    return charpoly(weyl.word_matrix(system, word))
+    return charpoly(weyl.int_word_matrix(system, word))
 
 
 def replay(trace: RewriteTrace) -> bool:
     """Re-run every recorded operation from the initial state and compare
-    each snapshot exactly; a step that cannot be re-run is a False verdict."""
-    state = trace.initial_state
+    each snapshot exactly; a first step other than a bare ``start`` or a
+    step that cannot be re-run is a False verdict."""
+    start = trace.steps[0]
+    if start.op != "start" or start.args != ():
+        return False
+    state = start.state
     space = weyl.perm_space(state.system)
     for step in trace.steps[1:]:
         try:

@@ -259,24 +259,23 @@ class RootSystem:
         return rows, den
 
     def max_root(self) -> Vector:
-        """The highest root: the unique root dominant against all simples."""
-        # Height <h, r> with h = 1^T K: the sum of r's simple coefficients,
-        # here scaled by 2 * den (doubled roots, integer rows of K).
-        rows, _ = self.coefficient_map
-        h = [sum(col) for col in zip(*rows)]
-        heights = [idot(h, r) for r in self.int_roots]
-        best_height = max(heights)
-        best = self.roots[heights.index(best_height)]
-        dominant = [
-            r
-            for r, height in zip(self.roots, heights)
-            if all(dot(r, s) >= 0 for s in self.simple_roots)
-            and height == best_height
-        ]
-        if dominant != [best]:
-            raise RuntimeError(f"{self.name()}: the highest root is not the "
-                               f"unique dominant root")
-        return best
+        """The highest root: the unique long root dominant against all simples."""
+        return self.dominant_root(long=True)
+
+    def dominant_root(self, long: bool) -> Vector:
+        """The unique root of one length with ``<r, s> >= 0`` for every
+        simple root ``s``: the highest root for ``long``, else the highest
+        short root (the same root when the system is simply laced).  Each
+        W-orbit meets the dominant chamber once and W is transitive on the
+        roots of each length, hence one such root per length."""
+        norm = self.int_long_norm if long else self.int_short_norm
+        simple = [self.int_roots[self.index(s)] for s in self.simple_roots]
+        found = [self.roots[i] for i, r in enumerate(self.int_roots)
+                 if idot(r, r) == norm and all(idot(r, s) >= 0 for s in simple)]
+        if len(found) != 1:
+            raise RuntimeError(f"{self.name()}: {len(found)} dominant roots "
+                               f"of one length, expected 1")
+        return found[0]
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
         """Coordinates of ``v`` in the simple-root basis: ``K v``."""
@@ -354,12 +353,13 @@ def parse_vector(text: str, dim: int) -> Vector:
 
 def _apply_term_coeff(out: list[Q], token: str, sign: int, dim: int) -> None:
     """Add one term ``[k]e<i>`` (coefficient ``k`` defaults to 1) to ``out``."""
+    # ASCII only: str.isdigit and int also take other scripts' digits.
     k = 0
-    while k < len(token) and token[k].isdigit():
+    while k < len(token) and token[k] in "0123456789":
         k += 1
     coeff = int(token[:k]) if k else 1
     unit = token[k:]
-    if not unit.startswith("e") or not unit[1:].isdigit():
+    if not (unit.startswith("e") and unit[1:].isascii() and unit[1:].isdigit()):
         raise ValueError(f"bad term {token!r} in root literal")
     idx = int(unit[1:]) - 1
     if not 0 <= idx < dim:

@@ -85,6 +85,12 @@ def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Mat
     see the Cartan numbers ``2 g_qi / g_ii``.  Those are integers for
     roots, so a root Gram gives an integer product, returned as Fractions.
     """
+    return tuple(tuple(Q(x) for x in row) for row in _word_product(gram, order))
+
+
+def _word_product(gram: Sequence[Sequence], order: Sequence[int]) -> list[list]:
+    """The rows of :func:`word_matrix_from_gram`, as ints where the Cartan
+    numbers are."""
     n = len(gram)
     work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in order:
@@ -97,7 +103,7 @@ def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Mat
             row = work[p]
             for q in range(n):
                 row[q] += api * w[q]
-    return tuple(tuple(Q(x) for x in row) for row in work)
+    return work
 
 
 def cartan_number(x, d):
@@ -112,14 +118,22 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     Requires the word's roots to be linearly independent (true for any
     reduced decomposition); the resulting matrix has size ``len(word)``,
     so its characteristic polynomial has the word's length as degree.
-    Computed on the doubled-integer Gram matrix of the roots, whose
-    leading minors also settle independence (positive definiteness).
     ValueError for a non-root or a dependent word.
+    """
+    return tuple(tuple(Q(x) for x in row) for row in int_word_matrix(system, word))
+
+
+def int_word_matrix(system: RootSystem, word: Sequence[Vector]) -> list[list[int]]:
+    """:func:`word_matrix` with int entries, for ``exactla.charpoly``.
+
+    Computed on the doubled-integer Gram matrix of the roots, whose
+    leading minors also settle independence (positive definiteness); the
+    Cartan numbers of roots are integers, so every entry is an int.
     """
     gram = system.int_gram(word)
     if not gram_positive_definite(gram):
         raise ValueError("word roots are linearly dependent")
-    return word_matrix_from_gram(gram, range(len(gram)))
+    return _word_product(gram, range(len(gram)))
 
 
 def verify_bicolored(

@@ -73,7 +73,7 @@ def test_charpoly_bad_root_exits_2(capsys):
 
 @pytest.mark.parametrize("system,literal", [
     ("D4", "e0-e1"), ("A8", "e1-e10"), ("D4", "2x1"), ("D4", "e1--e2"),
-    ("D4", "/2"),
+    ("D4", "/2"), ("D4", "e\u0661-e2"), ("D4", "e\u00b2-e3"),
 ])
 def test_bad_root_literal_exits_2(capsys, system, literal):
     code, out, err = run_capture(capsys, ["diagram", "--system", system,

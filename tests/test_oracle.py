@@ -1,7 +1,9 @@
 """Brute-force group oracles: orders, conjugacy, subset searches, orbits."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
@@ -14,7 +16,7 @@ from weylcalc.oracle import (
     verify_unique_class,
     weyl_group_order,
 )
-from weylcalc.rootsys import build_by_name
+from weylcalc.rootsys import FAMILIES, build_by_name
 from weylcalc import weyl
 
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
@@ -133,6 +135,65 @@ def test_orthogonal_tuple_orbits_small():
         orthogonal_tuple_orbits(build_by_name("A3"), 1)
 
 
+def full_tuple_orbits(system, k):
+    """Reference count: union-find over every orthogonal k-set of sign
+    classes, joined by the simple reflections."""
+    reps = system.sign_class_reps()
+    gram = system.int_gram(reps)
+    tuples = [t for t in combinations(range(len(reps)), k)
+              if all(gram[i][j] == 0 for i, j in combinations(t, 2))]
+    where = {t: i for i, t in enumerate(tuples)}
+    uf = list(range(len(tuples)))
+
+    def root_of(x):
+        while uf[x] != x:
+            x = uf[x]
+        return x
+
+    # Rep i is root h + i, and root j shares a sign class with root n - 1 - j.
+    n = len(system.roots)
+    h = n // 2
+    space = weyl.perm_space(system)
+    for s in system.simple_roots:
+        g = [max(j, n - 1 - j) - h for j in space.reflection_perm(s)[h:]]
+        for i, t in enumerate(tuples):
+            a, b = root_of(i), root_of(where[tuple(sorted(g[x] for x in t))])
+            uf[a] = b
+    return len({root_of(i) for i in range(len(tuples))})
+
+
+def small_systems():
+    """Every buildable system with at most 60 sign classes."""
+    out = []
+    for family in FAMILIES:
+        for rank in range(1, 17):
+            try:
+                system = build_by_name(f"{family}{rank}")
+            except ValueError:
+                continue
+            if len(system.roots) <= 120:
+                out.append(system.name())
+    return out
+
+
+@pytest.mark.parametrize("name", small_systems())
+def test_anchored_orbits_match_full_tuple_union_find(name):
+    system = build_by_name(name)
+    for k in (2, 3):
+        assert orthogonal_tuple_orbits(system, k) == full_tuple_orbits(system, k), k
+
+
+def test_small_systems_cover_each_family():
+    assert {name[0] for name in small_systems()} == set(FAMILIES)
+    assert len(small_systems()) == 31
+
+
+def test_orthogonal_tuple_orbits_large_pins():
+    """The counts the full tuple table gives, in 30 s and 0.7 s."""
+    assert orthogonal_tuple_orbits(build_by_name("D16"), 3) == 2
+    assert orthogonal_tuple_orbits(build_by_name("E8"), 3) == 1
+
+
 def test_max_root_complement_values():
     assert max_root_complement(build_by_name("E6")) == ["A5"]
     assert max_root_complement(build_by_name("D4")) == ["A1", "A1", "A1"]
@@ -194,4 +255,43 @@ def test_find_subsets_reports_each_root_set_once(name, target):
     for item in found:
         assert_realizes(system, target, item.roots)
     assert len({frozenset(item.roots) for item in found}) == len(found)
+    assert find_subsets(system, target, limit=1) == found[:1]
+
+
+_B3 = dg.make_diagram(3, [(0, 1, dg.SOLID), (1, 2, dg.SOLID)], longs=(True, True, False))
+_C3 = dg.make_diagram(3, [(0, 1, dg.SOLID), (1, 2, dg.SOLID)], longs=(False, False, True))
+_F4 = dg.make_diagram(4, [(0, 1, dg.SOLID), (1, 2, dg.DOTTED), (2, 3, dg.SOLID)],
+                      longs=(True, True, False, False))
+_G2 = dg.make_diagram(2, [(0, 1, dg.DOTTED)], longs=(False, True))
+
+
+@st.composite
+def mixed_length_targets(draw):
+    """A connected target with at least one long and one short vertex."""
+    target = draw(connected_targets())
+    longs = draw(st.lists(st.booleans(), min_size=target.n, max_size=target.n))
+    longs[0], longs[-1] = True, False
+    return dg.make_diagram(target.n, target.edges, longs=longs)
+
+
+@pytest.mark.parametrize("name,target", [("B3", _B3), ("C3", _C3), ("F4", _F4),
+                                         ("G2", _G2)])
+def test_mixed_length_examples_realize(name, target):
+    """The explicit examples below are not vacuous."""
+    assert find_subsets(build_by_name(name), target, limit=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["B3", "C3", "F4", "G2"]), mixed_length_targets())
+@example("B3", _B3)
+@example("C3", _C3)
+@example("F4", _F4)
+@example("G2", _G2)
+def test_anchored_find_first_is_first_of_full_search_mixed_lengths(name, target):
+    """The anchored find-first search starts from the lowest root of one
+    length class; it must return the full search's first realization."""
+    system = build_by_name(name)
+    found = find_subsets(system, target)
+    for item in found:
+        assert_realizes(system, target, item.roots)
     assert find_subsets(system, target, limit=1) == found[:1]

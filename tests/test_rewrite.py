@@ -193,7 +193,12 @@ def test_replay_rejects_tampering():
         trace,
         steps=(dataclasses.replace(trace.steps[0], op="warp"),) + trace.steps[1:],
     )
-    assert replay(relabeled) or True  # step 0 is never re-applied
+    assert not replay(relabeled)
+    with_args = dataclasses.replace(
+        trace,
+        steps=(dataclasses.replace(trace.steps[0], args=(0,)),) + trace.steps[1:],
+    )
+    assert not replay(with_args)
     broken_op = dataclasses.replace(
         trace,
         steps=trace.steps[:5]

@@ -95,7 +95,8 @@ def test_parse_vector_grammar():
     assert parse_vector("2e3", 4) == (0, 0, 2, 0)
     assert parse_vector(" e1 + e2 ", 4) == (1, 1, 0, 0)
     assert parse_vector("-e1+2e2-e3", 3) == (-1, 2, -1)
-    for bad in ("", "e0", "e5", "1+e2", "e1++e2", "x1", "e1/3"):
+    for bad in ("", "e0", "e5", "1+e2", "e1++e2", "x1", "e1/3", "e\u0661-e2",
+                "e\u00b2-e3", "\u0662e1"):
         with pytest.raises(ValueError):
             parse_vector(bad, 4)
 
@@ -105,6 +106,8 @@ def test_parse_vector_grammar():
     ("e1-e10", 9, "coordinate e10 out of range for dimension 9"),
     ("2x1", 4, "bad term '2x1'"),
     ("e1--e2", 4, "bad term ''"),
+    ("e\u0661-e2", 4, "bad term 'e\u0661'"),  # an Arabic-Indic one
+    ("e\u00b2-e3", 4, "bad term 'e\u00b2'"),  # a superscript two
 ])
 def test_parse_vector_error_paths(text, dim, message):
     with pytest.raises(ValueError, match=message):
