@@ -404,21 +404,19 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
         raise ValueError("only pairs and triples are supported")
     idx = _subset_index(system)
     ortho = idx.orth_mask
-    # Rep i is root h + i; root j and its negative, root n - 1 - j, share
-    # the class of rep max(j, n - 1 - j) - h.  Each element acts on reps.
+    # Each element acts on reps: rep i goes to the sign class of its image.
     space = weyl.perm_space(system)
-    n = len(system.roots)
-    h = n // 2
+    reps = [system.index(r) for r in system.sign_class_reps()]
 
     def on_reps(root) -> list[int]:
-        return [max(j, n - 1 - j) - h for j in space.reflection_perm(root)[h:]]
+        p = space.reflection_perm(root)
+        return [system.sign_class(p[i]) for i in reps]
 
     simple = [on_reps(s) for s in system.simple_roots]
     orbits = 0
     for long in (True, False) if idx.long_mask else (False,):
         anchor = system.dominant_root(long)
-        j = system.index(anchor)
-        a = max(j, n - 1 - j) - h
+        a = system.sign_class(system.index(anchor))
         same = idx.long_mask if long else idx.short_mask
         reanchor = _transversal(simple, a)
         if len(reanchor) != same.bit_count():

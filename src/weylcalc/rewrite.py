@@ -277,12 +277,32 @@ class _Script:
             self._check_conjugator(new_state)
         self.steps.append(RewriteStep(op, args, self._detail(detail), new_state))
 
-    def finish(self) -> RewriteTrace:
-        """Re-check the whole-script invariants and return the trace."""
+    def finish(self, expected: str,
+               parts: tuple[Sequence[Vector], Sequence[Vector]] | None = None
+               ) -> RewriteTrace:
+        """The one exit of a script: re-check the whole-script invariants
+        and the end it certifies, then return the trace.
+
+        The end is a word whose diagram identifies as ``expected``, is
+        admissible and has no cycle longer than 4.  With ``parts`` =
+        (alpha block, beta block), the final word must also be that
+        bicolored word: the two blocks in order, each an orthogonal set.
+        """
         first, last = self.steps[0].state, self.steps[-1].state
         if word_charpoly(self.system, first.word) != word_charpoly(self.system, last.word):
             raise ScriptIntegrityError(self.name, "word characteristic polynomial drifted")
         self._check_conjugator(last)
+        if parts is not None:
+            ok, reason = weyl.verify_bicolored(self.system, last.word, *parts)
+            self.require(ok, f"final word is not bicolored: {reason}")
+            self.require_word((*parts[0], *parts[1]), "final word (alpha block, beta block)")
+        final = dg.from_roots(self.system, last.word)
+        found = dg.identify(final)
+        self.require(found == expected,
+                     f"final diagram identifies as {found}, expected {expected}")
+        self.require(dg.is_admissible(final), "final diagram is not admissible")
+        self.require(all(len(c) <= 4 for c in dg.cycles(final)),
+                     "final diagram still has a cycle longer than 4")
         return RewriteTrace(self.name, tuple(self.steps))
 
     # -- primitive moves ----------------------------------------------------
@@ -518,7 +538,7 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
     for op, args in _invert_ops(ops):
         sc.play(op, args)
     sc.require_word(a_entry.word, f"final word must be the catalog word of {case.a_name}")
-    return sc.finish()
+    return sc.finish(case.a_name)
 
 
 # --------------------------------------------------------------------------
@@ -641,10 +661,7 @@ def _e8b5_trace() -> RewriteTrace:
               (b3, "u,b3", Q(-1, 2)), (b1, "u,b1", Q(1, 2)),
               (b4, "u,b4", Q(-1, 2)), (x, "u,x", Q(0))), "stage 6")
     sc.set_stage("")
-
-    ok, reason = weyl.verify_bicolored(system, sc.word, (b4, b3, b1, v), (u, x, y, a2))
-    sc.require(ok, f"final word is not bicolored: {reason}")
-    return sc.finish()
+    return sc.finish("E8(a5)", ((b4, b3, b1, v), (u, x, y, a2)))
 
 
 # --------------------------------------------------------------------------
@@ -852,28 +869,21 @@ def _dl_trace(l: int) -> RewriteTrace:
             break
     sc.set_stage("")
 
+    # The final word is (b-block, chain, a-tail) for 4k and
+    # (chain, b-block, a-tail) for 4k-2.
     if four_k:
         theta = _chain_vector("beta", alphas, betas, k + 1, k)
-        sc.require_word(tuple(betas) + (theta,) + tuple(alphas[1:]),
-                        "final word (b-block, chain, a-tail)")
         sc.require_inner(theta, alphas[k], Q(0), "(chain, a_{k+1})")
         sc.require_inner(theta, betas[k - 1], Q(-1, 2), "(chain, b_k)")
         sc.require_inner(theta, betas[k], Q(1, 2), "(chain, b_{k+1})")
-        alpha_part = tuple(betas)
-        beta_part = (theta,) + tuple(alphas[1:])
+        parts = (betas, (theta, *alphas[1:]))
     else:
         mu = _chain_vector("alpha", alphas, betas, k + 1, k)
-        sc.require_word((mu,) + tuple(betas) + tuple(alphas[1:]),
-                        "final word (chain, b-block, a-tail)")
         sc.require_inner(mu, betas[k - 1], Q(0), "(chain, b_k)")
         sc.require_inner(mu, alphas[k - 1], Q(-1, 2), "(chain, a_k)")
         sc.require_inner(mu, alphas[k], Q(1, 2), "(chain, a_{k+1})")
-        alpha_part = (mu,) + tuple(betas)
-        beta_part = tuple(alphas[1:])
-
-    ok, reason = weyl.verify_bicolored(system, sc.word, alpha_part, beta_part)
-    sc.require(ok, f"final word is not bicolored: {reason}")
-    return sc.finish()
+        parts = ((mu, *betas), alphas[1:])
+    return sc.finish(_cycle_a_name(l), parts)
 
 
 # --------------------------------------------------------------------------
@@ -890,30 +900,15 @@ def transform_long_cycle(name: str, l: int | None = None) -> RewriteTrace:
     if name == "Dl(b)":
         if l is None:
             raise ValueError("Dl(b) needs the rank parameter l")
-        trace = _dl_trace(l)
-        expected = _cycle_a_name(l)
-    else:
-        if l is not None:
-            raise ValueError("the parameter l is only valid for Dl(b)")
-        if name == "E8(b5)":
-            trace, expected = _e8b5_trace(), "E8(a5)"
-        elif name in _CASES:
-            trace, expected = _inverted_case_trace(name), _CASES[name].a_name
-        else:
-            raise ValueError(
-                f"unknown transform {name!r}; valid names: {', '.join(LONG_CYCLE_NAMES)}")
-
-    system = trace.initial_state.system
-    final = dg.from_roots(system, trace.final_state.word)
-    found = dg.identify(final)
-    if found != expected:
-        raise ScriptIntegrityError(name, f"final diagram identifies as {found}, "
-                                         f"expected {expected}")
-    if not dg.is_admissible(final):
-        raise ScriptIntegrityError(name, "final diagram is not admissible")
-    if any(len(c) != 4 for c in dg.cycles(final)):
-        raise ScriptIntegrityError(name, "final diagram still has a long cycle")
-    return trace
+        return _dl_trace(l)
+    if l is not None:
+        raise ValueError("the parameter l is only valid for Dl(b)")
+    if name == "E8(b5)":
+        return _e8b5_trace()
+    if name in _CASES:
+        return _inverted_case_trace(name)
+    raise ValueError(
+        f"unknown transform {name!r}; valid names: {', '.join(LONG_CYCLE_NAMES)}")
 
 
 # --------------------------------------------------------------------------
@@ -937,12 +932,7 @@ def eliminate_4cycle(state: RewriteState) -> RewriteTrace:
     tau = sc.word[2]
     sc.require_inner(tau, a1, Q(0), "(detached root, a1)")
     sc.require_inner(tau, a2, Q(0), "(detached root, a2)")
-    sc.require_word((a1, a2, tau, b2), "final word (a1, a2, detached, b2)")
-    sc.require(dg.identify(dg.from_roots(system, sc.word)) == "D4",
-               "final diagram is not the D4 tree")
-    ok, reason = weyl.verify_bicolored(system, sc.word, (a1, a2, tau), (b2,))
-    sc.require(ok, f"final word is not bicolored: {reason}")
-    return sc.finish()
+    return sc.finish("D4", ((a1, a2, tau), (b2,)))
 
 
 # --------------------------------------------------------------------------
@@ -991,12 +981,7 @@ def _five_cycle_r1(system: RootSystem, word: Word) -> RewriteTrace:
     sc.swap(3)
     sc.rotate_last_to_front()
     sc.swap(3)
-    sc.require_word((sigma, p5, p2, p3, p1), "final D5 tree word")
-    ok, reason = weyl.verify_bicolored(system, sc.word, (sigma, p5, p2), (p3, p1))
-    sc.require(ok, f"final word is not bicolored: {reason}")
-    sc.require(dg.identify(dg.from_roots(system, sc.word)) == "D5",
-               "final diagram is not the D5 tree")
-    return sc.finish()
+    return sc.finish("D5", ((sigma, p5, p2), (p3, p1)))
 
 
 def _five_cycle_r2(system: RootSystem, word: Word) -> RewriteTrace:
@@ -1012,12 +997,7 @@ def _five_cycle_r2(system: RootSystem, word: Word) -> RewriteTrace:
     sc.rotate_first_to_last()
     sc.swap(0)
     sc.swap(3)
-    sc.require_word((p5, p2, sigma, p1, p3), "final D5(a1) word")
-    ok, reason = weyl.verify_bicolored(system, sc.word, (p5, p2), (sigma, p1, p3))
-    sc.require(ok, f"final word is not bicolored: {reason}")
-    sc.require(dg.identify(dg.from_roots(system, sc.word)) == "D5(a1)",
-               "final diagram is not D5(a1)")
-    return sc.finish()
+    return sc.finish("D5(a1)", ((p5, p2), (sigma, p1, p3)))
 
 
 def five_cycle_classify(r_lambda: int) -> FiveCycleResult:

@@ -239,6 +239,12 @@ class RootSystem:
         are the upper half of ``roots``."""
         return self.roots[len(self.roots) // 2:]
 
+    def sign_class(self, i: int) -> int:
+        """Position in :meth:`sign_class_reps` of the class {r, -r} of
+        ``roots[i]`` (``roots[n - 1 - i]`` is its negative)."""
+        n = len(self.roots)
+        return max(i, n - 1 - i) - n // 2
+
     @cached_property
     def coefficient_map(self) -> tuple[tuple[IntVector, ...], int]:
         """``(rows, den)``: the rank x dim matrix ``K = G^-1 S^T`` as integer
@@ -257,6 +263,16 @@ class RootSystem:
         rows = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
                      for row in zip(*cols))
         return rows, den
+
+    @cached_property
+    def positive(self) -> tuple[bool, ...]:
+        """Whether each root of ``roots`` is a nonnegative combination of
+        the simple roots (built on first use; the sorted order does not
+        follow this in E6-E8 and G2).  A root's simple coefficients share
+        one sign, so the sign of their sum, its height, decides."""
+        rows, _ = self.coefficient_map
+        height = [sum(col) for col in zip(*rows)]
+        return tuple(idot(height, r) > 0 for r in self.int_roots)
 
     def max_root(self) -> Vector:
         """The highest root: the unique long root dominant against all simples."""

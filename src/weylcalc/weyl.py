@@ -279,9 +279,13 @@ class PermSpace:
         return self.compose(*(self.reflection_perm(r) for r in word))
 
     def perm_of_matrix(self, m: Matrix) -> Perm:
-        """Permutation of an element's ambient matrix.  Any ``m`` that does
-        not permute the roots and fix the orthogonal complement of their
-        span pointwise, as every element of W does, is a ValueError."""
+        """Permutation of an element's ambient matrix.  Any ``m`` not in W
+        is a ValueError: one that does not permute the roots, moves the
+        orthogonal complement of their span, or permutes the roots as an
+        automorphism outside W, such as -1 in A2.  The last is found by
+        descent (Humphreys §1.6-1.7): while w sends a simple root a
+        negative, w s_a has one inversion fewer, so it ends at an element
+        keeping the simple roots positive, the identity exactly for w in W."""
         n = self.system.dim
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("matrix has the wrong shape")
@@ -296,6 +300,14 @@ class PermSpace:
         p = self._wrap(images)
         if self.matrix_of_perm(p) != tuple(tuple(row) for row in m):
             raise ValueError("matrix moves the orthogonal complement of the roots")
+        system, positive = self.system, self.system.positive
+        simple = [(system.index(s), self.reflection_perm(s)) for s in system.simple_roots]
+        w = p
+        while descents := [s for i, s in simple if not positive[w[i]]]:
+            w = self.mul(self.table(w), descents[0])
+        if w != self.ident:
+            raise ValueError(f"matrix permutes the roots of {system.name()} "
+                             f"but is not in its Weyl group")
         return p
 
     def matrix_of_perm(self, p: Perm) -> Matrix:

@@ -107,6 +107,15 @@ def test_from_dict_rejects_vertex_indices_other_than_0_to_n_minus_1(indices):
         dg.Diagram.from_dict(data)
 
 
+def test_from_dict_rejects_a_bad_edge_style():
+    data = {"vertices": [{"index": 0}, {"index": 1}],
+            "edges": [{"source": 1, "target": 0, "style": "wavy"}]}
+    with pytest.raises(ValueError, match="bad edge style 'wavy'"):
+        dg.Diagram.from_dict(data)
+    data["edges"][0]["style"] = dg.DOTTED
+    assert dg.Diagram.from_dict(data).edges == ((0, 1, dg.DOTTED),)
+
+
 def test_gram_values():
     solid = dg.make_diagram(2, [(0, 1, dg.SOLID)])
     assert dg.gram(solid) == ((1, Q(-1, 2)), (Q(-1, 2), 1))

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
+from weylcalc import rewrite
 from weylcalc.exactla import dot, identity, mat_mul, mat_vec, poly_mul
 from weylcalc.rootsys import build_by_name
 from weylcalc.rewrite import (
     LONG_CYCLE_NAMES,
+    ScriptIntegrityError,
     apply_conjugation,
     apply_s_permutation,
     apply_sign_flip,
@@ -121,6 +123,30 @@ def test_apply_sign_flip_is_involutive():
     assert apply_sign_flip(once, 2).word == st.word
     with pytest.raises(ValueError):
         apply_sign_flip(st, 9)
+
+
+def catalog_script(name):
+    """A script with no moves, started on the catalog word of ``name``."""
+    entry = dg.catalog(name)
+    return rewrite._Script(name, build_by_name(entry.system), entry.word)
+
+
+def test_finish_certifies_the_end_of_a_script():
+    sc = catalog_script("D4")
+    word = sc.word
+    assert dg.bipartition(dg.catalog("D4").diagram) == ((0, 1, 2), (3,))  # leaves, centre
+    trace = sc.finish("D4", (word[:3], word[3:]))
+    assert trace.steps == tuple(sc.steps) and replay(trace)
+    with pytest.raises(ScriptIntegrityError, match="identifies as D4, expected D4\\(a1\\)"):
+        sc.finish("D4(a1)")
+    with pytest.raises(ScriptIntegrityError, match="not bicolored: non-orthogonal-alpha"):
+        sc.finish("D4", (word[2:], word[:2]))
+    with pytest.raises(ScriptIntegrityError, match="not bicolored: product-mismatch"):
+        sc.finish("D4", (word[:3], ()))
+    with pytest.raises(ScriptIntegrityError, match="final word \\(alpha block, beta block\\)"):
+        sc.finish("D4", (word[1::-1] + word[2:3], word[3:]))  # the right product, reordered
+    with pytest.raises(ScriptIntegrityError, match="cycle longer than 4"):
+        catalog_script("D6(b2)").finish("D6(b2)")
 
 
 def test_long_cycle_names_cover_all_scripts():

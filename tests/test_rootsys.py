@@ -138,6 +138,26 @@ def test_sign_classes_are_the_upper_half():
         lex_positive = tuple(r for r in s.roots if next(c for c in r if c) > 0)
         assert s.sign_class_reps() == lex_positive, s.name()
         assert len(lex_positive) == len(s.roots) // 2
+        assert all(lex_positive[s.sign_class(i)] in (r, vec_neg(r))
+                   for i, r in enumerate(s.roots)), s.name()
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"])
+def test_positive_roots_are_the_nonnegative_simple_combinations(name):
+    s = RootSystem(name[0], int(name[1:]))
+    assert "positive" not in vars(s)
+    for r, positive in zip(s.roots, s.positive):
+        coeffs = s.simple_coefficients(r)
+        assert all(c >= 0 for c in coeffs) if positive else all(c <= 0 for c in coeffs)
+    assert sum(s.positive) == len(s.roots) // 2
+
+
+def test_positive_roots_are_not_the_upper_half_everywhere():
+    """In E8 (and E6, E7, G2) some simple roots are not lex-positive."""
+    s = build_by_name("E8")
+    upper = set(s.sign_class_reps())
+    assert any(r not in upper for r in s.simple_roots)
+    assert all(s.positive[s.index(r)] for r in s.simple_roots)
 
 
 def test_max_root_is_dominant_and_long():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc import rewrite
-from weylcalc.exactla import charpoly, identity, mat, mat_mul, mat_vec
+from weylcalc.exactla import charpoly, identity, mat, mat_mul, mat_vec, vec_neg
+from weylcalc.oracle import are_conjugate
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
     evaluate,
@@ -159,3 +160,43 @@ def test_perm_encoding_matches_matrices(name, data):
     m = space.matrix_of_perm(p)
     assert m == evaluate(s, word)
     assert space.perm_of_matrix(m) == p
+
+
+def minus_one_on_the_roots(system):
+    """-1 on the span of the roots and 1 on its orthogonal complement:
+    ``I - 2 S K``, with the simple roots as the columns of ``S`` and ``K``
+    the coefficient map."""
+    rows, den = system.coefficient_map
+    n = system.dim
+    return tuple(
+        tuple((Q(1) if i == j else Q(0))
+              - 2 * sum(s[i] * row[j] for s, row in zip(system.simple_roots, rows)) / den
+              for j in range(n))
+        for i in range(n))
+
+
+# -1 permutes the roots and fixes their complement in every system, but it
+# is in W only when every degree of W is even (Humphreys §3.19): A2 has
+# degree 3 and E6 degrees 5 and 9.
+@pytest.mark.parametrize("name, in_w", [
+    ("A2", False), ("E6", False), ("A1", True), ("B3", True), ("D4", True),
+    ("G2", True), ("E8", True)])
+def test_perm_of_matrix_accepts_minus_one_exactly_in_w(name, in_w):
+    s = build_by_name(name)
+    m = minus_one_on_the_roots(s)
+    assert all(mat_vec(m, r) == vec_neg(r) for r in s.roots)
+    space = perm_space(s)
+    if in_w:
+        p = space.perm_of_matrix(m)
+        assert all(s.roots[p[i]] == vec_neg(r) for i, r in enumerate(s.roots))
+        assert space.matrix_of_perm(p) == m
+        return
+    with pytest.raises(ValueError, match="not in its Weyl group"):
+        space.perm_of_matrix(m)
+    # so conjugacy and conjugation refuse it too, instead of answering
+    state = rewrite.initial_state(s, s.simple_roots[:1])
+    with pytest.raises(ValueError, match="not in its Weyl group"):
+        rewrite.apply_conjugation(state, m)
+    for other in (m, identity(s.dim)):
+        with pytest.raises(ValueError, match="not in its Weyl group"):
+            are_conjugate(s, m, other)
