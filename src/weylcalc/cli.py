@@ -38,7 +38,8 @@ from .exactla import (
 ROOT_GRAMMAR = """\
 root literals:
   A root is written as a signed combination of the unit coordinates
-  e1..e9 with optional positive integer coefficients:
+  e1 up to the system's dimension, with optional positive integer
+  coefficients:
 
       e1-e2        2e2         -e1+2e2-e3
 
@@ -191,7 +192,7 @@ def _parse_transform_name(raw: str) -> tuple[str, int | None]:
         return _TRANSFORM_NAMES[token], None
     if token.startswith("dl:"):
         try:
-            l = int(token[3:])
+            l = rootsys.parse_count(token[3:])
         except ValueError as exc:
             raise _UsageError(f"bad cycle length in {raw!r}") from exc
         return "Dl(b)", l
@@ -604,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("family", help="family letter A..G")
-    p.add_argument("rank", type=int, help="rank of the system")
+    p.add_argument("rank", type=rootsys.parse_count, help="rank of the system")
     p.add_argument("--list", action="store_true", help="print one root per line")
     p.add_argument("--pretty", action="store_true", help="human summary")
     p.set_defaults(func=_cmd_rootsys)
@@ -657,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="W-orbit count of unordered orthogonal root k-sets",
     )
     p.add_argument("--system", required=True, help="root system, e.g. E6")
-    p.add_argument("--k", required=True, type=int, help="2 or 3")
+    p.add_argument("--k", required=True, type=rootsys.parse_count, help="2 or 3")
     p.add_argument("--pretty", action="store_true", help="human summary")
     p.set_defaults(func=_cmd_orbits)
 

@@ -426,36 +426,29 @@ def _poly_all_ones(degree: int) -> Poly:
     return tuple([Q(1)] * (degree + 1))
 
 
-def _chain(i: int, dim: int) -> Vector:
-    return tuple(
-        Q(1) if j == i - 1 else (Q(-1) if j == i else Q(0)) for j in range(dim)
-    )
-
-
 def _bicolored_root_order(system: RootSystem, roots: Sequence[Vector]) -> tuple[Vector, ...]:
     d = from_roots(system, roots)
     return tuple(roots[i] for i in bicolored_word_order(d))
 
 
+# In D_l, ``e_i - e_{i+1}`` is the simple root ``simple_roots[i - 1]``.
 def _d_ak_word(l: int, k: int) -> tuple[Vector, ...]:
     """Standard D_l(a_k) realization: a 4-cycle with tails of k-1 and l-k-3."""
-    p = k - 1
     system = rootsys.build("D", l)
-    roots = [_chain(i, l) for i in range(1, p + 4)]
-    square_extra = tuple(
-        Q(1) if j in (p + 1, p + 2) else Q(0) for j in range(l)
-    )  # e_{p+2} + e_{p+3}
-    roots.append(square_extra)
-    roots += [_chain(i, l) for i in range(p + 4, l)]
+    simple = system.simple_roots
+    square = system.parse_root(f"e{k + 1}+e{k + 2}")
+    roots = [*simple[:k + 2], square, *simple[k + 2:l - 1]]
     return _bicolored_root_order(system, roots)
 
 
 def _d_cycle_word(l: int) -> tuple[Vector, ...]:
     """Pure l-cycle realization in D_l, beta block first."""
+    system = rootsys.build("D", l)
+    simple = system.simple_roots
     m = l // 2
-    alpha = [_chain(1, l)] + [_chain(l - 2 * i + 3, l) for i in range(2, m + 1)]
-    beta = [tuple(Q(1) if j in (0, l - 1) else Q(0) for j in range(l))]  # e1 + e_l
-    beta += [_chain(l - 2 * i + 2, l) for i in range(2, m + 1)]
+    alpha = [simple[0]] + [simple[l - 2 * i + 2] for i in range(2, m + 1)]
+    beta = [system.parse_root(f"e1+e{l}")]
+    beta += [simple[l - 2 * i + 1] for i in range(2, m + 1)]
     return tuple(beta + alpha)
 
 
@@ -551,8 +544,7 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
 
     for n in range(1, 9):
         system = rootsys.build("A", n)
-        roots = [_chain(i, n + 1) for i in range(1, n + 1)]
-        word = _bicolored_root_order(system, roots)
+        word = _bicolored_root_order(system, list(system.simple_roots))
         specs.append((f"A{n}", f"A{n}", word, None, _poly_all_ones(n)))
 
     for n in range(4, 9):

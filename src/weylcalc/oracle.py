@@ -182,10 +182,11 @@ class _SubsetIndex:
     """Pairwise inner-product tables over sign-class reps, as bitmasks.
 
     ``inner`` holds integer inner products of doubled coordinates (four
-    times the Fraction ones).  ``mag_masks`` is keyed by twice the absolute
-    inner product, which for an adjacent pair is the squared length of its
-    longer root in doubled coordinates: ``int_short_norm`` between short
-    roots and ``int_long_norm`` once a long root is involved.
+    times the Fraction ones).  ``adj_mask`` and ``orth_mask`` split the
+    other reps into non-orthogonal and orthogonal ones.  Two adjacent
+    roots of given lengths meet at one angle up to sign (their Cartan
+    numbers are integers of size below 2), so adjacency and the length
+    classes fix the magnitude of their inner product.
     """
 
     def __init__(self, system: RootSystem):
@@ -194,17 +195,14 @@ class _SubsetIndex:
         self.reps = reps
         self.inner = system.int_gram(reps)
         self.orth_mask = [0] * m
-        self.mag_masks: dict[int, list[int]] = {}
+        self.adj_mask = [0] * m
         for i in range(m):
             for j in range(m):
-                if i == j:
-                    continue
-                x = self.inner[i][j]
-                if x == 0:
-                    self.orth_mask[i] |= 1 << j
-                else:
-                    masks = self.mag_masks.setdefault(2 * abs(x), [0] * m)
-                    masks[i] |= 1 << j
+                if i != j:
+                    if self.inner[i][j]:
+                        self.adj_mask[i] |= 1 << j
+                    else:
+                        self.orth_mask[i] |= 1 << j
         self.long_mask = 0
         for i, r in enumerate(reps):
             if system.is_long(r):
@@ -226,8 +224,8 @@ def find_subsets(
 
     Backtracking over sign-class representatives in lexicographic
     order.  A candidate assignment must reproduce the target's
-    adjacency (edge where and only where the target has one, with the
-    inner-product magnitude the edge demands) and keep the running Gram
+    adjacency (edge where and only where the target has one; the length
+    classes then fix each inner product's magnitude) and keep the running Gram
     matrix positive definite — which is exactly linear independence for
     root sets, and is what makes an empty result a certificate of
     non-existence.  Edge styles are compared only at the end, up to
@@ -257,7 +255,6 @@ def find_subsets(
         return []  # more vertices than independent roots can exist
     idx = _subset_index(system)
     reps = idx.reps
-    m = len(reps)
 
     # Visit high-degree vertices early so edge constraints bind sooner.
     visit: list[int] = []
@@ -271,27 +268,14 @@ def find_subsets(
         visit.append(best)
         remaining.discard(best)
 
-    def edge_magnitude(a: int, b: int) -> int:
-        """The ``mag_masks`` key of an edge between vertices a and b."""
-        if target.longs[a] or target.longs[b]:
-            return system.int_long_norm
-        return system.int_short_norm
-
-    empty = [0] * m
-    all_mask = (1 << m) - 1
     base_mask = [
         idx.long_mask if target.longs[v] else idx.short_mask for v in range(k)
     ]
-    # constraint_masks[v] = for each earlier-placed u adjacent/non-adjacent
-    # to v, the mask family its chosen root will index into.
+    # placement[depth] = (v, the mask table each earlier-placed u's root
+    # indexes: adjacency where the target joins u and v, else orthogonality).
     placement: list[tuple[int, list[list[int]]]] = []
     for depth, v in enumerate(visit):
-        fams = []
-        for u in visit[:depth]:
-            if u in adj[v]:
-                fams.append(idx.mag_masks.get(edge_magnitude(u, v), empty))
-            else:
-                fams.append(idx.orth_mask)
+        fams = [idx.adj_mask if u in adj[v] else idx.orth_mask for u in visit[:depth]]
         placement.append((v, fams))
 
     results: list[LabeledDiagram] = []
@@ -320,7 +304,7 @@ def find_subsets(
             results.append(LabeledDiagram(tuple(reps[chosen[s]] for s in slot)))
             return limit is not None and len(results) >= limit
         v, fams = placement[depth]
-        cand = base_mask[v] & ~used & all_mask
+        cand = base_mask[v] & ~used
         for p, fam in zip(chosen, fams):
             cand &= fam[p]
             if not cand:

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence, Tuple
 
-from .exactla import Vector, dot, idot, solve, vec_scale, vec_sub
+from .exactla import Vector, dot, idot, solve
 
 IntVector = Tuple[int, ...]
 
@@ -54,58 +54,26 @@ _ROOT_COUNT = {
 }
 
 
-def _basis_vector(i: int, dim: int) -> Vector:
-    return tuple(Q(1) if j == i else Q(0) for j in range(dim))
-
-
-def _half(v: Vector) -> Vector:
-    return vec_scale(Q(1, 2), v)
-
-
-def _simple_roots(family: str, rank: int) -> tuple[Vector, ...]:
-    e = _basis_vector
+def _simple_literals(family: str, rank: int) -> tuple[int, list[str]]:
+    """``(dim, literals)``: the ambient dimension and the simple roots in
+    the numbering of Bourbaki, *Lie Groups and Lie Algebras*, Ch. VI,
+    Plates I-IX.  The order fixes the class walk's generator order."""
+    chain = [f"e{i}-e{i + 1}" for i in range(1, rank)]
     if family == "A":
-        dim = rank + 1
-        return tuple(vec_sub(e(i, dim), e(i + 1, dim)) for i in range(rank))
+        return rank + 1, chain + [f"e{rank}-e{rank + 1}"]
     if family == "B":
-        dim = rank
-        chain = [vec_sub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        return tuple(chain + [e(rank - 1, dim)])
+        return rank, chain + [f"e{rank}"]
     if family == "C":
-        dim = rank
-        chain = [vec_sub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        return tuple(chain + [vec_scale(2, e(rank - 1, dim))])
+        return rank, chain + [f"2e{rank}"]
     if family == "D":
-        dim = rank
-        chain = [vec_sub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        last = tuple(
-            Q(1) if j in (rank - 2, rank - 1) else Q(0) for j in range(dim)
-        )
-        return tuple(chain + [last])
+        return rank, chain + [f"e{rank - 1}+e{rank}"]
     if family == "E":
-        dim = 8
-        first = tuple(
-            Q(1, 2) if j in (0, 7) else Q(-1, 2) for j in range(8)
-        )
-        second = tuple(Q(1) if j in (0, 1) else Q(0) for j in range(8))
-        chain = [vec_sub(e(i + 1, dim), e(i, dim)) for i in range(6)]
-        return tuple([first, second] + chain)[:rank]
+        return 8, (["e1-e2-e3-e4-e5-e6-e7+e8/2", "e1+e2"]
+                   + [f"e{i}-e{i - 1}" for i in range(2, 8)])[:rank]
     if family == "F":
-        dim = 4
-        return (
-            vec_sub(e(1, dim), e(2, dim)),
-            vec_sub(e(2, dim), e(3, dim)),
-            e(3, dim),
-            _half(
-                tuple(Q(1) if j == 0 else Q(-1) for j in range(4))
-            ),
-        )
+        return 4, ["e2-e3", "e3-e4", "e4", "e1-e2-e3-e4/2"]
     if family == "G":
-        dim = 3
-        return (
-            vec_sub(e(0, dim), e(1, dim)),
-            (Q(-2), Q(1), Q(1)),
-        )
+        return 3, ["e1-e2", "-2e1+e2+e3"]
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -119,16 +87,20 @@ def halved(v: Sequence[int]) -> Vector:
 
 
 def doubled(v: Vector) -> IntVector:
-    """Doubled-integer coordinates of a vector with entries in (1/2)Z."""
+    """Doubled-integer coordinates of a vector with entries in (1/2)Z;
+    ValueError for any other entry, a float or a string too."""
     out = []
-    for c in v:
-        d = c.denominator
-        if d == 1:
-            out.append(2 * c.numerator)
-        elif d == 2:
-            out.append(c.numerator)
-        else:
-            raise ValueError(f"coordinate {c} is not a multiple of 1/2")
+    try:
+        for c in v:
+            d = c.denominator
+            if d == 1:
+                out.append(2 * c.numerator)
+            elif d == 2:
+                out.append(c.numerator)
+            else:
+                raise ValueError(f"coordinate {c} is not a multiple of 1/2")
+    except AttributeError:
+        raise ValueError(f"coordinate {c!r} is not rational") from None
     return tuple(out)
 
 
@@ -162,8 +134,8 @@ class RootSystem:
             raise ValueError(f"rank {rank} out of range for {family} ({lo}..{hi})")
         self.family = family
         self.rank = rank
-        simple = [doubled(s) for s in _simple_roots(family, rank)]
-        self.dim = len(simple[0])
+        self.dim, literals = _simple_literals(family, rank)
+        simple = [doubled(parse_vector(s, self.dim)) for s in literals]
         # Sorting doubled coordinates gives the order of the Fraction ones.
         self.int_roots = tuple(_close_under_reflections(simple))
         expected = _ROOT_COUNT[family](rank)
@@ -328,10 +300,18 @@ def build_by_name(name: str) -> RootSystem:
     if len(name) < 2 or name[0].upper() not in FAMILIES:
         raise ValueError(f"bad root system name {name!r}")
     try:
-        rank = int(name[1:])
+        rank = parse_count(name[1:])
     except ValueError as exc:
         raise ValueError(f"bad root system name {name!r}") from exc
     return build(name[0].upper(), rank)
+
+
+def parse_count(text: str) -> int:
+    """A rank, length or index written in ASCII digits only: ``int`` also
+    takes a sign, spaces, underscores and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a count in ASCII digits")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +349,15 @@ def parse_vector(text: str, dim: int) -> Vector:
 
 def _apply_term_coeff(out: list[Q], token: str, sign: int, dim: int) -> None:
     """Add one term ``[k]e<i>`` (coefficient ``k`` defaults to 1) to ``out``."""
-    # ASCII only: str.isdigit and int also take other scripts' digits.
-    k = 0
-    while k < len(token) and token[k] in "0123456789":
-        k += 1
-    coeff = int(token[:k]) if k else 1
-    unit = token[k:]
-    if not (unit.startswith("e") and unit[1:].isascii() and unit[1:].isdigit()):
-        raise ValueError(f"bad term {token!r} in root literal")
-    idx = int(unit[1:]) - 1
+    coeff, _, unit = token.partition("e")
+    try:
+        k = parse_count(coeff) if coeff else 1
+        idx = parse_count(unit) - 1
+    except ValueError:
+        raise ValueError(f"bad term {token!r} in root literal") from None
     if not 0 <= idx < dim:
-        raise ValueError(f"coordinate {unit} out of range for dimension {dim}")
-    out[idx] += sign * coeff
+        raise ValueError(f"coordinate e{unit} out of range for dimension {dim}")
+    out[idx] += sign * k
 
 
 def format_vector(v: Vector) -> str:

@@ -82,6 +82,25 @@ def test_bad_root_literal_exits_2(capsys, system, literal):
     assert out == "" and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagram", "--system", "D+4", "--roots", "e1-e2"],
+    ["diagram", "--system", "D 4", "--roots", "e1-e2"],
+    ["diagram", "--system", "D\u0664", "--roots", "e1-e2"],
+    ["diagram", "--system", "D1_6", "--roots", "e1-e2"],
+    ["transform", "dl:1_2"],
+    ["transform", "dl:+8"],
+    ["transform", "dl:\u0668"],
+    ["rootsys", "D", "\u0664"],
+    ["rootsys", "D", "1_6"],
+    ["orbits", "--system", "E6", "--k", "\u0663"],
+    ["orbits", "--system", "E6", "--k", "+3"],
+], ids=" ".join)
+def test_counts_outside_ascii_digits_exit_2(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
 def test_diagram_json(capsys):
     code, out, _ = run_capture(capsys, [
         "diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3",

@@ -16,7 +16,7 @@ from weylcalc.oracle import (
     verify_unique_class,
     weyl_group_order,
 )
-from weylcalc.rootsys import FAMILIES, build_by_name
+from weylcalc.rootsys import _RANK_RANGE, FAMILIES, build, build_by_name
 from weylcalc import weyl
 
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
@@ -160,6 +160,23 @@ def full_tuple_orbits(system, k):
             a, b = root_of(i), root_of(where[tuple(sorted(g[x] for x in t))])
             uf[a] = b
     return len({root_of(i) for i in range(len(tuples))})
+
+
+def test_adjacent_roots_meet_at_one_magnitude_per_length_class():
+    """Why ``find_subsets`` constrains an edge by non-orthogonality alone:
+    between non-parallel roots, 2|<a, b>| on doubled coordinates is the
+    long norm once a long root is involved, else the short norm."""
+    for family, (lo, hi) in _RANK_RANGE.items():
+        for rank in range(lo, hi + 1):
+            s = build(family, rank)
+            reps = s.sign_class_reps()
+            longs = [s.is_long(r) for r in reps]
+            for i, row in enumerate(s.int_gram(reps)):
+                for j, x in enumerate(row):
+                    if x and i != j:
+                        norm = (s.int_long_norm if longs[i] or longs[j]
+                                else s.int_short_norm)
+                        assert 2 * abs(x) == norm, (s.name(), i, j)
 
 
 def small_systems():

@@ -1,6 +1,10 @@
-"""SHA-256 pins of the simple-root coefficients, the highest roots, the
-five-cycle conjugators, the matrices of small Weyl groups and the
-highest-root complements.
+"""SHA-256 pins of the simple systems, the simple-root coefficients, the
+highest roots, the five-cycle conjugators, the matrices of small Weyl
+groups and the highest-root complements.
+
+The simple-system digest was recorded from the implementation that
+assembled the simple roots from unit coordinate vectors, before they
+were written as root literals.
 
 The coefficient, conjugator and matrix digests were recorded from the
 implementation that built ambient matrices from an explicit complement
@@ -16,7 +20,7 @@ import hashlib
 import pytest
 
 from weylcalc import oracle, rewrite, weyl
-from weylcalc.rootsys import build
+from weylcalc.rootsys import _RANK_RANGE, build, format_vector
 
 #: Every root system the benchmark builds.
 SYSTEMS = (
@@ -86,6 +90,11 @@ COEFFICIENT_SHA256 = {
     "G2": "8167e44004bde6d35e7d4c9e848773667e7fce22a2aaab382abe8b89e393469a",
 }
 
+#: One line per buildable system, ``<name> <simple roots as literals>``,
+#: the simple roots in their order (which fixes the class walk's
+#: generator order).
+SIMPLE_ROOTS_SHA256 = "c9951b95d6ed89a6f731bf8122b26ee08d271c6c504b72d0e23d792804d902bb"
+
 CONJUGATOR_SHA256 = {
     1: "745d59e66abb325e4a91f1f4a589e0da4ddf5b3dc82c909edf371f33d082967e",
     2: "0b7de16be0aa1767ff3a476fa92ebeadfefcb38ee901055e0fb6312742e4e2d8",
@@ -147,6 +156,14 @@ MAX_ROOT_COMPLEMENT_SHA256 = {
 def test_simple_coefficients_and_max_root_are_pinned(family, rank):
     system = build(family, rank)
     assert digest(coefficient_rows(system)) == COEFFICIENT_SHA256[system.name()]
+
+
+def test_simple_systems_are_pinned():
+    systems = [build(family, rank) for family, (lo, hi) in _RANK_RANGE.items()
+               for rank in range(lo, hi + 1)]
+    assert len(systems) == 65
+    rows = [[s.name()] + [format_vector(r) for r in s.simple_roots] for s in systems]
+    assert digest(rows) == SIMPLE_ROOTS_SHA256
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -236,7 +236,7 @@ def test_replay_rejects_tampering():
     assert trace.steps[6].op == "conj"
     not_a_root = ((Q(1),) + (Q(0),) * 5,)  # e1 is not a root of D6
     for i, args in [(5, (99, "left")), (5, (0, "up")), (5, ()),
-                    (6, (not_a_root,))]:
+                    (6, (not_a_root,)), (6, (("x",),)), (6, ("x",))]:
         step = dataclasses.replace(trace.steps[i], args=args)
         bad_args = dataclasses.replace(
             trace, steps=trace.steps[:i] + (step,) + trace.steps[i + 1:])

@@ -56,6 +56,10 @@ def test_build_by_name():
     assert s.name() == "D4"
     with pytest.raises((ValueError, KeyError)):
         build_by_name("Q7")
+    # the rank is ASCII digits only: int() would take all of these
+    for name in ["D+4", "D 4", "D\u0664", "D1_6", "D-4", "D"]:
+        with pytest.raises(ValueError, match="bad root system name"):
+            build_by_name(name)
 
 
 def test_membership_and_closure():

@@ -122,6 +122,9 @@ NON_ROOTS_OF_A3 = {
     "long multiple": (Q(2), Q(-2), Q(0), Q(0)),
     "off the half lattice": (Q(1, 3), Q(-1, 3), Q(0), Q(0)),
     "wrong dimension": (Q(1), Q(-1), Q(0)),
+    # not rational: ``initial_state`` reads them as Fractions, half a root
+    "float coordinates": (0.5, -0.5, 0.0, 0.0),
+    "text coordinates": ("1/2", "-1/2", "0", "0"),
 }
 ENTRY_POINTS = {
     "from_roots": dg.from_roots,
@@ -142,6 +145,16 @@ def test_non_roots_raise_value_error_at_every_entry_point(entry, bad):
     word = (s.parse_root("e1-e2"), NON_ROOTS_OF_A3[bad])
     with pytest.raises(ValueError, match="is not a root of A3"):
         ENTRY_POINTS[entry](s, word)
+
+
+@pytest.mark.parametrize("v", [*NON_ROOTS_OF_A3.values(), (None,) * 4],
+                         ids=[*NON_ROOTS_OF_A3, "missing coordinates"])
+def test_non_roots_are_not_roots(v):
+    s = build_by_name("A3")
+    assert not s.is_root(v)
+    assert s.root_index(v) is None
+    with pytest.raises(ValueError, match="is not a root of A3"):
+        s.index(v)
 
 
 # A_n, E6, E7 and G2 span a proper subspace of their ambient space, so
