@@ -106,7 +106,8 @@ class RewriteState:
 
 
 def initial_state(system: RootSystem, word: Sequence[Vector]) -> RewriteState:
-    roots = tuple(tuple(Q(c) for c in r) for r in word)
+    """The word as a state; ValueError for a non-root."""
+    roots = tuple(system.roots[system.index(r)] for r in word)
     space = weyl.perm_space(system)
     return RewriteState(system, roots, space.word_perm(roots), space.ident)
 
@@ -209,29 +210,19 @@ def word_charpoly(system: RootSystem, word: Sequence[Vector]) -> Poly:
 
 
 def replay(trace: RewriteTrace) -> bool:
-    """Re-run every recorded operation from the initial state and compare
-    each snapshot exactly; a first step other than a bare ``start`` or a
-    step that cannot be re-run is a False verdict."""
+    """Rebuild the trace with the script builder, from its first word, and
+    compare every snapshot exactly; a first step other than a bare
+    ``start`` or a step that cannot be re-run is a False verdict."""
     start = trace.steps[0]
     if start.op != "start" or start.args != ():
         return False
-    state = start.state
-    space = weyl.perm_space(state.system)
-    for step in trace.steps[1:]:
-        try:
-            if step.op == "conj":
-                state = _conjugate(state, space.word_perm(step.args[0]))
-            elif step.op == "perm":
-                state = apply_s_permutation(state, step.args[0], step.args[1])
-            elif step.op == "flip":
-                state = apply_sign_flip(state, step.args[0])
-            else:
-                return False
-        except (ValueError, IndexError, TypeError, ScriptIntegrityError):
-            return False
-        if state != step.state:
-            return False
-    return True
+    try:
+        sc = _Script(trace.name, start.state.system, start.state.word)
+        for step in trace.steps[1:]:
+            sc.play(step.op, step.args)
+    except (ValueError, IndexError, TypeError, ScriptIntegrityError):
+        return False
+    return [st.state for st in sc.steps] == [st.state for st in trace.steps]
 
 
 # --------------------------------------------------------------------------
@@ -269,14 +260,6 @@ class _Script:
         if self._space.conjugate(state.conjugator_perm, w0) != state.element_perm:
             raise ScriptIntegrityError(self.name, "conjugator invariant broken")
 
-    def _push(self, op: str, args: tuple, detail: str, new_state: RewriteState) -> None:
-        # Permutations and sign flips change neither the element nor the
-        # conjugator (each carries its own local product check), so the
-        # global invariant only needs re-proving after a conjugation.
-        if op == "conj":
-            self._check_conjugator(new_state)
-        self.steps.append(RewriteStep(op, args, self._detail(detail), new_state))
-
     def finish(self, expected: str,
                parts: tuple[Sequence[Vector], Sequence[Vector]] | None = None
                ) -> RewriteTrace:
@@ -292,11 +275,12 @@ class _Script:
         if word_charpoly(self.system, first.word) != word_charpoly(self.system, last.word):
             raise ScriptIntegrityError(self.name, "word characteristic polynomial drifted")
         self._check_conjugator(last)
-        if parts is not None:
-            ok, reason = weyl.verify_bicolored(self.system, last.word, *parts)
-            self.require(ok, f"final word is not bicolored: {reason}")
-            self.require_word((*parts[0], *parts[1]), "final word (alpha block, beta block)")
         final = dg.from_roots(self.system, last.word)
+        if parts is not None:
+            self.require_word((*parts[0], *parts[1]), "final word (alpha block, beta block)")
+            k = len(parts[0])
+            self.require(all((i < k) != (j < k) for i, j, _ in final.edges),
+                         "final word is not bicolored: a block is not orthogonal")
         found = dg.identify(final)
         self.require(found == expected,
                      f"final diagram identifies as {found}, expected {expected}")
@@ -307,30 +291,37 @@ class _Script:
 
     # -- primitive moves ----------------------------------------------------
 
-    def conj(self, u_word: Sequence[Vector], note: str = "") -> None:
-        u_word = tuple(tuple(r) for r in u_word)
-        st = _conjugate(self.state, self._space.word_perm(u_word))
-        label = " ".join("s_" + self.system.format_root(r) for r in u_word)
-        self._push("conj", (u_word,), note or f"conjugate by {label}", st)
-
-    def perm(self, i: int, direction: str, note: str = "") -> None:
-        st = apply_s_permutation(self.state, i, direction)
-        self._push("perm", (i, direction),
-                   note or f"exchange positions {i},{i + 1} ({direction})", st)
-
-    def flip(self, i: int, note: str = "") -> None:
-        st = apply_sign_flip(self.state, i)
-        self._push("flip", (i,), note or f"flip the sign of position {i}", st)
-
     def play(self, op: str, args: tuple, note: str = "") -> None:
+        """Apply the move ``op`` with ``args`` and record it.  Only a
+        conjugation changes the element and the conjugator, so only it
+        re-proves their invariant; the other moves check their own product."""
         if op == "conj":
-            self.conj(args[0], note)
+            u_word = tuple(tuple(r) for r in args[0])
+            args = (u_word,)
+            new = _conjugate(self.state, self._space.word_perm(u_word))
+            self._check_conjugator(new)
+            label = " ".join("s_" + self.system.format_root(r) for r in u_word)
+            default = f"conjugate by {label}"
         elif op == "perm":
-            self.perm(args[0], args[1], note)
+            i, direction = args
+            new = apply_s_permutation(self.state, i, direction)
+            default = f"exchange positions {i},{i + 1} ({direction})"
         elif op == "flip":
-            self.flip(args[0], note)
+            (i,) = args
+            new = apply_sign_flip(self.state, i)
+            default = f"flip the sign of position {i}"
         else:
             raise ValueError(f"unknown op {op!r}")
+        self.steps.append(RewriteStep(op, args, self._detail(note or default), new))
+
+    def conj(self, u_word: Sequence[Vector], note: str = "") -> None:
+        self.play("conj", (u_word,), note)
+
+    def perm(self, i: int, direction: str, note: str = "") -> None:
+        self.play("perm", (i, direction), note)
+
+    def flip(self, i: int, note: str = "") -> None:
+        self.play("flip", (i,), note)
 
     # -- macros -------------------------------------------------------------
 
@@ -403,20 +394,14 @@ class _Script:
                 f"expected {self.system.format_root(tuple(expected))}")
 
 
-def _invert_ops(ops: list[tuple[str, tuple]]) -> list[tuple[str, tuple]]:
-    """Mechanical inverse of a primitive-op list."""
-    out: list[tuple[str, tuple]] = []
-    for op, args in reversed(ops):
-        if op == "conj":
-            out.append(("conj", (tuple(reversed(args[0])),)))
-        elif op == "perm":
-            i, direction = args
-            out.append(("perm", (i, "right" if direction == "left" else "left")))
-        elif op == "flip":
-            out.append(("flip", args))
-        else:
-            raise ValueError(f"cannot invert op {op!r}")
-    return out
+def _inverse(op: str, args: tuple) -> tuple[str, tuple]:
+    """The move that undoes ``op`` with ``args``; a sign flip undoes itself."""
+    if op == "conj":
+        return op, (args[0][::-1],)
+    if op == "perm":
+        i, direction = args
+        return op, (i, "right" if direction == "left" else "left")
+    return op, args
 
 
 # --------------------------------------------------------------------------
@@ -531,12 +516,10 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
 
     fwd = _forward_case(name, system)
     fwd.require_word(b_entry.word, "forward script must land on the catalog word")
-    ops = [(st.op, st.args) for st in fwd.steps[1:]]
-
     sc = _Script(f"{name} → {case.a_name}", system, b_entry.word,
                  note=f"catalog word of {name}")
-    for op, args in _invert_ops(ops):
-        sc.play(op, args)
+    for step in reversed(fwd.steps[1:]):
+        sc.play(*_inverse(step.op, step.args))
     sc.require_word(a_entry.word, f"final word must be the catalog word of {case.a_name}")
     return sc.finish(case.a_name)
 

@@ -136,33 +136,6 @@ def int_word_matrix(system: RootSystem, word: Sequence[Vector]) -> list[list[int
     return _word_product(gram, range(len(gram)))
 
 
-def verify_bicolored(
-    system: RootSystem,
-    word: Sequence[Vector],
-    alpha_set: Sequence[Vector],
-    beta_set: Sequence[Vector],
-) -> tuple[bool, str | None]:
-    """Check that ``word`` equals the bicolored product.
-
-    The product is read alpha block first:
-    ``s_{a_1} ... s_{a_k} s_{b_1} ... s_{b_h}``.  Reason codes on failure:
-    ``non-orthogonal-alpha``, ``non-orthogonal-beta``, ``dependent``,
-    ``product-mismatch``.
-    """
-    gram = system.int_gram((*alpha_set, *beta_set))
-    k = len(alpha_set)
-    for reason, block in (("non-orthogonal-alpha", range(k)),
-                          ("non-orthogonal-beta", range(k, len(gram)))):
-        if any(gram[i][j] for i in block for j in block if j < i):
-            return False, reason
-    if not gram_positive_definite(gram):  # for a Gram matrix: independence
-        return False, "dependent"
-    space = perm_space(system)
-    if space.word_perm(word) != space.word_perm(tuple(alpha_set) + tuple(beta_set)):
-        return False, "product-mismatch"
-    return True, None
-
-
 def order_or_infinite(m: Matrix, power_cap: int = 10_000) -> int | str:
     """Multiplicative order of a matrix, or the string ``"infinite"``.
 

@@ -166,6 +166,21 @@ TRANSFORM_SHA256 = {
     "dl:8": "01e7784e602aa94531ef2d5aed3b870acb27753e1b3437c2edcc6d0bf64d6f3f",
     "dl:10": "c9de09b96c619f76e779651fa20e31edef03403c9057fd0b6a5a9663e07c48cb",
     "dl:12": "8b37463cd4cd484c9ac18529495f4053218790948e812ed647f619a89c3d74fd",
+    "dl:14": "358ea89437416082306b421409404c5376ba5eb80d7f39365da7d2269c6fbc2b",
+    "dl:16": "34e0689b2a70d679e7a33db57865f627ffdf1979490046c7f5f32cd42e210fda",
+}
+# Likewise for `weylcalc transform NAME --pretty`, which lists every step's note.
+TRANSFORM_PRETTY_SHA256 = {
+    "d6b2": "78113d7f2beba2402abf4cb2bb9132d0ca374c0c7c554ff8223201cad409cce6",
+    "e7b2": "5ffc8dcf95ee1af813d37f0230db8ea75afb168a535adf81b6d86bdc40fcef51",
+    "e8b3": "9f8cc0cf5ad8a13e95b9e9ef7d31761863c30c9bc7a29b459a107230d9828a4c",
+    "e8b5": "0b392aaccc7ac217d95796b4f7606e0c35d7a3d59d8800222ff56e17d191fbbd",
+    "dl:6": "8982986cd7d3305997a87837647048eaa3ab704b08d105f6c9255ad20f22d993",
+    "dl:8": "b2d934b9f109ad7dabaf050e2c3aef4c6c03aaa9303ef82bb50cd4f7c537bb36",
+    "dl:10": "770f9667f91ea5de07b2739c2d446f20e5545fb0a5f3be12cebc52da2e2ae5a7",
+    "dl:12": "08aa1846556f5f631f6f2ce80ea58edec0ae03e8efbdefe2f21eba5d92d737c4",
+    "dl:14": "e4fce00bc8db68a52406f2f0fe08d9050d8b0fd79c3ecf52aaaf3247139558a6",
+    "dl:16": "54c9ffe33b4e195e85e64a7718af19e0645329f2b9665a28695e08fbf3009e38",
 }
 
 
@@ -174,6 +189,13 @@ def test_transform_stdout_is_pinned(capsys, name):
     code, out, _ = run_capture(capsys, ["transform", name])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TRANSFORM_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_PRETTY_SHA256))
+def test_transform_pretty_stdout_is_pinned(capsys, name):
+    code, out, _ = run_capture(capsys, ["transform", name, "--pretty"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSFORM_PRETTY_SHA256[name]
 
 
 # SHA-256 pins of data-verb stdout, recorded from the Fraction-coordinate

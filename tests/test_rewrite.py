@@ -139,9 +139,11 @@ def test_finish_certifies_the_end_of_a_script():
     assert trace.steps == tuple(sc.steps) and replay(trace)
     with pytest.raises(ScriptIntegrityError, match="identifies as D4, expected D4\\(a1\\)"):
         sc.finish("D4(a1)")
-    with pytest.raises(ScriptIntegrityError, match="not bicolored: non-orthogonal-alpha"):
-        sc.finish("D4", (word[2:], word[:2]))
-    with pytest.raises(ScriptIntegrityError, match="not bicolored: product-mismatch"):
+    for parts in ((word[:2], word[2:]), (word, ())):  # a leaf with the centre
+        with pytest.raises(ScriptIntegrityError,
+                           match="not bicolored: a block is not orthogonal"):
+            sc.finish("D4", parts)
+    with pytest.raises(ScriptIntegrityError, match="final word \\(alpha block, beta block\\)"):
         sc.finish("D4", (word[:3], ()))
     with pytest.raises(ScriptIntegrityError, match="final word \\(alpha block, beta block\\)"):
         sc.finish("D4", (word[1::-1] + word[2:3], word[3:]))  # the right product, reordered
@@ -200,8 +202,24 @@ def test_trace_json_shape():
     assert all(row["op"] in ("start", "conj", "perm", "flip") for row in obj[1:])
 
 
+def rebuilt_from(trace, start):
+    """The trace's moves re-run from the state ``start`` by the public
+    primitives, so every later state is consistent with ``start``."""
+    steps = [dataclasses.replace(trace.steps[0], state=start)]
+    for step in trace.steps[1:]:
+        state = steps[-1].state
+        if step.op == "conj":
+            state = apply_conjugation(state, weyl.evaluate(state.system, step.args[0]))
+        elif step.op == "perm":
+            state = apply_s_permutation(state, *step.args)
+        else:
+            state = apply_sign_flip(state, *step.args)
+        steps.append(dataclasses.replace(step, state=state))
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
 def test_replay_rejects_tampering():
-    trace = transform_long_cycle("Dl(b)", l=6)
+    trace = transform_long_cycle("Dl(b)", l=6)  # starts at the D6(b2) catalog word
     # swap two roots inside a recorded state: the snapshot no longer matches
     bad_step = trace.steps[5]
     word = bad_step.state.word
@@ -241,6 +259,16 @@ def test_replay_rejects_tampering():
         bad_args = dataclasses.replace(
             trace, steps=trace.steps[:i] + (step,) + trace.steps[i + 1:])
         assert not replay(bad_args), args
+    # a first state whose element or conjugator does not come from its word,
+    # even when every later state follows from it by the recorded moves
+    start = trace.initial_state
+    assert rebuilt_from(trace, start) == trace and replay(trace)
+    space = weyl.perm_space(start.system)
+    reflection = space.reflection_perm(start.system.simple_roots[0])
+    for field, perm in (("element_perm", space.ident), ("conjugator_perm", reflection)):
+        assert getattr(start, field) != perm
+        wrong = rebuilt_from(trace, dataclasses.replace(start, **{field: perm}))
+        assert not replay(wrong), field
 
 
 def test_eliminate_4cycle():
@@ -362,3 +390,30 @@ def test_random_moves_keep_word_charpoly(name, data):
         assert word_charpoly(system, state.word) == poly
         assert space.conjugate(state.conjugator_perm, start.element_perm) == state.element_perm
         assert space.word_perm(state.word) == state.element_perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_WORDS), st.data())
+def test_inverse_undoes_every_move(name, data):
+    """Playing a move and then its ``_inverse`` restores the exact previous
+    state, conjugator included; the script's moves replay."""
+    entry = dg.catalog(name)
+    system = build_by_name(entry.system)
+    sc = rewrite._Script(name, system, entry.word)
+    k = len(sc.word)
+    moves = ("perm", "flip", "conj") if k > 1 else ("flip", "conj")
+    for op in data.draw(st.lists(st.sampled_from(moves), min_size=1, max_size=6)):
+        if op == "perm":
+            args = (data.draw(st.integers(0, k - 2)),
+                    data.draw(st.sampled_from(("left", "right"))))
+        elif op == "flip":
+            args = (data.draw(st.integers(0, k - 1)),)
+        else:
+            roots = st.lists(st.sampled_from(system.roots), min_size=1, max_size=3)
+            args = (tuple(data.draw(roots)),)
+        before = sc.state
+        sc.play(op, args)
+        sc.play(*rewrite._inverse(op, args))
+        assert sc.state == before, (op, args)
+        sc.play(op, args)
+    assert replay(rewrite.RewriteTrace(sc.name, tuple(sc.steps)))

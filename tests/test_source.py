@@ -47,3 +47,30 @@ def test_no_cross_module_private_access():
             and node.value.id in modules and _is_private(node.attr)
         ]
     assert found == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Module-level imports whose bound name is never read as a name in
+    the module and is not listed in ``__all__``."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"{node.lineno} imports {a.asname or a.name}" for a in node.names
+                      if (a.asname or a.name.split(".")[0]) not in used]
+    return found
+
+
+def test_no_unused_imports():
+    assert _unused_imports("import os\nfrom . import weyl as w\n__all__ = ['w']\n") == [
+        "1 imports os"]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _unused_imports(path.read_text())]
+    assert found == []

@@ -14,7 +14,6 @@ from weylcalc.weyl import (
     order_or_infinite,
     perm_space,
     reflection,
-    verify_bicolored,
     word_matrix,
     word_matrix_from_gram,
 )
@@ -68,28 +67,6 @@ def test_word_matrix_from_gram_small():
     assert mat_mul(mat_mul(c, c), c) == identity(2)
 
 
-def test_verify_bicolored():
-    s = build_by_name("D4")
-    a1 = s.parse_root("e1-e2")
-    a2 = s.parse_root("e3-e4")
-    b1 = s.parse_root("e2-e3")
-    b2 = s.parse_root("e2+e3")
-    word = (a1, a2, b1, b2)
-    ok, reason = verify_bicolored(s, word, (a1, a2), (b1, b2))
-    assert ok and reason is None
-    bad, why = verify_bicolored(s, word, (a1, b1), (a2, b2))
-    assert not bad and why == "non-orthogonal-alpha"
-    flipped, why = verify_bicolored(s, (a2, a1, b1, b2), (a1, a2), (b2, b1))
-    assert flipped and why is None  # orthogonal letters commute inside a block
-    bad, why = verify_bicolored(s, word, (a1, a2), (b1, a1))
-    assert not bad and why == "non-orthogonal-beta"
-    e12 = s.parse_root("e1+e2")
-    bad, why = verify_bicolored(s, (a1, e12, a1), (a1, e12), (a1,))
-    assert not bad and why == "dependent"  # orthogonal blocks, a repeated root
-    bad, why = verify_bicolored(s, (a1, a2, b1), (a1, a2), (b1, b2))
-    assert not bad and why == "product-mismatch"
-
-
 def test_order_or_infinite_finite():
     s = build_by_name("A2")
     a, b = s.simple_roots
@@ -122,9 +99,12 @@ NON_ROOTS_OF_A3 = {
     "long multiple": (Q(2), Q(-2), Q(0), Q(0)),
     "off the half lattice": (Q(1, 3), Q(-1, 3), Q(0), Q(0)),
     "wrong dimension": (Q(1), Q(-1), Q(0)),
-    # not rational: ``initial_state`` reads them as Fractions, half a root
+    # not rational: read by ``Fraction``, the first two would be half of e1-e2
+    # and the last two e1-e2 itself
     "float coordinates": (0.5, -0.5, 0.0, 0.0),
     "text coordinates": ("1/2", "-1/2", "0", "0"),
+    "float e1-e2": (1.0, -1.0, 0.0, 0.0),
+    "text e1-e2": ("1", "-1", "0", "0"),
 }
 ENTRY_POINTS = {
     "from_roots": dg.from_roots,
