@@ -32,7 +32,6 @@ from .exactla import (
     Vector,
     mat_mul,
     poly_str,
-    transpose,
 )
 
 ROOT_GRAMMAR = """\
@@ -51,14 +50,10 @@ root literals:
   Spaces are ignored.  Lists of roots are comma-separated.
 """
 
+#: ``transform`` names of the Table 1 scripts: d6b2 runs D6(b2).
 _TRANSFORM_NAMES = {
-    "d6b2": "D6(b2)",
-    "e7b2": "E7(b2)",
-    "e8b3": "E8(b3)",
-    "e8b5": "E8(b5)",
+    b.lower().replace("(", "").replace(")", ""): b for b in rewrite.TABLE1
 }
-
-SUITE_NAMES = ("table1", "titsform", "fivecycle", "uniqueness", "orbits", "parity")
 
 
 class _UsageError(Exception):
@@ -354,8 +349,7 @@ def _expect(cond: bool, message: str) -> None:
 
 def _suite_table1() -> list[tuple[str, str, str]]:
     rows: list[tuple[str, str, int | None]] = [
-        ("D6(b2)", "D6(a2)", None), ("E7(b2)", "E7(a2)", None),
-        ("E8(b3)", "E8(a3)", None), ("E8(b5)", "E8(a5)", None),
+        (b, a, None) for b, a in rewrite.TABLE1.items()
     ]
     rows += [(f"Dl(b) l={l}", f"D{l}(a{l // 2 - 1})", l) for l in (6, 8, 10, 12)]
     items = []
@@ -411,9 +405,8 @@ def _suite_fivecycle() -> list[tuple[str, str, str]]:
             )
             u = result.conjugator
             w = weyl.evaluate(system, orientations[r])
-            moved = mat_mul(mat_mul(u, w), transpose(u))
             _expect(
-                moved == weyl.evaluate(system, result.word),
+                mat_mul(u, w) == mat_mul(weyl.evaluate(system, result.word), u),
                 "the returned conjugator does not carry the orientation "
                 "to the canonical word",
             )
@@ -638,11 +631,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "transform",
         help="run a long-cycle elimination script",
         description=(
-            "Names: d6b2, e7b2, e8b3, e8b5, or dl:<l> for the generic even "
-            "cycle of length l (6 <= l <= 16)."
+            f"Names: {', '.join(_TRANSFORM_NAMES)}, or dl:<l> for the generic "
+            f"even cycle of length l (6 <= l <= {dg.DL_MAX})."
         ),
     )
-    p.add_argument("name", help="d6b2 | e7b2 | e8b3 | e8b5 | dl:<l>")
+    p.add_argument("name", help=" | ".join((*_TRANSFORM_NAMES, "dl:<l>")))
     p.add_argument("--pretty", action="store_true", help="step-by-step listing")
     p.set_defaults(func=_cmd_transform)
 
@@ -650,7 +643,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run a verification suite, one PASS/FAIL line per item",
     )
-    p.add_argument("suite", choices=SUITE_NAMES)
+    p.add_argument("suite", choices=tuple(_SUITES))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

@@ -28,7 +28,6 @@ from .exactla import (
     Vector,
     dot,
     mat_mul,
-    transpose,
 )
 from .rootsys import RootSystem
 
@@ -105,7 +104,7 @@ def are_conjugate(
     if u is None:
         return ConjugacyResult(status)
     witness = space.matrix_of_perm(u)
-    if mat_mul(mat_mul(witness, w1), transpose(witness)) != w2:
+    if mat_mul(witness, w1) != mat_mul(w2, witness):
         raise AssertionError("conjugacy witness failed exact verification")
     return ConjugacyResult(status, witness)
 
@@ -134,7 +133,7 @@ def conjugating_perm(
         node, gi = parent[node]
         chain.append(space.reflection_perm(space.system.simple_roots[gi]))
     u = space.compose(*chain)
-    if space.conjugate(u, p) != q:
+    if not space.conjugates(u, p, q):
         raise AssertionError("conjugating permutation failed verification")
     return "conjugate", u
 

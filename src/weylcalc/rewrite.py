@@ -45,7 +45,6 @@ from .exactla import (
     dot,
     poly_str,
     vec_add,
-    vec_neg,
     vec_sub,
 )
 from .rootsys import RootSystem
@@ -68,6 +67,7 @@ __all__ = [
     "verify_commutation",
     "FiveCycleResult",
     "five_cycle_classify",
+    "TABLE1",
     "LONG_CYCLE_NAMES",
 ]
 
@@ -122,12 +122,13 @@ def _conjugate(s: RewriteState, u: Perm) -> RewriteState:
     space = weyl.perm_space(s.system)
     word = tuple(space.image(u, r) for r in s.word)
     # Exactness per letter: u s_r u^{-1} == s_{u(r)}.  Together these prove
-    # that the new element equals the evaluation of the new word.
-    for old, new in zip(s.word, word):
-        if space.conjugate(u, space.reflection_perm(old)) != space.reflection_perm(new):
+    # that the product of the new letters is u w u^{-1}.
+    reflections = [space.reflection_perm(r) for r in word]
+    for old, new in zip(s.word, reflections):
+        if not space.conjugates(u, space.reflection_perm(old), new):
             raise ScriptIntegrityError("conjugation", "reflection transport identity failed")
-    element = space.conjugate(u, s.element_perm)
-    return RewriteState(s.system, word, element, space.compose(u, s.conjugator_perm))
+    return RewriteState(s.system, word, space.compose(*reflections),
+                        space.compose(u, s.conjugator_perm))
 
 
 def apply_s_permutation(s: RewriteState, i: int, direction: str) -> RewriteState:
@@ -157,9 +158,10 @@ def apply_sign_flip(s: RewriteState, i: int) -> RewriteState:
     """Negate the root at position i; its reflection is unchanged."""
     if not 0 <= i < len(s.word):
         raise ValueError(f"position {i} out of range for a word of length {len(s.word)}")
-    neg = vec_neg(s.word[i])
     space = weyl.perm_space(s.system)
-    if space.reflection_perm(neg) != space.reflection_perm(s.word[i]):
+    reflection = space.reflection_perm(s.word[i])
+    neg = space.image(reflection, s.word[i])  # s_r(r) = -r, as the system's tuple
+    if space.reflection_perm(neg) != reflection:
         raise ScriptIntegrityError("sign flip", "reflection changed under negation")
     word = s.word[:i] + (neg,) + s.word[i + 1:]
     return RewriteState(s.system, word, s.element_perm, s.conjugator_perm)
@@ -213,6 +215,8 @@ def replay(trace: RewriteTrace) -> bool:
     """Rebuild the trace with the script builder, from its first word, and
     compare every snapshot exactly; a first step other than a bare
     ``start`` or a step that cannot be re-run is a False verdict."""
+    if not trace.steps:
+        return False
     start = trace.steps[0]
     if start.op != "start" or start.args != ():
         return False
@@ -257,7 +261,7 @@ class _Script:
 
     def _check_conjugator(self, state: RewriteState) -> None:
         w0 = self.steps[0].state.element_perm
-        if self._space.conjugate(state.conjugator_perm, w0) != state.element_perm:
+        if not self._space.conjugates(state.conjugator_perm, w0, state.element_perm):
             raise ScriptIntegrityError(self.name, "conjugator invariant broken")
 
     def finish(self, expected: str,
@@ -421,6 +425,11 @@ def _system_of(entry: dg.CatalogEntry) -> RootSystem:
 # delivered inverted (b -> a).
 # --------------------------------------------------------------------------
 
+#: The paper's Table 1: each long-cycle b-diagram and its 4-cycle partner.
+TABLE1 = {"D6(b2)": "D6(a2)", "E7(b2)": "E7(a2)", "E8(b3)": "E8(a3)", "E8(b5)": "E8(a5)"}
+LONG_CYCLE_NAMES = (*TABLE1, "Dl(b)")
+
+
 @dataclass(frozen=True)
 class _Case:
     """A named case script, written a -> b in three stages.
@@ -431,7 +440,6 @@ class _Case:
     string names a rotation macro of :class:`_Script`.
     """
 
-    a_name: str
     absorb: int
     stage1: tuple[int, ...]
     stage2: tuple[int, ...]
@@ -446,17 +454,17 @@ _LAST_TO_FRONT = "rotate_last_to_front"
 
 _CASES = {
     "E8(b3)": _Case(
-        "E8(a3)", 3, (2, 1, 5, 4), (1, 0, 2, 1),
+        3, (2, 1, 5, 4), (1, 0, 2, 1),
         (0, _FIRST_TO_LAST, 6, 5, 4, 0, _FIRST_TO_LAST, 6, 0, 1, 2, _LAST_TO_FRONT),
         (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)), ("alpha1", Q(0)),
          ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)), ("alpha4", Q(-1, 2)))),
     "E7(b2)": _Case(
-        "E7(a2)", 2, (1, 0, 4, 3), (1, 0),
+        2, (1, 0, 4, 3), (1, 0),
         (_FIRST_TO_LAST, 5, 4, 3, _FIRST_TO_LAST, 5, _LAST_TO_FRONT),
         (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)),
          ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)), ("alpha4", Q(-1, 2)))),
     "D6(b2)": _Case(
-        "D6(a2)", 1, (3, 2), (),
+        1, (3, 2), (),
         (_FIRST_TO_LAST, 4, _LAST_TO_FRONT),
         (("alpha3", Q(0)), ("alpha2", Q(0)), ("beta1", Q(0)),
          ("beta4", Q(1, 2)), ("beta2", Q(-1, 2)))),
@@ -466,9 +474,9 @@ _CASES = {
 def _forward_case(name: str, system: RootSystem) -> _Script:
     """The catalog word of the case's a-diagram -> the b-diagram word."""
     case = _CASES[name]
-    a = dg.catalog(case.a_name)
+    a = dg.catalog(TABLE1[name])
     lab = _entry_labels(a)
-    sc = _Script(f"{case.a_name} → {name}", system, a.word)
+    sc = _Script(f"{a.name} → {name}", system, a.word)
     p = case.absorb
 
     sc.set_stage("stage 1")
@@ -499,13 +507,10 @@ def _forward_case(name: str, system: RootSystem) -> _Script:
     return sc
 
 
-LONG_CYCLE_NAMES = ("D6(b2)", "E7(b2)", "E8(b3)", "E8(b5)", "Dl(b)")
-
-
 def _inverted_case_trace(name: str) -> RewriteTrace:
     case = _CASES[name]
     b_entry = dg.catalog(name)
-    a_entry = dg.catalog(case.a_name)
+    a_entry = dg.catalog(TABLE1[name])
     system = _system_of(b_entry)
     lab = _entry_labels(b_entry)
     for other, expected in case.sigma_relations:
@@ -516,12 +521,12 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
 
     fwd = _forward_case(name, system)
     fwd.require_word(b_entry.word, "forward script must land on the catalog word")
-    sc = _Script(f"{name} → {case.a_name}", system, b_entry.word,
+    sc = _Script(f"{name} → {a_entry.name}", system, b_entry.word,
                  note=f"catalog word of {name}")
     for step in reversed(fwd.steps[1:]):
         sc.play(*_inverse(step.op, step.args))
-    sc.require_word(a_entry.word, f"final word must be the catalog word of {case.a_name}")
-    return sc.finish(case.a_name)
+    sc.require_word(a_entry.word, f"final word must be the catalog word of {a_entry.name}")
+    return sc.finish(a_entry.name)
 
 
 # --------------------------------------------------------------------------
@@ -530,14 +535,14 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
 
 def _e8b5_trace() -> RewriteTrace:
     b = dg.catalog("E8(b5)")
-    a = dg.catalog("E8(a5)")
+    a = dg.catalog(TABLE1[b.name])
     system = _system_of(b)
     lab = _entry_labels(b)
     b1, b2, b4 = lab["beta1"], lab["beta2"], lab["beta4"]
     g = lab["gamma"]
     a1, a2, a3, a4 = lab["alpha1"], lab["alpha2"], lab["alpha3"], lab["alpha4"]
 
-    sc = _Script("E8(b5) → E8(a5)", system, b.word, note="catalog word of E8(b5)")
+    sc = _Script(f"{b.name} → {a.name}", system, b.word, note=f"catalog word of {b.name}")
 
     def block(root: Vector, rows, stage: str) -> None:
         for other, label, expected in rows:
@@ -639,12 +644,12 @@ def _e8b5_trace() -> RewriteTrace:
     u = vec_add(vec_sub(a3, b3), b1)
     sc.require_root_at(3, u, "u = a3 - b3 + b1")
     sc.swap(3)
-    sc.require_word(a.word, "final word must be the catalog word of E8(a5)")
+    sc.require_word(a.word, f"final word must be the catalog word of {a.name}")
     block(u, ((a2, "u,a2", Q(0)), (y, "u,y", Q(0)), (v, "u,v", Q(0)),
               (b3, "u,b3", Q(-1, 2)), (b1, "u,b1", Q(1, 2)),
               (b4, "u,b4", Q(-1, 2)), (x, "u,x", Q(0))), "stage 6")
     sc.set_stage("")
-    return sc.finish("E8(a5)", ((b4, b3, b1, v), (u, x, y, a2)))
+    return sc.finish(a.name, ((b4, b3, b1, v), (u, x, y, a2)))
 
 
 # --------------------------------------------------------------------------
@@ -787,15 +792,13 @@ def verify_commutation(system: RootSystem, case: str) -> bool:
     # passing the alpha block: s_{chain(beta,L,R)} A == A s_{chain(alpha,L,R+1)}
     for R in range(1, (k if case == "4k" else k - 1) + 1):
         L = beta_sum - R
-        lhs = space.compose(refl(chain("beta", L, R)), prod_a)
-        rhs = space.compose(prod_a, refl(chain("alpha", L, R + 1)))
-        ok = ok and lhs == rhs
+        ok = ok and space.conjugates(prod_a, refl(chain("alpha", L, R + 1)),
+                                     refl(chain("beta", L, R)))
     # passing the beta block: s_{chain(alpha,L,R)} B == B s_{chain(beta,L-1,R)}
     for R in range(2, k + 1):
         L = beta_sum + 1 - R
-        lhs = space.compose(refl(chain("alpha", L, R)), prod_b)
-        rhs = space.compose(prod_b, refl(chain("beta", L - 1, R)))
-        ok = ok and lhs == rhs
+        ok = ok and space.conjugates(prod_b, refl(chain("beta", L - 1, R)),
+                                     refl(chain("alpha", L, R)))
     return ok
 
 
@@ -1009,6 +1012,6 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
         raise ScriptIntegrityError(
             "5-cycle classification",
             f"orientation {r_lambda} is not conjugate to the paired scripted word")
-    if space.conjugate(u, start) != space.word_perm(word):
+    if not space.conjugates(u, start, space.word_perm(word)):
         raise ScriptIntegrityError("5-cycle classification", "witness check failed")
     return FiveCycleResult(name, word, space.matrix_of_perm(u))

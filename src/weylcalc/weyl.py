@@ -140,8 +140,10 @@ def order_or_infinite(m: Matrix, power_cap: int = 10_000) -> int | str:
     """Multiplicative order of a matrix, or the string ``"infinite"``.
 
     Finite order forces the characteristic polynomial to be a product of
-    cyclotomic polynomials; when it is, the lcm of their indices bounds
-    the order, and one exact power computation settles semisimplicity.
+    cyclotomic polynomials Φ_d.  Each Φ_d makes ``m`` have an eigenvalue
+    that is a primitive d-th root of unity, so a finite order is a multiple
+    of every d, hence of their lcm L: when ``m^L = I`` the order is L, and
+    otherwise ``m`` has a nontrivial Jordan block.
     """
     n = len(m)
     if m == identity(n):
@@ -154,25 +156,7 @@ def order_or_infinite(m: Matrix, power_cap: int = 10_000) -> int | str:
         raise ValueError(f"order bound {bound} exceeds cap {power_cap}")
     if mat_pow(m, bound) != identity(n):
         return "infinite"  # cyclotomic spectrum but a nontrivial Jordan block
-    order = bound
-    for p in _prime_factors(bound):
-        while order % p == 0 and mat_pow(m, order // p) == identity(n):
-            order //= p
-    return order
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +205,9 @@ class PermSpace:
             out = self.mul(self.table(out), p)
         return out
 
-    def inverse(self, p: Perm) -> Perm:
-        images = [0] * self.n
-        for i, j in enumerate(p):
-            images[j] = i
-        return self._wrap(images)
-
-    def conjugate(self, u: Perm, p: Perm) -> Perm:
-        """Permutation of u p u^-1."""
-        return self.compose(u, p, self.inverse(u))
+    def conjugates(self, u: Perm, p: Perm, q: Perm) -> bool:
+        """u p u^-1 == q, checked as u·p == q·u."""
+        return self.mul(self.table(u), p) == self.mul(self.table(q), u)
 
     def image(self, p: Perm, root: Vector) -> Vector:
         """The root ``p`` sends ``root`` to; ValueError for a non-root."""

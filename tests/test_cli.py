@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import weylcalc
-from weylcalc import cli, rootsys
+from weylcalc import cli, rewrite, rootsys
 from weylcalc import diagram as dg
 
 
@@ -431,15 +431,19 @@ def test_verify_titsform_suite(capsys):
     assert lines[-1] == "titsform: 18 passed, 0 failed, 0 skipped"
 
 
-# SHA-256 of the stdout of `weylcalc verify SUITE`, recorded before the
-# graph walks of diagram, oracle and rewrite moved into the diagram layer.
-VERIFY_SHA256 = {
-    "orbits": "0e9763290731dd283aa13552b1cfdc1e323a7724ae39c5a32c1b51f31539cca5",
-    "titsform": "477151b4614b3e31d756b53d6b6788ec6987581f22f7f39a7484c660233decee",
-}
+# SHA-256 of the stdout of `weylcalc verify SUITE`, by suite, from the pin
+# file that CI checks with `sha256sum -c`.
+_PIN_FILE = Path(__file__).parent / "verify_stdout.sha256"
+VERIFY_SHA256 = {Path(path).stem: digest
+                 for digest, path in map(str.split, _PIN_FILE.read_text().splitlines())}
 
 
-@pytest.mark.parametrize("suite", sorted(VERIFY_SHA256))
+def test_verify_pin_file_covers_every_suite():
+    assert sorted(VERIFY_SHA256) == sorted(cli._SUITES)
+
+
+# uniqueness (about 6 s) is left to CI's digest step; criterion 10 checks its rows.
+@pytest.mark.parametrize("suite", sorted(VERIFY_SHA256.keys() - {"uniqueness"}))
 def test_verify_stdout_is_pinned(capsys, suite):
     code, out, _ = run_capture(capsys, ["verify", suite])
     assert code == 0
@@ -458,6 +462,21 @@ def test_verify_items_catch_failures():
     assert "ZeroDivisionError" in detail
     label, status, detail = cli._item("probe", lambda: "fine")
     assert (label, status, detail) == ("probe", "PASS", "fine")
+
+
+@pytest.mark.parametrize("exc, prefix", [
+    (rewrite.ScriptIntegrityError("probe", "broken"), "integrity failure: probe: broken"),
+    (RuntimeError("boom"), "failure: RuntimeError: boom"),
+])
+def test_unexpected_failures_exit_1(capsys, monkeypatch, exc, prefix):
+    """A failed integrity check or any other error in a verb is exit 1,
+    reported on stderr only."""
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(rewrite, "transform_long_cycle", fail)
+    code, out, err = run_capture(capsys, ["transform", "d6b2"])
+    assert (code, out) == (1, "")
+    assert err.startswith(prefix)
 
 
 def test_help_exits_zero(capsys):

@@ -243,6 +243,7 @@ def test_replay_rejects_tampering():
         steps=(dataclasses.replace(trace.steps[0], args=(0,)),) + trace.steps[1:],
     )
     assert not replay(with_args)
+    assert not replay(dataclasses.replace(trace, steps=()))
     broken_op = dataclasses.replace(
         trace,
         steps=trace.steps[:5]
@@ -388,7 +389,7 @@ def test_random_moves_keep_word_charpoly(name, data):
             root = data.draw(st.sampled_from(system.roots))
             state = apply_conjugation(state, weyl.reflection(system, root))
         assert word_charpoly(system, state.word) == poly
-        assert space.conjugate(state.conjugator_perm, start.element_perm) == state.element_perm
+        assert space.conjugates(state.conjugator_perm, start.element_perm, state.element_perm)
         assert space.word_perm(state.word) == state.element_perm
 
 

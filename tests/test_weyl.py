@@ -79,6 +79,25 @@ def test_order_or_infinite_finite():
     assert order_or_infinite(mat([[-1]])) == 2
 
 
+def test_order_or_infinite_is_the_least_power_on_the_catalog():
+    """The lcm of the cyclotomic indices is the order itself: on every
+    catalog element up to rank 8 it is the least k with w^k = I, found by
+    repeated products."""
+    names = [n for n in dg.catalog_names()
+             if build_by_name(dg.catalog(n).system).rank <= 8]
+    assert len(names) == 35
+    orders = {}
+    for name in names:
+        entry = dg.catalog(name)
+        w = evaluate(build_by_name(entry.system), entry.word)
+        power, k = w, 1
+        while power != identity(len(w)):
+            power, k = mat_mul(power, w), k + 1
+        assert order_or_infinite(w) == k, name
+        orders[name] = k
+    assert max(orders.values()) == orders["E8"] == 30
+
+
 def test_order_or_infinite_infinite():
     shear = mat([[1, 1], [0, 1]])
     assert order_or_infinite(shear) == "infinite"
@@ -153,6 +172,24 @@ def test_perm_encoding_matches_matrices(name, data):
     m = space.matrix_of_perm(p)
     assert m == evaluate(s, word)
     assert space.perm_of_matrix(m) == p
+
+
+# D12 has 264 roots, past the packed ``bytes`` encoding.
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "E6", "D12"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_conjugates_holds_exactly_for_u_p_u_inverse(name, data):
+    """``conjugates(u, p, q)`` holds for q the word u, p, reversed u (the
+    inverse of a reflection word is its reverse) and for no other q."""
+    s = build_by_name(name)
+    space = perm_space(s)
+    words = [data.draw(st.lists(st.sampled_from(s.roots), max_size=5)) for _ in range(3)]
+    u_word, p_word, other_word = words
+    u, p = space.word_perm(u_word), space.word_perm(p_word)
+    q = space.word_perm((*u_word, *p_word, *u_word[::-1]))
+    assert space.conjugates(u, p, q)
+    other = space.word_perm(other_word)
+    assert space.conjugates(u, p, other) == (other == q)
 
 
 def minus_one_on_the_roots(system):
