@@ -351,7 +351,7 @@ def _suite_table1() -> list[tuple[str, str, str]]:
     rows: list[tuple[str, str, int | None]] = [
         (b, a, None) for b, a in rewrite.TABLE1.items()
     ]
-    rows += [(f"Dl(b) l={l}", f"D{l}(a{l // 2 - 1})", l) for l in (6, 8, 10, 12)]
+    rows += [(f"Dl(b) l={l}", rewrite.cycle_a_name(l), l) for l in (6, 8, 10, 12)]
     items = []
     for label_name, target, l in rows:
         def fn(label_name=label_name, target=target, l=l):

@@ -577,7 +577,7 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
 
     for name, (system_name, literals, labels) in _FROZEN.items():
         system = rootsys.build_by_name(system_name)
-        word = tuple(rootsys.parse_vector(s, system.dim) for s in literals)
+        word = tuple(system.parse_root(s) for s in literals)
         specs.append((name, system_name, word, labels, _FROZEN_CHARPOLY[name]))
 
     return specs

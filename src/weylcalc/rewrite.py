@@ -660,7 +660,8 @@ def _cycle_b_name(l: int) -> str:
     return f"D{l}(b{l // 2 - 1})"
 
 
-def _cycle_a_name(l: int) -> str:
+def cycle_a_name(l: int) -> str:
+    """The D_l(a) class that the generic D_l(b) walk ends at."""
     return f"D{l}(a{l // 2 - 1})"
 
 
@@ -869,7 +870,7 @@ def _dl_trace(l: int) -> RewriteTrace:
         sc.require_inner(mu, alphas[k - 1], Q(-1, 2), "(chain, a_k)")
         sc.require_inner(mu, alphas[k], Q(1, 2), "(chain, a_{k+1})")
         parts = ((mu, *betas), alphas[1:])
-    return sc.finish(_cycle_a_name(l), parts)
+    return sc.finish(cycle_a_name(l), parts)
 
 
 # --------------------------------------------------------------------------
@@ -944,7 +945,7 @@ def five_cycle_orientations() -> tuple[RootSystem, dict[int, Word]]:
     underlying root pentagon.
     """
     system = rootsys.build_by_name("D5")
-    p1, p2, p3, p4, p5 = (rootsys.parse_vector(s, system.dim) for s in _D5_CYCLE)
+    p1, p2, p3, p4, p5 = (system.parse_root(s) for s in _D5_CYCLE)
     return system, {
         1: (p1, p5, p4, p3, p2),
         2: (p1, p2, p5, p4, p3),

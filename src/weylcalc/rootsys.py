@@ -18,10 +18,21 @@ reflection needs no division.  The ``Fraction`` tuples in ``roots`` are
 made once, from an intern table, and are what the API hands out; other
 modules ask by root (``index``, ``int_gram``, ``reflection_images``) and
 never convert.
+
+This module is the integer boundary in both directions.  A root literal
+is parsed straight to doubled integers (``_parse_doubled``; ``parse_vector``
+halves its result) and ``parse_root`` hands out the interned ``roots[i]``.
+A root is found by identity first: the system's own tuples (from
+``roots``, ``parse_root``, the catalog, every rewrite move) map to their
+index through a table of ``id``s, built on first use and confirmed by
+``roots[i] is v``; any other tuple is converted with ``doubled``.
+``format_root`` reads a literal table formatted once from ``int_roots``
+on first use; the one formatter works on doubled integers.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import lcm
@@ -135,7 +146,7 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self.dim, literals = _simple_literals(family, rank)
-        simple = [doubled(parse_vector(s, self.dim)) for s in literals]
+        simple = [_parse_doubled(s, self.dim) for s in literals]
         # Sorting doubled coordinates gives the order of the Fraction ones.
         self.int_roots = tuple(_close_under_reflections(simple))
         expected = _ROOT_COUNT[family](rank)
@@ -158,8 +169,18 @@ class RootSystem:
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """``id(roots[i]) -> i`` (built on first use); ``roots`` keeps
+        every key alive, so an ``id`` is never reused while it is here."""
+        return {id(r): i for i, r in enumerate(self.roots)}
+
     def root_index(self, v: Vector) -> int | None:
-        """Position of ``v`` in ``roots``, or None when it is not a root."""
+        """Position of ``v`` in ``roots``, or None when it is not a root.
+        The system's own tuples are found by identity, without converting."""
+        i = self._position.get(id(v))
+        if i is not None and self.roots[i] is v:
+            return i
         try:
             return self.int_index.get(doubled(v))
         except ValueError:
@@ -167,11 +188,11 @@ class RootSystem:
 
     def index(self, v: Vector) -> int:
         """Position of the root ``v`` in ``roots``; ValueError for a non-root."""
-        try:
-            return self.int_index[doubled(v)]
-        except (KeyError, ValueError):
+        i = self.root_index(v)
+        if i is None:
             coords = ", ".join(map(str, v))
-            raise ValueError(f"({coords}) is not a root of {self.name()}") from None
+            raise ValueError(f"({coords}) is not a root of {self.name()}")
+        return i
 
     def is_root(self, v: Vector) -> bool:
         return self.root_index(v) is not None
@@ -198,11 +219,16 @@ class RootSystem:
             images.append(index[tuple([a - c * b for a, b in zip(v, r)])] if c else i)
         return images
 
+    def _lattice(self, v: Vector) -> IntVector:
+        """Doubled coordinates of ``v``, read from ``int_roots`` for a root."""
+        i = self.root_index(v)
+        return doubled(v) if i is None else self.int_roots[i]
+
     def normalized_inner(self, x: Vector, y: Vector) -> Q:
-        return Q(idot(doubled(x), doubled(y)), self.int_short_norm)
+        return Q(idot(self._lattice(x), self._lattice(y)), self.int_short_norm)
 
     def is_long(self, root: Vector) -> bool:
-        r = doubled(root)
+        r = self._lattice(root)
         return idot(r, r) == self.int_long_norm != self.int_short_norm
 
     def sign_class_reps(self) -> tuple[Vector, ...]:
@@ -276,13 +302,21 @@ class RootSystem:
         return coeffs
 
     def parse_root(self, text: str) -> Vector:
-        v = parse_vector(text, self.dim)
-        if not self.is_root(v):
+        """The interned root a literal names; ValueError for a malformed
+        literal or a vector that is not a root."""
+        i = self.int_index.get(_parse_doubled(text, self.dim))
+        if i is None:
             raise ValueError(f"{text!r} is not a root of {self.name()}")
-        return v
+        return self.roots[i]
+
+    @cached_property
+    def _literals(self) -> tuple[str, ...]:
+        """The literal of every root, aligned with ``roots`` (built on first use)."""
+        return tuple(_format_doubled(r) for r in self.int_roots)
 
     def format_root(self, v: Vector) -> str:
-        return format_vector(v)
+        i = self.root_index(v)
+        return format_vector(v) if i is None else self._literals[i]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family!r}, {self.rank})"
@@ -318,69 +352,57 @@ def parse_count(text: str) -> int:
 # root literals: "e1-e2", "e2+e3", "e1-e2-e3-e4-e5-e6-e7+e8/2"
 
 
-def parse_vector(text: str, dim: int) -> Vector:
+_SIGNS = re.compile(r"([+-])")
+
+
+def _parse_doubled(text: str, dim: int) -> IntVector:
+    """Doubled-integer coordinates of a root literal: terms ``[k]e<i>``
+    joined by signs, the whole optionally over ``/2``; spaces are ignored."""
     raw = text.strip().replace(" ", "")
     over_two = raw.endswith("/2")
     if over_two:
         raw = raw[:-2]
     if not raw:
         raise ValueError("empty root literal")
-    out = [Q(0)] * dim
-    token = ""
-    sign = 1
-    i = 0
-    if raw[0] in "+-":
-        sign = -1 if raw[0] == "-" else 1
-        i = 1
-    while i < len(raw):
-        ch = raw[i]
-        if ch in "+-":
-            _apply_term_coeff(out, token, sign, dim)
-            sign = -1 if ch == "-" else 1
-            token = ""
-        else:
-            token += ch
-        i += 1
-    _apply_term_coeff(out, token, sign, dim)
-    if over_two:
-        out = [c / 2 for c in out]
+    scale = 1 if over_two else 2
+    out = [0] * dim
+    if raw[0] not in "+-":
+        raw = "+" + raw
+    parts = _SIGNS.split(raw)  # "", then sign and term in turn
+    for sign, token in zip(parts[1::2], parts[2::2]):
+        coeff, _, unit = token.partition("e")
+        try:
+            k = parse_count(coeff) if coeff else 1
+            idx = parse_count(unit) - 1
+        except ValueError:
+            raise ValueError(f"bad term {token!r} in root literal") from None
+        if not 0 <= idx < dim:
+            raise ValueError(f"coordinate e{unit} out of range for dimension {dim}")
+        out[idx] += scale * k if sign == "+" else -scale * k
     return tuple(out)
 
 
-def _apply_term_coeff(out: list[Q], token: str, sign: int, dim: int) -> None:
-    """Add one term ``[k]e<i>`` (coefficient ``k`` defaults to 1) to ``out``."""
-    coeff, _, unit = token.partition("e")
-    try:
-        k = parse_count(coeff) if coeff else 1
-        idx = parse_count(unit) - 1
-    except ValueError:
-        raise ValueError(f"bad term {token!r} in root literal") from None
-    if not 0 <= idx < dim:
-        raise ValueError(f"coordinate e{unit} out of range for dimension {dim}")
-    out[idx] += sign * k
+def parse_vector(text: str, dim: int) -> Vector:
+    """The ``Fraction`` vector a root literal names (any vector, root or not)."""
+    return halved(_parse_doubled(text, dim))
+
+
+def _format_doubled(v: IntVector) -> str:
+    """The literal of a vector in doubled-integer coordinates."""
+    if any(k & 1 for k in v):
+        coords, tail = v, "/2"
+    else:
+        coords, tail = [k >> 1 for k in v], ""
+    terms = "".join(f"{'-' if c < 0 else '+'}{'' if c in (1, -1) else abs(c)}e{i}"
+                    for i, c in enumerate(coords, 1) if c)
+    return terms.removeprefix("+") + tail if terms else "0"
 
 
 def format_vector(v: Vector) -> str:
-    has_halves = any(c.denominator == 2 for c in v)
-    if has_halves:
-        twice = [c * 2 for c in v]
-        return _format_unit_combo(twice) + "/2"
-    return _format_unit_combo(list(v))
-
-
-def _format_unit_combo(coords: list[Q]) -> str:
-    parts = []
-    for i, c in enumerate(coords):
-        if c == 0:
-            continue
-        if c.denominator != 1:
-            raise ValueError(f"vector has a non-half fractional part: {coords}")
-        mag = abs(c)
-        term = f"e{i + 1}" if mag == 1 else f"{mag}e{i + 1}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+{term}" if c > 0 else f"-{term}")
-    if not parts:
-        return "0"
-    return "".join(parts)
+    """The root literal of any vector with entries in (1/2)Z."""
+    try:
+        return _format_doubled(doubled(v))
+    except ValueError:
+        twice = any(c.denominator == 2 for c in v)
+        coords = [c * 2 for c in v] if twice else list(v)
+        raise ValueError(f"vector has a non-half fractional part: {coords}") from None

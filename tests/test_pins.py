@@ -4,7 +4,9 @@ groups and the highest-root complements.
 
 The simple-system digest was recorded from the implementation that
 assembled the simple roots from unit coordinate vectors, before they
-were written as root literals.
+were written as root literals.  The root-literal digest was recorded
+from the implementation that formatted every root from its ``Fraction``
+coordinates, before literals were formatted from doubled integers.
 
 The coefficient, conjugator and matrix digests were recorded from the
 implementation that built ambient matrices from an explicit complement
@@ -19,7 +21,7 @@ import hashlib
 
 import pytest
 
-from weylcalc import oracle, rewrite, weyl
+from weylcalc import cli, oracle, rewrite, weyl
 from weylcalc.rootsys import _RANK_RANGE, build, format_vector
 
 #: Every root system the benchmark builds.
@@ -95,6 +97,8 @@ COEFFICIENT_SHA256 = {
 #: generator order).
 SIMPLE_ROOTS_SHA256 = "c9951b95d6ed89a6f731bf8122b26ee08d271c6c504b72d0e23d792804d902bb"
 
+ROOT_LITERALS_SHA256 = "da0290be9be43d61a8c6d1baba354712ce96b5e2dace2af6eece1322fb34bd12"
+
 CONJUGATOR_SHA256 = {
     1: "745d59e66abb325e4a91f1f4a589e0da4ddf5b3dc82c909edf371f33d082967e",
     2: "0b7de16be0aa1767ff3a476fa92ebeadfefcb38ee901055e0fb6312742e4e2d8",
@@ -164,6 +168,16 @@ def test_simple_systems_are_pinned():
     assert len(systems) == 65
     rows = [[s.name()] + [format_vector(r) for r in s.simple_roots] for s in systems]
     assert digest(rows) == SIMPLE_ROOTS_SHA256
+
+
+def test_root_literals_are_pinned(capsys):
+    """``weylcalc rootsys F n --list`` for all 65 systems, concatenated."""
+    for family, (lo, hi) in _RANK_RANGE.items():
+        for rank in range(lo, hi + 1):
+            assert cli.run(["rootsys", family, str(rank), "--list"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 10826
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOT_LITERALS_SHA256
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -37,11 +37,6 @@ def connection_square_state():
     return initial_state(s, word)
 
 
-def transpose(m):
-    n = len(m)
-    return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
-
-
 def test_initial_state():
     st = connection_square_state()
     assert st.element == weyl.evaluate(st.system, st.word)
@@ -54,7 +49,7 @@ def test_apply_conjugation_updates_element_and_conjugator():
     st = connection_square_state()
     u = weyl.reflection(st.system, st.system.parse_root("e1-e3"))
     moved = apply_conjugation(st, u)
-    assert moved.element == mat_mul(mat_mul(u, st.element), transpose(u))
+    assert mat_mul(u, st.element) == mat_mul(moved.element, u)
     assert moved.conjugator == u
     assert all(st.system.is_root(r) for r in moved.word)
     with pytest.raises(ValueError):
@@ -82,7 +77,7 @@ def test_apply_conjugation_rejects_a_moved_complement():
     word = e6.simple_roots[:2]
     st = initial_state(e6, word)
     u = complement_reflection(e6, (Q(0),) * 6 + (Q(1), Q(1)))
-    assert mat_mul(u, transpose(u)) == identity(8)
+    assert mat_mul(u, u) == identity(8)  # a reflection: u is its own inverse
     assert all(mat_vec(u, r) == r for r in e6.roots)
     with pytest.raises(ValueError):
         apply_conjugation(st, u)
@@ -166,7 +161,7 @@ def test_transform_d6b2():
     # the accumulated conjugator carries the start element to the end element
     c = trace.final_state.conjugator
     w0 = trace.initial_state.element
-    assert mat_mul(mat_mul(c, w0), transpose(c)) == trace.final_state.element
+    assert mat_mul(c, w0) == mat_mul(trace.final_state.element, c)
 
 
 def test_transform_generic_cycle_length_eight():
@@ -313,9 +308,8 @@ def test_five_cycle_classify():
         result = five_cycle_classify(r)
         assert result.name == name
         u = result.conjugator
-        lhs = mat_mul(mat_mul(u, weyl.evaluate(system, orientations[r])),
-                      transpose(u))
-        assert lhs == weyl.evaluate(system, result.word)
+        w = weyl.evaluate(system, orientations[r])
+        assert mat_mul(u, w) == mat_mul(weyl.evaluate(system, result.word), u)
     with pytest.raises(ValueError):
         five_cycle_classify(0)
     with pytest.raises(ValueError):

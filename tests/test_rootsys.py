@@ -1,7 +1,11 @@
 """Root system models: construction, membership, parsing, formatting."""
 
+import re
+
 import pytest
 from fractions import Fraction as Q
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylcalc.exactla import dot, vec_add, vec_neg, vec_scale
 from weylcalc.rootsys import (
@@ -130,6 +134,106 @@ def test_parse_root_validates_membership():
     s = build_by_name("A3")
     with pytest.raises(ValueError):
         s.parse_root("e1+e2")  # a vector, but not a root of A3
+
+
+def all_systems():
+    return [build(family, rank) for family, (lo, hi) in _RANK_RANGE.items()
+            for rank in range(lo, hi + 1)]
+
+
+def test_parse_root_hands_out_the_interned_root():
+    for s in all_systems():
+        for i, r in enumerate(s.roots):
+            assert s.parse_root(s.format_root(r)) is s.roots[i]
+
+
+def test_equal_copies_answer_like_the_interned_roots():
+    for name in ("A3", "B3", "G2", "F4", "E8"):
+        s = build_by_name(name)
+        for i, r in enumerate(s.roots):
+            copy = tuple(Q(c.numerator, c.denominator) for c in r)
+            assert copy == r and copy is not r
+            assert s.index(copy) == s.root_index(copy) == i
+            assert s.is_long(copy) == s.is_long(r)
+            assert s.format_root(copy) == s.format_root(r) == format_vector(r)
+            assert s.normalized_inner(copy, r) == s.normalized_inner(r, r)
+
+
+def test_lookup_and_literal_tables_are_built_on_first_use():
+    s = RootSystem("D", 5)
+    assert "_position" not in vars(s) and "_literals" not in vars(s)
+    s.parse_root("e1-e2")  # parsing needs neither table
+    assert "_position" not in vars(s) and "_literals" not in vars(s)
+    assert s.format_root(s.roots[0]) == "-e1-e2"
+    assert "_position" in vars(s) and "_literals" in vars(s)
+
+
+_REFERENCE_TERM = re.compile(r"([+-]?)([0-9]*)e([0-9]+)")
+
+
+def reference_vector(text, dim):
+    """A ``Fraction`` reading of a well-formed root literal."""
+    body = text.replace(" ", "")
+    scale = Q(1, 2) if body.endswith("/2") else Q(1)
+    out = [Q(0)] * dim
+    for sign, k, i in _REFERENCE_TERM.findall(body.removesuffix("/2")):
+        out[int(i) - 1] += (-1 if sign == "-" else 1) * int(k or 1) * scale
+    return tuple(out)
+
+
+@st.composite
+def literals(draw, dim, index=None):
+    """A root literal over ``dim`` coordinates: signed terms ``[k]e<i>``,
+    the first sign optional, maybe over ``/2``, with spaces anywhere.
+    ``index`` draws each term's coordinate number (default 1..dim)."""
+    if index is None:
+        index = st.integers(1, dim)
+    terms = draw(st.lists(st.tuples(st.sampled_from("+-"), st.none() | st.integers(0, 12),
+                                    index), min_size=1, max_size=6))
+    text = "".join(f"{sign}{'' if k is None else k}e{i}" for sign, k, i in terms)
+    if terms[0][0] == "+" and draw(st.booleans()):
+        text = text[1:]
+    if draw(st.booleans()):
+        text += "/2"
+    for at in draw(st.lists(st.integers(0, len(text)), max_size=4)):
+        text = text[:at] + " " + text[at:]
+    return text
+
+
+@given(st.integers(1, 9).flatmap(lambda dim: st.tuples(st.just(dim), literals(dim))))
+def test_parse_vector_matches_a_reference_parser(case):
+    dim, text = case
+    v = parse_vector(text, dim)
+    assert v == reference_vector(text, dim)
+    assert all(type(c) is Q for c in v)
+    if any(v):  # the zero vector formats as "0", which is no literal
+        assert parse_vector(format_vector(v), dim) == v
+
+
+@given(st.data())
+def test_parse_vector_error_messages(data):
+    dim = data.draw(st.integers(1, 9))
+    head = data.draw(literals(dim)).replace(" ", "").removesuffix("/2")
+    bad = data.draw(st.sampled_from(["x1", "e", "2e", "ee1", "e1e", "1", "e+", "e1/3"]))
+    with pytest.raises(ValueError, match=re.escape(f"bad term {bad.rstrip('+')!r}")):
+        parse_vector(f"{head}+{bad}", dim)
+    far = data.draw(st.sampled_from([0, dim + 1, dim + 7]))
+    with pytest.raises(ValueError, match=f"coordinate e{far} out of range for dimension {dim}$"):
+        parse_vector(f"{head}-2e{far}", dim)
+
+
+@given(st.sampled_from(["A3", "B3", "C3", "D4", "G2", "F4", "E6"]).flatmap(
+    lambda name: st.tuples(st.just(name), literals(build_by_name(name).dim, st.integers(1, 3)))))
+def test_parse_root_names_roots_and_refuses_the_rest(case):
+    name, text = case
+    s = build_by_name(name)
+    v = parse_vector(text, s.dim)
+    i = s.root_index(v)
+    if i is None:
+        with pytest.raises(ValueError, match=re.escape(f"{text!r} is not a root of {name}")):
+            s.parse_root(text)
+    else:
+        assert s.parse_root(text) is s.roots[i]
 
 
 def test_sign_classes_are_the_upper_half():
