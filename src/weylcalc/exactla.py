@@ -89,10 +89,6 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
     return tuple(dot(row, x) for row in a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def mat_pow(a: Matrix, k: int) -> Matrix:
     result = identity(len(a))
     base = a

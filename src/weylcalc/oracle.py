@@ -18,7 +18,9 @@ inputs and witnesses.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from . import diagram as dg
 from . import weyl
@@ -33,36 +35,14 @@ from .rootsys import RootSystem
 
 DEFAULT_CONJUGACY_CAP = 1_000_000
 
-#: |W| for each family, from the standard order formulas.
-_EXCEPTIONAL_ORDER = {
-    "E6": 51_840,
-    "E7": 2_903_040,
-    "E8": 696_729_600,
-    "F4": 1_152,
-    "G2": 12,
-}
-
 
 def weyl_group_order(system: RootSystem) -> int:
-    """Order of W(system) from the product formula (not by enumeration)."""
-    n = system.rank
-    fam = system.family
-    if fam == "A":
-        out = 1
-        for i in range(2, n + 2):
-            out *= i
-        return out
-    if fam in ("B", "C"):
-        out = 2**n
-        for i in range(2, n + 1):
-            out *= i
-        return out
-    if fam == "D":
-        out = 2 ** (n - 1)
-        for i in range(2, n + 1):
-            out *= i
-        return out
-    return _EXCEPTIONAL_ORDER[system.name()]
+    """Order of W(system) from the heights of its positive roots (not by
+    enumeration).  By Kostant's theorem the exponents are the dual
+    partition of the number of positive roots of each height: count[h] -
+    count[h + 1] of them equal h, and |W| is the product of exponent + 1."""
+    count = Counter(h for h in system.heights if h > 0)
+    return prod((h + 1) ** (c - count[h + 1]) for h, c in count.items())
 
 
 # ---------------------------------------------------------------------------
@@ -465,61 +445,14 @@ def max_root_complement(system: RootSystem) -> list[str]:
 
     The roots orthogonal to the highest root form a root subsystem.  The
     highest root is dominant, so the simple roots orthogonal to it are a
-    simple system of that subsystem (Humphreys §1.12), whose components
-    are classified by shape and length pattern.  Names use the
+    simple system of that subsystem (Humphreys §1.12); each component of
+    their diagram is named by :meth:`RootSystem.subsystem_name`, with the
     smallest-rank convention (a path of three is ``A3``, never ``D3``).
     """
     delta = system.max_root()
     base = [s for s in system.simple_roots if dot(s, delta) == 0]
-    d = dg.from_roots(system, base)
     return sorted(
-        (_classify_component(system, dg.induced_subdiagram(d, comp))
-         for comp in dg.components(d)),
+        (system.subsystem_name([base[i] for i in comp])
+         for comp in dg.components(dg.from_roots(system, base))),
         key=dg.component_key,
     )
-
-
-def _classify_component(system: RootSystem, comp: dg.Diagram) -> str:
-    n = comp.n
-    if n == 1:
-        return "A1"
-    adj = comp.adjacency()
-    degrees = [len(nb) for nb in adj]
-    if len(comp.edges) != n - 1:
-        raise AssertionError("complement base must be a tree")
-    if len(set(comp.longs)) == 1:
-        if max(degrees) <= 2:
-            return f"A{n}"
-        if max(degrees) > 3 or degrees.count(3) != 1:
-            raise AssertionError("unrecognized branching in complement base")
-        branches = sorted(_branch_lengths(adj, degrees.index(3)))
-        if branches[:2] == [1, 1]:
-            return f"D{n}"
-        if branches[:2] == [1, 2]:
-            return f"E{n}"
-        raise AssertionError(f"unrecognized simply-laced tree {branches}")
-    if max(degrees) > 2:
-        raise AssertionError("mixed-length complement base must be a path")
-    shorts = comp.longs.count(False)
-    if n == 2:
-        return "G2" if system.ratio == 3 else "B2"
-    if shorts == 2 and n == 4:
-        return "F4"
-    if shorts == 1:
-        return f"B{n}"
-    if shorts == n - 1:
-        return f"C{n}"
-    raise AssertionError("unrecognized mixed-length path")
-
-
-def _branch_lengths(adj: list[set[int]], hub: int) -> list[int]:
-    """Vertex count of each path that leaves the one branch vertex."""
-    lengths = []
-    for node in adj[hub]:
-        prev, length = hub, 1
-        while len(adj[node]) == 2:
-            (nxt,) = adj[node] - {prev}
-            prev, node, length = node, nxt, length + 1
-        lengths.append(length)
-    return lengths
-

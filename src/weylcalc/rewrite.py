@@ -744,18 +744,15 @@ def chain_root(kind: str, system: RootSystem, L: int, R: int) -> Vector:
         raise ValueError(f"theta chains need l divisible by 4, got l={l}")
     if kind == "mu" and l % 4 != 2:
         raise ValueError(f"mu chains need l = 4k-2, got l={l}")
-    k = l // 4 if kind == "theta" else (l + 2) // 4
+    m = l // 2
     L, R = max(L, R), min(L, R)
-    beta_sum = 2 * k + 1 if kind == "theta" else 2 * k
-    if L + R == beta_sum:
-        pair = "beta"
-        lo, hi = (1, k) if kind == "theta" else (1, k - 1)
-    elif L + R == beta_sum + 1:
-        pair = "alpha"
-        lo, hi = (2, k + 1) if kind == "theta" else (2, k)
+    if L + R == m + 1:
+        pair, lo, hi = "beta", 1, m // 2
+    elif L + R == m + 2:
+        pair, lo, hi = "alpha", 2, m // 2 + 1
     else:
         raise ValueError(
-            f"index sum L+R must be {beta_sum} (beta pair) or {beta_sum + 1} "
+            f"index sum L+R must be {m + 1} (beta pair) or {m + 2} "
             f"(alpha pair) for {kind} chains at l={l}")
     if not lo <= R <= hi:
         raise ValueError(f"index R={R} out of range [{lo},{hi}] for the {pair} pair")
@@ -778,7 +775,7 @@ def verify_commutation(system: RootSystem, case: str) -> bool:
         raise ValueError("commutation checks live on even D_l, l >= 6")
     if (l % 4 == 0) != (case == "4k"):
         raise ValueError(f"case {case} does not match l={l}")
-    k = l // 4 if case == "4k" else (l + 2) // 4
+    m, k = l // 2, (l + 2) // 4
     alphas, betas = _canonical_cycle_labels(l)
     space = weyl.perm_space(system)
     prod_a = space.word_perm(alphas)
@@ -788,16 +785,15 @@ def verify_commutation(system: RootSystem, case: str) -> bool:
     def chain(pair: str, L: int, R: int) -> Vector:
         return _chain_vector(pair, alphas, betas, L, R)
 
-    beta_sum = 2 * k + 1 if case == "4k" else 2 * k
     ok = True
     # passing the alpha block: s_{chain(beta,L,R)} A == A s_{chain(alpha,L,R+1)}
-    for R in range(1, (k if case == "4k" else k - 1) + 1):
-        L = beta_sum - R
+    for R in range(1, m // 2 + 1):
+        L = m + 1 - R
         ok = ok and space.conjugates(prod_a, refl(chain("alpha", L, R + 1)),
                                      refl(chain("beta", L, R)))
     # passing the beta block: s_{chain(alpha,L,R)} B == B s_{chain(beta,L-1,R)}
     for R in range(2, k + 1):
-        L = beta_sum + 1 - R
+        L = m + 2 - R
         ok = ok and space.conjugates(prod_b, refl(chain("beta", L - 1, R)),
                                      refl(chain("alpha", L, R)))
     return ok
@@ -809,9 +805,8 @@ def _dl_trace(l: int) -> RewriteTrace:
     b_name = _cycle_b_name(l)
     entry = dg.catalog(b_name)
     system = _system_of(entry)
-    m = l // 2
+    m, k = l // 2, (l + 2) // 4
     four_k = l % 4 == 0
-    k = l // 4 if four_k else (l + 2) // 4
     kind = "theta" if four_k else "mu"
 
     sc = _Script(f"{b_name} cycle walk", system, entry.word,
@@ -842,7 +837,7 @@ def _dl_trace(l: int) -> RewriteTrace:
         chain = _chain_vector("alpha", alphas, betas, L, R)
         sc.require_root_at(2 * m - 1, chain,
                            f"chain passed the a-block: {kind}(a_{L}, a_{R})")
-        if not four_k and (L, R) == (k + 1, k):
+        if (L, R) == (k + 1, k):  # only when l = 4k-2: L+R is m+2 here
             sc.rotate_last_to_front()
             break
         sc.rotate_last_to_front()
@@ -852,7 +847,7 @@ def _dl_trace(l: int) -> RewriteTrace:
         chain = _chain_vector("beta", alphas, betas, L, R)
         sc.require_root_at(m, chain,
                            f"chain passed the b-block: {kind}(b_{L}, b_{R})")
-        if four_k and (L, R) == (k + 1, k):
+        if (L, R) == (k + 1, k):  # only when l = 4k: L+R is m+1 here
             break
     sc.set_stage("")
 

@@ -263,14 +263,20 @@ class RootSystem:
         return rows, den
 
     @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """The height of each root of ``roots``, the sum of its simple
+        coefficients (built on first use)."""
+        rows, den = self.coefficient_map
+        height = [sum(col) for col in zip(*rows)]
+        return tuple(idot(height, r) // (2 * den) for r in self.int_roots)
+
+    @cached_property
     def positive(self) -> tuple[bool, ...]:
         """Whether each root of ``roots`` is a nonnegative combination of
         the simple roots (built on first use; the sorted order does not
         follow this in E6-E8 and G2).  A root's simple coefficients share
         one sign, so the sign of their sum, its height, decides."""
-        rows, _ = self.coefficient_map
-        height = [sum(col) for col in zip(*rows)]
-        return tuple(idot(height, r) > 0 for r in self.int_roots)
+        return tuple(h > 0 for h in self.heights)
 
     def max_root(self) -> Vector:
         """The highest root: the unique long root dominant against all simples."""
@@ -300,6 +306,35 @@ class RootSystem:
         if span != list(v):
             raise ValueError("vector is not in the root lattice span")
         return coeffs
+
+    def subsystem_name(self, simple: Sequence[Vector]) -> str:
+        """The name of the irreducible subsystem with simple system
+        ``simple`` (roots of this system), e.g. ``A3`` or ``B2``;
+        ValueError for a reducible or unrecognised input.  The subsystem is
+        closed on doubled integers and named by the rank and root count
+        every construction is checked against, with one root length for
+        A, D, E and two for B, C, F, G, the long roots not a minority in
+        B.  The first family wins, so the smallest-rank name: ``A3``, never
+        ``D3``; ``B2``, never ``C2``."""
+        lattice = [self.int_roots[self.index(s)] for s in simple]
+        linked = {0}
+        for _ in lattice:  # grow the Dynkin component of simple[0]
+            linked |= {j for j, s in enumerate(lattice)
+                       if any(idot(s, lattice[i]) for i in linked)}
+        if len(linked) != len(lattice):
+            raise ValueError("the roots do not form a connected simple system")
+        roots = _close_under_reflections(lattice)
+        norms = [idot(r, r) for r in roots]
+        longs = norms.count(max(norms))
+        rank = len(lattice)
+        for family in FAMILIES:
+            lo, hi = _RANK_RANGE[family]
+            if (lo <= rank <= hi and _ROOT_COUNT[family](rank) == len(roots)
+                    and (longs < len(roots)) == (family in "BCFG")
+                    and not (family == "B" and 2 * longs < len(roots))):
+                return f"{family}{rank}"
+        raise ValueError(f"no irreducible root system of rank {rank} has "
+                         f"{len(roots)} roots of these lengths")
 
     def parse_root(self, text: str) -> Vector:
         """The interned root a literal names; ValueError for a malformed
@@ -357,8 +392,11 @@ _SIGNS = re.compile(r"([+-])")
 
 def _parse_doubled(text: str, dim: int) -> IntVector:
     """Doubled-integer coordinates of a root literal: terms ``[k]e<i>``
-    joined by signs, the whole optionally over ``/2``; spaces are ignored."""
+    joined by signs, the whole optionally over ``/2``, or ``0`` for the
+    zero vector; spaces are ignored."""
     raw = text.strip().replace(" ", "")
+    if raw == "0":
+        return (0,) * dim
     over_two = raw.endswith("/2")
     if over_two:
         raw = raw[:-2]

@@ -412,6 +412,46 @@ def test_render_dot_from_roots_marks_long_vertices(capsys):
     assert "doublecircle" in out
 
 
+# The --pretty texts below were recorded from the implementation before
+# these tests were added.
+PRETTY_TEXTS = {
+    ("rootsys", "B", "3"): "B3: 18 roots in dimension 3 (length ratio t = 2)\n",
+    ("orbits", "--system", "D4", "--k", "2"):
+        "W(D4) has 3 orbit(s) on unordered sets of 2 mutually orthogonal roots\n",
+    ("catalog", "D4(a1)"): (
+        "D4(a1) (realized in D4)\n"
+        "  word: e1-e2, e3-e4, e2-e3, e2+e3\n"
+        "  charpoly: t^4 + 2*t^2 + 1\n"
+        "  v0 -- v2  (solid)\n"
+        "  v0 -- v3  (solid)\n"
+        "  v1 -- v2  (solid)\n"
+        "  v1 -- v3  (dotted)\n"),
+    ("diagram", "--system", "D4", "--roots", "e1-e2,e3-e4"): (
+        "diagram on 2 roots in D4\n"
+        "  v0 = e1-e2  (short)\n"
+        "  v1 = e3-e4  (short)\n"
+        "  no edges\n"
+        "admissible: yes\n"
+        "identified: A1+A1\n"),
+}
+
+
+@pytest.mark.parametrize("argv", PRETTY_TEXTS, ids=[argv[0] for argv in PRETTY_TEXTS])
+def test_pretty_text(capsys, argv):
+    code, out, err = run_capture(capsys, [*argv, "--pretty"])
+    assert (code, out, err) == (0, PRETTY_TEXTS[argv], "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["diagram", "--system", "D4", "--roots", "e1-e2,,e3-e4"],
+     "error: empty entry in the root list\n"),
+    (["render-dot", "--name", "Z9"], "error: unknown catalog name 'Z9'\n"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_output_is_deterministic(capsys):
     argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3"]
     _, first, _ = run_capture(capsys, argv)

@@ -1,6 +1,7 @@
 """Brute-force group oracles: orders, conjugacy, subset searches, orbits."""
 
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,13 +25,26 @@ PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
 TRIANGLE = ((0, 1), (1, 2), (0, 2))
 
 
+def textbook_order(family, n):
+    """|W| from the product formulas (Humphreys, Reflection Groups and
+    Coxeter Groups, §2.11)."""
+    if family == "A":
+        return factorial(n + 1)
+    if family in "BC":
+        return 2**n * factorial(n)
+    if family == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {"E6": 51_840, "E7": 2_903_040, "E8": 696_729_600,
+            "F4": 1_152, "G2": 12}[f"{family}{n}"]
+
+
 def test_weyl_group_orders():
-    expected = {
-        "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
-        "D4": 192, "D5": 1920, "G2": 12, "F4": 1152, "E6": 51840,
-    }
-    for name, order in expected.items():
-        assert weyl_group_order(build_by_name(name)) == order, name
+    systems = [(family, n) for family, (lo, hi) in _RANK_RANGE.items()
+               for n in range(lo, hi + 1)]
+    assert len(systems) == 65
+    for family, n in systems:
+        assert weyl_group_order(build(family, n)) == textbook_order(family, n), (family, n)
+    assert weyl_group_order(build_by_name("D5")) == 1920
 
 
 def test_are_conjugate_reflections():

@@ -1,6 +1,7 @@
 """Rewrite states, primitive moves, elimination scripts, chain roots."""
 
 import dataclasses
+import re
 
 import pytest
 from fractions import Fraction as Q
@@ -341,6 +342,28 @@ def test_chain_root_rejections():
         chain_root("sigma", d8, 3, 2)
     with pytest.raises(ValueError):
         chain_root("theta", build_by_name("A4"), 3, 2)
+
+
+@pytest.mark.parametrize("l", range(6, 17, 2))
+def test_chain_root_index_errors(l):
+    """With m = l/2, beta pairs have L+R = m+1 and 1 <= R <= m//2, alpha
+    pairs L+R = m+2 and 2 <= R <= m//2+1, for theta and mu alike."""
+    system = build_by_name(f"D{l}")
+    kind, m = ("theta" if l % 4 == 0 else "mu"), l // 2
+    with pytest.raises(ValueError, match=re.escape(
+            f"index sum L+R must be {m + 1} (beta pair) or {m + 2} (alpha pair) "
+            f"for {kind} chains at l={l}")):
+        chain_root(kind, system, m, m)
+    with pytest.raises(ValueError, match=re.escape(
+            f"index R=0 out of range [1,{m // 2}] for the beta pair")):
+        chain_root(kind, system, m + 1, 0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"index R=1 out of range [2,{m // 2 + 1}] for the alpha pair")):
+        chain_root(kind, system, 1, m + 1)  # the pair is order-insensitive
+    if m % 2:  # the middle beta pair of a mu chain is one past the range
+        with pytest.raises(ValueError, match=re.escape(
+                f"index R={m // 2 + 1} out of range [1,{m // 2}] for the beta pair")):
+            chain_root(kind, system, m // 2 + 1, m // 2 + 1)
 
 
 def test_verify_commutation():

@@ -206,8 +206,15 @@ def test_parse_vector_matches_a_reference_parser(case):
     v = parse_vector(text, dim)
     assert v == reference_vector(text, dim)
     assert all(type(c) is Q for c in v)
-    if any(v):  # the zero vector formats as "0", which is no literal
-        assert parse_vector(format_vector(v), dim) == v
+    assert parse_vector(format_vector(v), dim) == v
+
+
+def test_zero_literal_is_the_zero_vector_and_no_root():
+    assert format_vector((Q(0),) * 3) == "0"
+    assert parse_vector("0", 3) == parse_vector(" 0 ", 3) == (Q(0),) * 3
+    s = build_by_name("D4")
+    with pytest.raises(ValueError, match=re.escape("'0' is not a root of D4")):
+        s.parse_root("0")
 
 
 @given(st.data())
@@ -266,6 +273,49 @@ def test_positive_roots_are_not_the_upper_half_everywhere():
     upper = set(s.sign_class_reps())
     assert any(r not in upper for r in s.simple_roots)
     assert all(s.positive[s.index(r)] for r in s.simple_roots)
+
+
+def test_heights_are_the_simple_coefficient_sums():
+    for name in ("A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"):
+        s = RootSystem(name[0], int(name[1:]))
+        assert "heights" not in vars(s)
+        assert all(type(h) is int for h in s.heights)
+        assert list(s.heights) == [sum(s.simple_coefficients(r)) for r in s.roots], name
+
+
+def test_subsystem_name_of_the_simple_roots_is_the_system():
+    for family, (lo, hi) in _RANK_RANGE.items():
+        for rank in range(lo, hi + 1):
+            s = build(family, rank)
+            own = {"D3": "A3", "C2": "B2"}.get(s.name(), s.name())
+            assert s.subsystem_name(s.simple_roots) == own
+
+
+def test_subsystem_name_of_subsystems():
+    d6 = build_by_name("D6")
+    assert d6.subsystem_name([d6.parse_root(t) for t in ("e5-e6", "e5+e6", "e4-e5")]) == "A3"
+    assert d6.subsystem_name([d6.parse_root("e1-e2")]) == "A1"
+    b4 = build_by_name("B4")
+    assert b4.subsystem_name([b4.parse_root(t) for t in ("e2-e3", "e3-e4", "e4")]) == "B3"
+    c4 = build_by_name("C4")
+    assert c4.subsystem_name([c4.parse_root(t) for t in ("e2-e3", "e3-e4", "2e4")]) == "C3"
+
+
+@pytest.mark.parametrize("name,literals", [
+    ("A3", ("e1-e2", "e3-e4")),  # A1+A1
+    ("D7", ("e1-e2", "e2-e3", "e3-e4", "e4-e5", "e4+e5", "e6-e7")),  # D5+A1: 42 roots, like A6
+    ("A3", ()),
+])
+def test_subsystem_name_refuses_a_reducible_input(name, literals):
+    s = build_by_name(name)
+    with pytest.raises(ValueError, match="not form a connected simple system"):
+        s.subsystem_name([s.parse_root(t) for t in literals])
+
+
+def test_subsystem_name_refuses_a_non_root():
+    s = build_by_name("A3")
+    with pytest.raises(ValueError, match="is not a root of A3"):
+        s.subsystem_name([s.roots[0], (Q(1), Q(1), Q(0), Q(0))])
 
 
 def test_max_root_is_dominant_and_long():

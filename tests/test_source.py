@@ -74,3 +74,58 @@ def test_no_unused_imports():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _unused_imports(path.read_text())]
     assert found == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _reads(tree: ast.Module):
+    """``(name, line)`` for every name, attribute or string a module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _unused_definitions(sources: dict[str, str], package: set[str]) -> list[str]:
+    """Definitions in the ``package`` files that no file reads outside
+    the lines of the definition itself; dunders are exempt."""
+    trees = {path: ast.parse(text, path) for path, text in sources.items()}
+    reads = {(path, name, line) for path, tree in trees.items() for name, line in _reads(tree)}
+    found = []
+    for path in sorted(package):
+        for node in _definitions(trees[path]):
+            name, lines = node.name, range(node.lineno, node.end_lineno + 1)
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(n == name and not (p == path and line in lines)
+                       for p, n, line in reads):
+                found.append(f"{Path(path).name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_unused_definitions():
+    """Every function, class and method of the package is read somewhere
+    in ``src/``, ``tests/`` or ``bench/``, outside its own definition."""
+    assert _unused_definitions(
+        {"m.py": "def f():\n    return f()\n\nclass C:\n    def g(self):\n        pass\n"
+                 "    def __len__(self):\n        return 0\n\nC().h\n"},
+        {"m.py"}) == ["m.py:1 f", "m.py:5 g"]
+    package = {str(p) for p in (ROOT / "src" / "weylcalc").glob("*.py")}
+    sources = {str(p): p.read_text()
+               for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))}
+    assert len(package) >= 8
+    assert _unused_definitions(sources, package) == []
