@@ -669,21 +669,16 @@ def style_class_representatives(
     the same root sets.  Bit k of a mask marks ``edges[k]`` as dotted;
     the representative of each class is its smallest mask.  Searching
     one representative per class therefore covers every styling of the
-    shape.
+    shape.  A mask is kept unless ``two_coloring`` finds it equivalent
+    to a mask kept before it.
     """
-    m = len(edges)
-    reps = set()
-    for bits in range(1 << m):
-        best = bits
-        for cut in range(1 << n):
-            img = bits
-            for k, (i, j) in enumerate(edges):
-                if ((cut >> i) ^ (cut >> j)) & 1:
-                    img ^= 1 << k
-            if img < best:
-                best = img
-        reps.add(best)
-    return sorted(reps)
+    reps: list[int] = []
+    for bits in range(1 << len(edges)):
+        if all(two_coloring(n, [(i, j, (bits ^ rep) >> k & 1)
+                                for k, (i, j) in enumerate(edges)]) is None
+               for rep in reps):
+            reps.append(bits)
+    return reps
 
 
 def styled_diagram(

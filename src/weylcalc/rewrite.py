@@ -265,26 +265,24 @@ class _Script:
             raise ScriptIntegrityError(self.name, "conjugator invariant broken")
 
     def finish(self, expected: str,
-               parts: tuple[Sequence[Vector], Sequence[Vector]] | None = None
-               ) -> RewriteTrace:
+               parts: tuple[Sequence[Vector], Sequence[Vector]]) -> RewriteTrace:
         """The one exit of a script: re-check the whole-script invariants
         and the end it certifies, then return the trace.
 
-        The end is a word whose diagram identifies as ``expected``, is
-        admissible and has no cycle longer than 4.  With ``parts`` =
-        (alpha block, beta block), the final word must also be that
-        bicolored word: the two blocks in order, each an orthogonal set.
+        The end is the bicolored word ``parts`` = (alpha block, beta
+        block), the two blocks in order and each an orthogonal set, whose
+        diagram identifies as ``expected``, is admissible and has no cycle
+        longer than 4.
         """
         first, last = self.steps[0].state, self.steps[-1].state
         if word_charpoly(self.system, first.word) != word_charpoly(self.system, last.word):
             raise ScriptIntegrityError(self.name, "word characteristic polynomial drifted")
         self._check_conjugator(last)
         final = dg.from_roots(self.system, last.word)
-        if parts is not None:
-            self.require_word((*parts[0], *parts[1]), "final word (alpha block, beta block)")
-            k = len(parts[0])
-            self.require(all((i < k) != (j < k) for i, j, _ in final.edges),
-                         "final word is not bicolored: a block is not orthogonal")
+        self.require_word((*parts[0], *parts[1]), "final word (alpha block, beta block)")
+        k = len(parts[0])
+        self.require(all((i < k) != (j < k) for i, j, _ in final.edges),
+                     "final word is not bicolored: a block is not orthogonal")
         found = dg.identify(final)
         self.require(found == expected,
                      f"final diagram identifies as {found}, expected {expected}")
@@ -525,8 +523,8 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
                  note=f"catalog word of {name}")
     for step in reversed(fwd.steps[1:]):
         sc.play(*_inverse(step.op, step.args))
-    sc.require_word(a_entry.word, f"final word must be the catalog word of {a_entry.name}")
-    return sc.finish(a_entry.name)
+    x, y = dg.bipartition(a_entry.diagram)
+    return sc.finish(a_entry.name, ([a_entry.word[i] for i in x], [a_entry.word[i] for i in y]))
 
 
 # --------------------------------------------------------------------------
@@ -644,7 +642,6 @@ def _e8b5_trace() -> RewriteTrace:
     u = vec_add(vec_sub(a3, b3), b1)
     sc.require_root_at(3, u, "u = a3 - b3 + b1")
     sc.swap(3)
-    sc.require_word(a.word, f"final word must be the catalog word of {a.name}")
     block(u, ((a2, "u,a2", Q(0)), (y, "u,y", Q(0)), (v, "u,v", Q(0)),
               (b3, "u,b3", Q(-1, 2)), (b1, "u,b1", Q(1, 2)),
               (b4, "u,b4", Q(-1, 2)), (x, "u,x", Q(0))), "stage 6")
@@ -682,25 +679,18 @@ def _cycle_labels(system: RootSystem, word: Sequence[Vector]
     d = dg.from_roots(system, word)
     if any((i < m) == (j < m) for i, j, _ in d.edges):
         raise ScriptIntegrityError("cycle labels", "word halves are not orthogonal sets")
-    adj = d.adjacency()
-    if any(len(nb) != 2 for nb in adj):
+    cycles = dg.cycles(d)
+    if [len(c) for c in cycles] != [l]:
         raise ScriptIntegrityError("cycle labels", "word is not a single cycle")
     dotted = [(i, j) for i, j, style in d.edges if style == dg.DOTTED]
     if len(dotted) != 1:
         raise ScriptIntegrityError("cycle labels", "expected exactly one dotted edge")
-    i, j = dotted[0]
-    a_idx = j if j >= m else i          # alpha_1 lives in the second half
-    b_idx = i if j >= m else j
-    alphas = [a_idx]
-    betas = [b_idx]
-    for _ in range(m - 1):
-        (a,) = adj[betas[-1]] - {alphas[-1]}
-        alphas.append(a)
-        (b,) = adj[alphas[-1]] - {betas[-1]}
-        betas.append(b)
-    if adj[alphas[0]] - {betas[0]} != {betas[-1]}:
-        raise ScriptIntegrityError("cycle labels", "cycle walk failed to close")
-    return [word[t] for t in alphas], [word[t] for t in betas]
+    ((b1, a1),) = dotted                # edges run first half -> second half
+    s = cycles[0].index(a1)
+    walk = cycles[0][s:] + cycles[0][:s]
+    if walk[1] != b1:                   # read across the dotted edge first
+        walk = walk[:1] + walk[:0:-1]
+    return [word[t] for t in walk[0::2]], [word[t] for t in walk[1::2]]
 
 
 def _chain_vector(pair: str, alphas: Sequence[Vector], betas: Sequence[Vector],
@@ -1008,6 +998,4 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
         raise ScriptIntegrityError(
             "5-cycle classification",
             f"orientation {r_lambda} is not conjugate to the paired scripted word")
-    if not space.conjugates(u, start, space.word_perm(word)):
-        raise ScriptIntegrityError("5-cycle classification", "witness check failed")
     return FiveCycleResult(name, word, space.matrix_of_perm(u))

@@ -283,19 +283,13 @@ class RootSystem:
         return self.dominant_root(long=True)
 
     def dominant_root(self, long: bool) -> Vector:
-        """The unique root of one length with ``<r, s> >= 0`` for every
-        simple root ``s``: the highest root for ``long``, else the highest
-        short root (the same root when the system is simply laced).  Each
-        W-orbit meets the dominant chamber once and W is transitive on the
-        roots of each length, hence one such root per length."""
+        """The root of greatest height among the roots of one length: the
+        highest root for ``long``, else the highest short root (the same
+        root when the system is simply laced).  It is the one root of its
+        length with ``<r, s> >= 0`` for every simple root ``s``."""
         norm = self.int_long_norm if long else self.int_short_norm
-        simple = [self.int_roots[self.index(s)] for s in self.simple_roots]
-        found = [self.roots[i] for i, r in enumerate(self.int_roots)
-                 if idot(r, r) == norm and all(idot(r, s) >= 0 for s in simple)]
-        if len(found) != 1:
-            raise RuntimeError(f"{self.name()}: {len(found)} dominant roots "
-                               f"of one length, expected 1")
-        return found[0]
+        return self.roots[max((i for i, r in enumerate(self.int_roots) if idot(r, r) == norm),
+                              key=self.heights.__getitem__)]
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
         """Coordinates of ``v`` in the simple-root basis: ``K v``."""
@@ -357,9 +351,14 @@ class RootSystem:
         return f"RootSystem({self.family!r}, {self.rank})"
 
 
-@lru_cache(maxsize=None)
 def build(family: str, rank: int) -> RootSystem:
-    """Construct (and cache) the root system of the given family and rank."""
+    """The root system of the given family (either case) and rank, built
+    once per process: ``build("d", 4) is build("D", 4)``."""
+    return _build(family.upper(), rank)
+
+
+@lru_cache(maxsize=None)
+def _build(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 
@@ -372,7 +371,7 @@ def build_by_name(name: str) -> RootSystem:
         rank = parse_count(name[1:])
     except ValueError as exc:
         raise ValueError(f"bad root system name {name!r}") from exc
-    return build(name[0].upper(), rank)
+    return build(name[0], rank)
 
 
 def parse_count(text: str) -> int:

@@ -216,10 +216,8 @@ def test_criterion_05_oriented_pentagon_classes():
         result = five_cycle_classify(r)
         assert result.name == target, r
         u = result.conjugator
-        ut = tuple(tuple(u[j][i] for j in range(len(u)))
-                   for i in range(len(u)))
-        carried = mat_mul(mat_mul(u, evaluate(system, orientations[r])), ut)
-        assert carried == evaluate(system, result.word), r
+        w, w_new = evaluate(system, orientations[r]), evaluate(system, result.word)
+        assert mat_mul(u, w) == mat_mul(w_new, u), r
     w = {r: evaluate(system, word) for r, word in orientations.items()}
     assert are_conjugate(system, w[1], w[4]).status == "conjugate"
     assert are_conjugate(system, w[2], w[3]).status == "conjugate"

@@ -166,6 +166,9 @@ def test_bipartition_and_admissible():
                                    (0, 2, dg.DOTTED)])
     assert dg.bipartition(triangle) is None
     assert not dg.is_admissible(triangle)
+    assert dg.identify(triangle) is None
+    with pytest.raises(ValueError, match="odd cycle"):
+        dg.bicolored_charpoly(triangle)
 
 
 def test_cycles():
@@ -359,6 +362,29 @@ def test_two_coloring_agrees_with_style_classes(graph, data):
     masks = st.integers(0, (1 << len(shape)) - 1)
     m1, m2 = data.draw(masks), data.draw(masks)
     assert equivalent(m1, m2) == (rep_of(m1) == rep_of(m2))
+
+
+def smallest_masks_by_cut(n, shape):
+    """Reference: each mask's class minimum over all 2^n vertex cuts."""
+    reps = set()
+    for bits in range(1 << len(shape)):
+        best = bits
+        for cut in range(1 << n):
+            img = bits
+            for k, (a, b) in enumerate(shape):
+                if (cut >> a ^ cut >> b) & 1:
+                    img ^= 1 << k
+            best = min(best, img)
+        reps.add(best)
+    return sorted(reps)
+
+
+@settings(max_examples=60)
+@given(signed_graphs(max_n=5, max_edges=7))
+def test_style_class_representatives_match_brute_force(graph):
+    n, edges = graph
+    shape = [(a, b) for a, b, _ in edges]
+    assert dg.style_class_representatives(n, shape) == smallest_masks_by_cut(n, shape)
 
 
 SMALL_CATALOG = [name for name in dg.catalog_names() if len(dg.catalog(name).word) <= 8]

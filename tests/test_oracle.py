@@ -52,7 +52,7 @@ def test_are_conjugate_reflections():
     w1 = weyl.reflection(d4, d4.parse_root("e1-e2"))
     w2 = weyl.reflection(d4, d4.parse_root("e1+e2"))
     result = are_conjugate(d4, w1, w2)
-    assert result.status == "conjugate"
+    assert result.status == "conjugate" and result
     u = result.witness
     assert mat_mul(u, w1) == mat_mul(w2, u)
 
@@ -62,7 +62,7 @@ def test_are_conjugate_separates_lengths():
     short = weyl.reflection(b2, b2.parse_root("e1"))
     long_ = weyl.reflection(b2, b2.parse_root("e1-e2"))
     result = are_conjugate(b2, short, long_)
-    assert result.status == "not-conjugate"
+    assert result.status == "not-conjugate" and not result
     assert result.witness is None
 
 
@@ -72,7 +72,7 @@ def test_are_conjugate_unresolved_past_cap():
     w1 = weyl.reflection(d4, d4.parse_root("e1-e2"))
     w2 = weyl.reflection(d4, d4.parse_root("e1+e2"))
     result = are_conjugate(d4, w1, w2, cap=2)
-    assert result.status == "unresolved" and result.witness is None
+    assert result.status == "unresolved" and not result and result.witness is None
     assert are_conjugate(d4, w1, w2).status == "conjugate"
 
 
@@ -113,6 +113,7 @@ def test_find_subsets_emptiness():
 def test_find_subsets_rank_short_circuit():
     a2 = build_by_name("A2")
     assert find_subsets(a2, dg.styled_diagram(4, SQUARE, 1)) == []
+    assert find_subsets(a2, dg.make_diagram(0, [])) == []
 
 
 def test_find_subsets_respects_limit():

@@ -134,7 +134,7 @@ def test_finish_certifies_the_end_of_a_script():
     trace = sc.finish("D4", (word[:3], word[3:]))
     assert trace.steps == tuple(sc.steps) and replay(trace)
     with pytest.raises(ScriptIntegrityError, match="identifies as D4, expected D4\\(a1\\)"):
-        sc.finish("D4(a1)")
+        sc.finish("D4(a1)", (word[:3], word[3:]))
     for parts in ((word[:2], word[2:]), (word, ())):  # a leaf with the centre
         with pytest.raises(ScriptIntegrityError,
                            match="not bicolored: a block is not orthogonal"):
@@ -143,8 +143,63 @@ def test_finish_certifies_the_end_of_a_script():
         sc.finish("D4", (word[:3], ()))
     with pytest.raises(ScriptIntegrityError, match="final word \\(alpha block, beta block\\)"):
         sc.finish("D4", (word[1::-1] + word[2:3], word[3:]))  # the right product, reordered
+    hexagon = catalog_script("D6(b2)")
     with pytest.raises(ScriptIntegrityError, match="cycle longer than 4"):
-        catalog_script("D6(b2)").finish("D6(b2)")
+        hexagon.finish("D6(b2)", (hexagon.word[:3], hexagon.word[3:]))
+
+
+@pytest.mark.parametrize("name", ["D6(b2)", "E7(b2)", "E8(b3)", "E8(b5)"])
+def test_long_cycle_scripts_end_on_the_catalog_word(name):
+    """Each Table 1 script ends on its a-entry's catalog word, which is in
+    bipartition order, so ``finish``'s block check covers the whole word."""
+    a = dg.catalog(rewrite.TABLE1[name])
+    x, y = dg.bipartition(a.diagram)
+    assert x + y == tuple(range(len(a.word)))
+    assert transform_long_cycle(name).final_state.word == a.word
+
+
+# The canonical labels (alphas, betas) of the D_l(b) cycle word.
+CYCLE_LABELS = {
+    6: ("e5+e6 e1-e2 e3-e4", "-e1+e6 e2-e3 e4-e5"),
+    8: ("e1-e2 e7-e8 e5-e6 e3-e4", "e1+e8 e6-e7 e4-e5 e2-e3"),
+    10: ("e1-e2 e9-e10 e7-e8 e5-e6 e3-e4", "e1+e10 e8-e9 e6-e7 e4-e5 e2-e3"),
+    12: ("e1-e2 e11-e12 e9-e10 e7-e8 e5-e6 e3-e4",
+         "e1+e12 e10-e11 e8-e9 e6-e7 e4-e5 e2-e3"),
+    14: ("e1-e2 e13-e14 e11-e12 e9-e10 e7-e8 e5-e6 e3-e4",
+         "e1+e14 e12-e13 e10-e11 e8-e9 e6-e7 e4-e5 e2-e3"),
+    16: ("e1-e2 e15-e16 e13-e14 e11-e12 e9-e10 e7-e8 e5-e6 e3-e4",
+         "e1+e16 e14-e15 e12-e13 e10-e11 e8-e9 e6-e7 e4-e5 e2-e3"),
+}
+
+
+@pytest.mark.parametrize("l", sorted(CYCLE_LABELS))
+def test_cycle_labels_are_pinned(l):
+    system = build_by_name(f"D{l}")
+    alphas, betas = rewrite._canonical_cycle_labels(l)
+    assert (" ".join(map(system.format_root, alphas)),
+            " ".join(map(system.format_root, betas))) == CYCLE_LABELS[l]
+    # a_1 b_1 is the dotted edge; a_i meets b_{i-1} and b_i around the cycle
+    assert system.normalized_inner(alphas[0], betas[0]) == Q(1, 2)
+    for i in range(len(alphas)):
+        assert system.normalized_inner(alphas[i], betas[i - 1]) == Q(-1, 2)
+        assert system.normalized_inner(alphas[i], betas[i]) != 0
+
+
+def test_cycle_labels_refusals():
+    a4, d4, d6 = build_by_name("A4"), build_by_name("D4"), build_by_name("D6")
+    star, chain, hexagon = (dg.catalog(name).word for name in ("D4", "A4", "D6(b2)"))
+    alphas, betas = rewrite._canonical_cycle_labels(6)
+    far = next(i for i, r in enumerate(hexagon) if r not in (alphas[0], betas[0]))
+    three_dotted = tuple(tuple(-c for c in r) if i == far else r
+                         for i, r in enumerate(hexagon))
+    for system, word, message in (
+        (d4, star[:3], "odd word length"),
+        (d4, star[::-1], "word halves are not orthogonal sets"),  # centre first
+        (a4, chain, "word is not a single cycle"),
+        (d6, three_dotted, "expected exactly one dotted edge"),
+    ):
+        with pytest.raises(ScriptIntegrityError, match=message):
+            rewrite._cycle_labels(system, word)
 
 
 def test_long_cycle_names_cover_all_scripts():

@@ -7,12 +7,13 @@ from fractions import Fraction as Q
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylcalc.exactla import dot, vec_add, vec_neg, vec_scale
+from weylcalc.exactla import dot, idot, vec_add, vec_neg, vec_scale
 from weylcalc.rootsys import (
     _RANK_RANGE,
     RootSystem,
     build,
     build_by_name,
+    doubled,
     format_vector,
     parse_vector,
 )
@@ -58,6 +59,7 @@ def test_build_by_name():
     s = build_by_name("D4")
     assert (s.family, s.rank) == ("D", 4)
     assert s.name() == "D4"
+    assert build("d", 4) is build("D", 4) is build_by_name("d4") is s  # one D4 per process
     with pytest.raises((ValueError, KeyError)):
         build_by_name("Q7")
     # the rank is ASCII digits only: int() would take all of these
@@ -128,6 +130,9 @@ def test_format_vector_shapes():
     assert format_vector((0, 0, 0, 0)) == "0"
     half = tuple(Q(1, 2) if i != 1 else Q(-1, 2) for i in range(8))
     assert format_vector(half).endswith("/2")
+    for thirds in ((Q(1, 3), Q(0)), (Q(1, 2), Q(1, 6))):
+        with pytest.raises(ValueError, match="non-half fractional part"):
+            format_vector(thirds)
 
 
 def test_parse_root_validates_membership():
@@ -319,13 +324,15 @@ def test_subsystem_name_refuses_a_non_root():
 
 
 def test_max_root_is_dominant_and_long():
-    for name in ("A4", "D4", "B3", "G2", "E6"):
-        s = build_by_name(name)
-        high = s.max_root()
-        assert s.is_root(high)
-        assert dot(high, high) == s.long_norm
-        for simple in s.simple_roots:
-            assert dot(high, simple) >= 0
+    """Each length's dominant root is the only root of that length with
+    ``<r, s> >= 0`` for every simple root ``s``; the long one is ``max_root``."""
+    for s in all_systems():
+        assert s.max_root() is s.dominant_root(long=True)
+        simple = [doubled(r) for r in s.simple_roots]
+        for norm, long in ((s.int_long_norm, True), (s.int_short_norm, False)):
+            dominant = [s.roots[i] for i, r in enumerate(s.int_roots) if idot(r, r) == norm
+                        and all(idot(r, t) >= 0 for t in simple)]
+            assert dominant == [s.dominant_root(long)], (s.name(), long)
 
 
 def test_simple_coefficients_reconstruct():

@@ -230,3 +230,11 @@ def test_perm_of_matrix_accepts_minus_one_exactly_in_w(name, in_w):
     for other in (m, identity(s.dim)):
         with pytest.raises(ValueError, match="not in its Weyl group"):
             are_conjugate(s, m, other)
+
+
+def test_perm_of_matrix_rejects_a_wrong_shape():
+    s = build_by_name("A2")  # dim 3
+    space = perm_space(s)
+    for m in (identity(2), identity(4), identity(3)[:2], (*identity(3)[:2], (Q(1), Q(0)))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            space.perm_of_matrix(m)
