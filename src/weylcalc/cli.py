@@ -490,10 +490,31 @@ def _suite_orbits() -> list[tuple[str, str, str]]:
     return items
 
 
-_CYCLE4 = ((0, 1), (1, 2), (2, 3), (0, 3))
-_CYCLE5 = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
-_K23 = ((0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4))
-_SQUARE_APEX = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4))
+_CYCLES = (
+    (4, ((0, 1), (1, 2), (2, 3), (0, 3)), "4-cycle"),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), "5-cycle"),
+)
+
+#: The parity certificates, one row each: the systems, the shapes (vertex
+#: count, edges, text), and whether every styling class is searched or
+#: only the all-solid one.
+_PARITY_ROWS = (
+    # Cycles of length 4 and 5 never embed in the A family: every
+    # styling class of each shape comes up empty.
+    (("A4", "A5"), _CYCLES, True),
+    # Even-dotted cycles (the class of the all-solid styling) vanish in
+    # the D family; the odd class is the realizable one.
+    (("D4", "D5"), _CYCLES, False),
+    # Two 4-cycles sharing a 2-edge path (the theta shape, equally the
+    # three-endpoints pattern): empty in every styling class.
+    (("D5", "D6"),
+     ((5, ((0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)), "two cycles sharing a path"),),
+     True),
+    # A square with an apex joined to all four corners: empty likewise.
+    (("D5", "D6"),
+     ((5, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)), "square plus apex"),),
+     True),
+)
 
 
 def _style_desc(edges, mask: int) -> str:
@@ -519,49 +540,15 @@ def _empty_item(label: str, sysname: str, n: int, edges, mask: int):
 
 def _suite_parity() -> list[tuple[str, str, str]]:
     items = []
-    # Cycles of length 4 and 5 never embed in the A family: every
-    # styling class of each shape comes up empty.
-    for sysname in ("A4", "A5"):
-        for n, edges in ((4, _CYCLE4), (5, _CYCLE5)):
-            for mask in dg.style_class_representatives(n, edges):
-                items.append(
-                    _empty_item(
-                        f"parity/{sysname} {n}-cycle, {_style_desc(edges, mask)}",
-                        sysname, n, edges, mask,
-                    )
-                )
-    # Even-dotted cycles (the class of the all-solid styling) vanish in
-    # the D family; the odd class is the realizable one.
-    for sysname in ("D4", "D5"):
-        for n, edges in ((4, _CYCLE4), (5, _CYCLE5)):
-            items.append(
-                _empty_item(
-                    f"parity/{sysname} {n}-cycle, all-solid class "
-                    "(even dotted count)",
-                    sysname, n, edges, 0,
-                )
-            )
-    # Two 4-cycles sharing a 2-edge path (the theta shape, equally the
-    # three-endpoints pattern): empty in every styling class.
-    for sysname in ("D5", "D6"):
-        for mask in dg.style_class_representatives(5, _K23):
-            items.append(
-                _empty_item(
-                    f"parity/{sysname} two cycles sharing a path, "
-                    f"{_style_desc(_K23, mask)}",
-                    sysname, 5, _K23, mask,
-                )
-            )
-    # A square with an apex joined to all four corners: empty likewise.
-    for sysname in ("D5", "D6"):
-        for mask in dg.style_class_representatives(5, _SQUARE_APEX):
-            items.append(
-                _empty_item(
-                    f"parity/{sysname} square plus apex, "
-                    f"{_style_desc(_SQUARE_APEX, mask)}",
-                    sysname, 5, _SQUARE_APEX, mask,
-                )
-            )
+    for systems, shapes, every_class in _PARITY_ROWS:
+        for sysname in systems:
+            for n, edges, text in shapes:
+                masks = dg.style_class_representatives(n, edges) if every_class else (0,)
+                for mask in masks:
+                    desc = (_style_desc(edges, mask) if every_class
+                            else "all-solid class (even dotted count)")
+                    items.append(_empty_item(f"parity/{sysname} {text}, {desc}",
+                                             sysname, n, edges, mask))
     return items
 
 

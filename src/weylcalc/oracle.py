@@ -228,8 +228,6 @@ def find_subsets(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be None or at least 1, not {limit}")
     k = target.n
-    if k == 0:
-        return []
     if k > system.rank:
         return []  # more vertices than independent roots can exist
     idx = _subset_index(system)

@@ -233,6 +233,11 @@ def replay(trace: RewriteTrace) -> bool:
 # Script builder: macros over the primitive moves, checked at every step.
 # --------------------------------------------------------------------------
 
+#: Rotation macros of :class:`_Script`, named in a move list for ``run``.
+_FIRST_TO_LAST = "rotate_first_to_last"
+_LAST_TO_FRONT = "rotate_last_to_front"
+
+
 class _Script:
     def __init__(self, name: str, system: RootSystem, word: Sequence[Vector],
                  note: str = "starting word"):
@@ -333,15 +338,23 @@ class _Script:
                 self.name, f"swap at {i} requires an orthogonal pair")
         self.perm(i, "right", note or f"swap the orthogonal pair {i},{i + 1}")
 
+    def run(self, *moves: int | str) -> None:
+        """Play a run of moves with their default notes: an int ``i`` is
+        ``swap(i)``, a string names a rotation macro (``_FIRST_TO_LAST``,
+        ``_LAST_TO_FRONT``)."""
+        for move in moves:
+            if isinstance(move, int):
+                self.swap(move)
+            else:
+                getattr(self, move)()
+
     def move_left(self, i: int, j: int) -> None:
         """Carry position i leftwards to position j by orthogonal swaps."""
-        for p in range(i - 1, j - 1, -1):
-            self.swap(p)
+        self.run(*range(i - 1, j - 1, -1))
 
     def move_right(self, i: int, j: int) -> None:
         """Carry position i rightwards to position j by orthogonal swaps."""
-        for p in range(i, j):
-            self.swap(p)
+        self.run(*range(i, j))
 
     def rotate_last_to_front(self, note: str = "") -> None:
         self.conjugate_to_front(len(self.word) - 1,
@@ -432,10 +445,9 @@ LONG_CYCLE_NAMES = (*TABLE1, "Dl(b)")
 class _Case:
     """A named case script, written a -> b in three stages.
 
-    Stages 1 and 2 each swap orthogonal pairs into place and absorb two
-    letters at ``absorb``, creating mu and then sigma; stage 3 plays the
-    move list, where an int is an orthogonal swap at that position and a
-    string names a rotation macro of :class:`_Script`.
+    Each stage plays its move list with :meth:`_Script.run`.  Stages 1 and
+    2 then absorb two letters at ``absorb``, creating mu and then sigma;
+    stage 2 first rotates the last two letters to the front.
     """
 
     absorb: int
@@ -446,9 +458,6 @@ class _Case:
     # letter of the b-side word, asserted before the inverted script runs.
     sigma_relations: tuple[tuple[str, Q], ...]
 
-
-_FIRST_TO_LAST = "rotate_first_to_last"
-_LAST_TO_FRONT = "rotate_last_to_front"
 
 _CASES = {
     "E8(b3)": _Case(
@@ -478,29 +487,21 @@ def _forward_case(name: str, system: RootSystem) -> _Script:
     p = case.absorb
 
     sc.set_stage("stage 1")
-    for i in case.stage1:
-        sc.swap(i)
+    sc.run(*case.stage1)
     sc.perm(p, "left", "absorb: s_{a3} carries b3 to b3+a3")
     sc.perm(p - 1, "left", "absorb: s_{a2} carries b3+a3 to the new root mu")
     mu = vec_sub(vec_add(lab["beta3"], lab["alpha3"]), lab["alpha2"])
     sc.require_root_at(p - 1, mu, "mu = b3 + a3 - a2")
 
     sc.set_stage("stage 2")
-    sc.rotate_last_to_front()
-    sc.rotate_last_to_front()
-    for i in case.stage2:
-        sc.swap(i)
+    sc.run(_LAST_TO_FRONT, _LAST_TO_FRONT, *case.stage2)
     sc.perm(p, "left", "absorb: s_{b4} carries mu to mu+b4")
     sc.perm(p - 1, "left", "absorb: s_{b2} carries mu+b4 to the new root sigma")
     sigma = vec_sub(vec_add(mu, lab["beta4"]), lab["beta2"])
     sc.require_root_at(p - 1, sigma, "sigma = mu + b4 - b2")
 
     sc.set_stage("stage 3")
-    for move in case.stage3:
-        if isinstance(move, int):
-            sc.swap(move)
-        else:
-            getattr(sc, move)()
+    sc.run(*case.stage3)
     sc.set_stage("")
     return sc
 
@@ -547,9 +548,7 @@ def _e8b5_trace() -> RewriteTrace:
             sc.require_inner(root, other, expected, f"{stage}: ({label})")
 
     sc.set_stage("stage 1")
-    sc.rotate_last_to_front()
-    sc.swap(1)
-    sc.swap(2)
+    sc.run(_LAST_TO_FRONT, 1, 2)
     sc.perm(0, "right", "absorb: s_{b2} carries a4 to a4-b2")
     sc.perm(1, "right", "absorb: s_{b4} carries a4-b2 to the new root mu")
     mu = vec_add(vec_sub(a4, b2), b4)
@@ -560,11 +559,7 @@ def _e8b5_trace() -> RewriteTrace:
                (a1, "mu,a1", Q(1, 2))), "stage 1")
 
     sc.set_stage("stage 2")
-    sc.swap(2)
-    sc.swap(5)
-    sc.swap(4)
-    sc.swap(6)
-    sc.swap(5)
+    sc.run(2, 5, 4, 6, 5)
     sc.perm(3, "right", "absorb: s_{a2} carries mu to mu-a2")
     sc.perm(4, "right", "absorb: s_{a3} carries mu-a2 to the new root b3")
     b3 = vec_add(vec_sub(mu, a2), a3)
@@ -574,33 +569,19 @@ def _e8b5_trace() -> RewriteTrace:
                (a2, "b3,a2", Q(-1, 2)), (b2, "b3,b2", Q(0))), "stage 2")
 
     sc.set_stage("stage 3")
-    sc.rotate_first_to_last()
-    sc.rotate_first_to_last()
-    sc.rotate_first_to_last()
+    sc.run(_FIRST_TO_LAST, _FIRST_TO_LAST, _FIRST_TO_LAST)
     sc.perm(3, "left", "absorb: s_g carries a1 to a1+g")
-    sc.swap(4)
-    sc.swap(5)
-    sc.swap(6)
+    sc.run(4, 5, 6)
     sc.perm(3, "right", "absorb: s_{b2} carries a1+g to the new root v")
     v = vec_add(vec_add(a1, g), b2)
     sc.require_root_at(4, v, "v = a1 + g + b2")
-    sc.swap(4)
-    sc.swap(5)
-    sc.rotate_first_to_last()
-    sc.rotate_first_to_last()
-    sc.swap(5)
-    sc.swap(6)
-    sc.swap(0)
-    sc.swap(2)
-    sc.swap(1)
+    sc.run(4, 5, _FIRST_TO_LAST, _FIRST_TO_LAST, 5, 6, 0, 2, 1)
     sc.require_word((b2, b1, b3, b4, v, a2, a3, g), "stage 3 word")
     block(v, ((b3, "v,b3", Q(0)), (g, "v,g", Q(1, 2)),
               (a2, "v,a2", Q(-1, 2)), (b2, "v,b2", Q(1, 2))), "stage 3")
 
     sc.set_stage("stage 4")
-    sc.swap(0)
-    sc.swap(1)
-    sc.swap(2)
+    sc.run(0, 1, 2)
     sc.perm(3, "right", "absorb: s_v carries b2 to b2-v")
     sc.flip(4, "flip b2-v to the new root y")
     y = vec_add(a1, g)
@@ -611,16 +592,12 @@ def _e8b5_trace() -> RewriteTrace:
           "stage 4")
 
     sc.set_stage("stage 5")
-    sc.rotate_last_to_front()
-    sc.swap(1)
-    sc.swap(3)
-    sc.swap(2)
+    sc.run(_LAST_TO_FRONT, 1, 3, 2)
     sc.perm(0, "right", "absorb: s_{b3} carries g to g+b3")
     sc.perm(1, "right", "absorb: s_v carries g+b3 to the new root x")
     x = vec_sub(vec_sub(b3, a1), b2)
     sc.require_root_at(2, x, "x = b3 - a1 - b2")
-    sc.swap(4)
-    sc.swap(3)
+    sc.run(4, 3)
     sc.require_word((b3, v, x, y, b1, b4, a2, a3), "stage 5 word")
     # (x, a3) reduces to (b3, a3), which the stage-2 block fixed at +1/2.
     block(x, ((y, "x,y", Q(0)), (b1, "x,b1", Q(0)), (b4, "x,b4", Q(0)),
@@ -628,14 +605,10 @@ def _e8b5_trace() -> RewriteTrace:
               (a3, "x,a3", Q(1, 2))), "stage 5")
 
     sc.set_stage("stage 6")
-    sc.swap(3)
-    sc.swap(2)
-    sc.swap(1)
-    sc.rotate_last_to_front()
+    sc.run(3, 2, 1, _LAST_TO_FRONT)
     sc.conj((b4,), "conjugate by s_{b4}")
     sc.flip(6, "restore the sign of b4")
-    for p in (5, 4, 3, 2, 1):
-        sc.swap(p)
+    sc.run(5, 4, 3, 2, 1)
     sc.perm(0, "right", "absorb: s_{b4} returns a3+b4 to a3")
     sc.perm(1, "right", "absorb: s_{b3} carries a3 to a3-b3")
     sc.perm(2, "right", "absorb: s_{b1} carries a3-b3 to the new root u")
@@ -695,23 +668,17 @@ def _cycle_labels(system: RootSystem, word: Sequence[Vector]
 
 def _chain_vector(pair: str, alphas: Sequence[Vector], betas: Sequence[Vector],
                   L: int, R: int) -> Vector:
-    """Alternating-sum chain vector on canonical cycle labels (1-based L >= R)."""
-    m = len(alphas)
-    v = alphas[0]
-    if pair == "beta":
-        neg_b, neg_a = range(1, R + 1), range(2, R + 1)
-        pos_b, pos_a = range(L, m + 1), range(L + 1, m + 1)
-    else:
-        neg_b, neg_a = range(1, R), range(2, R + 1)
-        pos_b, pos_a = range(L, m + 1), range(L, m + 1)
-    for i in neg_b:
-        v = vec_sub(v, betas[i - 1])
-    for i in neg_a:
-        v = vec_sub(v, alphas[i - 1])
-    for i in pos_b:
-        v = vec_add(v, betas[i - 1])
-    for i in pos_a:
-        v = vec_add(v, alphas[i - 1])
+    """Chain vector on canonical cycle labels (1-based L >= R), as arcs of
+    the cycle walk a_1, b_1, a_2, ..., a_m, b_m: walk[0] - sum(walk[1:cut])
+    + sum(walk[back:]), where (cut, back) is (2R, 2L-1) for a beta pair
+    and (2R-1, 2L-2) for an alpha pair."""
+    walk = [r for ab in zip(alphas, betas) for r in ab]
+    cut, back = (2 * R, 2 * L - 1) if pair == "beta" else (2 * R - 1, 2 * L - 2)
+    v = walk[0]
+    for r in walk[1:cut]:
+        v = vec_sub(v, r)
+    for r in walk[back:]:
+        v = vec_add(v, r)
     return v
 
 
@@ -827,10 +794,9 @@ def _dl_trace(l: int) -> RewriteTrace:
         chain = _chain_vector("alpha", alphas, betas, L, R)
         sc.require_root_at(2 * m - 1, chain,
                            f"chain passed the a-block: {kind}(a_{L}, a_{R})")
-        if (L, R) == (k + 1, k):  # only when l = 4k-2: L+R is m+2 here
-            sc.rotate_last_to_front()
-            break
         sc.rotate_last_to_front()
+        if (L, R) == (k + 1, k):  # only when l = 4k-2: L+R is m+2 here
+            break
         for p in range(m):
             sc.perm(p, "right")
         L -= 1
@@ -943,16 +909,12 @@ def _five_cycle_r1(system: RootSystem, word: Word) -> RewriteTrace:
     p1, p5, p4, p3, p2 = word
     sc = _Script("5-cycle orientation 1", system, word)
     sc.perm(2, "right", "absorb: s_{phi3} carries phi4 to phi3+phi4")
-    sc.rotate_first_to_last()
-    sc.swap(0)
+    sc.run(_FIRST_TO_LAST, 0)
     sc.perm(2, "right", "absorb: s_{phi2} extends the chain")
     sc.perm(3, "right", "absorb: s_{phi1} closes the chain root")
     sigma = vec_add(vec_add(vec_add(p2, p3), p4), p1)
     sc.require_root_at(4, sigma, "chain root phi2+phi3+phi4+phi1")
-    sc.rotate_first_to_last()
-    sc.swap(3)
-    sc.rotate_last_to_front()
-    sc.swap(3)
+    sc.run(_FIRST_TO_LAST, 3, _LAST_TO_FRONT, 3)
     return sc.finish("D5", ((sigma, p5, p2), (p3, p1)))
 
 
@@ -960,15 +922,12 @@ def _five_cycle_r2(system: RootSystem, word: Word) -> RewriteTrace:
     p1, p2, p5, p4, p3 = word
     sc = _Script("5-cycle orientation 2", system, word)
     sc.perm(3, "right", "absorb: s_{phi3} carries phi4 to phi3+phi4")
-    sc.rotate_last_to_front()
-    sc.swap(0)
+    sc.run(_LAST_TO_FRONT, 0)
     sc.perm(1, "right", "absorb: s_{phi2} extends the chain")
     sc.perm(2, "right", "absorb: s_{phi5} closes the chain root")
     sigma = vec_sub(vec_add(vec_add(p3, p4), p2), p5)
     sc.require_root_at(3, sigma, "chain root phi3+phi4-phi5+phi2")
-    sc.rotate_first_to_last()
-    sc.swap(0)
-    sc.swap(3)
+    sc.run(_FIRST_TO_LAST, 0, 3)
     return sc.finish("D5(a1)", ((p5, p2), (sigma, p1, p3)))
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from weylcalc import diagram as dg
 from weylcalc.exactla import identity, mat_mul
 from weylcalc.oracle import (
+    LabeledDiagram,
     are_conjugate,
     find_subsets,
     max_root_complement,
@@ -113,7 +114,10 @@ def test_find_subsets_emptiness():
 def test_find_subsets_rank_short_circuit():
     a2 = build_by_name("A2")
     assert find_subsets(a2, dg.styled_diagram(4, SQUARE, 1)) == []
-    assert find_subsets(a2, dg.make_diagram(0, [])) == []
+    # The empty root set realizes the empty diagram, so the answer is one
+    # empty realization, never an emptiness certificate.
+    for limit in (None, 1):
+        assert find_subsets(a2, dg.make_diagram(0, []), limit=limit) == [LabeledDiagram(())]
 
 
 def test_find_subsets_respects_limit():

@@ -421,6 +421,56 @@ def test_chain_root_index_errors(l):
             chain_root(kind, system, m // 2 + 1, m // 2 + 1)
 
 
+def _index_range_chain(pair, alphas, betas, L, R):
+    """The paper's chain vector: a_1 - (b_1 + ... + b_R) - (a_2 + ... + a_R)
+    + (b_L + ... + b_m) + (a_{L+1} + ... + a_m) for a beta pair, and
+    a_1 - (b_1 + ... + b_{R-1}) - (a_2 + ... + a_R) + (b_L + ... + b_m)
+    + (a_L + ... + a_m) for an alpha pair (1-based indices)."""
+    m = len(alphas)
+    a, b = (lambda i: alphas[i - 1]), (lambda i: betas[i - 1])
+    if pair == "beta":
+        neg = [b(i) for i in range(1, R + 1)] + [a(i) for i in range(2, R + 1)]
+        pos = [b(i) for i in range(L, m + 1)] + [a(i) for i in range(L + 1, m + 1)]
+    else:
+        neg = [b(i) for i in range(1, R)] + [a(i) for i in range(2, R + 1)]
+        pos = [b(i) for i in range(L, m + 1)] + [a(i) for i in range(L, m + 1)]
+    return tuple(x - sum(r[c] for r in neg) + sum(r[c] for r in pos)
+                 for c, x in enumerate(alphas[0]))
+
+
+@pytest.mark.parametrize("l", range(6, 17, 2))
+def test_chain_vector_is_the_index_range_sum(l):
+    """The arcs of the cycle walk give the paper's index-range chain vector
+    for both pairs and every 1 <= L, R <= m, the valid pairs among them."""
+    alphas, betas = rewrite._canonical_cycle_labels(l)
+    m = l // 2
+    for pair in ("beta", "alpha"):
+        for L in range(1, m + 1):
+            for R in range(1, m + 1):
+                assert (rewrite._chain_vector(pair, alphas, betas, L, R)
+                        == _index_range_chain(pair, alphas, betas, L, R)), (pair, L, R)
+
+
+def test_run_plays_swaps_and_rotation_macros():
+    """``_Script.run`` plays an int as ``swap`` and a name as that rotation
+    macro, with the same steps as the explicit calls; a non-orthogonal
+    position is refused as ``swap`` refuses it."""
+    ran, explicit = catalog_script("E8(b5)"), catalog_script("E8(b5)")
+    ran.run(rewrite._LAST_TO_FRONT, 1, 2, rewrite._FIRST_TO_LAST)
+    explicit.rotate_last_to_front()
+    explicit.swap(1)
+    explicit.swap(2)
+    explicit.rotate_first_to_last()
+    assert ran.steps == explicit.steps
+    assert {st.op for st in ran.steps} == {"start", "conj", "flip", "perm"}
+    word = ran.word
+    i = next(p for p in range(len(word) - 1) if dot(word[p], word[p + 1]) != 0)
+    before = list(ran.steps)
+    with pytest.raises(ScriptIntegrityError, match=f"swap at {i} requires an orthogonal pair"):
+        ran.run(i)
+    assert ran.steps == before
+
+
 def test_verify_commutation():
     assert verify_commutation(build_by_name("D8"), "4k")
     assert verify_commutation(build_by_name("D6"), "4k-2")
