@@ -89,13 +89,25 @@ class Diagram:
 
     @staticmethod
     def from_dict(data: dict) -> "Diagram":
-        verts = sorted(data["vertices"], key=lambda v: v["index"])
-        if [v["index"] for v in verts] != list(range(len(verts))):
-            raise ValueError("vertex indices must be 0..n-1, each once")
-        longs = tuple(bool(v.get("long", False)) for v in verts)
+        """Inverse of :meth:`to_dict`.  Input outside the ``diagram.v1``
+        schema is refused, never coerced: an index or edge end that is not
+        an int, or a ``long`` that is not a bool."""
+        verts = data["vertices"]
+        if (not all(_is_index(v["index"]) for v in verts)
+                or sorted(v["index"] for v in verts) != list(range(len(verts)))):
+            raise ValueError("vertex indices must be the ints 0..n-1, each once")
+        verts = sorted(verts, key=lambda v: v["index"])
+        longs = tuple(v.get("long", False) for v in verts)
+        if not all(isinstance(x, bool) for x in longs):
+            raise ValueError("vertex long flags must be booleans")
         labels = tuple(str(v.get("label", f"v{v['index']}")) for v in verts)
-        edges = [(int(e["source"]), int(e["target"]), e["style"]) for e in data["edges"]]
+        edges = [(e["source"], e["target"], e["style"]) for e in data["edges"]]
         return make_diagram(len(longs), edges, longs=longs, labels=labels)
+
+
+def _is_index(x) -> bool:
+    """A vertex index is an int; a bool, a float or a string is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def make_diagram(
@@ -111,8 +123,8 @@ def make_diagram(
     norm_edges = []
     seen = set()
     for a, b, style in edges:
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"bad edge ({a}, {b})")
+        if not (_is_index(a) and _is_index(b) and a != b and 0 <= a < n and 0 <= b < n):
+            raise ValueError(f"bad edge ({a!r}, {b!r})")
         if style not in (SOLID, DOTTED):
             raise ValueError(f"bad edge style {style!r}")
         if a > b:

@@ -6,9 +6,10 @@ of their (finitely many) roots, conjugacy is settled in one place
 class that either produces an explicit, checked witness or exhausts the
 class, and diagram-realization questions are settled by a backtracking
 search over root subsets that either lists every match or certifies
-that none exists.  The module is deliberately slow-and-sure; it is the
-referee against which the algebraic shortcuts elsewhere in the package
-are checked.
+that none exists.  Find-first searches and orbit counts are anchored by
+W-transitivity on the roots of each length, and |W| comes from the root
+heights.  The module is the referee against which the algebraic
+shortcuts elsewhere in the package are checked.
 
 Group elements are handled as root permutations (``weyl.PermSpace``);
 ambient matrices are built only where they cross the API: conjugacy
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
 from . import diagram as dg
@@ -358,8 +360,12 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
       simple reflections orthogonal to it (Steinberg 1964; Humphreys
       §1.12); with s_a they generate the elements fixing +-a.
 
-    Union-find over the tuples through ``a``, joined by those generators
-    and by each w_b, therefore counts the orbits of a's class.
+    Each tuple through ``a`` (from ``itertools.combinations``) that no
+    earlier walk reached starts a walk, which applies those generators
+    and each w_b (b != a a member of a's length) to every tuple it
+    reaches.  Moves stay in the orbit, and from T, w_b then g^-1 reaches
+    any S in T's orbit (g^-1 is a word in the generators, which are
+    involutions), so the walks count the orbits of a's class.
     """
     if k not in (2, 3):
         raise ValueError("only pairs and triples are supported")
@@ -386,36 +392,24 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
                       if dot(s, anchor) == 0] + [on_reps(anchor)]
 
         others = ortho[a] if long else ortho[a] & same
-        tuples: list[tuple[int, ...]] = []
-
-        def grow(prefix: tuple[int, ...], cand: int) -> None:
-            if len(prefix) == k:
-                tuples.append(tuple(sorted(prefix)))
-                return
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                b = bit.bit_length() - 1
-                grow(prefix + (b,), cand & ortho[b])
-
-        grow((a,), others)
-        where = {t: i for i, t in enumerate(tuples)}
-        uf = list(range(len(tuples)))
-
-        def root_of(x: int) -> int:
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
-        for t_idx, t in enumerate(tuples):
-            moves = stabilizer + [reanchor[b] for b in t
-                                  if b != a and same >> b & 1]
-            for g in moves:
-                x, y = root_of(t_idx), root_of(where[tuple(sorted(g[i] for i in t))])
-                if x != y:
-                    uf[x] = y
-        orbits += sum(root_of(i) == i for i in range(len(tuples)))
+        members = [b for b in range(others.bit_length()) if others >> b & 1]
+        seen: set[tuple[int, ...]] = set()
+        for rest in combinations(members, k - 1):
+            start = tuple(sorted((a, *rest)))
+            if start in seen or any(not ortho[x] >> y & 1
+                                    for x, y in combinations(rest, 2)):
+                continue
+            orbits += 1
+            seen.add(start)
+            walk = [start]
+            while walk:
+                t = walk.pop()
+                for g in stabilizer + [reanchor[b] for b in t
+                                       if b != a and same >> b & 1]:
+                    s = tuple(sorted(g[i] for i in t))
+                    if s not in seen:
+                        seen.add(s)
+                        walk.append(s)
     return orbits
 
 

@@ -39,6 +39,13 @@ def test_make_diagram_rejects_bad_input():
         dg.make_diagram(2, [(0, 1, dg.SOLID), (1, 0, dg.DOTTED)])
     with pytest.raises(ValueError):
         dg.make_diagram(2, [(0, 2, dg.SOLID)])
+    for a, b in ((0.5, 1), (True, 0), (0, "1")):
+        with pytest.raises(ValueError, match="bad edge"):
+            dg.make_diagram(2, [(a, b, dg.SOLID)])
+    with pytest.raises(ValueError, match="longs length mismatch"):
+        dg.make_diagram(2, [], longs=(True,))
+    with pytest.raises(ValueError, match="labels length mismatch"):
+        dg.make_diagram(2, [], labels=("a", "b", "c"))
 
 
 def test_from_roots_styles():
@@ -99,7 +106,8 @@ def test_to_dict_round_trip():
     assert back.label(0) == "e1-e2"
 
 
-@pytest.mark.parametrize("indices", [[0, 0], [3, 7], [1, 2], [0, 2]])
+@pytest.mark.parametrize("indices", [[0, 0], [3, 7], [1, 2], [0, 2],
+                                     [0.0, 1], [1, True], ["0", 1]])
 def test_from_dict_rejects_vertex_indices_other_than_0_to_n_minus_1(indices):
     data = {"vertices": [{"index": i} for i in indices],
             "edges": [{"source": indices[0], "target": indices[1], "style": dg.SOLID}]}
@@ -113,7 +121,23 @@ def test_from_dict_rejects_a_bad_edge_style():
     with pytest.raises(ValueError, match="bad edge style 'wavy'"):
         dg.Diagram.from_dict(data)
     data["edges"][0]["style"] = dg.DOTTED
-    assert dg.Diagram.from_dict(data).edges == ((0, 1, dg.DOTTED),)
+    d = dg.Diagram.from_dict(data)
+    assert d.edges == ((0, 1, dg.DOTTED),)
+    assert d.longs == (False, False) and d.label(1) == "v1"  # the defaults
+
+
+@pytest.mark.parametrize("edge,vertex,message", [
+    ({"source": 0.9, "target": 2.7}, {}, "bad edge"),
+    ({"source": True, "target": "2"}, {}, "bad edge"),
+    ({"source": 0, "target": 2}, {"long": "no"}, "long flags"),
+    ({"source": 0, "target": 2}, {"long": 1}, "long flags"),
+])
+def test_from_dict_refuses_values_outside_the_schema(edge, vertex, message):
+    """Edge ends are ints and ``long`` is a bool; nothing is coerced."""
+    data = {"vertices": [{"index": i, **vertex} for i in range(3)],
+            "edges": [{**edge, "style": dg.SOLID}]}
+    with pytest.raises(ValueError, match=message):
+        dg.Diagram.from_dict(data)
 
 
 def test_gram_values():
@@ -196,6 +220,9 @@ def test_flip_vertex_toggles_incident_styles():
     assert f.edge_style(0, 3) == "dotted"
     assert f.edge_style(1, 2) == "solid"
     assert dg.flip_vertex(f, 0) == d
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            dg.flip_vertex(d, i)
 
 
 def test_style_class_representatives():

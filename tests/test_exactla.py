@@ -1,5 +1,6 @@
 """Exact linear algebra and polynomial arithmetic."""
 
+import pytest
 from fractions import Fraction as Q
 
 from weylcalc.exactla import (
@@ -16,6 +17,7 @@ from weylcalc.exactla import (
     mat_pow,
     mat_vec,
     poly_degree,
+    poly_derivative,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -98,6 +100,10 @@ def test_poly_basics():
     assert poly_trim((Q(1), Q(2), Q(0), Q(0))) == (1, 2)
     assert poly_eval(p, Q(3)) == 8
     assert poly_gcd(poly_mul(p, q), q) == q
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        poly_divmod(p, (Q(0), Q(0)))
+    assert poly_derivative(p) == (0, 2)
+    assert poly_derivative((Q(7),)) == (0,)
 
 
 def test_poly_str():
@@ -105,6 +111,7 @@ def test_poly_str():
     assert poly_str((Q(1), Q(0), Q(2), Q(0), Q(1))) == "x^4 + 2*x^2 + 1"
     assert poly_str((Q(1), Q(1), Q(0), Q(1), Q(1)), "t") == "t^4 + t^3 + t + 1"
     assert poly_str((Q(5),)) == "5"
+    assert poly_str((Q(0), Q(0)), "t") == "0"
 
 
 def test_cyclotomic_values():
@@ -114,6 +121,8 @@ def test_cyclotomic_values():
     assert cyclotomic(12) == (1, 0, -1, 0, 1)
     assert poly_degree(cyclotomic(15)) == 8
     assert cyclotomic(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
+    with pytest.raises(ValueError, match="n must be positive"):
+        cyclotomic(0)
 
 
 def test_cyclotomic_product_is_t_power_minus_one():
@@ -137,12 +146,15 @@ def test_cyclotomic_recognition():
     p = (Q(1), Q(-4), Q(-1), Q(-4), Q(1))
     assert not is_product_of_cyclotomics(p)
     assert cyclotomic_factors(p) is None
+    assert cyclotomic_factors((Q(1), Q(0), Q(2))) is None  # 2t^2 + 1 is not monic
 
 
 def test_real_root_counting():
     p = poly_mul(poly_mul((Q(-1), Q(1)), (Q(-2), Q(1))), (Q(-3), Q(1)))
     assert count_real_roots_in_interval(p, Q(0), Q(4)) == 3
     assert count_real_roots_in_interval(p, Q(3, 2), Q(4)) == 2
+    assert count_real_roots_in_interval(p, Q(4), Q(4)) == 0
+    assert count_real_roots_in_interval(p, Q(4), Q(0)) == 0  # lo >= hi: empty
     two = (Q(-2), Q(0), Q(1))
     assert real_root_in_interval(two, Q(7, 5), Q(3, 2))
     assert not real_root_in_interval(two, Q(0), Q(1))

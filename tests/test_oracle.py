@@ -136,6 +136,10 @@ def test_find_subsets_rejects_limit_below_one(limit):
 def test_verify_unique_class_smallest_case():
     d4 = build_by_name("D4")
     assert verify_unique_class(d4, "D4(a1)")
+    with pytest.raises(ValueError, match="D4\\(a1\\) has no realization in A3"):
+        verify_unique_class(build_by_name("A3"), "D4(a1)")
+    with pytest.raises(RuntimeError, match="exceeded the cap of 2; inconclusive"):
+        verify_unique_class(d4, "D4(a1)", cap=2)
 
 
 def test_orthogonal_tuple_orbits_small():
@@ -220,9 +224,15 @@ def test_small_systems_cover_each_family():
 
 
 def test_orthogonal_tuple_orbits_large_pins():
-    """The counts the full tuple table gives, in 30 s and 0.7 s."""
+    """D16 and E8: the counts the full tuple table gives, in 30 s and 0.7 s.
+    B16 and C16: the two-length systems past the full table's reach, at
+    the counts the union-find over anchored tuples gave."""
     assert orthogonal_tuple_orbits(build_by_name("D16"), 3) == 2
     assert orthogonal_tuple_orbits(build_by_name("E8"), 3) == 1
+    for name in ("B16", "C16"):
+        system = build_by_name(name)
+        assert orthogonal_tuple_orbits(system, 2) == 4, name
+        assert orthogonal_tuple_orbits(system, 3) == 6, name
 
 
 def test_max_root_complement_values():

@@ -471,6 +471,23 @@ def test_run_plays_swaps_and_rotation_macros():
     assert ran.steps == before
 
 
+def test_script_assertions_refuse_what_they_check():
+    """On the D4(a1) catalog word (e1-e2, e3-e4, e2-e3, e2+e3): e2-e3 is
+    not orthogonal to e1-e2, the two meet at normalized inner -1/2, and
+    position 0 does not hold e3-e4.  A refusal records no step."""
+    sc = catalog_script("D4(a1)")
+    word = sc.word
+    with pytest.raises(ScriptIntegrityError, match="requires an orthogonal tail"):
+        sc.conjugate_to_front(0)
+    with pytest.raises(ScriptIntegrityError,
+                       match="pair: expected normalized inner 0, got -1/2"):
+        sc.require_inner(word[0], word[2], 0, "pair")
+    with pytest.raises(ScriptIntegrityError,
+                       match="slot: position 0 holds e1-e2, expected e3-e4"):
+        sc.require_root_at(0, word[1], "slot")
+    assert [st.op for st in sc.steps] == ["start"]
+
+
 def test_verify_commutation():
     assert verify_commutation(build_by_name("D8"), "4k")
     assert verify_commutation(build_by_name("D6"), "4k-2")

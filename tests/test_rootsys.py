@@ -317,6 +317,14 @@ def test_subsystem_name_refuses_a_reducible_input(name, literals):
         s.subsystem_name([s.parse_root(t) for t in literals])
 
 
+def test_subsystem_name_refuses_a_dependent_input():
+    """Connected but dependent: the three roots close to A2's six roots,
+    which no rank-3 system has."""
+    s = build_by_name("A3")
+    with pytest.raises(ValueError, match="no irreducible root system of rank 3 has 6 roots"):
+        s.subsystem_name([s.parse_root(t) for t in ("e1-e2", "e2-e3", "e1-e3")])
+
+
 def test_subsystem_name_refuses_a_non_root():
     s = build_by_name("A3")
     with pytest.raises(ValueError, match="is not a root of A3"):

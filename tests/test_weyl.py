@@ -77,6 +77,9 @@ def test_order_or_infinite_finite():
     assert order_or_infinite(evaluate(s4, word)) == 4
     assert order_or_infinite(identity(3)) == 1
     assert order_or_infinite(mat([[-1]])) == 2
+    e8 = build_by_name("E8")
+    with pytest.raises(ValueError, match="order bound 30 exceeds cap 10"):
+        order_or_infinite(evaluate(e8, e8.simple_roots), power_cap=10)
 
 
 def test_order_or_infinite_is_the_least_power_on_the_catalog():
