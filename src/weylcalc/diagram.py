@@ -91,16 +91,15 @@ class Diagram:
     def from_dict(data: dict) -> "Diagram":
         """Inverse of :meth:`to_dict`.  Input outside the ``diagram.v1``
         schema is refused, never coerced: an index or edge end that is not
-        an int, or a ``long`` that is not a bool."""
+        an int, a ``long`` that is not a bool or a ``label`` that is not a
+        string (the last two by :func:`make_diagram`)."""
         verts = data["vertices"]
         if (not all(_is_index(v["index"]) for v in verts)
                 or sorted(v["index"] for v in verts) != list(range(len(verts)))):
             raise ValueError("vertex indices must be the ints 0..n-1, each once")
         verts = sorted(verts, key=lambda v: v["index"])
         longs = tuple(v.get("long", False) for v in verts)
-        if not all(isinstance(x, bool) for x in longs):
-            raise ValueError("vertex long flags must be booleans")
-        labels = tuple(str(v.get("label", f"v{v['index']}")) for v in verts)
+        labels = tuple(v.get("label", f"v{v['index']}") for v in verts)
         edges = [(e["source"], e["target"], e["style"]) for e in data["edges"]]
         return make_diagram(len(longs), edges, longs=longs, labels=labels)
 
@@ -116,10 +115,13 @@ def make_diagram(
     longs: Sequence[bool] | None = None,
     labels: Sequence[str] | None = None,
 ) -> Diagram:
-    """Build a diagram from edge triples, normalizing edge order."""
-    longs = tuple(bool(x) for x in longs) if longs is not None else (False,) * n
+    """Build a diagram from edge triples, normalizing edge order.  A long
+    flag that is not a bool or a label that is not a string is refused."""
+    longs = tuple(longs) if longs is not None else (False,) * n
     if len(longs) != n:
         raise ValueError("longs length mismatch")
+    if not all(isinstance(x, bool) for x in longs):
+        raise ValueError("vertex long flags must be booleans")
     norm_edges = []
     seen = set()
     for a, b, style in edges:
@@ -136,6 +138,8 @@ def make_diagram(
     lab = tuple(labels) if labels is not None else None
     if lab is not None and len(lab) != n:
         raise ValueError("labels length mismatch")
+    if lab is not None and not all(isinstance(x, str) for x in lab):
+        raise ValueError("vertex labels must be strings")
     return Diagram(longs, tuple(sorted(norm_edges)), lab)
 
 

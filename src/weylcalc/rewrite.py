@@ -193,14 +193,34 @@ class RewriteTrace:
         return self.steps[-1].state
 
     def to_json_obj(self) -> list[dict]:
+        """One row per step, with the word's :func:`word_charpoly`.
+
+        The polynomial is computed once per (product permutation, word
+        length), read off each step's own word, never its stored
+        ``element_perm``.  This is exact.  Take independent roots
+        r_1..r_n with product w.  The word-basis charpoly is that of w on
+        span(word); w fixes span(word)^perp pointwise, so it equals
+        charpoly_ambient(w) / (t-1)^(dim-n), a function of w and n alone,
+        and W acts faithfully on its roots, so the permutation determines
+        w.  A dependent word of length n never meets an entry stored
+        from an independent one: its product fixes span(word)^perp, so
+        codim Fix(w) <= rank of the word < n, while an independent word
+        has codim Fix(w) = n exactly (Carter 1972, Lemma 3).  So it
+        misses, and :func:`word_charpoly` raises ValueError on it."""
         out = []
         system = self.initial_state.system
+        space = weyl.perm_space(system)
+        charpolys: dict[tuple, str] = {}
         for step in self.steps:
+            word = step.state.word
+            key = (space.word_perm(word), len(word))
+            if key not in charpolys:
+                charpolys[key] = poly_str(word_charpoly(system, word), "t")
             out.append({
                 "op": step.op,
                 "detail": step.detail,
-                "word_roots": [system.format_root(r) for r in step.state.word],
-                "charpoly": poly_str(word_charpoly(system, step.state.word), "t"),
+                "word_roots": [system.format_root(r) for r in word],
+                "charpoly": charpolys[key],
             })
         return out
 

@@ -46,6 +46,10 @@ def test_make_diagram_rejects_bad_input():
         dg.make_diagram(2, [], longs=(True,))
     with pytest.raises(ValueError, match="labels length mismatch"):
         dg.make_diagram(2, [], labels=("a", "b", "c"))
+    with pytest.raises(ValueError, match="vertex long flags must be booleans"):
+        dg.make_diagram(2, [], longs=("no", 0))
+    with pytest.raises(ValueError, match="vertex labels must be strings"):
+        dg.make_diagram(2, [], labels=("a", 5))
 
 
 def test_from_roots_styles():
@@ -131,9 +135,12 @@ def test_from_dict_rejects_a_bad_edge_style():
     ({"source": True, "target": "2"}, {}, "bad edge"),
     ({"source": 0, "target": 2}, {"long": "no"}, "long flags"),
     ({"source": 0, "target": 2}, {"long": 1}, "long flags"),
+    ({"source": 0, "target": 2}, {"label": 5}, "labels must be strings"),
+    ({"source": 0, "target": 2}, {"label": None}, "labels must be strings"),
 ])
 def test_from_dict_refuses_values_outside_the_schema(edge, vertex, message):
-    """Edge ends are ints and ``long`` is a bool; nothing is coerced."""
+    """Edge ends are ints, ``long`` is a bool and ``label`` a string;
+    nothing is coerced."""
     data = {"vertices": [{"index": i, **vertex} for i in range(3)],
             "edges": [{**edge, "style": dg.SOLID}]}
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """Rewrite states, primitive moves, elimination scripts, chain roots."""
 
 import dataclasses
+import random
 import re
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc import rewrite
-from weylcalc.exactla import dot, identity, mat_mul, mat_vec, poly_mul
+from weylcalc.exactla import dot, identity, mat_mul, mat_vec, poly_mul, poly_str
 from weylcalc.rootsys import build_by_name
 from weylcalc.rewrite import (
     LONG_CYCLE_NAMES,
@@ -251,6 +252,70 @@ def test_trace_json_shape():
     assert {"op", "detail", "word_roots", "charpoly"} <= set(obj[0])
     assert len({row["charpoly"] for row in obj}) == 1
     assert all(row["op"] in ("start", "conj", "perm", "flip") for row in obj[1:])
+
+
+def own_charpolys(trace):
+    """Each step's word charpoly, computed afresh from the word."""
+    system = trace.initial_state.system
+    return [poly_str(word_charpoly(system, step.state.word), "t") for step in trace.steps]
+
+
+def seeded_4cycle_trace(system_name, seed):
+    """``eliminate_4cycle`` on the connection square moved by seeded reflections."""
+    system = build_by_name(system_name)
+    word = [system.parse_root(t) for t in ("e1-e2", "e2-e3", "e3-e4", "e2+e3")]
+    rng = random.Random(seed)
+    for _ in range(6):
+        u = weyl.reflection(system, rng.choice(system.roots))
+        word = [mat_vec(u, r) for r in word]
+    return eliminate_4cycle(initial_state(system, word))
+
+
+def assert_rows_carry_own_charpolys(trace):
+    """Serialisation computes one charpoly per product, and every row still
+    reads its own word's polynomial."""
+    assert [row["charpoly"] for row in trace.to_json_obj()] == own_charpolys(trace)
+
+
+@pytest.mark.parametrize("name,l", [*((name, None) for name in rewrite.TABLE1),
+                                    *(("Dl(b)", l) for l in (6, 8, 10, 12))])
+def test_table1_trace_json_charpolys_are_the_words_own(name, l):
+    assert_rows_carry_own_charpolys(transform_long_cycle(name, l=l))
+
+
+@pytest.mark.parametrize("system_name,seed", [("D4", 1), ("D6", 2), ("E8", 3)])
+def test_4cycle_trace_json_charpolys_are_the_words_own(system_name, seed):
+    assert_rows_carry_own_charpolys(seeded_4cycle_trace(system_name, seed))
+
+
+def test_trace_json_ignores_the_stored_element():
+    """States whose ``element_perm`` is wrong still serialise their own words'
+    polynomials, which differ here."""
+    system = build_by_name("D4")
+    words = [dg.catalog("D4").word, dg.catalog("D4(a1)").word,
+             [system.parse_root(t) for t in ("e1-e2", "e1+e2", "e3-e4", "e3+e4")]]
+    states = [initial_state(system, word) for word in words]
+    wrong = states[0].element_perm
+    trace = rewrite.RewriteTrace("tampered", tuple(
+        rewrite.RewriteStep("start", (), "", dataclasses.replace(s, element_perm=wrong))
+        for s in states))
+    rows = [row["charpoly"] for row in trace.to_json_obj()]
+    assert rows == own_charpolys(trace) and len(set(rows)) == 3
+
+
+def test_trace_json_refuses_a_dependent_word():
+    """A dependent word has no word-basis charpoly, alone or after the
+    shorter independent word with the same product."""
+    system = build_by_name("D4")
+    dependent, shorter = (
+        initial_state(system, [system.parse_root(t) for t in literals])
+        for literals in (("e1-e2", "e1-e2", "e3-e4", "e2+e3"), ("e3-e4", "e2+e3")))
+    assert dependent.element_perm == shorter.element_perm
+    for states in ((dependent,), (shorter, dependent)):
+        trace = rewrite.RewriteTrace("dependent", tuple(
+            rewrite.RewriteStep("start", (), "", s) for s in states))
+        with pytest.raises(ValueError):
+            trace.to_json_obj()
 
 
 def rebuilt_from(trace, start):
