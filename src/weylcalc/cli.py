@@ -15,7 +15,8 @@ Every command is pure: the same argument vector produces byte-identical
 output.  Machine output is JSON (schemas versioned under schema/);
 ``--pretty`` renders a human layout instead.  Exit status: 0 on
 success, 1 when a verification item fails or a script integrity check
-trips, 2 for usage errors or malformed input.
+trips, 2 for usage errors or malformed input.  A reader that closes
+stdout early ends the command quietly with status 1.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -671,7 +673,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader stopped reading: what is still buffered goes to devnull, so
+        # the flush at exit cannot fail ("Note on SIGPIPE", Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .exactla import (
     power_plus_one,
 )
 from .rootsys import RootSystem
-from .weyl import cartan_number, int_word_matrix
+from .weyl import cartan_number, int_word_matrix, walk
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -51,7 +51,7 @@ class Diagram:
 
     longs: tuple[bool, ...]
     edges: tuple[Edge, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -73,15 +73,10 @@ class Diagram:
                 return style
         return None
 
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return f"v{i}"
-
     def to_dict(self) -> dict:
         return {
             "vertices": [
-                {"index": i, "label": self.label(i), "long": self.longs[i]}
+                {"index": i, "label": self.labels[i], "long": self.longs[i]}
                 for i in range(self.n)
             ],
             "edges": [{"source": a, "target": b, "style": s} for a, b, s in self.edges],
@@ -115,8 +110,9 @@ def make_diagram(
     longs: Sequence[bool] | None = None,
     labels: Sequence[str] | None = None,
 ) -> Diagram:
-    """Build a diagram from edge triples, normalizing edge order.  A long
-    flag that is not a bool or a label that is not a string is refused."""
+    """Build a diagram from edge triples, normalizing edge order.  Labels
+    default to ``v0, v1, ...``, the form :meth:`Diagram.to_dict` writes.  A
+    long flag that is not a bool or a label that is not a string is refused."""
     longs = tuple(longs) if longs is not None else (False,) * n
     if len(longs) != n:
         raise ValueError("longs length mismatch")
@@ -135,10 +131,10 @@ def make_diagram(
             raise ValueError(f"duplicate edge ({a}, {b})")
         seen.add((a, b))
         norm_edges.append((a, b, style))
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != n:
+    lab = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
+    if len(lab) != n:
         raise ValueError("labels length mismatch")
-    if lab is not None and not all(isinstance(x, str) for x in lab):
+    if not all(isinstance(x, str) for x in lab):
         raise ValueError("vertex labels must be strings")
     return Diagram(longs, tuple(sorted(norm_edges)), lab)
 
@@ -391,23 +387,15 @@ def invariant(d: Diagram) -> tuple:
 
 
 def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """Connected components, each sorted, in the order of their least vertex."""
     adj = d.adjacency()
-    seen = [False] * d.n
+    seen: set[int] = set()
     comps = []
     for s in range(d.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = [s]
-        while queue:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
+        if s not in seen:
+            comp = walk(s, lambda u: enumerate(adj[u]))
+            seen.update(comp)
+            comps.append(tuple(sorted(comp)))
     return tuple(comps)
 
 
@@ -420,8 +408,7 @@ def induced_subdiagram(d: Diagram, vertices: Sequence[int]) -> Diagram:
         if a in pos and b in pos
     ]
     longs = tuple(d.longs[v] for v in vs)
-    labels = tuple(d.label(v) for v in vs) if d.labels is not None else None
-    return make_diagram(len(vs), edges, longs=longs, labels=labels)
+    return make_diagram(len(vs), edges, longs=longs, labels=[d.labels[v] for v in vs])
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Everything here is exhaustive and exact: group elements are permutations
 of their (finitely many) roots, conjugacy is settled in one place
 (:func:`conjugating_perm`) by a breadth-first walk of one conjugacy
-class that either produces an explicit, checked witness or exhausts the
-class, and diagram-realization questions are settled by a backtracking
-search over root subsets that either lists every match or certifies
-that none exists.  Find-first searches and orbit counts are anchored by
+class (``weyl.walk``, which walks every orbit here) that either produces
+an explicit, checked witness or exhausts the class, and
+diagram-realization questions are settled by a backtracking search over
+root subsets that either lists every match or certifies that none
+exists.  Find-first searches and orbit counts are anchored by
 W-transitivity on the roots of each length, and |W| comes from the root
 heights.  The module is the referee against which the algebraic
 shortcuts elsewhere in the package are checked.
@@ -121,31 +122,16 @@ def conjugating_perm(
 
 
 def _class_walk(space: weyl.PermSpace, start, cap: int, stop=None) -> dict | None:
-    """Breadth-first walk of the conjugacy class of ``start``.
+    """:func:`weyl.walk` of the conjugacy class of ``start``.
 
     Returns the parent map ``{q: (p, gi)}`` (q = g_gi p g_gi, ``start``
     maps to None) over the whole class, or over the part walked before
     ``stop`` was met; None when the class outgrows ``cap``.
     """
-    gens = [space.reflection_perm(r) for r in space.system.simple_roots]
-    gen_tables = [space.table(g) for g in gens]
-    parent: dict = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gi, gt in enumerate(gen_tables):
-                half = space.mul(gt, p)  # g·p
-                q = space.mul(space.table(half), gens[gi])  # (g·p)·g = g p g^-1
-                if q not in parent:
-                    if len(parent) >= cap:
-                        return None
-                    parent[q] = (p, gi)
-                    if q == stop:
-                        return parent
-                    nxt.append(q)
-        frontier = nxt
-    return parent
+    mul, table = space.mul, space.table
+    gens = [(table(g), g) for g in map(space.reflection_perm, space.system.simple_roots)]
+    return weyl.walk(start, lambda p: enumerate(  # (g·p)·g = g p g^-1
+        mul(table(mul(gt, p)), g) for gt, g in gens), cap, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -400,35 +386,20 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
                                     for x, y in combinations(rest, 2)):
                 continue
             orbits += 1
-            seen.add(start)
-            walk = [start]
-            while walk:
-                t = walk.pop()
-                for g in stabilizer + [reanchor[b] for b in t
-                                       if b != a and same >> b & 1]:
-                    s = tuple(sorted(g[i] for i in t))
-                    if s not in seen:
-                        seen.add(s)
-                        walk.append(s)
+            seen.update(weyl.walk(start, lambda t: enumerate(
+                tuple(sorted(g[i] for i in t)) for g in
+                stabilizer + [reanchor[b] for b in t if b != a and same >> b & 1])))
     return orbits
 
 
 def _transversal(gens: list[list[int]], a: int) -> dict[int, list[int]]:
     """``{b: w_b}`` over the orbit of ``a`` under the involutions ``gens``
     (permutations as lists), with w_b(b) = a.  Read off a breadth-first
-    walk from ``a``: w_{g(c)} = w_c g."""
+    walk from ``a``, parents first: w_{g(c)} = w_c g."""
+    parent = weyl.walk(a, lambda c: ((g, g[c]) for g in gens))
     out = {a: list(range(len(gens[0])))}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in gens:
-                b = g[c]
-                if b not in out:
-                    w = out[c]
-                    out[b] = [w[x] for x in g]
-                    nxt.append(b)
-        frontier = nxt
+    for b, (c, g) in list(parent.items())[1:]:
+        out[b] = [out[c][x] for x in g]
     return out
 
 

@@ -186,11 +186,16 @@ class RewriteTrace:
 
     @property
     def initial_state(self) -> RewriteState:
-        return self.steps[0].state
+        return self._step(0).state
 
     @property
     def final_state(self) -> RewriteState:
-        return self.steps[-1].state
+        return self._step(-1).state
+
+    def _step(self, i: int) -> RewriteStep:
+        if not self.steps:
+            raise ValueError(f"rewrite trace {self.name!r} has no steps")
+        return self.steps[i]
 
     def to_json_obj(self) -> list[dict]:
         """One row per step, with the word's :func:`word_charpoly`.
@@ -207,6 +212,8 @@ class RewriteTrace:
         codim Fix(w) <= rank of the word < n, while an independent word
         has codim Fix(w) = n exactly (Carter 1972, Lemma 3).  So it
         misses, and :func:`word_charpoly` raises ValueError on it."""
+        if not self.steps:
+            return []
         out = []
         system = self.initial_state.system
         space = weyl.perm_space(system)

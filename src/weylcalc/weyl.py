@@ -1,5 +1,5 @@
-"""Weyl group elements as root permutations and exact matrices, and
-reflection-word utilities.
+"""Weyl group elements as root permutations and exact matrices,
+reflection-word utilities, and the breadth-first walk behind every orbit.
 
 Composition convention
 ----------------------
@@ -290,3 +290,25 @@ class PermSpace:
 def perm_space(system: RootSystem) -> PermSpace:
     """The (cached) permutation encoding of W(system)."""
     return PermSpace(system)
+
+
+def walk(start, moves, cap: int | None = None, stop=None) -> dict | None:
+    """Breadth-first walk from ``start``: the parent map ``{node: (prev,
+    label)}``, with ``start`` mapped to None.  ``moves(node)`` yields the
+    node's ``(label, neighbour)`` pairs, for example ``enumerate`` over its
+    neighbours.  Nodes enter the map in discovery order, frontier by
+    frontier and each node's moves in order, so every parent comes before
+    its children.  The walk ends as soon as it discovers ``stop``, and
+    gives None once it would hold more than ``cap`` nodes."""
+    parent: dict = {start: None}
+    queue = [start]
+    for node in queue:  # the queue grows while it is read
+        for label, nxt in moves(node):
+            if nxt not in parent:
+                if cap is not None and len(parent) >= cap:
+                    return None
+                parent[nxt] = (node, label)
+                if nxt == stop:
+                    return parent
+                queue.append(nxt)
+    return parent

@@ -553,6 +553,23 @@ def run_fresh(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["rootsys", "D", "16", "--list"], ["verify", "titsform"]])
+def test_closed_stdout_exits_1_quietly(argv, unbuffered):
+    """A reader that closes stdout at once stops the command: status 1,
+    nothing on stderr, whether stdout is block-buffered or not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylcalc.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "weylcalc.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=300), err) == (1, b"")
+
+
 def test_one_parser_serves_every_request(capsys, monkeypatch):
     """The parser is built once per process, and a request that errors or
     prints help leaves nothing behind that changes a later answer."""

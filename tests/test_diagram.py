@@ -107,7 +107,11 @@ def test_to_dict_round_trip():
     d = dg.from_roots(s, word, labels=[s.format_root(r) for r in word])
     back = dg.Diagram.from_dict(d.to_dict())
     assert back == d
-    assert back.label(0) == "e1-e2"
+    assert back.labels[0] == "e1-e2"
+    assert dg.catalog("D4(a1)").diagram.labels == ("v0", "v1", "v2", "v3")  # unlabelled
+    for name in dg.catalog_names():
+        d = dg.catalog(name).diagram
+        assert dg.Diagram.from_dict(d.to_dict()) == d, name
 
 
 @pytest.mark.parametrize("indices", [[0, 0], [3, 7], [1, 2], [0, 2],
@@ -127,7 +131,7 @@ def test_from_dict_rejects_a_bad_edge_style():
     data["edges"][0]["style"] = dg.DOTTED
     d = dg.Diagram.from_dict(data)
     assert d.edges == ((0, 1, dg.DOTTED),)
-    assert d.longs == (False, False) and d.label(1) == "v1"  # the defaults
+    assert d.longs == (False, False) and d.labels == ("v0", "v1")  # the defaults
 
 
 @pytest.mark.parametrize("edge,vertex,message", [

@@ -11,6 +11,7 @@ from weylcalc import diagram as dg
 from weylcalc.exactla import identity, mat_mul
 from weylcalc.oracle import (
     LabeledDiagram,
+    _transversal,
     are_conjugate,
     find_subsets,
     max_root_complement,
@@ -140,6 +141,26 @@ def test_verify_unique_class_smallest_case():
         verify_unique_class(build_by_name("A3"), "D4(a1)")
     with pytest.raises(RuntimeError, match="exceeded the cap of 2; inconclusive"):
         verify_unique_class(d4, "D4(a1)", cap=2)
+    # The D4(a1) class has 12 elements: a cap of 12 walks it all, 11 does not.
+    assert verify_unique_class(d4, "D4(a1)", cap=12)
+    with pytest.raises(RuntimeError, match="exceeded the cap of 11; inconclusive"):
+        verify_unique_class(d4, "D4(a1)", cap=11)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2", "E6"])
+def test_transversal_sends_each_member_of_a_length_class_to_its_anchor(name):
+    system = build_by_name(name)
+    space = weyl.perm_space(system)
+    reps = [system.index(r) for r in system.sign_class_reps()]
+    simple = [[system.sign_class(space.reflection_perm(s)[i]) for i in reps]
+              for s in system.simple_roots]
+    for long in {system.is_long(r) for r in system.roots}:
+        a = system.sign_class(system.index(system.dominant_root(long)))
+        members = {system.sign_class(i) for i, r in enumerate(system.roots)
+                   if system.is_long(r) == long}
+        w = _transversal(simple, a)
+        assert w.keys() == members
+        assert all(w[b][b] == a for b in members)
 
 
 def test_orthogonal_tuple_orbits_small():

@@ -388,6 +388,14 @@ def test_replay_rejects_tampering():
         assert not replay(wrong), field
 
 
+def test_an_empty_trace_has_no_rows_and_no_states():
+    empty = rewrite.RewriteTrace("empty", ())
+    assert empty.to_json_obj() == []
+    for end in ("initial_state", "final_state"):
+        with pytest.raises(ValueError, match="'empty' has no steps"):
+            getattr(empty, end)
+
+
 def test_eliminate_4cycle():
     st = connection_square_state()
     trace = eliminate_4cycle(st)

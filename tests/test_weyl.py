@@ -14,6 +14,7 @@ from weylcalc.weyl import (
     order_or_infinite,
     perm_space,
     reflection,
+    walk,
     word_matrix,
     word_matrix_from_gram,
 )
@@ -241,3 +242,31 @@ def test_perm_of_matrix_rejects_a_wrong_shape():
     for m in (identity(2), identity(4), identity(3)[:2], (*identity(3)[:2], (Q(1), Q(0)))):
         with pytest.raises(ValueError, match="wrong shape"):
             space.perm_of_matrix(m)
+
+
+def _steps_mod_12(n):
+    """Moves of a walk on Z/12: add one, then double."""
+    return enumerate(((n + 1) % 12, 2 * n % 12))
+
+
+def test_walk_lists_parents_before_children_in_breadth_first_order():
+    parent = walk(1, _steps_mod_12)
+    assert set(parent) == set(range(12))
+    order = list(parent)
+    depth = {1: 0}
+    for node, link in parent.items():
+        if link is not None:
+            prev, label = link
+            assert order.index(prev) < order.index(node)
+            assert dict(_steps_mod_12(prev))[label] == node
+            depth[node] = depth[prev] + 1
+    assert [depth[n] for n in order] == sorted(depth[n] for n in order)
+
+
+def test_walk_ends_at_stop_and_past_cap():
+    full = walk(1, _steps_mod_12)
+    stopped = walk(1, _steps_mod_12, stop=7)
+    assert list(stopped)[-1] == 7
+    assert list(stopped) == list(full)[:len(stopped)] and len(stopped) < len(full)
+    assert walk(1, _steps_mod_12, cap=12) == full
+    assert walk(1, _steps_mod_12, cap=11) is None
