@@ -568,11 +568,19 @@ _SUITES: dict[str, Callable[[], list[tuple[str, str, str]]]] = {
 # Parser and entry points
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an ``OSError`` from writing help; here it propagates,
+    so a closed stdout ends ``--help`` as it ends any verb."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``weylcalc`` parser, built on first use and shared by every later
     :func:`run` in the process (parsing leaves the parser unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylcalc",
         description="Exact diagram calculus for finite Weyl groups.",
         epilog=ROOT_GRAMMAR,
@@ -669,11 +677,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        status = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # help printed, or a usage error reported
+            status = int(exc.code) if exc.code else 0
+        else:
+            status = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return status
     except BrokenPipeError:

@@ -104,6 +104,12 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+@lru_cache(maxsize=None)
+def _default_labels(n: int) -> tuple[str, ...]:
+    """``v0, v1, ...``: one tuple per size, shared by every unlabelled diagram."""
+    return tuple(f"v{i}" for i in range(n))
+
+
 def make_diagram(
     n: int,
     edges: Iterable[tuple[int, int, str]],
@@ -131,7 +137,7 @@ def make_diagram(
             raise ValueError(f"duplicate edge ({a}, {b})")
         seen.add((a, b))
         norm_edges.append((a, b, style))
-    lab = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
+    lab = tuple(labels) if labels is not None else _default_labels(n)
     if len(lab) != n:
         raise ValueError("labels length mismatch")
     if not all(isinstance(x, str) for x in lab):

@@ -114,7 +114,7 @@ def conjugating_perm(
     node = q
     while parent[node] is not None:
         node, gi = parent[node]
-        chain.append(space.reflection_perm(space.system.simple_roots[gi]))
+        chain.append(space.generators[gi][1])
     u = space.compose(*chain)
     if not space.conjugates(u, p, q):
         raise AssertionError("conjugating permutation failed verification")
@@ -128,10 +128,13 @@ def _class_walk(space: weyl.PermSpace, start, cap: int, stop=None) -> dict | Non
     maps to None) over the whole class, or over the part walked before
     ``stop`` was met; None when the class outgrows ``cap``.
     """
-    mul, table = space.mul, space.table
-    gens = [(table(g), g) for g in map(space.reflection_perm, space.system.simple_roots)]
-    return weyl.walk(start, lambda p: enumerate(  # (g·p)·g = g p g^-1
-        mul(table(mul(gt, p)), g) for gt, g in gens), cap, stop)
+    mul, table, gens = space.mul, space.table, space.generators
+
+    def moves(p):  # g·(p·g) = g p g^-1, with one table of p for every g
+        pt = table(p)
+        return enumerate(mul(gt, mul(pt, g)) for gt, g in gens)
+
+    return weyl.walk(start, moves, cap, stop)
 
 
 # ---------------------------------------------------------------------------

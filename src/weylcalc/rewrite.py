@@ -155,15 +155,18 @@ def apply_s_permutation(s: RewriteState, i: int, direction: str) -> RewriteState
 
 
 def apply_sign_flip(s: RewriteState, i: int) -> RewriteState:
-    """Negate the root at position i; its reflection is unchanged."""
+    """Negate the root at position i; its reflection is unchanged.  -r is
+    read off s_r (s_r(r) = -r), and the check compares s_r with s_{-r},
+    which ``weyl.PermSpace.reflection_at`` builds apart, along -r's path."""
     if not 0 <= i < len(s.word):
         raise ValueError(f"position {i} out of range for a word of length {len(s.word)}")
     space = weyl.perm_space(s.system)
-    reflection = space.reflection_perm(s.word[i])
-    neg = space.image(reflection, s.word[i])  # s_r(r) = -r, as the system's tuple
-    if space.reflection_perm(neg) != reflection:
+    r = s.system.index(s.word[i])
+    reflection = space.reflection_at(r)
+    neg = reflection[r]
+    if space.reflection_at(neg) != reflection:
         raise ScriptIntegrityError("sign flip", "reflection changed under negation")
-    word = s.word[:i] + (neg,) + s.word[i + 1:]
+    word = s.word[:i] + (space.roots[neg],) + s.word[i + 1:]
     return RewriteState(s.system, word, s.element_perm, s.conjugator_perm)
 
 

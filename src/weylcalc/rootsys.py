@@ -16,8 +16,9 @@ reflections run on those integers; the Cartan number
 ``2<v, r>/<r, r>`` is an integer and unchanged by the doubling, so a
 reflection needs no division.  The ``Fraction`` tuples in ``roots`` are
 made once, from an intern table, and are what the API hands out; other
-modules ask by root (``index``, ``int_gram``, ``reflection_images``) and
-never convert.
+modules ask by root (``index``, ``int_gram``) and never convert.
+``reflection_images`` serves ``weyl.PermSpace`` the simple reflections
+only: every other reflection is their W-conjugate, built there.
 
 This module is the integer boundary in both directions.  A root literal
 is parsed straight to doubled integers (``_parse_doubled``; ``parse_vector``
@@ -208,15 +209,22 @@ class RootSystem:
         return g
 
     def reflection_images(self, root: Vector) -> list[int]:
-        """Index of ``s_root(roots[i])`` for every ``i`` (ValueError for a non-root)."""
+        """Index of ``s_root(roots[i])`` for every ``i`` (ValueError for a
+        non-root); ``weyl.PermSpace`` asks it for the simple roots only."""
         r = self.int_roots[self.index(root)]
         # s_r(v) = v - <v, r^vee> r on doubled coordinates, with an
-        # integer Cartan number, so no Fraction is needed.
+        # integer Cartan number, so no Fraction is needed; only the
+        # coordinates where r is nonzero enter (two for most simple roots).
+        support = [(j, x) for j, x in enumerate(r) if x]
         rr, index = idot(r, r), self.int_index
         images = []
         for i, v in enumerate(self.int_roots):
-            c = 2 * idot(v, r) // rr
-            images.append(index[tuple([a - c * b for a, b in zip(v, r)])] if c else i)
+            if c := 2 * sum([v[j] * x for j, x in support]) // rr:
+                w = list(v)
+                for j, x in support:
+                    w[j] -= c * x
+                i = index[tuple(w)]
+            images.append(i)
         return images
 
     def _lattice(self, v: Vector) -> IntVector:

@@ -168,8 +168,16 @@ class PermSpace:
 
     ``p[i] == j`` means the element maps root ``i`` to root ``j``.
     Permutations of at most 256 roots are packed into ``bytes`` and
-    composed with ``bytes.translate``; larger ones are integer tuples.
-    Every table is built on first use.
+    composed with ``bytes.translate``, whose 256-entry table pads ``p``
+    with a tail built once per space; larger ones are integer tuples.
+
+    Only the simple reflections are computed from coordinates
+    (``rootsys.reflection_images``).  Every other reflection is a
+    W-conjugate of one of them, s_{g(c)} = g s_c g^-1 (Humphreys §1.2,
+    §1.5): one :func:`walk` per root orbit from a simple root, moving by
+    the simple reflections, reaches every root, and a root b = s_k(c) gets
+    s_b = s_k s_c s_k from its parent c.  Each reflection is built on
+    first use, after the ones on its walk path.
     """
 
     def __init__(self, system: RootSystem):
@@ -178,7 +186,8 @@ class PermSpace:
         self.n = len(self.roots)
         self.packed = self.n <= 256
         self.ident = self._wrap(range(self.n))
-        self._reflections: dict[int, Perm] = {}  # by root index
+        self._pad = bytes(range(self.n, 256))
+        self._simple = tuple(map(system.index, system.simple_roots))
 
     def _wrap(self, images: Iterable[int]) -> Perm:
         return bytes(images) if self.packed else tuple(images)
@@ -186,7 +195,7 @@ class PermSpace:
     def table(self, p: Perm) -> Perm:
         """Left-composition table of ``p`` for :meth:`mul`."""
         if self.packed:
-            return p + bytes(range(self.n, 256))
+            return p + self._pad
         return p
 
     def mul(self, table_a: Perm, b: Perm) -> Perm:
@@ -200,8 +209,8 @@ class PermSpace:
 
     def compose(self, *perms: Perm) -> Perm:
         """Permutation of the matrix product of ``perms``, left to right."""
-        out = self.ident
-        for p in perms:
+        out = perms[0] if perms else self.ident
+        for p in perms[1:]:
             out = self.mul(self.table(out), p)
         return out
 
@@ -213,17 +222,45 @@ class PermSpace:
         """The root ``p`` sends ``root`` to; ValueError for a non-root."""
         return self.roots[p[self.system.index(root)]]
 
-    def reflection_perm(self, root: Vector) -> Perm:
-        """Permutation of s_root, cached per signed root.
+    @functools.cached_property
+    def _reflections(self) -> dict[int, Perm]:
+        """Reflections by root index, seeded with the simple ones."""
+        return {i: self._wrap(self.system.reflection_images(self.roots[i]))
+                for i in self._simple}
 
-        ``root`` and ``-root`` are computed and cached apart, so comparing
-        their permutations is a real check, not a cache hit.
-        """
-        i = self.system.index(root)
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[Perm, Perm], ...]:
+        """``(table, perm)`` of each simple reflection, in simple-root order."""
+        return tuple((self.table(p), p) for p in (self._reflections[i] for i in self._simple))
+
+    @functools.cached_property
+    def _root_tree(self) -> dict[int, tuple[int, int] | None]:
+        """``{b: (c, k)}`` with ``roots[b]`` = s_k(``roots[c]``): one :func:`walk`
+        from each simple root not yet reached, one per root orbit."""
+        gens = [g for _, g in self.generators]
+        tree: dict = {}
+        for i in self._simple:
+            if i not in tree:
+                tree.update(walk(i, lambda b: enumerate(g[b] for g in gens)))
+        return tree
+
+    def reflection_at(self, i: int) -> Perm:
+        """Permutation of s_r for r = ``roots[i]``, built on first use.  A
+        root b = s_k(c) gets s_k·(s_c·s_k) from its walk parent c, so
+        ``roots[i]`` and its negative are built apart: comparing their
+        reflections is a real check, not a cache hit."""
         p = self._reflections.get(i)
         if p is None:
-            p = self._reflections[i] = self._wrap(self.system.reflection_images(root))
+            c, k = self._root_tree[i]
+            gt, g = self.generators[k]
+            parent = self.table(self.reflection_at(c))
+            p = self._reflections[i] = self.mul(gt, self.mul(parent, g))
         return p
+
+    def reflection_perm(self, root: Vector) -> Perm:
+        """Permutation of s_root (see :meth:`reflection_at`); ValueError
+        for a non-root."""
+        return self.reflection_at(self.system.index(root))
 
     def word_perm(self, word: Sequence[Vector]) -> Perm:
         """Permutation of the word's product (see the composition convention)."""
@@ -252,7 +289,7 @@ class PermSpace:
         if self.matrix_of_perm(p) != tuple(tuple(row) for row in m):
             raise ValueError("matrix moves the orthogonal complement of the roots")
         system, positive = self.system, self.system.positive
-        simple = [(system.index(s), self.reflection_perm(s)) for s in system.simple_roots]
+        simple = [(i, g) for i, (_, g) in zip(self._simple, self.generators)]
         w = p
         while descents := [s for i, s in simple if not positive[w[i]]]:
             w = self.mul(self.table(w), descents[0])

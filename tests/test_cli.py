@@ -554,7 +554,8 @@ def run_fresh(argv):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", [["rootsys", "D", "16", "--list"], ["verify", "titsform"]])
+@pytest.mark.parametrize("argv", [["rootsys", "D", "16", "--list"], ["verify", "titsform"],
+                                  ["--help"], ["diagram", "--help"]])
 def test_closed_stdout_exits_1_quietly(argv, unbuffered):
     """A reader that closes stdout at once stops the command: status 1,
     nothing on stderr, whether stdout is block-buffered or not."""
@@ -568,6 +569,24 @@ def test_closed_stdout_exits_1_quietly(argv, unbuffered):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=300), err) == (1, b"")
+
+
+class _ClosedFile:
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["diagram", "--help"]])
+def test_help_lets_a_write_error_through(argv, monkeypatch):
+    """argparse drops an ``OSError`` from writing help; the weylcalc parser
+    and its subparsers let it reach ``run``, which answers 1 for it (see
+    ``test_closed_stdout_exits_1_quietly``)."""
+    parser = cli._build_parser()
+    with pytest.raises(BrokenPipeError):
+        parser.print_help(_ClosedFile())
+    monkeypatch.setattr(sys, "stdout", _ClosedFile())
+    with pytest.raises(BrokenPipeError):
+        parser.parse_args(argv)
 
 
 def test_one_parser_serves_every_request(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from weylcalc import diagram as dg
 from weylcalc.exactla import identity, mat_mul
 from weylcalc.oracle import (
     LabeledDiagram,
+    _class_walk,
     _transversal,
     are_conjugate,
     find_subsets,
@@ -145,6 +146,22 @@ def test_verify_unique_class_smallest_case():
     assert verify_unique_class(d4, "D4(a1)", cap=12)
     with pytest.raises(RuntimeError, match="exceeded the cap of 11; inconclusive"):
         verify_unique_class(d4, "D4(a1)", cap=11)
+
+
+def test_class_walk_matches_a_walk_by_g_p_then_g():
+    """The class walk moves by g·(p·g); a walk by (g·p)·g, the same
+    permutations in the same order, gives the same parent map."""
+    system = build_by_name("D5")
+    space = weyl.perm_space(system)
+    start = space.word_perm(dg.catalog("D5(a1)").word)
+    gens = [space.reflection_perm(s) for s in system.simple_roots]
+
+    def moves(p):
+        return enumerate(space.compose(space.compose(g, p), g) for g in gens)
+
+    parent = _class_walk(space, start, cap=10**6)
+    assert list(parent.items()) == list(weyl.walk(start, moves).items())
+    assert len(parent) > 1
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2", "E6"])

@@ -10,6 +10,7 @@ from weylcalc.exactla import charpoly, identity, mat, mat_mul, mat_vec, vec_neg
 from weylcalc.oracle import are_conjugate
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
+    PermSpace,
     evaluate,
     order_or_infinite,
     perm_space,
@@ -194,6 +195,45 @@ def test_conjugates_holds_exactly_for_u_p_u_inverse(name, data):
     assert space.conjugates(u, p, q)
     other = space.word_perm(other_word)
     assert space.conjugates(u, p, other) == (other == q)
+
+
+def coordinate_reflections(roots):
+    """For each root r, the images of ``roots`` under s_r(v) = v - <v, r^vee> r,
+    as indices, computed on doubled-integer coordinates."""
+    lattice = [tuple(int(2 * c) for c in v) for v in roots]
+    where = {v: i for i, v in enumerate(lattice)}
+    for r in lattice:
+        rr = sum(x * x for x in r)
+        images = []
+        for v in lattice:
+            c = 2 * sum(x * y for x, y in zip(v, r)) // rr
+            images.append(where[tuple(x - c * y for x, y in zip(v, r))] if c else where[v])
+        yield images
+
+
+# D16 has 480 roots, past the packed ``bytes`` encoding.
+@pytest.mark.parametrize(
+    "name", ["A1", "A8", "B2", "B5", "C4", "D4", "D16", "E6", "E7", "E8", "F4", "G2"])
+def test_reflection_perm_is_the_coordinate_reflection_of_every_root(name):
+    """Every reflection, conjugated from a simple one along the root walk,
+    is the one coordinates give, an involution, and sends r to -r."""
+    s = build_by_name(name)
+    space = PermSpace(s)  # fresh, so each reflection is built in this order
+    for (i, r), want in zip(enumerate(s.roots), coordinate_reflections(s.roots)):
+        p = space.reflection_perm(r)
+        assert list(p) == want
+        assert space.mul(space.table(p), p) == space.ident
+        assert s.roots[p[i]] == vec_neg(r)
+
+
+@pytest.mark.parametrize("name", ["A1", "E8", "D16"])
+def test_table_pads_to_the_identity_on_256_entries(name):
+    space = perm_space(build_by_name(name))
+    p = space.reflection_perm(space.roots[-1])
+    if space.packed:
+        assert space.table(p) == p + bytes(range(space.n, 256))
+    else:
+        assert space.table(p) is p
 
 
 def minus_one_on_the_roots(system):
