@@ -31,7 +31,6 @@ from .exactla import (
     LeadingMinors,
     Matrix,
     Vector,
-    dot,
     mat_mul,
 )
 from .rootsys import RootSystem
@@ -378,7 +377,7 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
         if len(reanchor) != same.bit_count():
             raise AssertionError("W is not transitive on a length class")
         stabilizer = [g for g, s in zip(simple, system.simple_roots)
-                      if dot(s, anchor) == 0] + [on_reps(anchor)]
+                      if system.normalized_inner(s, anchor) == 0] + [on_reps(anchor)]
 
         others = ortho[a] if long else ortho[a] & same
         members = [b for b in range(others.bit_length()) if others >> b & 1]
@@ -416,7 +415,7 @@ def max_root_complement(system: RootSystem) -> list[str]:
     smallest-rank convention (a path of three is ``A3``, never ``D3``).
     """
     delta = system.max_root()
-    base = [s for s in system.simple_roots if dot(s, delta) == 0]
+    base = [s for s in system.simple_roots if system.normalized_inner(s, delta) == 0]
     return sorted(
         (system.subsystem_name([base[i] for i in comp])
          for comp in dg.components(dg.from_roots(system, base))),

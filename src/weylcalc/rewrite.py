@@ -42,7 +42,6 @@ from .exactla import (
     Poly,
     Vector,
     charpoly,
-    dot,
     poly_str,
     vec_add,
     vec_sub,
@@ -363,7 +362,7 @@ class _Script:
     # -- macros -------------------------------------------------------------
 
     def swap(self, i: int, note: str = "") -> None:
-        if dot(self.word[i], self.word[i + 1]) != 0:
+        if self.system.normalized_inner(self.word[i], self.word[i + 1]) != 0:
             raise ScriptIntegrityError(
                 self.name, f"swap at {i} requires an orthogonal pair")
         self.perm(i, "right", note or f"swap the orthogonal pair {i},{i + 1}")
@@ -403,7 +402,7 @@ class _Script:
         front; every letter right of p must be orthogonal to it."""
         r = self.word[p]
         for t in self.word[p + 1:]:
-            if dot(r, t) != 0:
+            if self.system.normalized_inner(r, t) != 0:
                 raise ScriptIntegrityError(
                     self.name, "conjugate_to_front requires an orthogonal tail")
         self.conj((r,), note or "conjugate by the chosen reflection")

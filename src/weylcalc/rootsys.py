@@ -36,10 +36,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import Sequence, Tuple
 
-from .exactla import Vector, dot, idot, solve
+from .exactla import Vector, idot, solve
 
 IntVector = Tuple[int, ...]
 
@@ -116,9 +115,11 @@ def doubled(v: Vector) -> IntVector:
     return tuple(out)
 
 
-def _close_under_reflections(simple: Sequence[IntVector]) -> list[IntVector]:
+def _close_under_reflections(simple: Sequence[IntVector]) -> dict[IntVector, int]:
+    """``{root: height}`` over the closure of ``simple``: a simple root has
+    height 1, and s_j(v) = v - c a_j has height h(v) - c."""
     norms = [idot(s, s) for s in simple]
-    roots = set(simple)
+    heights = dict.fromkeys(simple, 1)
     frontier = list(simple)
     while frontier:
         nxt = []
@@ -127,11 +128,11 @@ def _close_under_reflections(simple: Sequence[IntVector]) -> list[IntVector]:
                 c = 2 * idot(v, s) // ss  # a Cartan number: exact
                 if c:
                     image = tuple([a - c * b for a, b in zip(v, s)])
-                    if image not in roots:
-                        roots.add(image)
+                    if image not in heights:
+                        heights[image] = heights[v] - c
                         nxt.append(image)
         frontier = nxt
-    return sorted(roots)
+    return heights
 
 
 class RootSystem:
@@ -148,8 +149,9 @@ class RootSystem:
         self.rank = rank
         self.dim, literals = _simple_literals(family, rank)
         simple = [_parse_doubled(s, self.dim) for s in literals]
+        heights = _close_under_reflections(simple)
         # Sorting doubled coordinates gives the order of the Fraction ones.
-        self.int_roots = tuple(_close_under_reflections(simple))
+        self.int_roots = tuple(sorted(heights))
         expected = _ROOT_COUNT[family](rank)
         if len(self.int_roots) != expected:
             raise AssertionError(
@@ -157,6 +159,8 @@ class RootSystem:
             )
         self.roots = tuple(halved(r) for r in self.int_roots)
         self.int_index = {r: i for i, r in enumerate(self.int_roots)}
+        #: the height of each root, the sum of its simple coefficients
+        self.heights = tuple(map(heights.__getitem__, self.int_roots))
         self.simple_roots = tuple(self.roots[self.int_index[s]] for s in simple)
         #: squared lengths of doubled coordinates: 4x the Fraction norms
         self.int_short_norm = min(idot(r, r) for r in self.int_roots)
@@ -252,33 +256,6 @@ class RootSystem:
         return max(i, n - 1 - i) - n // 2
 
     @cached_property
-    def coefficient_map(self) -> tuple[tuple[IntVector, ...], int]:
-        """``(rows, den)``: the rank x dim matrix ``K = G^-1 S^T`` as integer
-        rows over one common denominator, ``K = rows / den`` (built on
-        first use).
-
-        ``S`` has the simple roots as columns and ``G = S^T S`` is their
-        Gram matrix, so ``K v`` is the simple-root coefficient vector of
-        any ``v`` in the root span and ``K v = 0`` for ``v`` orthogonal to
-        it.  Column ``j`` solves ``G k = S^T e_j``, on the integer Gram
-        matrix of the doubled simple roots (which is ``4 G``).
-        """
-        gram = self.int_gram(self.simple_roots)
-        cols = [solve(gram, [4 * s[j] for s in self.simple_roots]) for j in range(self.dim)]
-        den = lcm(*(c.denominator for col in cols for c in col))
-        rows = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                     for row in zip(*cols))
-        return rows, den
-
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        """The height of each root of ``roots``, the sum of its simple
-        coefficients (built on first use)."""
-        rows, den = self.coefficient_map
-        height = [sum(col) for col in zip(*rows)]
-        return tuple(idot(height, r) // (2 * den) for r in self.int_roots)
-
-    @cached_property
     def positive(self) -> tuple[bool, ...]:
         """Whether each root of ``roots`` is a nonnegative combination of
         the simple roots (built on first use; the sorted order does not
@@ -300,12 +277,13 @@ class RootSystem:
                               key=self.heights.__getitem__)]
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
-        """Coordinates of ``v`` in the simple-root basis: ``K v``."""
-        rows, den = self.coefficient_map
-        coeffs = tuple(dot(row, v) / den for row in rows)
-        span = [sum((c * s[i] for c, s in zip(coeffs, self.simple_roots)), Q(0))
-                for i in range(self.dim)]
-        if span != list(v):
+        """Coordinates of ``v`` in the simple-root basis; ValueError for a
+        vector of the wrong length, with a coordinate that is not an int or
+        a ``Fraction``, or off the root span."""
+        if len(v) != self.dim or not all(isinstance(c, (int, Q)) for c in v):
+            raise ValueError(f"not an exact vector of dimension {self.dim}: {v!r}")
+        coeffs = solve(tuple(zip(*self.simple_roots)), v)
+        if coeffs is None:
             raise ValueError("vector is not in the root lattice span")
         return coeffs
 

@@ -17,8 +17,8 @@ A Weyl group acts faithfully on its root set and fixes the orthogonal
 complement of the root span pointwise, so inside the package an element
 is the permutation it induces on the sorted tuple ``system.roots``
 (see :class:`PermSpace`).  Two elements are equal exactly when their
-permutations are, and the ambient matrix is rebuilt on demand with no
-loss of exactness.
+permutations are, and the ambient matrix is rebuilt on demand, exactly,
+by evaluating a reduced word (:meth:`PermSpace.reduced_word`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .exactla import (
     Vector,
     charpoly,
     cyclotomic_factors,
-    dot,
     gram_positive_definite,
     idot,
     identity,
@@ -54,24 +53,21 @@ def reflection(system: RootSystem, root: Vector) -> Matrix:
 
 
 def evaluate(system: RootSystem, word: Sequence[Vector]) -> Matrix:
-    """Ambient matrix of the word (see the composition convention above)."""
+    """Ambient matrix of the word (see the composition convention above),
+    computed from each root's nonzero doubled coordinates; entries stay
+    ints while the updates are and come out as ``Fraction``s."""
     n = system.dim
-    work = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
     for root in word:
-        r = tuple(root)
-        system.index(r)  # ValueError for a non-root
-        c = 2 / dot(r, r)
-        # A @ refl(r) = A - c * (A r) outer r
-        for p in range(n):
-            ar = sum((work[p][q] * r[q] for q in range(n)), Q(0))
-            if ar == 0:
-                continue
-            car = c * ar
-            row = work[p]
-            for q in range(n):
-                if r[q]:
-                    row[q] -= car * r[q]
-    return tuple(tuple(row) for row in work)
+        r = system.int_roots[system.index(root)]  # ValueError for a non-root
+        support = [(q, x) for q, x in enumerate(r) if x]
+        rr = idot(r, r)
+        # A @ refl(r) = A - (2 / <r, r>) (A r) outer r
+        for row in work:
+            if ar := sum([row[q] * x for q, x in support]):
+                for q, x in support:
+                    row[q] -= cartan_number(ar * x, rr)
+    return tuple(tuple(Q(x) for x in row) for row in work)
 
 
 def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Matrix:
@@ -266,14 +262,39 @@ class PermSpace:
         """Permutation of the word's product (see the composition convention)."""
         return self.compose(*(self.reflection_perm(r) for r in word))
 
+    def reduced_word(self, p: Perm) -> Word:
+        """A reduced word for the element ``p``, as simple roots with
+        ``word_perm(reduced_word(p)) == p``; ValueError for a root
+        permutation outside W, such as -1 in A2.  Found by descent
+        (Humphreys §1.6-1.7): while w sends a simple root a negative, w s_a
+        has one inversion fewer, so it ends at an element keeping the simple
+        roots positive, the identity exactly for w in W, within N+ steps.
+        The letters come out first-applied first, so they are returned last
+        first."""
+        system, positive = self.system, self.system.positive
+        letters = []
+        w = p
+        for _ in range(self.n // 2):
+            k = next((k for k, i in enumerate(self._simple) if not positive[w[i]]), None)
+            if k is None:
+                break
+            w = self.mul(self.table(w), self.generators[k][1])
+            letters.append(system.simple_roots[k])
+        if w != self.ident:
+            raise ValueError(f"the permutation of the roots of {system.name()} "
+                             f"is not in its Weyl group")
+        return tuple(reversed(letters))
+
+    def matrix_of_perm(self, p: Perm) -> Matrix:
+        """Ambient matrix of the element: its reduced word, evaluated."""
+        return evaluate(self.system, self.reduced_word(p))
+
     def perm_of_matrix(self, m: Matrix) -> Perm:
         """Permutation of an element's ambient matrix.  Any ``m`` not in W
-        is a ValueError: one that does not permute the roots, moves the
-        orthogonal complement of their span, or permutes the roots as an
-        automorphism outside W, such as -1 in A2.  The last is found by
-        descent (Humphreys §1.6-1.7): while w sends a simple root a
-        negative, w s_a has one inversion fewer, so it ends at an element
-        keeping the simple roots positive, the identity exactly for w in W."""
+        is a ValueError: one that does not permute the roots, permutes them
+        as an automorphism outside W, such as -1 in A2 (see
+        :meth:`reduced_word`), or moves the orthogonal complement of their
+        span."""
         n = self.system.dim
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("matrix has the wrong shape")
@@ -288,39 +309,7 @@ class PermSpace:
         p = self._wrap(images)
         if self.matrix_of_perm(p) != tuple(tuple(row) for row in m):
             raise ValueError("matrix moves the orthogonal complement of the roots")
-        system, positive = self.system, self.system.positive
-        simple = [(i, g) for i, (_, g) in zip(self._simple, self.generators)]
-        w = p
-        while descents := [s for i, s in simple if not positive[w[i]]]:
-            w = self.mul(self.table(w), descents[0])
-        if w != self.ident:
-            raise ValueError(f"matrix permutes the roots of {system.name()} "
-                             f"but is not in its Weyl group")
         return p
-
-    def matrix_of_perm(self, p: Perm) -> Matrix:
-        """Ambient matrix ``I + (T - S) K`` of the element.
-
-        ``S`` has the simple roots as columns, ``T`` their images under
-        ``p`` and ``K`` is the system's simple-coefficient map.  A vector
-        ``v = S c`` of the root span has ``K v = c`` and goes to ``T c``;
-        a vector orthogonal to the span has ``K v = 0`` and is fixed.
-        Computed on integers: doubled roots and ``K = rows / den``.
-        """
-        system = self.system
-        rows, den = system.coefficient_map
-        lattice = system.int_roots
-        moved = []  # 2 (T - S), by column
-        for s in system.simple_roots:
-            i = system.index(s)
-            moved.append([a - b for a, b in zip(lattice[p[i]], lattice[i])])
-        scale = 2 * den
-        kcols = tuple(zip(*rows))
-        return tuple(
-            tuple(Q((scale if i == j else 0) + idot(row, col), scale)
-                  for j, col in enumerate(kcols))
-            for i, row in enumerate(zip(*moved))
-        )
 
 
 @functools.cache

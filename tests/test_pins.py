@@ -10,8 +10,9 @@ coordinates, before literals were formatted from doubled integers.
 
 The coefficient, conjugator and matrix digests were recorded from the
 implementation that built ambient matrices from an explicit complement
-basis and its inverse; the coefficient map ``K = G^-1 S^T`` and
-``I + (T - S) K`` must reproduce every value exactly.  The complement
+basis and its inverse; ``exactla.solve`` against the simple roots and
+the evaluated reduced word of each element must reproduce every value
+exactly.  The complement
 digests were recorded from the implementation that split the complement
 base into components by dot products of ``Fraction`` vectors, before it
 went through the diagram layer.

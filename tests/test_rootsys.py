@@ -283,7 +283,6 @@ def test_positive_roots_are_not_the_upper_half_everywhere():
 def test_heights_are_the_simple_coefficient_sums():
     for name in ("A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"):
         s = RootSystem(name[0], int(name[1:]))
-        assert "heights" not in vars(s)
         assert all(type(h) is int for h in s.heights)
         assert list(s.heights) == [sum(s.simple_coefficients(r)) for r in s.roots], name
 
@@ -351,15 +350,8 @@ def test_simple_coefficients_reconstruct():
         for c, simple in zip(coeffs, s.simple_roots):
             total = vec_add(total, vec_scale(c, simple))
         assert total == r
-
-
-def test_coefficient_map_is_built_on_first_use():
-    s = RootSystem("A", 5)
-    assert "coefficient_map" not in vars(s)
-    assert s.simple_coefficients(s.max_root()) == (1, 1, 1, 1, 1)
-    rows, den = s.coefficient_map
-    assert len(rows) == s.rank and all(len(row) == s.dim for row in rows)
-    assert type(den) is int and all(type(x) is int for row in rows for x in row)
+    a5 = build_by_name("A5")
+    assert a5.simple_coefficients(a5.max_root()) == (1, 1, 1, 1, 1)
 
 
 def test_simple_coefficients_reject_vectors_off_the_span():
@@ -367,6 +359,19 @@ def test_simple_coefficients_reject_vectors_off_the_span():
     with pytest.raises(ValueError):
         s.simple_coefficients((Q(1), Q(0), Q(0), Q(0)))
     assert s.simple_coefficients((Q(1, 3), Q(-1, 3), Q(0), Q(0))) == (Q(1, 3), 0, 0)
+
+
+@pytest.mark.parametrize("v", [
+    (1.0, -1.0, 0, 0),  # floats: read as e1-e2, they would answer floats
+    ("1", "-1", "0", "0"),
+    # the wrong length: unchecked, the solve would truncate both to (1, 0, 0)
+    (Q(1), Q(-1), Q(0)),
+    (Q(1), Q(-1), Q(0), Q(0), Q(0)),
+], ids=["floats", "text", "3 coordinates", "5 coordinates"])
+def test_simple_coefficients_reject_inexact_or_misshapen_vectors(v):
+    s = build_by_name("A3")
+    with pytest.raises(ValueError, match="not an exact vector of dimension 4"):
+        s.simple_coefficients(v)
 
 
 def test_normalized_inner():

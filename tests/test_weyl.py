@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc import rewrite
-from weylcalc.exactla import charpoly, identity, mat, mat_mul, mat_vec, vec_neg
+from weylcalc.exactla import (
+    charpoly, dot, identity, mat, mat_mul, mat_vec, solve, vec_neg)
 from weylcalc.oracle import are_conjugate
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
@@ -238,13 +239,15 @@ def test_table_pads_to_the_identity_on_256_entries(name):
 
 def minus_one_on_the_roots(system):
     """-1 on the span of the roots and 1 on its orthogonal complement:
-    ``I - 2 S K``, with the simple roots as the columns of ``S`` and ``K``
-    the coefficient map."""
-    rows, den = system.coefficient_map
+    ``I - 2 P``, with ``P e_j = S c`` the orthogonal projection onto the
+    span, ``S`` the simple roots as columns and ``c`` the solution of the
+    normal equations ``S^T S c = S^T e_j``."""
+    simple = system.simple_roots
+    gram = [[dot(a, b) for b in simple] for a in simple]
     n = system.dim
+    cols = [solve(gram, [s[j] for s in simple]) for j in range(n)]
     return tuple(
-        tuple((Q(1) if i == j else Q(0))
-              - 2 * sum(s[i] * row[j] for s, row in zip(system.simple_roots, rows)) / den
+        tuple((Q(1) if i == j else Q(0)) - 2 * sum(s[i] * c for s, c in zip(simple, cols[j]))
               for j in range(n))
         for i in range(n))
 
@@ -282,6 +285,72 @@ def test_perm_of_matrix_rejects_a_wrong_shape():
     for m in (identity(2), identity(4), identity(3)[:2], (*identity(3)[:2], (Q(1), Q(0)))):
         with pytest.raises(ValueError, match="wrong shape"):
             space.perm_of_matrix(m)
+
+
+# D12 has 264 roots, past the packed ``bytes`` encoding.
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D5", "E6", "E8", "D12"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reduced_word_spells_the_element_in_simple_roots(name, data):
+    """The reduced word is a word in the simple roots whose product is the
+    element, as long as its inversion count (Humphreys §1.6-1.7)."""
+    s = build_by_name(name)
+    space = perm_space(s)
+    word = data.draw(st.lists(st.sampled_from(s.roots), max_size=8))
+    p = space.word_perm(word)
+    reduced = space.reduced_word(p)
+    assert all(r in s.simple_roots for r in reduced)
+    assert space.word_perm(reduced) == p
+    inversions = sum(pos and not s.positive[j] for pos, j in zip(s.positive, p))
+    assert len(reduced) == inversions
+
+
+def poincare_coefficients(degrees):
+    """Coefficients of prod (1 + q + ... + q^(d - 1)) over the degrees."""
+    coeffs = [1]
+    for d in degrees:
+        coeffs = [sum(coeffs[k - j] for j in range(d) if 0 <= k - j < len(coeffs))
+                  for k in range(len(coeffs) + d - 1)]
+    return coeffs
+
+
+# The degrees of the basic invariants (Humphreys §3.7, Table 1).
+@pytest.mark.parametrize("name, degrees", [
+    ("A3", (2, 3, 4)), ("B3", (2, 4, 6)), ("G2", (2, 6)), ("D4", (2, 4, 4, 6))])
+def test_reduced_word_lengths_give_the_poincare_polynomial(name, degrees):
+    """Sum of q^l(w) over W is prod (1 + ... + q^(d_i - 1)) (Humphreys §3.15)."""
+    space = perm_space(build_by_name(name))
+    group = walk(space.ident, lambda w: enumerate(space.mul(gt, w) for gt, _ in space.generators))
+    lengths = [len(space.reduced_word(w)) for w in group]
+    assert [lengths.count(k) for k in range(max(lengths) + 1)] == poincare_coefficients(degrees)
+
+
+@pytest.mark.parametrize("name, positive_roots", [("D4", 12), ("E8", 120)])
+def test_longest_element_is_minus_one_of_length_n_plus(name, positive_roots):
+    s = build_by_name(name)
+    space = perm_space(s)
+    w0 = space.perm_of_matrix(tuple(tuple(-x for x in row) for row in identity(s.dim)))
+    assert len(space.reduced_word(w0)) == positive_roots == len(s.roots) // 2
+
+
+def test_reduced_word_refuses_a_root_permutation_outside_w():
+    """-1 permutes the roots of A2 (root i to root n - 1 - i) but is not in W."""
+    space = perm_space(build_by_name("A2"))
+    minus_one = bytes(reversed(range(space.n)))
+    with pytest.raises(ValueError, match="not in its Weyl group"):
+        space.reduced_word(minus_one)
+    with pytest.raises(ValueError, match="not in its Weyl group"):
+        space.matrix_of_perm(minus_one)
+
+
+def test_reduced_word_ends_on_a_map_that_always_has_a_descent():
+    """Every root to one negative root: each step keeps every simple root
+    negative, so only the bound of N+ steps ends the descent."""
+    s = build_by_name("A3")
+    space = perm_space(s)
+    negative = s.positive.index(False)
+    with pytest.raises(ValueError, match="not in its Weyl group"):
+        space.reduced_word(bytes([negative] * space.n))
 
 
 def _steps_mod_12(n):
