@@ -3,18 +3,22 @@
 A word of reflections can be rewritten without leaving the conjugacy
 class of its product by three primitive moves:
 
-* conjugation -- replace every root by its image under an element u,
-  turning w into u w u^{-1};
+* conjugation -- replace every root by its image under the product u
+  of a word of reflections, turning w into u w u^{-1};
 * s-permutation -- replace the adjacent pair (a_i, a_{i+1}) by
   (s_{a_i}(a_{i+1}), a_i) or by (a_{i+1}, s_{a_{i+1}}(a_i)), which
   leaves the product untouched;
 * sign flip -- negate one root, which fixes its reflection.
 
-This module provides immutable states for such words, replayable traces
-with built-in integrity checking, and the explicit elimination scripts
-that convert each long-cycle Carter diagram into its partner containing
-only 4-cycles: the named case scripts for D6/E7/E8, the generic walk on
-a pure D_l cycle (both parity cases, driven by chain-root vectors), the
+Each move is one public function (``apply_conjugation``,
+``apply_s_permutation``, ``apply_sign_flip``) taking the arguments a
+trace step records; the scripts and ``replay`` play every move through
+it.  States hold the element and the conjugator as root permutations
+only.  This module provides those states, replayable traces with
+built-in integrity checking, and the explicit elimination scripts that
+convert each long-cycle Carter diagram into its partner containing only
+4-cycles: the named case scripts for D6/E7/E8, the generic walk on a
+pure D_l cycle (both parity cases, driven by chain-root vectors), the
 4-cycle elimination move, and the classification of oriented 5-cycles
 in D_5.
 
@@ -87,21 +91,14 @@ class ScriptIntegrityError(RuntimeError):
 @dataclass(frozen=True)
 class RewriteState:
     """A reflection word together with its product and the accumulated
-    conjugator, both as root permutations:
-    conjugator · initial element · conjugator^-1 == element."""
+    conjugator, both as root permutations (``weyl.PermSpace``):
+    conjugator · initial element · conjugator^-1 == element.  A matrix is
+    ``PermSpace.matrix_of_perm`` of either."""
 
     system: RootSystem
     word: tuple[Vector, ...]
     element_perm: Perm
     conjugator_perm: Perm
-
-    @property
-    def element(self) -> Matrix:
-        return weyl.perm_space(self.system).matrix_of_perm(self.element_perm)
-
-    @property
-    def conjugator(self) -> Matrix:
-        return weyl.perm_space(self.system).matrix_of_perm(self.conjugator_perm)
 
 
 def initial_state(system: RootSystem, word: Sequence[Vector]) -> RewriteState:
@@ -111,14 +108,12 @@ def initial_state(system: RootSystem, word: Sequence[Vector]) -> RewriteState:
     return RewriteState(system, roots, space.word_perm(roots), space.ident)
 
 
-def apply_conjugation(s: RewriteState, u: Matrix) -> RewriteState:
-    """Conjugate the whole word by the element u: w -> u w u^{-1}; any ``u``
-    that ``weyl.PermSpace.perm_of_matrix`` rejects is a ValueError."""
-    return _conjugate(s, weyl.perm_space(s.system).perm_of_matrix(u))
-
-
-def _conjugate(s: RewriteState, u: Perm) -> RewriteState:
+def apply_conjugation(s: RewriteState, u_word: Sequence[Vector]) -> RewriteState:
+    """Conjugate the whole word by the product u of the reflections in
+    ``u_word``, the word a ``conj`` step records: w -> u w u^{-1};
+    ValueError for a non-root."""
     space = weyl.perm_space(s.system)
+    u = space.word_perm(u_word)
     word = tuple(space.image(u, r) for r in s.word)
     # Exactness per letter: u s_r u^{-1} == s_{u(r)}.  Together these prove
     # that the product of the new letters is u w u^{-1}.
@@ -334,7 +329,7 @@ class _Script:
         if op == "conj":
             u_word = tuple(tuple(r) for r in args[0])
             args = (u_word,)
-            new = _conjugate(self.state, self._space.word_perm(u_word))
+            new = apply_conjugation(self.state, u_word)
             self._check_conjugator(new)
             label = " ".join("s_" + self.system.format_root(r) for r in u_word)
             default = f"conjugate by {label}"
@@ -976,14 +971,15 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
     else:
         name, paired = "D5(a1)", _five_cycle_r2(system, words[2])
     word = paired.final_state.word
-    if r_lambda in (1, 2):
-        return FiveCycleResult(name, word, paired.final_state.conjugator)
     space = weyl.perm_space(system)
-    start = space.word_perm(words[r_lambda])
-    _, u = oracle.conjugating_perm(space, start, paired.final_state.element_perm,
-                                   oracle.DEFAULT_CONJUGACY_CAP)
-    if u is None:
-        raise ScriptIntegrityError(
-            "5-cycle classification",
-            f"orientation {r_lambda} is not conjugate to the paired scripted word")
+    if r_lambda in (1, 2):
+        u = paired.final_state.conjugator_perm
+    else:
+        start = space.word_perm(words[r_lambda])
+        _, u = oracle.conjugating_perm(space, start, paired.final_state.element_perm,
+                                       oracle.DEFAULT_CONJUGACY_CAP)
+        if u is None:
+            raise ScriptIntegrityError(
+                "5-cycle classification",
+                f"orientation {r_lambda} is not conjugate to the paired scripted word")
     return FiveCycleResult(name, word, space.matrix_of_perm(u))

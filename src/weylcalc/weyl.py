@@ -47,27 +47,28 @@ Word = tuple[Vector, ...]
 Perm = bytes | tuple[int, ...]
 
 
-def reflection(system: RootSystem, root: Vector) -> Matrix:
-    """Ambient matrix of the reflection in the hyperplane of ``root``."""
-    return evaluate(system, (root,))
-
-
 def evaluate(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     """Ambient matrix of the word (see the composition convention above),
-    computed from each root's nonzero doubled coordinates; entries stay
-    ints while the updates are and come out as ``Fraction``s."""
-    n = system.dim
-    work = [[int(i == j) for j in range(n)] for i in range(n)]
+    as ``Fraction``s, computed on one integer matrix B = d A with
+    d = ``int_long_norm // 2`` and divided by d once at the end.
+
+    Each update stays integral: A r' for a doubled root r' is the doubled
+    root A(r)' of the partial product A in W, so the rank-one term
+    2 (B r') r'^T / <r', r'> is (``int_long_norm`` / <r', r'>) A(r)' r'^T,
+    and that quotient is 1 or the length ratio t."""
+    n, d = system.dim, system.int_long_norm // 2
+    work = [[d * (i == j) for j in range(n)] for i in range(n)]
     for root in word:
         r = system.int_roots[system.index(root)]  # ValueError for a non-root
         support = [(q, x) for q, x in enumerate(r) if x]
         rr = idot(r, r)
-        # A @ refl(r) = A - (2 / <r, r>) (A r) outer r
+        # B @ refl(r) = B - (2 / <r, r>) (B r) outer r
         for row in work:
-            if ar := sum([row[q] * x for q, x in support]):
+            if br := sum([row[q] * x for q, x in support]):
+                c = 2 * br // rr
                 for q, x in support:
-                    row[q] -= cartan_number(ar * x, rr)
-    return tuple(tuple(Q(x) for x in row) for row in work)
+                    row[q] -= c * x
+    return tuple(tuple(Q(x, d) for x in row) for row in work)
 
 
 def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Matrix:

@@ -25,11 +25,15 @@ from weylcalc.exactla import (
     solve,
 )
 from weylcalc.rootsys import build_by_name, doubled
-from weylcalc.weyl import perm_space, word_matrix, word_matrix_from_gram
+from weylcalc.weyl import evaluate, perm_space, word_matrix, word_matrix_from_gram
 
 SMALL = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
          "D3", "D4", "D5", "E6", "F4", "G2")
 WORD_SYSTEMS = ("A4", "B3", "C4", "D5", "E6", "F4", "G2")
+#: Every family, with the half-integer roots of E6-E8 and the length
+#: ratios 2 (B, C, F4) and 3 (G2).
+EVERY_FAMILY = ("A1", "A5", "B2", "B5", "C3", "C6", "D4", "D7", "D12",
+                "E6", "E7", "E8", "F4", "G2")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +233,27 @@ def test_int_gram_is_four_times_the_fraction_gram(name, data):
     system = build_by_name(name)
     roots = data.draw(st.lists(st.sampled_from(system.roots), max_size=8))
     assert system.int_gram(roots) == [[4 * ref_dot(a, b) for b in roots] for a in roots]
+
+
+def ref_evaluate(word, dim):
+    """The word's ambient matrix, column by column: each basis vector
+    reflected by the word's letters, rightmost first."""
+    columns = []
+    for j in range(dim):
+        v = tuple(Q(int(i == j)) for i in range(dim))
+        for r in reversed(word):
+            v = ref_reflect(r, v)
+        columns.append(v)
+    return tuple(zip(*columns))
+
+
+@pytest.mark.parametrize("name", EVERY_FAMILY)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_the_fraction_reflection_product(name, data):
+    system = build_by_name(name)
+    word = data.draw(st.lists(st.sampled_from(system.roots), max_size=20))
+    assert evaluate(system, word) == ref_evaluate(word, system.dim)
 
 
 @settings(max_examples=80, deadline=None)

@@ -52,8 +52,8 @@ def test_weyl_group_orders():
 
 def test_are_conjugate_reflections():
     d4 = build_by_name("D4")
-    w1 = weyl.reflection(d4, d4.parse_root("e1-e2"))
-    w2 = weyl.reflection(d4, d4.parse_root("e1+e2"))
+    w1 = weyl.evaluate(d4, (d4.parse_root("e1-e2"),))
+    w2 = weyl.evaluate(d4, (d4.parse_root("e1+e2"),))
     result = are_conjugate(d4, w1, w2)
     assert result.status == "conjugate" and result
     u = result.witness
@@ -62,8 +62,8 @@ def test_are_conjugate_reflections():
 
 def test_are_conjugate_separates_lengths():
     b2 = build_by_name("B2")
-    short = weyl.reflection(b2, b2.parse_root("e1"))
-    long_ = weyl.reflection(b2, b2.parse_root("e1-e2"))
+    short = weyl.evaluate(b2, (b2.parse_root("e1"),))
+    long_ = weyl.evaluate(b2, (b2.parse_root("e1-e2"),))
     result = are_conjugate(b2, short, long_)
     assert result.status == "not-conjugate" and not result
     assert result.witness is None
@@ -72,8 +72,8 @@ def test_are_conjugate_separates_lengths():
 def test_are_conjugate_unresolved_past_cap():
     """Two reflections of one class, but the walk stops at two elements."""
     d4 = build_by_name("D4")
-    w1 = weyl.reflection(d4, d4.parse_root("e1-e2"))
-    w2 = weyl.reflection(d4, d4.parse_root("e1+e2"))
+    w1 = weyl.evaluate(d4, (d4.parse_root("e1-e2"),))
+    w2 = weyl.evaluate(d4, (d4.parse_root("e1+e2"),))
     result = are_conjugate(d4, w1, w2, cap=2)
     assert result.status == "unresolved" and not result and result.witness is None
     assert are_conjugate(d4, w1, w2).status == "conjugate"

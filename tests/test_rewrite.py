@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc import rewrite
-from weylcalc.exactla import dot, identity, mat_mul, mat_vec, poly_mul, poly_str
+from weylcalc.exactla import dot, mat_mul, mat_vec, poly_mul, poly_str
 from weylcalc.rootsys import build_by_name
 from weylcalc.rewrite import (
     LONG_CYCLE_NAMES,
@@ -30,7 +30,6 @@ from weylcalc.rewrite import (
     word_charpoly,
 )
 from weylcalc import weyl
-from weylcalc.oracle import are_conjugate
 
 
 def connection_square_state():
@@ -41,56 +40,60 @@ def connection_square_state():
 
 def test_initial_state():
     st = connection_square_state()
-    assert st.element == weyl.evaluate(st.system, st.word)
-    assert st.conjugator == identity(st.system.dim)
+    space = weyl.perm_space(st.system)
+    assert space.matrix_of_perm(st.element_perm) == weyl.evaluate(st.system, st.word)
+    assert st.conjugator_perm == space.ident
     with pytest.raises(ValueError):
         initial_state(st.system, ((Q(1), Q(0), Q(0), Q(0)),))
 
 
 def test_apply_conjugation_updates_element_and_conjugator():
+    """Conjugating by a word moves the element to u w u^-1 and multiplies
+    the conjugator by u on the left, as the matrices confirm."""
     st = connection_square_state()
-    u = weyl.reflection(st.system, st.system.parse_root("e1-e3"))
-    moved = apply_conjugation(st, u)
-    assert mat_mul(u, st.element) == mat_mul(moved.element, u)
-    assert moved.conjugator == u
-    assert all(st.system.is_root(r) for r in moved.word)
-    with pytest.raises(ValueError):
-        apply_conjugation(st, ((Q(2), Q(0), Q(0), Q(0)),) + tuple(
-            tuple(Q(1) if i == j else Q(0) for j in range(4)) for i in range(1, 4)
-        ))
+    system = st.system
+    space = weyl.perm_space(system)
+    u_word = tuple(system.parse_root(t) for t in ("e1-e3", "e2+e4"))
+    moved = apply_conjugation(st, u_word)
+    twice = apply_conjugation(moved, u_word[:1])
+    u = weyl.evaluate(system, u_word)
+    assert mat_mul(u, weyl.evaluate(system, st.word)) == mat_mul(
+        space.matrix_of_perm(moved.element_perm), u)
+    assert space.matrix_of_perm(moved.conjugator_perm) == u
+    assert twice.conjugator_perm == space.word_perm((u_word[0], *u_word))
+    assert all(system.is_root(r) for r in moved.word)
+    assert space.word_perm(moved.word) == moved.element_perm
+    assert apply_conjugation(st, ()) == st
+    with pytest.raises(ValueError, match="is not a root of D4"):
+        apply_conjugation(st, ((Q(2), Q(0), Q(0), Q(0)),))
 
 
-def complement_reflection(system, v):
-    """The reflection of R^dim in ``v``, which is orthogonal to every root."""
-    assert all(dot(v, r) == 0 for r in system.simple_roots)
-    n, vv = system.dim, dot(v, v)
-    return tuple(
-        tuple((Q(1) if i == j else Q(0)) - 2 * v[i] * v[j] / vv for j in range(n))
-        for i in range(n)
-    )
+MOVES = ("apply_conjugation", "apply_s_permutation", "apply_sign_flip")
 
 
-def test_apply_conjugation_rejects_a_moved_complement():
-    """An orthogonal matrix that fixes every E6 root but reflects their
-    orthogonal complement in R^8 is no element of W(E6): a root
-    permutation cannot record it, so it is refused, not dropped, by
-    ``apply_conjugation`` and ``are_conjugate`` alike (in A2 too)."""
-    e6 = build_by_name("E6")
-    word = e6.simple_roots[:2]
-    st = initial_state(e6, word)
-    u = complement_reflection(e6, (Q(0),) * 6 + (Q(1), Q(1)))
-    assert mat_mul(u, u) == identity(8)  # a reflection: u is its own inverse
-    assert all(mat_vec(u, r) == r for r in e6.roots)
-    with pytest.raises(ValueError):
-        apply_conjugation(st, u)
-    w = weyl.reflection(e6, e6.simple_roots[3])
-    assert apply_conjugation(st, w).conjugator == w
-    a2 = build_by_name("A2")
-    for system, m in ((e6, u), (a2, complement_reflection(a2, (Q(1),) * 3))):
-        with pytest.raises(ValueError, match="orthogonal complement"):
-            are_conjugate(system, m, identity(system.dim))
-        with pytest.raises(ValueError, match="orthogonal complement"):
-            are_conjugate(system, m, m)
+def count_moves(monkeypatch):
+    """Calls of each public move function, counted from now on."""
+    counts = dict.fromkeys(MOVES, 0)
+    for name in MOVES:
+        def counted(*args, _name=name, _move=getattr(rewrite, name)):
+            counts[_name] += 1
+            return _move(*args)
+        monkeypatch.setattr(rewrite, name, counted)
+    return counts
+
+
+def test_scripts_and_replay_play_every_move_through_its_public_function(monkeypatch):
+    """A script plays each recorded step through its move's function (the
+    named cases also play the forward moves they invert), and ``replay``
+    exactly once per step."""
+    counts = count_moves(monkeypatch)
+    trace = transform_long_cycle("D6(b2)")
+    ops = [step.op for step in trace.steps[1:]]
+    steps = {name: ops.count(op) for name, op in zip(MOVES, ("conj", "perm", "flip"))}
+    assert all(counts[name] >= steps[name] > 0 for name in MOVES), counts
+    counts.update(dict.fromkeys(MOVES, 0))
+    assert replay(trace)
+    assert counts == steps
 
 
 def test_apply_s_permutation_preserves_product():
@@ -98,8 +101,8 @@ def test_apply_s_permutation_preserves_product():
     for i in range(3):
         for direction in ("left", "right"):
             out = apply_s_permutation(st, i, direction)
-            assert out.element == st.element
-            assert out.conjugator == st.conjugator
+            assert out.element_perm == st.element_perm
+            assert out.conjugator_perm == st.conjugator_perm
             assert len(out.word) == len(st.word)
             assert all(st.system.is_root(r) for r in out.word)
     # left then right at the same spot restores the word
@@ -115,7 +118,7 @@ def test_apply_s_permutation_preserves_product():
 def test_apply_sign_flip_is_involutive():
     st = connection_square_state()
     once = apply_sign_flip(st, 2)
-    assert once.element == st.element
+    assert once.element_perm == st.element_perm
     assert once.word[2] == tuple(-c for c in st.word[2])
     assert apply_sign_flip(once, 2).word == st.word
     with pytest.raises(ValueError):
@@ -216,9 +219,9 @@ def test_transform_d6b2():
     assert dg.identify(dg.from_roots(system, trace.final_state.word)) == "D6(a2)"
     assert replay(trace)
     # the accumulated conjugator carries the start element to the end element
-    c = trace.final_state.conjugator
-    w0 = trace.initial_state.element
-    assert mat_mul(c, w0) == mat_mul(trace.final_state.element, c)
+    c = weyl.perm_space(system).matrix_of_perm(trace.final_state.conjugator_perm)
+    w0 = weyl.evaluate(system, trace.initial_state.word)
+    assert mat_mul(c, w0) == mat_mul(weyl.evaluate(system, trace.final_state.word), c)
 
 
 def test_transform_generic_cycle_length_eight():
@@ -266,7 +269,7 @@ def seeded_4cycle_trace(system_name, seed):
     word = [system.parse_root(t) for t in ("e1-e2", "e2-e3", "e3-e4", "e2+e3")]
     rng = random.Random(seed)
     for _ in range(6):
-        u = weyl.reflection(system, rng.choice(system.roots))
+        u = weyl.evaluate(system, (rng.choice(system.roots),))
         word = [mat_vec(u, r) for r in word]
     return eliminate_4cycle(initial_state(system, word))
 
@@ -325,7 +328,7 @@ def rebuilt_from(trace, start):
     for step in trace.steps[1:]:
         state = steps[-1].state
         if step.op == "conj":
-            state = apply_conjugation(state, weyl.evaluate(state.system, step.args[0]))
+            state = apply_conjugation(state, *step.args)
         elif step.op == "perm":
             state = apply_s_permutation(state, *step.args)
         else:
@@ -598,8 +601,8 @@ def test_random_moves_keep_word_charpoly(name, data):
         elif move == "flip":
             state = apply_sign_flip(state, data.draw(st.integers(0, k - 1)))
         else:
-            root = data.draw(st.sampled_from(system.roots))
-            state = apply_conjugation(state, weyl.reflection(system, root))
+            roots = st.lists(st.sampled_from(system.roots), min_size=1, max_size=3)
+            state = apply_conjugation(state, data.draw(roots))
         assert word_charpoly(system, state.word) == poly
         assert space.conjugates(state.conjugator_perm, start.element_perm, state.element_perm)
         assert space.word_perm(state.word) == state.element_perm

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import weylcalc
@@ -129,3 +130,27 @@ def test_no_unused_definitions():
                for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))}
     assert len(package) >= 8
     assert _unused_definitions(sources, package) == []
+
+
+def _tracer_boundaries() -> tuple[tuple[str, str, str], ...]:
+    """``BOUNDARIES`` of ``bench/tracer.py``, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "BOUNDARIES" for t in node.targets)]
+    return ast.literal_eval(value)
+
+
+def test_tracer_boundaries_name_callables_of_the_package():
+    """The benchmark tracer wraps each ``(layer, owner, attribute)`` and
+    fails to install if one is gone: every one must name a callable."""
+    boundaries = _tracer_boundaries()
+    missing = []
+    for _, owner, attr in boundaries:
+        module, _, cls = owner.partition(":")
+        target = importlib.import_module(f"weylcalc.{module}")
+        if cls:
+            target = getattr(target, cls, None)
+        if not callable(getattr(target, attr, None)):
+            missing.append(f"{owner}.{attr}")
+    assert len(boundaries) >= 20
+    assert missing == []

@@ -15,7 +15,6 @@ from weylcalc.weyl import (
     evaluate,
     order_or_infinite,
     perm_space,
-    reflection,
     walk,
     word_matrix,
     word_matrix_from_gram,
@@ -25,7 +24,7 @@ from weylcalc.weyl import (
 def test_reflection_properties():
     s = build_by_name("D4")
     r = s.parse_root("e1-e2")
-    m = reflection(s, r)
+    m = evaluate(s, (r,))
     assert mat_mul(m, m) == identity(s.dim)
     assert mat_vec(m, r) == tuple(-c for c in r)
     orthogonal = s.parse_root("e3-e4")
@@ -36,7 +35,7 @@ def test_reflection_preserves_roots():
     for name in ("A3", "B3", "G2"):
         s = build_by_name(name)
         for r in s.roots[:4]:
-            m = reflection(s, r)
+            m = evaluate(s, (r,))
             for other in s.roots:
                 assert s.is_root(mat_vec(m, other))
 
@@ -48,7 +47,7 @@ def test_evaluate_composition_order():
     a = s.parse_root("e1-e2")
     b = s.parse_root("e2-e3")
     ab = evaluate(s, (a, b))
-    assert ab == mat_mul(reflection(s, a), reflection(s, b))
+    assert ab == mat_mul(evaluate(s, (a,)), evaluate(s, (b,)))
     assert ab != evaluate(s, (b, a))  # the two reflections do not commute
 
 
@@ -137,6 +136,8 @@ ENTRY_POINTS = {
     "word_charpoly": rewrite.word_charpoly,
     "evaluate": evaluate,
     "initial_state": rewrite.initial_state,
+    "apply_conjugation": lambda s, word: rewrite.apply_conjugation(
+        rewrite.initial_state(s, word[:1]), word),
     "image": lambda s, word: perm_space(s).image(perm_space(s).ident, word[-1]),
     "reflection_perm": lambda s, word: perm_space(s).reflection_perm(word[-1]),
     "int_gram": lambda s, word: s.int_gram(word),
@@ -270,13 +271,42 @@ def test_perm_of_matrix_accepts_minus_one_exactly_in_w(name, in_w):
         return
     with pytest.raises(ValueError, match="not in its Weyl group"):
         space.perm_of_matrix(m)
-    # so conjugacy and conjugation refuse it too, instead of answering
-    state = rewrite.initial_state(s, s.simple_roots[:1])
-    with pytest.raises(ValueError, match="not in its Weyl group"):
-        rewrite.apply_conjugation(state, m)
+    # so conjugacy refuses it too, instead of answering
     for other in (m, identity(s.dim)):
         with pytest.raises(ValueError, match="not in its Weyl group"):
             are_conjugate(s, m, other)
+
+
+def complement_reflection(system, v):
+    """The reflection of R^dim in ``v``, which is orthogonal to every root."""
+    assert all(dot(v, r) == 0 for r in system.simple_roots)
+    n, vv = system.dim, dot(v, v)
+    return tuple(
+        tuple((Q(1) if i == j else Q(0)) - 2 * v[i] * v[j] / vv for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_perm_of_matrix_rejects_a_moved_complement():
+    """An orthogonal matrix that fixes every E6 root but reflects their
+    orthogonal complement in R^8 is no element of W(E6): a root
+    permutation cannot record it, so it is refused, not dropped, by
+    ``perm_of_matrix`` and ``are_conjugate`` alike (in A2 too)."""
+    e6 = build_by_name("E6")
+    space = perm_space(e6)
+    u = complement_reflection(e6, (Q(0),) * 6 + (Q(1), Q(1)))
+    assert mat_mul(u, u) == identity(8)  # a reflection: u is its own inverse
+    assert all(mat_vec(u, r) == r for r in e6.roots)
+    with pytest.raises(ValueError, match="orthogonal complement"):
+        space.perm_of_matrix(u)
+    root = e6.simple_roots[3]
+    assert space.perm_of_matrix(evaluate(e6, (root,))) == space.reflection_perm(root)
+    a2 = build_by_name("A2")
+    for system, m in ((e6, u), (a2, complement_reflection(a2, (Q(1),) * 3))):
+        with pytest.raises(ValueError, match="orthogonal complement"):
+            are_conjugate(system, m, identity(system.dim))
+        with pytest.raises(ValueError, match="orthogonal complement"):
+            are_conjugate(system, m, m)
 
 
 def test_perm_of_matrix_rejects_a_wrong_shape():
