@@ -16,7 +16,7 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb, lcm
@@ -31,7 +31,6 @@ from .exactla import (
     Vector,
     charpoly,
     cyclotomic,
-    gram_positive_definite,
     poly_mul,
     poly_str,
     power_plus_one,
@@ -201,11 +200,6 @@ def tits_value(d: Diagram, coeffs: Sequence, t: Q = Q(1)) -> Q:
     return total
 
 
-def is_realizable(d: Diagram, t: Q = Q(1)) -> bool:
-    """True iff the Gram matrix is positive definite (independent roots exist)."""
-    return gram_positive_definite(_int_gram(d, t)[0])
-
-
 def two_coloring(n: int, edges: Iterable[tuple[int, int, int]]) -> list[int] | None:
     """Signed two-colouring: colours 0/1 with ``colour[a] ^ colour[b] == odd``
     on every edge ``(a, b, odd)``, or None when no such colouring exists.
@@ -308,18 +302,6 @@ def dotted_parity_ok(d: Diagram) -> bool:
         if dotted % 2 == 0:
             return False
     return True
-
-
-def flip_vertex(d: Diagram, i: int) -> Diagram:
-    """Negate vertex i: toggles the style of exactly its incident edges."""
-    if not 0 <= i < d.n:
-        raise ValueError("vertex out of range")
-    new_edges = []
-    for a, b, style in d.edges:
-        if i in (a, b):
-            style = DOTTED if style == SOLID else SOLID
-        new_edges.append((a, b, style))
-    return replace(d, edges=tuple(sorted(new_edges)))
 
 
 def _bicolored_parts(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -466,20 +448,23 @@ def _d_cycle_word(l: int) -> tuple[Vector, ...]:
 # validated against every inner product the derivations in the rewrite
 # module assert; the b-diagram words are the exact final words those
 # derivations produce, so rewrite traces can start and end on catalog
-# entries verbatim.
-_FROZEN: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+# entries verbatim.  Each entry: system, root literals, vertex labels and
+# the stated charpoly the catalog build checks.
+_FROZEN: dict[str, tuple[str, tuple[str, ...], tuple[str, ...], Poly]] = {
     "E8(a3)": (
         "E8",
         ("-e1-e2", "-e1+e2", "-e3-e4", "-e5-e6",
          "e1+e4", "e1-e2+e3-e4-e5+e6-e7+e8/2",
          "-e1+e2+e3+e4+e5+e6-e7+e8/2", "e3-e8"),
         ("alpha1", "alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3", "beta4"),
+        poly_mul(cyclotomic(12), cyclotomic(12)),
     ),
     "E8(b3)": (
         "E8",
         ("e1+e4", "e1-e2+e3-e4-e5+e6-e7+e8/2", "e3-e8", "-e5-e6",
          "-e1-e2", "-e1+e2", "-e3-e4", "e5-e8"),
         ("beta1", "beta2", "beta4", "alpha4", "alpha1", "alpha2", "alpha3", "sigma"),
+        poly_mul(cyclotomic(12), cyclotomic(12)),
     ),
     "E7(a2)": (
         "E7",
@@ -487,34 +472,40 @@ _FROZEN: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
          "e1-e5", "e1+e2-e3+e4+e5+e6-e7+e8/2", "-e2+e4",
          "e1-e2+e3-e4+e5-e6-e7+e8/2"),
         ("alpha2", "alpha3", "alpha4", "beta1", "beta2", "beta3", "beta4"),
+        poly_mul(poly_mul(cyclotomic(12), cyclotomic(6)), cyclotomic(2)),
     ),
     "E7(b2)": (
         "E7",
         ("e1-e5", "e1+e2-e3+e4+e5+e6-e7+e8/2", "e1-e2+e3-e4+e5-e6-e7+e8/2",
          "-e3-e4", "-e1-e2", "-e1+e2", "e3-e6"),
         ("beta1", "beta2", "beta4", "alpha4", "alpha2", "alpha3", "sigma"),
+        poly_mul(poly_mul(cyclotomic(12), cyclotomic(6)), cyclotomic(2)),
     ),
     "D6(a2)": (
         "D6",
         ("e3-e4", "e1-e2", "e2-e3", "e4-e5", "e2+e3", "-e1+e6"),
         ("alpha2", "alpha3", "beta1", "beta2", "beta3", "beta4"),
+        poly_mul(power_plus_one(3), power_plus_one(3)),
     ),
     "D6(b2)": (
         "D6",
         ("e2-e3", "e4-e5", "-e1+e6", "e3-e4", "e1-e2", "e5+e6"),
         ("beta1", "beta2", "beta4", "alpha2", "alpha3", "sigma"),
+        poly_mul(power_plus_one(3), power_plus_one(3)),
     ),
     "E6(a1)": (
         "E6",
         ("-e1-e2", "-e1+e2", "-e3-e4",
          "e1+e4", "e2-e5", "e1+e2+e3-e4+e5+e6+e7-e8/2"),
         ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3"),
+        cyclotomic(9),
     ),
     "E6(a2)": (
         "E6",
         ("-e1-e2", "-e1+e2", "-e3-e4",
          "-e2+e4", "e1-e5", "e1+e2+e3+e4+e5-e6-e7+e8/2"),
         ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3"),
+        poly_mul(poly_mul(cyclotomic(6), cyclotomic(6)), cyclotomic(3)),
     ),
     "E8(b5)": (
         "E8",
@@ -522,6 +513,7 @@ _FROZEN: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
          "e1-e2-e3+e4+e5+e6-e7-e8/2", "e1+e8",
          "e1+e2+e3+e4-e5+e6+e7-e8/2", "-e1+e2+e3+e4+e5+e6-e7+e8/2"),
         ("beta1", "beta2", "beta4", "gamma", "alpha1", "alpha2", "alpha3", "alpha4"),
+        cyclotomic(15),
     ),
     "E8(a5)": (
         "E8",
@@ -529,20 +521,8 @@ _FROZEN: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
          "-e1-e2+e3+e4-e5-e6+e7+e8/2", "e1-e2+e3-e4-e5+e6+e7-e8/2",
          "e1-e2-e3+e4-e5-e6-e7-e8/2", "e1+e8"),
         ("beta4", "beta3", "beta1", "v", "u", "w4", "alpha1+gamma", "alpha2"),
+        cyclotomic(15),
     ),
-}
-
-_FROZEN_CHARPOLY: dict[str, Poly] = {
-    "E8(a3)": poly_mul(cyclotomic(12), cyclotomic(12)),
-    "E8(b3)": poly_mul(cyclotomic(12), cyclotomic(12)),
-    "E7(a2)": poly_mul(poly_mul(cyclotomic(12), cyclotomic(6)), cyclotomic(2)),
-    "E7(b2)": poly_mul(poly_mul(cyclotomic(12), cyclotomic(6)), cyclotomic(2)),
-    "D6(a2)": poly_mul(power_plus_one(3), power_plus_one(3)),
-    "D6(b2)": poly_mul(power_plus_one(3), power_plus_one(3)),
-    "E6(a1)": cyclotomic(9),
-    "E6(a2)": poly_mul(poly_mul(cyclotomic(6), cyclotomic(6)), cyclotomic(3)),
-    "E8(b5)": cyclotomic(15),
-    "E8(a5)": cyclotomic(15),
 }
 
 DL_MAX = 16  # D_l families are cataloged exhaustively up to this rank
@@ -584,10 +564,10 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
         cp = poly_mul(power_plus_one(l // 2), power_plus_one(l // 2))
         specs.append((f"D{l}(b{m})", f"D{l}", _d_cycle_word(l), None, cp))
 
-    for name, (system_name, literals, labels) in _FROZEN.items():
+    for name, (system_name, literals, labels, cp) in _FROZEN.items():
         system = rootsys.build_by_name(system_name)
         word = tuple(system.parse_root(s) for s in literals)
-        specs.append((name, system_name, word, labels, _FROZEN_CHARPOLY[name]))
+        specs.append((name, system_name, word, labels, cp))
 
     return specs
 

@@ -41,25 +41,12 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-def vec(*entries) -> Vector:
-    return tuple(Q(e) for e in entries)
-
-
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
 
 def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Vector) -> Vector:
-    c = Q(c)
-    return tuple(c * a for a in x)
-
-
-def vec_neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
 
 
 def dot(x: Vector, y: Vector) -> Q:

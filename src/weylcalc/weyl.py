@@ -171,10 +171,10 @@ class PermSpace:
     Only the simple reflections are computed from coordinates
     (``rootsys.reflection_images``).  Every other reflection is a
     W-conjugate of one of them, s_{g(c)} = g s_c g^-1 (Humphreys §1.2,
-    §1.5): one :func:`walk` per root orbit from a simple root, moving by
-    the simple reflections, reaches every root, and a root b = s_k(c) gets
-    s_b = s_k s_c s_k from its parent c.  Each reflection is built on
-    first use, after the ones on its walk path.
+    §1.5): a root b = s_k(c) gets s_b = s_k s_c s_k from a parent c one
+    step nearer the simple roots, read off the root heights (see
+    :meth:`reflection_at`).  Each reflection is built on first use, after
+    the ones on its path down to a simple root.
     """
 
     def __init__(self, system: RootSystem):
@@ -185,6 +185,7 @@ class PermSpace:
         self.ident = self._wrap(range(self.n))
         self._pad = bytes(range(self.n, 256))
         self._simple = tuple(map(system.index, system.simple_roots))
+        self._depth = tuple(h - 1 if h > 0 else -h for h in system.heights)
 
     def _wrap(self, images: Iterable[int]) -> Perm:
         return bytes(images) if self.packed else tuple(images)
@@ -230,27 +231,21 @@ class PermSpace:
         """``(table, perm)`` of each simple reflection, in simple-root order."""
         return tuple((self.table(p), p) for p in (self._reflections[i] for i in self._simple))
 
-    @functools.cached_property
-    def _root_tree(self) -> dict[int, tuple[int, int] | None]:
-        """``{b: (c, k)}`` with ``roots[b]`` = s_k(``roots[c]``): one :func:`walk`
-        from each simple root not yet reached, one per root orbit."""
-        gens = [g for _, g in self.generators]
-        tree: dict = {}
-        for i in self._simple:
-            if i not in tree:
-                tree.update(walk(i, lambda b: enumerate(g[b] for g in gens)))
-        return tree
-
     def reflection_at(self, i: int) -> Perm:
-        """Permutation of s_r for r = ``roots[i]``, built on first use.  A
-        root b = s_k(c) gets s_k·(s_c·s_k) from its walk parent c, so
+        """Permutation of s_b for b = ``roots[i]``, built on first use.  A
+        root of height h has depth h - 1 if h > 0 and -h if h < 0, so the
+        simple roots are the roots of depth 0.  A positive b that is not
+        simple has a simple a_k with <b, a_k> > 0 (Humphreys §10.2), and
+        s_k(b) is positive and lower; the k that lowers -b also lowers a
+        negative b, and -a_k goes to a_k.  So b takes as parent c = s_k(b) for the
+        first simple a_k that lowers its depth, and s_b = s_k·(s_c·s_k).
         ``roots[i]`` and its negative are built apart: comparing their
         reflections is a real check, not a cache hit."""
         p = self._reflections.get(i)
         if p is None:
-            c, k = self._root_tree[i]
-            gt, g = self.generators[k]
-            parent = self.table(self.reflection_at(c))
+            depth = self._depth
+            gt, g = next((gt, g) for gt, g in self.generators if depth[g[i]] < depth[i])
+            parent = self.table(self.reflection_at(g[i]))
             p = self._reflections[i] = self.mul(gt, self.mul(parent, g))
         return p
 

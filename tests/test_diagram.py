@@ -181,14 +181,6 @@ def test_affine_patterns_all_vanish():
         assert dg.tits_value(d, coeffs, t) == 0, name
 
 
-def test_is_realizable():
-    assert dg.is_realizable(dg.make_diagram(2, [(0, 1, dg.SOLID)]))
-    solid_square = dg.styled_diagram(4, SQUARE, 0)
-    assert not dg.is_realizable(solid_square)  # its Gram is singular
-    odd_square = dg.styled_diagram(4, SQUARE, 1)
-    assert dg.is_realizable(odd_square)
-
-
 def test_bipartition_and_admissible():
     s, word = d4a1_word()
     d = dg.from_roots(s, word)
@@ -222,18 +214,6 @@ def test_dotted_parity():
     assert dg.dotted_parity_ok(dg.styled_diagram(4, SQUARE, 1))
     assert not dg.dotted_parity_ok(dg.styled_diagram(4, SQUARE, 0))
     assert not dg.dotted_parity_ok(dg.styled_diagram(4, SQUARE, 0b0011))
-
-
-def test_flip_vertex_toggles_incident_styles():
-    d = dg.styled_diagram(4, SQUARE, 0)
-    f = dg.flip_vertex(d, 0)
-    assert f.edge_style(0, 1) == "dotted"
-    assert f.edge_style(0, 3) == "dotted"
-    assert f.edge_style(1, 2) == "solid"
-    assert dg.flip_vertex(f, 0) == d
-    for i in (-1, 4):
-        with pytest.raises(ValueError, match="vertex out of range"):
-            dg.flip_vertex(d, i)
 
 
 def test_style_class_representatives():
@@ -318,7 +298,8 @@ def test_invariant_separates_styles_within_class():
     different between the two square classes."""
     even = dg.styled_diagram(4, SQUARE, 0)
     odd = dg.styled_diagram(4, SQUARE, 1)
-    assert dg.invariant(dg.flip_vertex(even, 2)) == dg.invariant(even)
+    flipped = dg.styled_diagram(4, SQUARE, 0b0110)  # vertex 2 negated: (1, 2), (2, 3)
+    assert dg.invariant(flipped) == dg.invariant(even)
     assert dg.invariant(odd) != dg.invariant(even)
 
 

@@ -316,7 +316,8 @@ _STAR = dg.make_diagram(4, [(0, 1, dg.SOLID), (0, 2, dg.DOTTED), (0, 3, dg.SOLID
 @example(dg.make_diagram(0, []), Q(1))
 @example(_EDGELESS, Q(2))                   # one part empty
 @example(_STAR, Q(5, 3))                    # parts of sizes 1 and 3
-@example(dg.flip_vertex(_STAR, 1), Q(3))
+@example(dg.make_diagram(4, [(0, 1, dg.DOTTED), (0, 2, dg.DOTTED), (0, 3, dg.SOLID)],
+                         longs=(True, False, False, False)), Q(3))  # _STAR, vertex 1 negated
 def test_bicolored_charpoly_matches_dense_word_matrix(d, t):
     """The half-dimension Schur-complement form equals the charpoly of the
     bicolored word's full matrix, and hands out Fractions only."""

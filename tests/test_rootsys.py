@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylcalc.exactla import dot, idot, vec_add, vec_neg, vec_scale
+from weylcalc.exactla import dot, idot, vec_add
 from weylcalc.rootsys import (
     _RANK_RANGE,
     RootSystem,
@@ -76,7 +76,7 @@ def test_membership_and_closure():
     # closed under negation and reflection
     space = perm_space(s)
     for r in s.roots:
-        assert s.is_root(vec_neg(r))
+        assert s.is_root(tuple(-x for x in r))
         assert s.is_root(space.image(space.reflection_perm(s.roots[0]), r))
 
 
@@ -97,7 +97,7 @@ def test_half_integer_roots():
     s = build_by_name("E8")
     r = s.parse_root("e1-e2-e3-e4-e5-e6-e7+e8/2")
     assert dot(r, r) == 2
-    assert r == vec_scale(Q(1, 2), parse_vector("e1-e2-e3-e4-e5-e6-e7+e8", 8))
+    assert r == tuple(Q(x, 2) for x in parse_vector("e1-e2-e3-e4-e5-e6-e7+e8", 8))
 
 
 def test_parse_vector_grammar():
@@ -253,12 +253,12 @@ def test_sign_classes_are_the_upper_half():
                for rank in range(lo, hi + 1)]
     assert len(systems) == 65
     for s in systems:
-        assert all(s.roots[-1 - i] == vec_neg(r) for i, r in enumerate(s.roots))
+        assert all(s.roots[-1 - i] == tuple(-x for x in r) for i, r in enumerate(s.roots))
         # the reps are exactly the roots whose first nonzero coordinate is positive
         lex_positive = tuple(r for r in s.roots if next(c for c in r if c) > 0)
         assert s.sign_class_reps() == lex_positive, s.name()
         assert len(lex_positive) == len(s.roots) // 2
-        assert all(lex_positive[s.sign_class(i)] in (r, vec_neg(r))
+        assert all(lex_positive[s.sign_class(i)] in (r, tuple(-x for x in r))
                    for i, r in enumerate(s.roots)), s.name()
 
 
@@ -348,7 +348,7 @@ def test_simple_coefficients_reconstruct():
         coeffs = s.simple_coefficients(r)
         total = (Q(0),) * s.dim
         for c, simple in zip(coeffs, s.simple_roots):
-            total = vec_add(total, vec_scale(c, simple))
+            total = vec_add(total, tuple(c * x for x in simple))
         assert total == r
     a5 = build_by_name("A5")
     assert a5.simple_coefficients(a5.max_root()) == (1, 1, 1, 1, 1)

@@ -118,18 +118,44 @@ def _unused_definitions(sources: dict[str, str], package: set[str]) -> list[str]
     return found
 
 
+#: The definitions nothing in ``src/`` or ``bench/`` reads, each with the
+#: reason it stays.  Reads from tests do not count: a test alone keeps
+#: nothing alive.
+KEPT_FOR = {
+    "print_help": "argparse calls it for --help: a closed stdout must end help "
+                  "as it ends any verb",
+    "from_dict": "Diagram.from_dict inverts to_dict, which the JSON output writes "
+                 "(README diagram row)",
+    "parse_vector": "rootsys' parser for any vector, not only a root (README "
+                    "rootsys row)",
+    "simple_coefficients": "a root's coordinates in the simple roots (README "
+                           "rootsys row)",
+    "mat": "acceptance criterion 07 writes its Gram and Coxeter matrices with it",
+    "word_matrix_from_gram": "acceptance criterion 07: the word matrix of the "
+                             "obtuse square, which no root system realizes",
+    "real_root_in_interval": "acceptance criterion 07: the Sturm-chain root of "
+                             "that matrix's charpoly near 4.42",
+    "is_product_of_cyclotomics": "acceptance criterion 07: that charpoly is not "
+                                 "cyclotomic",
+    "order_or_infinite": "acceptance criterion 07 and the README weyl row: "
+                         "element order, or infinite for the obtuse square",
+}
+
+
 def test_no_unused_definitions():
     """Every function, class and method of the package is read somewhere
-    in ``src/``, ``tests/`` or ``bench/``, outside its own definition."""
+    in ``src/`` or ``bench/``, outside its own definition, or is kept in
+    :data:`KEPT_FOR` with its reason; the two lists match exactly."""
     assert _unused_definitions(
         {"m.py": "def f():\n    return f()\n\nclass C:\n    def g(self):\n        pass\n"
                  "    def __len__(self):\n        return 0\n\nC().h\n"},
         {"m.py"}) == ["m.py:1 f", "m.py:5 g"]
     package = {str(p) for p in (ROOT / "src" / "weylcalc").glob("*.py")}
     sources = {str(p): p.read_text()
-               for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))}
+               for top in ("src", "bench") for p in sorted((ROOT / top).rglob("*.py"))}
     assert len(package) >= 8
-    assert _unused_definitions(sources, package) == []
+    unread = [entry.split()[-1] for entry in _unused_definitions(sources, package)]
+    assert sorted(unread) == sorted(KEPT_FOR)
 
 
 def _tracer_boundaries() -> tuple[tuple[str, str, str], ...]:
