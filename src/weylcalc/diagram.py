@@ -16,7 +16,7 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb, lcm
@@ -36,7 +36,7 @@ from .exactla import (
     power_plus_one,
 )
 from .rootsys import RootSystem
-from .weyl import cartan_number, int_word_matrix, walk
+from .weyl import cartan_number, int_word_matrix_from_gram, walk
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -151,6 +151,13 @@ def from_roots(
 
     Raises ValueError unless the roots are independent (their Gram matrix
     positive definite): a repeated or dependent list has no diagram."""
+    return _realized(system, roots, labels)[0]
+
+
+def _realized(
+    system: RootSystem, roots: Sequence[Vector], labels: Sequence[str] | None
+) -> tuple[Diagram, list[list[int]]]:
+    """:func:`from_roots` and the doubled-integer Gram matrix it is read off."""
     rr = [tuple(r) for r in roots]
     g = system.int_gram(rr)
     edges = []
@@ -161,8 +168,9 @@ def from_roots(
             raise ValueError(f"the roots are linearly dependent: "
                              f"{system.format_root(rr[j])} depends on the roots before it")
         edges += [(i, j, DOTTED if x > 0 else SOLID) for i, x in enumerate(col) if x]
-    longs = tuple(system.is_long(r) for r in rr)
-    return make_diagram(len(rr), edges, longs=longs, labels=labels)
+    long = system.int_long_norm
+    longs = tuple(row[j] == long != system.int_short_norm for j, row in enumerate(g))
+    return make_diagram(len(rr), edges, longs=longs, labels=labels), g
 
 
 def _int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
@@ -286,14 +294,15 @@ def cycles(d: Diagram) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
-def dotted_parity_ok(d: Diagram) -> bool:
+def dotted_parity_ok(d: Diagram, chordless: Sequence[tuple[int, ...]] | None = None) -> bool:
     """Every chordless cycle carries an odd number of dotted edges.
+    ``chordless`` is ``cycles(d)``, listed here unless the caller has it.
 
     Simple-but-chorded cycles are deliberately excluded: a chord splits a
     cycle into two chordless ones whose dotted counts add up to an even
     total on the outer rim, so the odd rule can only hold chordlessly.
     """
-    for cyc in cycles(d):
+    for cyc in cycles(d) if chordless is None else chordless:
         dotted = 0
         for idx in range(len(cyc)):
             a, b = cyc[idx], cyc[(idx + 1) % len(cyc)]
@@ -361,16 +370,17 @@ def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:
     return _bicolored_charpoly_cached(d, Q(t))
 
 
-def invariant(d: Diagram) -> tuple:
+def invariant(d: Diagram, chordless: Sequence[tuple[int, ...]] | None = None) -> tuple:
     """Matching key for identify(): counts, (length class, degree) of each
-    vertex, cycle lengths, charpoly.
+    vertex, cycle lengths, charpoly.  ``chordless`` is ``cycles(d)``, listed
+    here unless the caller has it.
 
     The length classes keep a diagram with long vertices from matching a
     simply-laced one of the same shape.
     """
     adj = d.adjacency()
     vertices = tuple(sorted((d.longs[i], len(adj[i])) for i in range(d.n)))
-    cyc = tuple(sorted(len(c) for c in cycles(d)))
+    cyc = tuple(sorted(len(c) for c in (cycles(d) if chordless is None else chordless)))
     return (d.n, vertices, cyc, bicolored_charpoly(d))
 
 
@@ -417,19 +427,14 @@ def _poly_all_ones(degree: int) -> Poly:
     return tuple([Q(1)] * (degree + 1))
 
 
-def _bicolored_root_order(system: RootSystem, roots: Sequence[Vector]) -> tuple[Vector, ...]:
-    d = from_roots(system, roots)
-    return tuple(roots[i] for i in bicolored_word_order(d))
-
-
 # In D_l, ``e_i - e_{i+1}`` is the simple root ``simple_roots[i - 1]``.
-def _d_ak_word(l: int, k: int) -> tuple[Vector, ...]:
-    """Standard D_l(a_k) realization: a 4-cycle with tails of k-1 and l-k-3."""
+def _d_ak_roots(l: int, k: int) -> tuple[Vector, ...]:
+    """The roots of the standard D_l(a_k) realization: a 4-cycle with tails
+    of k-1 and l-k-3."""
     system = rootsys.build("D", l)
     simple = system.simple_roots
     square = system.parse_root(f"e{k + 1}+e{k + 2}")
-    roots = [*simple[:k + 2], square, *simple[k + 2:l - 1]]
-    return _bicolored_root_order(system, roots)
+    return (*simple[:k + 2], square, *simple[k + 2:l - 1])
 
 
 def _d_cycle_word(l: int) -> tuple[Vector, ...]:
@@ -529,18 +534,19 @@ DL_MAX = 16  # D_l families are cataloged exhaustively up to this rank
 
 
 def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...] | None, Poly]]:
+    """``(name, system, roots, labels, stated charpoly)`` of every entry.  An
+    entry without labels has the roots in bicolored order as its word; a
+    labelled one has them in the order given."""
     specs: list[tuple[str, str, tuple[Vector, ...], tuple[str, ...] | None, Poly]] = []
 
     for n in range(1, 9):
-        system = rootsys.build("A", n)
-        word = _bicolored_root_order(system, list(system.simple_roots))
-        specs.append((f"A{n}", f"A{n}", word, None, _poly_all_ones(n)))
+        roots = rootsys.build("A", n).simple_roots
+        specs.append((f"A{n}", f"A{n}", roots, None, _poly_all_ones(n)))
 
     for n in range(4, 9):
-        system = rootsys.build("D", n)
-        word = _bicolored_root_order(system, list(system.simple_roots))
+        roots = rootsys.build("D", n).simple_roots
         cp = poly_mul(power_plus_one(n - 1), power_plus_one(1))
-        specs.append((f"D{n}", f"D{n}", word, None, cp))
+        specs.append((f"D{n}", f"D{n}", roots, None, cp))
 
     e_polys = {
         6: poly_mul(cyclotomic(12), cyclotomic(3)),
@@ -548,16 +554,15 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
         8: cyclotomic(30),
     }
     for n in (6, 7, 8):
-        system = rootsys.build("E", n)
-        word = _bicolored_root_order(system, list(system.simple_roots))
-        specs.append((f"E{n}", f"E{n}", word, None, e_polys[n]))
+        roots = rootsys.build("E", n).simple_roots
+        specs.append((f"E{n}", f"E{n}", roots, None, e_polys[n]))
 
     for l in range(4, DL_MAX + 1):
         for k in range(1, (l - 2) // 2 + 1):
             if (l, k) == (6, 2):
                 continue  # covered by the frozen script-tied realization below
             cp = poly_mul(power_plus_one(k + 1), power_plus_one(l - k - 1))
-            specs.append((f"D{l}(a{k})", f"D{l}", _d_ak_word(l, k), None, cp))
+            specs.append((f"D{l}(a{k})", f"D{l}", _d_ak_roots(l, k), None, cp))
 
     for l in range(8, DL_MAX + 1, 2):
         m = l // 2 - 1
@@ -574,19 +579,30 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
 
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
-    """(entries by name, entry name by invariant), built and checked once."""
+    """(entries by name, entry name by invariant), built and checked once.
+    Each entry's Gram matrix, independence proof and chordless cycles are
+    made once: putting the roots in word order permutes the diagram, and
+    the word's product over the basis of the roots as listed has the
+    charpoly of the product over the word's own."""
     entries: dict[str, CatalogEntry] = {}
     by_invariant: dict[tuple, str] = {}
-    for name, system_name, word, labels, stated in _catalog_specs():
+    for name, system_name, roots, labels, stated in _catalog_specs():
         if name in entries:
             raise RuntimeError(f"duplicate catalog name {name}")
         system = rootsys.build_by_name(system_name)
-        d = from_roots(system, word, labels=labels)
+        d, g = _realized(system, roots, labels)
         if not is_admissible(d):
             raise RuntimeError(f"catalog entry {name} is not admissible")
-        if not dotted_parity_ok(d):
+        if labels is None:
+            order = bicolored_word_order(d)
+            # renumbered in word order, under the default labels again
+            d = replace(induced_subdiagram(d, order), labels=d.labels)
+        else:
+            order = range(d.n)
+        chordless = cycles(d)
+        if not dotted_parity_ok(d, chordless):
             raise RuntimeError(f"catalog entry {name} fails dotted parity")
-        computed = charpoly(int_word_matrix(system, word))
+        computed = charpoly(int_word_matrix_from_gram(g, order))
         if computed != stated:
             raise RuntimeError(
                 f"catalog entry {name}: realized charpoly {poly_str(computed)} "
@@ -598,12 +614,13 @@ def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
                 f"catalog entry {name}: abstract charpoly {poly_str(abstract)} "
                 f"!= stored {poly_str(stated)}"
             )
-        inv = invariant(d)
+        inv = invariant(d, chordless)
         if inv in by_invariant:
             raise RuntimeError(
                 f"catalog invariant collision: {name} vs {by_invariant[inv]}"
             )
         by_invariant[inv] = name
+        word = tuple(roots[i] for i in order)
         entries[name] = CatalogEntry(name, system_name, word, d, stated)
     return entries, by_invariant
 

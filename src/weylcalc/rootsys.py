@@ -11,12 +11,14 @@ diagram layer relies on.
 
 Every root has coordinates in (1/2)Z, so each system also holds its
 roots as *doubled-integer* coordinates (``int_roots``, aligned index
-for index with ``roots``).  Closure, norms, inner products and
-reflections run on those integers; the Cartan number
-``2<v, r>/<r, r>`` is an integer and unchanged by the doubling, so a
-reflection needs no division.  The ``Fraction`` tuples in ``roots`` are
-made once, from an intern table, and are what the API hands out; other
-modules ask by root (``index``, ``int_gram``) and never convert.
+for index with ``roots``).  The positive roots are grown from the
+simple ones on their integer Cartan pairings, the negative roots are
+their negations, and norms, inner products and reflections run on
+those integers; the Cartan number ``2<v, r>/<r, r>`` is an integer and
+unchanged by the doubling, so a reflection needs no division.  The
+``Fraction`` tuples in ``roots`` are made once, from an intern table,
+and are what the API hands out; other modules ask by root (``index``,
+``int_gram``) and never convert.
 ``reflection_images`` serves ``weyl.PermSpace`` the simple reflections
 only: every other reflection is their W-conjugate, built there.
 
@@ -38,7 +40,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from typing import Sequence, Tuple
 
-from .exactla import Vector, idot, solve
+from .exactla import Vector, gram_positive_definite, idot, solve
 
 IntVector = Tuple[int, ...]
 
@@ -115,22 +117,27 @@ def doubled(v: Vector) -> IntVector:
     return tuple(out)
 
 
-def _close_under_reflections(simple: Sequence[IntVector]) -> dict[IntVector, int]:
-    """``{root: height}`` over the closure of ``simple``: a simple root has
-    height 1, and s_j(v) = v - c a_j has height h(v) - c."""
-    norms = [idot(s, s) for s in simple]
+def _positive_roots(simple: Sequence[IntVector]) -> dict[IntVector, int]:
+    """``{root: height}`` over the positive roots of the simple system
+    ``simple``, grown from the simple roots (height 1) on their Cartan
+    pairings ``p(v) = [<v, a_j^vee>]_j``.  When ``p_j(v) < 0``,
+    ``s_j(v) = v - p_j(v) a_j`` is a positive root of height
+    ``h(v) - p_j(v)`` with pairings ``p(v) - p_j(v) A_j``, ``A_j`` row j of
+    the Cartan matrix; every positive root that is not simple is reached so
+    from one of lower height (Humphreys, *Reflection Groups and Coxeter
+    Groups*, 1.6 and 10.2), and no inner product is taken on the way."""
+    cartan = [[2 * idot(a, b) // idot(b, b) for b in simple] for a in simple]
     heights = dict.fromkeys(simple, 1)
-    frontier = list(simple)
+    frontier = list(zip(simple, cartan))
     while frontier:
         nxt = []
-        for v in frontier:
-            for s, ss in zip(simple, norms):
-                c = 2 * idot(v, s) // ss  # a Cartan number: exact
-                if c:
-                    image = tuple([a - c * b for a, b in zip(v, s)])
+        for v, pairs in frontier:
+            for j, c in enumerate(pairs):
+                if c < 0:
+                    image = tuple([a - c * b for a, b in zip(v, simple[j])])
                     if image not in heights:
                         heights[image] = heights[v] - c
-                        nxt.append(image)
+                        nxt.append((image, [x - c * y for x, y in zip(pairs, cartan[j])]))
         frontier = nxt
     return heights
 
@@ -149,7 +156,8 @@ class RootSystem:
         self.rank = rank
         self.dim, literals = _simple_literals(family, rank)
         simple = [_parse_doubled(s, self.dim) for s in literals]
-        heights = _close_under_reflections(simple)
+        heights = _positive_roots(simple)
+        heights.update([(tuple([-x for x in r]), -h) for r, h in heights.items()])
         # Sorting doubled coordinates gives the order of the Fraction ones.
         self.int_roots = tuple(sorted(heights))
         expected = _ROOT_COUNT[family](rank)
@@ -162,9 +170,10 @@ class RootSystem:
         #: the height of each root, the sum of its simple coefficients
         self.heights = tuple(map(heights.__getitem__, self.int_roots))
         self.simple_roots = tuple(self.roots[self.int_index[s]] for s in simple)
-        #: squared lengths of doubled coordinates: 4x the Fraction norms
-        self.int_short_norm = min(idot(r, r) for r in self.int_roots)
-        self.int_long_norm = max(idot(r, r) for r in self.int_roots)
+        #: squared lengths of doubled coordinates: 4x the Fraction norms,
+        #: read off the simple roots, of which every root is a W-conjugate
+        self.int_short_norm = min(idot(s, s) for s in simple)
+        self.int_long_norm = max(idot(s, s) for s in simple)
         self.short_norm = Q(self.int_short_norm, 4)
         self.long_norm = Q(self.int_long_norm, 4)
         self.ratio = Q(self.int_long_norm, self.int_short_norm)  # the integer t
@@ -290,31 +299,38 @@ class RootSystem:
     def subsystem_name(self, simple: Sequence[Vector]) -> str:
         """The name of the irreducible subsystem with simple system
         ``simple`` (roots of this system), e.g. ``A3`` or ``B2``;
-        ValueError for a reducible or unrecognised input.  The subsystem is
-        closed on doubled integers and named by the rank and root count
-        every construction is checked against, with one root length for
-        A, D, E and two for B, C, F, G, the long roots not a minority in
-        B.  The first family wins, so the smallest-rank name: ``A3``, never
-        ``D3``; ``B2``, never ``C2``."""
+        ValueError for a reducible input or one that is not a simple
+        system: dependent roots, or two at an acute angle.  The positive
+        roots are grown from ``simple`` on doubled integers and named by
+        the rank and root count every construction is checked against,
+        with one root length for A, D, E and two for B, C, F, G, the long
+        roots not a minority in B.  The first family wins, so the
+        smallest-rank name: ``A3``, never ``D3``; ``B2``, never ``C2``."""
         lattice = [self.int_roots[self.index(s)] for s in simple]
+        g = [[idot(a, b) for b in lattice] for a in lattice]
         linked = {0}
-        for _ in lattice:  # grow the Dynkin component of simple[0]
-            linked |= {j for j, s in enumerate(lattice)
-                       if any(idot(s, lattice[i]) for i in linked)}
-        if len(linked) != len(lattice):
+        for _ in g:  # grow the Dynkin component of simple[0]
+            linked |= {j for j, row in enumerate(g) if any(row[i] for i in linked)}
+        if len(linked) != len(g):
             raise ValueError("the roots do not form a connected simple system")
-        roots = _close_under_reflections(lattice)
-        norms = [idot(r, r) for r in roots]
-        longs = norms.count(max(norms))
-        rank = len(lattice)
+        if not gram_positive_definite(g):
+            raise ValueError("the roots are linearly dependent: not a simple system")
+        for i, row in enumerate(g):
+            for j, x in enumerate(row[:i]):
+                if x > 0:
+                    raise ValueError(
+                        f"not a simple system: {self.format_root(simple[j])} and "
+                        f"{self.format_root(simple[i])} are at an acute angle")
+        norms = [idot(r, r) for r in _positive_roots(lattice)]
+        longs, count, rank = norms.count(max(norms)), 2 * len(norms), len(g)
         for family in FAMILIES:
             lo, hi = _RANK_RANGE[family]
-            if (lo <= rank <= hi and _ROOT_COUNT[family](rank) == len(roots)
-                    and (longs < len(roots)) == (family in "BCFG")
-                    and not (family == "B" and 2 * longs < len(roots))):
+            if (lo <= rank <= hi and _ROOT_COUNT[family](rank) == count
+                    and (2 * longs < count) == (family in "BCFG")
+                    and not (family == "B" and 4 * longs < count)):
                 return f"{family}{rank}"
-        raise ValueError(f"no irreducible root system of rank {rank} has "
-                         f"{len(roots)} roots of these lengths")
+        raise AssertionError(f"no irreducible root system of rank {rank} has "
+                             f"{count} roots of these lengths")
 
     def parse_root(self, text: str) -> Vector:
         """The interned root a literal names; ValueError for a malformed

@@ -82,10 +82,10 @@ def word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> Mat
     see the Cartan numbers ``2 g_qi / g_ii``.  Those are integers for
     roots, so a root Gram gives an integer product, returned as Fractions.
     """
-    return tuple(tuple(Q(x) for x in row) for row in _word_product(gram, order))
+    return tuple(tuple(Q(x) for x in row) for row in int_word_matrix_from_gram(gram, order))
 
 
-def _word_product(gram: Sequence[Sequence], order: Sequence[int]) -> list[list]:
+def int_word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) -> list[list]:
     """The rows of :func:`word_matrix_from_gram`, as ints where the Cartan
     numbers are."""
     n = len(gram)
@@ -130,7 +130,7 @@ def int_word_matrix(system: RootSystem, word: Sequence[Vector]) -> list[list[int
     gram = system.int_gram(word)
     if not gram_positive_definite(gram):
         raise ValueError("word roots are linearly dependent")
-    return _word_product(gram, range(len(gram)))
+    return int_word_matrix_from_gram(gram, range(len(gram)))
 
 
 def order_or_infinite(m: Matrix, power_cap: int = 10_000) -> int | str:

@@ -272,6 +272,47 @@ def test_positive_roots_are_the_nonnegative_simple_combinations(name):
     assert sum(s.positive) == len(s.roots) // 2
 
 
+def _closure_under_every_reflection(simple):
+    """The roots reached from ``simple`` by reflecting every root in every
+    root until nothing new appears, on doubled integers.  Roots are kept up
+    to sign (s_b = s_-b and s_b(-v) = -s_b(v)), and each pair of them is
+    reflected both ways once, when the later of the two is taken up."""
+    def up_to_sign(v):
+        return max(v, tuple([-x for x in v]))
+
+    found = {up_to_sign(s) for s in simple}
+    queue, done = list(found), []
+    for a in queue:
+        aa = idot(a, a)
+        for b, support, bb in done:
+            if ab := sum([a[i] * x for i, x in support]):
+                for u, w, ww in ((a, b, bb), (b, a, aa)):
+                    c = 2 * ab // ww
+                    image = up_to_sign(tuple([x - c * y for x, y in zip(u, w)]))
+                    if image not in found:
+                        found.add(image)
+                        queue.append(image)
+        done.append((a, [(i, x) for i, x in enumerate(a) if x], aa))
+    return found | {tuple(-x for x in v) for v in found}
+
+
+def test_positive_walk_closes_every_system():
+    """The roots grown from the simple ones on their Cartan pairings, and
+    negated, are the reflection closure of the simple roots; heights are
+    odd under negation, and the norms read off the simple roots are the
+    extreme norms of all roots."""
+    systems = [build(family, rank) for family, (lo, hi) in _RANK_RANGE.items()
+               for rank in range(lo, hi + 1)]
+    assert len(systems) == 65
+    for s in systems:
+        assert set(s.int_roots) == _closure_under_every_reflection(
+            [doubled(r) for r in s.simple_roots]), s.name()
+        heights = dict(zip(s.int_roots, s.heights))
+        assert all(heights[tuple(-x for x in r)] == -h for r, h in heights.items()), s.name()
+        norms = [idot(r, r) for r in s.int_roots]
+        assert (s.int_short_norm, s.int_long_norm) == (min(norms), max(norms)), s.name()
+
+
 def test_positive_roots_are_not_the_upper_half_everywhere():
     """In E8 (and E6, E7, G2) some simple roots are not lex-positive."""
     s = build_by_name("E8")
@@ -320,8 +361,20 @@ def test_subsystem_name_refuses_a_dependent_input():
     """Connected but dependent: the three roots close to A2's six roots,
     which no rank-3 system has."""
     s = build_by_name("A3")
-    with pytest.raises(ValueError, match="no irreducible root system of rank 3 has 6 roots"):
+    with pytest.raises(ValueError, match="linearly dependent: not a simple system"):
         s.subsystem_name([s.parse_root(t) for t in ("e1-e2", "e2-e3", "e1-e3")])
+
+
+@pytest.mark.parametrize("name,literals,message", [
+    # acute: they were named A2, the subsystem the two roots generate
+    ("D4", ("e1-e2", "e1-e3"), "not a simple system: e1-e2 and e1-e3 are at an acute angle"),
+    ("A3", ("e1-e2", "e2-e3", "-e1+e3"), "linearly dependent"),  # pairwise obtuse
+    ("A3", ("e1-e2", "-e1+e2"), "linearly dependent"),
+])
+def test_subsystem_name_refuses_a_non_simple_input(name, literals, message):
+    s = build_by_name(name)
+    with pytest.raises(ValueError, match=message):
+        s.subsystem_name([s.parse_root(t) for t in literals])
 
 
 def test_subsystem_name_refuses_a_non_root():
