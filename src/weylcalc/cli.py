@@ -206,8 +206,7 @@ def _cmd_transform(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     system = trace.steps[0].state.system
-    final_word = trace.final_state.word
-    final_name = dg.identify(dg.from_roots(system, final_word))
+    final_name = dg.identify(dg.from_roots(system, trace.final_state.word))
     if args.pretty:
         print(f"{trace.name}: {len(trace.steps) - 1} moves in {system.name()}")
         for i, step in enumerate(trace.steps):
@@ -216,17 +215,16 @@ def _cmd_transform(args) -> int:
             print(f"        {word}")
         print(f"final diagram: {final_name}")
         return 0
+    steps = trace.to_json_obj()
     _emit_json(
         {
             "schema": "trace.v1",
             "name": trace.name,
             "system": system.name(),
-            "initial_word": [
-                system.format_root(r) for r in trace.initial_state.word
-            ],
-            "final_word": [system.format_root(r) for r in final_word],
+            "initial_word": steps[0]["word_roots"],
+            "final_word": steps[-1]["word_roots"],
             "final_identify": final_name,
-            "steps": trace.to_json_obj(),
+            "steps": steps,
         }
     )
     return 0
@@ -360,15 +358,14 @@ def _suite_table1() -> list[tuple[str, str, str]]:
             # transform_long_cycle certifies that the trace ends at target.
             name = "Dl(b)" if l is not None else label_name
             trace = rewrite.transform_long_cycle(name, l=l)
-            system = trace.steps[0].state.system
-            expected = dg.catalog(target).charpoly
-            for step in trace.steps:
-                got = rewrite.word_charpoly(system, step.state.word)
-                _expect(got == expected, f"charpoly drifted at a step: {poly_str(got, 't')}")
+            expected = poly_str(dg.catalog(target).charpoly, "t")
+            for row in trace.to_json_obj():
+                if row["charpoly"] != expected:
+                    raise AssertionError(f"charpoly drifted at a step: {row['charpoly']}")
             _expect(rewrite.replay(trace), "trace replay diverged")
             return (
                 f"{len(trace.steps) - 1} moves, charpoly "
-                f"{poly_str(expected, 't')} at every step, ends at {target}"
+                f"{expected} at every step, ends at {target}"
             )
         items.append(_item(f"table1/{label_name}", fn))
     return items

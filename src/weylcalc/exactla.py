@@ -119,10 +119,12 @@ def charpoly(a: Matrix) -> Poly:
     residue in ``(-p/2, p/2)`` is the exact integer.  The result maps back
     exactly: the coefficient of ``x**k`` is divided by ``den**(n - k)``.
 
-    Raises ValueError when ``2B`` exceeds the last table prime
-    ``2**19937 - 1``.
+    Raises ValueError for a matrix that is not square, and when ``2B``
+    exceeds the last table prime ``2**19937 - 1``.
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("charpoly needs a square matrix")
     if n == 0:
         return (ONE,)
     h, den = _integer_matrix(a)
@@ -185,9 +187,12 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     row echelon form fraction-free: a row below the pivot row becomes
     ``p*row - f*prow`` (``p`` the pivot) divided by the gcd of its
     entries, so rows stay primitive.  The echelon form is then
-    back-substituted over Fractions.
+    back-substituted over Fractions.  ValueError when ``b`` does not have
+    one entry per row of ``a`` or the rows of ``a`` differ in length.
     """
     ncols = len(a[0])
+    if len(b) != len(a) or any(len(row) != ncols for row in a):
+        raise ValueError("solve needs rows of one length and one entry of b per row")
     work, _ = _integer_matrix([list(row) + [c] for row, c in zip(a, b)])
     cols: list[int] = []  # cols[i]: the pivot column of row i
     for col in range(ncols + 1):

@@ -355,7 +355,7 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
     any S in T's orbit (g^-1 is a word in the generators, which are
     involutions), so the walks count the orbits of a's class.
     """
-    if k not in (2, 3):
+    if type(k) is not int or k not in (2, 3):
         raise ValueError("only pairs and triples are supported")
     idx = _subset_index(system)
     ortho = idx.orth_mask

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import diagram as dg
 from . import oracle
@@ -52,27 +52,6 @@ from .exactla import (
 )
 from .rootsys import RootSystem
 from .weyl import Perm, Word
-
-__all__ = [
-    "ScriptIntegrityError",
-    "RewriteState",
-    "RewriteStep",
-    "RewriteTrace",
-    "initial_state",
-    "apply_conjugation",
-    "apply_s_permutation",
-    "apply_sign_flip",
-    "replay",
-    "word_charpoly",
-    "eliminate_4cycle",
-    "transform_long_cycle",
-    "chain_root",
-    "verify_commutation",
-    "FiveCycleResult",
-    "five_cycle_classify",
-    "TABLE1",
-    "LONG_CYCLE_NAMES",
-]
 
 
 class ScriptIntegrityError(RuntimeError):
@@ -411,12 +390,16 @@ class _Script:
         if not condition:
             raise ScriptIntegrityError(self.name, what)
 
-    def require_inner(self, x: Vector, y: Vector, expected, what: str) -> None:
-        got = self.system.normalized_inner(x, y)
-        if got != expected:
-            raise ScriptIntegrityError(
-                self.name,
-                f"{what}: expected normalized inner {expected}, got {got}")
+    def require_inner(self, x: Vector, rows: Iterable[tuple[Vector, Q, str]]) -> None:
+        """Require the normalized inner product of x with each row's root
+        ``y`` to be its ``expected`` value; a failing row's ``what`` is
+        reported under the current stage."""
+        for y, expected, what in rows:
+            got = self.system.normalized_inner(x, y)
+            if got != expected:
+                raise ScriptIntegrityError(
+                    self.name,
+                    f"{self._detail(what)}: expected normalized inner {expected}, got {got}")
 
     def require_word(self, expected: Sequence[Vector], what: str) -> None:
         expected = tuple(tuple(r) for r in expected)
@@ -451,10 +434,6 @@ def _entry_labels(entry: dg.CatalogEntry) -> dict[str, Vector]:
     return {label: entry.word[i] for i, label in enumerate(entry.diagram.labels)}
 
 
-def _system_of(entry: dg.CatalogEntry) -> RootSystem:
-    return rootsys.build_by_name(entry.system)
-
-
 # --------------------------------------------------------------------------
 # The named case scripts, written in the catalog a -> b direction and
 # delivered inverted (b -> a).
@@ -479,7 +458,8 @@ class _Case:
     stage2: tuple[int, ...]
     stage3: tuple[int | str, ...]
     # Normalized inner products of the cut root sigma against every other
-    # letter of the b-side word, asserted before the inverted script runs.
+    # letter of the b-side word, asserted on the inverted script before it
+    # plays a move.
     sigma_relations: tuple[tuple[str, Q], ...]
 
 
@@ -531,21 +511,17 @@ def _forward_case(name: str, system: RootSystem) -> _Script:
 
 
 def _inverted_case_trace(name: str) -> RewriteTrace:
-    case = _CASES[name]
     b_entry = dg.catalog(name)
     a_entry = dg.catalog(TABLE1[name])
-    system = _system_of(b_entry)
+    system = rootsys.build_by_name(b_entry.system)
     lab = _entry_labels(b_entry)
-    for other, expected in case.sigma_relations:
-        got = system.normalized_inner(lab["sigma"], lab[other])
-        if got != expected:
-            raise ScriptIntegrityError(
-                name, f"(sigma, {other}) = {got}, expected {expected}")
+    sc = _Script(f"{name} → {a_entry.name}", system, b_entry.word,
+                 note=f"catalog word of {name}")
+    sc.require_inner(lab["sigma"], ((lab[other], expected, f"(sigma, {other})")
+                                    for other, expected in _CASES[name].sigma_relations))
 
     fwd = _forward_case(name, system)
     fwd.require_word(b_entry.word, "forward script must land on the catalog word")
-    sc = _Script(f"{name} → {a_entry.name}", system, b_entry.word,
-                 note=f"catalog word of {name}")
     for step in reversed(fwd.steps[1:]):
         sc.play(*_inverse(step.op, step.args))
     x, y = dg.bipartition(a_entry.diagram)
@@ -559,17 +535,13 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
 def _e8b5_trace() -> RewriteTrace:
     b = dg.catalog("E8(b5)")
     a = dg.catalog(TABLE1[b.name])
-    system = _system_of(b)
+    system = rootsys.build_by_name(b.system)
     lab = _entry_labels(b)
     b1, b2, b4 = lab["beta1"], lab["beta2"], lab["beta4"]
     g = lab["gamma"]
     a1, a2, a3, a4 = lab["alpha1"], lab["alpha2"], lab["alpha3"], lab["alpha4"]
 
     sc = _Script(f"{b.name} → {a.name}", system, b.word, note=f"catalog word of {b.name}")
-
-    def block(root: Vector, rows, stage: str) -> None:
-        for other, label, expected in rows:
-            sc.require_inner(root, other, expected, f"{stage}: ({label})")
 
     sc.set_stage("stage 1")
     sc.run(_LAST_TO_FRONT, 1, 2)
@@ -578,9 +550,9 @@ def _e8b5_trace() -> RewriteTrace:
     mu = vec_add(vec_sub(a4, b2), b4)
     sc.require_root_at(2, mu, "mu = a4 - b2 + b4")
     sc.require_word((b2, b4, mu, b1, g, a1, a2, a3), "stage 1 word")
-    block(mu, ((a3, "mu,a3", Q(-1, 2)), (b4, "mu,b4", Q(1, 2)),
-               (a2, "mu,a2", Q(1, 2)), (b2, "mu,b2", Q(-1, 2)),
-               (a1, "mu,a1", Q(1, 2))), "stage 1")
+    sc.require_inner(mu, ((a3, Q(-1, 2), "(mu,a3)"), (b4, Q(1, 2), "(mu,b4)"),
+                          (a2, Q(1, 2), "(mu,a2)"), (b2, Q(-1, 2), "(mu,b2)"),
+                          (a1, Q(1, 2), "(mu,a1)")))
 
     sc.set_stage("stage 2")
     sc.run(2, 5, 4, 6, 5)
@@ -589,8 +561,8 @@ def _e8b5_trace() -> RewriteTrace:
     b3 = vec_add(vec_sub(mu, a2), a3)
     sc.require_root_at(5, b3, "b3 = mu - a2 + a3")
     sc.require_word((b2, b4, b1, a2, a3, b3, g, a1), "stage 2 word")
-    block(b3, ((a3, "b3,a3", Q(1, 2)), (b4, "b3,b4", Q(0)),
-               (a2, "b3,a2", Q(-1, 2)), (b2, "b3,b2", Q(0))), "stage 2")
+    sc.require_inner(b3, ((a3, Q(1, 2), "(b3,a3)"), (b4, Q(0), "(b3,b4)"),
+                          (a2, Q(-1, 2), "(b3,a2)"), (b2, Q(0), "(b3,b2)")))
 
     sc.set_stage("stage 3")
     sc.run(_FIRST_TO_LAST, _FIRST_TO_LAST, _FIRST_TO_LAST)
@@ -601,8 +573,8 @@ def _e8b5_trace() -> RewriteTrace:
     sc.require_root_at(4, v, "v = a1 + g + b2")
     sc.run(4, 5, _FIRST_TO_LAST, _FIRST_TO_LAST, 5, 6, 0, 2, 1)
     sc.require_word((b2, b1, b3, b4, v, a2, a3, g), "stage 3 word")
-    block(v, ((b3, "v,b3", Q(0)), (g, "v,g", Q(1, 2)),
-              (a2, "v,a2", Q(-1, 2)), (b2, "v,b2", Q(1, 2))), "stage 3")
+    sc.require_inner(v, ((b3, Q(0), "(v,b3)"), (g, Q(1, 2), "(v,g)"),
+                         (a2, Q(-1, 2), "(v,a2)"), (b2, Q(1, 2), "(v,b2)")))
 
     sc.set_stage("stage 4")
     sc.run(0, 1, 2)
@@ -611,9 +583,8 @@ def _e8b5_trace() -> RewriteTrace:
     y = vec_add(a1, g)
     sc.require_root_at(4, y, "y = a1 + g")
     sc.require_word((b1, b3, b4, v, y, a2, a3, g), "stage 4 word")
-    block(y, ((a2, "y,a2", Q(0)), (b1, "y,b1", Q(0)), (b3, "y,b3", Q(0)),
-              (b4, "y,b4", Q(0)), (a3, "y,a3", Q(0)), (g, "y,g", Q(1, 2))),
-          "stage 4")
+    sc.require_inner(y, ((a2, Q(0), "(y,a2)"), (b1, Q(0), "(y,b1)"), (b3, Q(0), "(y,b3)"),
+                         (b4, Q(0), "(y,b4)"), (a3, Q(0), "(y,a3)"), (g, Q(1, 2), "(y,g)")))
 
     sc.set_stage("stage 5")
     sc.run(_LAST_TO_FRONT, 1, 3, 2)
@@ -624,9 +595,9 @@ def _e8b5_trace() -> RewriteTrace:
     sc.run(4, 3)
     sc.require_word((b3, v, x, y, b1, b4, a2, a3), "stage 5 word")
     # (x, a3) reduces to (b3, a3), which the stage-2 block fixed at +1/2.
-    block(x, ((y, "x,y", Q(0)), (b1, "x,b1", Q(0)), (b4, "x,b4", Q(0)),
-              (a2, "x,a2", Q(0)), (b3, "x,b3", Q(1, 2)), (v, "x,v", Q(-1, 2)),
-              (a3, "x,a3", Q(1, 2))), "stage 5")
+    sc.require_inner(x, ((y, Q(0), "(x,y)"), (b1, Q(0), "(x,b1)"), (b4, Q(0), "(x,b4)"),
+                         (a2, Q(0), "(x,a2)"), (b3, Q(1, 2), "(x,b3)"),
+                         (v, Q(-1, 2), "(x,v)"), (a3, Q(1, 2), "(x,a3)")))
 
     sc.set_stage("stage 6")
     sc.run(3, 2, 1, _LAST_TO_FRONT)
@@ -639,9 +610,9 @@ def _e8b5_trace() -> RewriteTrace:
     u = vec_add(vec_sub(a3, b3), b1)
     sc.require_root_at(3, u, "u = a3 - b3 + b1")
     sc.swap(3)
-    block(u, ((a2, "u,a2", Q(0)), (y, "u,y", Q(0)), (v, "u,v", Q(0)),
-              (b3, "u,b3", Q(-1, 2)), (b1, "u,b1", Q(1, 2)),
-              (b4, "u,b4", Q(-1, 2)), (x, "u,x", Q(0))), "stage 6")
+    sc.require_inner(u, ((a2, Q(0), "(u,a2)"), (y, Q(0), "(u,y)"), (v, Q(0), "(u,v)"),
+                         (b3, Q(-1, 2), "(u,b3)"), (b1, Q(1, 2), "(u,b1)"),
+                         (b4, Q(-1, 2), "(u,b4)"), (x, Q(0), "(u,x)")))
     sc.set_stage("")
     return sc.finish(a.name, ((b4, b3, b1, v), (u, x, y, a2)))
 
@@ -708,7 +679,7 @@ def _chain_vector(pair: str, alphas: Sequence[Vector], betas: Sequence[Vector],
 
 def _canonical_cycle_labels(l: int) -> tuple[list[Vector], list[Vector]]:
     entry = dg.catalog(_cycle_b_name(l))
-    system = _system_of(entry)
+    system = rootsys.build_by_name(entry.system)
     return _cycle_labels(system, entry.word)
 
 
@@ -781,11 +752,11 @@ def verify_commutation(system: RootSystem, case: str) -> bool:
 
 
 def _dl_trace(l: int) -> RewriteTrace:
-    if l % 2 or not 6 <= l <= dg.DL_MAX:
+    if type(l) is not int or l % 2 or not 6 <= l <= dg.DL_MAX:
         raise ValueError(f"l must be even with 6 <= l <= {dg.DL_MAX}")
     b_name = _cycle_b_name(l)
     entry = dg.catalog(b_name)
-    system = _system_of(entry)
+    system = rootsys.build_by_name(entry.system)
     m, k = l // 2, (l + 2) // 4
     four_k = l % 4 == 0
     kind = "theta" if four_k else "mu"
@@ -802,7 +773,7 @@ def _dl_trace(l: int) -> RewriteTrace:
 
     sc.set_stage("stage 2")
     sc.conjugate_to_front(m, "conjugate by s_{a1} and carry it to the front")
-    sc.require_inner(alphas[0], betas[0], Q(1, 2), "dotted edge (a1, b1)")
+    sc.require_inner(alphas[0], ((betas[0], Q(1, 2), "dotted edge (a1, b1)"),))
     sc.perm(0, "right", "absorb: s_{b1} carries a1 to a1-b1")
     sc.move_right(1, m - 1)
     sc.perm(m - 1, "right", "absorb: s_{b_m} closes the first chain root")
@@ -835,15 +806,15 @@ def _dl_trace(l: int) -> RewriteTrace:
     # (chain, b-block, a-tail) for 4k-2.
     if four_k:
         theta = _chain_vector("beta", alphas, betas, k + 1, k)
-        sc.require_inner(theta, alphas[k], Q(0), "(chain, a_{k+1})")
-        sc.require_inner(theta, betas[k - 1], Q(-1, 2), "(chain, b_k)")
-        sc.require_inner(theta, betas[k], Q(1, 2), "(chain, b_{k+1})")
+        sc.require_inner(theta, ((alphas[k], Q(0), "(chain, a_{k+1})"),
+                                 (betas[k - 1], Q(-1, 2), "(chain, b_k)"),
+                                 (betas[k], Q(1, 2), "(chain, b_{k+1})")))
         parts = (betas, (theta, *alphas[1:]))
     else:
         mu = _chain_vector("alpha", alphas, betas, k + 1, k)
-        sc.require_inner(mu, betas[k - 1], Q(0), "(chain, b_k)")
-        sc.require_inner(mu, alphas[k - 1], Q(-1, 2), "(chain, a_k)")
-        sc.require_inner(mu, alphas[k], Q(1, 2), "(chain, a_{k+1})")
+        sc.require_inner(mu, ((betas[k - 1], Q(0), "(chain, b_k)"),
+                              (alphas[k - 1], Q(-1, 2), "(chain, a_k)"),
+                              (alphas[k], Q(1, 2), "(chain, a_{k+1})")))
         parts = ((mu, *betas), alphas[1:])
     return sc.finish(cycle_a_name(l), parts)
 
@@ -892,8 +863,8 @@ def eliminate_4cycle(state: RewriteState) -> RewriteTrace:
     sc.rotate_first_to_last()
     sc.perm(2, "left", "absorb: s_{b2} finishes the detached root")
     tau = sc.word[2]
-    sc.require_inner(tau, a1, Q(0), "(detached root, a1)")
-    sc.require_inner(tau, a2, Q(0), "(detached root, a2)")
+    sc.require_inner(tau, ((a1, Q(0), "(detached root, a1)"),
+                           (a2, Q(0), "(detached root, a2)")))
     return sc.finish("D4", ((a1, a2, tau), (b2,)))
 
 
@@ -963,7 +934,7 @@ def five_cycle_classify(r_lambda: int) -> FiveCycleResult:
     3 and 4 it is found by walking the conjugacy class (as root
     permutations) to the paired script's element.
     """
-    if r_lambda not in (1, 2, 3, 4):
+    if type(r_lambda) is not int or r_lambda not in (1, 2, 3, 4):
         raise ValueError("orientation index must be 1, 2, 3 or 4")
     system, words = five_cycle_orientations()
     if r_lambda in (1, 4):

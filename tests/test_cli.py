@@ -1,6 +1,7 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import weylcalc
 from weylcalc import cli, rewrite, rootsys
 from weylcalc import diagram as dg
+from weylcalc.exactla import poly_str
 
 
 def run_capture(capsys, argv):
@@ -488,6 +490,28 @@ def test_verify_stdout_is_pinned(capsys, suite):
     code, out, _ = run_capture(capsys, ["verify", suite])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[suite]
+
+
+def test_verify_table1_catches_a_drifted_charpoly(capsys, monkeypatch):
+    """With E7(a2)'s stated charpoly replaced, the one table1 item that
+    ends there fails at its first step; the other seven still pass."""
+    real = dg.catalog
+    actual = real("E7(a2)").charpoly
+    wrong = real("E7").charpoly
+    assert wrong != actual
+
+    def catalog(name):
+        entry = real(name)
+        return dataclasses.replace(entry, charpoly=wrong) if name == "E7(a2)" else entry
+
+    monkeypatch.setattr(dg, "catalog", catalog)
+    code, out, _ = run_capture(capsys, ["verify", "table1"])
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[1] == ("FAIL table1/E7(b2): AssertionError: charpoly drifted at a step: "
+                        + poly_str(actual, "t"))
+    assert all(line.startswith("PASS table1/") for line in lines[:1] + lines[2:-1])
+    assert lines[-1] == "table1: 7 passed, 1 failed, 0 skipped"
 
 
 def test_verify_unknown_suite_exits_2(capsys):

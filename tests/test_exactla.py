@@ -71,6 +71,23 @@ def test_solve():
     assert solve(singular, (Q(1), Q(2))) is None
 
 
+@pytest.mark.parametrize("a", [((1, 2, 3), (4, 5, 6)), ((1, 2), (3,))],
+                         ids=["non-square", "ragged"])
+def test_charpoly_refuses_a_matrix_that_is_not_square(a):
+    with pytest.raises(ValueError, match="square"):
+        charpoly(a)
+
+
+@pytest.mark.parametrize("a, b", [(((1, 0), (0, 1)), (1,)),
+                                  (((1, 0), (0, 1), (1, 1)), (1, 2)),
+                                  (((1, 0), (0,)), (1, 2)),
+                                  (((1,), (0, 1)), (1, 2))],
+                         ids=["short-b", "long-a", "ragged-a", "ragged-first-row"])
+def test_solve_refuses_mismatched_shapes(a, b):
+    with pytest.raises(ValueError, match="one entry of b per row"):
+        solve(a, b)
+
+
 def test_gram_positive_definite():
     assert gram_positive_definite(identity(3))
     assert gram_positive_definite(mat([[1, Q(-1, 2)], [Q(-1, 2), 1]]))

@@ -191,6 +191,12 @@ def test_orthogonal_tuple_orbits_small():
         orthogonal_tuple_orbits(build_by_name("A3"), 1)
 
 
+@pytest.mark.parametrize("k", [2.0, True])
+def test_orthogonal_tuple_orbits_refuses_a_count_that_is_not_an_int(k):
+    with pytest.raises(ValueError):
+        orthogonal_tuple_orbits(build_by_name("D5"), k)
+
+
 def full_tuple_orbits(system, k):
     """Reference count: union-find over every orthogonal k-set of sign
     classes, joined by the simple reflections."""

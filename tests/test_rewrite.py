@@ -448,6 +448,18 @@ def test_five_cycle_classify():
         five_cycle_classify(5)
 
 
+@pytest.mark.parametrize("r", [True, 1.0])
+def test_five_cycle_classify_refuses_an_index_that_is_not_an_int(r):
+    with pytest.raises(ValueError):
+        five_cycle_classify(r)
+
+
+@pytest.mark.parametrize("l", [8.0, True])
+def test_transform_long_cycle_refuses_a_length_that_is_not_an_int(l):
+    with pytest.raises(ValueError, match="l must be even"):
+        transform_long_cycle("Dl(b)", l)
+
+
 def test_chain_root_orthogonality_spot_check():
     """The detached chain root meets only its two sponsors in each chain."""
     system = build_by_name("D8")
@@ -557,11 +569,25 @@ def test_script_assertions_refuse_what_they_check():
         sc.conjugate_to_front(0)
     with pytest.raises(ScriptIntegrityError,
                        match="pair: expected normalized inner 0, got -1/2"):
-        sc.require_inner(word[0], word[2], 0, "pair")
+        sc.require_inner(word[0], ((word[2], 0, "pair"),))
     with pytest.raises(ScriptIntegrityError,
                        match="slot: position 0 holds e1-e2, expected e3-e4"):
         sc.require_root_at(0, word[1], "slot")
     assert [st.op for st in sc.steps] == ["start"]
+
+
+def test_require_inner_stops_at_the_first_failing_row():
+    """On the D4(a1) catalog word, e1-e2 is orthogonal to e3-e4 and meets
+    both e2-e3 and e2+e3 at -1/2: the second row is the one reported, under
+    the current stage."""
+    sc = catalog_script("D4(a1)")
+    word = sc.word
+    sc.set_stage("stage 9")
+    with pytest.raises(ScriptIntegrityError) as exc:
+        sc.require_inner(word[0], ((word[1], 0, "first"), (word[2], 0, "second"),
+                                   (word[3], 0, "third")))
+    assert str(exc.value) == "D4(a1): stage 9: second: expected normalized inner 0, got -1/2"
+    sc.require_inner(word[0], ((word[1], 0, "first"), (word[2], Q(-1, 2), "second")))
 
 
 def test_verify_commutation():

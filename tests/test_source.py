@@ -139,6 +139,10 @@ KEPT_FOR = {
                                  "cyclotomic",
     "order_or_infinite": "acceptance criterion 07 and the README weyl row: "
                          "element order, or infinite for the obtuse square",
+    "chain_root": "acceptance criterion 03: the theta/mu chain roots of the "
+                  "pure D_l cycle",
+    "verify_commutation": "acceptance criterion 04: the chain commutation "
+                          "identities",
 }
 
 
