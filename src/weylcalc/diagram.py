@@ -173,7 +173,7 @@ def _realized(
     return make_diagram(len(rr), edges, longs=longs, labels=labels), g
 
 
-def _int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
+def int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
     """``(scale * gram(d, t), scale)``: the normalized Gram matrix scaled to
     integers by ``scale = 2 * denominator(t)``."""
     t = Q(t)
@@ -191,7 +191,7 @@ def _int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
 
 def gram(d: Diagram, t: Q = Q(1)) -> Matrix:
     """Normalized Gram matrix of the diagram at length ratio ``t``."""
-    rows, scale = _int_gram(d, t)
+    rows, scale = int_gram(d, t)
     return tuple(tuple(Q(x, scale) for x in row) for row in rows)
 
 
@@ -343,7 +343,7 @@ def _bicolored_charpoly_cached(d: Diagram, t: Q) -> Poly:
     not crystallographic, so the expansion runs on integers over the
     common denominator of the ``c_k``.
     """
-    g = _int_gram(d, t)[0]
+    g = int_gram(d, t)[0]
     small, large = sorted(_bicolored_parts(d), key=len)
     m, r = len(small), len(large) - len(small)
     # B[u][w] = sum_v (2 g_uv / g_uu) (2 g_vw / g_vv); the two minus signs cancel.

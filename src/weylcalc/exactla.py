@@ -254,10 +254,6 @@ class LeadingMinors:
         self.minors.append(v[k])
         return True
 
-    def pop(self) -> None:
-        self.elim.pop()
-        self.minors.pop()
-
 
 def gram_positive_definite(g: Matrix) -> bool:
     """Sylvester's criterion for a symmetric ``g``: all leading principal

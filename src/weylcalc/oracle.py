@@ -28,9 +28,9 @@ from math import prod
 from . import diagram as dg
 from . import weyl
 from .exactla import (
-    LeadingMinors,
     Matrix,
     Vector,
+    gram_positive_definite,
     mat_mul,
 )
 from .rootsys import RootSystem
@@ -193,16 +193,31 @@ def find_subsets(
 
     Backtracking over sign-class representatives in lexicographic
     order.  A candidate assignment must reproduce the target's
-    adjacency (edge where and only where the target has one; the length
-    classes then fix each inner product's magnitude) and keep the running Gram
-    matrix positive definite — which is exactly linear independence for
-    root sets, and is what makes an empty result a certificate of
-    non-existence.  Edge styles are compared only at the end, up to
-    sign flips (style differences must form a cut of the target graph).
+    adjacency (edge where and only where the target has one), its edge
+    styles up to switching (negating the roots of some vertices), and
+    be linearly independent (a positive definite Gram matrix), which is
+    what makes an empty result a certificate of non-existence.
+
+    The length classes and adjacency fix each inner product's magnitude
+    (see :class:`_SubsetIndex`).  So once the realized styles agree with
+    the target's up to switching by a diagonal sign matrix D, the
+    realized Gram matrix is c D G D, with G the target's own Gram matrix
+    at the system's length ratio and c > 0, and its leading minors are
+    c^k times G's (Carter 1972, admissible diagrams).  Positive
+    definiteness is therefore one proof per call: a target whose G is
+    not positive definite has no realization, and otherwise every
+    switching-consistent placement is independent.  Styles are checked
+    as each vertex is placed, with one flip bit per placed vertex: the
+    first placed neighbour u of v sets flip[v] = flip[u] xor (realized
+    dotted != target dotted), and every other placed neighbour w must
+    give the same bit.  The visit order places each component of the
+    target in one run, every vertex after the run's first next to an
+    earlier one, so the placed part of a component stays connected and
+    the bits exist exactly when its styles agree up to switching.
 
     Matches are reported once per root set, in the order the search
-    finds them; ``limit`` (None or at least 1) stops early (the result
-    is then not exhaustive).
+    finds them; ``limit`` (None or an int of at least 1) stops early
+    (the result is then not exhaustive).
 
     A find-first search (``limit == 1``) is anchored: the first-placed
     vertex only tries the lowest representative of its length class.
@@ -215,11 +230,11 @@ def find_subsets(
     unanchored: the uniqueness check in the benchmark's ``unique``
     operation needs every realization from one exhaustive call.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be None or at least 1, not {limit}")
+    if limit is not None and (type(limit) is not int or limit < 1):
+        raise ValueError(f"limit must be None or an int of at least 1, not {limit!r}")
     k = target.n
-    if k > system.rank:
-        return []  # more vertices than independent roots can exist
+    if k > system.rank or not gram_positive_definite(dg.int_gram(target, system.ratio)[0]):
+        return []  # more vertices than independent roots, or G not positive definite
     idx = _subset_index(system)
     reps = idx.reps
 
@@ -234,43 +249,37 @@ def find_subsets(
         )
         visit.append(best)
         remaining.discard(best)
+    slot = [0] * k  # depth at which each target vertex is placed
+    for depth, v in enumerate(visit):
+        slot[v] = depth
 
     base_mask = [
         idx.long_mask if target.longs[v] else idx.short_mask for v in range(k)
     ]
     # placement[depth] = (v, the mask table each earlier-placed u's root
-    # indexes: adjacency where the target joins u and v, else orthogonality).
-    placement: list[tuple[int, list[list[int]]]] = []
+    # indexes: adjacency where the target joins u and v, else orthogonality,
+    # and (depth of u, target edge dotted) for each earlier neighbour u).
+    placement: list[tuple[int, list[list[int]], list[tuple[int, bool]]]] = []
     for depth, v in enumerate(visit):
         fams = [idx.adj_mask if u in adj[v] else idx.orth_mask for u in visit[:depth]]
-        placement.append((v, fams))
+        nbrs = [(slot[u], target.edge_style(u, v) == dg.DOTTED)
+                for u in visit[:depth] if u in adj[v]]
+        placement.append((v, fams, nbrs))
 
     results: list[LabeledDiagram] = []
     seen_sets: set[int] = set()  # ``used`` masks of the reported root sets
     chosen: list[int] = []  # rep positions, in visit order
-    slot = [0] * k  # depth at which each target vertex is placed
-    for depth, v in enumerate(visit):
-        slot[v] = depth
-    # Leading minors of the running Gram, for its positive-definiteness.
-    minors = LeadingMinors()
+    flip = [0] * k  # switching bit of the vertex placed at each depth
 
     def descend(depth: int, used: int) -> bool:
         """Returns True when the limit is reached."""
         if depth == k:
             if used in seen_sets:
                 return False
-            # Realized styles must differ from the target on a cut; adjacency
-            # and length classes equal the target's by construction.
-            if dg.two_coloring(k, [
-                (a, b, (idx.inner[chosen[slot[a]]][chosen[slot[b]]] > 0)
-                 != (style == dg.DOTTED))
-                for a, b, style in target.edges
-            ]) is None:
-                return False
             seen_sets.add(used)
             results.append(LabeledDiagram(tuple(reps[chosen[s]] for s in slot)))
             return limit is not None and len(results) >= limit
-        v, fams = placement[depth]
+        v, fams, nbrs = placement[depth]
         cand = base_mask[v] & ~used
         for p, fam in zip(chosen, fams):
             cand &= fam[p]
@@ -278,17 +287,24 @@ def find_subsets(
                 return False
         if not depth and limit == 1:
             cand &= -cand  # the anchor: see the docstring
+        # Each placed neighbour u asks for the flip bit
+        # flip[u] xor (target dotted) xor (realized dotted); they must agree.
+        want = [(chosen[s], flip[s] ^ dotted) for s, dotted in nbrs]
+        flip[depth] = 0  # kept by the first vertex of a component
         while cand:
             bit = cand & -cand
             cand ^= bit
             pos = bit.bit_length() - 1
-            row = idx.inner[pos]
-            if minors.push([row[p] for p in chosen], row[pos]):
-                chosen.append(pos)
-                if descend(depth + 1, used | bit):
-                    return True
-                chosen.pop()
-                minors.pop()
+            if want:
+                row = idx.inner[pos]
+                bits = [w ^ (row[p] > 0) for p, w in want]
+                if bits.count(bits[0]) != len(bits):
+                    continue
+                flip[depth] = bits[0]
+            chosen.append(pos)
+            if descend(depth + 1, used | bit):
+                return True
+            chosen.pop()
         return False
 
     descend(0, 0)

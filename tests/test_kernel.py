@@ -302,7 +302,7 @@ def bipartite_diagrams(draw):
 
 def ref_bicolored_charpoly(d, t):
     """The charpoly of the dense n x n matrix of the bicolored word."""
-    return charpoly(word_matrix_from_gram(dg._int_gram(d, t)[0],
+    return charpoly(word_matrix_from_gram(dg.int_gram(d, t)[0],
                                           dg.bicolored_word_order(d)))
 
 
@@ -409,8 +409,11 @@ def test_solve_matches_gauss_jordan(a, data):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(WORD_SYSTEMS), st.data())
 def test_leading_minors_match_sylvester(name, data):
-    """The incremental Bareiss test in the subset search accepts a root
-    exactly while the running Gram matrix stays positive definite."""
+    """The incremental Bareiss test accepts a root exactly while the
+    running Gram matrix of the roots stays positive definite: the proof of
+    independence behind ``diagram.from_roots`` and ``gram_positive_definite``
+    (which ``find_subsets`` applies once, to the target's own Gram matrix),
+    and the per-candidate reference search in ``tests/test_oracle.py``."""
     system = build_by_name(name)
     idx = oracle._subset_index(system)
     m = len(idx.reps)

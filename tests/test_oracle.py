@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
-from weylcalc.exactla import identity, mat_mul
+from weylcalc.exactla import LeadingMinors, identity, mat_mul
 from weylcalc.oracle import (
     LabeledDiagram,
     _class_walk,
+    _subset_index,
     _transversal,
     are_conjugate,
     find_subsets,
@@ -128,7 +129,7 @@ def test_find_subsets_respects_limit():
     assert len(capped) == 1
 
 
-@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize("limit", [0, -1, 2.5, True])
 def test_find_subsets_rejects_limit_below_one(limit):
     target = dg.catalog("D4(a1)").diagram
     with pytest.raises(ValueError, match="limit"):
@@ -380,3 +381,96 @@ def test_anchored_find_first_is_first_of_full_search_mixed_lengths(name, target)
     for item in found:
         assert_realizes(system, target, item.roots)
     assert find_subsets(system, target, limit=1) == found[:1]
+
+
+def reference_find_subsets(system, target, limit=None):
+    """The search as it was before styles were checked by switching: one
+    Bareiss bordering of the running Gram matrix per candidate, and the
+    styles compared only at a full placement, by a signed two-colouring.
+    Same visit order, candidate order, depth-0 anchor and once-per-set
+    reporting as ``find_subsets``."""
+    k = target.n
+    if k > system.rank:
+        return []
+    idx = _subset_index(system)
+    adj = target.adjacency()
+    visit, remaining = [], set(range(k))
+    while remaining:
+        best = max(remaining, key=lambda v: (len(adj[v] & set(visit)), len(adj[v]), -v))
+        visit.append(best)
+        remaining.discard(best)
+    slot = [visit.index(v) for v in range(k)]
+    results, seen, chosen = [], set(), []
+
+    def descend(depth, used, minors):
+        if depth == k:
+            if used in seen or dg.two_coloring(k, [
+                (a, b, (idx.inner[chosen[slot[a]]][chosen[slot[b]]] > 0) != (style == dg.DOTTED))
+                for a, b, style in target.edges
+            ]) is None:
+                return False
+            seen.add(used)
+            results.append(LabeledDiagram(tuple(idx.reps[chosen[s]] for s in slot)))
+            return limit is not None and len(results) >= limit
+        v = visit[depth]
+        cand = (idx.long_mask if target.longs[v] else idx.short_mask) & ~used
+        for p, u in zip(chosen, visit):
+            cand &= (idx.adj_mask if u in adj[v] else idx.orth_mask)[p]
+        if not depth and limit == 1:
+            cand &= -cand
+        for pos in range(cand.bit_length()):
+            if not cand >> pos & 1:
+                continue
+            row = idx.inner[pos]
+            grown = LeadingMinors()
+            grown.elim, grown.minors = list(minors.elim), list(minors.minors)
+            if grown.push([row[p] for p in chosen], row[pos]):
+                chosen.append(pos)
+                if descend(depth + 1, used | 1 << pos, grown):
+                    return True
+                chosen.pop()
+        return False
+
+    descend(0, 0, LeadingMinors())
+    return results
+
+
+@st.composite
+def random_systems_and_targets(draw):
+    """A system and any diagram on 1-5 vertices (at most its rank),
+    connected or not, with random edges and styles, and random lengths
+    where the system has two."""
+    system = build_by_name(draw(st.sampled_from(["A4", "B3", "C3", "D4", "D5", "F4", "G2"])))
+    n = draw(st.integers(1, min(5, system.rank)))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    styles = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    two_lengths = system.int_long_norm != system.int_short_norm
+    longs = draw(st.lists(st.booleans() if two_lengths else st.just(False),
+                          min_size=n, max_size=n))
+    return system, dg.make_diagram(n, [(i, j, dg.DOTTED if d else dg.SOLID)
+                                       for (i, j), d in zip(edges, styles)], longs=tuple(longs))
+
+
+_SQUARE_SOLID = dg.styled_diagram(4, SQUARE, 0)
+# An all-solid 4-cycle (the affine A3 diagram, singular Gram) with a pendant
+# vertex on vertex 0: the Gram matrix stops being positive definite once
+# the cycle is placed, at an interior depth of the search.
+_SQUARE_PENDANT = dg.make_diagram(
+    5, [(a, b, dg.SOLID) for a, b in SQUARE] + [(0, 4, dg.SOLID)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_systems_and_targets())
+@example((build_by_name("D5"), _SQUARE_PENDANT))
+@example((build_by_name("D4"), _SQUARE_SOLID))
+@example((build_by_name("A4"), _SQUARE_SOLID))
+@example((build_by_name("D5"), dg.catalog("D5(a1)").diagram))
+@example((build_by_name("F4"), _F4))
+def test_find_subsets_matches_the_bareiss_reference(case):
+    """Switching-class pruning lists the same realizations, in the same
+    order, as a positive-definiteness test per candidate and a style test
+    per leaf; find-first lookups return the same first one."""
+    system, target = case
+    for limit in (None, 1):
+        assert find_subsets(system, target, limit) == reference_find_subsets(system, target, limit)
