@@ -117,7 +117,11 @@ def make_diagram(
 ) -> Diagram:
     """Build a diagram from edge triples, normalizing edge order.  Labels
     default to ``v0, v1, ...``, the form :meth:`Diagram.to_dict` writes.  A
-    long flag that is not a bool or a label that is not a string is refused."""
+    vertex count that is not an int >= 0, an edge end that is not an int,
+    a long flag that is not a bool or a label that is not a string is
+    refused."""
+    if not (_is_index(n) and n >= 0):
+        raise ValueError(f"vertex count {n!r} is not an int >= 0")
     longs = tuple(longs) if longs is not None else (False,) * n
     if len(longs) != n:
         raise ValueError("longs length mismatch")

@@ -7,7 +7,7 @@ of coefficients in *ascending* degree order (``poly[i]`` is the
 coefficient of ``x**i``).
 
 Inside, a rational matrix is first scaled to integers by its common
-denominator (:func:`_integer_matrix`).  Elimination serves two ends:
+denominator (:func:`integer_matrix`).  Elimination serves two ends:
 :func:`solve`, by a row echelon form, and the leading minors
 (:class:`LeadingMinors`, Bareiss), which decide positive definiteness
 and so, for a Gram matrix, linear independence.  Both run
@@ -72,10 +72,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
-def mat_vec(a: Matrix, x: Vector) -> Vector:
-    return tuple(dot(row, x) for row in a)
-
-
 def mat_pow(a: Matrix, k: int) -> Matrix:
     result = identity(len(a))
     base = a
@@ -87,14 +83,19 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return result
 
 
-def _integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+def integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """``(den * a, den)`` with ``den`` the least common denominator of the
-    entries, so the scaled matrix is integral.  Accepts ints and Fractions."""
+    entries, so the scaled matrix is integral.  ValueError for an entry
+    with no ``denominator``, a float or a string say: it is not an int or
+    a ``Fraction``, and the answer would not be exact."""
     den = 1
-    for row in a:
-        for e in row:
-            if e.denominator != 1:
-                den = lcm(den, e.denominator)
+    try:
+        for row in a:
+            for e in row:
+                if e.denominator != 1:
+                    den = lcm(den, e.denominator)
+    except AttributeError:
+        raise ValueError(f"entry {e!r} is not an int or a Fraction") from None
     return [[e.numerator * (den // e.denominator) for e in row] for row in a], den
 
 
@@ -109,7 +110,7 @@ def charpoly(a: Matrix) -> Poly:
     """Characteristic polynomial ``det(x*I - a)``, monic, ascending order.
 
     ``a`` is scaled to an integer matrix ``A = den * a``
-    (:func:`_integer_matrix`).  With ``R`` the largest absolute row sum of
+    (:func:`integer_matrix`).  With ``R`` the largest absolute row sum of
     ``A``, every eigenvalue has ``|lambda| <= R``, so the coefficient of
     ``x**j`` is at most ``C(n, j) * R**(n - j) <= B = (1 + R)**n`` in
     absolute value.  ``A`` is reduced by similarity to upper Hessenberg
@@ -127,7 +128,7 @@ def charpoly(a: Matrix) -> Poly:
         raise ValueError("charpoly needs a square matrix")
     if n == 0:
         return (ONE,)
-    h, den = _integer_matrix(a)
+    h, den = integer_matrix(a)
     bound = (1 + max(sum(map(abs, row)) for row in h)) ** n
     p = next((p for p in ((1 << e) - 1 for e in MERSENNE_EXPONENTS)
               if p > 2 * bound), None)
@@ -193,7 +194,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     ncols = len(a[0])
     if len(b) != len(a) or any(len(row) != ncols for row in a):
         raise ValueError("solve needs rows of one length and one entry of b per row")
-    work, _ = _integer_matrix([list(row) + [c] for row, c in zip(a, b)])
+    work, _ = integer_matrix([list(row) + [c] for row, c in zip(a, b)])
     cols: list[int] = []  # cols[i]: the pivot column of row i
     for col in range(ncols + 1):
         r = len(cols)
@@ -260,7 +261,7 @@ def gram_positive_definite(g: Matrix) -> bool:
     minors positive, on its integer scaling (a positive factor keeps
     every sign).  Only the lower triangle ``g[k][:k + 1]`` is read, so
     the rows may stop at the diagonal."""
-    work, _ = _integer_matrix(g)
+    work, _ = integer_matrix(g)
     minors = LeadingMinors()
     return all(minors.push(row[:k], row[k]) for k, row in enumerate(work))
 

@@ -111,8 +111,8 @@ def apply_s_permutation(s: RewriteState, i: int, direction: str) -> RewriteState
     right: (a_i, a_{i+1}) -> (a_{i+1}, s_{a_{i+1}}(a_i))
     """
     k = len(s.word)
-    if not 0 <= i < k - 1:
-        raise ValueError(f"position {i} out of range for a word of length {k}")
+    if type(i) is not int or not 0 <= i < k - 1:
+        raise ValueError(f"position {i!r} out of range for a word of length {k}")
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
     a, b = s.word[i], s.word[i + 1]
@@ -131,8 +131,8 @@ def apply_sign_flip(s: RewriteState, i: int) -> RewriteState:
     """Negate the root at position i; its reflection is unchanged.  -r is
     read off s_r (s_r(r) = -r), and the check compares s_r with s_{-r},
     which ``weyl.PermSpace.reflection_at`` builds apart, along -r's path."""
-    if not 0 <= i < len(s.word):
-        raise ValueError(f"position {i} out of range for a word of length {len(s.word)}")
+    if type(i) is not int or not 0 <= i < len(s.word):
+        raise ValueError(f"position {i!r} out of range for a word of length {len(s.word)}")
     space = weyl.perm_space(s.system)
     r = s.system.index(s.word[i])
     reflection = space.reflection_at(r)

@@ -149,6 +149,8 @@ class RootSystem:
         family = family.upper()
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if type(rank) is not int:
+            raise ValueError(f"rank {rank!r} is not an int")
         lo, hi = _RANK_RANGE[family]
         if not lo <= rank <= hi:
             raise ValueError(f"rank {rank} out of range for {family} ({lo}..{hi})")
@@ -355,11 +357,13 @@ class RootSystem:
 
 def build(family: str, rank: int) -> RootSystem:
     """The root system of the given family (either case) and rank, built
-    once per process: ``build("d", 4) is build("D", 4)``."""
+    once per process: ``build("d", 4) is build("D", 4)``.  The cache is
+    typed, so a rank of ``True`` or ``4.0`` reaches the int check instead
+    of hitting the entry for 1 or 4."""
     return _build(family.upper(), rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _build(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 

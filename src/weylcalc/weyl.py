@@ -37,8 +37,8 @@ from .exactla import (
     gram_positive_definite,
     idot,
     identity,
+    integer_matrix,
     mat_pow,
-    mat_vec,
 )
 from .rootsys import RootSystem
 
@@ -285,49 +285,37 @@ class PermSpace:
         """Ambient matrix of the element: its reduced word, evaluated."""
         return evaluate(self.system, self.reduced_word(p))
 
-    @functools.cached_property
-    def _cartan(self) -> list[list[int]]:
-        """``_cartan[j][k]`` = <a_j, a_k^vee> over the simple roots."""
-        g = self.system.int_gram(self.system.simple_roots)
-        return [[cartan_number(x, g[k][k]) for k, x in enumerate(row)] for row in g]
-
     def perm_of_matrix(self, m: Matrix) -> Perm:
-        """Permutation of an element's ambient matrix, read off the images
-        of the simple roots only.  Any ``m`` not in W is a ValueError: one
-        that does not permute the roots, permutes them as an automorphism
-        outside W, such as -1 in A2, or moves the orthogonal complement of
-        their span.
+        """Permutation of an element's ambient matrix.  Any ``m`` not in W
+        is a ValueError: one that does not permute the roots, permutes them
+        as an automorphism outside W, such as -1 in A2, or moves the
+        orthogonal complement of their span.
 
-        The descent of :meth:`reduced_word`, run on the images w(a_j) in
-        doubled integers: while some w(a_k) is negative, w becomes w s_k,
-        whose images are w(a_j) - <a_j, a_k^vee> w(a_k).  For w in W it
-        ends within N+ steps with every image its simple root, so
-        w = s_k1 ... s_kl on the span of the roots; the evaluated word must
-        then equal ``m`` on the whole space."""
+        ``m`` is scaled to integers once, den·m, and each root's image
+        den·m(r') on doubled coordinates r' is looked up as den times a
+        root; only the upper half of ``roots`` is mapped, as
+        ``roots[n - 1 - i]`` is ``-roots[i]``.  :meth:`reduced_word`
+        decides whether the images, as a permutation, are an element of W;
+        its word then fixes the element on the span of the roots, and
+        evaluated it must equal ``m`` on the whole space."""
         system = self.system
         n = system.dim
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("matrix has the wrong shape")
-        roots, index, positive = system.int_roots, system.int_index, system.positive
-        at = [system.root_index(mat_vec(m, a)) for a in system.simple_roots]
-        letters = []
-        for _ in range(self.n // 2):
-            if None in at:
+        work, den = integer_matrix(m)
+        index, last = system.int_index, self.n - 1
+        upper = []
+        for r in system.int_roots[self.n // 2:]:
+            image = [idot(row, r) for row in work]
+            i = None if any([x % den for x in image]) else index.get(
+                tuple([x // den for x in image]))
+            if i is None:
                 raise ValueError(f"matrix does not permute the roots of {system.name()}")
-            k = next((k for k, i in enumerate(at) if not positive[i]), None)
-            if k is None:
-                break
-            wk = roots[at[k]]
-            at = [index.get(tuple([x - c[k] * y for x, y in zip(roots[i], wk)])) if c[k] else i
-                  for i, c in zip(at, self._cartan)]
-            letters.append(system.simple_roots[k])
-        if at != list(self._simple):
-            raise ValueError(f"the matrix acting on the roots of {system.name()} "
-                             f"is not in its Weyl group")
-        word = tuple(reversed(letters))
-        if evaluate(system, word) != tuple(tuple(row) for row in m):
+            upper.append(i)
+        p = self._wrap([last - i for i in reversed(upper)] + upper)
+        if evaluate(system, self.reduced_word(p)) != tuple(tuple(row) for row in m):
             raise ValueError("matrix moves the orthogonal complement of the roots")
-        return self.word_perm(word)
+        return p
 
 
 @functools.cache

@@ -52,6 +52,12 @@ def test_make_diagram_rejects_bad_input():
         dg.make_diagram(2, [], labels=("a", 5))
 
 
+@pytest.mark.parametrize("n", [True, 2.0, -1])
+def test_make_diagram_refuses_a_vertex_count_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="vertex count .* is not an int >= 0"):
+        dg.make_diagram(n, [])
+
+
 def test_from_roots_styles():
     """Solid marks an obtuse pair, dotted an acute pair."""
     s, word = d4a1_word()

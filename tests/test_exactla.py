@@ -15,7 +15,6 @@ from weylcalc.exactla import (
     mat,
     mat_mul,
     mat_pow,
-    mat_vec,
     poly_degree,
     poly_derivative,
     poly_divmod,
@@ -29,6 +28,8 @@ from weylcalc.exactla import (
     vec_add,
     vec_sub,
 )
+from weylcalc.rootsys import build_by_name
+from weylcalc.weyl import perm_space
 
 
 def test_vector_arithmetic():
@@ -44,9 +45,26 @@ def test_matrix_products():
     b = mat([[0, 1], [1, 0]])
     assert mat_mul(a, b) == ((2, 1), (4, 3))
     assert mat_mul(a, identity(2)) == a
-    assert mat_vec(a, (Q(1), Q(1))) == (3, 7)
     assert mat_pow(b, 2) == identity(2)
     assert mat_pow(a, 0) == identity(2)
+
+
+INEXACT_ENTRY_CALLS = {
+    "charpoly": lambda e: charpoly(((e, 0), (0, 1))),
+    "solve": lambda e: solve(((1, 0), (0, 1)), (e, 0)),
+    "gram_positive_definite": lambda e: gram_positive_definite(((e,),)),
+    "perm_of_matrix": lambda e: perm_space(build_by_name("A2")).perm_of_matrix(
+        ((e, 0, 0), (0, 1, 0), (0, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("entry", [1.0, "1"])
+@pytest.mark.parametrize("call", INEXACT_ENTRY_CALLS)
+def test_an_entry_that_is_not_exact_is_refused(call, entry):
+    """Every integer scaling goes through ``integer_matrix``, which takes
+    ints and Fractions only."""
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        INEXACT_ENTRY_CALLS[call](entry)
 
 
 def test_charpoly_is_monic_ascending():

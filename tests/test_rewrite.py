@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc import rewrite
-from weylcalc.exactla import dot, mat_mul, mat_vec, poly_mul, poly_str
+from weylcalc.exactla import dot, mat_mul, poly_mul, poly_str
 from weylcalc.rootsys import build_by_name
 from weylcalc.rewrite import (
     LONG_CYCLE_NAMES,
@@ -123,6 +123,16 @@ def test_apply_sign_flip_is_involutive():
     assert apply_sign_flip(once, 2).word == st.word
     with pytest.raises(ValueError):
         apply_sign_flip(st, 9)
+
+
+@pytest.mark.parametrize("i", [True, 1.0])
+@pytest.mark.parametrize("move", [lambda st, i: apply_s_permutation(st, i, "right"),
+                                  apply_sign_flip], ids=["s_permutation", "sign_flip"])
+def test_moves_refuse_a_position_that_is_not_an_int(move, i):
+    """``True`` and ``1.0`` would index the word as 1, and the trace would
+    record them as they are."""
+    with pytest.raises(ValueError, match="out of range"):
+        move(connection_square_state(), i)
 
 
 def catalog_script(name):
@@ -270,7 +280,7 @@ def seeded_4cycle_trace(system_name, seed):
     rng = random.Random(seed)
     for _ in range(6):
         u = weyl.evaluate(system, (rng.choice(system.roots),))
-        word = [mat_vec(u, r) for r in word]
+        word = [tuple(dot(row, r) for row in u) for r in word]
     return eliminate_4cycle(initial_state(system, word))
 
 

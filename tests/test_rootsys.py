@@ -55,6 +55,15 @@ def test_rank_ranges_rejected():
         build("H", 3)
 
 
+@pytest.mark.parametrize("family, rank", [("A", True), ("A", 1.0), ("D", 4.0)])
+def test_build_refuses_a_rank_that_is_not_an_int(family, rank):
+    """An int-valued bool or float is refused, also once the int's system
+    is cached: ``True == 1`` and ``4.0 == 4`` hash alike."""
+    build(family, int(rank))
+    with pytest.raises(ValueError, match="is not an int"):
+        build(family, rank)
+
+
 def test_build_by_name():
     s = build_by_name("D4")
     assert (s.family, s.rank) == ("D", 4)

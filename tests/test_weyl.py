@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weylcalc import diagram as dg
 from weylcalc import rewrite
 from weylcalc.exactla import (
-    charpoly, dot, identity, mat, mat_mul, mat_vec, solve)
+    charpoly, dot, identity, mat, mat_mul, solve)
 from weylcalc.oracle import are_conjugate
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
@@ -26,9 +26,9 @@ def test_reflection_properties():
     r = s.parse_root("e1-e2")
     m = evaluate(s, (r,))
     assert mat_mul(m, m) == identity(s.dim)
-    assert mat_vec(m, r) == tuple(-c for c in r)
+    assert tuple(dot(row, r) for row in m) == tuple(-c for c in r)
     orthogonal = s.parse_root("e3-e4")
-    assert mat_vec(m, orthogonal) == orthogonal
+    assert tuple(dot(row, orthogonal) for row in m) == orthogonal
 
 
 def test_reflection_preserves_roots():
@@ -37,7 +37,7 @@ def test_reflection_preserves_roots():
         for r in s.roots[:4]:
             m = evaluate(s, (r,))
             for other in s.roots:
-                assert s.is_root(mat_vec(m, other))
+                assert s.is_root(tuple(dot(row, other) for row in m))
 
 
 def test_evaluate_composition_order():
@@ -165,8 +165,9 @@ def test_non_roots_are_not_roots(v):
 
 # A_n, E6, E7 and G2 span a proper subspace of their ambient space, so
 # their elements must also fix the orthogonal complement.
+# D12 has 264 roots, past the packed ``bytes`` encoding.
 @pytest.mark.parametrize(
-    "name", ["A1", "A3", "A8", "B3", "C4", "G2", "D5", "E6", "E7", "F4"])
+    "name", ["A1", "A3", "A8", "B3", "C4", "G2", "D5", "E6", "E7", "F4", "D12"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_perm_encoding_matches_matrices(name, data):
@@ -264,7 +265,7 @@ def minus_one_on_the_roots(system):
 def test_perm_of_matrix_accepts_minus_one_exactly_in_w(name, in_w):
     s = build_by_name(name)
     m = minus_one_on_the_roots(s)
-    assert all(mat_vec(m, r) == tuple(-x for x in r) for r in s.roots)
+    assert all(tuple(dot(row, r) for row in m) == tuple(-x for x in r) for r in s.roots)
     space = perm_space(s)
     if in_w:
         p = space.perm_of_matrix(m)
@@ -298,7 +299,7 @@ def test_perm_of_matrix_rejects_a_moved_complement():
     space = perm_space(e6)
     u = complement_reflection(e6, (Q(0),) * 6 + (Q(1), Q(1)))
     assert mat_mul(u, u) == identity(8)  # a reflection: u is its own inverse
-    assert all(mat_vec(u, r) == r for r in e6.roots)
+    assert all(tuple(dot(row, r) for row in u) == r for r in e6.roots)
     with pytest.raises(ValueError, match="orthogonal complement"):
         space.perm_of_matrix(u)
     root = e6.simple_roots[3]
@@ -309,6 +310,18 @@ def test_perm_of_matrix_rejects_a_moved_complement():
             are_conjugate(system, m, identity(system.dim))
         with pytest.raises(ValueError, match="orthogonal complement"):
             are_conjugate(system, m, m)
+
+
+def test_perm_of_matrix_rejects_a_matrix_that_does_not_permute_the_roots():
+    """2·I sends each root to twice a root, and I/3 to a third of one."""
+    a2 = build_by_name("A2")
+    space = perm_space(a2)
+    for c in (Q(2), Q(1, 3)):
+        m = tuple(tuple(c * x for x in row) for row in identity(a2.dim))
+        with pytest.raises(ValueError, match="does not permute the roots of A2"):
+            space.perm_of_matrix(m)
+        with pytest.raises(ValueError, match="does not permute the roots of A2"):
+            are_conjugate(a2, m, identity(a2.dim))
 
 
 def test_perm_of_matrix_rejects_a_wrong_shape():
