@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -46,7 +46,9 @@ Edge = tuple[int, int, str]  # (i, j, style) with i < j
 
 @dataclass(frozen=True)
 class Diagram:
-    """An edge-styled graph with a length class per vertex."""
+    """An edge-styled graph with a length class per vertex.  Its graph facts
+    are made on first use and kept; they are not fields, so ``==``, ``hash``,
+    ``repr`` and ``dataclasses.replace`` ignore them."""
 
     longs: tuple[bool, ...]
     edges: tuple[Edge, ...]
@@ -56,21 +58,85 @@ class Diagram:
     def n(self) -> int:
         return len(self.longs)
 
-    def adjacency(self) -> list[set[int]]:
-        """Neighbour set of every vertex, built afresh on each call."""
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbour set of every vertex."""
         adj = [set() for _ in range(self.n)]
         for a, b, _ in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        return tuple(map(frozenset, adj))
+
+    @cached_property
+    def _styles(self) -> dict[tuple[int, int], str]:
+        return {(a, b): style for a, b, style in self.edges}
 
     def edge_style(self, i: int, j: int) -> str | None:
-        if i > j:
-            i, j = j, i
-        for a, b, style in self.edges:
-            if (a, b) == (i, j):
-                return style
-        return None
+        return self._styles.get((i, j) if i < j else (j, i))
+
+    @cached_property
+    def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Two-coloring of the vertices, or None when an odd cycle exists."""
+        color = two_coloring(self.n, [(a, b, 1) for a, b, _ in self.edges])
+        if color is None:
+            return None
+        return (tuple(i for i in range(self.n) if not color[i]),
+                tuple(i for i in range(self.n) if color[i]))
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """All chordless cycles, canonically rotated, sorted by (length, vertices).
+
+        A cycle is listed once, starting from its smallest vertex and walking
+        toward the smaller of that vertex's two cycle neighbors.
+        """
+        adj = self.adjacency
+        found = []
+
+        def extend(path: list[int], members: set[int]) -> None:
+            s, u = path[0], path[-1]
+            for w in sorted(adj[u]):
+                if w in members or w < s:
+                    continue
+                touches = adj[w] & members
+                if len(path) == 1:
+                    # First step out of s: the edge (s, w) is a path edge.
+                    path.append(w)
+                    members.add(w)
+                    extend(path, members)
+                    path.pop()
+                    members.remove(w)
+                    continue
+                closing = s in touches
+                allowed = {u, s} if closing else {u}
+                if touches - allowed:
+                    continue  # chord against the path interior
+                if closing:
+                    if path[1] < w:  # each cycle once, in its canonical direction
+                        found.append(tuple(path) + (w,))
+                    continue  # extending past w would leave the chord s--w
+                path.append(w)
+                members.add(w)
+                extend(path, members)
+                path.pop()
+                members.remove(w)
+
+        for s in range(self.n):
+            extend([s], {s})
+        return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components, each sorted, in the order of their least vertex."""
+        adj = self.adjacency
+        seen: set[int] = set()
+        comps = []
+        for s in range(self.n):
+            if s not in seen:
+                comp = walk(s, lambda u: enumerate(adj[u]))
+                seen.update(comp)
+                comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
     def to_dict(self) -> dict:
         return {
@@ -243,96 +309,36 @@ def two_coloring(n: int, edges: Iterable[tuple[int, int, int]]) -> list[int] | N
     return color
 
 
-def bipartition(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two-coloring of the vertices, or None when an odd cycle exists."""
-    color = two_coloring(d.n, [(a, b, 1) for a, b, _ in d.edges])
-    if color is None:
-        return None
-    return tuple(i for i in range(d.n) if not color[i]), tuple(i for i in range(d.n) if color[i])
-
-
 def is_admissible(d: Diagram) -> bool:
     """Carter admissibility: every cycle has even length."""
-    return bipartition(d) is not None
+    return d.bipartition is not None
 
 
-def cycles(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    """All chordless cycles, canonically rotated, sorted by (length, vertices).
-
-    A cycle is listed once, starting from its smallest vertex and walking
-    toward the smaller of that vertex's two cycle neighbors.
-    """
-    adj = d.adjacency()
-    found = []
-
-    def extend(path: list[int], members: set[int]) -> None:
-        s, u = path[0], path[-1]
-        for w in sorted(adj[u]):
-            if w in members or w < s:
-                continue
-            touches = adj[w] & members
-            if len(path) == 1:
-                # First step out of s: the edge (s, w) is a path edge.
-                path.append(w)
-                members.add(w)
-                extend(path, members)
-                path.pop()
-                members.remove(w)
-                continue
-            closing = s in touches
-            allowed = {u, s} if closing else {u}
-            if touches - allowed:
-                continue  # chord against the path interior
-            if closing:
-                if path[1] < w:  # each cycle once, in its canonical direction
-                    found.append(tuple(path) + (w,))
-                continue  # extending past w would leave the chord s--w
-            path.append(w)
-            members.add(w)
-            extend(path, members)
-            path.pop()
-            members.remove(w)
-
-    for s in range(d.n):
-        extend([s], {s})
-    return tuple(sorted(found, key=lambda c: (len(c), c)))
-
-
-def dotted_parity_ok(d: Diagram, chordless: Sequence[tuple[int, ...]] | None = None) -> bool:
+def dotted_parity_ok(d: Diagram) -> bool:
     """Every chordless cycle carries an odd number of dotted edges.
-    ``chordless`` is ``cycles(d)``, listed here unless the caller has it.
 
     Simple-but-chorded cycles are deliberately excluded: a chord splits a
     cycle into two chordless ones whose dotted counts add up to an even
     total on the outer rim, so the odd rule can only hold chordlessly.
     """
-    for cyc in cycles(d) if chordless is None else chordless:
-        dotted = 0
-        for idx in range(len(cyc)):
-            a, b = cyc[idx], cyc[(idx + 1) % len(cyc)]
-            if d.edge_style(a, b) == DOTTED:
-                dotted += 1
-        if dotted % 2 == 0:
-            return False
-    return True
-
-
-def _bicolored_parts(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    parts = bipartition(d)
-    if parts is None:
-        raise ValueError("diagram is not admissible (odd cycle)")
-    return parts
+    return all(sum(d.edge_style(c[i - 1], c[i]) == DOTTED for i in range(len(c))) % 2
+               for c in d.cycles)
 
 
 def bicolored_word_order(d: Diagram) -> tuple[int, ...]:
     """Vertex order of the diagram's bicolored word (part 0, then part 1)."""
-    x, y = _bicolored_parts(d)
+    if d.bipartition is None:
+        raise ValueError("diagram is not admissible (odd cycle)")
+    x, y = d.bipartition
     return x + y
 
 
 @lru_cache(maxsize=4096)
-def _bicolored_charpoly_cached(d: Diagram, t: Q) -> Poly:
-    """``det(t - s_X s_Y)`` from the Cartan blocks between the two parts.
+def _bicolored_charpoly_cached(longs: tuple[bool, ...], edges: tuple[Edge, ...],
+                               parts: tuple[tuple[int, ...], ...], t: Q) -> Poly:
+    """``det(t - s_X s_Y)`` from the Cartan blocks between the two parts,
+    keyed on a diagram's fields and parts so that no cached entry keeps a
+    :class:`Diagram`, with the graph facts it holds, alive.
 
     Over the basis X then Y, ``s_X = [[-I, C], [0, I]]`` and
     ``s_Y = [[I, 0], [D, -I]]`` with ``C[x][y] = -2 g_xy / g_xx`` and
@@ -347,8 +353,8 @@ def _bicolored_charpoly_cached(d: Diagram, t: Q) -> Poly:
     not crystallographic, so the expansion runs on integers over the
     common denominator of the ``c_k``.
     """
-    g = int_gram(d, t)[0]
-    small, large = sorted(_bicolored_parts(d), key=len)
+    g = int_gram(Diagram(longs, edges, _default_labels(len(longs))), t)[0]
+    small, large = sorted(parts, key=len)
     m, r = len(small), len(large) - len(small)
     # B[u][w] = sum_v (2 g_uv / g_uu) (2 g_vw / g_vv); the two minus signs cancel.
     out = [[cartan_number(g[u][v], g[u][u]) for v in large] for u in small]
@@ -361,7 +367,7 @@ def _bicolored_charpoly_cached(d: Diagram, t: Q) -> Poly:
     return tuple(
         Q(sum(c[k] * comb(2 * k + r, j - m + k)
               for k in range(max(0, m - j), m + 1)), den)
-        for j in range(d.n + 1)
+        for j in range(len(longs) + 1)
     )
 
 
@@ -371,38 +377,27 @@ def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:
     Independent of the bipartition choice, vertex order and sign flips,
     so it serves as an invariant of the diagram's equivalence class.
     """
-    return _bicolored_charpoly_cached(d, Q(t))
+    bicolored_word_order(d)  # refuses an odd cycle
+    return _bicolored_charpoly_cached(d.longs, d.edges, d.bipartition, Q(t))
 
 
-def invariant(d: Diagram, chordless: Sequence[tuple[int, ...]] | None = None) -> tuple:
+def invariant(d: Diagram) -> tuple:
     """Matching key for identify(): counts, (length class, degree) of each
-    vertex, cycle lengths, charpoly.  ``chordless`` is ``cycles(d)``, listed
-    here unless the caller has it.
+    vertex, cycle lengths, charpoly.
 
     The length classes keep a diagram with long vertices from matching a
     simply-laced one of the same shape.
     """
-    adj = d.adjacency()
+    adj = d.adjacency
     vertices = tuple(sorted((d.longs[i], len(adj[i])) for i in range(d.n)))
-    cyc = tuple(sorted(len(c) for c in (cycles(d) if chordless is None else chordless)))
+    cyc = tuple(sorted(len(c) for c in d.cycles))
     return (d.n, vertices, cyc, bicolored_charpoly(d))
-
-
-def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    """Connected components, each sorted, in the order of their least vertex."""
-    adj = d.adjacency()
-    seen: set[int] = set()
-    comps = []
-    for s in range(d.n):
-        if s not in seen:
-            comp = walk(s, lambda u: enumerate(adj[u]))
-            seen.update(comp)
-            comps.append(tuple(sorted(comp)))
-    return tuple(comps)
 
 
 def induced_subdiagram(d: Diagram, vertices: Sequence[int]) -> Diagram:
     vs = list(vertices)
+    if vs == list(range(d.n)):
+        return d  # the same diagram, with the facts it has made
     pos = {v: i for i, v in enumerate(vs)}
     edges = [
         (pos[a], pos[b], style)
@@ -599,12 +594,12 @@ def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
             raise RuntimeError(f"catalog entry {name} is not admissible")
         if labels is None:
             order = bicolored_word_order(d)
+            sub = induced_subdiagram(d, order)
             # renumbered in word order, under the default labels again
-            d = replace(induced_subdiagram(d, order), labels=d.labels)
+            d = sub if sub is d else replace(sub, labels=d.labels)
         else:
             order = range(d.n)
-        chordless = cycles(d)
-        if not dotted_parity_ok(d, chordless):
+        if not dotted_parity_ok(d):
             raise RuntimeError(f"catalog entry {name} fails dotted parity")
         computed = charpoly(int_word_matrix_from_gram(g, order))
         if computed != stated:
@@ -618,7 +613,7 @@ def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
                 f"catalog entry {name}: abstract charpoly {poly_str(abstract)} "
                 f"!= stored {poly_str(stated)}"
             )
-        inv = invariant(d, chordless)
+        inv = invariant(d)
         if inv in by_invariant:
             raise RuntimeError(
                 f"catalog invariant collision: {name} vs {by_invariant[inv]}"
@@ -642,7 +637,7 @@ def catalog(name: str) -> CatalogEntry:
 
 def identify(d: Diagram) -> str | None:
     """Catalog name whose invariant tuple matches, or None when unknown."""
-    if bipartition(d) is None:
+    if not is_admissible(d):
         return None
     return _catalog()[1].get(invariant(d))
 
@@ -651,7 +646,7 @@ def identify_components(d: Diagram) -> str | None:
     """Connected components named individually, joined by '+'; None if any
     component is not a catalog diagram."""
     names = []
-    for comp in components(d):
+    for comp in d.components:
         name = identify(induced_subdiagram(d, comp))
         if name is None:
             return None

@@ -188,12 +188,12 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     row echelon form fraction-free: a row below the pivot row becomes
     ``p*row - f*prow`` (``p`` the pivot) divided by the gcd of its
     entries, so rows stay primitive.  The echelon form is then
-    back-substituted over Fractions.  ValueError when ``b`` does not have
-    one entry per row of ``a`` or the rows of ``a`` differ in length.
+    back-substituted over Fractions.  ValueError when ``a`` has no rows,
+    its rows differ in length or ``b`` does not have one entry per row.
     """
+    if not a or len(b) != len(a) or any(len(row) != len(a[0]) for row in a):
+        raise ValueError("solve needs rows, of one length, and one entry of b per row")
     ncols = len(a[0])
-    if len(b) != len(a) or any(len(row) != ncols for row in a):
-        raise ValueError("solve needs rows of one length and one entry of b per row")
     work, _ = integer_matrix([list(row) + [c] for row, c in zip(a, b)])
     cols: list[int] = []  # cols[i]: the pivot column of row i
     for col in range(ncols + 1):
@@ -260,8 +260,10 @@ def gram_positive_definite(g: Matrix) -> bool:
     """Sylvester's criterion for a symmetric ``g``: all leading principal
     minors positive, on its integer scaling (a positive factor keeps
     every sign).  Only the lower triangle ``g[k][:k + 1]`` is read, so
-    the rows may stop at the diagonal."""
+    the rows may stop at the diagonal; ValueError for one that stops before."""
     work, _ = integer_matrix(g)
+    if any(len(row) <= k for k, row in enumerate(work)):
+        raise ValueError("gram_positive_definite needs every row to reach its diagonal")
     minors = LeadingMinors()
     return all(minors.push(row[:k], row[k]) for k, row in enumerate(work))
 

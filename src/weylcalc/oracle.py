@@ -241,7 +241,7 @@ def find_subsets(
     # Visit high-degree vertices early so edge constraints bind sooner.
     visit: list[int] = []
     remaining = set(range(k))
-    adj = target.adjacency()
+    adj = target.adjacency
     while remaining:
         best = max(
             remaining,
@@ -434,6 +434,6 @@ def max_root_complement(system: RootSystem) -> list[str]:
     base = [s for s in system.simple_roots if system.normalized_inner(s, delta) == 0]
     return sorted(
         (system.subsystem_name([base[i] for i in comp])
-         for comp in dg.components(dg.from_roots(system, base))),
+         for comp in dg.from_roots(system, base).components),
         key=dg.component_key,
     )

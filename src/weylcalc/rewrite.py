@@ -295,7 +295,7 @@ class _Script:
         self.require(found == expected,
                      f"final diagram identifies as {found}, expected {expected}")
         self.require(dg.is_admissible(final), "final diagram is not admissible")
-        self.require(all(len(c) <= 4 for c in dg.cycles(final)),
+        self.require(all(len(c) <= 4 for c in final.cycles),
                      "final diagram still has a cycle longer than 4")
         return RewriteTrace(self.name, tuple(self.steps))
 
@@ -524,7 +524,7 @@ def _inverted_case_trace(name: str) -> RewriteTrace:
     fwd.require_word(b_entry.word, "forward script must land on the catalog word")
     for step in reversed(fwd.steps[1:]):
         sc.play(*_inverse(step.op, step.args))
-    x, y = dg.bipartition(a_entry.diagram)
+    x, y = a_entry.diagram.bipartition
     return sc.finish(a_entry.name, ([a_entry.word[i] for i in x], [a_entry.word[i] for i in y]))
 
 
@@ -647,7 +647,7 @@ def _cycle_labels(system: RootSystem, word: Sequence[Vector]
     d = dg.from_roots(system, word)
     if any((i < m) == (j < m) for i, j, _ in d.edges):
         raise ScriptIntegrityError("cycle labels", "word halves are not orthogonal sets")
-    cycles = dg.cycles(d)
+    cycles = d.cycles
     if [len(c) for c in cycles] != [l]:
         raise ScriptIntegrityError("cycle labels", "word is not a single cycle")
     dotted = [(i, j) for i, j, style in d.edges if style == dg.DOTTED]

@@ -1,5 +1,9 @@
 """Diagrams: construction, styles, admissibility, catalog, Tits form."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 from fractions import Fraction as Q
 from itertools import combinations
@@ -7,6 +11,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylcalc import cli, rewrite
 from weylcalc import diagram as dg
 from weylcalc.exactla import idot, poly_mul
 from weylcalc.rootsys import build_by_name, doubled
@@ -27,7 +32,7 @@ def test_make_diagram_normalizes_edges():
     assert d.edge_style(0, 2) == "solid"
     assert d.edge_style(2, 1) == "dotted"
     assert d.edge_style(0, 1) is None
-    assert d.adjacency()[2] == {0, 1}
+    assert d.adjacency[2] == {0, 1}
 
 
 def test_make_diagram_rejects_bad_input():
@@ -190,14 +195,14 @@ def test_affine_patterns_all_vanish():
 def test_bipartition_and_admissible():
     s, word = d4a1_word()
     d = dg.from_roots(s, word)
-    part = dg.bipartition(d)
+    part = d.bipartition
     assert part is not None
     left, right = part
     assert sorted(left + right) == [0, 1, 2, 3]
     assert dg.is_admissible(d)
     triangle = dg.make_diagram(3, [(0, 1, dg.SOLID), (1, 2, dg.SOLID),
                                    (0, 2, dg.DOTTED)])
-    assert dg.bipartition(triangle) is None
+    assert triangle.bipartition is None
     assert not dg.is_admissible(triangle)
     assert dg.identify(triangle) is None
     with pytest.raises(ValueError, match="odd cycle"):
@@ -206,11 +211,11 @@ def test_bipartition_and_admissible():
 
 def test_cycles():
     d = dg.styled_diagram(4, SQUARE, 0)
-    assert dg.cycles(d) == ((0, 1, 2, 3),)
+    assert d.cycles == ((0, 1, 2, 3),)
     chain = dg.make_diagram(3, [(0, 1, dg.SOLID), (1, 2, dg.SOLID)])
-    assert dg.cycles(chain) == ()
+    assert chain.cycles == ()
     k23 = dg.styled_diagram(5, ((0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)), 0)
-    found = dg.cycles(k23)
+    found = k23.cycles
     assert found, "the theta shape has cycles"
     for cyc in found:
         assert len(cyc) % 2 == 0
@@ -245,7 +250,7 @@ def test_styled_diagram_masks():
 
 def test_components_and_induced():
     d = dg.make_diagram(5, [(0, 1, dg.SOLID), (2, 3, dg.DOTTED)])
-    comps = dg.components(d)
+    comps = d.components
     assert sorted(len(c) for c in comps) == [1, 2, 2]
     sub = dg.induced_subdiagram(d, (2, 3))
     assert sub.edges == ((0, 1, "dotted"),)
@@ -435,3 +440,100 @@ def test_identify_is_stable_under_class_moves(name, data):
     d = dg.from_roots(system, word)
     assert dg.identify(d) == name
     assert dg.is_admissible(d)
+
+
+# --------------------------------------------------------------------------
+# The graph facts a diagram keeps, against brute force over vertex subsets,
+# and the work they save.
+
+FACTS = {"adjacency", "_styles", "bipartition", "cycles", "components"}
+
+
+def induced_single_cycles(n, pairs):
+    """Every vertex set of at least 3 whose induced graph is one cycle, read
+    from its least vertex toward the smaller of that vertex's neighbours."""
+    out = []
+    for size in range(3, n + 1):
+        for vs in combinations(range(n), size):
+            nbrs = {v: sorted(w for w in vs if (min(v, w), max(v, w)) in pairs)
+                    for v in vs}
+            if any(len(ws) != 2 for ws in nbrs.values()):
+                continue
+            walk, prev = [vs[0]], None
+            while len(walk) < size:
+                nxt = [w for w in nbrs[walk[-1]] if w != prev][0]
+                prev = walk[-1]
+                walk.append(nxt)
+            if len(set(walk)) < size:
+                continue  # two or more disjoint cycles
+            out.append(tuple(walk))
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_graphs(max_n=7))
+def test_kept_graph_facts_match_brute_force(graph):
+    n, signed = graph
+    edges = [(a, b, dg.DOTTED if odd else dg.SOLID) for a, b, odd in signed]
+    d = dg.make_diagram(n, edges)
+    styles = {(a, b): style for a, b, style in edges}
+    pairs = set(styles)
+    for i in range(n):
+        for j in range(n):
+            key = (min(i, j), max(i, j))
+            assert (j in d.adjacency[i]) == (key in pairs)
+            assert d.edge_style(i, j) == styles.get(key)
+    reach = [[i == j or (min(i, j), max(i, j)) in pairs for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    assert d.components == tuple(sorted({tuple(j for j in range(n) if reach[i][j])
+                                         for i in range(n)}))
+    assert d.cycles == tuple(induced_single_cycles(n, pairs))
+    odd_cycle = any(len(c) % 2 for c in d.cycles)
+    assert (d.bipartition is None) == odd_cycle
+    if d.bipartition is not None:
+        x, y = d.bipartition
+        assert sorted(x + y) == list(range(n))
+        assert all((a in x) != (b in x) for a, b in pairs)
+    assert FACTS <= set(vars(d))
+    fresh = dg.make_diagram(n, edges)
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    assert set(vars(dataclasses.replace(d))) == {"longs", "edges", "labels"}
+
+
+def count_two_colorings(monkeypatch):
+    calls = []
+    two_coloring = dg.two_coloring
+    monkeypatch.setattr(dg, "two_coloring",
+                        lambda *args: calls.append(args) or two_coloring(*args))
+    return calls
+
+
+def test_a_diagram_request_two_colours_its_diagram_once(monkeypatch, capsys):
+    dg.catalog_names()  # the catalog's own checks are not counted
+    dg._bicolored_charpoly_cached.cache_clear()
+    calls = count_two_colorings(monkeypatch)
+    argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3", "--pretty"]
+    for _ in range(2):  # the charpoly cache cold, then warm
+        calls.clear()
+        assert cli.run(argv) == 0
+        assert "identified: D4(a1)" in capsys.readouterr().out
+        assert len(calls) == 1
+
+
+def test_a_long_cycle_transform_two_colours_once(monkeypatch):
+    dg.catalog_names()
+    calls = count_two_colorings(monkeypatch)
+    rewrite.transform_long_cycle("D6(b2)")
+    assert len(calls) == 1
+
+
+def test_the_charpoly_cache_keeps_no_diagram_alive():
+    d = dg.make_diagram(3, [(0, 1, dg.SOLID), (1, 2, dg.DOTTED)], longs=(False, True, False))
+    dg.bicolored_charpoly(d, Q(2))
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None

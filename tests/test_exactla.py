@@ -99,8 +99,9 @@ def test_charpoly_refuses_a_matrix_that_is_not_square(a):
 @pytest.mark.parametrize("a, b", [(((1, 0), (0, 1)), (1,)),
                                   (((1, 0), (0, 1), (1, 1)), (1, 2)),
                                   (((1, 0), (0,)), (1, 2)),
-                                  (((1,), (0, 1)), (1, 2))],
-                         ids=["short-b", "long-a", "ragged-a", "ragged-first-row"])
+                                  (((1,), (0, 1)), (1, 2)),
+                                  ((), ())],
+                         ids=["short-b", "long-a", "ragged-a", "ragged-first-row", "no-rows"])
 def test_solve_refuses_mismatched_shapes(a, b):
     with pytest.raises(ValueError, match="one entry of b per row"):
         solve(a, b)
@@ -118,6 +119,13 @@ def test_gram_positive_definite():
     # Only the lower triangle is read: rows may stop at the diagonal.
     assert not gram_positive_definite([row[:k + 1] for k, row in enumerate(g)])
     assert gram_positive_definite(((1,), (Q(-1, 2), 1)))
+
+
+@pytest.mark.parametrize("g", [((1,), ()), ((),), ((1, 0), (0,), (0, 0, 1))],
+                         ids=["second-row-empty", "first-row-empty", "middle-row-short"])
+def test_gram_positive_definite_refuses_a_row_short_of_its_diagonal(g):
+    with pytest.raises(ValueError, match="reach its diagonal"):
+        gram_positive_definite(g)
 
 
 def test_poly_basics():

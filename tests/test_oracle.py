@@ -291,7 +291,7 @@ def assert_realizes(system, target, roots):
     target's lengths and adjacency, and its styles differ on a cut."""
     d = dg.from_roots(system, roots)  # raises unless the roots are independent
     assert d.longs == target.longs
-    assert d.adjacency() == target.adjacency()
+    assert d.adjacency == target.adjacency
     assert dg.two_coloring(target.n, [
         (a, b, d.edge_style(a, b) != style) for a, b, style in target.edges
     ]) is not None
@@ -393,7 +393,7 @@ def reference_find_subsets(system, target, limit=None):
     if k > system.rank:
         return []
     idx = _subset_index(system)
-    adj = target.adjacency()
+    adj = target.adjacency
     visit, remaining = [], set(range(k))
     while remaining:
         best = max(remaining, key=lambda v: (len(adj[v] & set(visit)), len(adj[v]), -v))

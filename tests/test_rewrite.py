@@ -144,7 +144,7 @@ def catalog_script(name):
 def test_finish_certifies_the_end_of_a_script():
     sc = catalog_script("D4")
     word = sc.word
-    assert dg.bipartition(dg.catalog("D4").diagram) == ((0, 1, 2), (3,))  # leaves, centre
+    assert dg.catalog("D4").diagram.bipartition == ((0, 1, 2), (3,))  # leaves, centre
     trace = sc.finish("D4", (word[:3], word[3:]))
     assert trace.steps == tuple(sc.steps) and replay(trace)
     with pytest.raises(ScriptIntegrityError, match="identifies as D4, expected D4\\(a1\\)"):
@@ -167,7 +167,7 @@ def test_long_cycle_scripts_end_on_the_catalog_word(name):
     """Each Table 1 script ends on its a-entry's catalog word, which is in
     bipartition order, so ``finish``'s block check covers the whole word."""
     a = dg.catalog(rewrite.TABLE1[name])
-    x, y = dg.bipartition(a.diagram)
+    x, y = a.diagram.bipartition
     assert x + y == tuple(range(len(a.word)))
     assert transform_long_cycle(name).final_state.word == a.word
 
@@ -440,7 +440,7 @@ def test_five_cycle_orientations_share_roots():
         assert set(word) == base
         assert all(system.is_root(r) for r in word)
         d = dg.from_roots(system, word)
-        assert len(dg.cycles(d)) == 1
+        assert len(d.cycles) == 1
 
 
 def test_five_cycle_classify():
