@@ -100,8 +100,10 @@ def conjugating_perm(
     ``("not-conjugate", None)`` once the class of p is walked without
     meeting q, or ``("unresolved", None)`` when the class outgrows
     ``cap``.  u is the product of the conjugating simple reflections
-    along the walk's path to q, last first.
+    along the walk's path to q, last first.  ValueError for a ``cap``
+    that is not None or an int of at least 1, even when p == q.
     """
+    weyl.check_cap(cap)
     if p == q:
         return "conjugate", space.ident
     parent = _class_walk(space, p, cap, stop=q)
@@ -142,9 +144,17 @@ def _class_walk(space: weyl.PermSpace, start, cap: int, stop=None) -> dict | Non
 
 @dataclass(frozen=True)
 class LabeledDiagram:
-    """A realization: roots aligned to the target's vertices."""
+    """A realization: roots aligned to the target's vertices, held as
+    their positions ``idx`` in ``system.roots``."""
 
-    roots: tuple[Vector, ...]
+    system: RootSystem
+    idx: tuple[int, ...]
+
+    @property
+    def roots(self) -> tuple[Vector, ...]:
+        """The realization as the system's own root tuples."""
+        roots = self.system.roots
+        return tuple(roots[i] for i in self.idx)
 
 
 class _SubsetIndex:
@@ -152,10 +162,11 @@ class _SubsetIndex:
 
     ``inner`` holds integer inner products of doubled coordinates (four
     times the Fraction ones).  ``adj_mask`` and ``orth_mask`` split the
-    other reps into non-orthogonal and orthogonal ones.  Two adjacent
-    roots of given lengths meet at one angle up to sign (their Cartan
-    numbers are integers of size below 2), so adjacency and the length
-    classes fix the magnitude of their inner product.
+    other reps into non-orthogonal and orthogonal ones, and ``pos_mask``
+    holds the reps at a positive inner product.  Two adjacent roots of
+    given lengths meet at one angle up to sign (their Cartan numbers are
+    integers of size below 2), so adjacency and the length classes fix
+    the magnitude of their inner product.
     """
 
     def __init__(self, system: RootSystem):
@@ -165,11 +176,14 @@ class _SubsetIndex:
         self.inner = system.int_gram(reps)
         self.orth_mask = [0] * m
         self.adj_mask = [0] * m
+        self.pos_mask = [0] * m
         for i in range(m):
             for j in range(m):
                 if i != j:
                     if self.inner[i][j]:
                         self.adj_mask[i] |= 1 << j
+                        if self.inner[i][j] > 0:
+                            self.pos_mask[i] |= 1 << j
                     else:
                         self.orth_mask[i] |= 1 << j
         self.long_mask = 0
@@ -213,11 +227,17 @@ def find_subsets(
     give the same bit.  The visit order places each component of the
     target in one run, every vertex after the run's first next to an
     earlier one, so the placed part of a component stays connected and
-    the bits exist exactly when its styles agree up to switching.
+    the bits exist exactly when its styles agree up to switching.  The
+    test runs on all candidates at once.  A candidate c is dotted against
+    a placed root p exactly when c is in ``pos_mask[p]``.  So two placed
+    neighbours whose bits flip xor (target dotted) are x and y ask c for
+    the same flip bit exactly when c is in the xor of their roots'
+    ``pos_mask`` rows if x != y, and outside it if x == y.
 
     Matches are reported once per root set, in the order the search
-    finds them; ``limit`` (None or an int of at least 1) stops early
-    (the result is then not exhaustive).
+    finds them, each as the positions of its roots in ``system.roots``;
+    ``limit`` (None or an int of at least 1) stops early (the result is
+    then not exhaustive).
 
     A find-first search (``limit == 1``) is anchored: the first-placed
     vertex only tries the lowest representative of its length class.
@@ -236,7 +256,8 @@ def find_subsets(
     if k > system.rank or not gram_positive_definite(dg.int_gram(target, system.ratio)[0]):
         return []  # more vertices than independent roots, or G not positive definite
     idx = _subset_index(system)
-    reps = idx.reps
+    pos_mask = idx.pos_mask
+    half = len(system.roots) // 2  # reps are the upper half of ``roots``
 
     # Visit high-degree vertices early so edge constraints bind sooner.
     visit: list[int] = []
@@ -277,7 +298,7 @@ def find_subsets(
             if used in seen_sets:
                 return False
             seen_sets.add(used)
-            results.append(LabeledDiagram(tuple(reps[chosen[s]] for s in slot)))
+            results.append(LabeledDiagram(system, tuple(half + chosen[s] for s in slot)))
             return limit is not None and len(results) >= limit
         v, fams, nbrs = placement[depth]
         cand = base_mask[v] & ~used
@@ -289,18 +310,18 @@ def find_subsets(
             cand &= -cand  # the anchor: see the docstring
         # Each placed neighbour u asks for the flip bit
         # flip[u] xor (target dotted) xor (realized dotted); they must agree.
-        want = [(chosen[s], flip[s] ^ dotted) for s, dotted in nbrs]
-        flip[depth] = 0  # kept by the first vertex of a component
+        want = first = 0  # the first vertex of a component keeps flip 0
+        if nbrs:
+            (s, dotted), *rest = nbrs
+            want, first = flip[s] ^ dotted, pos_mask[chosen[s]]
+            for s, dotted in rest:
+                split = first ^ pos_mask[chosen[s]]
+                cand &= split if flip[s] ^ dotted != want else ~split
         while cand:
             bit = cand & -cand
             cand ^= bit
             pos = bit.bit_length() - 1
-            if want:
-                row = idx.inner[pos]
-                bits = [w ^ (row[p] > 0) for p, w in want]
-                if bits.count(bits[0]) != len(bits):
-                    continue
-                flip[depth] = bits[0]
+            flip[depth] = want ^ (first >> pos & 1)
             chosen.append(pos)
             if descend(depth + 1, used | bit):
                 return True
@@ -320,8 +341,11 @@ def verify_unique_class(
 
     Finds every root subset realizing the catalog diagram ``name``,
     forms the bicolored element of each, and checks that they all lie
-    in the conjugacy class of the first (walked once, exhaustively).
+    in the conjugacy class of the first (walked once, exhaustively).  A
+    ``cap`` that is not None or an int of at least 1 is a ValueError,
+    before the search.
     """
+    weyl.check_cap(cap)
     entry = dg.catalog(name)
     found = find_subsets(system, entry.diagram)
     if not found:
@@ -330,7 +354,7 @@ def verify_unique_class(
     # Every realization has the target's adjacency, so one two-colouring
     # orders them all.
     order = dg.bicolored_word_order(entry.diagram)
-    elements = (space.word_perm([item.roots[i] for i in order]) for item in found)
+    elements = (space.index_word_perm([item.idx[i] for i in order]) for item in found)
     seen = _class_walk(space, next(elements), cap)
     if seen is None:
         raise RuntimeError(

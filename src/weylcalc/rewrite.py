@@ -13,14 +13,15 @@ class of its product by three primitive moves:
 Each move is one public function (``apply_conjugation``,
 ``apply_s_permutation``, ``apply_sign_flip``) taking the arguments a
 trace step records; the scripts and ``replay`` play every move through
-it.  States hold the element and the conjugator as root permutations
-only.  This module provides those states, replayable traces with
-built-in integrity checking, and the explicit elimination scripts that
-convert each long-cycle Carter diagram into its partner containing only
-4-cycles: the named case scripts for D6/E7/E8, the generic walk on a
-pure D_l cycle (both parity cases, driven by chain-root vectors), the
-4-cycle elimination move, and the classification of oriented 5-cycles
-in D_5.
+it.  States hold the word as positions in ``system.roots`` and the
+element and the conjugator as root permutations only, so a move reads
+reflections by index and looks no root up.  This module provides those
+states, replayable traces with built-in integrity checking, and the
+explicit elimination scripts that convert each long-cycle Carter diagram
+into its partner containing only 4-cycles: the named case scripts for
+D6/E7/E8, the generic walk on a pure D_l cycle (both parity cases,
+driven by chain-root vectors), the 4-cycle elimination move, and the
+classification of oriented 5-cycles in D_5.
 
 Composition convention: a word (r_1, ..., r_k) denotes the product
 s_{r_1} ... s_{r_k} acting on column vectors, rightmost factor first.
@@ -33,6 +34,7 @@ mean equal matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
@@ -46,6 +48,7 @@ from .exactla import (
     Poly,
     Vector,
     charpoly,
+    idot,
     poly_str,
     vec_add,
     vec_sub,
@@ -69,22 +72,29 @@ class ScriptIntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class RewriteState:
-    """A reflection word together with its product and the accumulated
+    """A reflection word, held as the positions ``idx`` of its roots in
+    ``system.roots``, together with its product and the accumulated
     conjugator, both as root permutations (``weyl.PermSpace``):
     conjugator · initial element · conjugator^-1 == element.  A matrix is
     ``PermSpace.matrix_of_perm`` of either."""
 
     system: RootSystem
-    word: tuple[Vector, ...]
+    idx: tuple[int, ...]
     element_perm: Perm
     conjugator_perm: Perm
+
+    @property
+    def word(self) -> tuple[Vector, ...]:
+        """The word as the system's own root tuples."""
+        roots = self.system.roots
+        return tuple(roots[i] for i in self.idx)
 
 
 def initial_state(system: RootSystem, word: Sequence[Vector]) -> RewriteState:
     """The word as a state; ValueError for a non-root."""
-    roots = tuple(system.roots[system.index(r)] for r in word)
+    idx = tuple(map(system.index, word))
     space = weyl.perm_space(system)
-    return RewriteState(system, roots, space.word_perm(roots), space.ident)
+    return RewriteState(system, idx, space.index_word_perm(idx), space.ident)
 
 
 def apply_conjugation(s: RewriteState, u_word: Sequence[Vector]) -> RewriteState:
@@ -93,14 +103,14 @@ def apply_conjugation(s: RewriteState, u_word: Sequence[Vector]) -> RewriteState
     ValueError for a non-root."""
     space = weyl.perm_space(s.system)
     u = space.word_perm(u_word)
-    word = tuple(space.image(u, r) for r in s.word)
+    idx = tuple(u[i] for i in s.idx)
     # Exactness per letter: u s_r u^{-1} == s_{u(r)}.  Together these prove
     # that the product of the new letters is u w u^{-1}.
-    reflections = [space.reflection_perm(r) for r in word]
-    for old, new in zip(s.word, reflections):
-        if not space.conjugates(u, space.reflection_perm(old), new):
+    reflections = [space.reflection_at(i) for i in idx]
+    for old, new in zip(s.idx, reflections):
+        if not space.conjugates(u, space.reflection_at(old), new):
             raise ScriptIntegrityError("conjugation", "reflection transport identity failed")
-    return RewriteState(s.system, word, space.compose(*reflections),
+    return RewriteState(s.system, idx, space.compose(*reflections),
                         space.compose(u, s.conjugator_perm))
 
 
@@ -110,37 +120,35 @@ def apply_s_permutation(s: RewriteState, i: int, direction: str) -> RewriteState
     left:  (a_i, a_{i+1}) -> (s_{a_i}(a_{i+1}), a_i)
     right: (a_i, a_{i+1}) -> (a_{i+1}, s_{a_{i+1}}(a_i))
     """
-    k = len(s.word)
+    k = len(s.idx)
     if type(i) is not int or not 0 <= i < k - 1:
         raise ValueError(f"position {i!r} out of range for a word of length {k}")
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
-    a, b = s.word[i], s.word[i + 1]
+    a, b = s.idx[i], s.idx[i + 1]
     space = weyl.perm_space(s.system)
-    if direction == "left":
-        pair = (space.image(space.reflection_perm(a), b), a)
-    else:
-        pair = (b, space.image(space.reflection_perm(b), a))
-    if space.word_perm((a, b)) != space.word_perm(pair):
+    ra, rb = space.reflection_at(a), space.reflection_at(b)
+    pair = (ra[b], a) if direction == "left" else (b, rb[a])
+    if space.compose(ra, rb) != space.index_word_perm(pair):
         raise ScriptIntegrityError("s-permutation", "two-letter product identity failed")
-    word = s.word[:i] + pair + s.word[i + 2:]
-    return RewriteState(s.system, word, s.element_perm, s.conjugator_perm)
+    idx = s.idx[:i] + pair + s.idx[i + 2:]
+    return RewriteState(s.system, idx, s.element_perm, s.conjugator_perm)
 
 
 def apply_sign_flip(s: RewriteState, i: int) -> RewriteState:
     """Negate the root at position i; its reflection is unchanged.  -r is
     read off s_r (s_r(r) = -r), and the check compares s_r with s_{-r},
     which ``weyl.PermSpace.reflection_at`` builds apart, along -r's path."""
-    if type(i) is not int or not 0 <= i < len(s.word):
-        raise ValueError(f"position {i!r} out of range for a word of length {len(s.word)}")
+    if type(i) is not int or not 0 <= i < len(s.idx):
+        raise ValueError(f"position {i!r} out of range for a word of length {len(s.idx)}")
     space = weyl.perm_space(s.system)
-    r = s.system.index(s.word[i])
+    r = s.idx[i]
     reflection = space.reflection_at(r)
     neg = reflection[r]
     if space.reflection_at(neg) != reflection:
         raise ScriptIntegrityError("sign flip", "reflection changed under negation")
-    word = s.word[:i] + (space.roots[neg],) + s.word[i + 1:]
-    return RewriteState(s.system, word, s.element_perm, s.conjugator_perm)
+    idx = s.idx[:i] + (neg,) + s.idx[i + 1:]
+    return RewriteState(s.system, idx, s.element_perm, s.conjugator_perm)
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +184,7 @@ class RewriteTrace:
     def to_json_obj(self) -> list[dict]:
         """One row per step, with the word's :func:`word_charpoly`.
 
-        The polynomial is computed once per (product permutation, word
+        The polynomial is made once per (product permutation, word
         length), read off each step's own word, never its stored
         ``element_perm``.  This is exact.  Take independent roots
         r_1..r_n with product w.  The word-basis charpoly is that of w on
@@ -187,24 +195,38 @@ class RewriteTrace:
         from an independent one: its product fixes span(word)^perp, so
         codim Fix(w) <= rank of the word < n, while an independent word
         has codim Fix(w) = n exactly (Carter 1972, Lemma 3).  So it
-        misses, and :func:`word_charpoly` raises ValueError on it."""
+        misses, and :func:`word_charpoly` raises ValueError on it.
+
+        A ``conj`` step that misses takes the previous step's polynomial
+        when the product u of its recorded ``u_word`` conjugates the
+        previous word's product to its own and the two words have the same
+        length.  Then w = u w_prev u^-1, so the ambient charpolys agree;
+        the previous word is independent (its entry was made or carried
+        from one), so codim Fix(w) = codim Fix(w_prev) = n and the new word
+        cannot be dependent either.  Any other miss is computed."""
         if not self.steps:
             return []
         out = []
         system = self.initial_state.system
         space = weyl.perm_space(system)
         charpolys: dict[tuple, str] = {}
+        prev = None
         for step in self.steps:
-            word = step.state.word
-            key = (space.word_perm(word), len(word))
+            idx = step.state.idx
+            key = (space.index_word_perm(idx), len(idx))
             if key not in charpolys:
-                charpolys[key] = poly_str(word_charpoly(system, word), "t")
+                if (step.op == "conj" and prev is not None and prev[1] == key[1]
+                        and space.conjugates(space.word_perm(step.args[0]), prev[0], key[0])):
+                    charpolys[key] = charpolys[prev]
+                else:
+                    charpolys[key] = poly_str(_index_charpoly(system, idx), "t")
             out.append({
                 "op": step.op,
                 "detail": step.detail,
-                "word_roots": [system.format_root(r) for r in word],
+                "word_roots": [system.format_root(system.roots[i]) for i in idx],
                 "charpoly": charpolys[key],
             })
+            prev = key
         return out
 
 
@@ -212,6 +234,15 @@ def word_charpoly(system: RootSystem, word: Sequence[Vector]) -> Poly:
     """Characteristic polynomial of the word's product in the word-root
     basis (degree equals the word length)."""
     return charpoly(weyl.int_word_matrix(system, word))
+
+
+@functools.lru_cache(maxsize=256)
+def _index_charpoly(system: RootSystem, idx: tuple[int, ...]) -> Poly:
+    """:func:`word_charpoly` of the word at positions ``idx``, kept for
+    the last words asked: a script's ``finish`` makes its first word's, and
+    serialising the trace reads it again.  The polynomial is an immutable
+    tuple, so every caller may share it."""
+    return word_charpoly(system, tuple(system.roots[i] for i in idx))
 
 
 def replay(trace: RewriteTrace) -> bool:
@@ -283,7 +314,7 @@ class _Script:
         longer than 4.
         """
         first, last = self.steps[0].state, self.steps[-1].state
-        if word_charpoly(self.system, first.word) != word_charpoly(self.system, last.word):
+        if _index_charpoly(self.system, first.idx) != _index_charpoly(self.system, last.idx):
             raise ScriptIntegrityError(self.name, "word characteristic polynomial drifted")
         self._check_conjugator(last)
         final = dg.from_roots(self.system, last.word)
@@ -335,8 +366,13 @@ class _Script:
 
     # -- macros -------------------------------------------------------------
 
+    def _orthogonal(self, i: int, j: int) -> bool:
+        """Whether the roots at positions i and j of the word are orthogonal."""
+        idx, lattice = self.state.idx, self.system.int_roots
+        return idot(lattice[idx[i]], lattice[idx[j]]) == 0
+
     def swap(self, i: int, note: str = "") -> None:
-        if self.system.normalized_inner(self.word[i], self.word[i + 1]) != 0:
+        if not self._orthogonal(i, i + 1):
             raise ScriptIntegrityError(
                 self.name, f"swap at {i} requires an orthogonal pair")
         self.perm(i, "right", note or f"swap the orthogonal pair {i},{i + 1}")
@@ -374,12 +410,10 @@ class _Script:
     def conjugate_to_front(self, p: int, note: str = "") -> None:
         """Conjugate by the reflection at position p and carry it to the
         front; every letter right of p must be orthogonal to it."""
-        r = self.word[p]
-        for t in self.word[p + 1:]:
-            if self.system.normalized_inner(r, t) != 0:
-                raise ScriptIntegrityError(
-                    self.name, "conjugate_to_front requires an orthogonal tail")
-        self.conj((r,), note or "conjugate by the chosen reflection")
+        if not all(self._orthogonal(p, q) for q in range(p + 1, len(self.state.idx))):
+            raise ScriptIntegrityError(
+                self.name, "conjugate_to_front requires an orthogonal tail")
+        self.conj((self.word[p],), note or "conjugate by the chosen reflection")
         self.flip(p)
         for q in range(p - 1, -1, -1):
             self.perm(q, "right")

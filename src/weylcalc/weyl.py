@@ -216,10 +216,6 @@ class PermSpace:
         """u p u^-1 == q, checked as u·p == q·u."""
         return self.mul(self.table(u), p) == self.mul(self.table(q), u)
 
-    def image(self, p: Perm, root: Vector) -> Vector:
-        """The root ``p`` sends ``root`` to; ValueError for a non-root."""
-        return self.roots[p[self.system.index(root)]]
-
     @functools.cached_property
     def _reflections(self) -> dict[int, Perm]:
         """Reflections by root index, seeded with the simple ones."""
@@ -256,7 +252,11 @@ class PermSpace:
 
     def word_perm(self, word: Sequence[Vector]) -> Perm:
         """Permutation of the word's product (see the composition convention)."""
-        return self.compose(*(self.reflection_perm(r) for r in word))
+        return self.index_word_perm(map(self.system.index, word))
+
+    def index_word_perm(self, idx: Iterable[int]) -> Perm:
+        """:meth:`word_perm` of the word at the positions ``idx`` of ``roots``."""
+        return self.compose(*map(self.reflection_at, idx))
 
     def reduced_word(self, p: Perm) -> Word:
         """A reduced word for the element ``p``, as simple roots with
@@ -324,6 +324,13 @@ def perm_space(system: RootSystem) -> PermSpace:
     return PermSpace(system)
 
 
+def check_cap(cap) -> None:
+    """ValueError unless ``cap`` is None or an int of at least 1 (a bool
+    is not a cap)."""
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ValueError(f"cap must be None or an int of at least 1, not {cap!r}")
+
+
 def walk(start, moves, cap: int | None = None, stop=None) -> dict | None:
     """Breadth-first walk from ``start``: the parent map ``{node: (prev,
     label)}``, with ``start`` mapped to None.  ``moves(node)`` yields the
@@ -331,7 +338,9 @@ def walk(start, moves, cap: int | None = None, stop=None) -> dict | None:
     neighbours.  Nodes enter the map in discovery order, frontier by
     frontier and each node's moves in order, so every parent comes before
     its children.  The walk ends as soon as it discovers ``stop``, and
-    gives None once it would hold more than ``cap`` nodes."""
+    gives None once it would hold more than ``cap`` nodes; ValueError for
+    a ``cap`` that is not None or an int of at least 1."""
+    check_cap(cap)
     parent: dict = {start: None}
     queue = [start]
     for node in queue:  # the queue grows while it is read

@@ -431,7 +431,7 @@ def test_identify_is_stable_under_class_moves(name, data):
     simple = system.simple_roots
     space = perm_space(system)
     for i in data.draw(st.lists(st.integers(0, len(simple) - 1), max_size=6)):
-        word = [space.image(space.reflection_perm(simple[i]), r) for r in word]
+        word = [system.roots[space.reflection_perm(simple[i])[system.index(r)]] for r in word]
     for i in data.draw(st.lists(st.integers(0, max(len(word) - 2, 0)), max_size=6)):
         if i + 1 < len(word) and idot(doubled(word[i]), doubled(word[i + 1])) == 0:
             word[i], word[i + 1] = word[i + 1], word[i]

@@ -21,7 +21,7 @@ from weylcalc.oracle import (
     verify_unique_class,
     weyl_group_order,
 )
-from weylcalc.rootsys import _RANK_RANGE, FAMILIES, build, build_by_name
+from weylcalc.rootsys import _RANK_RANGE, FAMILIES, RootSystem, build, build_by_name
 from weylcalc import weyl
 
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
@@ -120,7 +120,7 @@ def test_find_subsets_rank_short_circuit():
     # The empty root set realizes the empty diagram, so the answer is one
     # empty realization, never an emptiness certificate.
     for limit in (None, 1):
-        assert find_subsets(a2, dg.make_diagram(0, []), limit=limit) == [LabeledDiagram(())]
+        assert find_subsets(a2, dg.make_diagram(0, []), limit=limit) == [LabeledDiagram(a2, ())]
 
 
 def test_find_subsets_respects_limit():
@@ -410,7 +410,7 @@ def reference_find_subsets(system, target, limit=None):
             ]) is None:
                 return False
             seen.add(used)
-            results.append(LabeledDiagram(tuple(idx.reps[chosen[s]] for s in slot)))
+            results.append(LabeledDiagram(system, tuple(len(idx.reps) + chosen[s] for s in slot)))
             return limit is not None and len(results) >= limit
         v = visit[depth]
         cand = (idx.long_mask if target.longs[v] else idx.short_mask) & ~used
@@ -474,3 +474,29 @@ def test_find_subsets_matches_the_bareiss_reference(case):
     system, target = case
     for limit in (None, 1):
         assert find_subsets(system, target, limit) == reference_find_subsets(system, target, limit)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True, "3"], ids=repr)
+def test_a_cap_that_is_not_an_int_of_at_least_1_is_refused(cap):
+    """A class of one element, two equal elements and a full check all
+    refuse the cap before they walk."""
+    d4 = build_by_name("D4")
+    with pytest.raises(ValueError, match="cap must be"):
+        weyl.walk(0, lambda node: (), cap)
+    w = weyl.evaluate(d4, d4.simple_roots)
+    with pytest.raises(ValueError, match="cap must be"):
+        are_conjugate(d4, w, w, cap)
+    with pytest.raises(ValueError, match="cap must be"):
+        verify_unique_class(d4, "D4(a1)", cap)
+
+
+def test_verify_unique_class_looks_no_root_up_once_warm(monkeypatch):
+    """Realizations hold root indices, and their elements are composed from
+    the reflections at those indices."""
+    d5 = build_by_name("D5")
+    assert verify_unique_class(d5, "D5(a1)")
+    calls = []
+    index = RootSystem.index
+    monkeypatch.setattr(RootSystem, "index", lambda self, v: calls.append(v) or index(self, v))
+    assert verify_unique_class(d5, "D5(a1)")
+    assert calls == []

@@ -6,13 +6,13 @@ import re
 
 import pytest
 from fractions import Fraction as Q
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
 from weylcalc import rewrite
 from weylcalc.exactla import dot, mat_mul, poly_mul, poly_str
-from weylcalc.rootsys import build_by_name
+from weylcalc.rootsys import RootSystem, build_by_name
 from weylcalc.rewrite import (
     LONG_CYCLE_NAMES,
     ScriptIntegrityError,
@@ -351,9 +351,9 @@ def test_replay_rejects_tampering():
     trace = transform_long_cycle("Dl(b)", l=6)  # starts at the D6(b2) catalog word
     # swap two roots inside a recorded state: the snapshot no longer matches
     bad_step = trace.steps[5]
-    word = bad_step.state.word
+    idx = bad_step.state.idx
     tampered_state = dataclasses.replace(
-        bad_step.state, word=(word[1], word[0]) + word[2:]
+        bad_step.state, idx=(idx[1], idx[0]) + idx[2:]
     )
     tampered = dataclasses.replace(
         trace,
@@ -669,3 +669,104 @@ def test_inverse_undoes_every_move(name, data):
         assert sc.state == before, (op, args)
         sc.play(op, args)
     assert replay(rewrite.RewriteTrace(sc.name, tuple(sc.steps)))
+
+
+CARRY_WORDS = [name for name in dg.catalog_names()
+               if dg.catalog(name).system in ("D4", "D5", "D6", "E6")]
+
+
+@st.composite
+def random_move_traces(draw):
+    """A trace of random moves from a seeded W-conjugate of a catalog word
+    in D4, D5, D6 or E6: conjugations by 1-3 roots, s-permutations at any
+    position and direction, and sign flips."""
+    entry = dg.catalog(draw(st.sampled_from(CARRY_WORDS)))
+    system = build_by_name(entry.system)
+    letters = draw(st.lists(st.sampled_from(system.simple_roots), max_size=6))
+    moved = apply_conjugation(initial_state(system, entry.word), letters).word
+    steps = [rewrite.RewriteStep("start", (), "", initial_state(system, moved))]
+    k = len(moved)
+    roots = st.lists(st.sampled_from(system.roots), min_size=1, max_size=3)
+    for op in draw(st.lists(st.sampled_from(("conj", "perm", "flip")), max_size=10)):
+        state = steps[-1].state
+        if op == "conj":
+            args = (tuple(draw(roots)),)
+            state = apply_conjugation(state, *args)
+        elif op == "perm":
+            args = (draw(st.integers(0, k - 2)), draw(st.sampled_from(("left", "right"))))
+            state = apply_s_permutation(state, *args)
+        else:
+            args = (draw(st.integers(0, k - 1)),)
+            state = apply_sign_flip(state, *args)
+        steps.append(rewrite.RewriteStep(op, args, "", state))
+    return rewrite.RewriteTrace("random moves", tuple(steps))
+
+
+def conj_positions(trace):
+    return [t for t, step in enumerate(trace.steps) if step.op == "conj"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_move_traces())
+def test_a_carried_charpoly_is_the_computed_one(trace):
+    """A ``conj`` step that takes its predecessor's polynomial serialises
+    what its own word computes afresh."""
+    assert_rows_carry_own_charpolys(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_move_traces(), st.data())
+def test_a_conj_step_with_another_conjugator_still_reads_its_own_word(trace, data):
+    """A ``conj`` step whose recorded ``u_word`` is not the one that made its
+    state serialises its own word's polynomial at every step."""
+    positions = conj_positions(trace)
+    assume(positions)
+    t = data.draw(st.sampled_from(positions))
+    system = trace.initial_state.system
+    u_word = data.draw(st.lists(st.sampled_from(system.roots), min_size=1, max_size=3))
+    assume(tuple(u_word) != trace.steps[t].args[0])
+    steps = list(trace.steps)
+    steps[t] = dataclasses.replace(steps[t], args=(tuple(u_word),))
+    assert_rows_carry_own_charpolys(dataclasses.replace(trace, steps=tuple(steps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_move_traces(), st.data())
+def test_a_conj_step_holding_a_dependent_word_is_refused(trace, data):
+    """A ``conj`` step whose word repeats a root has no word-basis charpoly:
+    it cannot take its predecessor's."""
+    positions = conj_positions(trace)
+    assume(positions)
+    t = data.draw(st.sampled_from(positions))
+    steps = list(trace.steps)
+    idx = steps[t].state.idx
+    dependent = dataclasses.replace(steps[t].state, idx=(idx[0], idx[0]) + idx[2:])
+    steps[t] = dataclasses.replace(steps[t], state=dependent)
+    with pytest.raises(ValueError):
+        dataclasses.replace(trace, steps=tuple(steps)).to_json_obj()
+
+
+def test_e8b5_is_built_and_serialised_with_two_charpolys(monkeypatch):
+    """``finish`` makes the first and the last word's polynomials; every
+    ``conj`` step carries its predecessor's and serialising reads the first
+    word's again."""
+    transform_long_cycle("E8(b5)")  # the catalog and the reflections are built
+    rewrite._index_charpoly.cache_clear()
+    calls = []
+    charpoly = rewrite.charpoly
+    monkeypatch.setattr(rewrite, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    transform_long_cycle("E8(b5)").to_json_obj()
+    assert len(calls) == 2
+
+
+def test_position_moves_look_no_root_up(monkeypatch):
+    """s-permutations and sign flips read reflections by root index alone."""
+    state = connection_square_state()
+    calls = []
+    index = RootSystem.index
+    monkeypatch.setattr(RootSystem, "index", lambda self, v: calls.append(v) or index(self, v))
+    state = apply_s_permutation(state, 0, "left")
+    state = apply_s_permutation(state, 2, "right")
+    state = apply_sign_flip(state, 1)
+    assert calls == []
+    assert weyl.perm_space(state.system).word_perm(state.word) == state.element_perm

@@ -81,39 +81,43 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods of those classes."""
+    """``(node, is_method)`` for the top-level functions and classes, and
+    the methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body
+            yield from ((item, True) for item in node.body
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
 def _reads(tree: ast.Module):
-    """``(name, line)`` for every name, attribute or string a module reads."""
+    """``(name, line, bare)`` for every name a module loads (``bare``), and
+    every attribute or string it reads.  A store is no read, and only an
+    attribute or a string can reach a method."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 def _unused_definitions(sources: dict[str, str], package: set[str]) -> list[str]:
     """Definitions in the ``package`` files that no file reads outside
     the lines of the definition itself; dunders are exempt."""
     trees = {path: ast.parse(text, path) for path, text in sources.items()}
-    reads = {(path, name, line) for path, tree in trees.items() for name, line in _reads(tree)}
+    reads = {(path, *read) for path, tree in trees.items() for read in _reads(tree)}
     found = []
     for path in sorted(package):
-        for node in _definitions(trees[path]):
+        for node, is_method in _definitions(trees[path]):
             name, lines = node.name, range(node.lineno, node.end_lineno + 1)
             if name.startswith("__") and name.endswith("__"):
                 continue
             if not any(n == name and not (p == path and line in lines)
-                       for p, n, line in reads):
+                       and not (is_method and bare)
+                       for p, n, line, bare in reads):
                 found.append(f"{Path(path).name}:{node.lineno} {name}")
     return found
 
@@ -154,6 +158,13 @@ def test_no_unused_definitions():
         {"m.py": "def f():\n    return f()\n\nclass C:\n    def g(self):\n        pass\n"
                  "    def __len__(self):\n        return 0\n\nC().h\n"},
         {"m.py"}) == ["m.py:1 f", "m.py:5 g"]
+    # A store reads nothing, and a bare name keeps no method alive: ``image``
+    # is only assigned and ``g`` only loaded bare, while ``k`` is called bare.
+    assert _unused_definitions(
+        {"m.py": "class C:\n    def g(self):\n        pass\n"
+                 "    def image(self):\n        pass\n\n"
+                 "def k():\n    image = g = 1\n    return g\n\nk(C())\n"},
+        {"m.py"}) == ["m.py:2 g", "m.py:4 image"]
     package = {str(p) for p in (ROOT / "src" / "weylcalc").glob("*.py")}
     sources = {str(p): p.read_text()
                for top in ("src", "bench") for p in sorted((ROOT / top).rglob("*.py"))}

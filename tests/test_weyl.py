@@ -138,7 +138,7 @@ ENTRY_POINTS = {
     "initial_state": rewrite.initial_state,
     "apply_conjugation": lambda s, word: rewrite.apply_conjugation(
         rewrite.initial_state(s, word[:1]), word),
-    "image": lambda s, word: perm_space(s).image(perm_space(s).ident, word[-1]),
+    "image": lambda s, word: s.roots[perm_space(s).ident[s.index(word[-1])]],
     "reflection_perm": lambda s, word: perm_space(s).reflection_perm(word[-1]),
     "int_gram": lambda s, word: s.int_gram(word),
 }
