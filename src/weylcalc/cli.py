@@ -13,10 +13,13 @@ render-dot  Graphviz text for a diagram
 
 Every command is pure: the same argument vector produces byte-identical
 output.  Machine output is JSON (schemas versioned under schema/);
-``--pretty`` renders a human layout instead.  Exit status: 0 on
-success, 1 when a verification item fails or a script integrity check
-trips, 2 for usage errors or malformed input.  A reader that closes
-stdout early ends the command quietly with status 1.
+``--pretty`` renders a human layout instead.  Each verb returns
+``(status, text)`` and :func:`run` alone writes stdout.  Exit status: 0 on
+success, 1 when a verification item fails, a script integrity check trips
+or anything else fails, 2 for usage errors or malformed input.  A ``verify``
+row is ``_item(label, check, *args)``: PASS with the detail ``check(*args)``
+returns, FAIL with what it raises.  A reader that closes stdout early ends
+the command quietly with status 1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import diagram as dg
 from . import oracle, rewrite, rootsys, weyl
@@ -86,31 +89,46 @@ def _roots_arg(system: rootsys.RootSystem, text: str) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def _diagram_arg(system: rootsys.RootSystem, roots: tuple[Vector, ...]) -> dg.Diagram:
+def _diagram_args(args) -> tuple[rootsys.RootSystem, tuple[Vector, ...], dg.Diagram]:
+    """``--system`` and ``--roots`` read, and the diagram of the roots."""
+    system = _system_arg(args.system)
+    roots = _roots_arg(system, args.roots)
     try:
-        return dg.from_roots(system, roots)
+        return system, roots, dg.from_roots(system, roots)
     except ValueError as exc:  # a dependent or repeated root list
         raise _UsageError(str(exc)) from exc
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _catalog_entry(name: str, list_names: bool = False) -> dg.CatalogEntry:
+    """The catalog entry ``name``, or a usage error that, under
+    ``list_names``, lists the valid names."""
+    try:
+        return dg.catalog(name)
+    except KeyError as exc:
+        names = f"; valid names: {', '.join(dg.catalog_names())}" if list_names else ""
+        raise _UsageError(f"unknown catalog name {name!r}{names}") from exc
+
+
+def _answer(args, obj: Callable[[], dict], pretty: Callable[[], Iterable[str]]):
+    """A data verb's ``(0, text)``: the lines of ``pretty()`` under
+    ``--pretty``, else ``obj()`` as JSON.  Only the answer is built."""
+    if args.pretty:
+        return 0, "\n".join(pretty())
+    return 0, json.dumps(obj(), indent=2)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _cmd_rootsys(args) -> int:
+def _cmd_rootsys(args) -> tuple[int, str]:
     try:
         system = rootsys.build(args.family, args.rank)
     except (ValueError, KeyError) as exc:
         raise _UsageError(str(exc)) from exc
     if args.list:
-        for r in system.roots:
-            print(system.format_root(r))
-        return 0
-    obj = {
+        return 0, "\n".join(system.format_root(r) for r in system.roots)
+    return _answer(args, lambda: {
         "schema": "rootsys.v1",
         "system": system.name(),
         "family": system.family,
@@ -118,18 +136,11 @@ def _cmd_rootsys(args) -> int:
         "dim": system.dim,
         "count": len(system.roots),
         "t": int(system.ratio),
-    }
-    if args.pretty:
-        print(
-            f"{system.name()}: {len(system.roots)} roots in dimension "
-            f"{system.dim} (length ratio t = {int(system.ratio)})"
-        )
-        return 0
-    _emit_json(obj)
-    return 0
+    }, lambda: [f"{system.name()}: {len(system.roots)} roots in dimension "
+                f"{system.dim} (length ratio t = {int(system.ratio)})"])
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args) -> tuple[int, str]:
     system = _system_arg(args.system)
     word = _roots_arg(system, args.word)
     try:
@@ -137,50 +148,38 @@ def _cmd_charpoly(args) -> int:
     except ValueError as exc:  # a dependent or repeated root list
         raise _UsageError(str(exc)) from exc
     text = poly_str(p, "t")
-    if args.pretty:
-        print(f"charpoly = {text}")
-        return 0
-    _emit_json(
-        {
-            "schema": "charpoly.v1",
-            "system": system.name(),
-            "word": [system.format_root(r) for r in word],
-            "charpoly": text,
-        }
-    )
-    return 0
+    return _answer(args, lambda: {
+        "schema": "charpoly.v1",
+        "system": system.name(),
+        "word": [system.format_root(r) for r in word],
+        "charpoly": text,
+    }, lambda: [f"charpoly = {text}"])
 
 
-def _cmd_diagram(args) -> int:
-    system = _system_arg(args.system)
-    roots = _roots_arg(system, args.roots)
-    d = _diagram_arg(system, roots)
+def _cmd_diagram(args) -> tuple[int, str]:
+    system, roots, d = _diagram_args(args)
     admissible = dg.is_admissible(d)
     identified = dg.identify_components(d)
-    if args.pretty:
-        print(f"diagram on {d.n} roots in {system.name()}")
-        for i in range(d.n):
-            length = "long" if d.longs[i] else "short"
-            print(f"  v{i} = {system.format_root(roots[i])}  ({length})")
-        if d.edges:
-            for i, j, style in d.edges:
-                print(f"  v{i} -- v{j}  ({style})")
-        else:
-            print("  no edges")
-        print(f"admissible: {'yes' if admissible else 'no'}")
-        print(f"identified: {identified if identified else 'not in the catalog'}")
-        return 0
-    _emit_json(
-        {
-            "schema": "diagram.v1",
-            "system": system.name(),
-            "roots": [system.format_root(r) for r in roots],
-            "diagram": d.to_dict(),
-            "admissible": admissible,
-            "identify": identified,
-        }
-    )
-    return 0
+
+    def pretty():
+        yield f"diagram on {d.n} roots in {system.name()}"
+        for i, root in enumerate(roots):
+            yield f"  v{i} = {system.format_root(root)}  ({'long' if d.longs[i] else 'short'})"
+        for i, j, style in d.edges:
+            yield f"  v{i} -- v{j}  ({style})"
+        if not d.edges:
+            yield "  no edges"
+        yield f"admissible: {'yes' if admissible else 'no'}"
+        yield f"identified: {identified if identified else 'not in the catalog'}"
+
+    return _answer(args, lambda: {
+        "schema": "diagram.v1",
+        "system": system.name(),
+        "roots": [system.format_root(r) for r in roots],
+        "diagram": d.to_dict(),
+        "admissible": admissible,
+        "identify": identified,
+    }, pretty)
 
 
 def _parse_transform_name(raw: str) -> tuple[str, int | None]:
@@ -199,7 +198,7 @@ def _parse_transform_name(raw: str) -> tuple[str, int | None]:
     )
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple[int, str]:
     name, l = _parse_transform_name(args.name)
     try:
         trace = rewrite.transform_long_cycle(name, l=l)
@@ -207,17 +206,10 @@ def _cmd_transform(args) -> int:
         raise _UsageError(str(exc)) from exc
     system = trace.steps[0].state.system
     final_name = dg.identify(dg.from_roots(system, trace.final_state.word))
-    if args.pretty:
-        print(f"{trace.name}: {len(trace.steps) - 1} moves in {system.name()}")
-        for i, step in enumerate(trace.steps):
-            word = " ".join(system.format_root(r) for r in step.state.word)
-            print(f"  {i:3d} [{step.op:5s}] {step.detail}")
-            print(f"        {word}")
-        print(f"final diagram: {final_name}")
-        return 0
-    steps = trace.to_json_obj()
-    _emit_json(
-        {
+
+    def obj():
+        steps = trace.to_json_obj()
+        return {
             "schema": "trace.v1",
             "name": trace.name,
             "system": system.name(),
@@ -226,92 +218,74 @@ def _cmd_transform(args) -> int:
             "final_identify": final_name,
             "steps": steps,
         }
-    )
-    return 0
+
+    def pretty():
+        yield f"{trace.name}: {len(trace.steps) - 1} moves in {system.name()}"
+        for i, step in enumerate(trace.steps):
+            word = " ".join(system.format_root(r) for r in step.state.word)
+            yield f"  {i:3d} [{step.op:5s}] {step.detail}"
+            yield f"        {word}"
+        yield f"final diagram: {final_name}"
+
+    return _answer(args, obj, pretty)
 
 
-def _cmd_verify(args) -> int:
-    items = _SUITES[args.suite]()
-    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    for label, status, detail in items:
-        counts[status] += 1
-        print(f"{status} {label}: {detail}")
-    print(
-        f"{args.suite}: {counts['PASS']} passed, {counts['FAIL']} failed, "
-        f"{counts['SKIP']} skipped"
-    )
-    return 1 if counts["FAIL"] else 0
+def _cmd_verify(args) -> tuple[int, str]:
+    rows = _SUITES[args.suite]()
+    failed = sum(status == "FAIL" for _, status, _ in rows)
+    lines = [f"{status} {label}: {detail}" for label, status, detail in rows]
+    lines.append(f"{args.suite}: {len(rows) - failed} passed, {failed} failed, 0 skipped")
+    return 1 if failed else 0, "\n".join(lines)
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args) -> tuple[int, str]:
     system = _system_arg(args.system)
     try:
         n = oracle.orthogonal_tuple_orbits(system, args.k)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.pretty:
-        print(
-            f"W({system.name()}) has {n} orbit(s) on unordered sets of "
-            f"{args.k} mutually orthogonal roots"
-        )
-        return 0
-    _emit_json(
-        {
-            "schema": "orbits.v1",
-            "system": system.name(),
-            "k": args.k,
-            "orbits": n,
-        }
-    )
-    return 0
+    return _answer(args, lambda: {
+        "schema": "orbits.v1",
+        "system": system.name(),
+        "k": args.k,
+        "orbits": n,
+    }, lambda: [f"W({system.name()}) has {n} orbit(s) on unordered sets of "
+                f"{args.k} mutually orthogonal roots"])
 
 
-def _cmd_catalog(args) -> int:
-    try:
-        entry = dg.catalog(args.name)
-    except (KeyError, ValueError) as exc:
-        raise _UsageError(
-            f"unknown catalog name {args.name!r}; valid names: "
-            f"{', '.join(dg.catalog_names())}"
-        ) from exc
+def _cmd_catalog(args) -> tuple[int, str]:
+    entry = _catalog_entry(args.name, list_names=True)
     system = rootsys.build_by_name(entry.system)
     poly = poly_str(entry.charpoly, "t")
-    if args.pretty:
-        print(f"{entry.name} (realized in {entry.system})")
-        print(f"  word: {', '.join(system.format_root(r) for r in entry.word)}")
-        print(f"  charpoly: {poly}")
+
+    def pretty():
+        yield f"{entry.name} (realized in {entry.system})"
+        yield f"  word: {', '.join(system.format_root(r) for r in entry.word)}"
+        yield f"  charpoly: {poly}"
         for i, j, style in entry.diagram.edges:
-            print(f"  v{i} -- v{j}  ({style})")
-        return 0
-    _emit_json(
-        {
-            "schema": "catalog.v1",
-            "name": entry.name,
-            "system": entry.system,
-            "word": [system.format_root(r) for r in entry.word],
-            "charpoly": poly,
-            "diagram": entry.diagram.to_dict(),
-        }
-    )
-    return 0
+            yield f"  v{i} -- v{j}  ({style})"
+
+    return _answer(args, lambda: {
+        "schema": "catalog.v1",
+        "name": entry.name,
+        "system": entry.system,
+        "word": [system.format_root(r) for r in entry.word],
+        "charpoly": poly,
+        "diagram": entry.diagram.to_dict(),
+    }, pretty)
 
 
-def _cmd_render_dot(args) -> int:
+def _cmd_render_dot(args) -> tuple[int, str]:
     if args.name and (args.system or args.roots):
         raise _UsageError("render-dot takes --name, or --system and --roots, not both")
     if args.name:
-        try:
-            entry = dg.catalog(args.name)
-        except (KeyError, ValueError) as exc:
-            raise _UsageError(f"unknown catalog name {args.name!r}") from exc
+        entry = _catalog_entry(args.name)
         system = rootsys.build_by_name(entry.system)
         d = entry.diagram
         labels = [system.format_root(r) for r in entry.word]
         title = entry.name
     elif args.system and args.roots:
-        system = _system_arg(args.system)
-        roots = _roots_arg(system, args.roots)
-        d = _diagram_arg(system, roots)
+        system, roots, d = _diagram_args(args)
         labels = [system.format_root(r) for r in roots]
         title = system.name()
     else:
@@ -326,18 +300,18 @@ def _cmd_render_dot(args) -> int:
         suffix = " [style=dashed]" if style == dg.DOTTED else ""
         lines.append(f"  v{i} -- v{j}{suffix};")
     lines.append("}")
-    print("\n".join(lines))
-    return 0
+    return 0, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# Verification suites.  Each returns (label, PASS|FAIL|SKIP, detail) rows;
-# any exception inside an item is reported as that item's failure.
+# Verification suites.  Each is a list of ``_item(label, check, *args)``
+# rows, ``(label, PASS|FAIL, detail)``: a check returns the detail of a
+# pass, and any exception it raises is that item's failure (none skips).
 
 
-def _item(label: str, fn: Callable[[], str]) -> tuple[str, str, str]:
+def _item(label: str, check: Callable[..., str], *args) -> tuple[str, str, str]:
     try:
-        return label, "PASS", fn()
+        return label, "PASS", check(*args)
     except Exception as exc:  # noqa: BLE001 - verdicts must not abort the run
         return label, "FAIL", f"{type(exc).__name__}: {exc}"
 
@@ -347,87 +321,77 @@ def _expect(cond: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def _check_table1(name: str, target: str, l: int | None) -> str:
+    # transform_long_cycle certifies that the trace ends at target.
+    trace = rewrite.transform_long_cycle(name, l=l)
+    expected = poly_str(_catalog_entry(target).charpoly, "t")
+    for row in trace.to_json_obj():
+        _expect(row["charpoly"] == expected, f"charpoly drifted at a step: {row['charpoly']}")
+    _expect(rewrite.replay(trace), "trace replay diverged")
+    return f"{len(trace.steps) - 1} moves, charpoly {expected} at every step, ends at {target}"
+
+
 def _suite_table1() -> list[tuple[str, str, str]]:
-    rows: list[tuple[str, str, int | None]] = [
-        (b, a, None) for b, a in rewrite.TABLE1.items()
+    return [_item(f"table1/{b}", _check_table1, b, a, None) for b, a in rewrite.TABLE1.items()] + [
+        _item(f"table1/Dl(b) l={l}", _check_table1, "Dl(b)", rewrite.cycle_a_name(l), l)
+        for l in (6, 8, 10, 12)
     ]
-    rows += [(f"Dl(b) l={l}", rewrite.cycle_a_name(l), l) for l in (6, 8, 10, 12)]
-    items = []
-    for label_name, target, l in rows:
-        def fn(label_name=label_name, target=target, l=l):
-            # transform_long_cycle certifies that the trace ends at target.
-            name = "Dl(b)" if l is not None else label_name
-            trace = rewrite.transform_long_cycle(name, l=l)
-            expected = poly_str(dg.catalog(target).charpoly, "t")
-            for row in trace.to_json_obj():
-                if row["charpoly"] != expected:
-                    raise AssertionError(f"charpoly drifted at a step: {row['charpoly']}")
-            _expect(rewrite.replay(trace), "trace replay diverged")
-            return (
-                f"{len(trace.steps) - 1} moves, charpoly "
-                f"{expected} at every step, ends at {target}"
-            )
-        items.append(_item(f"table1/{label_name}", fn))
-    return items
+
+
+def _check_tits_zero(d: dg.Diagram, coeffs, t) -> str:
+    value = dg.tits_value(d, coeffs, t)
+    _expect(value == 0, f"Tits form value {value}, not 0")
+    return f"B{tuple(coeffs)} = 0 at t = {int(t)}"
 
 
 def _suite_titsform() -> list[tuple[str, str, str]]:
-    items = []
-    for name, d, coeffs, t in dg.affine_patterns():
-        def fn(d=d, coeffs=coeffs, t=t):
-            value = dg.tits_value(d, coeffs, t)
-            _expect(value == 0, f"Tits form value {value}, not 0")
-            return f"B{tuple(coeffs)} = 0 at t = {int(t)}"
-        items.append(_item(f"titsform/{name}", fn))
-    return items
+    return [_item(f"titsform/{name}", _check_tits_zero, d, coeffs, t)
+            for name, d, coeffs, t in dg.affine_patterns()]
+
+
+def _check_group_order() -> str:
+    system, _ = rewrite.five_cycle_orientations()
+    n = oracle.weyl_group_order(system)
+    _expect(n == 1920, f"|W(D5)| computed as {n}")
+    return "|W(D5)| = 1920"
+
+
+def _check_orientation(r: int, expected: str) -> str:
+    system, orientations = rewrite.five_cycle_orientations()
+    result = rewrite.five_cycle_classify(r)
+    _expect(result.name == expected, f"classified as {result.name}, expected {expected}")
+    u = result.conjugator
+    w = weyl.evaluate(system, orientations[r])
+    _expect(mat_mul(u, w) == mat_mul(weyl.evaluate(system, result.word), u),
+            "the returned conjugator does not carry the orientation to the canonical word")
+    return f"orientation {r} lies in the class of {result.name}"
+
+
+def _check_partition() -> str:
+    system, orientations = rewrite.five_cycle_orientations()
+    w = {r: weyl.evaluate(system, word) for r, word in orientations.items()}
+    same_14 = oracle.are_conjugate(system, w[1], w[4])
+    same_23 = oracle.are_conjugate(system, w[2], w[3])
+    diff_12 = oracle.are_conjugate(system, w[1], w[2])
+    _expect(same_14.status == "conjugate", "orientations 1 and 4 split")
+    _expect(same_23.status == "conjugate", "orientations 2 and 3 split")
+    _expect(diff_12.status == "not-conjugate", "orientations 1 and 2 merged into one class")
+    return "the four orientations fall into exactly 2 classes (1~4, 2~3)"
 
 
 def _suite_fivecycle() -> list[tuple[str, str, str]]:
-    items = []
+    return [
+        _item("fivecycle/group-order", _check_group_order),
+        *(_item(f"fivecycle/orientation-{r}", _check_orientation, r, name)
+          for r, name in {1: "D5", 2: "D5(a1)", 3: "D5(a1)", 4: "D5"}.items()),
+        _item("fivecycle/partition", _check_partition),
+    ]
 
-    def order_item():
-        system, _ = rewrite.five_cycle_orientations()
-        n = oracle.weyl_group_order(system)
-        _expect(n == 1920, f"|W(D5)| computed as {n}")
-        return "|W(D5)| = 1920"
 
-    items.append(_item("fivecycle/group-order", order_item))
-
-    expected_names = {1: "D5", 2: "D5(a1)", 3: "D5(a1)", 4: "D5"}
-    for r in (1, 2, 3, 4):
-        def fn(r=r):
-            system, orientations = rewrite.five_cycle_orientations()
-            result = rewrite.five_cycle_classify(r)
-            _expect(
-                result.name == expected_names[r],
-                f"classified as {result.name}, expected {expected_names[r]}",
-            )
-            u = result.conjugator
-            w = weyl.evaluate(system, orientations[r])
-            _expect(
-                mat_mul(u, w) == mat_mul(weyl.evaluate(system, result.word), u),
-                "the returned conjugator does not carry the orientation "
-                "to the canonical word",
-            )
-            return f"orientation {r} lies in the class of {result.name}"
-        items.append(_item(f"fivecycle/orientation-{r}", fn))
-
-    def partition_item():
-        system, orientations = rewrite.five_cycle_orientations()
-        w = {r: weyl.evaluate(system, word) for r, word in orientations.items()}
-        same_14 = oracle.are_conjugate(system, w[1], w[4])
-        same_23 = oracle.are_conjugate(system, w[2], w[3])
-        diff_12 = oracle.are_conjugate(system, w[1], w[2])
-        _expect(same_14.status == "conjugate", "orientations 1 and 4 split")
-        _expect(same_23.status == "conjugate", "orientations 2 and 3 split")
-        _expect(
-            diff_12.status == "not-conjugate",
-            "orientations 1 and 2 merged into one class",
-        )
-        return "the four orientations fall into exactly 2 classes (1~4, 2~3)"
-
-    items.append(_item("fivecycle/partition", partition_item))
-    return items
+def _check_unique_class(sysname: str, diagname: str) -> str:
+    _expect(oracle.verify_unique_class(rootsys.build_by_name(sysname), diagname),
+            "realizations fall into more than one conjugacy class")
+    return f"every root subset realizing {diagname} gives one conjugacy class of W({sysname})"
 
 
 def _suite_uniqueness() -> list[tuple[str, str, str]]:
@@ -439,24 +403,23 @@ def _suite_uniqueness() -> list[tuple[str, str, str]]:
         ("E6", "E6(a1)"),
         ("E6", "E6(a2)"),
     )
-    items = []
-    for sysname, diagname in rows:
-        def fn(sysname=sysname, diagname=diagname):
-            system = rootsys.build_by_name(sysname)
-            _expect(
-                oracle.verify_unique_class(system, diagname),
-                "realizations fall into more than one conjugacy class",
-            )
-            return (
-                f"every root subset realizing {diagname} gives one "
-                f"conjugacy class of W({sysname})"
-            )
-        items.append(_item(f"uniqueness/{diagname} in {sysname}", fn))
-    return items
+    return [_item(f"uniqueness/{diagname} in {sysname}", _check_unique_class, sysname, diagname)
+            for sysname, diagname in rows]
+
+
+def _check_complement(sysname: str, expected: list[str]) -> str:
+    got = oracle.max_root_complement(rootsys.build_by_name(sysname))
+    _expect(got == expected, f"complement computed as {got}")
+    return f"highest-root complement is {'+'.join(expected)}"
+
+
+def _check_orbit_count(sysname: str, k: int, expected: int) -> str:
+    got = oracle.orthogonal_tuple_orbits(rootsys.build_by_name(sysname), k)
+    _expect(got == expected, f"counted {got} orbits, expected {expected}")
+    return f"{expected} orbit(s) of orthogonal {k}-sets"
 
 
 def _suite_orbits() -> list[tuple[str, str, str]]:
-    items = []
     complement_rows = (
         ("E6", ["A5"]),
         ("A5", ["A3"]),
@@ -467,26 +430,15 @@ def _suite_orbits() -> list[tuple[str, str, str]]:
         ("D5", ["A3", "A1"]),
         ("D7", ["D5", "A1"]),
     )
-    for sysname, expected in complement_rows:
-        def fn(sysname=sysname, expected=expected):
-            system = rootsys.build_by_name(sysname)
-            got = oracle.max_root_complement(system)
-            _expect(got == expected, f"complement computed as {got}")
-            return f"highest-root complement is {'+'.join(expected)}"
-        items.append(_item(f"orbits/complement {sysname}", fn))
-
     orbit_rows = (
         ("E6", 2, 1), ("D5", 2, 2), ("D6", 2, 2), ("E6", 3, 1), ("E7", 3, 2),
     )
-    for sysname, k, expected in orbit_rows:
-        def fn(sysname=sysname, k=k, expected=expected):
-            system = rootsys.build_by_name(sysname)
-            got = oracle.orthogonal_tuple_orbits(system, k)
-            _expect(got == expected, f"counted {got} orbits, expected {expected}")
-            return f"{expected} orbit(s) of orthogonal {k}-sets"
-        items.append(_item(f"orbits/{sysname} k={k}", fn))
-
-    return items
+    return [
+        *(_item(f"orbits/complement {sysname}", _check_complement, sysname, expected)
+          for sysname, expected in complement_rows),
+        *(_item(f"orbits/{sysname} k={k}", _check_orbit_count, sysname, k, expected)
+          for sysname, k, expected in orbit_rows),
+    ]
 
 
 _CYCLES = (
@@ -525,16 +477,11 @@ def _style_desc(edges, mask: int) -> str:
     return "dotted " + ",".join(dotted)
 
 
-def _empty_item(label: str, sysname: str, n: int, edges, mask: int):
-    def fn():
-        system = rootsys.build_by_name(sysname)
-        found = oracle.find_subsets(
-            system, dg.styled_diagram(n, edges, mask), limit=1
-        )
-        _expect(not found, f"realized by {len(found)} root subset(s)")
-        return "certified empty: no independent root subset realizes it"
-
-    return _item(label, fn)
+def _check_empty(sysname: str, n: int, edges, mask: int) -> str:
+    system = rootsys.build_by_name(sysname)
+    found = oracle.find_subsets(system, dg.styled_diagram(n, edges, mask), limit=1)
+    _expect(not found, f"realized by {len(found)} root subset(s)")
+    return "certified empty: no independent root subset realizes it"
 
 
 def _suite_parity() -> list[tuple[str, str, str]]:
@@ -546,8 +493,8 @@ def _suite_parity() -> list[tuple[str, str, str]]:
                 for mask in masks:
                     desc = (_style_desc(edges, mask) if every_class
                             else "all-solid class (even dotted count)")
-                    items.append(_empty_item(f"parity/{sysname} {text}, {desc}",
-                                             sysname, n, edges, mask))
+                    items.append(_item(f"parity/{sysname} {text}, {desc}",
+                                       _check_empty, sysname, n, edges, mask))
     return items
 
 
@@ -679,7 +626,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # help printed, or a usage error reported
             status = int(exc.code) if exc.code else 0
         else:
-            status = args.func(args)
+            status, text = args.func(args)
+            print(text)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return status
     except BrokenPipeError:

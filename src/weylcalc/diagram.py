@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 
 from . import rootsys
 from .exactla import (
-    LeadingMinors,
     Matrix,
     Poly,
     Vector,
@@ -229,15 +228,9 @@ def _realized(
 ) -> tuple[Diagram, list[list[int]]]:
     """:func:`from_roots` and the doubled-integer Gram matrix it is read off."""
     rr = [tuple(r) for r in roots]
-    g = system.int_gram(rr)
-    edges = []
-    minors = LeadingMinors()
-    for j, row in enumerate(g):
-        col = row[:j]
-        if not minors.push(col, row[j]):
-            raise ValueError(f"the roots are linearly dependent: "
-                             f"{system.format_root(rr[j])} depends on the roots before it")
-        edges += [(i, j, DOTTED if x > 0 else SOLID) for i, x in enumerate(col) if x]
+    g = system.independent_gram(rr)
+    edges = [(i, j, DOTTED if x > 0 else SOLID)
+             for j, row in enumerate(g) for i, x in enumerate(row[:j]) if x]
     long = system.int_long_norm
     longs = tuple(row[j] == long != system.int_short_norm for j, row in enumerate(g))
     return make_diagram(len(rr), edges, longs=longs, labels=labels), g

@@ -160,29 +160,27 @@ class LabeledDiagram:
 class _SubsetIndex:
     """Pairwise inner-product tables over sign-class reps, as bitmasks.
 
-    ``inner`` holds integer inner products of doubled coordinates (four
-    times the Fraction ones).  ``adj_mask`` and ``orth_mask`` split the
-    other reps into non-orthogonal and orthogonal ones, and ``pos_mask``
-    holds the reps at a positive inner product.  Two adjacent roots of
-    given lengths meet at one angle up to sign (their Cartan numbers are
-    integers of size below 2), so adjacency and the length classes fix
-    the magnitude of their inner product.
+    ``adj_mask`` and ``orth_mask`` split the other reps into
+    non-orthogonal and orthogonal ones, and ``pos_mask`` holds the reps at
+    a positive inner product.  Two adjacent roots of given lengths meet at
+    one angle up to sign (their Cartan numbers are integers of size below
+    2), so adjacency and the length classes fix the magnitude of their
+    inner product.
     """
 
     def __init__(self, system: RootSystem):
         reps = system.sign_class_reps()
         m = len(reps)
-        self.reps = reps
-        self.inner = system.int_gram(reps)
+        inner = system.int_gram(reps)
         self.orth_mask = [0] * m
         self.adj_mask = [0] * m
         self.pos_mask = [0] * m
         for i in range(m):
             for j in range(m):
                 if i != j:
-                    if self.inner[i][j]:
+                    if inner[i][j]:
                         self.adj_mask[i] |= 1 << j
-                        if self.inner[i][j] > 0:
+                        if inner[i][j] > 0:
                             self.pos_mask[i] |= 1 << j
                     else:
                         self.orth_mask[i] |= 1 << j

@@ -40,7 +40,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from typing import Sequence, Tuple
 
-from .exactla import Vector, gram_positive_definite, idot, solve
+from .exactla import LeadingMinors, Vector, gram_positive_definite, idot, solve
 
 IntVector = Tuple[int, ...]
 
@@ -223,6 +223,18 @@ class RootSystem:
                 g[i][j] = g[j][i] = idot(a, lattice[j])
         return g
 
+    def independent_gram(self, roots: Sequence[Vector]) -> list[list[int]]:
+        """:meth:`int_gram` of a linearly independent root list, proved
+        independent by its leading minors (positive definiteness);
+        ValueError naming the first root that depends on the roots before it."""
+        g = self.int_gram(roots)
+        minors = LeadingMinors()
+        for j, row in enumerate(g):
+            if not minors.push(row[:j], row[j]):
+                raise ValueError(f"the roots are linearly dependent: "
+                                 f"{self.format_root(roots[j])} depends on the roots before it")
+        return g
+
     def reflection_images(self, root: Vector) -> list[int]:
         """Index of ``s_root(roots[i])`` for every ``i`` (ValueError for a
         non-root); ``weyl.PermSpace`` asks it for the simple roots only."""
@@ -309,7 +321,7 @@ class RootSystem:
         roots not a minority in B.  The first family wins, so the
         smallest-rank name: ``A3``, never ``D3``; ``B2``, never ``C2``."""
         lattice = [self.int_roots[self.index(s)] for s in simple]
-        g = [[idot(a, b) for b in lattice] for a in lattice]
+        g = self.int_gram(simple)
         linked = {0}
         for _ in g:  # grow the Dynkin component of simple[0]
             linked |= {j for j, row in enumerate(g) if any(row[i] for i in linked)}

@@ -34,7 +34,6 @@ from .exactla import (
     Vector,
     charpoly,
     cyclotomic_factors,
-    gram_positive_definite,
     idot,
     identity,
     integer_matrix,
@@ -127,9 +126,7 @@ def int_word_matrix(system: RootSystem, word: Sequence[Vector]) -> list[list[int
     leading minors also settle independence (positive definiteness); the
     Cartan numbers of roots are integers, so every entry is an int.
     """
-    gram = system.int_gram(word)
-    if not gram_positive_definite(gram):
-        raise ValueError("word roots are linearly dependent")
+    gram = system.independent_gram(word)
     return int_word_matrix_from_gram(gram, range(len(gram)))
 
 

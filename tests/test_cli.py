@@ -143,6 +143,12 @@ def test_dependent_root_list_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and "linearly dependent" in err
 
 
+@pytest.mark.parametrize("verb,flag", [("charpoly", "--word"), ("diagram", "--roots")])
+def test_a_dependent_word_names_its_dependent_root(capsys, verb, flag):
+    assert run_capture(capsys, [verb, "--system", "D4", flag, "e1-e2,e1-e2"]) == (
+        2, "", "error: the roots are linearly dependent: e1-e2 depends on the roots before it\n")
+
+
 def test_transform_json(capsys):
     code, out, _ = run_capture(capsys, ["transform", "dl:6"])
     assert code == 0
@@ -444,6 +450,161 @@ def test_pretty_text(capsys, argv):
     assert (code, out, err) == (0, PRETTY_TEXTS[argv], "")
 
 
+# SHA-256 pins recorded before verbs returned their text to ``cli.run``,
+# which alone writes stdout: every output must stay byte-identical.
+# ``weylcalc [VERB] --help`` under COLUMNS=80 ("" is the top-level help),
+# recorded under Python 3.11, whose argparse layout other versions may not share.
+HELP_SHA256 = {
+    "": "449e231bcfe5b23c78325db3161e2c90a3f104026157b2190ae0cb7760ff5bd3",
+    "rootsys": "a06ef2c0543105b77821ca3a08be1c0d49143daa0683f99a0f4a0ef26fe51bc7",
+    "charpoly": "9e0b9a53420dc5d354a79eab040c11da5a17a0e456f553ded62d6232ac4f8275",
+    "diagram": "94ddc8f532498e9025fc512db1f203a50a11176b07049bce7684e4fed16ead00",
+    "transform": "609ee60601f57c36895c487f8976cb1c7006a8888f7f2838afc3d7ad86e39766",
+    "verify": "6e6c857d66499f20e7e788cf85fecb257602346b65a00b7160192d96522ec56e",
+    "orbits": "4ffaa3a881203acffbf23f556d9b5923e798fa08e32c71168e862ea8fba08112",
+    "catalog": "022f311d5c9b1e1869439774f228ad7922cb294b97777f5249da8232a2a45efc",
+    "render-dot": "ef3245f4b8786056a0f466513ea564506ca4af33397ae3045fe0e5ca387b69b1",
+}
+
+# Per catalog entry: ``catalog NAME --pretty``, then ``render-dot --name NAME``.
+CATALOG_TEXT_SHA256 = {
+    "A1": "9e1015738de3c1079c3fc79eb7737197793094e1c6560571b9716f3948cebd55",
+    "A2": "5e3e8f7fa3c9e11226d16aa4935e7167699ec1499a9e93dd58f94e8ab1042aff",
+    "A3": "6fd570639fbc62fb5c15659fc567d80589c0b885d17bced40e1330e5237989b9",
+    "A4": "b48d8ac6eb433144fa01eea5372dcaaabd942396c165beece0c128aebf1a4673",
+    "A5": "186bb25fb1b2eb4be2e949006bf34c3cd223bc1060baf6c496c1deb6b79c930f",
+    "A6": "f31369b7dcf6fb65ea83861c8b4de09eaf28c611c710a25cb444c3be438e0970",
+    "A7": "dc1f58d8de963e635277e29479614c1907404dfae376f9b830798c9541405c15",
+    "A8": "7dacbf111f00a7183c291e44f94b3ce5e0a778997d7244d26b2558a3baeafa24",
+    "D4": "f9372b519372c73e00a0387040cae2f8e7887300959d874abe483ee5baf4619e",
+    "D5": "3b9a465d19d34e4b552879bb04b4591b02d835870bd766ae1a67eca50b12689d",
+    "D6": "816853d1b67a0f8dcfe2feb6bb9c374bfc197e1e9dbbdd220978391d25eb1c53",
+    "D7": "b22244d54c49e3d589f1ae4398ac8cde6799adb025ee7026f7858fa5150c2cd1",
+    "D8": "d2248a6e412e76c58f8b707bf7bd161bb01b2e0205dd4a94b584bd4d34c7f9b5",
+    "E6": "f3550f8489ea6d50ab43463b91a3db07203042dfdc138ce6e842c8485b9ef238",
+    "E7": "331b677dab33df9bce4d52f95634f979085ddb5d28c1ee992af839c0956def0a",
+    "E8": "8e1a8e5b6b7bc5dc45f28850abc3dd7a75cad4d29501dec40d164866d782e885",
+    "D4(a1)": "539cd650f0e208864b365ae5d170d793f0a52fb119949bf9ba4387fba1ce3f38",
+    "D5(a1)": "44c82ec3f82c3849d12825c6f0f18ea0fb2409c238e06a068911209e2d117e83",
+    "D6(a1)": "4a01aeba30a83e11a77a3ac362fe89f1a0e742e3e83b0a64c5d52b51f39ba327",
+    "D7(a1)": "0f05420ef1b143b3e2dfca447534196911dd3eb2680b8e7a7ff440bd4408dc09",
+    "D7(a2)": "a17a95ea2f80fb2894eeb676d7ea3de9a7014a4407feaaf380c6cd25a182f47c",
+    "D8(a1)": "71cb4a7768bb3d71836dda59ad3c0162802685edfd8155e6f1be514d720f180c",
+    "D8(a2)": "6eb17c43d9787eb23ecbf58fa0967b35e2b57d08a8d3e90c4c6263fb3f79ce2c",
+    "D8(a3)": "d04c5d420871393c0626700b72bfb12a9e43cf4926469ebc4ed884d9eb178fb7",
+    "D9(a1)": "1aaf06024467c4b3c0eda426261ce7ade8a9da7a27917263dc694545d5e6bb8c",
+    "D9(a2)": "0138cafbfbca81c1e7f9aa2c23363df4cf05183abe4b80c29b52eae7285dc055",
+    "D9(a3)": "e2b3dbc0499eefc448a738a1c7c71727bc6aec4133671ac56f8726df51f36d0d",
+    "D10(a1)": "eead78f79575b09a1a256d286ca85a2a87e843c78c1dc26721bed7790ae27be0",
+    "D10(a2)": "1452d2e6053b935a924445a42be9581440cda7886f1a6c2b2932c0740d1493dc",
+    "D10(a3)": "f0de5bbf8287d04400387fc28e92fdcb378a9174be75cfd98c4fb1a2ea32c3a5",
+    "D10(a4)": "f39bd80bde8ee3f57ea53dc2d36d91e200ea231142e4f4a20df09919b89c4a1f",
+    "D11(a1)": "30067b063e7ca9397e446fda0c77bfa7d1d4dfb7a4f3cef388043ccf1cd61020",
+    "D11(a2)": "5c7e78a51c3c68527dc662d64cf2d3fbc8f9e270c111f3cdc624bf35a0b53037",
+    "D11(a3)": "0528e860b232ac55baa387f29b620397b340d04d09c55e65ba916949773f12c4",
+    "D11(a4)": "071e93ca836b620aa7a5da0574756923a63bf20d4cd9d782db2c409874cb6d2c",
+    "D12(a1)": "fbe62f07cf268e5df0aefd481472ba3e1a4e8f6d4b9fd08fa8c87153f59e69b2",
+    "D12(a2)": "80db250e4dd39511e85f1eaac95d8dc4662a88efd98a7941784f36c787d5bb91",
+    "D12(a3)": "2c8f9d5c15d6ce9f138598ab89311c011fdeb58a00f9fc1c409685b0e02f0dbf",
+    "D12(a4)": "b1d0d5b080d698900478b6758e091000df2f7c7167a9fb3edbd7cb73eb42c551",
+    "D12(a5)": "22328afc20c43989ca8885d644f35af8657c84c8254435f3617a237c791ce5a8",
+    "D13(a1)": "96f242d1dba1e2cc70ddcaf7eac73db041ff6593e4761146b102a80c79759ce7",
+    "D13(a2)": "7e0714917a8f70226b9713a8b0ce7499f777ad2e8ec83c8f9cc0385f8ecf0580",
+    "D13(a3)": "2a466e121aeadfc71c838fd25ac7ddbe2356a94e4a12b2c5f1773e5453e2b57c",
+    "D13(a4)": "19acdbea16bde64e5cb653f6b9ad4ffff7949ff23ba8f974d7833fa54c837507",
+    "D13(a5)": "2dd0af7d44aebf8c535c4c35a726a615af13a50f1f46c130272b412b5bf7683b",
+    "D14(a1)": "536e43e65f5e7d443a007258e7b1a423b6951640b9efbb55beb75b3f7233407c",
+    "D14(a2)": "23da02359c0f18241fa65e44b80d7e7b88b59ca8256ab64fb2be44653bca09d9",
+    "D14(a3)": "62d06f2fac63ec54f964347d159d74aab60c87974d8dd65c6ba0650757cb9c69",
+    "D14(a4)": "d71b2b1638491a83a7810573cc55c99bc1b162cdbfb6b5e14ca2a735a38758d5",
+    "D14(a5)": "892e28892ba35058809dc4638584abbfb2b91a407bf9994934e7f889340292fe",
+    "D14(a6)": "f42600c60288b8e98f4cd0b133735b695d2bd550ae04061f0e054c5d8d45943d",
+    "D15(a1)": "863b9386ce3e3be0f7c6ce853f4f0d1c8d8e7c494efd0e756822e4f6decc7588",
+    "D15(a2)": "918b804fadd4ff804fbe0b929622c2e7d1575c9c539674b91300fc26f155f047",
+    "D15(a3)": "21c8c077db52d233ac82f301d1b5d3312a72269ba295c2c8b9a70d9c91e6f060",
+    "D15(a4)": "312151332e5fe830a880870cf423a8c6af511b00f98f2d6386ebb005de66b225",
+    "D15(a5)": "c9de56a5835f223fc2a56cea5b9bbd0c60ac49f34b40bd1d63024cf8bf820a45",
+    "D15(a6)": "a77646d9654b849e02a80424046c25e14f207ce6d35823ccac6afd823947c348",
+    "D16(a1)": "1f99305cdf007862c598b3bbbaee0da149d91bb3aa9f2acf25f01a2376306b92",
+    "D16(a2)": "b7c3cd1ad97e6ea373369895c19253c242cd2f0fd0b4dd30338783b185069ff5",
+    "D16(a3)": "cb3ce0b00c81873225a3bb3562673265064e6908053654110ab72034ae3159b7",
+    "D16(a4)": "ed7ac2c4a9aabd2fe6b188665b679112e1efefb041830b59024430155609002c",
+    "D16(a5)": "6ad3378a87d09062e87642fd64b16979e7a27a2a2638916c000dc45159c57dcf",
+    "D16(a6)": "46ba59cbcad43d9baacc8fee2f447ff19b44d56cc348cf8507c56b6bd3015ed2",
+    "D16(a7)": "8b10acac3e3beb3f2f23aa7b16f21889ada4da882c7dce46ca9dc5e069649c79",
+    "D8(b3)": "6aa6d4d5d6abe051c0e283ba2151e1949ce974f5133b7fa8a0b611632664e0fb",
+    "D10(b4)": "4865e78d194139a23fd13f1d03e1a91cb11c7a83137bbabaaa7f38b4eddf6e9f",
+    "D12(b5)": "27b41de664920aaf8fde3e51b015247658ac8f02b006a08c43c28d2ac2e0bf28",
+    "D14(b6)": "0a84468e9e842ede615c98d85be4c6e83e03b9d943c1fb175a5f5322593b6efd",
+    "D16(b7)": "d4b9accecbf163f1e322ff5522d622d230f67b75faae677df7140e3df625ed23",
+    "E8(a3)": "6ee0e7c40c7971962d4563b965ee3dd5228b1bad6fa9996a250f8e196fd9e697",
+    "E8(b3)": "be9f88781174ec8bcc3f83873460dfa0ea4b1da37d5bacc9896df4fe118ad07f",
+    "E7(a2)": "62e66efe29d1af8c8ce582cd2e825f930848f3866a3ea59b075b042b86f6cfc0",
+    "E7(b2)": "6d66930a2a47aaeb9e3736f497ff36c1ef11557831a1208b104033984c7ab401",
+    "D6(a2)": "f8dd986e10219fde0b6ae48ff1b2cc516f51049fd9936945e29133c48110f183",
+    "D6(b2)": "ae63b3264a8088f7dc8aa18017e4ad9abfdddad4c041155978e84ffd8d45fd2c",
+    "E6(a1)": "89f08485d29dfcaafff3f87d5c5bf3fcd19bf998282e368b36050068cf99f100",
+    "E6(a2)": "ef7af0a5ed35732e70a01e8f663df9133ab4e39d4547ffe9cafd2b35bb86bbf7",
+    "E8(b5)": "14a6f971340354b6a3718a9dfd55494c613af4adb55254916f44a6127f3f2856",
+    "E8(a5)": "581011151ecf8bf16394bee12f69781726c4ba86abe43ea4069ed90685025c4d",
+}
+
+# ``rootsys F N``, then ``rootsys F N --pretty``.
+ROOTSYS_SHA256 = {
+    "A1": "a23e6f744ac60574b5c681a579159aadc6fe7d245092eb205e292cadb140c43c",
+    "B3": "3f2f1f81c8adbc070da47f0f9263518bf0d2ed4a743414b0eba79a7f4b1f59ef",
+    "D4": "249d1e26a97e3dba8b771d5e551cca7548ad32f57bc79cec65bff891c24590bf",
+    "E8": "e6d9ed4aa958ffb59ab6fb7c434335d53ca26a352d1a80cb77e5207dd68ea64d",
+    "G2": "79381d116852b4bcba2777518b282b02bb7c399fff30db81918f33fb59981b05",
+}
+
+# ``orbits --system S --k K``, then the same with ``--pretty``.
+ORBITS_SHA256 = {
+    ("D5", 2): "1169ba3114646d4e787035911508d435f89669ebfdaf6d04ba6cef6867169237",
+    ("E6", 3): "5b4df3b05049beb544b48566db2c0e6fc2904d353a1541374399b29e05e76142",
+}
+
+
+def stdout_sha256(capsys, *argvs):
+    """SHA-256 of the concatenated stdout of the commands, each exit 0."""
+    text = ""
+    for argv in argvs:
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0, argv
+        text += out
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pins recorded under Python 3.11")
+@pytest.mark.parametrize("verb", HELP_SHA256)
+def test_help_is_pinned(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [verb, "--help"] if verb else ["--help"]
+    assert stdout_sha256(capsys, argv) == HELP_SHA256[verb]
+
+
+def test_catalog_text_pins_cover_the_catalog():
+    assert list(CATALOG_TEXT_SHA256) == list(dg.catalog_names())
+
+
+@pytest.mark.parametrize("name", CATALOG_TEXT_SHA256)
+def test_catalog_pretty_and_render_dot_are_pinned(capsys, name):
+    assert stdout_sha256(capsys, ["catalog", name, "--pretty"],
+                         ["render-dot", "--name", name]) == CATALOG_TEXT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ROOTSYS_SHA256)
+def test_rootsys_json_and_pretty_are_pinned(capsys, name):
+    argv = ["rootsys", name[0], name[1:]]
+    assert stdout_sha256(capsys, argv, [*argv, "--pretty"]) == ROOTSYS_SHA256[name]
+
+
+@pytest.mark.parametrize("system,k", ORBITS_SHA256)
+def test_orbits_json_and_pretty_are_pinned(capsys, system, k):
+    argv = ["orbits", "--system", system, "--k", str(k)]
+    assert stdout_sha256(capsys, argv, [*argv, "--pretty"]) == ORBITS_SHA256[(system, k)]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["diagram", "--system", "D4", "--roots", "e1-e2,,e3-e4"],
      "error: empty entry in the root list\n"),
@@ -526,6 +687,8 @@ def test_verify_items_catch_failures():
     assert "ZeroDivisionError" in detail
     label, status, detail = cli._item("probe", lambda: "fine")
     assert (label, status, detail) == ("probe", "PASS", "fine")
+    assert cli._item("probe", "{}-{}".format, "a", "b") == ("probe", "PASS", "a-b")
+    assert cli._item("probe", divmod, 1, 0)[:2] == ("probe", "FAIL")
 
 
 @pytest.mark.parametrize("exc, prefix", [

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
-from weylcalc import oracle, rewrite
+from weylcalc import rewrite
 from weylcalc.exactla import (
     MERSENNE_EXPONENTS,
     LeadingMinors,
@@ -415,17 +415,18 @@ def test_leading_minors_match_sylvester(name, data):
     (which ``find_subsets`` applies once, to the target's own Gram matrix),
     and the per-candidate reference search in ``tests/test_oracle.py``."""
     system = build_by_name(name)
-    idx = oracle._subset_index(system)
-    m = len(idx.reps)
+    reps = system.sign_class_reps()
+    inner = system.int_gram(reps)
+    m = len(reps)
     picks = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=system.rank + 1))
     minors = LeadingMinors()
     chosen = []
     for pos in picks:
-        roots = [idx.reps[p] for p in chosen + [pos]]
+        roots = [reps[p] for p in chosen + [pos]]
         gram = [[ref_dot(a, b) for b in roots] for a in roots]
         expected = ref_positive_definite(gram)
         assert gram_positive_definite(gram) == expected
-        row = idx.inner[pos]
+        row = inner[pos]
         assert minors.push([row[p] for p in chosen], row[pos]) == expected
         if not expected:
             break

@@ -393,6 +393,8 @@ def reference_find_subsets(system, target, limit=None):
     if k > system.rank:
         return []
     idx = _subset_index(system)
+    reps = system.sign_class_reps()
+    inner = system.int_gram(reps)
     adj = target.adjacency
     visit, remaining = [], set(range(k))
     while remaining:
@@ -405,12 +407,12 @@ def reference_find_subsets(system, target, limit=None):
     def descend(depth, used, minors):
         if depth == k:
             if used in seen or dg.two_coloring(k, [
-                (a, b, (idx.inner[chosen[slot[a]]][chosen[slot[b]]] > 0) != (style == dg.DOTTED))
+                (a, b, (inner[chosen[slot[a]]][chosen[slot[b]]] > 0) != (style == dg.DOTTED))
                 for a, b, style in target.edges
             ]) is None:
                 return False
             seen.add(used)
-            results.append(LabeledDiagram(system, tuple(len(idx.reps) + chosen[s] for s in slot)))
+            results.append(LabeledDiagram(system, tuple(len(reps) + chosen[s] for s in slot)))
             return limit is not None and len(results) >= limit
         v = visit[depth]
         cand = (idx.long_mask if target.longs[v] else idx.short_mask) & ~used
@@ -421,7 +423,7 @@ def reference_find_subsets(system, target, limit=None):
         for pos in range(cand.bit_length()):
             if not cand >> pos & 1:
                 continue
-            row = idx.inner[pos]
+            row = inner[pos]
             grown = LeadingMinors()
             grown.elim, grown.minors = list(minors.elim), list(minors.minors)
             if grown.push([row[p] for p in chosen], row[pos]):

@@ -22,6 +22,39 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _stdout_writes(source: str) -> list[str]:
+    """``scope:line`` of each ``print`` call and each ``sys.stdout`` in a
+    module outside ``run`` and ``_Parser.print_help``."""
+    tree = ast.parse(source)
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{getattr(item, 'name', '')}", item) for item in node.body]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    return [
+        f"{name}:{sub.lineno}"
+        for name, node in scopes if name not in ("run", "_Parser.print_help")
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id == "print")
+        or (isinstance(sub, ast.Attribute) and sub.attr == "stdout"
+            and isinstance(sub.value, ast.Name) and sub.value.id == "sys")
+    ]
+
+
+def test_cli_run_is_the_only_stdout_writer():
+    """In ``cli``, only ``run`` calls ``print`` or touches ``sys.stdout``
+    (argparse's help goes through ``_Parser.print_help``): each verb
+    returns its text."""
+    assert _stdout_writes(
+        "import sys\ndef run():\n    print(1)\ndef f():\n    def g():\n        print(2)\n"
+        "    sys.stdout.write('x')\nclass _Parser:\n    def print_help(self):\n"
+        "        sys.stdout.write('h')\n    def exit(self):\n        print(3)\n"
+        "print(4)\n") == ["f:6", "f:7", "_Parser.exit:12", "<module>:13"]
+    assert _stdout_writes((PACKAGE / "cli.py").read_text()) == []
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
