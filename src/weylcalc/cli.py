@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 from . import diagram as dg
@@ -114,7 +114,42 @@ def _answer(args, obj: Callable[[], dict], pretty: Callable[[], Iterable[str]]):
     ``--pretty``, else ``obj()`` as JSON.  Only the answer is built."""
     if args.pretty:
         return 0, "\n".join(pretty())
-    return 0, json.dumps(obj(), indent=2)
+    return 0, _json(obj())
+
+
+#: The JSON text of each scalar type, by exact type.
+_SCALARS: dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str
+    keys, lists, tuples, str, int, bool and None; any other value is a
+    TypeError.  ``json`` writes ``indent`` in pure Python; this writer
+    joins the lines itself and puts strings through the C encoder that
+    ``json`` uses without ``indent``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        # the encoder raises TypeError for a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: "
+                 + (f(v) if (f := _SCALARS.get(type(v))) else _json(v, inner))
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [f(v) if (f := _SCALARS.get(type(v))) else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, str):  # a subclass
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):  # a subclass; bool has none
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -90,11 +90,23 @@ class Diagram:
         toward the smaller of that vertex's two cycle neighbors.
         """
         adj = self.adjacency
+        # Every chordless cycle lies in the 2-core: strip degree < 2 first.
+        core, degree = set(range(self.n)), list(map(len, adj))
+        stack = [v for v in core if degree[v] < 2]
+        while stack:
+            v = stack.pop()
+            if v in core:
+                core.remove(v)
+                for w in adj[v] & core:
+                    degree[w] -= 1
+                    if degree[w] < 2:
+                        stack.append(w)
+        nbrs = {v: sorted(adj[v] & core) for v in core}
         found = []
 
         def extend(path: list[int], members: set[int]) -> None:
             s, u = path[0], path[-1]
-            for w in sorted(adj[u]):
+            for w in nbrs[u]:
                 if w in members or w < s:
                     continue
                 touches = adj[w] & members
@@ -120,7 +132,7 @@ class Diagram:
                 path.pop()
                 members.remove(w)
 
-        for s in range(self.n):
+        for s in nbrs:
             extend([s], {s})
         return tuple(sorted(found, key=lambda c: (len(c), c)))
 
@@ -219,8 +231,21 @@ def from_roots(
     """Diagram of a root list: edge where the inner product is nonzero.
 
     Raises ValueError unless the roots are independent (their Gram matrix
-    positive definite): a repeated or dependent list has no diagram."""
-    return _realized(system, roots, labels)[0]
+    positive definite): a repeated or dependent list has no diagram.
+    Without labels the diagram comes from a bounded cache keyed on the
+    roots' positions in ``system.roots``, so a repeated list gets the same
+    ``Diagram`` back, with the facts it has made."""
+    if labels is not None:
+        return _realized(system, roots, labels)[0]
+    return _indexed_diagram(system, tuple(system.index(tuple(r)) for r in roots))
+
+
+@lru_cache(maxsize=256)
+def _indexed_diagram(system: RootSystem, idx: tuple[int, ...]) -> Diagram:
+    """:func:`from_roots` of ``system.roots[i]`` for ``i`` in ``idx``.  An
+    ``lru_cache`` keeps no exception, so a dependent list is refused, with
+    the same message, on every call."""
+    return _realized(system, [system.roots[i] for i in idx], None)[0]
 
 
 def _realized(
@@ -356,12 +381,20 @@ def _bicolored_charpoly_cached(longs: tuple[bool, ...], edges: tuple[Edge, ...],
     c = charpoly([[sum(map(mul, row, col)) for col in cols] for row in out])
     den = lcm(*(x.denominator for x in c))
     c = [x.numerator * (den // x.denominator) for x in c]
-    # coefficient of t^j: sum_k c_k * binom(2k + r, j - m + k)
-    return tuple(
-        Q(sum(c[k] * comb(2 * k + r, j - m + k)
-              for k in range(max(0, m - j), m + 1)), den)
-        for j in range(len(longs) + 1)
-    )
+    # Horner in (t+1)^2: p = c_m, then p = p (t+1)^2 + c_k t^(m-k) for k < m;
+    # each factor (t+1) shifts the ascending coefficient list and adds.
+    p = [c[m]]
+    for k in range(m - 1, -1, -1):
+        p = _times_t_plus_one(_times_t_plus_one(p))
+        p[m - k] += c[k]
+    for _ in range(r):
+        p = _times_t_plus_one(p)
+    return tuple(Q(x) for x in p) if den == 1 else tuple(Q(x, den) for x in p)
+
+
+def _times_t_plus_one(p: list[int]) -> list[int]:
+    """The ascending coefficients of ``(t + 1) * p``."""
+    return [a + b for a, b in zip(p + [0], [0] + p)]
 
 
 def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:

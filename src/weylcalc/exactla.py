@@ -175,8 +175,10 @@ def charpoly(a: Matrix) -> Poly:
                     new[k] -= f * y
         polys.append([x % p for x in new])
     half = p >> 1
-    return tuple(Q(c if c <= half else c - p, den ** (n - k))
-                 for k, c in enumerate(polys[n]))
+    coeffs = [c if c <= half else c - p for c in polys[n]]
+    if den == 1:
+        return tuple(map(Q, coeffs))
+    return tuple(Q(c, den ** (n - k)) for k, c in enumerate(coeffs))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

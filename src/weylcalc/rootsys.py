@@ -24,7 +24,8 @@ only: every other reflection is their W-conjugate, built there.
 
 This module is the integer boundary in both directions.  A root literal
 is parsed straight to doubled integers (``_parse_doubled``; ``parse_vector``
-halves its result) and ``parse_root`` hands out the interned ``roots[i]``.
+halves its result) and ``parse_root`` hands out the interned ``roots[i]``,
+keeping each literal that names a root with its index.
 A root is found by identity first: the system's own tuples (from
 ``roots``, ``parse_root``, the catalog, every rewrite move) map to their
 index through a table of ``id``s, built on first use and confirmed by
@@ -179,6 +180,8 @@ class RootSystem:
         self.short_norm = Q(self.int_short_norm, 4)
         self.long_norm = Q(self.int_long_norm, 4)
         self.ratio = Q(self.int_long_norm, self.int_short_norm)  # the integer t
+        #: literal -> root index, for literals ``parse_root`` has parsed
+        self._parsed: dict[str, int] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -348,10 +351,16 @@ class RootSystem:
 
     def parse_root(self, text: str) -> Vector:
         """The interned root a literal names; ValueError for a malformed
-        literal or a vector that is not a root."""
-        i = self.int_index.get(_parse_doubled(text, self.dim))
+        literal or a vector that is not a root.  A literal that names a
+        root is kept with its index, while fewer literals than roots are
+        kept, so a repeated literal is parsed once."""
+        i = self._parsed.get(text)
         if i is None:
-            raise ValueError(f"{text!r} is not a root of {self.name()}")
+            i = self.int_index.get(_parse_doubled(text, self.dim))
+            if i is None:
+                raise ValueError(f"{text!r} is not a root of {self.name()}")
+            if len(self._parsed) < len(self.roots):
+                self._parsed[text] = i
         return self.roots[i]
 
     @cached_property

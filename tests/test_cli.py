@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import weylcalc
 from weylcalc import cli, rewrite, rootsys
@@ -805,3 +807,30 @@ def test_readme_python_quick_start():
             exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
     assert len(want) == 3
     assert got == want
+
+
+# --------------------------------------------------------------------------
+# The JSON writer against json.dumps(value, indent=2).
+
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f aé€\U0001d11e')
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(-(10 ** 40), 10 ** 40) | JSON_TEXT)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(JSON_VALUES)
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0.0], {"a": {"b": float("nan")}}, {1, 2}, [frozenset()],
+    {1: "one"}, {None: 0}, {True: 0}, {(1,): 0}, {"a": [{2.5: 0}]}, b"bytes",
+], ids=repr)
+def test_the_json_writer_refuses_floats_sets_and_keys_that_are_not_str(value):
+    with pytest.raises(TypeError):
+        cli._json(value)

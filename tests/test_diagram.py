@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from weylcalc import cli, rewrite
 from weylcalc import diagram as dg
 from weylcalc.exactla import idot, poly_mul
-from weylcalc.rootsys import build_by_name, doubled
+from weylcalc.rootsys import RootSystem, build_by_name, doubled
 from weylcalc.rewrite import eliminate_4cycle, initial_state, word_charpoly
 from weylcalc.weyl import perm_space
 
@@ -514,17 +514,19 @@ def count_two_colorings(monkeypatch):
 def test_a_diagram_request_two_colours_its_diagram_once(monkeypatch, capsys):
     dg.catalog_names()  # the catalog's own checks are not counted
     dg._bicolored_charpoly_cached.cache_clear()
+    dg._indexed_diagram.cache_clear()
     calls = count_two_colorings(monkeypatch)
     argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3", "--pretty"]
-    for _ in range(2):  # the charpoly cache cold, then warm
+    for expected in (1, 0):  # cold, then the kept diagram with its bipartition
         calls.clear()
         assert cli.run(argv) == 0
         assert "identified: D4(a1)" in capsys.readouterr().out
-        assert len(calls) == 1
+        assert len(calls) == expected
 
 
 def test_a_long_cycle_transform_two_colours_once(monkeypatch):
     dg.catalog_names()
+    dg._indexed_diagram.cache_clear()
     calls = count_two_colorings(monkeypatch)
     rewrite.transform_long_cycle("D6(b2)")
     assert len(calls) == 1
@@ -537,3 +539,147 @@ def test_the_charpoly_cache_keeps_no_diagram_alive():
     del d
     gc.collect()
     assert ref() is None
+
+
+# --------------------------------------------------------------------------
+# Chordless cycles against the search started from every vertex, and the
+# diagrams ``from_roots`` keeps.
+
+
+def reference_cycles(d):
+    """The chordless-cycle search run from, and through, every vertex, with
+    no 2-core strip: ``Diagram.cycles`` must list the same cycles."""
+    adj = d.adjacency
+    found = []
+
+    def extend(path, members):
+        s, u = path[0], path[-1]
+        for w in sorted(adj[u]):
+            if w in members or w < s:
+                continue
+            touches = adj[w] & members
+            if len(path) == 1:
+                path.append(w)
+                members.add(w)
+                extend(path, members)
+                path.pop()
+                members.remove(w)
+                continue
+            closing = s in touches
+            allowed = {u, s} if closing else {u}
+            if touches - allowed:
+                continue
+            if closing:
+                if path[1] < w:
+                    found.append(tuple(path) + (w,))
+                continue
+            path.append(w)
+            members.add(w)
+            extend(path, members)
+            path.pop()
+            members.remove(w)
+
+    for s in range(d.n):
+        extend([s], {s})
+    return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
+@pytest.mark.parametrize("name", dg.catalog_names())
+def test_cycles_match_the_reference_on_the_catalog(name):
+    d = dg.catalog(name).diagram
+    fresh = dg.make_diagram(d.n, d.edges, longs=d.longs)  # no kept facts
+    assert fresh.cycles == reference_cycles(fresh) == d.cycles
+
+
+@st.composite
+def cycles_with_tails(draw, max_n=12):
+    """One or two cycles (the second on new vertices, hung from the first by
+    one shared vertex, one edge or nothing), up to two extra edges, and
+    pendant trees, with the vertices shuffled and every edge styled."""
+    edges = set()
+
+    def cycle(vertices):
+        edges.update((vertices[i - 1], vertices[i]) for i in range(len(vertices)))
+
+    n = draw(st.integers(3, 6))
+    cycle(list(range(n)))
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 5))
+        join = draw(st.sampled_from(["vertex", "edge", "apart"]))
+        if join == "vertex":
+            cycle([draw(st.integers(0, n - 1))] + list(range(n, n + m - 1)))
+            n += m - 1
+        else:
+            cycle(list(range(n, n + m)))
+            if join == "edge":
+                edges.add((draw(st.integers(0, n - 1)), n))
+            n += m
+    pairs = list(combinations(range(n), 2))
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    for v in range(n, draw(st.integers(n, max_n))):
+        edges.add((draw(st.integers(0, v - 1)), v))
+        n = v + 1
+    perm = draw(st.permutations(range(n)))
+    keyed = {tuple(sorted((perm[a], perm[b]))) for a, b in edges}
+    return dg.make_diagram(n, [(a, b, draw(st.sampled_from([dg.SOLID, dg.DOTTED])))
+                               for a, b in sorted(keyed)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cycles_with_tails())
+def test_cycles_match_the_reference_on_cycles_with_tails(d):
+    assert d.cycles == reference_cycles(d)
+
+
+def count_independent_grams(monkeypatch):
+    calls = []
+    independent_gram = RootSystem.independent_gram
+    monkeypatch.setattr(RootSystem, "independent_gram",
+                        lambda self, roots: calls.append(roots) or independent_gram(self, roots))
+    return calls
+
+
+def test_a_repeated_diagram_request_reuses_its_diagram(monkeypatch, capsys):
+    dg.catalog_names()
+    dg._indexed_diagram.cache_clear()
+    calls = count_independent_grams(monkeypatch)
+    argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3"]
+    outputs = []
+    for expected in (1, 0):
+        calls.clear()
+        assert cli.run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert len(calls) == expected
+    assert outputs[0] == outputs[1]
+    d4 = build_by_name("D4")
+    roots = [d4.parse_root(t) for t in ("e1-e2", "e3-e4", "e2-e3", "e2+e3")]
+    assert dg.from_roots(d4, roots) is dg.from_roots(d4, [tuple(r) for r in roots])
+    labelled = dg.from_roots(d4, roots, labels=("a", "b", "c", "d"))
+    assert labelled.labels == ("a", "b", "c", "d")
+    assert labelled.edges == dg.from_roots(d4, roots).edges
+
+
+def test_a_dependent_root_list_is_refused_alike_every_time():
+    d4 = build_by_name("D4")
+    roots = [d4.parse_root(t) for t in ("e1-e2", "e2-e3", "e1-e3")]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="linearly dependent") as exc:
+            dg.from_roots(d4, roots)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "e1-e3 depends on the roots before it" in messages[0]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not a root of D4"):
+            dg.from_roots(d4, [roots[0], (Q(1),) * 4])
+
+
+def test_the_diagram_cache_keeps_at_most_its_bound():
+    dg._indexed_diagram.cache_clear()
+    bound = dg._indexed_diagram.cache_info().maxsize
+    lists = [(s, (r,)) for s in (build_by_name("E8"), build_by_name("D16")) for r in s.roots]
+    assert len(lists) > bound
+    for system, roots in lists:
+        dg.from_roots(system, roots)
+        assert dg._indexed_diagram.cache_info().currsize <= bound
+    assert dg._indexed_diagram.cache_info().currsize == bound

@@ -444,3 +444,27 @@ def test_normalized_inner():
     assert s.normalized_inner(long_root, long_root) == 2
     assert s.is_long(long_root)
     assert not s.is_long(short_root)
+
+
+def test_parse_root_keeps_at_most_one_literal_per_root():
+    d4 = build_by_name("D4")
+    root = d4.parse_root("e1-e2")
+    assert root is d4.roots[d4.index(root)]
+    for text in ("e1-e2", "-e2+e1", " e1 - e2 ", "e1-e2"):
+        assert d4.parse_root(text) is root
+    for _ in range(2):  # a non-root is refused on every call, and not kept
+        with pytest.raises(ValueError, match="is not a root of D4"):
+            d4.parse_root("e1+e2+e3")
+    assert "e1+e2+e3" not in d4._parsed
+    a3 = RootSystem("A", 3)  # a fresh system, not the shared one
+    spellings = []
+    for r in a3.roots:
+        terms = [t if t[0] in "+-" else "+" + t
+                 for t in re.findall(r"[+-]?[^+-]+", a3.format_root(r))]
+        spellings += [(r, "".join(terms)), (r, "".join(reversed(terms))), (r, " ".join(terms))]
+    assert len({text for _, text in spellings}) == 3 * len(a3.roots)
+    for r, text in spellings:
+        assert a3.parse_root(text) is r
+        assert len(a3._parsed) <= len(a3.roots)
+    for r, text in spellings:  # kept or not, every spelling still names its root
+        assert a3.parse_root(text) is r
