@@ -16,6 +16,7 @@ ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
@@ -149,6 +150,16 @@ class Diagram:
                 comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
+    @cached_property
+    def colours(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's colour, which relabelling and switching keep: the
+        code ``2 * degree + long`` of the vertex, then its neighbours' codes,
+        sorted.  Equal colours are one shared tuple."""
+        adj = self.adjacency
+        code = [2 * len(a) + long for a, long in zip(adj, self.longs)]
+        return tuple([_shared_colour((c, *sorted(map(code.__getitem__, a))))
+                      for c, a in zip(code, adj)])
+
     def to_dict(self) -> dict:
         return {
             "vertices": [
@@ -173,6 +184,13 @@ class Diagram:
         labels = tuple(v.get("label", f"v{v['index']}") for v in verts)
         edges = [(e["source"], e["target"], e["style"]) for e in data["edges"]]
         return make_diagram(len(longs), edges, longs=longs, labels=labels)
+
+
+@lru_cache(maxsize=1024)
+def _shared_colour(colour: tuple[int, ...]) -> tuple[int, ...]:
+    """The first tuple equal to ``colour`` still kept: diagrams share their
+    vertex colours instead of each holding its own copies."""
+    return colour
 
 
 def _is_index(x) -> bool:
@@ -235,9 +253,10 @@ def from_roots(
     Without labels the diagram comes from a bounded cache keyed on the
     roots' positions in ``system.roots``, so a repeated list gets the same
     ``Diagram`` back, with the facts it has made."""
+    idx = tuple(system.index(tuple(r)) for r in roots)
     if labels is not None:
-        return _realized(system, roots, labels)[0]
-    return _indexed_diagram(system, tuple(system.index(tuple(r)) for r in roots))
+        return _realized(system, idx, labels)[0]
+    return _indexed_diagram(system, idx)
 
 
 @lru_cache(maxsize=256)
@@ -245,20 +264,24 @@ def _indexed_diagram(system: RootSystem, idx: tuple[int, ...]) -> Diagram:
     """:func:`from_roots` of ``system.roots[i]`` for ``i`` in ``idx``.  An
     ``lru_cache`` keeps no exception, so a dependent list is refused, with
     the same message, on every call."""
-    return _realized(system, [system.roots[i] for i in idx], None)[0]
+    return _realized(system, idx, None)[0]
 
 
 def _realized(
-    system: RootSystem, roots: Sequence[Vector], labels: Sequence[str] | None
+    system: RootSystem, idx: Sequence[int], labels: Sequence[str] | None
 ) -> tuple[Diagram, list[list[int]]]:
-    """:func:`from_roots` and the doubled-integer Gram matrix it is read off."""
-    rr = [tuple(r) for r in roots]
-    g = system.independent_gram(rr)
+    """:func:`from_roots` of the roots at positions ``idx`` in
+    ``system.roots``, and the doubled-integer Gram matrix it is read off.
+    The edges come out valid and sorted, so only labels a caller gives
+    are checked, by :func:`make_diagram`."""
+    g = system.independent_gram(idx)
     edges = [(i, j, DOTTED if x > 0 else SOLID)
-             for j, row in enumerate(g) for i, x in enumerate(row[:j]) if x]
+             for i, row in enumerate(g) for j, x in enumerate(row[i + 1:], i + 1) if x]
     long = system.int_long_norm
     longs = tuple(row[j] == long != system.int_short_norm for j, row in enumerate(g))
-    return make_diagram(len(rr), edges, longs=longs, labels=labels), g
+    if labels is not None:
+        return make_diagram(len(g), edges, longs=longs, labels=labels), g
+    return Diagram(longs, tuple(edges), _default_labels(len(g))), g
 
 
 def int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
@@ -351,12 +374,9 @@ def bicolored_word_order(d: Diagram) -> tuple[int, ...]:
     return x + y
 
 
-@lru_cache(maxsize=4096)
-def _bicolored_charpoly_cached(longs: tuple[bool, ...], edges: tuple[Edge, ...],
-                               parts: tuple[tuple[int, ...], ...], t: Q) -> Poly:
-    """``det(t - s_X s_Y)`` from the Cartan blocks between the two parts,
-    keyed on a diagram's fields and parts so that no cached entry keeps a
-    :class:`Diagram`, with the graph facts it holds, alive.
+def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:
+    """Characteristic polynomial of the diagram's bicolored element,
+    ``det(t - s_X s_Y)`` from the Cartan blocks between the two parts.
 
     Over the basis X then Y, ``s_X = [[-I, C], [0, I]]`` and
     ``s_Y = [[I, 0], [D, -I]]`` with ``C[x][y] = -2 g_xy / g_xx`` and
@@ -369,10 +389,12 @@ def _bicolored_charpoly_cached(longs: tuple[bool, ...], edges: tuple[Edge, ...],
     where ``c_k`` is the coefficient of ``x^k`` in ``charpoly(B)``, an m x m
     matrix with m <= n/2.  The Cartan numbers are integers unless ``t`` is
     not crystallographic, so the expansion runs on integers over the
-    common denominator of the ``c_k``.
+    common denominator of the ``c_k``.  The polynomial does not depend on
+    the bipartition chosen, the vertex order or sign flips.
     """
-    g = int_gram(Diagram(longs, edges, _default_labels(len(longs))), t)[0]
-    small, large = sorted(parts, key=len)
+    bicolored_word_order(d)  # refuses an odd cycle
+    g = int_gram(d, t)[0]
+    small, large = sorted(d.bipartition, key=len)
     m, r = len(small), len(large) - len(small)
     # B[u][w] = sum_v (2 g_uv / g_uu) (2 g_vw / g_vv); the two minus signs cancel.
     out = [[cartan_number(g[u][v], g[u][u]) for v in large] for u in small]
@@ -395,29 +417,6 @@ def _bicolored_charpoly_cached(longs: tuple[bool, ...], edges: tuple[Edge, ...],
 def _times_t_plus_one(p: list[int]) -> list[int]:
     """The ascending coefficients of ``(t + 1) * p``."""
     return [a + b for a, b in zip(p + [0], [0] + p)]
-
-
-def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:
-    """Characteristic polynomial of the diagram's bicolored element.
-
-    Independent of the bipartition choice, vertex order and sign flips,
-    so it serves as an invariant of the diagram's equivalence class.
-    """
-    bicolored_word_order(d)  # refuses an odd cycle
-    return _bicolored_charpoly_cached(d.longs, d.edges, d.bipartition, Q(t))
-
-
-def invariant(d: Diagram) -> tuple:
-    """Matching key for identify(): counts, (length class, degree) of each
-    vertex, cycle lengths, charpoly.
-
-    The length classes keep a diagram with long vertices from matching a
-    simply-laced one of the same shape.
-    """
-    adj = d.adjacency
-    vertices = tuple(sorted((d.longs[i], len(adj[i])) for i in range(d.n)))
-    cyc = tuple(sorted(len(c) for c in d.cycles))
-    return (d.n, vertices, cyc, bicolored_charpoly(d))
 
 
 def induced_subdiagram(d: Diagram, vertices: Sequence[int]) -> Diagram:
@@ -603,19 +602,22 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
 
 
 @lru_cache(maxsize=1)
-def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
-    """(entries by name, entry name by invariant), built and checked once.
+def _catalog() -> tuple[dict[str, CatalogEntry],
+                        dict[tuple, list[tuple[CatalogEntry, list[_Step]]]]]:
+    """(entries by name, entries by colour key with their search plans),
+    built and checked once.
     Each entry's Gram matrix, independence proof and chordless cycles are
     made once: putting the roots in word order permutes the diagram, and
     the word's product over the basis of the roots as listed has the
-    charpoly of the product over the word's own."""
+    charpoly of the product over the word's own.  No two entries are
+    :func:`equivalent`."""
     entries: dict[str, CatalogEntry] = {}
-    by_invariant: dict[tuple, str] = {}
+    by_key: dict[tuple, list[tuple[CatalogEntry, list[_Step]]]] = {}
     for name, system_name, roots, labels, stated in _catalog_specs():
         if name in entries:
             raise RuntimeError(f"duplicate catalog name {name}")
         system = rootsys.build_by_name(system_name)
-        d, g = _realized(system, roots, labels)
+        d, g = _realized(system, [system.index(r) for r in roots], labels)
         if not is_admissible(d):
             raise RuntimeError(f"catalog entry {name} is not admissible")
         if labels is None:
@@ -639,15 +641,14 @@ def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, str]]:
                 f"catalog entry {name}: abstract charpoly {poly_str(abstract)} "
                 f"!= stored {poly_str(stated)}"
             )
-        inv = invariant(d)
-        if inv in by_invariant:
-            raise RuntimeError(
-                f"catalog invariant collision: {name} vs {by_invariant[inv]}"
-            )
-        by_invariant[inv] = name
+        mates = by_key.setdefault(_colour_key(d), [])
+        for mate, _ in mates:
+            if equivalent(d, mate.diagram):
+                raise RuntimeError(f"catalog entries {name} and {mate.name} are equivalent")
         word = tuple(roots[i] for i in order)
         entries[name] = CatalogEntry(name, system_name, word, d, stated)
-    return entries, by_invariant
+        mates.append((entries[name], _search_plan(d)))
+    return entries, by_key
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -662,10 +663,13 @@ def catalog(name: str) -> CatalogEntry:
 
 
 def identify(d: Diagram) -> str | None:
-    """Catalog name whose invariant tuple matches, or None when unknown."""
-    if not is_admissible(d):
-        return None
-    return _catalog()[1].get(invariant(d))
+    """Name of the catalog entry ``d`` is :func:`equivalent` to, or None
+    when there is none.  Every entry is admissible, so a diagram with an
+    odd cycle is never named."""
+    for entry, plan in _catalog()[1].get(_colour_key(d), ()):
+        if _maps_onto(entry.diagram, plan, d):
+            return entry.name
+    return None
 
 
 def identify_components(d: Diagram) -> str | None:
@@ -684,6 +688,96 @@ def component_key(name: str) -> tuple[int, str]:
     """Order of component names: higher rank first, then by name.  The rank
     is the number after the family letter (``D4(a1)`` has rank 4)."""
     return (-int(name[1:].split("(")[0]), name)
+
+
+def equivalent(d: Diagram, c: Diagram) -> bool:
+    """Whether ``c`` is ``d`` relabelled and switched: some bijection of the
+    vertices keeps length classes and adjacency, and the styles of ``d``
+    become those of ``c`` once some vertices are switched.  Switching a
+    vertex (negating its root) toggles the style of every edge at it."""
+    return _colour_key(d) == _colour_key(c) and _maps_onto(c, _search_plan(c), d)
+
+
+def _colour_key(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """The sorted vertex colours, which fix the vertex and edge counts."""
+    return tuple(sorted(d.colours))
+
+
+def _signed_adjacency(d: Diagram) -> list[dict[int, bool]]:
+    """Each vertex's neighbours, each with whether their edge is dotted."""
+    signed: list[dict[int, bool]] = [{} for _ in range(d.n)]
+    for a, b, style in d.edges:
+        signed[a][b] = signed[b][a] = style == DOTTED
+    return signed
+
+
+#: One step of a search plan: a vertex, its parent (-1 for a component's
+#: first vertex), whether the parent edge is dotted, and the vertex's other
+#: neighbours placed before it, each with whether that edge is dotted.
+_Step = tuple[int, int, bool, list[tuple[int, bool]]]
+
+
+def _search_plan(c: Diagram) -> list[_Step]:
+    """The vertices of ``c`` breadth-first, each component from a vertex of
+    its rarest colour, so that every vertex after a component's first has
+    a parent placed before it."""
+    colours, signed = c.colours, _signed_adjacency(c)
+    count = Counter(colours)
+    plan: list[_Step] = []
+    pos = [0] * c.n
+    for comp in c.components:
+        # the parent map, in placing order, holds each parent edge's style
+        tree = walk(min(comp, key=lambda v: count[colours[v]]),
+                    lambda u: zip(signed[u].values(), signed[u]))
+        for k, v in enumerate(tree, len(plan)):
+            pos[v] = k
+        for v, link in tree.items():
+            p, dotted = link or (-1, False)
+            back = [(u, bit) for u, bit in signed[v].items() if pos[u] < pos[v] and u != p]
+            plan.append((v, p, dotted, back))
+    return plan
+
+
+def _maps_onto(c: Diagram, plan: list[_Step], d: Diagram) -> bool:
+    """:func:`equivalent` for two diagrams with one colour key, ``plan``
+    the :func:`_search_plan` of ``c``: a backtracking bijection from the
+    vertices of ``c`` onto those of ``d`` that keeps colours and adjacency.
+
+    A vertex goes next to its parent's image.  Each placed vertex carries
+    a switching bit: 0 for a component's first (a whole component switched
+    changes no style), and for any other the bit its parent's edge asks
+    for; its other placed neighbours must agree.  Every edge of ``c`` then
+    lands on an edge of ``d``, and the two have as many edges, so the
+    bijection keeps adjacency both ways.
+    """
+    n, cc, cd = c.n, c.colours, d.colours
+    signed = _signed_adjacency(d)
+    image, sign, free = [0] * n, [False] * n, [True] * n
+
+    def place(k: int) -> bool:
+        if k == n:
+            return True
+        v, p, dotted, back = plan[k]
+        want = cc[v]
+        if p < 0:
+            candidates = [x for x in range(n) if free[x] and cd[x] == want]
+        else:
+            candidates = [x for x in signed[image[p]] if free[x] and cd[x] == want]
+        for x in candidates:
+            sx = signed[x]
+            s = p >= 0 and sign[p] ^ dotted ^ sx[image[p]]
+            for u, bit in back:
+                b = sx.get(image[u])
+                if b is None or sign[u] ^ s != bit ^ b:
+                    break
+            else:
+                image[v], sign[v], free[x] = x, s, False
+                if place(k + 1):
+                    return True
+                free[x] = True
+        return False
+
+    return place(0)
 
 
 # --------------------------------------------------------------------------

@@ -17,12 +17,14 @@ ints.
 The characteristic polynomial (:func:`charpoly`) is exact in O(n^3)
 operations.  Every coefficient of the integer matrix's charpoly is at
 most ``B = (1 + R)**n`` in absolute value, ``R`` the largest absolute row
-sum.  The matrix is reduced to upper Hessenberg form by similarity
-modulo the first Mersenne prime ``p = 2**e - 1 > 2B`` with ``e`` from
-:data:`MERSENNE_EXPONENTS` (61 up to 19937), and the symmetric residues
-of the Hessenberg recurrence's coefficients are the integers themselves.
-A bound past ``2**19937 - 1`` raises ValueError: the answer is then
-absent, never wrong.
+sum.  The matrix is reduced to upper Hessenberg form by similarity, on
+the integers while every column has a unit pivot (a Weyl group word's
+matrix mostly does), else modulo the first Mersenne prime
+``p = 2**e - 1 > 2B`` with ``e`` from :data:`MERSENNE_EXPONENTS` (61 up
+to 19937), whose symmetric residues of the Hessenberg recurrence's
+coefficients are the integers themselves.  A bound past
+``2**19937 - 1`` raises ValueError: the answer is then absent, never
+wrong.
 """
 
 from __future__ import annotations
@@ -114,11 +116,14 @@ def charpoly(a: Matrix) -> Poly:
     ``A``, every eigenvalue has ``|lambda| <= R``, so the coefficient of
     ``x**j`` is at most ``C(n, j) * R**(n - j) <= B = (1 + R)**n`` in
     absolute value.  ``A`` is reduced by similarity to upper Hessenberg
-    form modulo the first prime ``p > 2B`` of :data:`MERSENNE_EXPONENTS`
-    (``2**61 - 1`` for every catalog word), the Hessenberg recurrence gives
-    ``det(x*I - A) mod p`` in O(n^3), and each coefficient's symmetric
-    residue in ``(-p/2, p/2)`` is the exact integer.  The result maps back
-    exactly: the coefficient of ``x**k`` is divided by ``den**(n - k)``.
+    form, column by column: on the integers while each column it clears
+    has a pivot of 1 or -1, and from the first one that has none modulo
+    the first prime ``p > 2B`` of :data:`MERSENNE_EXPONENTS` (``2**61 - 1``
+    for every catalog word).  The Hessenberg recurrence gives
+    ``det(x*I - A)`` in O(n^3), on the integers or modulo ``p``; there
+    each coefficient's symmetric residue in ``(-p/2, p/2)`` is the exact
+    integer.  The result maps back exactly: the coefficient of
+    ``x**k`` is divided by ``den**(n - k)``.
 
     Raises ValueError for a matrix that is not square, and when ``2B``
     exceeds the last table prime ``2**19937 - 1``.
@@ -136,46 +141,59 @@ def charpoly(a: Matrix) -> Poly:
         raise ValueError(f"charpoly coefficient bound 2 * (1 + R)^n has "
                          f"{(2 * bound).bit_length()} bits, past the largest "
                          f"table prime 2^{MERSENNE_EXPONENTS[-1]} - 1")
-    h = [[e % p for e in row] for row in h]
-    # Similarity to upper Hessenberg form: clear column col below row m.
+    # Similarity to upper Hessenberg form, column by column: clear column
+    # col below row m.  The integer matrix stays similar to ``A``, so going
+    # modulo p at any column is reducing ``A`` modulo p.
+    modular = False
     for m in range(1, n - 1):
         col = m - 1
-        if not any(h[i][col] for i in range(m + 1, n)):
+        column = [h[i][col] for i in range(m, n)]
+        if not any(column[1:]):
             continue  # already zero below the subdiagonal
-        piv = next(i for i in range(m, n) if h[i][col])
+        if not modular and 1 not in column and -1 not in column:
+            h, modular = [[e % p for e in row] for row in h], True
+        if modular:
+            piv = next(i for i in range(m, n) if h[i][col])
+        else:
+            piv = m + column.index(1 if 1 in column else -1)
         if piv != m:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
         prow = h[m][col:]
-        inv = pow(prow[0], -1, p)
-        us = [h[i][col] * inv % p for i in range(m + 1, n)]
-        # Row i -= u_i * row m, then column m += u_i * column i: the inverse.
-        for i, u in enumerate(us, m + 1):
-            if u:
-                h[i][col:] = [(x - u * y) % p for x, y in zip(h[i][col:], prow)]
-        for row in h:
-            row[m] = (row[m] + sum(map(mul, us, row[m + 1:]))) % p
+        # Row i -= u_i * row m, then column m += u_i * column i: the inverse,
+        # for the nonzero multipliers u_i = h[i][col] / pivot (a unit pivot
+        # is its own inverse).
+        inv = pow(prow[0], -1, p) if modular else prow[0]
+        us = [(i, h[i][col] * inv) for i in range(m + 1, n) if h[i][col]]
+        for i, u in us:
+            h[i][col:] = [x - u * y for x, y in zip(h[i][col:], prow)]
+        for i, u in us:
+            for row in h:
+                row[m] += u * row[i]
+        if modular:
+            h = [[e % p for e in row] for row in h]
     # polys[m] = det(x*I - H[:m, :m]), expanded along its last column.
     polys = [[1]]
     for m in range(1, n + 1):
         prev = polys[-1]
         c = h[m - 1][m - 1]
-        new = [0] + prev
-        for k, y in enumerate(prev):
-            new[k] -= c * y
+        new = [x - c * y for x, y in zip([0] + prev, prev + [0])]
         sub = 1
         for i in range(1, m):
-            sub = sub * h[m - i][m - i - 1] % p
+            sub *= h[m - i][m - i - 1]
+            if modular:
+                sub %= p
             if not sub:
                 break
-            f = sub * h[m - i - 1][m - 1] % p
-            if f:
-                for k, y in enumerate(polys[m - i - 1]):
-                    new[k] -= f * y
-        polys.append([x % p for x in new])
-    half = p >> 1
-    coeffs = [c if c <= half else c - p for c in polys[n]]
+            if f := sub * h[m - i - 1][m - 1]:
+                q = polys[m - i - 1]
+                new[:len(q)] = [x - f * y for x, y in zip(new, q)]
+        polys.append([x % p for x in new] if modular else new)
+    coeffs = polys[n]
+    if modular:
+        half = p >> 1
+        coeffs = [c if c <= half else c - p for c in coeffs]
     if den == 1:
         return tuple(map(Q, coeffs))
     return tuple(Q(c, den ** (n - k)) for k, c in enumerate(coeffs))
@@ -343,9 +361,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 
 def poly_str(p: Poly, var: str = "x") -> str:
-    """Human form, highest degree first, e.g. ``x^4 + 2*x^2 + 1``."""
-    p = poly_trim(p)
-    if p == (ZERO,):
+    """Human form, highest degree first, e.g. ``x^4 + 2*x^2 + 1``.  A whole
+    coefficient is read as its int, which prints as the ``Fraction`` does."""
+    p = [c.numerator if c.denominator == 1 else c for c in p]
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    if p == [0]:
         return "0"
     parts = []
     for i in range(len(p) - 1, -1, -1):

@@ -232,8 +232,23 @@ class RewriteTrace:
 
 def word_charpoly(system: RootSystem, word: Sequence[Vector]) -> Poly:
     """Characteristic polynomial of the word's product in the word-root
-    basis (degree equals the word length)."""
-    return charpoly(weyl.int_word_matrix(system, word))
+    basis (degree equals the word length); ValueError for a non-root or
+    a dependent word, whose message names the first dependent root.
+
+    The polynomial certifies its own word.  With A the word's Cartan
+    matrix and W its word matrix, p(1) = det(I - W) = det A
+    = 2^k det G / prod (r_i, r_i), G the Gram matrix, which is positive
+    semidefinite: p(1) != 0 exactly when the roots are independent, and
+    the word matrix is then the product on span(word).  p(1) = 0 sends the
+    word to the leading minors of :meth:`RootSystem.independent_gram`,
+    which refuse it naming its first dependent root.
+    """
+    gram = system.int_gram(word)
+    p = charpoly(weyl.int_word_matrix_from_gram(gram, range(len(gram))))
+    # an int matrix has whole coefficients, so p(1) is a sum of ints
+    if not sum(c.numerator for c in p):
+        system.independent_gram([system.index(r) for r in word])
+    return p
 
 
 @functools.lru_cache(maxsize=256)

@@ -30,8 +30,11 @@ A root is found by identity first: the system's own tuples (from
 ``roots``, ``parse_root``, the catalog, every rewrite move) map to their
 index through a table of ``id``s, built on first use and confirmed by
 ``roots[i] is v``; any other tuple is converted with ``doubled``.
-``format_root`` reads a literal table formatted once from ``int_roots``
-on first use; the one formatter works on doubled integers.
+``format_root`` formats each root's literal from ``int_roots`` the first
+time it is asked for and keeps it; the one formatter works on doubled
+integers.  Gram matrices (``int_gram``, ``independent_gram``) are built
+from coordinate columns: row i adds up the columns of the word at the
+nonzero coordinates of root i, so a sparse root costs two columns.
 """
 
 from __future__ import annotations
@@ -219,23 +222,20 @@ class RootSystem:
     def int_gram(self, roots: Sequence[Vector]) -> list[list[int]]:
         """Gram matrix of a root list on doubled coordinates: 4x the
         ``Fraction`` one.  ValueError for a non-root."""
-        lattice = [self.int_roots[self.index(r)] for r in roots]
-        g = [[0] * len(lattice) for _ in lattice]
-        for i, a in enumerate(lattice):  # each product once: g is symmetric
-            for j in range(i + 1):
-                g[i][j] = g[j][i] = idot(a, lattice[j])
-        return g
+        return _gram([self.int_roots[self.index(r)] for r in roots])
 
-    def independent_gram(self, roots: Sequence[Vector]) -> list[list[int]]:
-        """:meth:`int_gram` of a linearly independent root list, proved
-        independent by its leading minors (positive definiteness);
-        ValueError naming the first root that depends on the roots before it."""
-        g = self.int_gram(roots)
+    def independent_gram(self, idx: Sequence[int]) -> list[list[int]]:
+        """The Gram matrix of the roots at positions ``idx`` in ``roots``,
+        as :meth:`int_gram` makes it, proved linearly independent by its
+        leading minors (positive definiteness); ValueError naming the first
+        root that depends on the roots before it."""
+        g = _gram([self.int_roots[i] for i in idx])
         minors = LeadingMinors()
         for j, row in enumerate(g):
             if not minors.push(row[:j], row[j]):
                 raise ValueError(f"the roots are linearly dependent: "
-                                 f"{self.format_root(roots[j])} depends on the roots before it")
+                                 f"{self.format_root(self.roots[idx[j]])} "
+                                 f"depends on the roots before it")
         return g
 
     def reflection_images(self, root: Vector) -> list[int]:
@@ -244,12 +244,14 @@ class RootSystem:
         r = self.int_roots[self.index(root)]
         # s_r(v) = v - <v, r^vee> r on doubled coordinates, with an
         # integer Cartan number, so no Fraction is needed; only the
-        # coordinates where r is nonzero enter (two for most simple roots).
+        # coordinates where r is nonzero enter (two for most simple roots),
+        # each as one column of ``int_roots``.
         support = [(j, x) for j, x in enumerate(r) if x]
+        pairing = _combine(r, list(zip(*self.int_roots)))
         rr, index = idot(r, r), self.int_index
         images = []
-        for i, v in enumerate(self.int_roots):
-            if c := 2 * sum([v[j] * x for j, x in support]) // rr:
+        for i, (v, p) in enumerate(zip(self.int_roots, pairing)):
+            if c := 2 * p // rr:
                 w = list(v)
                 for j, x in support:
                     w[j] -= c * x
@@ -364,16 +366,39 @@ class RootSystem:
         return self.roots[i]
 
     @cached_property
-    def _literals(self) -> tuple[str, ...]:
-        """The literal of every root, aligned with ``roots`` (built on first use)."""
-        return tuple(_format_doubled(r) for r in self.int_roots)
+    def _literals(self) -> dict[int, str]:
+        """root index -> literal, each made on first use from ``int_roots``."""
+        return {}
 
     def format_root(self, v: Vector) -> str:
         i = self.root_index(v)
-        return format_vector(v) if i is None else self._literals[i]
+        if i is None:
+            return format_vector(v)
+        literal = self._literals.get(i)
+        if literal is None:
+            literal = self._literals[i] = _format_doubled(self.int_roots[i])
+        return literal
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootSystem({self.family!r}, {self.rank})"
+
+
+def _combine(v: IntVector, cols: Sequence[Sequence[int]]) -> list[int]:
+    """``sum(x * col for x, col in zip(v, cols))``, entry by entry, over
+    the nonzero coordinates x of ``v`` only; ``v`` is not zero."""
+    out = None
+    for x, col in zip(v, cols):
+        if x:
+            out = [x * c for c in col] if out is None else [a + x * c for a, c in zip(out, col)]
+    return out
+
+
+def _gram(lattice: Sequence[IntVector]) -> list[list[int]]:
+    """Gram matrix of doubled-coordinate vectors.  Row i is the sum, over
+    the nonzero coordinates x of vector i, of x times that coordinate's
+    column of ``lattice``: a D16 root has 2 nonzero coordinates of 16."""
+    cols = list(zip(*lattice))
+    return [_combine(v, cols) for v in lattice]
 
 
 def build(family: str, rank: int) -> RootSystem:

@@ -90,15 +90,14 @@ def int_word_matrix_from_gram(gram: Sequence[Sequence], order: Sequence[int]) ->
     n = len(gram)
     work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in order:
-        # s_i = I + e_i w^T, so A @ s_i = A + (column i of A) outer w.
-        w = [-cartan_number(gram[q][i], gram[i][i]) for q in range(n)]
-        for p in range(n):
-            api = work[p][i]
-            if api == 0:
-                continue
-            row = work[p]
-            for q in range(n):
-                row[q] += api * w[q]
+        # s_i = I + e_i w^T, so A @ s_i = A + (column i of A) outer w; w is
+        # nonzero only where the Cartan number is.
+        w = [(q, -cartan_number(g[i], gram[i][i])) for q, g in enumerate(gram) if g[i]]
+        for row in work:
+            api = row[i]
+            if api:
+                for q, x in w:
+                    row[q] += api * x
     return work
 
 
@@ -114,20 +113,13 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
     Requires the word's roots to be linearly independent (true for any
     reduced decomposition); the resulting matrix has size ``len(word)``,
     so its characteristic polynomial has the word's length as degree.
-    ValueError for a non-root or a dependent word.
+    ValueError for a non-root or a dependent word.  Computed on the
+    doubled-integer Gram matrix of the roots, whose leading minors settle
+    independence (positive definiteness).
     """
-    return tuple(tuple(Q(x) for x in row) for row in int_word_matrix(system, word))
-
-
-def int_word_matrix(system: RootSystem, word: Sequence[Vector]) -> list[list[int]]:
-    """:func:`word_matrix` with int entries, for ``exactla.charpoly``.
-
-    Computed on the doubled-integer Gram matrix of the roots, whose
-    leading minors also settle independence (positive definiteness); the
-    Cartan numbers of roots are integers, so every entry is an int.
-    """
-    gram = system.independent_gram(word)
-    return int_word_matrix_from_gram(gram, range(len(gram)))
+    gram = system.independent_gram([system.index(r) for r in word])
+    return tuple(tuple(Q(x) for x in row)
+                 for row in int_word_matrix_from_gram(gram, range(len(gram))))
 
 
 def order_or_infinite(m: Matrix, power_cap: int = 10_000) -> int | str:

@@ -304,14 +304,14 @@ def test_identify_components_orders_by_rank_then_name():
         "D12(a3)", "E8(b5)", "A5", "D4", "D4(a1)", "A1"]
 
 
-def test_invariant_separates_styles_within_class():
-    """The invariant is a cut-class invariant: equal across sign flips,
-    different between the two square classes."""
+def test_equivalence_separates_styles_within_class():
+    """Equivalence is up to switching: a sign flip keeps the class, and the
+    two square classes differ."""
     even = dg.styled_diagram(4, SQUARE, 0)
     odd = dg.styled_diagram(4, SQUARE, 1)
     flipped = dg.styled_diagram(4, SQUARE, 0b0110)  # vertex 2 negated: (1, 2), (2, 3)
-    assert dg.invariant(flipped) == dg.invariant(even)
-    assert dg.invariant(odd) != dg.invariant(even)
+    assert dg.equivalent(flipped, even)
+    assert not dg.equivalent(odd, even)
 
 
 def test_charpoly_of_square_classes_differ():
@@ -513,7 +513,6 @@ def count_two_colorings(monkeypatch):
 
 def test_a_diagram_request_two_colours_its_diagram_once(monkeypatch, capsys):
     dg.catalog_names()  # the catalog's own checks are not counted
-    dg._bicolored_charpoly_cached.cache_clear()
     dg._indexed_diagram.cache_clear()
     calls = count_two_colorings(monkeypatch)
     argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3", "--pretty"]
@@ -659,6 +658,18 @@ def test_a_repeated_diagram_request_reuses_its_diagram(monkeypatch, capsys):
     assert labelled.edges == dg.from_roots(d4, roots).edges
 
 
+def test_a_new_root_list_looks_each_root_up_once(monkeypatch):
+    """The cache key's root positions are the ones the Gram matrix is read at."""
+    d4, literals = build_by_name("D4"), ("e1-e2", "e3-e4", "e2-e3", "e2+e3")
+    roots = [d4.parse_root(t) for t in literals]
+    dg._indexed_diagram.cache_clear()
+    calls = []
+    index = RootSystem.index
+    monkeypatch.setattr(RootSystem, "index", lambda self, v: calls.append(v) or index(self, v))
+    assert dg.identify(dg.from_roots(d4, roots)) == "D4(a1)"
+    assert len(calls) == len(roots)
+
+
 def test_a_dependent_root_list_is_refused_alike_every_time():
     d4 = build_by_name("D4")
     roots = [d4.parse_root(t) for t in ("e1-e2", "e2-e3", "e1-e3")]
@@ -683,3 +694,136 @@ def test_the_diagram_cache_keeps_at_most_its_bound():
         dg.from_roots(system, roots)
         assert dg._indexed_diagram.cache_info().currsize <= bound
     assert dg._indexed_diagram.cache_info().currsize == bound
+
+
+# --------------------------------------------------------------------------
+# Exact identification against the invariant lookup it replaced: the vertex
+# count, the (length class, degree) of each vertex, the chordless-cycle
+# lengths and the bicolored charpoly, matched against the catalog's.
+
+
+def reference_invariant(d):
+    adj = d.adjacency
+    vertices = tuple(sorted((d.longs[i], len(adj[i])) for i in range(d.n)))
+    cyc = tuple(sorted(len(c) for c in d.cycles))
+    return (d.n, vertices, cyc, dg.bicolored_charpoly(d))
+
+
+REFERENCE_NAMES = {}
+
+
+def reference_identify(d):
+    """The catalog name whose invariant matches, None when the diagram has
+    an odd cycle or no entry matches."""
+    if not REFERENCE_NAMES:
+        REFERENCE_NAMES.update((reference_invariant(dg.catalog(name).diagram), name)
+                               for name in dg.catalog_names())
+    if not dg.is_admissible(d):
+        return None
+    return REFERENCE_NAMES.get(reference_invariant(d))
+
+
+def reference_identify_components(d):
+    names = []
+    for comp in d.components:
+        name = reference_identify(dg.induced_subdiagram(d, comp))
+        if name is None:
+            return None
+        names.append(name)
+    return "+".join(sorted(names, key=dg.component_key))
+
+
+IDENTIFY_SYSTEMS = ("A5", "D5", "D6", "D7", "D8", "E6", "E7", "E8", "B4", "C5", "F4", "G2")
+
+
+@st.composite
+def independent_root_subsets(draw):
+    """A system and an independent list of its roots: the drawn roots, each
+    kept when it is independent of those kept before it."""
+    system = build_by_name(draw(st.sampled_from(IDENTIFY_SYSTEMS)))
+    picks = draw(st.lists(st.integers(0, len(system.roots) - 1), min_size=1,
+                          max_size=system.rank, unique=True))
+    kept = []
+    for i in picks:
+        try:
+            system.independent_gram(kept + [i])
+        except ValueError:
+            continue
+        kept.append(i)
+    return system, [system.roots[i] for i in kept]
+
+
+@settings(max_examples=300, deadline=None)
+@given(independent_root_subsets())
+def test_identification_matches_the_invariant_lookup_on_root_subsets(case):
+    system, roots = case
+    d = dg.from_roots(system, roots)
+    assert dg.identify_components(d) == reference_identify_components(d)
+
+
+def relabelled(d, perm, switched):
+    """``d`` with vertex v renamed ``perm[v]`` and the vertices in
+    ``switched`` switched: every edge with one end among them toggles."""
+    edges = [(perm[a], perm[b], style if (a in switched) == (b in switched)
+              else dg.SOLID if style == dg.DOTTED else dg.DOTTED)
+             for a, b, style in d.edges]
+    longs = [False] * d.n
+    for v, long in enumerate(d.longs):
+        longs[perm[v]] = long
+    return dg.make_diagram(d.n, edges, longs=longs)
+
+
+@st.composite
+def relabellings(draw, d):
+    perm = draw(st.permutations(range(d.n)))
+    switched = set(draw(st.lists(st.integers(0, max(d.n - 1, 0)), max_size=d.n)))
+    return relabelled(d, perm, switched)
+
+
+@st.composite
+def perturbed_catalog_diagrams(draw):
+    """A catalog diagram relabelled and switched, then left alone or with
+    one edge's style flipped, one edge moved or one vertex made long."""
+    d = draw(relabellings(dg.catalog(draw(st.sampled_from(dg.catalog_names()))).diagram))
+    edges, longs = list(d.edges), list(d.longs)
+    kind = draw(st.sampled_from(("none", "flip", "move", "long")))
+    if kind == "flip" and edges:
+        a, b, style = edges.pop(draw(st.integers(0, len(edges) - 1)))
+        edges.append((a, b, dg.SOLID if style == dg.DOTTED else dg.DOTTED))
+    elif kind == "move" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+        taken = {(a, b) for a, b, _ in edges}
+        free = [(a, b) for a, b in combinations(range(d.n), 2) if (a, b) not in taken]
+        if free:
+            edges.append((*draw(st.sampled_from(free)),
+                          draw(st.sampled_from((dg.SOLID, dg.DOTTED)))))
+    elif kind == "long":
+        longs[draw(st.integers(0, d.n - 1))] = True
+    return dg.make_diagram(d.n, edges, longs=longs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_catalog_diagrams())
+def test_identification_matches_the_invariant_lookup_on_perturbed_catalog_diagrams(d):
+    assert dg.identify_components(d) == reference_identify_components(d)
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from(dg.catalog_names()), st.data())
+def test_a_catalog_diagram_is_equivalent_to_itself_relabelled_and_switched(name, data):
+    d = dg.catalog(name).diagram
+    copy = data.draw(relabellings(d))
+    assert dg.equivalent(copy, d) and dg.equivalent(d, copy)
+    assert dg.identify(copy) == name
+
+
+def test_no_catalog_diagram_is_equivalent_to_a_colour_mate():
+    """Entries whose sorted vertex colours agree, the only pairs the search
+    is run on, are never equivalent; some such pairs exist."""
+    diagrams = {name: dg.catalog(name).diagram for name in dg.catalog_names()}
+    mates = [(a, b) for a, b in combinations(diagrams, 2)
+             if sorted(diagrams[a].colours) == sorted(diagrams[b].colours)]
+    assert len(mates) >= 5
+    for a, b in mates:
+        assert not dg.equivalent(diagrams[a], diagrams[b]), (a, b)
+        assert not dg.equivalent(diagrams[b], diagrams[a]), (a, b)

@@ -9,14 +9,15 @@ this file, and demands exact equality.  The last property checks that
 no float ever crosses the API.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import diagram as dg
-from weylcalc import rewrite
+from weylcalc import exactla, rewrite
 from weylcalc.exactla import (
     MERSENNE_EXPONENTS,
     LeadingMinors,
@@ -472,3 +473,157 @@ def test_integer_inputs_divide_exactly():
     assert charpoly(g) == (-4, 10, -6, 1)
     assert gram_positive_definite(g)
     assert not gram_positive_definite(((2, 3), (3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The word's charpoly certifies the word; the Hessenberg reduction on the
+# integers; Gram matrices from coordinate columns.
+
+CERTIFY_SYSTEMS = ("A5", "B4", "C4", "D6", "D10", "E6", "E7", "E8", "F4", "G2")
+
+
+@st.composite
+def root_words(draw, systems=CERTIFY_SYSTEMS):
+    """A system and up to rank + 1 of its roots, repeats allowed: dependent
+    words are common."""
+    system = build_by_name(draw(st.sampled_from(systems)))
+    word = draw(st.lists(st.sampled_from(system.roots), min_size=1,
+                         max_size=system.rank + 1))
+    return system, tuple(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_words())
+def test_word_charpoly_certifies_its_own_word(case):
+    """p(1) of the word matrix's charpoly is the determinant of the word's
+    Cartan matrix: nonzero exactly when ``independent_gram`` proves the
+    roots independent, and a dependent word gets that proof's message."""
+    system, word = case
+    k = len(word)
+    gram = system.int_gram(word)
+    p = charpoly(word_matrix_from_gram(gram, range(k)))
+    cartan = [[Q(2 * gram[i][j], gram[j][j]) for j in range(k)] for i in range(k)]
+    assert sum(p) == ref_det(cartan)
+    try:
+        system.independent_gram([system.index(r) for r in word])
+    except ValueError as exc:
+        assert sum(p) == 0
+        with pytest.raises(ValueError) as refused:
+            rewrite.word_charpoly(system, word)
+        assert str(refused.value) == str(exc)
+    else:
+        assert sum(p) != 0
+        assert rewrite.word_charpoly(system, word) == p
+
+
+def inverses_taken(m):
+    """``charpoly(m)`` and the number of inverses modulo p its reduction
+    took: none while every column it clears has a pivot of 1 or -1."""
+    calls = []
+    exactla.pow = lambda *args: calls.append(args) or pow(*args)
+    try:
+        got = charpoly(m)
+    finally:
+        del exactla.pow
+    return got, len(calls)
+
+
+@st.composite
+def unit_pivot_matrices(draw):
+    """The word matrix of an independent simply-laced word whose reduction
+    stays on the integers (most of them do)."""
+    system, word = draw(independent_words(("A5", "D5", "E6")))
+    m = [list(row) for row in word_matrix(system, word)]
+    assume(inverses_taken(m)[1] == 0)
+    return m
+
+
+@st.composite
+def middle_non_unit_matrices(draw):
+    """Column 0 has a pivot of 1 or -1 and every other entry is even, so
+    the first column cleared after it has none."""
+    n = draw(st.integers(4, 7))
+    small, even = st.integers(-1, 1), st.sampled_from((-4, -2, 0, 2, 4))
+    m = [[draw(small)] + [draw(even) for _ in range(n - 1)] for _ in range(n)]
+    m[draw(st.integers(1, n - 1))][0] = draw(st.sampled_from((1, -1)))
+    m[draw(st.integers(2, n - 1))][0] = draw(st.integers(1, 3))
+    return m
+
+
+@st.composite
+def zero_column_matrices(draw):
+    """Small integer entries, one column already zero below the subdiagonal."""
+    n = draw(st.integers(3, 7))
+    m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    col = draw(st.integers(0, n - 3))
+    for i in range(col + 2, n):
+        m[i][col] = 0
+    return m
+
+
+def growing_matrix(n, a):
+    """Ones on the super- and second subdiagonal, and ``a`` in row 2 of
+    column 0: each column cleared on the integers makes the next one's
+    entries grow, to 32 bits for n = 12, a = 9."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        m[i][i + 1] = 1
+    for i in range(n - 2):
+        m[i + 2][i] = 1
+    m[1][0], m[2][0] = 1, a
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(unit_pivot_matrices(), middle_non_unit_matrices(), zero_column_matrices(),
+                 st.builds(growing_matrix, st.integers(4, 12), st.integers(2, 9))))
+def test_charpoly_on_the_integers_and_modulo_p_matches_the_reference(m):
+    assert charpoly(m) == ref_charpoly(m)
+
+
+#: (matrix, inverses modulo p its reduction takes): one per column it
+#: clears from the first one without a pivot of 1 or -1.
+REDUCTION_PATHS = [
+    # the word matrices of D4(a1)'s README word and of E6's simple roots
+    ([[1, 0, -1, -1], [0, 1, -1, 1], [1, 1, -1, 0], [1, -1, 0, -1]], 0),
+    ([[0, 1, 0, 0, 0, -1], [0, 0, 1, 0, 0, -1], [1, 1, 0, 0, 0, -1],
+      [0, 1, 1, 0, 0, -1], [0, 0, 0, 1, 0, -1], [0, 0, 0, 0, 1, -1]], 0),
+    # column 0 on the integers, then columns 1 and 2, all even, modulo p
+    ([[0, 2, 0, 2, 0], [1, 0, 2, 2, 4], [1, 2, 4, 0, 2], [0, 4, 2, 2, 0],
+      [0, 2, 0, 4, 2]], 2),
+    # already upper Hessenberg: nothing to clear
+    ([[1, 2, 3, 4], [5, 6, 7, 8], [0, 9, 1, 2], [0, 0, 3, 4]], 0),
+    # six columns on the integers, their entries growing to 32 bits
+    (growing_matrix(12, 9), 4),
+]
+
+
+@pytest.mark.parametrize("m, inverses", REDUCTION_PATHS)
+def test_charpoly_leaves_the_integers_only_at_a_column_without_a_unit_pivot(m, inverses):
+    got = inverses_taken(m)
+    assert got == (ref_charpoly(m), inverses)
+
+
+BENCH_SYSTEMS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                 + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 17)]
+                 + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def pairwise_gram(lattice):
+    g = [[0] * len(lattice) for _ in lattice]
+    for i, a in enumerate(lattice):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = sum(x * y for x, y in zip(a, lattice[j]))
+    return g
+
+
+@pytest.mark.parametrize("name", BENCH_SYSTEMS)
+def test_int_gram_from_columns_matches_the_pairwise_products(name):
+    system = build_by_name(name)
+    rng = random.Random(name)
+    for size in (1, 2, system.rank, system.rank + 3):
+        idx = [rng.randrange(len(system.roots)) for _ in range(size)]
+        expected = pairwise_gram([system.int_roots[i] for i in idx])
+        assert system.int_gram([system.roots[i] for i in idx]) == expected
+        if len(set(idx)) == size <= system.rank and gram_positive_definite(expected):
+            assert system.independent_gram(idx) == expected

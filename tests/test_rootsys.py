@@ -182,6 +182,15 @@ def test_lookup_and_literal_tables_are_built_on_first_use():
     assert "_position" in vars(s) and "_literals" in vars(s)
 
 
+def test_format_root_makes_each_literal_on_first_use():
+    s = RootSystem("D", 16)
+    assert s.format_root(s.roots[0]) == s.format_root(tuple(s.roots[0])) == "-e1-e2"
+    assert s._literals == {0: "-e1-e2"}
+    assert s.format_root(s.roots[-1]) == "e1+e2"
+    assert len(s._literals) == 2
+    assert s.format_root(s.roots[0]) is s.format_root(s.roots[0])
+
+
 _REFERENCE_TERM = re.compile(r"([+-]?)([0-9]*)e([0-9]+)")
 
 
