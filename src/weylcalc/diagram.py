@@ -20,8 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import rootsys
@@ -36,7 +34,7 @@ from .exactla import (
     power_plus_one,
 )
 from .rootsys import RootSystem
-from .weyl import cartan_number, int_word_matrix_from_gram, walk
+from .weyl import int_word_matrix_from_gram, walk
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -243,20 +241,15 @@ def make_diagram(
     return Diagram(longs, tuple(sorted(norm_edges)), lab)
 
 
-def from_roots(
-    system: RootSystem, roots: Sequence[Vector], labels: Sequence[str] | None = None
-) -> Diagram:
+def from_roots(system: RootSystem, roots: Sequence[Vector]) -> Diagram:
     """Diagram of a root list: edge where the inner product is nonzero.
 
     Raises ValueError unless the roots are independent (their Gram matrix
-    positive definite): a repeated or dependent list has no diagram.
-    Without labels the diagram comes from a bounded cache keyed on the
-    roots' positions in ``system.roots``, so a repeated list gets the same
-    ``Diagram`` back, with the facts it has made."""
-    idx = tuple(system.index(tuple(r)) for r in roots)
-    if labels is not None:
-        return _realized(system, idx, labels)[0]
-    return _indexed_diagram(system, idx)
+    positive definite): a repeated or dependent list has no diagram.  The
+    diagram comes from a bounded cache keyed on the roots' positions in
+    ``system.roots``, so a repeated list gets the same ``Diagram`` back,
+    with the facts it has made."""
+    return _indexed_diagram(system, tuple(system.index(tuple(r)) for r in roots))
 
 
 @lru_cache(maxsize=256)
@@ -375,48 +368,11 @@ def bicolored_word_order(d: Diagram) -> tuple[int, ...]:
 
 
 def bicolored_charpoly(d: Diagram, t: Q = Q(1)) -> Poly:
-    """Characteristic polynomial of the diagram's bicolored element,
-    ``det(t - s_X s_Y)`` from the Cartan blocks between the two parts.
-
-    Over the basis X then Y, ``s_X = [[-I, C], [0, I]]`` and
-    ``s_Y = [[I, 0], [D, -I]]`` with ``C[x][y] = -2 g_xy / g_xx`` and
-    ``D[y][x] = -2 g_xy / g_yy``.  A Schur complement on the ``(t+1)I``
-    block gives, for the smaller part U (m vertices, the other part m + r)
-    and its block product B (``C D`` when U = X, ``D C`` when U = Y),
-
-        det(t - s_X s_Y) = (t+1)^r * sum_k c_k (t+1)^(2k) t^(m-k)
-
-    where ``c_k`` is the coefficient of ``x^k`` in ``charpoly(B)``, an m x m
-    matrix with m <= n/2.  The Cartan numbers are integers unless ``t`` is
-    not crystallographic, so the expansion runs on integers over the
-    common denominator of the ``c_k``.  The polynomial does not depend on
-    the bipartition chosen, the vertex order or sign flips.
-    """
-    bicolored_word_order(d)  # refuses an odd cycle
-    g = int_gram(d, t)[0]
-    small, large = sorted(d.bipartition, key=len)
-    m, r = len(small), len(large) - len(small)
-    # B[u][w] = sum_v (2 g_uv / g_uu) (2 g_vw / g_vv); the two minus signs cancel.
-    out = [[cartan_number(g[u][v], g[u][u]) for v in large] for u in small]
-    back = [[cartan_number(g[v][w], g[v][v]) for w in small] for v in large]
-    cols = list(zip(*back))
-    c = charpoly([[sum(map(mul, row, col)) for col in cols] for row in out])
-    den = lcm(*(x.denominator for x in c))
-    c = [x.numerator * (den // x.denominator) for x in c]
-    # Horner in (t+1)^2: p = c_m, then p = p (t+1)^2 + c_k t^(m-k) for k < m;
-    # each factor (t+1) shifts the ascending coefficient list and adds.
-    p = [c[m]]
-    for k in range(m - 1, -1, -1):
-        p = _times_t_plus_one(_times_t_plus_one(p))
-        p[m - k] += c[k]
-    for _ in range(r):
-        p = _times_t_plus_one(p)
-    return tuple(Q(x) for x in p) if den == 1 else tuple(Q(x, den) for x in p)
-
-
-def _times_t_plus_one(p: list[int]) -> list[int]:
-    """The ascending coefficients of ``(t + 1) * p``."""
-    return [a + b for a, b in zip(p + [0], [0] + p)]
+    """Characteristic polynomial of the diagram's bicolored element: the
+    charpoly of the matrix of its bicolored word on :func:`int_gram` at
+    ratio ``t``.  It does not depend on the bipartition chosen, the vertex
+    order or sign flips."""
+    return charpoly(int_word_matrix_from_gram(int_gram(d, t)[0], bicolored_word_order(d)))
 
 
 def induced_subdiagram(d: Diagram, vertices: Sequence[int]) -> Diagram:
@@ -607,10 +563,11 @@ def _catalog() -> tuple[dict[str, CatalogEntry],
     """(entries by name, entries by colour key with their search plans),
     built and checked once.
     Each entry's Gram matrix, independence proof and chordless cycles are
-    made once: putting the roots in word order permutes the diagram, and
-    the word's product over the basis of the roots as listed has the
-    charpoly of the product over the word's own.  No two entries are
-    :func:`equivalent`."""
+    made once, and its stated charpoly is checked against its diagram's
+    :func:`bicolored_charpoly`.  An unlabelled entry's word is its
+    bicolored word, so that one product is the word's own; a labelled
+    entry's word keeps the order the scripts fix, and its own product is
+    checked too.  No two entries are :func:`equivalent`."""
     entries: dict[str, CatalogEntry] = {}
     by_key: dict[tuple, list[tuple[CatalogEntry, list[_Step]]]] = {}
     for name, system_name, roots, labels, stated in _catalog_specs():
@@ -629,18 +586,15 @@ def _catalog() -> tuple[dict[str, CatalogEntry],
             order = range(d.n)
         if not dotted_parity_ok(d):
             raise RuntimeError(f"catalog entry {name} fails dotted parity")
-        computed = charpoly(int_word_matrix_from_gram(g, order))
-        if computed != stated:
-            raise RuntimeError(
-                f"catalog entry {name}: realized charpoly {poly_str(computed)} "
-                f"!= stored {poly_str(stated)}"
-            )
-        abstract = bicolored_charpoly(d)
-        if abstract != stated:
-            raise RuntimeError(
-                f"catalog entry {name}: abstract charpoly {poly_str(abstract)} "
-                f"!= stored {poly_str(stated)}"
-            )
+        polys = {"abstract": bicolored_charpoly(d)}
+        if labels is not None:
+            polys["realized"] = charpoly(int_word_matrix_from_gram(g, order))
+        for kind, computed in polys.items():
+            if computed != stated:
+                raise RuntimeError(
+                    f"catalog entry {name}: {kind} charpoly {poly_str(computed)} "
+                    f"!= stored {poly_str(stated)}"
+                )
         mates = by_key.setdefault(_colour_key(d), [])
         for mate, _ in mates:
             if equivalent(d, mate.diagram):

@@ -260,9 +260,14 @@ class RootSystem:
         return images
 
     def _lattice(self, v: Vector) -> IntVector:
-        """Doubled coordinates of ``v``, read from ``int_roots`` for a root."""
+        """Doubled coordinates of ``v``, read from ``int_roots`` for a root;
+        ValueError for a vector of another dimension."""
         i = self.root_index(v)
-        return doubled(v) if i is None else self.int_roots[i]
+        if i is not None:
+            return self.int_roots[i]
+        if len(v) != self.dim:
+            raise ValueError(f"not a vector of dimension {self.dim}: {v!r}")
+        return doubled(v)
 
     def normalized_inner(self, x: Vector, y: Vector) -> Q:
         return Q(idot(self._lattice(x), self._lattice(y)), self.int_short_norm)
@@ -492,6 +497,8 @@ def format_vector(v: Vector) -> str:
     try:
         return _format_doubled(doubled(v))
     except ValueError:
+        if not all(hasattr(c, "denominator") for c in v):
+            raise  # a float or a string: ``doubled`` names it
         twice = any(c.denominator == 2 for c in v)
         coords = [c * 2 for c in v] if twice else list(v)
         raise ValueError(f"vector has a non-half fractional part: {coords}") from None

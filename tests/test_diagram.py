@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from weylcalc import cli, rewrite
 from weylcalc import diagram as dg
-from weylcalc.exactla import idot, poly_mul
+from weylcalc.exactla import charpoly, idot, poly_mul
 from weylcalc.rootsys import RootSystem, build_by_name, doubled
 from weylcalc.rewrite import eliminate_4cycle, initial_state, word_charpoly
 from weylcalc.weyl import perm_space
@@ -115,7 +116,9 @@ def test_eliminate_4cycle_rejects_dependent_cycle():
 
 def test_to_dict_round_trip():
     s, word = d4a1_word()
-    d = dg.from_roots(s, word, labels=[s.format_root(r) for r in word])
+    plain = dg.from_roots(s, word)
+    d = dg.make_diagram(plain.n, plain.edges, longs=plain.longs,
+                        labels=[s.format_root(r) for r in word])
     back = dg.Diagram.from_dict(d.to_dict())
     assert back == d
     assert back.labels[0] == "e1-e2"
@@ -280,6 +283,34 @@ def test_bicolored_charpoly_matches_catalog():
         entry = dg.catalog(name)
         t = build_by_name(entry.system).ratio
         assert dg.bicolored_charpoly(entry.diagram, t) == entry.charpoly, name
+
+
+def cold_catalog(monkeypatch, specs):
+    """Build the catalog afresh from ``specs``; the next call builds the
+    real one again."""
+    monkeypatch.setattr(dg, "_catalog_specs", lambda: specs)
+    dg._catalog.cache_clear()
+    try:
+        return dg._catalog()
+    finally:
+        dg._catalog.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["D5(a1)", "E6(a2)"], ids=["unlabelled", "labelled"])
+def test_a_cold_catalog_build_refuses_a_wrong_stated_charpoly(monkeypatch, name):
+    specs = [(n, system, roots, labels, (cp[0] + 1, *cp[1:]) if n == name else cp)
+             for n, system, roots, labels, cp in dg._catalog_specs()]
+    message = rf"catalog entry {re.escape(name)}: \w+ charpoly .* != stored"
+    with pytest.raises(RuntimeError, match=message):
+        cold_catalog(monkeypatch, specs)
+
+
+def test_a_cold_catalog_build_makes_one_charpoly_per_unlabelled_entry(monkeypatch):
+    """Two for each of the frozen entries, whose word order the scripts fix."""
+    calls = []
+    monkeypatch.setattr(dg, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    entries = cold_catalog(monkeypatch, dg._catalog_specs())[0]
+    assert len(calls) == len(entries) + len(dg._FROZEN) == 79 + 10
 
 
 def test_identify_components():
@@ -653,9 +684,6 @@ def test_a_repeated_diagram_request_reuses_its_diagram(monkeypatch, capsys):
     d4 = build_by_name("D4")
     roots = [d4.parse_root(t) for t in ("e1-e2", "e3-e4", "e2-e3", "e2+e3")]
     assert dg.from_roots(d4, roots) is dg.from_roots(d4, [tuple(r) for r in roots])
-    labelled = dg.from_roots(d4, roots, labels=("a", "b", "c", "d"))
-    assert labelled.labels == ("a", "b", "c", "d")
-    assert labelled.edges == dg.from_roots(d4, roots).edges
 
 
 def test_a_new_root_list_looks_each_root_up_once(monkeypatch):

@@ -302,9 +302,10 @@ def bipartite_diagrams(draw):
 
 
 def ref_bicolored_charpoly(d, t):
-    """The charpoly of the dense n x n matrix of the bicolored word."""
-    return charpoly(word_matrix_from_gram(dg.int_gram(d, t)[0],
-                                          dg.bicolored_word_order(d)))
+    """The Faddeev-LeVerrier charpoly of the Fraction matrix of the
+    bicolored word."""
+    return ref_charpoly(ref_word_matrix_from_gram(dg.int_gram(d, t)[0],
+                                                  dg.bicolored_word_order(d)))
 
 
 _EDGELESS = dg.make_diagram(3, [], longs=(False, True, False))
@@ -320,8 +321,8 @@ _STAR = dg.make_diagram(4, [(0, 1, dg.SOLID), (0, 2, dg.DOTTED), (0, 3, dg.SOLID
 @example(dg.make_diagram(4, [(0, 1, dg.DOTTED), (0, 2, dg.DOTTED), (0, 3, dg.SOLID)],
                          longs=(True, False, False, False)), Q(3))  # _STAR, vertex 1 negated
 def test_bicolored_charpoly_matches_dense_word_matrix(d, t):
-    """The half-dimension Schur-complement form equals the charpoly of the
-    bicolored word's full matrix, and hands out Fractions only."""
+    """The bicolored charpoly equals the reference charpoly of the
+    bicolored word's matrix, and hands out Fractions only."""
     got = dg.bicolored_charpoly(d, t)
     assert got == ref_bicolored_charpoly(d, t)
     assert len(got) == d.n + 1 and all(type(c) is Q for c in got)

@@ -144,6 +144,14 @@ def test_format_vector_shapes():
             format_vector(thirds)
 
 
+@pytest.mark.parametrize("v", [(0.5, 0, 0, 0), ("1", 0, 0, 0)], ids=["float", "string"])
+def test_format_vector_and_format_root_refuse_an_inexact_coordinate(v):
+    d4 = build_by_name("D4")
+    for fmt in (format_vector, d4.format_root):
+        with pytest.raises(ValueError, match=f"coordinate {v[0]!r} is not rational"):
+            fmt(v)
+
+
 def test_parse_root_validates_membership():
     s = build_by_name("A3")
     with pytest.raises(ValueError):
@@ -453,6 +461,17 @@ def test_normalized_inner():
     assert s.normalized_inner(long_root, long_root) == 2
     assert s.is_long(long_root)
     assert not s.is_long(short_root)
+
+
+def test_normalized_inner_and_is_long_refuse_a_vector_of_another_dimension():
+    d4 = build_by_name("D4")
+    root = d4.parse_root("e1+e2")
+    for call in (lambda: d4.normalized_inner((Q(1),), root),
+                 lambda: d4.normalized_inner(root, (Q(1), Q(0), Q(0), Q(0), Q(0))),
+                 lambda: d4.is_long((1, 1))):
+        with pytest.raises(ValueError, match="not a vector of dimension 4"):
+            call()
+    assert d4.normalized_inner((Q(1), Q(0), Q(0), Q(0)), root) == Q(1, 2)
 
 
 def test_parse_root_keeps_at_most_one_literal_per_root():
