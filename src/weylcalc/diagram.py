@@ -16,7 +16,6 @@ ones.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
@@ -32,6 +31,7 @@ from .exactla import (
     poly_mul,
     poly_str,
     power_plus_one,
+    rational,
 )
 from .rootsys import RootSystem
 from .weyl import int_word_matrix_from_gram, walk
@@ -158,6 +158,30 @@ class Diagram:
         return tuple([_shared_colour((c, *sorted(map(code.__getitem__, a))))
                       for c, a in zip(code, adj)])
 
+    @cached_property
+    def plan(self) -> tuple[tuple[int, tuple[tuple[int, bool], ...], tuple[int, ...]], ...]:
+        """The order :func:`embeddings` places the vertices in, high degree
+        early so that edge constraints bind sooner: next the vertex with the
+        most neighbours placed, then the highest degree, then the lowest
+        index.  A component is so placed in one run, each vertex after its
+        first next to an earlier one.  Each step is ``(v, placed
+        neighbours, each with whether its edge to v is dotted, placed
+        non-neighbours)``, both in placing order."""
+        adj = self.adjacency
+        placed_nbrs = [0] * self.n
+        remaining = set(range(self.n))
+        plan, placed = [], []
+        while remaining:
+            v = max(remaining, key=lambda v: (placed_nbrs[v], len(adj[v]), -v))
+            remaining.remove(v)
+            a = adj[v]
+            plan.append((v, tuple([(u, self.edge_style(u, v) == DOTTED) for u in placed if u in a]),
+                         tuple([u for u in placed if u not in a])))
+            placed.append(v)
+            for w in a:
+                placed_nbrs[w] += 1
+        return tuple(plan)
+
     def to_dict(self) -> dict:
         return {
             "vertices": [
@@ -279,8 +303,9 @@ def _realized(
 
 def int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
     """``(scale * gram(d, t), scale)``: the normalized Gram matrix scaled to
-    integers by ``scale = 2 * denominator(t)``."""
-    t = Q(t)
+    integers by ``scale = 2 * denominator(t)``.  ValueError for a ``t``
+    that is not an int or a ``Fraction``."""
+    t = rational(t)
     scale = 2 * t.denominator
     short, long = scale // 2, t.numerator  # 1/2 and t/2, scaled
     n = d.n
@@ -300,8 +325,9 @@ def gram(d: Diagram, t: Q = Q(1)) -> Matrix:
 
 
 def tits_value(d: Diagram, coeffs: Sequence, t: Q = Q(1)) -> Q:
-    """The diagram's quadratic form evaluated at a coefficient vector."""
-    x = [Q(c) for c in coeffs]
+    """The diagram's quadratic form evaluated at a coefficient vector of
+    ints and Fractions (ValueError for any other entry)."""
+    x = [rational(c) for c in coeffs]
     if len(x) != d.n:
         raise ValueError("coefficient count mismatch")
     g = gram(d, t)
@@ -558,10 +584,8 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
 
 
 @lru_cache(maxsize=1)
-def _catalog() -> tuple[dict[str, CatalogEntry],
-                        dict[tuple, list[tuple[CatalogEntry, list[_Step]]]]]:
-    """(entries by name, entries by colour key with their search plans),
-    built and checked once.
+def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, list[CatalogEntry]]]:
+    """(entries by name, entries by colour key), built and checked once.
     Each entry's Gram matrix, independence proof and chordless cycles are
     made once, and its stated charpoly is checked against its diagram's
     :func:`bicolored_charpoly`.  An unlabelled entry's word is its
@@ -569,7 +593,7 @@ def _catalog() -> tuple[dict[str, CatalogEntry],
     entry's word keeps the order the scripts fix, and its own product is
     checked too.  No two entries are :func:`equivalent`."""
     entries: dict[str, CatalogEntry] = {}
-    by_key: dict[tuple, list[tuple[CatalogEntry, list[_Step]]]] = {}
+    by_key: dict[tuple, list[CatalogEntry]] = {}
     for name, system_name, roots, labels, stated in _catalog_specs():
         if name in entries:
             raise RuntimeError(f"duplicate catalog name {name}")
@@ -596,12 +620,12 @@ def _catalog() -> tuple[dict[str, CatalogEntry],
                     f"!= stored {poly_str(stated)}"
                 )
         mates = by_key.setdefault(_colour_key(d), [])
-        for mate, _ in mates:
+        for mate in mates:
             if equivalent(d, mate.diagram):
                 raise RuntimeError(f"catalog entries {name} and {mate.name} are equivalent")
         word = tuple(roots[i] for i in order)
         entries[name] = CatalogEntry(name, system_name, word, d, stated)
-        mates.append((entries[name], _search_plan(d)))
+        mates.append(entries[name])
     return entries, by_key
 
 
@@ -620,8 +644,8 @@ def identify(d: Diagram) -> str | None:
     """Name of the catalog entry ``d`` is :func:`equivalent` to, or None
     when there is none.  Every entry is admissible, so a diagram with an
     odd cycle is never named."""
-    for entry, plan in _catalog()[1].get(_colour_key(d), ()):
-        if _maps_onto(entry.diagram, plan, d):
+    for entry in _catalog()[1].get(_colour_key(d), ()):
+        if _maps_onto(entry.diagram, d):
             return entry.name
     return None
 
@@ -649,7 +673,7 @@ def equivalent(d: Diagram, c: Diagram) -> bool:
     vertices keeps length classes and adjacency, and the styles of ``d``
     become those of ``c`` once some vertices are switched.  Switching a
     vertex (negating its root) toggles the style of every edge at it."""
-    return _colour_key(d) == _colour_key(c) and _maps_onto(c, _search_plan(c), d)
+    return _colour_key(d) == _colour_key(c) and _maps_onto(c, d)
 
 
 def _colour_key(d: Diagram) -> tuple[tuple[int, ...], ...]:
@@ -657,81 +681,109 @@ def _colour_key(d: Diagram) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(d.colours))
 
 
-def _signed_adjacency(d: Diagram) -> list[dict[int, bool]]:
-    """Each vertex's neighbours, each with whether their edge is dotted."""
-    signed: list[dict[int, bool]] = [{} for _ in range(d.n)]
+def _maps_onto(c: Diagram, d: Diagram) -> bool:
+    """:func:`equivalent` for two diagrams with one colour key: an
+    :func:`embeddings` of ``c`` into ``d`` that keeps colours.  It is a
+    bijection, as each colour has as many vertices in both.  Every edge of
+    ``c`` lands on an edge of ``d``, and the two have as many edges, so it
+    keeps non-adjacency too, and the search leaves out the non-edge rows."""
+    adj, dotted, classes = [0] * d.n, [0] * d.n, {}
     for a, b, style in d.edges:
-        signed[a][b] = signed[b][a] = style == DOTTED
-    return signed
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        if style == DOTTED:
+            dotted[a] |= 1 << b
+            dotted[b] |= 1 << a
+    for x, colour in enumerate(d.colours):
+        classes[colour] = classes.get(colour, 0) | 1 << x
+    return bool(embeddings(c, [classes[colour] for colour in c.colours],
+                           adj, None, dotted, limit=1))
 
 
-#: One step of a search plan: a vertex, its parent (-1 for a component's
-#: first vertex), whether the parent edge is dotted, and the vertex's other
-#: neighbours placed before it, each with whether that edge is dotted.
-_Step = tuple[int, int, bool, list[tuple[int, bool]]]
+def embeddings(
+    target: Diagram,
+    classes: Sequence[int],
+    adj: Sequence[int],
+    orth: Sequence[int] | None,
+    pos: Sequence[int],
+    limit: int | None = None,
+    anchor: bool = False,
+) -> list[tuple[int, ...]]:
+    """Placements of the vertices of ``target`` on distinct vertices of a
+    host graph, each as the host vertex of every target vertex: a target
+    edge lands on a host edge, a non-edge on a non-edge, and the edge
+    styles agree up to switching.  One placement per host vertex set, in
+    the order found, and at most ``limit`` (None or an int of at least 1)
+    of them.
 
+    The host is given as bitmask rows: bit y of ``adj[x]`` is set when
+    host vertices x and y are adjacent, of ``orth[x]`` when they are not
+    (and x != y), and of ``pos[x]`` when their edge is dotted.  Target
+    vertex v goes only to the host vertices in the mask ``classes[v]``.
+    With ``orth`` None a target non-edge may land on a host edge.  With
+    ``anchor`` the first-placed vertex only tries the lowest vertex of its
+    class.
 
-def _search_plan(c: Diagram) -> list[_Step]:
-    """The vertices of ``c`` breadth-first, each component from a vertex of
-    its rarest colour, so that every vertex after a component's first has
-    a parent placed before it."""
-    colours, signed = c.colours, _signed_adjacency(c)
-    count = Counter(colours)
-    plan: list[_Step] = []
-    pos = [0] * c.n
-    for comp in c.components:
-        # the parent map, in placing order, holds each parent edge's style
-        tree = walk(min(comp, key=lambda v: count[colours[v]]),
-                    lambda u: zip(signed[u].values(), signed[u]))
-        for k, v in enumerate(tree, len(plan)):
-            pos[v] = k
-        for v, link in tree.items():
-            p, dotted = link or (-1, False)
-            back = [(u, bit) for u, bit in signed[v].items() if pos[u] < pos[v] and u != p]
-            plan.append((v, p, dotted, back))
-    return plan
-
-
-def _maps_onto(c: Diagram, plan: list[_Step], d: Diagram) -> bool:
-    """:func:`equivalent` for two diagrams with one colour key, ``plan``
-    the :func:`_search_plan` of ``c``: a backtracking bijection from the
-    vertices of ``c`` onto those of ``d`` that keeps colours and adjacency.
-
-    A vertex goes next to its parent's image.  Each placed vertex carries
-    a switching bit: 0 for a component's first (a whole component switched
-    changes no style), and for any other the bit its parent's edge asks
-    for; its other placed neighbours must agree.  Every edge of ``c`` then
-    lands on an edge of ``d``, and the two have as many edges, so the
-    bijection keeps adjacency both ways.
+    A backtracking search in :attr:`Diagram.plan` order, lowest host
+    vertex first.  Styles are checked as each vertex is placed, with one
+    flip bit per placed vertex: the first placed neighbour u of v sets
+    flip[v] = flip[u] xor (host dotted != target dotted), and every other
+    placed neighbour w must give the same bit.  The plan places each
+    component in one run, every vertex after the run's first next to an
+    earlier one, so the placed part of a component stays connected and
+    the bits exist exactly when its styles agree up to switching; a
+    component's first vertex keeps flip 0, as switching a whole component
+    changes no style.  The test runs on all candidates at once.  A
+    candidate c is dotted against a placed vertex p exactly when c is in
+    ``pos[p]``.  So two placed neighbours whose bits flip xor (target
+    dotted) are x and y ask c for the same flip bit exactly when c is in
+    the xor of their ``pos`` rows if x != y, and outside it if x == y.
     """
-    n, cc, cd = c.n, c.colours, d.colours
-    signed = _signed_adjacency(d)
-    image, sign, free = [0] * n, [False] * n, [True] * n
+    k, plan = target.n, target.plan
+    results: list[tuple[int, ...]] = []
+    seen_sets: set[int] = set()  # ``used`` masks of the reported host sets
+    image = [0] * k  # host vertex of each placed target vertex
+    flip = [0] * k  # switching bit of each placed target vertex
 
-    def place(k: int) -> bool:
-        if k == n:
-            return True
-        v, p, dotted, back = plan[k]
-        want = cc[v]
-        if p < 0:
-            candidates = [x for x in range(n) if free[x] and cd[x] == want]
-        else:
-            candidates = [x for x in signed[image[p]] if free[x] and cd[x] == want]
-        for x in candidates:
-            sx = signed[x]
-            s = p >= 0 and sign[p] ^ dotted ^ sx[image[p]]
-            for u, bit in back:
-                b = sx.get(image[u])
-                if b is None or sign[u] ^ s != bit ^ b:
-                    break
-            else:
-                image[v], sign[v], free[x] = x, s, False
-                if place(k + 1):
-                    return True
-                free[x] = True
+    def descend(depth: int, used: int) -> bool:
+        """Returns True when the limit is reached."""
+        if depth == k:
+            if used in seen_sets:
+                return False
+            seen_sets.add(used)
+            results.append(tuple(image))
+            return limit is not None and len(results) >= limit
+        v, nbrs, non = plan[depth]
+        cand = classes[v] & ~used
+        for u, _ in nbrs:
+            cand &= adj[image[u]]
+        if orth is not None:
+            for u in non:
+                cand &= orth[image[u]]
+        if not cand:
+            return False
+        if anchor and not depth:
+            cand &= -cand
+        # Each placed neighbour u asks for the flip bit
+        # flip[u] xor (target dotted) xor (host dotted); they must agree.
+        want = first = 0
+        if nbrs:
+            u, dotted = nbrs[0]
+            want, first = flip[u] ^ dotted, pos[image[u]]
+            for u, dotted in nbrs[1:]:
+                split = first ^ pos[image[u]]
+                cand &= split if flip[u] ^ dotted != want else ~split
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            x = bit.bit_length() - 1
+            image[v], flip[v] = x, want ^ (first >> x & 1)
+            if descend(depth + 1, used | bit):
+                return True
         return False
 
-    return place(0)
+    descend(0, 0)
+    return results
 
 
 # --------------------------------------------------------------------------

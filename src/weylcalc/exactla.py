@@ -60,8 +60,25 @@ def idot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
+def denominator(*entries) -> int:
+    """The least common denominator of ints and Fractions.  ValueError for
+    any other entry, a float or a string say: it is not read, as the
+    answer would not be exact (the float 0.3 is below 3/10)."""
+    try:
+        return lcm(*{e.denominator for e in entries})
+    except AttributeError:
+        bad = next(e for e in entries if not hasattr(e, "denominator"))
+        raise ValueError(f"entry {bad!r} is not an int or a Fraction") from None
+
+
+def rational(x) -> Q:
+    """``x`` as a ``Fraction``, refused as :func:`denominator` refuses it."""
+    denominator(x)
+    return Q(x)
+
+
 def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Q(e) for e in row) for row in rows)
+    return tuple(tuple(rational(e) for e in row) for row in rows)
 
 
 def identity(n: int) -> Matrix:
@@ -88,16 +105,10 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 def integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """``(den * a, den)`` with ``den`` the least common denominator of the
     entries, so the scaled matrix is integral.  ValueError for an entry
-    with no ``denominator``, a float or a string say: it is not an int or
-    a ``Fraction``, and the answer would not be exact."""
-    den = 1
-    try:
-        for row in a:
-            for e in row:
-                if e.denominator != 1:
-                    den = lcm(den, e.denominator)
-    except AttributeError:
-        raise ValueError(f"entry {e!r} is not an int or a Fraction") from None
+    that is not an int or a ``Fraction`` (:func:`denominator`)."""
+    den = denominator(*[e for row in a for e in row])
+    if den == 1:
+        return [[e.numerator for e in row] for row in a], 1
     return [[e.numerator * (den // e.denominator) for e in row] for row in a], den
 
 
@@ -296,7 +307,7 @@ def poly_trim(p: Sequence[Q]) -> Poly:
     coeffs = list(p)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(Q(c) for c in coeffs)
+    return tuple(rational(c) for c in coeffs)
 
 
 def poly_degree(p: Poly) -> int:
@@ -337,10 +348,10 @@ def power_plus_one(m: int) -> Poly:
 
 
 def poly_eval(p: Poly, x) -> Q:
-    x = Q(x)
+    x = rational(x)
     acc = ZERO
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * x + rational(c)
     return acc
 
 
@@ -407,7 +418,7 @@ def _sign_changes(seq: list[Poly], x: Q) -> int:
 
 def count_real_roots_in_interval(p: Poly, lo, hi) -> int:
     """Distinct real roots of ``p`` in the half-open interval (lo, hi]."""
-    lo, hi = Q(lo), Q(hi)
+    lo, hi = rational(lo), rational(hi)
     if lo >= hi:
         return 0
     square_free = poly_divmod(p, poly_gcd(p, poly_derivative(p)))[0]

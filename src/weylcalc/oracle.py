@@ -162,10 +162,11 @@ class _SubsetIndex:
 
     ``adj_mask`` and ``orth_mask`` split the other reps into
     non-orthogonal and orthogonal ones, and ``pos_mask`` holds the reps at
-    a positive inner product.  Two adjacent roots of given lengths meet at
-    one angle up to sign (their Cartan numbers are integers of size below
-    2), so adjacency and the length classes fix the magnitude of their
-    inner product.
+    a positive inner product.  Adjacency and the length classes fix the
+    magnitude of an inner product: the product of two adjacent roots'
+    Cartan numbers is 4 cos^2 of their angle, an integer from 1 to 3, so
+    the shorter root's number against the longer is +-1, and |(a, b)| is
+    half the longer root's norm.
     """
 
     def __init__(self, system: RootSystem):
@@ -218,19 +219,10 @@ def find_subsets(
     c^k times G's (Carter 1972, admissible diagrams).  Positive
     definiteness is therefore one proof per call: a target whose G is
     not positive definite has no realization, and otherwise every
-    switching-consistent placement is independent.  Styles are checked
-    as each vertex is placed, with one flip bit per placed vertex: the
-    first placed neighbour u of v sets flip[v] = flip[u] xor (realized
-    dotted != target dotted), and every other placed neighbour w must
-    give the same bit.  The visit order places each component of the
-    target in one run, every vertex after the run's first next to an
-    earlier one, so the placed part of a component stays connected and
-    the bits exist exactly when its styles agree up to switching.  The
-    test runs on all candidates at once.  A candidate c is dotted against
-    a placed root p exactly when c is in ``pos_mask[p]``.  So two placed
-    neighbours whose bits flip xor (target dotted) are x and y ask c for
-    the same flip bit exactly when c is in the xor of their roots'
-    ``pos_mask`` rows if x != y, and outside it if x == y.
+    switching-consistent placement is independent.  The placements are
+    :func:`diagram.embeddings` of the target on the reps, each vertex on
+    the reps of its length class, with :class:`_SubsetIndex`'s rows as
+    the host.
 
     Matches are reported once per root set, in the order the search
     finds them, each as the positions of its roots in ``system.roots``;
@@ -250,84 +242,14 @@ def find_subsets(
     """
     if limit is not None and (type(limit) is not int or limit < 1):
         raise ValueError(f"limit must be None or an int of at least 1, not {limit!r}")
-    k = target.n
-    if k > system.rank or not gram_positive_definite(dg.int_gram(target, system.ratio)[0]):
+    if target.n > system.rank or not gram_positive_definite(dg.int_gram(target, system.ratio)[0]):
         return []  # more vertices than independent roots, or G not positive definite
     idx = _subset_index(system)
-    pos_mask = idx.pos_mask
+    classes = [idx.long_mask if long else idx.short_mask for long in target.longs]
     half = len(system.roots) // 2  # reps are the upper half of ``roots``
-
-    # Visit high-degree vertices early so edge constraints bind sooner.
-    visit: list[int] = []
-    remaining = set(range(k))
-    adj = target.adjacency
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda v: (len(adj[v] & set(visit)), len(adj[v]), -v),
-        )
-        visit.append(best)
-        remaining.discard(best)
-    slot = [0] * k  # depth at which each target vertex is placed
-    for depth, v in enumerate(visit):
-        slot[v] = depth
-
-    base_mask = [
-        idx.long_mask if target.longs[v] else idx.short_mask for v in range(k)
-    ]
-    # placement[depth] = (v, the mask table each earlier-placed u's root
-    # indexes: adjacency where the target joins u and v, else orthogonality,
-    # and (depth of u, target edge dotted) for each earlier neighbour u).
-    placement: list[tuple[int, list[list[int]], list[tuple[int, bool]]]] = []
-    for depth, v in enumerate(visit):
-        fams = [idx.adj_mask if u in adj[v] else idx.orth_mask for u in visit[:depth]]
-        nbrs = [(slot[u], target.edge_style(u, v) == dg.DOTTED)
-                for u in visit[:depth] if u in adj[v]]
-        placement.append((v, fams, nbrs))
-
-    results: list[LabeledDiagram] = []
-    seen_sets: set[int] = set()  # ``used`` masks of the reported root sets
-    chosen: list[int] = []  # rep positions, in visit order
-    flip = [0] * k  # switching bit of the vertex placed at each depth
-
-    def descend(depth: int, used: int) -> bool:
-        """Returns True when the limit is reached."""
-        if depth == k:
-            if used in seen_sets:
-                return False
-            seen_sets.add(used)
-            results.append(LabeledDiagram(system, tuple(half + chosen[s] for s in slot)))
-            return limit is not None and len(results) >= limit
-        v, fams, nbrs = placement[depth]
-        cand = base_mask[v] & ~used
-        for p, fam in zip(chosen, fams):
-            cand &= fam[p]
-            if not cand:
-                return False
-        if not depth and limit == 1:
-            cand &= -cand  # the anchor: see the docstring
-        # Each placed neighbour u asks for the flip bit
-        # flip[u] xor (target dotted) xor (realized dotted); they must agree.
-        want = first = 0  # the first vertex of a component keeps flip 0
-        if nbrs:
-            (s, dotted), *rest = nbrs
-            want, first = flip[s] ^ dotted, pos_mask[chosen[s]]
-            for s, dotted in rest:
-                split = first ^ pos_mask[chosen[s]]
-                cand &= split if flip[s] ^ dotted != want else ~split
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            pos = bit.bit_length() - 1
-            flip[depth] = want ^ (first >> pos & 1)
-            chosen.append(pos)
-            if descend(depth + 1, used | bit):
-                return True
-            chosen.pop()
-        return False
-
-    descend(0, 0)
-    return results
+    return [LabeledDiagram(system, tuple(half + x for x in found))
+            for found in dg.embeddings(target, classes, idx.adj_mask, idx.orth_mask,
+                                       idx.pos_mask, limit, anchor=limit == 1)]
 
 
 def verify_unique_class(

@@ -7,9 +7,9 @@ import weakref
 
 import pytest
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, permutations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcalc import cli, rewrite
@@ -809,10 +809,10 @@ def relabellings(draw, d):
 
 
 @st.composite
-def perturbed_catalog_diagrams(draw):
-    """A catalog diagram relabelled and switched, then left alone or with
-    one edge's style flipped, one edge moved or one vertex made long."""
-    d = draw(relabellings(dg.catalog(draw(st.sampled_from(dg.catalog_names()))).diagram))
+def perturbations(draw, d):
+    """``d`` relabelled and switched, then left alone or with one edge's
+    style flipped, one edge moved or one vertex made long."""
+    d = draw(relabellings(d))
     edges, longs = list(d.edges), list(d.longs)
     kind = draw(st.sampled_from(("none", "flip", "move", "long")))
     if kind == "flip" and edges:
@@ -828,6 +828,11 @@ def perturbed_catalog_diagrams(draw):
     elif kind == "long":
         longs[draw(st.integers(0, d.n - 1))] = True
     return dg.make_diagram(d.n, edges, longs=longs)
+
+
+@st.composite
+def perturbed_catalog_diagrams(draw):
+    return draw(perturbations(dg.catalog(draw(st.sampled_from(dg.catalog_names()))).diagram))
 
 
 @settings(max_examples=300, deadline=None)
@@ -855,3 +860,99 @@ def test_no_catalog_diagram_is_equivalent_to_a_colour_mate():
     for a, b in mates:
         assert not dg.equivalent(diagrams[a], diagrams[b]), (a, b)
         assert not dg.equivalent(diagrams[b], diagrams[a]), (a, b)
+
+
+# --------------------------------------------------------------------------
+# ``equivalent`` against brute force over every relabelling and switching.
+
+
+def equivalent_by_brute_force(d, c):
+    """Some vertex bijection keeps length classes and adjacency, and some
+    set of switched vertices then turns the styles of ``d`` into those of
+    ``c``: tried one bijection and one switched set at a time."""
+    if d.n != c.n:
+        return False
+    want = {(a, b): style == dg.DOTTED for a, b, style in c.edges}
+    for perm in permutations(range(d.n)):
+        if any(d.longs[v] != c.longs[perm[v]] for v in range(d.n)):
+            continue
+        got = {(min(perm[a], perm[b]), max(perm[a], perm[b])): style == dg.DOTTED
+               for a, b, style in d.edges}
+        if got.keys() != want.keys():
+            continue
+        for switched in range(1 << d.n):
+            if all(got[a, b] ^ (switched >> a & 1) ^ (switched >> b & 1) == dotted
+                   for (a, b), dotted in want.items()):
+                return True
+    return False
+
+
+@st.composite
+def small_diagrams(draw, max_n=5):
+    n, signed = draw(signed_graphs(max_n=max_n))
+    longs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return dg.make_diagram(n, [(a, b, dg.DOTTED if odd else dg.SOLID) for a, b, odd in signed],
+                           longs=longs)
+
+
+@st.composite
+def small_diagram_pairs(draw):
+    """A diagram with n <= 5 and either an independent one of its size or
+    a :func:`perturbations` of it."""
+    d = draw(small_diagrams())
+    if draw(st.booleans()):
+        return d, draw(small_diagrams(max_n=d.n).filter(lambda c: c.n == d.n))
+    return d, draw(perturbations(d))
+
+
+TRIANGLE = ((0, 1), (1, 2), (0, 2))
+PATH3 = ((0, 1), (1, 2))
+
+
+def long_at(d, *vertices):
+    return dataclasses.replace(d, longs=tuple(v in vertices for v in range(d.n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_diagram_pairs())
+# odd cycles: the dotted count's parity on a cycle survives switching
+@example((dg.styled_diagram(3, TRIANGLE, 0), dg.styled_diagram(3, TRIANGLE, 0b100)))
+@example((dg.styled_diagram(3, TRIANGLE, 0), dg.styled_diagram(3, TRIANGLE, 0b011)))
+@example((dg.styled_diagram(4, SQUARE, 0b1000), dg.styled_diagram(4, SQUARE, 0b0111)))
+@example((dg.styled_diagram(4, SQUARE, 0b1000), dg.styled_diagram(4, SQUARE, 0b0101)))
+# disconnected: a triangle and an edge, against an edge and a triangle
+@example((dg.styled_diagram(5, TRIANGLE + ((3, 4),), 0b1100),
+          dg.styled_diagram(5, ((0, 1), (2, 3), (3, 4), (2, 4)), 0b1110)))
+@example((dg.styled_diagram(5, TRIANGLE + ((3, 4),), 0b1100),
+          dg.styled_diagram(5, ((0, 1), (2, 3), (3, 4), (2, 4)), 0b0110)))
+# mixed lengths: where the long vertex sits on a path
+@example((long_at(dg.styled_diagram(3, PATH3, 0b10), 0),
+          long_at(dg.styled_diagram(3, PATH3, 0b11), 2)))
+@example((long_at(dg.styled_diagram(3, PATH3, 0b10), 0),
+          long_at(dg.styled_diagram(3, PATH3, 0), 1)))
+def test_equivalent_matches_brute_force(pair):
+    d, c = pair
+    expected = equivalent_by_brute_force(d, c)
+    assert dg.equivalent(d, c) == expected
+    assert dg.equivalent(c, d) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_graphs(max_n=7))
+def test_the_plan_places_each_component_in_one_connected_run(graph):
+    """Each step splits the vertices placed before it into its neighbours,
+    with their edge styles, and its non-neighbours.  A component is placed
+    in one run, and only its first vertex has no neighbour placed."""
+    n, signed = graph
+    d = dg.make_diagram(n, [(a, b, dg.DOTTED if odd else dg.SOLID) for a, b, odd in signed])
+    order = [v for v, _, _ in d.plan]
+    assert sorted(order) == list(range(n))
+    for k, (v, nbrs, non) in enumerate(d.plan):
+        assert sorted([u for u, _ in nbrs] + list(non)) == sorted(order[:k])
+        assert all(u in d.adjacency[v] and (d.edge_style(u, v) == dg.DOTTED) == dotted
+                   for u, dotted in nbrs)
+        assert not set(non) & d.adjacency[v]
+    assert sum(not nbrs for _, nbrs, _ in d.plan) == len(d.components)
+    comp_of = {v: i for i, comp in enumerate(d.components) for v in comp}
+    runs = [comp_of[v] for v in order]
+    assert runs == sorted(runs, key=runs.index)

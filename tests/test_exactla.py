@@ -28,6 +28,7 @@ from weylcalc.exactla import (
     vec_add,
     vec_sub,
 )
+from weylcalc import diagram as dg
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import perm_space
 
@@ -49,22 +50,43 @@ def test_matrix_products():
     assert mat_pow(a, 0) == identity(2)
 
 
+A2_DIAGRAM = dg.make_diagram(2, [(0, 1, dg.SOLID)])
 INEXACT_ENTRY_CALLS = {
     "charpoly": lambda e: charpoly(((e, 0), (0, 1))),
     "solve": lambda e: solve(((1, 0), (0, 1)), (e, 0)),
     "gram_positive_definite": lambda e: gram_positive_definite(((e,),)),
     "perm_of_matrix": lambda e: perm_space(build_by_name("A2")).perm_of_matrix(
         ((e, 0, 0), (0, 1, 0), (0, 0, 1))),
+    "mat": lambda e: mat([[e]]),
+    "poly_trim": lambda e: poly_trim((e, 1)),
+    "poly_eval at": lambda e: poly_eval((Q(1), Q(1)), e),
+    "poly_eval of": lambda e: poly_eval((e, Q(1)), Q(1)),
+    "count_real_roots_in_interval": lambda e: count_real_roots_in_interval(
+        (Q(-3, 10), Q(1)), Q(1, 10), e),
+    "real_root_in_interval": lambda e: real_root_in_interval((Q(-3, 10), Q(1)), e, Q(1)),
+    "int_gram": lambda e: dg.int_gram(A2_DIAGRAM, e),
+    "gram": lambda e: dg.gram(A2_DIAGRAM, e),
+    "bicolored_charpoly": lambda e: dg.bicolored_charpoly(A2_DIAGRAM, e),
+    "tits_value": lambda e: dg.tits_value(A2_DIAGRAM, [e, 1]),
 }
 
 
 @pytest.mark.parametrize("entry", [1.0, "1"])
 @pytest.mark.parametrize("call", INEXACT_ENTRY_CALLS)
 def test_an_entry_that_is_not_exact_is_refused(call, entry):
-    """Every integer scaling goes through ``integer_matrix``, which takes
-    ints and Fractions only."""
+    """Every integer scaling (``integer_matrix``) and every other public
+    function that reads a number as a Fraction takes ints and Fractions
+    only, by ``exactla.denominator``: read with ``Fraction(e)``, a float
+    such as 0.3 (below 3/10) would give a plausible wrong answer, and a
+    string would be parsed."""
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
         INEXACT_ENTRY_CALLS[call](entry)
+
+
+def test_the_exact_bound_finds_the_root_the_float_misses():
+    """(1/10, 3/10] holds the root of x - 3/10; the float 0.3 is below it."""
+    assert count_real_roots_in_interval((Q(-3, 10), Q(1)), Q(1, 10), Q(3, 10)) == 1
+    assert dg.tits_value(A2_DIAGRAM, [Q(1, 2), 1]) == Q(3, 4)
 
 
 def test_charpoly_is_monic_ascending():
