@@ -700,6 +700,12 @@ def _maps_onto(c: Diagram, d: Diagram) -> bool:
                            adj, None, dotted, limit=1))
 
 
+def check_limit(limit: int | None) -> None:
+    """ValueError unless ``limit`` is None or an int of at least 1."""
+    if limit is not None and (type(limit) is not int or limit < 1):
+        raise ValueError(f"limit must be None or an int of at least 1, not {limit!r}")
+
+
 def embeddings(
     target: Diagram,
     classes: Sequence[int],
@@ -713,8 +719,8 @@ def embeddings(
     host graph, each as the host vertex of every target vertex: a target
     edge lands on a host edge, a non-edge on a non-edge, and the edge
     styles agree up to switching.  One placement per host vertex set, in
-    the order found, and at most ``limit`` (None or an int of at least 1)
-    of them.
+    the order found, and at most ``limit`` of them (None or an int of at
+    least 1, else ValueError).
 
     The host is given as bitmask rows: bit y of ``adj[x]`` is set when
     host vertices x and y are adjacent, of ``orth[x]`` when they are not
@@ -739,6 +745,7 @@ def embeddings(
     dotted) are x and y ask c for the same flip bit exactly when c is in
     the xor of their ``pos`` rows if x != y, and outside it if x == y.
     """
+    check_limit(limit)
     k, plan = target.n, target.plan
     results: list[tuple[int, ...]] = []
     seen_sets: set[int] = set()  # ``used`` masks of the reported host sets

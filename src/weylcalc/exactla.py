@@ -107,8 +107,6 @@ def integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     entries, so the scaled matrix is integral.  ValueError for an entry
     that is not an int or a ``Fraction`` (:func:`denominator`)."""
     den = denominator(*[e for row in a for e in row])
-    if den == 1:
-        return [[e.numerator for e in row] for row in a], 1
     return [[e.numerator * (den // e.denominator) for e in row] for row in a], den
 
 

@@ -240,8 +240,7 @@ def find_subsets(
     unanchored: the uniqueness check in the benchmark's ``unique``
     operation needs every realization from one exhaustive call.
     """
-    if limit is not None and (type(limit) is not int or limit < 1):
-        raise ValueError(f"limit must be None or an int of at least 1, not {limit!r}")
+    dg.check_limit(limit)
     if target.n > system.rank or not gram_positive_definite(dg.int_gram(target, system.ratio)[0]):
         return []  # more vertices than independent roots, or G not positive definite
     idx = _subset_index(system)

@@ -178,6 +178,7 @@ def test_gram_values():
 def test_tits_value_sign():
     chain = dg.make_diagram(2, [(0, 1, dg.SOLID)])
     assert dg.tits_value(chain, (1, 1)) == 1
+    assert dg.tits_value(chain, (Q(1, 2), 1)) == Q(3, 4)
     triangle = dg.make_diagram(3, [(0, 1, dg.SOLID), (1, 2, dg.SOLID),
                                    (0, 2, dg.SOLID)])
     assert dg.tits_value(triangle, (1, 1, 1)) == 0

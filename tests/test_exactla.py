@@ -83,12 +83,6 @@ def test_an_entry_that_is_not_exact_is_refused(call, entry):
         INEXACT_ENTRY_CALLS[call](entry)
 
 
-def test_the_exact_bound_finds_the_root_the_float_misses():
-    """(1/10, 3/10] holds the root of x - 3/10; the float 0.3 is below it."""
-    assert count_real_roots_in_interval((Q(-3, 10), Q(1)), Q(1, 10), Q(3, 10)) == 1
-    assert dg.tits_value(A2_DIAGRAM, [Q(1, 2), 1]) == Q(3, 4)
-
-
 def test_charpoly_is_monic_ascending():
     """charpoly returns det(xI - A), coefficients in ascending degree."""
     assert charpoly(identity(3)) == (-1, 3, -3, 1)
@@ -215,6 +209,7 @@ def test_real_root_counting():
     assert count_real_roots_in_interval(p, Q(3, 2), Q(4)) == 2
     assert count_real_roots_in_interval(p, Q(4), Q(4)) == 0
     assert count_real_roots_in_interval(p, Q(4), Q(0)) == 0  # lo >= hi: empty
+    assert count_real_roots_in_interval((Q(-3, 10), Q(1)), Q(1, 10), Q(3, 10)) == 1
     two = (Q(-2), Q(0), Q(1))
     assert real_root_in_interval(two, Q(7, 5), Q(3, 2))
     assert not real_root_in_interval(two, Q(0), Q(1))

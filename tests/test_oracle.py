@@ -136,6 +136,14 @@ def test_find_subsets_rejects_limit_below_one(limit):
         find_subsets(build_by_name("D4"), target, limit=limit)
 
 
+@pytest.mark.parametrize("limit", [0, -1, 2.5, True])
+def test_embeddings_rejects_limit_below_one(limit):
+    """One vertex on a one-vertex host: a bad limit is refused, not read
+    as 1."""
+    with pytest.raises(ValueError, match="limit"):
+        dg.embeddings(dg.make_diagram(1, []), [1], [0], None, [0], limit)
+
+
 def test_verify_unique_class_smallest_case():
     d4 = build_by_name("D4")
     assert verify_unique_class(d4, "D4(a1)")
