@@ -34,7 +34,7 @@ from .exactla import (
     rational,
 )
 from .rootsys import RootSystem
-from .weyl import int_word_matrix_from_gram, walk
+from .weyl import check_cap, int_word_matrix_from_gram, walk
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -198,7 +198,7 @@ class Diagram:
         an int, a ``long`` that is not a bool or a ``label`` that is not a
         string (the last two by :func:`make_diagram`)."""
         verts = data["vertices"]
-        if (not all(_is_index(v["index"]) for v in verts)
+        if (not all(type(v["index"]) is int for v in verts)
                 or sorted(v["index"] for v in verts) != list(range(len(verts)))):
             raise ValueError("vertex indices must be the ints 0..n-1, each once")
         verts = sorted(verts, key=lambda v: v["index"])
@@ -213,11 +213,6 @@ def _shared_colour(colour: tuple[int, ...]) -> tuple[int, ...]:
     """The first tuple equal to ``colour`` still kept: diagrams share their
     vertex colours instead of each holding its own copies."""
     return colour
-
-
-def _is_index(x) -> bool:
-    """A vertex index is an int; a bool, a float or a string is not."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +232,7 @@ def make_diagram(
     vertex count that is not an int >= 0, an edge end that is not an int,
     a long flag that is not a bool or a label that is not a string is
     refused."""
-    if not (_is_index(n) and n >= 0):
+    if not (type(n) is int and n >= 0):
         raise ValueError(f"vertex count {n!r} is not an int >= 0")
     longs = tuple(longs) if longs is not None else (False,) * n
     if len(longs) != n:
@@ -247,7 +242,7 @@ def make_diagram(
     norm_edges = []
     seen = set()
     for a, b, style in edges:
-        if not (_is_index(a) and _is_index(b) and a != b and 0 <= a < n and 0 <= b < n):
+        if not (type(a) is int and type(b) is int and a != b and 0 <= a < n and 0 <= b < n):
             raise ValueError(f"bad edge ({a!r}, {b!r})")
         if style not in (SOLID, DOTTED):
             raise ValueError(f"bad edge style {style!r}")
@@ -700,12 +695,6 @@ def _maps_onto(c: Diagram, d: Diagram) -> bool:
                            adj, None, dotted, limit=1))
 
 
-def check_limit(limit: int | None) -> None:
-    """ValueError unless ``limit`` is None or an int of at least 1."""
-    if limit is not None and (type(limit) is not int or limit < 1):
-        raise ValueError(f"limit must be None or an int of at least 1, not {limit!r}")
-
-
 def embeddings(
     target: Diagram,
     classes: Sequence[int],
@@ -745,7 +734,7 @@ def embeddings(
     dotted) are x and y ask c for the same flip bit exactly when c is in
     the xor of their ``pos`` rows if x != y, and outside it if x == y.
     """
-    check_limit(limit)
+    check_cap(limit, "limit")
     k, plan = target.n, target.plan
     results: list[tuple[int, ...]] = []
     seen_sets: set[int] = set()  # ``used`` masks of the reported host sets

@@ -103,7 +103,7 @@ def conjugating_perm(
     along the walk's path to q, last first.  ValueError for a ``cap``
     that is not None or an int of at least 1, even when p == q.
     """
-    weyl.check_cap(cap)
+    weyl.check_cap(cap, "cap")
     if p == q:
         return "conjugate", space.ident
     parent = _class_walk(space, p, cap, stop=q)
@@ -240,7 +240,7 @@ def find_subsets(
     unanchored: the uniqueness check in the benchmark's ``unique``
     operation needs every realization from one exhaustive call.
     """
-    dg.check_limit(limit)
+    weyl.check_cap(limit, "limit")
     if target.n > system.rank or not gram_positive_definite(dg.int_gram(target, system.ratio)[0]):
         return []  # more vertices than independent roots, or G not positive definite
     idx = _subset_index(system)
@@ -264,7 +264,7 @@ def verify_unique_class(
     ``cap`` that is not None or an int of at least 1 is a ValueError,
     before the search.
     """
-    weyl.check_cap(cap)
+    weyl.check_cap(cap, "cap")
     entry = dg.catalog(name)
     found = find_subsets(system, entry.diagram)
     if not found:

@@ -44,7 +44,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from typing import Sequence, Tuple
 
-from .exactla import LeadingMinors, Vector, gram_positive_definite, idot, solve
+from .exactla import LeadingMinors, Vector, denominator, gram_positive_definite, idot, solve
 
 IntVector = Tuple[int, ...]
 
@@ -105,20 +105,11 @@ def halved(v: Sequence[int]) -> Vector:
 
 def doubled(v: Vector) -> IntVector:
     """Doubled-integer coordinates of a vector with entries in (1/2)Z;
-    ValueError for any other entry, a float or a string too."""
-    out = []
-    try:
-        for c in v:
-            d = c.denominator
-            if d == 1:
-                out.append(2 * c.numerator)
-            elif d == 2:
-                out.append(c.numerator)
-            else:
-                raise ValueError(f"coordinate {c} is not a multiple of 1/2")
-    except AttributeError:
-        raise ValueError(f"coordinate {c!r} is not rational") from None
-    return tuple(out)
+    ValueError for an entry that :func:`exactla.denominator` refuses, a
+    float or a string say, and for one off the half lattice."""
+    if 2 % denominator(*v):
+        raise ValueError(f"vector has a non-half fractional part: ({', '.join(map(str, v))})")
+    return tuple([2 * c.numerator // c.denominator for c in v])
 
 
 def _positive_roots(simple: Sequence[IntVector]) -> dict[IntVector, int]:
@@ -260,11 +251,8 @@ class RootSystem:
         return images
 
     def _lattice(self, v: Vector) -> IntVector:
-        """Doubled coordinates of ``v``, read from ``int_roots`` for a root;
-        ValueError for a vector of another dimension."""
-        i = self.root_index(v)
-        if i is not None:
-            return self.int_roots[i]
+        """Doubled coordinates of ``v``; ValueError for a vector of another
+        dimension or one that :func:`doubled` refuses."""
         if len(v) != self.dim:
             raise ValueError(f"not a vector of dimension {self.dim}: {v!r}")
         return doubled(v)
@@ -311,9 +299,9 @@ class RootSystem:
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
         """Coordinates of ``v`` in the simple-root basis; ValueError for a
-        vector of the wrong length, with a coordinate that is not an int or
-        a ``Fraction``, or off the root span."""
-        if len(v) != self.dim or not all(isinstance(c, (int, Q)) for c in v):
+        vector of the wrong length, off the root span, or with a coordinate
+        that :func:`solve` refuses (not an int or a ``Fraction``)."""
+        if len(v) != self.dim:
             raise ValueError(f"not an exact vector of dimension {self.dim}: {v!r}")
         coeffs = solve(tuple(zip(*self.simple_roots)), v)
         if coeffs is None:
@@ -493,12 +481,6 @@ def _format_doubled(v: IntVector) -> str:
 
 
 def format_vector(v: Vector) -> str:
-    """The root literal of any vector with entries in (1/2)Z."""
-    try:
-        return _format_doubled(doubled(v))
-    except ValueError:
-        if not all(hasattr(c, "denominator") for c in v):
-            raise  # a float or a string: ``doubled`` names it
-        twice = any(c.denominator == 2 for c in v)
-        coords = [c * 2 for c in v] if twice else list(v)
-        raise ValueError(f"vector has a non-half fractional part: {coords}") from None
+    """The root literal of any vector with entries in (1/2)Z; ValueError
+    for any other vector, as :func:`doubled` refuses it."""
+    return _format_doubled(doubled(v))

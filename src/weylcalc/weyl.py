@@ -122,15 +122,18 @@ def word_matrix(system: RootSystem, word: Sequence[Vector]) -> Matrix:
                  for row in int_word_matrix_from_gram(gram, range(len(gram))))
 
 
-def order_or_infinite(m: Matrix, power_cap: int = 10_000) -> int | str:
+def order_or_infinite(m: Matrix, power_cap: int | None = 10_000) -> int | str:
     """Multiplicative order of a matrix, or the string ``"infinite"``.
 
     Finite order forces the characteristic polynomial to be a product of
     cyclotomic polynomials Φ_d.  Each Φ_d makes ``m`` have an eigenvalue
     that is a primitive d-th root of unity, so a finite order is a multiple
     of every d, hence of their lcm L: when ``m^L = I`` the order is L, and
-    otherwise ``m`` has a nontrivial Jordan block.
+    otherwise ``m`` has a nontrivial Jordan block.  ValueError when L
+    exceeds ``power_cap`` (None for no cap), and for a ``power_cap`` that
+    is not None or an int of at least 1, even for the identity.
     """
+    check_cap(power_cap, "power_cap")
     n = len(m)
     if m == identity(n):
         return 1
@@ -138,7 +141,7 @@ def order_or_infinite(m: Matrix, power_cap: int = 10_000) -> int | str:
     if factors is None:
         return "infinite"
     bound = lcm(*factors)
-    if bound > power_cap:
+    if power_cap is not None and bound > power_cap:
         raise ValueError(f"order bound {bound} exceeds cap {power_cap}")
     if mat_pow(m, bound) != identity(n):
         return "infinite"  # cyclotomic spectrum but a nontrivial Jordan block
@@ -313,11 +316,11 @@ def perm_space(system: RootSystem) -> PermSpace:
     return PermSpace(system)
 
 
-def check_cap(cap) -> None:
-    """ValueError unless ``cap`` is None or an int of at least 1 (a bool
-    is not a cap)."""
-    if cap is not None and (type(cap) is not int or cap < 1):
-        raise ValueError(f"cap must be None or an int of at least 1, not {cap!r}")
+def check_cap(value, name: str) -> None:
+    """ValueError unless ``value`` is None or an int of at least 1 (a bool
+    is not one): the one check of every cap and limit, ``name`` its label."""
+    if value is not None and (type(value) is not int or value < 1):
+        raise ValueError(f"{name} must be None or an int of at least 1, not {value!r}")
 
 
 def walk(start, moves, cap: int | None = None, stop=None) -> dict | None:
@@ -329,7 +332,7 @@ def walk(start, moves, cap: int | None = None, stop=None) -> dict | None:
     its children.  The walk ends as soon as it discovers ``stop``, and
     gives None once it would hold more than ``cap`` nodes; ValueError for
     a ``cap`` that is not None or an int of at least 1."""
-    check_cap(cap)
+    check_cap(cap, "cap")
     parent: dict = {start: None}
     queue = [start]
     for node in queue:  # the queue grows while it is read

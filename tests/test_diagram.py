@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+from enum import IntEnum
 import re
 import weakref
 
@@ -62,6 +63,23 @@ def test_make_diagram_rejects_bad_input():
 def test_make_diagram_refuses_a_vertex_count_that_is_not_an_int(n):
     with pytest.raises(ValueError, match="vertex count .* is not an int >= 0"):
         dg.make_diagram(n, [])
+
+
+class Vertex(IntEnum):
+    FIRST = 0
+    SECOND = 1
+
+
+def test_an_int_subclass_is_not_a_vertex_index():
+    """Indices are tested by ``type(x) is int``, as everywhere in the
+    package: an ``IntEnum`` member is refused like a bool."""
+    with pytest.raises(ValueError, match="vertex count .* is not an int >= 0"):
+        dg.make_diagram(Vertex.SECOND, [])
+    with pytest.raises(ValueError, match="bad edge"):
+        dg.make_diagram(2, [(Vertex.FIRST, Vertex.SECOND, dg.SOLID)])
+    with pytest.raises(ValueError, match="vertex indices must be the ints 0..n-1"):
+        dg.Diagram.from_dict({"vertices": [{"index": v} for v in Vertex], "edges": []})
+    assert dg.make_diagram(int(Vertex.SECOND), []).n == 1
 
 
 def test_from_roots_styles():

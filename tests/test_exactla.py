@@ -1,6 +1,8 @@
 """Exact linear algebra and polynomial arithmetic."""
 
+import re
 import pytest
+from decimal import Decimal
 from fractions import Fraction as Q
 
 from weylcalc.exactla import (
@@ -29,7 +31,7 @@ from weylcalc.exactla import (
     vec_sub,
 )
 from weylcalc import diagram as dg
-from weylcalc.rootsys import build_by_name
+from weylcalc.rootsys import build_by_name, doubled, format_vector
 from weylcalc.weyl import perm_space
 
 
@@ -81,6 +83,28 @@ def test_an_entry_that_is_not_exact_is_refused(call, entry):
     string would be parsed."""
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
         INEXACT_ENTRY_CALLS[call](entry)
+
+
+D4 = build_by_name("D4")
+COORDINATE_READERS = {
+    "doubled": doubled,
+    "format_vector": format_vector,
+    "format_root": lambda v: D4.format_root(v),
+    "normalized_inner": lambda v: D4.normalized_inner(v, D4.simple_roots[0]),
+    "is_long": lambda v: D4.is_long(v),
+    "simple_coefficients": lambda v: D4.simple_coefficients(v),
+    "mat": lambda v: mat([v]),
+    "tits_value": lambda v: dg.tits_value(dg.make_diagram(4, []), v),
+}
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2", Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize("reader", COORDINATE_READERS)
+def test_every_coordinate_reader_refuses_an_inexact_entry_alike(reader, entry):
+    """One rule, one message: each reader of a vector's coordinates leaves
+    the exactness check to ``denominator``."""
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} is not an int or a Fraction")):
+        COORDINATE_READERS[reader]((entry, 0, 0, 0))
 
 
 def test_charpoly_is_monic_ascending():

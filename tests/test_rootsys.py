@@ -148,7 +148,7 @@ def test_format_vector_shapes():
 def test_format_vector_and_format_root_refuse_an_inexact_coordinate(v):
     d4 = build_by_name("D4")
     for fmt in (format_vector, d4.format_root):
-        with pytest.raises(ValueError, match=f"coordinate {v[0]!r} is not rational"):
+        with pytest.raises(ValueError, match=f"entry {v[0]!r} is not an int or a Fraction"):
             fmt(v)
 
 
@@ -440,16 +440,17 @@ def test_simple_coefficients_reject_vectors_off_the_span():
     assert s.simple_coefficients((Q(1, 3), Q(-1, 3), Q(0), Q(0))) == (Q(1, 3), 0, 0)
 
 
-@pytest.mark.parametrize("v", [
-    (1.0, -1.0, 0, 0),  # floats: read as e1-e2, they would answer floats
-    ("1", "-1", "0", "0"),
+@pytest.mark.parametrize("v, message", [
+    # floats: read as e1-e2, they would answer floats
+    ((1.0, -1.0, 0, 0), "entry 1.0 is not an int or a Fraction"),
+    (("1", "-1", "0", "0"), "entry '1' is not an int or a Fraction"),
     # the wrong length: unchecked, the solve would truncate both to (1, 0, 0)
-    (Q(1), Q(-1), Q(0)),
-    (Q(1), Q(-1), Q(0), Q(0), Q(0)),
+    ((Q(1), Q(-1), Q(0)), "not an exact vector of dimension 4"),
+    ((Q(1), Q(-1), Q(0), Q(0), Q(0)), "not an exact vector of dimension 4"),
 ], ids=["floats", "text", "3 coordinates", "5 coordinates"])
-def test_simple_coefficients_reject_inexact_or_misshapen_vectors(v):
+def test_simple_coefficients_reject_inexact_or_misshapen_vectors(v, message):
     s = build_by_name("A3")
-    with pytest.raises(ValueError, match="not an exact vector of dimension 4"):
+    with pytest.raises(ValueError, match=message):
         s.simple_coefficients(v)
 
 

@@ -110,6 +110,32 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _attribute_probes(source: str) -> list[int]:
+    """Lines of each ``except`` clause that names ``AttributeError`` and
+    each ``hasattr`` call."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "AttributeError" in {n.id for n in ast.walk(node.type)
+                                     if isinstance(n, ast.Name)})
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "hasattr")
+    ]
+
+
+def test_only_exactla_probes_an_entry_for_an_attribute():
+    """``exactla.denominator`` is the one rule for an exact number: no other
+    module catches ``AttributeError`` or calls ``hasattr``, the ways a
+    second rule would ask an entry for its ``denominator``."""
+    assert _attribute_probes(
+        "try:\n    x.a\nexcept (KeyError, AttributeError):\n    pass\n"
+        "try:\n    x.a\nexcept KeyError:\n    pass\nhasattr(x, 'a')\n") == [3, 9]
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "exactla.py"
+             for line in _attribute_probes(path.read_text())]
+    assert found == []
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

@@ -8,7 +8,7 @@ from weylcalc import diagram as dg
 from weylcalc import rewrite
 from weylcalc.exactla import (
     charpoly, dot, identity, mat, mat_mul, solve)
-from weylcalc.oracle import are_conjugate
+from weylcalc.oracle import are_conjugate, conjugating_perm, find_subsets, verify_unique_class
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
     PermSpace,
@@ -82,6 +82,45 @@ def test_order_or_infinite_finite():
     e8 = build_by_name("E8")
     with pytest.raises(ValueError, match="order bound 30 exceeds cap 10"):
         order_or_infinite(evaluate(e8, e8.simple_roots), power_cap=10)
+
+
+@pytest.mark.parametrize("cap", [0, -5, True, 2.5, 3.5], ids=repr)
+def test_order_or_infinite_reads_its_cap_as_a_count(cap):
+    """``power_cap`` is refused as every cap is, before any shortcut, and
+    None means no cap."""
+    s = build_by_name("A2")
+    coxeter = evaluate(s, s.simple_roots)  # of order 3
+    for m in (coxeter, identity(3)):
+        with pytest.raises(ValueError, match="power_cap must be None or an int of at least 1"):
+            order_or_infinite(m, cap)
+    assert order_or_infinite(coxeter, None) == order_or_infinite(coxeter, 3) == 3
+    e8 = build_by_name("E8")
+    assert order_or_infinite(evaluate(e8, e8.simple_roots), power_cap=None) == 30
+
+
+D4 = build_by_name("D4")
+D4_W = evaluate(D4, D4.simple_roots)
+COUNT_READERS = {
+    "walk": ("cap", lambda n: walk(0, lambda node: (), n)),
+    "conjugating_perm": ("cap", lambda n: conjugating_perm(
+        perm_space(D4), perm_space(D4).ident, perm_space(D4).ident, n)),
+    "are_conjugate": ("cap", lambda n: are_conjugate(D4, D4_W, D4_W, n)),
+    "verify_unique_class": ("cap", lambda n: verify_unique_class(D4, "D4(a1)", n)),
+    "find_subsets": ("limit", lambda n: find_subsets(D4, dg.catalog("A2").diagram, n)),
+    "embeddings": ("limit", lambda n: dg.embeddings(dg.make_diagram(1, []), [1], [0], None,
+                                                    [0], n)),
+    "order_or_infinite": ("power_cap", lambda n: order_or_infinite(D4_W, n)),
+}
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True], ids=repr)
+@pytest.mark.parametrize("reader", COUNT_READERS)
+def test_every_count_reader_refuses_a_bad_count_alike(reader, count):
+    """One rule, one message: each cap or limit on a count is read by
+    ``check_cap``, which names it."""
+    name, call = COUNT_READERS[reader]
+    with pytest.raises(ValueError, match=f"^{name} must be None or an int of at least 1"):
+        call(count)
 
 
 def test_order_or_infinite_is_the_least_power_on_the_catalog():
