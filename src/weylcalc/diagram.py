@@ -66,11 +66,26 @@ class Diagram:
         return tuple(map(frozenset, adj))
 
     @cached_property
-    def _styles(self) -> dict[tuple[int, int], str]:
-        return {(a, b): style for a, b, style in self.edges}
+    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The bitmask rows ``(adj, dotted)`` :func:`embeddings` reads: bit j
+        of ``adj[i]`` is set when vertices i and j are adjacent, and of
+        ``dotted[i]`` when their edge is dotted."""
+        adj, dotted = [0] * self.n, [0] * self.n
+        for a, b, style in self.edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            if style == DOTTED:
+                dotted[a] |= 1 << b
+                dotted[b] |= 1 << a
+        return tuple(adj), tuple(dotted)
 
     def edge_style(self, i: int, j: int) -> str | None:
-        return self._styles.get((i, j) if i < j else (j, i))
+        """The style of edge (i, j), or None for a non-edge (an index outside
+        ``0..n-1`` too)."""
+        adj, dotted = self.rows
+        if not (0 <= i < self.n and 0 <= j < self.n and adj[i] >> j & 1):
+            return None
+        return DOTTED if dotted[i] >> j & 1 else SOLID
 
     @cached_property
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -258,6 +273,21 @@ def make_diagram(
     if not all(isinstance(x, str) for x in lab):
         raise ValueError("vertex labels must be strings")
     return Diagram(longs, tuple(sorted(norm_edges)), lab)
+
+
+def signed_rows(g: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows ``(adj, dotted)`` of :attr:`Diagram.rows` that the integer
+    Gram matrix ``g`` reads as: an edge where an off-diagonal entry is
+    nonzero, dotted where it is positive, the rule :func:`from_roots`
+    reads a diagram by."""
+    adj, dotted = [0] * len(g), [0] * len(g)
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            if x and i != j:
+                adj[i] |= 1 << j
+                if x > 0:
+                    dotted[i] |= 1 << j
+    return tuple(adj), tuple(dotted)
 
 
 def from_roots(system: RootSystem, roots: Sequence[Vector]) -> Diagram:
@@ -678,29 +708,18 @@ def _colour_key(d: Diagram) -> tuple[tuple[int, ...], ...]:
 
 def _maps_onto(c: Diagram, d: Diagram) -> bool:
     """:func:`equivalent` for two diagrams with one colour key: an
-    :func:`embeddings` of ``c`` into ``d`` that keeps colours.  It is a
-    bijection, as each colour has as many vertices in both.  Every edge of
-    ``c`` lands on an edge of ``d``, and the two have as many edges, so it
-    keeps non-adjacency too, and the search leaves out the non-edge rows."""
-    adj, dotted, classes = [0] * d.n, [0] * d.n, {}
-    for a, b, style in d.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        if style == DOTTED:
-            dotted[a] |= 1 << b
-            dotted[b] |= 1 << a
+    :func:`embeddings` of ``c`` on ``d.rows`` that keeps colours.  It is a
+    bijection, as each colour has as many vertices in both."""
+    classes = {}
     for x, colour in enumerate(d.colours):
         classes[colour] = classes.get(colour, 0) | 1 << x
-    return bool(embeddings(c, [classes[colour] for colour in c.colours],
-                           adj, None, dotted, limit=1))
+    return bool(embeddings(c, d.rows, [classes[colour] for colour in c.colours], limit=1))
 
 
 def embeddings(
     target: Diagram,
+    host: tuple[Sequence[int], Sequence[int]],
     classes: Sequence[int],
-    adj: Sequence[int],
-    orth: Sequence[int] | None,
-    pos: Sequence[int],
     limit: int | None = None,
     anchor: bool = False,
 ) -> list[tuple[int, ...]]:
@@ -711,31 +730,34 @@ def embeddings(
     the order found, and at most ``limit`` of them (None or an int of at
     least 1, else ValueError).
 
-    The host is given as bitmask rows: bit y of ``adj[x]`` is set when
-    host vertices x and y are adjacent, of ``orth[x]`` when they are not
-    (and x != y), and of ``pos[x]`` when their edge is dotted.  Target
-    vertex v goes only to the host vertices in the mask ``classes[v]``.
-    With ``orth`` None a target non-edge may land on a host edge.  With
-    ``anchor`` the first-placed vertex only tries the lowest vertex of its
-    class.
+    The host is given as its bitmask rows ``(adj, dotted)``, in the form
+    of :attr:`Diagram.rows`: bit y of ``adj[x]`` is set when host vertices
+    x and y are adjacent, and of ``dotted[x]`` when their edge is dotted.
+    Target vertex v goes only to the host vertices in the mask
+    ``classes[v]``.  With ``anchor`` the first-placed vertex only tries
+    the lowest vertex of its class.
 
     A backtracking search in :attr:`Diagram.plan` order, lowest host
-    vertex first.  Styles are checked as each vertex is placed, with one
-    flip bit per placed vertex: the first placed neighbour u of v sets
-    flip[v] = flip[u] xor (host dotted != target dotted), and every other
-    placed neighbour w must give the same bit.  The plan places each
-    component in one run, every vertex after the run's first next to an
-    earlier one, so the placed part of a component stays connected and
-    the bits exist exactly when its styles agree up to switching; a
-    component's first vertex keeps flip 0, as switching a whole component
-    changes no style.  The test runs on all candidates at once.  A
-    candidate c is dotted against a placed vertex p exactly when c is in
-    ``pos[p]``.  So two placed neighbours whose bits flip xor (target
-    dotted) are x and y ask c for the same flip bit exactly when c is in
-    the xor of their ``pos`` rows if x != y, and outside it if x == y.
+    vertex first.  A target non-edge needs no rows of its own: the
+    candidates leave out the placed vertices and the ``adj`` row of each
+    placed non-neighbour's host vertex, in one mask.  Styles are checked
+    as each vertex is placed, with one flip bit per placed vertex: the
+    first placed neighbour u of v sets flip[v] = flip[u] xor (host dotted
+    != target dotted), and every other placed neighbour w must give the
+    same bit.  The plan places each component in one run, every vertex
+    after the run's first next to an earlier one, so the placed part of a
+    component stays connected and the bits exist exactly when its styles
+    agree up to switching; a component's first vertex keeps flip 0, as
+    switching a whole component changes no style.  The test runs on all
+    candidates at once.  A candidate c is dotted against a placed vertex p
+    exactly when c is in ``dotted[p]``.  So two placed neighbours whose
+    bits flip xor (target dotted) are x and y ask c for the same flip bit
+    exactly when c is in the xor of their ``dotted`` rows if x != y, and
+    outside it if x == y.
     """
     check_cap(limit, "limit")
     k, plan = target.n, target.plan
+    adj, host_dotted = host
     results: list[tuple[int, ...]] = []
     seen_sets: set[int] = set()  # ``used`` masks of the reported host sets
     image = [0] * k  # host vertex of each placed target vertex
@@ -750,12 +772,12 @@ def embeddings(
             results.append(tuple(image))
             return limit is not None and len(results) >= limit
         v, nbrs, non = plan[depth]
-        cand = classes[v] & ~used
+        barred = used  # placed, or a host neighbour of a placed non-neighbour
+        for u in non:
+            barred |= adj[image[u]]
+        cand = classes[v] & ~barred
         for u, _ in nbrs:
             cand &= adj[image[u]]
-        if orth is not None:
-            for u in non:
-                cand &= orth[image[u]]
         if not cand:
             return False
         if anchor and not depth:
@@ -765,9 +787,9 @@ def embeddings(
         want = first = 0
         if nbrs:
             u, dotted = nbrs[0]
-            want, first = flip[u] ^ dotted, pos[image[u]]
+            want, first = flip[u] ^ dotted, host_dotted[image[u]]
             for u, dotted in nbrs[1:]:
-                split = first ^ pos[image[u]]
+                split = first ^ host_dotted[image[u]]
                 cand &= split if flip[u] ^ dotted != want else ~split
         while cand:
             bit = cand & -cand

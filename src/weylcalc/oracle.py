@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 
 from . import diagram as dg
@@ -157,44 +156,19 @@ class LabeledDiagram:
         return tuple(roots[i] for i in self.idx)
 
 
-class _SubsetIndex:
-    """Pairwise inner-product tables over sign-class reps, as bitmasks.
-
-    ``adj_mask`` and ``orth_mask`` split the other reps into
-    non-orthogonal and orthogonal ones, and ``pos_mask`` holds the reps at
-    a positive inner product.  Adjacency and the length classes fix the
-    magnitude of an inner product: the product of two adjacent roots'
-    Cartan numbers is 4 cos^2 of their angle, an integer from 1 to 3, so
-    the shorter root's number against the longer is +-1, and |(a, b)| is
-    half the longer root's norm.
-    """
-
-    def __init__(self, system: RootSystem):
-        reps = system.sign_class_reps()
-        m = len(reps)
-        inner = system.int_gram(reps)
-        self.orth_mask = [0] * m
-        self.adj_mask = [0] * m
-        self.pos_mask = [0] * m
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    if inner[i][j]:
-                        self.adj_mask[i] |= 1 << j
-                        if inner[i][j] > 0:
-                            self.pos_mask[i] |= 1 << j
-                    else:
-                        self.orth_mask[i] |= 1 << j
-        self.long_mask = 0
-        for i, r in enumerate(reps):
-            if system.is_long(r):
-                self.long_mask |= 1 << i
-        self.short_mask = ((1 << m) - 1) ^ self.long_mask
-
-
 @functools.cache
-def _subset_index(system: RootSystem) -> _SubsetIndex:
-    return _SubsetIndex(system)
+def _reps_host(system: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int, int]:
+    """``(rows, long mask, short mask)`` of the sign-class reps: their
+    :func:`diagram.signed_rows`, the host :func:`diagram.embeddings` places
+    on, and the reps of each length class.  Adjacency and the length
+    classes fix the magnitude of an inner product: the product of two
+    adjacent roots' Cartan numbers is 4 cos^2 of their angle, an integer
+    from 1 to 3, so the shorter root's number against the longer is +-1,
+    and |(a, b)| is half the longer root's norm.
+    """
+    reps = system.sign_class_reps()
+    long = sum(1 << i for i, r in enumerate(reps) if system.is_long(r))
+    return dg.signed_rows(system.int_gram(reps)), long, (1 << len(reps)) - 1 ^ long
 
 
 def find_subsets(
@@ -212,7 +186,7 @@ def find_subsets(
     what makes an empty result a certificate of non-existence.
 
     The length classes and adjacency fix each inner product's magnitude
-    (see :class:`_SubsetIndex`).  So once the realized styles agree with
+    (see :func:`_reps_host`).  So once the realized styles agree with
     the target's up to switching by a diagonal sign matrix D, the
     realized Gram matrix is c D G D, with G the target's own Gram matrix
     at the system's length ratio and c > 0, and its leading minors are
@@ -221,8 +195,8 @@ def find_subsets(
     not positive definite has no realization, and otherwise every
     switching-consistent placement is independent.  The placements are
     :func:`diagram.embeddings` of the target on the reps, each vertex on
-    the reps of its length class, with :class:`_SubsetIndex`'s rows as
-    the host.
+    the reps of its length class, with the reps' signed rows as the
+    host.
 
     Matches are reported once per root set, in the order the search
     finds them, each as the positions of its roots in ``system.roots``;
@@ -243,12 +217,11 @@ def find_subsets(
     weyl.check_cap(limit, "limit")
     if target.n > system.rank or not gram_positive_definite(dg.int_gram(target, system.ratio)[0]):
         return []  # more vertices than independent roots, or G not positive definite
-    idx = _subset_index(system)
-    classes = [idx.long_mask if long else idx.short_mask for long in target.longs]
+    rows, long, short = _reps_host(system)
+    classes = [long if is_long else short for is_long in target.longs]
     half = len(system.roots) // 2  # reps are the upper half of ``roots``
     return [LabeledDiagram(system, tuple(half + x for x in found))
-            for found in dg.embeddings(target, classes, idx.adj_mask, idx.orth_mask,
-                                       idx.pos_mask, limit, anchor=limit == 1)]
+            for found in dg.embeddings(target, rows, classes, limit, anchor=limit == 1)]
 
 
 def verify_unique_class(
@@ -307,17 +280,19 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
       simple reflections orthogonal to it (Steinberg 1964; Humphreys
       §1.12); with s_a they generate the elements fixing +-a.
 
-    Each tuple through ``a`` (from ``itertools.combinations``) that no
-    earlier walk reached starts a walk, which applies those generators
-    and each w_b (b != a a member of a's length) to every tuple it
-    reaches.  Moves stay in the orbit, and from T, w_b then g^-1 reaches
-    any S in T's orbit (g^-1 is a word in the generators, which are
-    involutions), so the walks count the orbits of a's class.
+    The tuples through ``a`` are the :func:`diagram.embeddings` of the
+    edgeless (k-1)-vertex diagram on the reps orthogonal to ``a``, only
+    short ones when ``a`` is short.  Each one that no earlier walk
+    reached starts a walk, which applies those generators and each w_b
+    (b != a a member of a's length) to every tuple it reaches.  Moves
+    stay in the orbit, and from T, w_b then g^-1 reaches any S in T's
+    orbit (g^-1 is a word in the generators, which are involutions), so
+    the walks count the orbits of a's class.
     """
     if type(k) is not int or k not in (2, 3):
         raise ValueError("only pairs and triples are supported")
-    idx = _subset_index(system)
-    ortho = idx.orth_mask
+    rows, long_mask, short_mask = _reps_host(system)
+    adj = rows[0]
     # Each element acts on reps: rep i goes to the sign class of its image.
     space = weyl.perm_space(system)
     reps = [system.index(r) for r in system.sign_class_reps()]
@@ -327,24 +302,23 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
         return [system.sign_class(p[i]) for i in reps]
 
     simple = [on_reps(s) for s in system.simple_roots]
+    edgeless = dg.make_diagram(k - 1, [])
     orbits = 0
-    for long in (True, False) if idx.long_mask else (False,):
+    for long in (True, False) if long_mask else (False,):
         anchor = system.dominant_root(long)
         a = system.sign_class(system.index(anchor))
-        same = idx.long_mask if long else idx.short_mask
+        same = long_mask if long else short_mask
         reanchor = _transversal(simple, a)
         if len(reanchor) != same.bit_count():
             raise AssertionError("W is not transitive on a length class")
         stabilizer = [g for g, s in zip(simple, system.simple_roots)
                       if system.normalized_inner(s, anchor) == 0] + [on_reps(anchor)]
 
-        others = ortho[a] if long else ortho[a] & same
-        members = [b for b in range(others.bit_length()) if others >> b & 1]
+        others = (long_mask | short_mask if long else same) & ~adj[a] & ~(1 << a)
         seen: set[tuple[int, ...]] = set()
-        for rest in combinations(members, k - 1):
+        for rest in dg.embeddings(edgeless, rows, [others] * (k - 1)):
             start = tuple(sorted((a, *rest)))
-            if start in seen or any(not ortho[x] >> y & 1
-                                    for x, y in combinations(rest, 2)):
+            if start in seen:
                 continue
             orbits += 1
             seen.update(weyl.walk(start, lambda t: enumerate(

@@ -735,7 +735,10 @@ def _canonical_cycle_labels(l: int) -> tuple[list[Vector], list[Vector]]:
 def chain_root(kind: str, system: RootSystem, L: int, R: int) -> Vector:
     """Chain vector theta/mu(., .) on the pure cycle of D_l, checked to be
     a root.  (L, R) is order-insensitive; the pair family (beta or alpha)
-    is recovered from the index sum."""
+    is recovered from the index sum.  An index that is not an int (a bool
+    or a float included) is a ValueError."""
+    if type(L) is not int or type(R) is not int:
+        raise ValueError(f"chain indices L={L!r}, R={R!r} must be ints")
     if kind not in ("theta", "mu"):
         raise ValueError("kind must be 'theta' or 'mu'")
     if system.family != "D" or system.rank % 2 or system.rank < 6:

@@ -302,7 +302,7 @@ class RootSystem:
         vector of the wrong length, off the root span, or with a coordinate
         that :func:`solve` refuses (not an int or a ``Fraction``)."""
         if len(v) != self.dim:
-            raise ValueError(f"not an exact vector of dimension {self.dim}: {v!r}")
+            raise ValueError(f"not a vector of dimension {self.dim}: {v!r}")
         coeffs = solve(tuple(zip(*self.simple_roots)), v)
         if coeffs is None:
             raise ValueError("vector is not in the root lattice span")

@@ -496,7 +496,7 @@ def test_identify_is_stable_under_class_moves(name, data):
 # The graph facts a diagram keeps, against brute force over vertex subsets,
 # and the work they save.
 
-FACTS = {"adjacency", "_styles", "bipartition", "cycles", "components"}
+FACTS = {"adjacency", "rows", "bipartition", "cycles", "components"}
 
 
 def induced_single_cycles(n, pairs):
@@ -533,6 +533,9 @@ def test_kept_graph_facts_match_brute_force(graph):
             key = (min(i, j), max(i, j))
             assert (j in d.adjacency[i]) == (key in pairs)
             assert d.edge_style(i, j) == styles.get(key)
+    for i in (-1, n):  # no edge has an end outside 0..n-1
+        for j in range(-1, n + 1):
+            assert d.edge_style(i, j) is None and d.edge_style(j, i) is None
     reach = [[i == j or (min(i, j), max(i, j)) in pairs for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
@@ -784,10 +787,10 @@ IDENTIFY_SYSTEMS = ("A5", "D5", "D6", "D7", "D8", "E6", "E7", "E8", "B4", "C5", 
 
 
 @st.composite
-def independent_root_subsets(draw):
+def independent_root_subsets(draw, systems=IDENTIFY_SYSTEMS):
     """A system and an independent list of its roots: the drawn roots, each
     kept when it is independent of those kept before it."""
-    system = build_by_name(draw(st.sampled_from(IDENTIFY_SYSTEMS)))
+    system = build_by_name(draw(st.sampled_from(systems)))
     picks = draw(st.lists(st.integers(0, len(system.roots) - 1), min_size=1,
                           max_size=system.rank, unique=True))
     kept = []
@@ -806,6 +809,15 @@ def test_identification_matches_the_invariant_lookup_on_root_subsets(case):
     system, roots = case
     d = dg.from_roots(system, roots)
     assert dg.identify_components(d) == reference_identify_components(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_root_subsets(("A5", "B4", "C4", "D6", "E7", "F4", "G2")))
+def test_signed_rows_of_a_gram_are_the_rows_of_its_diagram(case):
+    """The two readings of one Gram matrix's signs agree: ``signed_rows``,
+    the search host, and the rows of the diagram ``from_roots`` reads."""
+    system, roots = case
+    assert dg.signed_rows(system.int_gram(roots)) == dg.from_roots(system, roots).rows
 
 
 def relabelled(d, perm, switched):

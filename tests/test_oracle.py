@@ -12,7 +12,6 @@ from weylcalc.exactla import LeadingMinors, identity, mat_mul
 from weylcalc.oracle import (
     LabeledDiagram,
     _class_walk,
-    _subset_index,
     _transversal,
     are_conjugate,
     find_subsets,
@@ -141,7 +140,7 @@ def test_embeddings_rejects_limit_below_one(limit):
     """One vertex on a one-vertex host: a bad limit is refused, not read
     as 1."""
     with pytest.raises(ValueError, match="limit"):
-        dg.embeddings(dg.make_diagram(1, []), [1], [0], None, [0], limit)
+        dg.embeddings(dg.make_diagram(1, []), ((0,), (0,)), [1], limit)
 
 
 def test_verify_unique_class_smallest_case():
@@ -396,13 +395,18 @@ def reference_find_subsets(system, target, limit=None):
     Bareiss bordering of the running Gram matrix per candidate, and the
     styles compared only at a full placement, by a signed two-colouring.
     Same visit order, candidate order, depth-0 anchor and once-per-set
-    reporting as ``find_subsets``."""
+    reporting as ``find_subsets``, on adjacency, non-adjacency and length
+    masks of its own, read off the reps' Gram matrix."""
     k = target.n
     if k > system.rank:
         return []
-    idx = _subset_index(system)
     reps = system.sign_class_reps()
     inner = system.int_gram(reps)
+    m = len(reps)
+    adj_mask = [sum(1 << j for j in range(m) if j != i and inner[i][j]) for i in range(m)]
+    orth_mask = [sum(1 << j for j in range(m) if j != i and not inner[i][j]) for i in range(m)]
+    long_mask = sum(1 << i for i, r in enumerate(reps) if system.is_long(r))
+    short_mask = (1 << m) - 1 ^ long_mask
     adj = target.adjacency
     visit, remaining = [], set(range(k))
     while remaining:
@@ -423,9 +427,9 @@ def reference_find_subsets(system, target, limit=None):
             results.append(LabeledDiagram(system, tuple(len(reps) + chosen[s] for s in slot)))
             return limit is not None and len(results) >= limit
         v = visit[depth]
-        cand = (idx.long_mask if target.longs[v] else idx.short_mask) & ~used
+        cand = (long_mask if target.longs[v] else short_mask) & ~used
         for p, u in zip(chosen, visit):
-            cand &= (idx.adj_mask if u in adj[v] else idx.orth_mask)[p]
+            cand &= (adj_mask if u in adj[v] else orth_mask)[p]
         if not depth and limit == 1:
             cand &= -cand
         for pos in range(cand.bit_length()):

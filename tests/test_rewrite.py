@@ -497,6 +497,17 @@ def test_chain_root_rejections():
         chain_root("theta", build_by_name("A4"), 3, 2)
 
 
+@pytest.mark.parametrize("bad", [True, 4.0, "4"], ids=repr)
+def test_chain_root_refuses_an_index_that_is_not_an_int(bad):
+    """A bool read as 1 gave the (4, 1) chain root, a float a TypeError
+    from the chain's slices and a string one from the comparison; each is
+    refused with a ValueError, as either index."""
+    d8 = build_by_name("D8")
+    for L, R in ((4, bad), (bad, 1), (1, bad), (bad, 4)):
+        with pytest.raises(ValueError, match="must be ints"):
+            chain_root("theta", d8, L, R)
+
+
 @pytest.mark.parametrize("l", range(6, 17, 2))
 def test_chain_root_index_errors(l):
     """With m = l/2, beta pairs have L+R = m+1 and 1 <= R <= m//2, alpha

@@ -445,8 +445,8 @@ def test_simple_coefficients_reject_vectors_off_the_span():
     ((1.0, -1.0, 0, 0), "entry 1.0 is not an int or a Fraction"),
     (("1", "-1", "0", "0"), "entry '1' is not an int or a Fraction"),
     # the wrong length: unchecked, the solve would truncate both to (1, 0, 0)
-    ((Q(1), Q(-1), Q(0)), "not an exact vector of dimension 4"),
-    ((Q(1), Q(-1), Q(0), Q(0), Q(0)), "not an exact vector of dimension 4"),
+    ((Q(1), Q(-1), Q(0)), "not a vector of dimension 4"),
+    ((Q(1), Q(-1), Q(0), Q(0), Q(0)), "not a vector of dimension 4"),
 ], ids=["floats", "text", "3 coordinates", "5 coordinates"])
 def test_simple_coefficients_reject_inexact_or_misshapen_vectors(v, message):
     s = build_by_name("A3")

@@ -107,8 +107,8 @@ COUNT_READERS = {
     "are_conjugate": ("cap", lambda n: are_conjugate(D4, D4_W, D4_W, n)),
     "verify_unique_class": ("cap", lambda n: verify_unique_class(D4, "D4(a1)", n)),
     "find_subsets": ("limit", lambda n: find_subsets(D4, dg.catalog("A2").diagram, n)),
-    "embeddings": ("limit", lambda n: dg.embeddings(dg.make_diagram(1, []), [1], [0], None,
-                                                    [0], n)),
+    "embeddings": ("limit", lambda n: dg.embeddings(dg.make_diagram(1, []), ((0,), (0,)),
+                                                    [1], n)),
     "order_or_infinite": ("power_cap", lambda n: order_or_infinite(D4_W, n)),
 }
 
