@@ -26,6 +26,7 @@ from .exactla import (
     Matrix,
     Poly,
     Vector,
+    all_ones,
     charpoly,
     cyclotomic,
     poly_mul,
@@ -453,11 +454,6 @@ class CatalogEntry:
     charpoly: Poly
 
 
-def _poly_all_ones(degree: int) -> Poly:
-    """1 + t + ... + t^degree."""
-    return tuple([Q(1)] * (degree + 1))
-
-
 # In D_l, ``e_i - e_{i+1}`` is the simple root ``simple_roots[i - 1]``.
 def _d_ak_roots(l: int, k: int) -> tuple[Vector, ...]:
     """The roots of the standard D_l(a_k) realization: a 4-cycle with tails
@@ -572,7 +568,7 @@ def _catalog_specs() -> list[tuple[str, str, tuple[Vector, ...], tuple[str, ...]
 
     for n in range(1, 9):
         roots = rootsys.build("A", n).simple_roots
-        specs.append((f"A{n}", f"A{n}", roots, None, _poly_all_ones(n)))
+        specs.append((f"A{n}", f"A{n}", roots, None, all_ones(n + 1)))
 
     for n in range(4, 9):
         roots = rootsys.build("D", n).simple_roots

@@ -4,7 +4,9 @@ Every number that crosses the package API is a ``fractions.Fraction``
 (or a plain ``int``); no floats anywhere.  Vectors are tuples of
 Fractions, matrices are tuples of row tuples, and polynomials are tuples
 of coefficients in *ascending* degree order (``poly[i]`` is the
-coefficient of ``x**i``).
+coefficient of ``x**i``).  The polynomial helpers keep an int
+coefficient an int wherever the answer is whole (a monic divisor
+divides by its leading 1 as is); every other quotient is a ``Fraction``.
 
 Inside, a rational matrix is first scaled to integers by its common
 denominator (:func:`integer_matrix`).  Elimination serves two ends:
@@ -302,10 +304,14 @@ def gram_positive_definite(g: Matrix) -> bool:
 
 
 def poly_trim(p: Sequence[Q]) -> Poly:
+    """``p`` without its zero top coefficients (the zero polynomial keeps
+    one), each coefficient as given, an int or a ``Fraction``; ValueError
+    for any other, as :func:`denominator` refuses it."""
     coeffs = list(p)
+    denominator(*coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(rational(c) for c in coeffs)
+    return tuple(coeffs)
 
 
 def poly_degree(p: Poly) -> int:
@@ -314,7 +320,7 @@ def poly_degree(p: Poly) -> int:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    out = [ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -324,14 +330,18 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 
 
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """``(quotient, remainder)``.  A monic ``q`` divides by its leading 1
+    as is, so int coefficients stay ints; any other leading coefficient
+    divides through ``Fraction``, never by ``/`` between two ints."""
     p = list(poly_trim(p))
     q = poly_trim(q)
-    if q == (ZERO,):
+    if q == (0,):
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [ZERO] * max(1, len(p) - len(q) + 1)
-    while len(p) >= len(q) and any(c != 0 for c in p):
+    lead = q[-1]
+    quot = [0] * max(1, len(p) - len(q) + 1)
+    while len(p) >= len(q) and any(p):
         shift = len(p) - len(q)
-        factor = p[-1] / q[-1]
+        factor = p[-1] if lead == 1 else Q(p[-1], lead)
         quot[shift] = factor
         for i, c in enumerate(q):
             p[shift + i] -= factor * c
@@ -342,7 +352,12 @@ def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 def power_plus_one(m: int) -> Poly:
     """``x^m + 1``."""
-    return (ONE,) + (ZERO,) * (m - 1) + (ONE,)
+    return (1,) + (0,) * (m - 1) + (1,)
+
+
+def all_ones(m: int) -> Poly:
+    """``1 + x + ... + x^(m-1)``, which is ``(x^m - 1) / (x - 1)``."""
+    return (1,) * m
 
 
 def poly_eval(p: Poly, x) -> Q:
@@ -355,17 +370,19 @@ def poly_eval(p: Poly, x) -> Q:
 
 def poly_derivative(p: Poly) -> Poly:
     if len(p) <= 1:
-        return (ZERO,)
-    return poly_trim(tuple(Q(i) * c for i, c in enumerate(p) if i >= 1))
+        return (0,)
+    return poly_trim(tuple(i * c for i, c in enumerate(p) if i >= 1))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """The monic gcd (the zero polynomial for two zeros); it is scaled
+    through ``Fraction`` unless its leading coefficient is already 1."""
     a, b = poly_trim(p), poly_trim(q)
-    while b != (ZERO,):
+    while b != (0,):
         _, r = poly_divmod(a, b)
         a, b = b, r
-    if a[-1] != 0:
-        a = tuple(c / a[-1] for c in a)
+    if a[-1] not in (0, 1):
+        a = tuple(Q(c, a[-1]) for c in a)
     return a
 
 
@@ -434,15 +451,15 @@ def real_root_in_interval(p: Poly, lo, hi) -> bool:
 
 @functools.cache
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, exact coefficients (cached)."""
+    """The n-th cyclotomic polynomial, int coefficients (cached)."""
     if n < 1:
         raise ValueError("n must be positive")
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    num: Poly = tuple([-ONE] + [ZERO] * (n - 1) + [ONE])
+    num: Poly = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
             num, rem = poly_divmod(num, cyclotomic(d))
-            if rem != (ZERO,):
+            if rem != (0,):
                 raise RuntimeError(f"Phi_{d} does not divide x^{n} - 1 "
                                    f"with zero remainder")
     return num

@@ -47,9 +47,12 @@ from .exactla import (
     Matrix,
     Poly,
     Vector,
+    all_ones,
     charpoly,
     idot,
+    poly_mul,
     poly_str,
+    power_plus_one,
     vec_add,
     vec_sub,
 )
@@ -235,19 +238,36 @@ def word_charpoly(system: RootSystem, word: Sequence[Vector]) -> Poly:
     basis (degree equals the word length); ValueError for a non-root or
     a dependent word, whose message names the first dependent root.
 
-    The polynomial certifies its own word.  With A the word's Cartan
-    matrix and W its word matrix, p(1) = det(I - W) = det A
+    In A-D the product w is a signed permutation of the coordinates.  The
+    k roots are independent exactly when w has dim - k positive cycles
+    (:meth:`RootSystem.independent_gram`).  Then w fixes span(word)^perp
+    pointwise, so the polynomial is the ambient prod (t^m - sigma) over
+    the cycles of :meth:`RootSystem.signed_cycle_type` divided by
+    (t - 1)^(dim - k): one 1 + t + ... + t^(m-1) per positive cycle and
+    one t^m + 1 per negative cycle.
+
+    In E-G the polynomial certifies its own word.  With A the word's
+    Cartan matrix and W its word matrix, p(1) = det(I - W) = det A
     = 2^k det G / prod (r_i, r_i), G the Gram matrix, which is positive
     semidefinite: p(1) != 0 exactly when the roots are independent, and
-    the word matrix is then the product on span(word).  p(1) = 0 sends the
-    word to the leading minors of :meth:`RootSystem.independent_gram`,
-    which refuse it naming its first dependent root.
+    the word matrix is then the product on span(word).
+
+    A dependent word goes to the leading minors of
+    :meth:`RootSystem.independent_gram`, which refuse it naming its first
+    dependent root.
     """
+    idx = [system.index(r) for r in word]
+    if system.monomial:
+        positive, negative = system.signed_cycle_type(idx)
+        if len(positive) == system.dim - len(idx):
+            factors = [all_ones(m) for m in positive] + [power_plus_one(m) for m in negative]
+            return tuple(map(Q, functools.reduce(poly_mul, factors, (1,))))
+        system.independent_gram(idx)  # refuses the word, naming its dependent root
     gram = system.int_gram(word)
     p = charpoly(weyl.int_word_matrix_from_gram(gram, range(len(gram))))
     # an int matrix has whole coefficients, so p(1) is a sum of ints
     if not sum(c.numerator for c in p):
-        system.independent_gram([system.index(r) for r in word])
+        system.independent_gram(idx)
     return p
 
 

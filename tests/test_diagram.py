@@ -290,6 +290,46 @@ def test_catalog_round_trip():
         assert word_charpoly(system, entry.word) == entry.charpoly
 
 
+def classical_signed_cycle_type(name):
+    """The signed cycle type each classical catalog name's word has."""
+    m = re.fullmatch(r"([AD])(\d+)(?:\(([ab])(\d+)\))?", name)
+    family, rank, kind, k = m[1], int(m[2]), m[3], int(m[4] or 0)
+    if family == "A":
+        return (rank + 1,), ()
+    if kind is None:
+        return (), (1, rank - 1)
+    if kind == "b":
+        assert rank == 2 * k + 2
+    return (), tuple(sorted((k + 1, rank - k - 1)))
+
+
+def test_classical_catalog_signed_cycle_types():
+    """A_n is ((n+1,), ()), D_n is ((), (1, n-1)), D_l(a_k) is
+    ((), (k+1, l-k-1)), and D_l(b_m) with l = 2m + 2 is ((), (m+1, m+1)),
+    the type of D_l(a_m).
+
+    Each D type has a negative cycle, so none is split: a signed cycle
+    type with a negative cycle names one class of W(D_l) (Carter 1972,
+    section 7).  Equal types are therefore one class, and D_l(a_m) and
+    D_l(b_m) are conjugate, the paper's a/b equivalence, shown with no
+    rewrite trace.  No conjugating element is made here."""
+    seen = {}
+    for name in dg.catalog_names():
+        entry = dg.catalog(name)
+        system = build_by_name(entry.system)
+        if not system.monomial:
+            continue
+        got = system.signed_cycle_type([system.index(r) for r in entry.word])
+        assert got == classical_signed_cycle_type(name), name
+        assert got[1] or system.family == "A", name
+        seen.setdefault((entry.system, got), []).append(name)
+    pairs = sorted(names for names in seen.values() if len(names) > 1)
+    assert pairs == sorted([f"D{2 * m + 2}(a{m})", f"D{2 * m + 2}(b{m})"] for m in range(2, 8))
+    assert seen["D6", ((), (3, 3))] == ["D6(a2)", "D6(b2)"]
+    # every entry but the eleven in E6-E8
+    assert sum(map(len, seen.values())) == 68
+
+
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         dg.catalog("Z9(a1)")

@@ -27,6 +27,7 @@ from weylcalc.exactla import (
     poly_trim,
     real_root_in_interval,
     solve,
+    sturm_sequence,
     vec_add,
     vec_sub,
 )
@@ -225,6 +226,86 @@ def test_cyclotomic_recognition():
     assert not is_product_of_cyclotomics(p)
     assert cyclotomic_factors(p) is None
     assert cyclotomic_factors((Q(1), Q(0), Q(2))) is None  # 2t^2 + 1 is not monic
+
+
+def ref_divide(p, q):
+    """Exact quotient of ``p`` by ``q`` in ``Fraction`` arithmetic, for a
+    ``q`` that divides ``p``."""
+    p, quot = [Q(c) for c in p], [Q(0)] * (len(p) - len(q) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        quot[shift] = p[shift + len(q) - 1] / q[-1]
+        for i, c in enumerate(q):
+            p[shift + i] -= quot[shift] * c
+    assert not any(p)
+    return tuple(quot)
+
+
+def ref_cyclotomic(n):
+    """Phi_n as prod (x^d - 1)^mu(n/d) over the divisors d of n, Moebius
+    inversion of x^n - 1 = prod Phi_d, in ``Fraction`` arithmetic."""
+    def mu(m):
+        primes = [p for p in range(2, m + 1) if m % p == 0
+                  and all(p % q for q in range(2, p))]
+        return 0 if any(m % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+    num, den = (Q(1),), (Q(1),)
+    for d in range(1, n + 1):
+        if n % d == 0 and mu(n // d):
+            factor = (Q(-1),) + (Q(0),) * (d - 1) + (Q(1),)
+            if mu(n // d) > 0:
+                num = poly_mul(num, factor)
+            else:
+                den = poly_mul(den, factor)
+    return ref_divide(num, den)
+
+
+def test_cyclotomic_has_int_coefficients():
+    for n in range(1, 61):
+        got = cyclotomic(n)
+        assert got == ref_cyclotomic(n), n
+        assert all(type(c) is int for c in got), n
+
+
+INT_POLYS = [
+    (-3, 0, 1),                       # x^2 - 3: the leading 1 of a non-monic gcd
+    (2, -3, 1),                       # (x - 1)(x - 2)
+    (-6, 11, -6, 1),                  # (x - 1)(x - 2)(x - 3)
+    (1, 2, 1),                        # a double root at -1
+    (4, 0, -5, 0, 1),                 # (x^2 - 1)(x^2 - 4)
+    (3, 1, 2),                        # no real root, not monic
+    (1, 0, 2, 0, 1),                  # Phi_4^2
+    (1, -1, 0, 1, -1, 1, 0, -1, 1),   # Phi_15
+    (1, 0, 0, 1),                     # Phi_2 Phi_6
+]
+
+
+def no_float(value):
+    """True when no float sits anywhere in a nest of tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return all(map(no_float, value))
+    return not isinstance(value, float)
+
+
+@pytest.mark.parametrize("p", INT_POLYS, ids=str)
+def test_int_coefficients_give_the_fraction_answers(p):
+    """Each helper answers int-coefficient input as it answers the same
+    polynomial in ``Fraction``s, and no float comes out: a monic divisor
+    divides by its leading 1, and any other division is a ``Fraction``."""
+    f = tuple(map(Q, p))
+    q = (-2, 1, 2)  # not monic, so the quotient has halves
+    for compute in (
+        lambda p: poly_divmod(p, q),
+        lambda p: poly_divmod(p, (1, 1)),
+        lambda p: poly_gcd(p, poly_derivative(p)),
+        lambda p: poly_gcd(p, (-1, 0, 1)),
+        sturm_sequence,
+        lambda p: [count_real_roots_in_interval(p, lo, hi)
+                   for lo, hi in ((0, 2), (-3, 0), (-2, 4), (Q(1, 2), 3))],
+        cyclotomic_factors,
+        lambda p: poly_mul(p, p),
+    ):
+        got = compute(p)
+        assert got == compute(f)
+        assert no_float(got)
 
 
 def test_real_root_counting():

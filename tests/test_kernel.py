@@ -26,7 +26,13 @@ from weylcalc.exactla import (
     solve,
 )
 from weylcalc.rootsys import build_by_name, doubled
-from weylcalc.weyl import evaluate, perm_space, word_matrix, word_matrix_from_gram
+from weylcalc.weyl import (
+    evaluate,
+    int_word_matrix_from_gram,
+    perm_space,
+    word_matrix,
+    word_matrix_from_gram,
+)
 
 SMALL = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
          "D3", "D4", "D5", "E6", "F4", "G2")
@@ -515,6 +521,70 @@ def test_word_charpoly_certifies_its_own_word(case):
     else:
         assert sum(p) != 0
         assert rewrite.word_charpoly(system, word) == p
+
+
+# The signed cycle type: in A-D the word's product is a signed permutation
+# of the coordinates, and both proofs of a word read it.
+
+CLASSICAL = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 17)])
+
+
+def minors_message(system, word):
+    """The leading minors' refusal of a word, read off its Gram matrix
+    here, or None when every minor is positive."""
+    gram, minors = system.int_gram(word), LeadingMinors()
+    for j, row in enumerate(gram):
+        if not minors.push(row[:j], row[j]):
+            return (f"the roots are linearly dependent: {system.format_root(word[j])} "
+                    f"depends on the roots before it")
+    return None
+
+
+def ambient_charpoly(cycle_type):
+    """prod (t^m - sigma) over the cycles of a signed cycle type."""
+    positive, negative = cycle_type
+    p = (Q(1),)
+    for m, sign in [(m, 1) for m in positive] + [(m, -1) for m in negative]:
+        p = exactla.poly_mul(p, (Q(-sign),) + (Q(0),) * (m - 1) + (Q(1),))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_words(CLASSICAL))
+def test_both_proofs_read_the_signed_cycle_type(case):
+    """In A-D, ``word_charpoly`` and ``independent_gram`` answer as the
+    matrix route does: the charpoly of the word matrix on the Gram matrix
+    for an independent word, the leading minors' message for a dependent
+    one; and the signed cycle type's prod (t^m - sigma) is the ambient
+    charpoly of the word's product."""
+    system, word = case
+    idx = [system.index(r) for r in word]
+    cycle_type = system.signed_cycle_type(idx)
+    assert ambient_charpoly(cycle_type) == charpoly(evaluate(system, word))
+    assert sum(map(sum, cycle_type)) == system.dim
+    message = minors_message(system, word)
+    if message is None:
+        gram = system.int_gram(word)
+        expected = charpoly(int_word_matrix_from_gram(gram, range(len(gram))))
+        got = rewrite.word_charpoly(system, word)
+        assert got == expected and all(type(c) is Q for c in got)
+        assert system.independent_gram(idx) == gram
+        assert len(cycle_type[0]) == system.dim - len(word)
+    else:
+        for prove in (lambda: rewrite.word_charpoly(system, word),
+                      lambda: system.independent_gram(idx)):
+            with pytest.raises(ValueError) as refused:
+                prove()
+            assert str(refused.value) == message
+        assert len(cycle_type[0]) > system.dim - len(word)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8", "F4", "G2"])
+def test_no_signed_cycle_type_outside_a_to_d(name):
+    system = build_by_name(name)
+    with pytest.raises(ValueError, match="not a signed permutation group"):
+        system.signed_cycle_type([0])
 
 
 def inverses_taken(m):
