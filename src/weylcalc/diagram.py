@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import rootsys
 from .exactla import (
@@ -47,7 +47,9 @@ Edge = tuple[int, int, str]  # (i, j, style) with i < j
 class Diagram:
     """An edge-styled graph with a length class per vertex.  Its graph facts
     are made on first use and kept; they are not fields, so ``==``, ``hash``,
-    ``repr`` and ``dataclasses.replace`` ignore them."""
+    ``repr`` and ``dataclasses.replace`` ignore them.  The graph has one
+    kept form, the bitmask rows :attr:`rows`: every other fact is read off
+    them, and none keeps a set per vertex."""
 
     longs: tuple[bool, ...]
     edges: tuple[Edge, ...]
@@ -58,19 +60,10 @@ class Diagram:
         return len(self.longs)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbour set of every vertex."""
-        adj = [set() for _ in range(self.n)]
-        for a, b, _ in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(map(frozenset, adj))
-
-    @cached_property
     def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The bitmask rows ``(adj, dotted)`` :func:`embeddings` reads: bit j
-        of ``adj[i]`` is set when vertices i and j are adjacent, and of
-        ``dotted[i]`` when their edge is dotted."""
+        """The bitmask rows ``(adj, dotted)``, which the other facts and
+        :func:`embeddings` read: bit j of ``adj[i]`` is set when vertices i
+        and j are adjacent, and of ``dotted[i]`` when their edge is dotted."""
         adj, dotted = [0] * self.n, [0] * self.n
         for a, b, style in self.edges:
             adj[a] |= 1 << b
@@ -104,62 +97,52 @@ class Diagram:
         A cycle is listed once, starting from its smallest vertex and walking
         toward the smaller of that vertex's two cycle neighbors.
         """
-        adj = self.adjacency
+        adj = self.rows[0]
         # Every chordless cycle lies in the 2-core: strip degree < 2 first.
-        core, degree = set(range(self.n)), list(map(len, adj))
-        stack = [v for v in core if degree[v] < 2]
+        core, degree = (1 << self.n) - 1, [a.bit_count() for a in adj]
+        stack = [v for v in range(self.n) if degree[v] < 2]
         while stack:
             v = stack.pop()
-            if v in core:
-                core.remove(v)
-                for w in adj[v] & core:
+            if core >> v & 1:
+                core ^= 1 << v
+                for w in _bits(adj[v] & core):
                     degree[w] -= 1
                     if degree[w] < 2:
                         stack.append(w)
-        nbrs = {v: sorted(adj[v] & core) for v in core}
+        nbrs = {v: list(_bits(adj[v] & core)) for v in _bits(core)}
         found = []
 
-        def extend(path: list[int], members: set[int]) -> None:
+        def extend(path: list[int], members: int) -> None:
             s, u = path[0], path[-1]
             for w in nbrs[u]:
-                if w in members or w < s:
+                if members >> w & 1 or w < s:
                     continue
-                touches = adj[w] & members
-                if len(path) == 1:
-                    # First step out of s: the edge (s, w) is a path edge.
-                    path.append(w)
-                    members.add(w)
-                    extend(path, members)
-                    path.pop()
-                    members.remove(w)
-                    continue
-                closing = s in touches
-                allowed = {u, s} if closing else {u}
-                if touches - allowed:
-                    continue  # chord against the path interior
-                if closing:
-                    if path[1] < w:  # each cycle once, in its canonical direction
-                        found.append(tuple(path) + (w,))
-                    continue  # extending past w would leave the chord s--w
+                if len(path) > 1:  # the first step out of s is a path edge
+                    touches = adj[w] & members
+                    closing = touches >> s & 1
+                    if touches & ~(1 << u | closing << s):
+                        continue  # chord against the path interior
+                    if closing:
+                        if path[1] < w:  # each cycle once, in its canonical direction
+                            found.append(tuple(path) + (w,))
+                        continue  # extending past w would leave the chord s--w
                 path.append(w)
-                members.add(w)
-                extend(path, members)
+                extend(path, members | 1 << w)
                 path.pop()
-                members.remove(w)
 
         for s in nbrs:
-            extend([s], {s})
+            extend([s], 1 << s)
         return tuple(sorted(found, key=lambda c: (len(c), c)))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each sorted, in the order of their least vertex."""
-        adj = self.adjacency
+        adj = self.rows[0]
         seen: set[int] = set()
         comps = []
         for s in range(self.n):
             if s not in seen:
-                comp = walk(s, lambda u: enumerate(adj[u]))
+                comp = walk(s, lambda u: enumerate(_bits(adj[u])))
                 seen.update(comp)
                 comps.append(tuple(sorted(comp)))
         return tuple(comps)
@@ -169,9 +152,9 @@ class Diagram:
         """Each vertex's colour, which relabelling and switching keep: the
         code ``2 * degree + long`` of the vertex, then its neighbours' codes,
         sorted.  Equal colours are one shared tuple."""
-        adj = self.adjacency
-        code = [2 * len(a) + long for a, long in zip(adj, self.longs)]
-        return tuple([_shared_colour((c, *sorted(map(code.__getitem__, a))))
+        adj = self.rows[0]
+        code = [2 * a.bit_count() + long for a, long in zip(adj, self.longs)]
+        return tuple([_shared_colour((c, *sorted([code[w] for w in _bits(a)])))
                       for c, a in zip(code, adj)])
 
     @cached_property
@@ -183,18 +166,18 @@ class Diagram:
         first next to an earlier one.  Each step is ``(v, placed
         neighbours, each with whether its edge to v is dotted, placed
         non-neighbours)``, both in placing order."""
-        adj = self.adjacency
+        adj, dotted = self.rows
         placed_nbrs = [0] * self.n
         remaining = set(range(self.n))
         plan, placed = [], []
         while remaining:
-            v = max(remaining, key=lambda v: (placed_nbrs[v], len(adj[v]), -v))
+            v = max(remaining, key=lambda v: (placed_nbrs[v], adj[v].bit_count(), -v))
             remaining.remove(v)
-            a = adj[v]
-            plan.append((v, tuple([(u, self.edge_style(u, v) == DOTTED) for u in placed if u in a]),
-                         tuple([u for u in placed if u not in a])))
+            a, d = adj[v], dotted[v]
+            plan.append((v, tuple([(u, d >> u & 1 == 1) for u in placed if a >> u & 1]),
+                         tuple([u for u in placed if not a >> u & 1])))
             placed.append(v)
-            for w in a:
+            for w in _bits(a):
                 placed_nbrs[w] += 1
         return tuple(plan)
 
@@ -222,6 +205,14 @@ class Diagram:
         labels = tuple(v.get("label", f"v{v['index']}") for v in verts)
         edges = [(e["source"], e["target"], e["style"]) for e in data["edges"]]
         return make_diagram(len(longs), edges, longs=longs, labels=labels)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a row mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
 
 
 @lru_cache(maxsize=1024)

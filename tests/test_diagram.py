@@ -23,6 +23,16 @@ from weylcalc.weyl import perm_space
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
 
 
+def neighbour_sets(d):
+    """Each vertex's neighbours, read off ``d.edges`` alone: the reference
+    the kept graph facts are checked against."""
+    nbrs = [set() for _ in range(d.n)]
+    for a, b, _ in d.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return nbrs
+
+
 def d4a1_word():
     s = build_by_name("D4")
     return s, tuple(s.parse_root(t) for t in ("e1-e2", "e3-e4", "e2-e3", "e2+e3"))
@@ -34,7 +44,8 @@ def test_make_diagram_normalizes_edges():
     assert d.edge_style(0, 2) == "solid"
     assert d.edge_style(2, 1) == "dotted"
     assert d.edge_style(0, 1) is None
-    assert d.adjacency[2] == {0, 1}
+    assert neighbour_sets(d)[2] == {0, 1}
+    assert d.rows[0][2] == 0b011
 
 
 def test_make_diagram_rejects_bad_input():
@@ -536,7 +547,13 @@ def test_identify_is_stable_under_class_moves(name, data):
 # The graph facts a diagram keeps, against brute force over vertex subsets,
 # and the work they save.
 
-FACTS = {"adjacency", "rows", "bipartition", "cycles", "components"}
+FACTS = {"rows", "bipartition", "cycles", "components", "colours", "plan"}
+
+
+def holds_a_set(fact):
+    """Whether a kept fact is, or nests in its tuples, a set or frozenset."""
+    return (isinstance(fact, (set, frozenset))
+            or isinstance(fact, tuple) and any(map(holds_a_set, fact)))
 
 
 def induced_single_cycles(n, pairs):
@@ -561,17 +578,18 @@ def induced_single_cycles(n, pairs):
 
 
 @settings(max_examples=80, deadline=None)
-@given(signed_graphs(max_n=7))
-def test_kept_graph_facts_match_brute_force(graph):
+@given(signed_graphs(max_n=7), st.integers(0, (1 << 7) - 1))
+def test_kept_graph_facts_match_brute_force(graph, long_mask):
     n, signed = graph
     edges = [(a, b, dg.DOTTED if odd else dg.SOLID) for a, b, odd in signed]
-    d = dg.make_diagram(n, edges)
+    longs = tuple(bool(long_mask >> i & 1) for i in range(n))
+    d = dg.make_diagram(n, edges, longs=longs)
     styles = {(a, b): style for a, b, style in edges}
     pairs = set(styles)
     for i in range(n):
         for j in range(n):
             key = (min(i, j), max(i, j))
-            assert (j in d.adjacency[i]) == (key in pairs)
+            assert (d.rows[0][i] >> j & 1 == 1) == (key in pairs)
             assert d.edge_style(i, j) == styles.get(key)
     for i in (-1, n):  # no edge has an end outside 0..n-1
         for j in range(-1, n + 1):
@@ -584,14 +602,20 @@ def test_kept_graph_facts_match_brute_force(graph):
     assert d.components == tuple(sorted({tuple(j for j in range(n) if reach[i][j])
                                          for i in range(n)}))
     assert d.cycles == tuple(induced_single_cycles(n, pairs))
+    code = [2 * sum(i in key for key in pairs) + longs[i] for i in range(n)]
+    assert d.colours == tuple(
+        (code[i], *sorted(code[j] for j in range(n) if (min(i, j), max(i, j)) in pairs))
+        for i in range(n))
     odd_cycle = any(len(c) % 2 for c in d.cycles)
     assert (d.bipartition is None) == odd_cycle
     if d.bipartition is not None:
         x, y = d.bipartition
         assert sorted(x + y) == list(range(n))
         assert all((a in x) != (b in x) for a, b in pairs)
+    assert len(d.plan) == n
     assert FACTS <= set(vars(d))
-    fresh = dg.make_diagram(n, edges)
+    assert not any(map(holds_a_set, vars(d).values()))
+    fresh = dg.make_diagram(n, edges, longs=longs)
     assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
     assert set(vars(dataclasses.replace(d))) == {"longs", "edges", "labels"}
 
@@ -641,7 +665,7 @@ def test_the_charpoly_cache_keeps_no_diagram_alive():
 def reference_cycles(d):
     """The chordless-cycle search run from, and through, every vertex, with
     no 2-core strip: ``Diagram.cycles`` must list the same cycles."""
-    adj = d.adjacency
+    adj = neighbour_sets(d)
     found = []
 
     def extend(path, members):
@@ -681,6 +705,15 @@ def test_cycles_match_the_reference_on_the_catalog(name):
     d = dg.catalog(name).diagram
     fresh = dg.make_diagram(d.n, d.edges, longs=d.longs)  # no kept facts
     assert fresh.cycles == reference_cycles(fresh) == d.cycles
+
+
+def test_the_cycle_search_never_enters_a_tail():
+    """A 1500-vertex tail hung from a triangle is stripped with the rest of
+    the 1-core before the search starts, so no path is walked into it: a
+    walk along it would nest deeper than Python's recursion limit."""
+    n = 1500
+    edges = [(0, 1, dg.SOLID), (0, 2, dg.SOLID)] + [(i, i + 1, dg.SOLID) for i in range(1, n - 1)]
+    assert dg.make_diagram(n, edges).cycles == ((0, 1, 2),)
 
 
 @st.composite
@@ -793,7 +826,7 @@ def test_the_diagram_cache_keeps_at_most_its_bound():
 
 
 def reference_invariant(d):
-    adj = d.adjacency
+    adj = neighbour_sets(d)
     vertices = tuple(sorted((d.longs[i], len(adj[i])) for i in range(d.n)))
     cyc = tuple(sorted(len(c) for c in d.cycles))
     return (d.n, vertices, cyc, dg.bicolored_charpoly(d))
@@ -1011,18 +1044,25 @@ def test_equivalent_matches_brute_force(pair):
 @settings(max_examples=100, deadline=None)
 @given(signed_graphs(max_n=7))
 def test_the_plan_places_each_component_in_one_connected_run(graph):
-    """Each step splits the vertices placed before it into its neighbours,
-    with their edge styles, and its non-neighbours.  A component is placed
-    in one run, and only its first vertex has no neighbour placed."""
+    """Each step places the vertex with the most neighbours placed, then
+    the highest degree, then the lowest index, and splits the vertices
+    placed before it into its neighbours, with their edge styles, and its
+    non-neighbours.  A component is placed in one run, and only its first
+    vertex has no neighbour placed."""
     n, signed = graph
     d = dg.make_diagram(n, [(a, b, dg.DOTTED if odd else dg.SOLID) for a, b, odd in signed])
+    adj = neighbour_sets(d)
+    dotted_pairs = {(a, b) for a, b, style in d.edges if style == dg.DOTTED}
     order = [v for v, _, _ in d.plan]
     assert sorted(order) == list(range(n))
     for k, (v, nbrs, non) in enumerate(d.plan):
-        assert sorted([u for u, _ in nbrs] + list(non)) == sorted(order[:k])
-        assert all(u in d.adjacency[v] and (d.edge_style(u, v) == dg.DOTTED) == dotted
+        before = set(order[:k])
+        assert v == max(set(range(n)) - before,
+                        key=lambda w: (len(adj[w] & before), len(adj[w]), -w))
+        assert sorted([u for u, _ in nbrs] + list(non)) == sorted(before)
+        assert all(u in adj[v] and ((min(u, v), max(u, v)) in dotted_pairs) is dotted
                    for u, dotted in nbrs)
-        assert not set(non) & d.adjacency[v]
+        assert not set(non) & adj[v]
     assert sum(not nbrs for _, nbrs, _ in d.plan) == len(d.components)
     comp_of = {v: i for i, comp in enumerate(d.components) for v in comp}
     runs = [comp_of[v] for v in order]

@@ -23,6 +23,8 @@ from weylcalc.oracle import (
 from weylcalc.rootsys import _RANK_RANGE, FAMILIES, RootSystem, build, build_by_name
 from weylcalc import weyl
 
+from test_diagram import neighbour_sets
+
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
 PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
 TRIANGLE = ((0, 1), (1, 2), (0, 2))
@@ -298,7 +300,7 @@ def assert_realizes(system, target, roots):
     target's lengths and adjacency, and its styles differ on a cut."""
     d = dg.from_roots(system, roots)  # raises unless the roots are independent
     assert d.longs == target.longs
-    assert d.adjacency == target.adjacency
+    assert neighbour_sets(d) == neighbour_sets(target)
     assert dg.two_coloring(target.n, [
         (a, b, d.edge_style(a, b) != style) for a, b, style in target.edges
     ]) is not None
@@ -407,7 +409,7 @@ def reference_find_subsets(system, target, limit=None):
     orth_mask = [sum(1 << j for j in range(m) if j != i and not inner[i][j]) for i in range(m)]
     long_mask = sum(1 << i for i, r in enumerate(reps) if system.is_long(r))
     short_mask = (1 << m) - 1 ^ long_mask
-    adj = target.adjacency
+    adj = neighbour_sets(target)
     visit, remaining = [], set(range(k))
     while remaining:
         best = max(remaining, key=lambda v: (len(adj[v] & set(visit)), len(adj[v]), -v))
