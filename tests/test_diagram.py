@@ -708,9 +708,9 @@ def test_cycles_match_the_reference_on_the_catalog(name):
 
 
 def test_the_cycle_search_never_enters_a_tail():
-    """A 1500-vertex tail hung from a triangle is stripped with the rest of
-    the 1-core before the search starts, so no path is walked into it: a
-    walk along it would nest deeper than Python's recursion limit."""
+    """A 1500-vertex tail hung from a triangle lies outside the 2-core, so
+    it is stripped before the search starts and no path is walked into it:
+    a walk along it would nest deeper than Python's recursion limit."""
     n = 1500
     edges = [(0, 1, dg.SOLID), (0, 2, dg.SOLID)] + [(i, i + 1, dg.SOLID) for i in range(1, n - 1)]
     assert dg.make_diagram(n, edges).cycles == ((0, 1, 2),)
