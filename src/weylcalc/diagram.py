@@ -95,43 +95,35 @@ class Diagram:
         """All chordless cycles, canonically rotated, sorted by (length, vertices).
 
         A cycle is listed once, starting from its smallest vertex and walking
-        toward the smaller of that vertex's two cycle neighbors.
+        toward the smaller of that vertex's two cycle neighbors.  From each
+        start s, one depth-first search on an explicit stack of candidate
+        masks grows a path s, ..., u by a vertex above s that touches the
+        path at u alone, or at u and s, which closes a cycle.
         """
         adj = self.rows[0]
-        # Every chordless cycle lies in the 2-core: strip degree < 2 first.
-        core, degree = (1 << self.n) - 1, [a.bit_count() for a in adj]
-        stack = [v for v in range(self.n) if degree[v] < 2]
-        while stack:
-            v = stack.pop()
-            if core >> v & 1:
-                core ^= 1 << v
-                for w in _bits(adj[v] & core):
-                    degree[w] -= 1
-                    if degree[w] < 2:
-                        stack.append(w)
-        nbrs = {v: list(_bits(adj[v] & core)) for v in _bits(core)}
         found = []
-
-        def extend(path: list[int], members: int) -> None:
-            s, u = path[0], path[-1]
-            for w in nbrs[u]:
-                if members >> w & 1 or w < s:
+        for s in range(self.n):
+            path, members, stack = [s], 1 << s, [adj[s] & -(2 << s)]
+            while stack:
+                cand = stack[-1]
+                if not cand:
+                    stack.pop()
+                    members ^= 1 << path.pop()
                     continue
+                w = cand.bit_length() - 1
+                stack[-1] = cand ^ 1 << w
                 if len(path) > 1:  # the first step out of s is a path edge
                     touches = adj[w] & members
                     closing = touches >> s & 1
-                    if touches & ~(1 << u | closing << s):
+                    if touches & ~(1 << path[-1] | closing << s):
                         continue  # chord against the path interior
                     if closing:
                         if path[1] < w:  # each cycle once, in its canonical direction
-                            found.append(tuple(path) + (w,))
+                            found.append((*path, w))
                         continue  # extending past w would leave the chord s--w
                 path.append(w)
-                extend(path, members | 1 << w)
-                path.pop()
-
-        for s in nbrs:
-            extend([s], 1 << s)
+                members |= 1 << w
+                stack.append(adj[w] & ~members & -(1 << s))
         return tuple(sorted(found, key=lambda c: (len(c), c)))
 
     @cached_property

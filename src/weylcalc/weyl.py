@@ -285,26 +285,24 @@ class PermSpace:
 
         ``m`` is scaled to integers once, den·m, and each root's image
         den·m(r') on doubled coordinates r' is looked up as den times a
-        root; only the upper half of ``roots`` is mapped, as
-        ``roots[n - 1 - i]`` is ``-roots[i]``.  :meth:`reduced_word`
-        decides whether the images, as a permutation, are an element of W;
-        its word then fixes the element on the span of the roots, and
-        evaluated it must equal ``m`` on the whole space."""
+        root.  :meth:`reduced_word` decides whether the images, as a
+        permutation, are an element of W; its word then fixes the element
+        on the span of the roots, and evaluated it must equal ``m`` on the
+        whole space."""
         system = self.system
         n = system.dim
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("matrix has the wrong shape")
         work, den = integer_matrix(m)
-        index, last = system.int_index, self.n - 1
-        upper = []
-        for r in system.int_roots[self.n // 2:]:
+        index, images = system.int_index, []
+        for r in system.int_roots:
             image = [idot(row, r) for row in work]
             i = None if any([x % den for x in image]) else index.get(
                 tuple([x // den for x in image]))
             if i is None:
                 raise ValueError(f"matrix does not permute the roots of {system.name()}")
-            upper.append(i)
-        p = self._wrap([last - i for i in reversed(upper)] + upper)
+            images.append(i)
+        p = self._wrap(images)
         if evaluate(system, self.reduced_word(p)) != tuple(tuple(row) for row in m):
             raise ValueError("matrix moves the orthogonal complement of the roots")
         return p

@@ -663,8 +663,9 @@ def test_the_charpoly_cache_keeps_no_diagram_alive():
 
 
 def reference_cycles(d):
-    """The chordless-cycle search run from, and through, every vertex, with
-    no 2-core strip: ``Diagram.cycles`` must list the same cycles."""
+    """The chordless-cycle search run from, and through, every vertex,
+    written recursively on neighbour sets: ``Diagram.cycles`` runs the same
+    search on a stack of masks and must list the same cycles."""
     adj = neighbour_sets(d)
     found = []
 
@@ -707,13 +708,19 @@ def test_cycles_match_the_reference_on_the_catalog(name):
     assert fresh.cycles == reference_cycles(fresh) == d.cycles
 
 
-def test_the_cycle_search_never_enters_a_tail():
-    """A 1500-vertex tail hung from a triangle lies outside the 2-core, so
-    it is stripped before the search starts and no path is walked into it:
-    a walk along it would nest deeper than Python's recursion limit."""
+def test_the_cycle_search_walks_a_long_tail_without_nesting():
+    """A 1500-vertex tail hung from a triangle is walked to its end on the
+    search's own stack: a recursive walk along it would nest deeper than
+    Python's recursion limit."""
     n = 1500
     edges = [(0, 1, dg.SOLID), (0, 2, dg.SOLID)] + [(i, i + 1, dg.SOLID) for i in range(1, n - 1)]
     assert dg.make_diagram(n, edges).cycles == ((0, 1, 2),)
+
+
+def test_a_cycle_longer_than_the_recursion_limit_is_listed():
+    n = 1500
+    edges = [(i, (i + 1) % n, dg.SOLID) for i in range(n)]
+    assert dg.make_diagram(n, edges).cycles == (tuple(range(n)),)
 
 
 @st.composite
@@ -741,7 +748,7 @@ def cycles_with_tails(draw, max_n=12):
             n += m
     pairs = list(combinations(range(n), 2))
     edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2)))
-    for v in range(n, draw(st.integers(n, max_n))):
+    for v in range(n, draw(st.integers(n, max(n, max_n)))):
         edges.add((draw(st.integers(0, v - 1)), v))
         n = v + 1
     perm = draw(st.permutations(range(n)))
@@ -754,6 +761,16 @@ def cycles_with_tails(draw, max_n=12):
 @given(cycles_with_tails())
 def test_cycles_match_the_reference_on_cycles_with_tails(d):
     assert d.cycles == reference_cycles(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(cycles_with_tails(max_n=9).filter(lambda d: d.n <= 9),
+                 signed_graphs(max_n=9).map(lambda g: dg.make_diagram(g[0], [
+                     (a, b, dg.DOTTED if odd else dg.SOLID) for a, b, odd in g[1]]))))
+def test_cycles_match_brute_force_over_vertex_sets(d):
+    """Up to 9 vertices, against every vertex set whose induced graph is
+    one cycle, with no path search."""
+    assert d.cycles == tuple(induced_single_cycles(d.n, {(a, b) for a, b, _ in d.edges}))
 
 
 def count_independent_grams(monkeypatch):
