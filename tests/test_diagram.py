@@ -765,8 +765,8 @@ def test_cycles_match_the_reference_on_cycles_with_tails(d):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(cycles_with_tails(max_n=9).filter(lambda d: d.n <= 9),
-                 signed_graphs(max_n=9).map(lambda g: dg.make_diagram(g[0], [
-                     (a, b, dg.DOTTED if odd else dg.SOLID) for a, b, odd in g[1]]))))
+                 signed_graphs(max_n=9).map(lambda g: dg.make_diagram(
+                     g[0], [(a, b, dg.SOLID) for a, b, _ in g[1]]))))
 def test_cycles_match_brute_force_over_vertex_sets(d):
     """Up to 9 vertices, against every vertex set whose induced graph is
     one cycle, with no path search."""
