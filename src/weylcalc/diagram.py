@@ -35,7 +35,7 @@ from .exactla import (
     rational,
 )
 from .rootsys import RootSystem
-from .weyl import check_cap, int_word_matrix_from_gram, walk
+from .weyl import check_cap, int_word_matrix_from_gram
 
 SOLID = "solid"
 DOTTED = "dotted"
@@ -83,12 +83,14 @@ class Diagram:
 
     @cached_property
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Two-coloring of the vertices, or None when an odd cycle exists."""
-        color = two_coloring(self.n, [(a, b, 1) for a, b, _ in self.edges])
-        if color is None:
+        """The two parts, the vertices an even and an odd number of steps
+        from their component's least vertex, or None when an odd cycle
+        exists: some vertex has a neighbour in its own part."""
+        adj = self.rows[0]
+        odd = _layers(adj)[1]
+        if any(a & (odd if odd >> v & 1 else ~odd) for v, a in enumerate(adj)):
             return None
-        return (tuple(i for i in range(self.n) if not color[i]),
-                tuple(i for i in range(self.n) if color[i]))
+        return tuple(v for v in range(self.n) if not odd >> v & 1), tuple(_bits(odd))
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -129,15 +131,7 @@ class Diagram:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each sorted, in the order of their least vertex."""
-        adj = self.rows[0]
-        seen: set[int] = set()
-        comps = []
-        for s in range(self.n):
-            if s not in seen:
-                comp = walk(s, lambda u: enumerate(_bits(adj[u])))
-                seen.update(comp)
-                comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return tuple(tuple(_bits(c)) for c in _layers(self.rows[0])[0])
 
     @cached_property
     def colours(self) -> tuple[tuple[int, ...], ...]:
@@ -205,6 +199,30 @@ def _bits(mask: int) -> Iterator[int]:
         bit = mask & -mask
         mask ^= bit
         yield bit.bit_length() - 1
+
+
+def _layers(adj: Sequence[int]) -> tuple[list[int], int]:
+    """The components of the graph on the bitmask rows ``adj``, each a mask,
+    in the order of their least vertex, and the mask of the vertices an odd
+    number of steps from their component's least vertex.  One breadth-first
+    search per component from that vertex, a whole layer per step."""
+    comps, odd = [], 0
+    left = (1 << len(adj)) - 1
+    while left:
+        layer = comp = left & -left
+        far = False  # whether ``layer`` is an odd number of steps out
+        while layer:
+            reached = 0
+            for v in _bits(layer):
+                reached |= adj[v]
+            layer = reached & ~comp
+            comp |= layer
+            far = not far
+            if far:
+                odd |= layer
+        comps.append(comp)
+        left &= ~comp
+    return comps, odd
 
 
 @lru_cache(maxsize=1024)
@@ -345,37 +363,6 @@ def tits_value(d: Diagram, coeffs: Sequence, t: Q = Q(1)) -> Q:
         for j in range(d.n):
             total += g[i][j] * x[i] * x[j]
     return total
-
-
-def two_coloring(n: int, edges: Iterable[tuple[int, int, int]]) -> list[int] | None:
-    """Signed two-colouring: colours 0/1 with ``colour[a] ^ colour[b] == odd``
-    on every edge ``(a, b, odd)``, or None when no such colouring exists.
-
-    A depth-first walk from each uncoloured vertex in index order, which
-    takes colour 0.  With every edge odd this is a bipartition; with ``odd``
-    marking where two stylings differ, a colouring exists exactly when they
-    differ on a cut, i.e. negating one colour class turns one into the other.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, odd in edges:
-        adj[a].append((b, odd))
-        adj[b].append((a, odd))
-    color: list[int | None] = [None] * n
-    for s in range(n):
-        if color[s] is not None:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v, odd in adj[u]:
-                want = color[u] ^ odd
-                if color[v] is None:
-                    color[v] = want
-                    stack.append(v)
-                elif color[v] != want:
-                    return None
-    return color
 
 
 def is_admissible(d: Diagram) -> bool:
@@ -707,7 +694,8 @@ def embeddings(
     edge lands on a host edge, a non-edge on a non-edge, and the edge
     styles agree up to switching.  One placement per host vertex set, in
     the order found, and at most ``limit`` of them (None or an int of at
-    least 1, else ValueError).
+    least 1, else ValueError).  A target too large for the search's call
+    depth is a ValueError too.
 
     The host is given as its bitmask rows ``(adj, dotted)``, in the form
     of :attr:`Diagram.rows`: bit y of ``adj[x]`` is set when host vertices
@@ -735,6 +723,8 @@ def embeddings(
     outside it if x == y.
     """
     check_cap(limit, "limit")
+    if target.n > (most := 512):  # the search nests one Python call per placed vertex
+        raise ValueError(f"embeddings places at most {most} target vertices, not {target.n}")
     k, plan = target.n, target.plan
     adj, host_dotted = host
     results: list[tuple[int, ...]] = []
@@ -795,18 +785,19 @@ def style_class_representatives(
     Replacing a root by its negative toggles the style of every edge at
     that vertex, so stylings that differ on a cut of the graph realize
     the same root sets.  Bit k of a mask marks ``edges[k]`` as dotted;
-    the representative of each class is its smallest mask.  Searching
-    one representative per class therefore covers every styling of the
-    shape.  A mask is kept unless ``two_coloring`` finds it equivalent
-    to a mask kept before it.
+    the representative of each class is its smallest mask, its least xor
+    with a cut mask (the edges crossing some vertex set), and the list is
+    ascending.  Searching one representative per class therefore covers
+    every styling of the shape.
     """
-    reps: list[int] = []
-    for bits in range(1 << len(edges)):
-        if all(two_coloring(n, [(i, j, (bits ^ rep) >> k & 1)
-                                for k, (i, j) in enumerate(edges)]) is None
-               for rep in reps):
-            reps.append(bits)
-    return reps
+    star = [0] * n  # the edges at each vertex, the cut of that vertex alone
+    for k, (i, j) in enumerate(edges):
+        star[i] ^= 1 << k
+        star[j] ^= 1 << k
+    cuts = {0}  # the cut of each vertex set: xors of its vertices' stars
+    for mask in star:
+        cuts |= {cut ^ mask for cut in cuts}
+    return sorted({min(bits ^ cut for cut in cuts) for bits in range(1 << len(edges))})
 
 
 def styled_diagram(

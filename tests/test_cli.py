@@ -121,6 +121,29 @@ def test_diagram_json(capsys):
     assert dg.identify(d) == "D4(a1)"
 
 
+def test_an_odd_cycle_is_not_admissible(capsys):
+    """A triangle with one dotted edge: an odd cycle, so the diagram is not
+    admissible and not in the catalog, and the request still exits 0."""
+    argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e2-e3,e1+e3"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["admissible"] is False and obj["identify"] is None
+    assert [e["style"] for e in obj["diagram"]["edges"]] == ["solid", "dotted", "solid"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7ad702225f5c0fad3f1aca7b245cacfdcfdce617999e97106a827559420e505b")
+    assert run_capture(capsys, [*argv, "--pretty"]) == (0, (
+        "diagram on 3 roots in D4\n"
+        "  v0 = e1-e2  (short)\n"
+        "  v1 = e2-e3  (short)\n"
+        "  v2 = e1+e3  (short)\n"
+        "  v0 -- v1  (solid)\n"
+        "  v0 -- v2  (dotted)\n"
+        "  v1 -- v2  (solid)\n"
+        "admissible: no\n"
+        "identified: not in the catalog\n"), "")
+
+
 @pytest.mark.parametrize("system, roots", [
     ("B3", "e1-e2,e2-e3,e3"),         # the B3 Coxeter element, not A3
     ("G2", "e1-e2,-2e1+e2+e3"),       # the G2 Coxeter element, not A2

@@ -442,8 +442,9 @@ def test_identify_is_length_aware():
 
 
 # --------------------------------------------------------------------------
-# Properties: the signed two-colouring against brute force over vertex cuts,
-# and identification under the moves that keep a diagram's class.
+# Properties: styling classes against brute force over vertex cuts and
+# against cycle parities, and identification under the moves that keep a
+# diagram's class.
 
 
 @st.composite
@@ -462,37 +463,34 @@ def cut_exists(n, edges):
                for cut in range(1 << n))
 
 
-@given(signed_graphs())
-def test_two_coloring_exists_iff_odd_edges_form_a_cut(graph):
-    n, edges = graph
-    color = dg.two_coloring(n, edges)
-    assert (color is not None) == cut_exists(n, edges)
-    if color is not None:
-        assert len(color) == n and set(color) <= {0, 1}
-        assert all(color[a] ^ color[b] == odd for a, b, odd in edges)
-
-
 @settings(max_examples=40)
 @given(signed_graphs(max_n=5, max_edges=6), st.data())
-def test_two_coloring_agrees_with_style_classes(graph, data):
-    """Two stylings of one shape differ on a cut iff they share a
-    representative, and the representatives are pairwise inequivalent."""
+def test_style_classes_agree_with_cycle_parities(graph, data):
+    """Two stylings of one shape share a representative exactly when every
+    chordless cycle holds an even number of the edges they differ on (the
+    chordless cycles span the cycle space, whose orthogonal complement is
+    the cut space, so no cut is enumerated here), and each representative
+    is the smallest mask of its class."""
     n, edges = graph
     shape = [(a, b) for a, b, _ in edges]
     reps = dg.style_class_representatives(n, shape)
+    index = {edge: k for k, edge in enumerate(shape)}
+    cycles = [sum(1 << index[min(c[i - 1], c[i]), max(c[i - 1], c[i])]
+                  for i in range(len(c)))
+              for c in dg.styled_diagram(n, shape, 0).cycles]
 
-    def equivalent(m1, m2):
-        diff = m1 ^ m2
-        return dg.two_coloring(n, [(a, b, diff >> k & 1)
-                                   for k, (a, b) in enumerate(shape)]) is not None
+    def same_class(m1, m2):
+        return not any((cycle & (m1 ^ m2)).bit_count() % 2 for cycle in cycles)
 
     def rep_of(mask):
-        (rep,) = [r for r in reps if equivalent(mask, r)]
+        (rep,) = [r for r in reps if same_class(mask, r)]
         return rep
 
+    assert reps == sorted(reps)
+    assert all(rep_of(mask) <= mask for mask in range(1 << len(shape)))
     masks = st.integers(0, (1 << len(shape)) - 1)
     m1, m2 = data.draw(masks), data.draw(masks)
-    assert equivalent(m1, m2) == (rep_of(m1) == rep_of(m2))
+    assert same_class(m1, m2) == (rep_of(m1) == rep_of(m2))
 
 
 def smallest_masks_by_cut(n, shape):
@@ -513,6 +511,8 @@ def smallest_masks_by_cut(n, shape):
 @settings(max_examples=60)
 @given(signed_graphs(max_n=5, max_edges=7))
 def test_style_class_representatives_match_brute_force(graph):
+    """An output pin: the reference runs the source's own algorithm (each
+    mask's least xor with a cut), one vertex set at a time."""
     n, edges = graph
     shape = [(a, b) for a, b, _ in edges]
     assert dg.style_class_representatives(n, shape) == smallest_masks_by_cut(n, shape)
@@ -620,30 +620,30 @@ def test_kept_graph_facts_match_brute_force(graph, long_mask):
     assert set(vars(dataclasses.replace(d))) == {"longs", "edges", "labels"}
 
 
-def count_two_colorings(monkeypatch):
+def count_layered_searches(monkeypatch):
     calls = []
-    two_coloring = dg.two_coloring
-    monkeypatch.setattr(dg, "two_coloring",
-                        lambda *args: calls.append(args) or two_coloring(*args))
+    layers = dg._layers
+    monkeypatch.setattr(dg, "_layers", lambda adj: calls.append(adj) or layers(adj))
     return calls
 
 
-def test_a_diagram_request_two_colours_its_diagram_once(monkeypatch, capsys):
+def test_a_diagram_request_runs_one_layered_search_per_fact(monkeypatch, capsys):
     dg.catalog_names()  # the catalog's own checks are not counted
     dg._indexed_diagram.cache_clear()
-    calls = count_two_colorings(monkeypatch)
+    calls = count_layered_searches(monkeypatch)
     argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3", "--pretty"]
-    for expected in (1, 0):  # cold, then the kept diagram with its bipartition
+    # Cold: ``bipartition``, then ``components``; then the kept diagram with both.
+    for expected in (2, 0):
         calls.clear()
         assert cli.run(argv) == 0
         assert "identified: D4(a1)" in capsys.readouterr().out
         assert len(calls) == expected
 
 
-def test_a_long_cycle_transform_two_colours_once(monkeypatch):
+def test_a_long_cycle_transform_runs_one_layered_search(monkeypatch):
     dg.catalog_names()
     dg._indexed_diagram.cache_clear()
-    calls = count_two_colorings(monkeypatch)
+    calls = count_layered_searches(monkeypatch)
     rewrite.transform_long_cycle("D6(b2)")
     assert len(calls) == 1
 
@@ -1056,6 +1056,19 @@ def test_equivalent_matches_brute_force(pair):
     expected = equivalent_by_brute_force(d, c)
     assert dg.equivalent(d, c) == expected
     assert dg.equivalent(c, d) == expected
+
+
+def path_diagram(n):
+    return dg.make_diagram(n, [(i, i + 1, dg.SOLID) for i in range(n - 1)])
+
+
+def test_equivalent_states_the_placement_bound():
+    """``embeddings`` nests one call per placed vertex, so it refuses a
+    target past a stated bound instead of raising ``RecursionError``: two
+    512-vertex paths are equivalent, two 1500-vertex paths a ValueError."""
+    assert dg.equivalent(path_diagram(512), path_diagram(512))
+    with pytest.raises(ValueError, match="at most 512 target vertices, not 1500"):
+        dg.equivalent(path_diagram(1500), path_diagram(1500))
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,7 +23,7 @@ from weylcalc.oracle import (
 from weylcalc.rootsys import _RANK_RANGE, FAMILIES, RootSystem, build, build_by_name
 from weylcalc import weyl
 
-from test_diagram import neighbour_sets
+from test_diagram import cut_exists, neighbour_sets
 
 SQUARE = ((0, 1), (1, 2), (2, 3), (0, 3))
 PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
@@ -301,9 +301,9 @@ def assert_realizes(system, target, roots):
     d = dg.from_roots(system, roots)  # raises unless the roots are independent
     assert d.longs == target.longs
     assert neighbour_sets(d) == neighbour_sets(target)
-    assert dg.two_coloring(target.n, [
+    assert cut_exists(target.n, [
         (a, b, d.edge_style(a, b) != style) for a, b, style in target.edges
-    ]) is not None
+    ])
 
 
 @pytest.mark.parametrize("name", ["D4(a1)", "D5(a1)"])
@@ -420,10 +420,10 @@ def reference_find_subsets(system, target, limit=None):
 
     def descend(depth, used, minors):
         if depth == k:
-            if used in seen or dg.two_coloring(k, [
+            if used in seen or not cut_exists(k, [
                 (a, b, (inner[chosen[slot[a]]][chosen[slot[b]]] > 0) != (style == dg.DOTTED))
                 for a, b, style in target.edges
-            ]) is None:
+            ]):
                 return False
             seen.add(used)
             results.append(LabeledDiagram(system, tuple(len(reps) + chosen[s] for s in slot)))
