@@ -395,7 +395,7 @@ def test_anchored_find_first_is_first_of_full_search_mixed_lengths(name, target)
 def reference_find_subsets(system, target, limit=None):
     """The search as it was before styles were checked by switching: one
     Bareiss bordering of the running Gram matrix per candidate, and the
-    styles compared only at a full placement, by a signed two-colouring.
+    styles compared only at a full placement: they must differ on a cut.
     Same visit order, candidate order, depth-0 anchor and once-per-set
     reporting as ``find_subsets``, on adjacency, non-adjacency and length
     masks of its own, read off the reps' Gram matrix."""
