@@ -82,12 +82,18 @@ class Diagram:
         return DOTTED if dotted[i] >> j & 1 else SOLID
 
     @cached_property
+    def _layered(self) -> tuple[tuple[int, ...], int]:
+        """:func:`_layers` of :attr:`rows`, which both :attr:`bipartition`
+        and :attr:`components` read."""
+        return _layers(self.rows[0])
+
+    @cached_property
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """The two parts, the vertices an even and an odd number of steps
         from their component's least vertex, or None when an odd cycle
         exists: some vertex has a neighbour in its own part."""
         adj = self.rows[0]
-        odd = _layers(adj)[1]
+        odd = self._layered[1]
         if any(a & (odd if odd >> v & 1 else ~odd) for v, a in enumerate(adj)):
             return None
         return tuple(v for v in range(self.n) if not odd >> v & 1), tuple(_bits(odd))
@@ -131,7 +137,7 @@ class Diagram:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, each sorted, in the order of their least vertex."""
-        return tuple(tuple(_bits(c)) for c in _layers(self.rows[0])[0])
+        return tuple(tuple(_bits(c)) for c in self._layered[0])
 
     @cached_property
     def colours(self) -> tuple[tuple[int, ...], ...]:
@@ -201,7 +207,7 @@ def _bits(mask: int) -> Iterator[int]:
         yield bit.bit_length() - 1
 
 
-def _layers(adj: Sequence[int]) -> tuple[list[int], int]:
+def _layers(adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The components of the graph on the bitmask rows ``adj``, each a mask,
     in the order of their least vertex, and the mask of the vertices an odd
     number of steps from their component's least vertex.  One breadth-first
@@ -222,7 +228,7 @@ def _layers(adj: Sequence[int]) -> tuple[list[int], int]:
                 odd |= layer
         comps.append(comp)
         left &= ~comp
-    return comps, odd
+    return tuple(comps), odd
 
 
 @lru_cache(maxsize=1024)

@@ -17,16 +17,10 @@ fraction-free, with exact integer division and never ``/`` between two
 ints.
 
 The characteristic polynomial (:func:`charpoly`) is exact in O(n^3)
-operations.  Every coefficient of the integer matrix's charpoly is at
-most ``B = (1 + R)**n`` in absolute value, ``R`` the largest absolute row
-sum.  The matrix is reduced to upper Hessenberg form by similarity, on
-the integers while every column has a unit pivot (a Weyl group word's
-matrix mostly does), else modulo the first Mersenne prime
-``p = 2**e - 1 > 2B`` with ``e`` from :data:`MERSENNE_EXPONENTS` (61 up
-to 19937), whose symmetric residues of the Hessenberg recurrence's
-coefficients are the integers themselves.  A bound past
-``2**19937 - 1`` raises ValueError: the answer is then absent, never
-wrong.
+operations: one Hessenberg reduction by similarity, pivoting on the
+entry of least absolute value and taking an exact integer quotient
+wherever the pivot divides, so every catalog word's matrix stays on the
+integers; any other quotient is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -112,78 +106,50 @@ def integer_matrix(a: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [[e.numerator * (den // e.denominator) for e in row] for row in a], den
 
 
-#: Exponents ``e`` of the Mersenne primes ``2**e - 1`` that :func:`charpoly`
-#: works modulo, ascending; the first one above twice the coefficient bound
-#: is used.
-MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                      4253, 4423, 9689, 9941, 11213, 19937)
-
-
 def charpoly(a: Matrix) -> Poly:
     """Characteristic polynomial ``det(x*I - a)``, monic, ascending order.
 
-    ``a`` is scaled to an integer matrix ``A = den * a``
-    (:func:`integer_matrix`).  With ``R`` the largest absolute row sum of
-    ``A``, every eigenvalue has ``|lambda| <= R``, so the coefficient of
-    ``x**j`` is at most ``C(n, j) * R**(n - j) <= B = (1 + R)**n`` in
-    absolute value.  ``A`` is reduced by similarity to upper Hessenberg
-    form, column by column: on the integers while each column it clears
-    has a pivot of 1 or -1, and from the first one that has none modulo
-    the first prime ``p > 2B`` of :data:`MERSENNE_EXPONENTS` (``2**61 - 1``
-    for every catalog word).  The Hessenberg recurrence gives
-    ``det(x*I - A)`` in O(n^3), on the integers or modulo ``p``; there
-    each coefficient's symmetric residue in ``(-p/2, p/2)`` is the exact
-    integer.  The result maps back exactly: the coefficient of
-    ``x**k`` is divided by ``den**(n - k)``.
+    ``a`` is reduced by similarity to upper Hessenberg form, column by
+    column.  Each column pivots on its nonzero entry of least absolute
+    value at or below the subdiagonal, a 1 or -1 wherever it has one, and
+    each multiplier ``x / pivot`` is the exact quotient ``x // pivot`` when
+    the pivot divides ``x``, else a ``Fraction``.  So an integer matrix
+    stays on the integers while its pivots divide their columns (every
+    catalog word's matrix does), and any other rational matrix gets its
+    exact polynomial too.  The Hessenberg recurrence then gives it in
+    O(n^3) operations.
 
-    Raises ValueError for a matrix that is not square, and when ``2B``
-    exceeds the last table prime ``2**19937 - 1``.
+    Raises ValueError for a matrix that is not square, and for an entry
+    that is not an int or a ``Fraction`` (:func:`denominator`).
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("charpoly needs a square matrix")
-    if n == 0:
-        return (ONE,)
-    h, den = integer_matrix(a)
-    bound = (1 + max(sum(map(abs, row)) for row in h)) ** n
-    p = next((p for p in ((1 << e) - 1 for e in MERSENNE_EXPONENTS)
-              if p > 2 * bound), None)
-    if p is None:
-        raise ValueError(f"charpoly coefficient bound 2 * (1 + R)^n has "
-                         f"{(2 * bound).bit_length()} bits, past the largest "
-                         f"table prime 2^{MERSENNE_EXPONENTS[-1]} - 1")
+    denominator(*[e for row in a for e in row])
+    # whole entries as ints, so a word matrix handed out as Fractions reduces on ints
+    h = [[e.numerator if e.denominator == 1 else e for e in row] for row in a]
     # Similarity to upper Hessenberg form, column by column: clear column
-    # col below row m.  The integer matrix stays similar to ``A``, so going
-    # modulo p at any column is reducing ``A`` modulo p.
-    modular = False
+    # col below row m.
     for m in range(1, n - 1):
         col = m - 1
-        column = [h[i][col] for i in range(m, n)]
-        if not any(column[1:]):
+        if not any(h[i][col] for i in range(m + 1, n)):
             continue  # already zero below the subdiagonal
-        if not modular and 1 not in column and -1 not in column:
-            h, modular = [[e % p for e in row] for row in h], True
-        if modular:
-            piv = next(i for i in range(m, n) if h[i][col])
-        else:
-            piv = m + column.index(1 if 1 in column else -1)
+        piv = min((i for i in range(m, n) if h[i][col]), key=lambda i: abs(h[i][col]))
         if piv != m:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
         prow = h[m][col:]
+        p = prow[0]
         # Row i -= u_i * row m, then column m += u_i * column i: the inverse,
-        # for the nonzero multipliers u_i = h[i][col] / pivot (a unit pivot
-        # is its own inverse).
-        inv = pow(prow[0], -1, p) if modular else prow[0]
-        us = [(i, h[i][col] * inv) for i in range(m + 1, n) if h[i][col]]
+        # for the nonzero multipliers u_i = h[i][col] / p.
+        us = [(i, x // p if x % p == 0 else Q(x, p))
+              for i in range(m + 1, n) if (x := h[i][col])]
         for i, u in us:
             h[i][col:] = [x - u * y for x, y in zip(h[i][col:], prow)]
         for i, u in us:
             for row in h:
                 row[m] += u * row[i]
-        if modular:
-            h = [[e % p for e in row] for row in h]
     # polys[m] = det(x*I - H[:m, :m]), expanded along its last column.
     polys = [[1]]
     for m in range(1, n + 1):
@@ -193,21 +159,13 @@ def charpoly(a: Matrix) -> Poly:
         sub = 1
         for i in range(1, m):
             sub *= h[m - i][m - i - 1]
-            if modular:
-                sub %= p
             if not sub:
                 break
             if f := sub * h[m - i - 1][m - 1]:
                 q = polys[m - i - 1]
                 new[:len(q)] = [x - f * y for x, y in zip(new, q)]
-        polys.append([x % p for x in new] if modular else new)
-    coeffs = polys[n]
-    if modular:
-        half = p >> 1
-        coeffs = [c if c <= half else c - p for c in coeffs]
-    if den == 1:
-        return tuple(map(Q, coeffs))
-    return tuple(Q(c, den ** (n - k)) for k, c in enumerate(coeffs))
+        polys.append(new)
+    return tuple(map(Q, polys[n]))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

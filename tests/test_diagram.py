@@ -627,13 +627,14 @@ def count_layered_searches(monkeypatch):
     return calls
 
 
-def test_a_diagram_request_runs_one_layered_search_per_fact(monkeypatch, capsys):
+def test_a_diagram_request_runs_one_layered_search(monkeypatch, capsys):
     dg.catalog_names()  # the catalog's own checks are not counted
     dg._indexed_diagram.cache_clear()
     calls = count_layered_searches(monkeypatch)
     argv = ["diagram", "--system", "D4", "--roots", "e1-e2,e3-e4,e2-e3,e2+e3", "--pretty"]
-    # Cold: ``bipartition``, then ``components``; then the kept diagram with both.
-    for expected in (2, 0):
+    # Cold: one search for ``bipartition`` and ``components`` both; then the
+    # kept diagram with both.
+    for expected in (1, 0):
         calls.clear()
         assert cli.run(argv) == 0
         assert "identified: D4(a1)" in capsys.readouterr().out

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from weylcalc import diagram as dg
 from weylcalc import exactla, rewrite
 from weylcalc.exactla import (
-    MERSENNE_EXPONENTS,
     LeadingMinors,
     charpoly,
     gram_positive_definite,
@@ -337,8 +336,8 @@ def test_bicolored_charpoly_matches_dense_word_matrix(d, t):
 @st.composite
 def square_matrices(draw):
     """A rational n x n matrix, n <= 12, about half its entries zero.  The
-    numerators reach 2**4, 2**60 or 2**200, so the coefficient bound needs
-    primes from 2**61 - 1 to 2**4423 - 1."""
+    numerators reach 2**4, 2**60 or 2**200, and most pivots leave the
+    integers: the reduction then runs over fractions."""
     n = draw(st.integers(0, 12))
     bits = draw(st.sampled_from((4, 60, 200)))
     entry = st.one_of(st.just(Q(0)), st.builds(
@@ -354,8 +353,7 @@ def _jordan_block(n):
 FIXED_CHARPOLYS = [
     ((), (1,)),
     (((Q(-3, 2),),), (Q(3, 2), 1)),
-    # |c_0| = R with B = 1 + R between p = 2**61 - 1 and p / 2: p > B does
-    # not recover c_0 from its residue; p > 2B does.
+    # one large entry, past 2**61
     (((-(3 << 59),),), (3 << 59, 1)),
     (((0,) * 4,) * 4, (0, 0, 0, 0, 1)),                       # zero
     (((1, 0, 0), (0, 2, 0), (0, 0, 3)), (-6, 11, -6, 1)),      # diagonal
@@ -381,20 +379,19 @@ def test_charpoly_fixed_examples(m, expected):
 @settings(max_examples=80, deadline=None)
 @given(square_matrices())
 def test_charpoly_matches_faddeev_leverrier(m):
-    """The Hessenberg reduction modulo a Mersenne prime against the
-    Fraction Faddeev-LeVerrier reference, on any rational matrix."""
+    """The Hessenberg reduction, over fractions wherever a pivot does not
+    divide its column, against the Fraction Faddeev-LeVerrier reference,
+    on any rational matrix."""
     assert charpoly(m) == ref_charpoly(m)
 
 
-def test_charpoly_bound_past_the_prime_table_raises():
-    """Past the last table prime the answer is absent, never wrong."""
-    last = MERSENNE_EXPONENTS[-1]
-    near = 2 ** (last - 3)       # 2 * (1 + R) stays below 2**last - 1
+def test_charpoly_of_huge_entries_is_exact():
+    """No coefficient bound limits the answer: entries of 2**19934 to
+    2**19937 give their exact polynomials."""
+    near = 2 ** 19934
     assert charpoly(((near,),)) == (-near, 1)
-    with pytest.raises(ValueError, match=f"2\\^{last} - 1"):
-        charpoly(((2 * near,) * 2,) * 2)
-    with pytest.raises(ValueError):
-        charpoly(((2 ** last,),))
+    assert charpoly(((2 * near,) * 2,) * 2) == (0, -4 * near, 1)
+    assert charpoly(((2 ** 19937,),)) == (-2 ** 19937, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -587,15 +584,21 @@ def test_no_signed_cycle_type_outside_a_to_d(name):
         system.signed_cycle_type([0])
 
 
-def inverses_taken(m):
-    """``charpoly(m)`` and the number of inverses modulo p its reduction
-    took: none while every column it clears has a pivot of 1 or -1."""
+def fraction_multipliers(m):
+    """``charpoly(m)`` and the number of ``Fraction`` multipliers its
+    reduction took: one for each entry its column's pivot does not divide."""
     calls = []
-    exactla.pow = lambda *args: calls.append(args) or pow(*args)
+
+    def counted(*args):
+        if len(args) == 2:  # Q(x, pivot); Q(c) hands a coefficient out
+            calls.append(args)
+        return Q(*args)
+
+    exactla.Q = counted
     try:
         got = charpoly(m)
     finally:
-        del exactla.pow
+        exactla.Q = Q
     return got, len(calls)
 
 
@@ -605,7 +608,7 @@ def unit_pivot_matrices(draw):
     stays on the integers (most of them do)."""
     system, word = draw(independent_words(("A5", "D5", "E6")))
     m = [list(row) for row in word_matrix(system, word)]
-    assume(inverses_taken(m)[1] == 0)
+    assume(fraction_multipliers(m)[1] == 0)
     return m
 
 
@@ -648,31 +651,49 @@ def growing_matrix(n, a):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(unit_pivot_matrices(), middle_non_unit_matrices(), zero_column_matrices(),
                  st.builds(growing_matrix, st.integers(4, 12), st.integers(2, 9))))
-def test_charpoly_on_the_integers_and_modulo_p_matches_the_reference(m):
+def test_charpoly_on_the_integers_and_over_fractions_matches_the_reference(m):
     assert charpoly(m) == ref_charpoly(m)
 
 
-#: (matrix, inverses modulo p its reduction takes): one per column it
-#: clears from the first one without a pivot of 1 or -1.
+#: (matrix, Fraction multipliers its reduction takes): one per entry below
+#: a pivot that does not divide it.
 REDUCTION_PATHS = [
     # the word matrices of D4(a1)'s README word and of E6's simple roots
     ([[1, 0, -1, -1], [0, 1, -1, 1], [1, 1, -1, 0], [1, -1, 0, -1]], 0),
     ([[0, 1, 0, 0, 0, -1], [0, 0, 1, 0, 0, -1], [1, 1, 0, 0, 0, -1],
       [0, 1, 1, 0, 0, -1], [0, 0, 0, 1, 0, -1], [0, 0, 0, 0, 1, -1]], 0),
-    # column 0 on the integers, then columns 1 and 2, all even, modulo p
+    # no pivot of 1 or -1 in columns 1 and 2, all even, but 2 divides them
     ([[0, 2, 0, 2, 0], [1, 0, 2, 2, 4], [1, 2, 4, 0, 2], [0, 4, 2, 2, 0],
-      [0, 2, 0, 4, 2]], 2),
+      [0, 2, 0, 4, 2]], 0),
     # already upper Hessenberg: nothing to clear
     ([[1, 2, 3, 4], [5, 6, 7, 8], [0, 9, 1, 2], [0, 0, 3, 4]], 0),
-    # six columns on the integers, their entries growing to 32 bits
-    (growing_matrix(12, 9), 4),
+    # six columns on the integers, their entries growing to 32 bits; then
+    # 18230 divides no entry below it, and four columns take 4 + 3 + 2 + 1
+    (growing_matrix(12, 9), 10),
 ]
 
 
-@pytest.mark.parametrize("m, inverses", REDUCTION_PATHS)
-def test_charpoly_leaves_the_integers_only_at_a_column_without_a_unit_pivot(m, inverses):
-    got = inverses_taken(m)
-    assert got == (ref_charpoly(m), inverses)
+@pytest.mark.parametrize("m, fractions", REDUCTION_PATHS)
+def test_charpoly_leaves_the_integers_only_at_a_column_without_a_unit_pivot(m, fractions):
+    assert fraction_multipliers(m) == (ref_charpoly(m), fractions)
+
+
+def test_every_catalog_charpoly_stays_on_the_integers(monkeypatch):
+    """Each charpoly a cold catalog build makes, and each catalog word's
+    own word matrix, reduces with no Fraction multiplier."""
+    built = []
+    monkeypatch.setattr(dg, "charpoly", lambda m: built.append(m) or charpoly(m))
+    dg._catalog.cache_clear()
+    try:
+        dg._catalog()
+    finally:
+        dg._catalog.cache_clear()
+    assert len(built) == 89  # 79 bicolored elements, 10 labelled words
+    for name in dg.catalog_names():
+        entry = dg.catalog(name)
+        built.append(word_matrix(build_by_name(entry.system), entry.word))
+    for m in built:
+        assert fraction_multipliers(m)[1] == 0, m
 
 
 BENCH_SYSTEMS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
