@@ -99,14 +99,14 @@ def _diagram_args(args) -> tuple[rootsys.RootSystem, tuple[Vector, ...], dg.Diag
         raise _UsageError(str(exc)) from exc
 
 
-def _catalog_entry(name: str, list_names: bool = False) -> dg.CatalogEntry:
-    """The catalog entry ``name``, or a usage error that, under
-    ``list_names``, lists the valid names."""
+def _catalog_entry(name: str) -> dg.CatalogEntry:
+    """The catalog entry ``name``, or a usage error that lists the valid
+    names."""
     try:
         return dg.catalog(name)
     except KeyError as exc:
-        names = f"; valid names: {', '.join(dg.catalog_names())}" if list_names else ""
-        raise _UsageError(f"unknown catalog name {name!r}{names}") from exc
+        names = ", ".join(dg.catalog_names())
+        raise _UsageError(f"unknown catalog name {name!r}; valid names: {names}") from exc
 
 
 def _answer(args, obj: Callable[[], dict], pretty: Callable[[], Iterable[str]]):
@@ -289,7 +289,7 @@ def _cmd_orbits(args) -> tuple[int, str]:
 
 
 def _cmd_catalog(args) -> tuple[int, str]:
-    entry = _catalog_entry(args.name, list_names=True)
+    entry = _catalog_entry(args.name)
     system = rootsys.build_by_name(entry.system)
     poly = poly_str(entry.charpoly, "t")
 

@@ -16,7 +16,7 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -283,21 +283,6 @@ def make_diagram(
     return Diagram(longs, tuple(sorted(norm_edges)), lab)
 
 
-def signed_rows(g: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The rows ``(adj, dotted)`` of :attr:`Diagram.rows` that the integer
-    Gram matrix ``g`` reads as: an edge where an off-diagonal entry is
-    nonzero, dotted where it is positive, the rule :func:`from_roots`
-    reads a diagram by."""
-    adj, dotted = [0] * len(g), [0] * len(g)
-    for i, row in enumerate(g):
-        for j, x in enumerate(row):
-            if x and i != j:
-                adj[i] |= 1 << j
-                if x > 0:
-                    dotted[i] |= 1 << j
-    return tuple(adj), tuple(dotted)
-
-
 def from_roots(system: RootSystem, roots: Sequence[Vector]) -> Diagram:
     """Diagram of a root list: edge where the inner product is nonzero.
 
@@ -314,24 +299,20 @@ def _indexed_diagram(system: RootSystem, idx: tuple[int, ...]) -> Diagram:
     """:func:`from_roots` of ``system.roots[i]`` for ``i`` in ``idx``.  An
     ``lru_cache`` keeps no exception, so a dependent list is refused, with
     the same message, on every call."""
-    return _realized(system, idx, None)[0]
+    return signed_graph(system, system.independent_gram(idx))
 
 
-def _realized(
-    system: RootSystem, idx: Sequence[int], labels: Sequence[str] | None
-) -> tuple[Diagram, list[list[int]]]:
-    """:func:`from_roots` of the roots at positions ``idx`` in
-    ``system.roots``, and the doubled-integer Gram matrix it is read off.
-    The edges come out valid and sorted, so only labels a caller gives
-    are checked, by :func:`make_diagram`."""
-    g = system.independent_gram(idx)
-    edges = [(i, j, DOTTED if x > 0 else SOLID)
-             for i, row in enumerate(g) for j, x in enumerate(row[i + 1:], i + 1) if x]
+def signed_graph(system: RootSystem, g: Sequence[Sequence[int]]) -> Diagram:
+    """The diagram that the integer Gram matrix ``g`` of roots of ``system``
+    (as :meth:`RootSystem.int_gram` makes it) reads as, under the default
+    labels: an edge where an off-diagonal entry is nonzero, dotted where it
+    is positive, and a vertex long where its diagonal entry is the long
+    norm of a system with two root lengths.  The roots may be dependent."""
     long = system.int_long_norm
     longs = tuple(row[j] == long != system.int_short_norm for j, row in enumerate(g))
-    if labels is not None:
-        return make_diagram(len(g), edges, longs=longs, labels=labels), g
-    return Diagram(longs, tuple(edges), _default_labels(len(g))), g
+    edges = tuple((i, j, DOTTED if x > 0 else SOLID)
+                  for i, row in enumerate(g) for j, x in enumerate(row[i + 1:], i + 1) if x)
+    return Diagram(longs, edges, _default_labels(len(g)))
 
 
 def int_gram(d: Diagram, t: Q) -> tuple[list[list[int]], int]:
@@ -595,16 +576,16 @@ def _catalog() -> tuple[dict[str, CatalogEntry], dict[tuple, list[CatalogEntry]]
         if name in entries:
             raise RuntimeError(f"duplicate catalog name {name}")
         system = rootsys.build_by_name(system_name)
-        d, g = _realized(system, [system.index(r) for r in roots], labels)
+        g = system.independent_gram([system.index(r) for r in roots])
+        d = signed_graph(system, g)
         if not is_admissible(d):
             raise RuntimeError(f"catalog entry {name} is not admissible")
-        if labels is None:
+        if labels is None:  # read again, renumbered in word order
             order = bicolored_word_order(d)
-            sub = induced_subdiagram(d, order)
-            # renumbered in word order, under the default labels again
-            d = sub if sub is d else replace(sub, labels=d.labels)
+            d = signed_graph(system, [[g[i][j] for j in order] for i in order])
         else:
             order = range(d.n)
+            d = make_diagram(d.n, d.edges, longs=d.longs, labels=labels)
         if not dotted_parity_ok(d):
             raise RuntimeError(f"catalog entry {name} fails dotted parity")
         polys = {"abstract": bicolored_charpoly(d)}
@@ -693,7 +674,6 @@ def embeddings(
     host: tuple[Sequence[int], Sequence[int]],
     classes: Sequence[int],
     limit: int | None = None,
-    anchor: bool = False,
 ) -> list[tuple[int, ...]]:
     """Placements of the vertices of ``target`` on distinct vertices of a
     host graph, each as the host vertex of every target vertex: a target
@@ -707,8 +687,7 @@ def embeddings(
     of :attr:`Diagram.rows`: bit y of ``adj[x]`` is set when host vertices
     x and y are adjacent, and of ``dotted[x]`` when their edge is dotted.
     Target vertex v goes only to the host vertices in the mask
-    ``classes[v]``.  With ``anchor`` the first-placed vertex only tries
-    the lowest vertex of its class.
+    ``classes[v]``.
 
     A backtracking search in :attr:`Diagram.plan` order, lowest host
     vertex first.  A target non-edge needs no rows of its own: the
@@ -755,8 +734,6 @@ def embeddings(
             cand &= adj[image[u]]
         if not cand:
             return False
-        if anchor and not depth:
-            cand &= -cand
         # Each placed neighbour u asks for the flip bit
         # flip[u] xor (target dotted) xor (host dotted); they must agree.
         want = first = 0

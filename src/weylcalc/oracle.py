@@ -158,17 +158,19 @@ class LabeledDiagram:
 
 @functools.cache
 def _reps_host(system: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int, int]:
-    """``(rows, long mask, short mask)`` of the sign-class reps: their
-    :func:`diagram.signed_rows`, the host :func:`diagram.embeddings` places
-    on, and the reps of each length class.  Adjacency and the length
+    """``(rows, long mask, short mask)`` of the sign-class reps: the
+    :attr:`diagram.Diagram.rows` of the :func:`diagram.signed_graph` of
+    their Gram matrix, the host :func:`diagram.embeddings` places on, and
+    the reps of each length class, read off its ``longs``.  The diagram
+    itself is not kept (E8's has 3 360 edges).  Adjacency and the length
     classes fix the magnitude of an inner product: the product of two
     adjacent roots' Cartan numbers is 4 cos^2 of their angle, an integer
     from 1 to 3, so the shorter root's number against the longer is +-1,
     and |(a, b)| is half the longer root's norm.
     """
-    reps = system.sign_class_reps()
-    long = sum(1 << i for i, r in enumerate(reps) if system.is_long(r))
-    return dg.signed_rows(system.int_gram(reps)), long, (1 << len(reps)) - 1 ^ long
+    reps = dg.signed_graph(system, system.int_gram(system.sign_class_reps()))
+    long = sum(1 << i for i, is_long in enumerate(reps.longs) if is_long)
+    return reps.rows, long, (1 << reps.n) - 1 ^ long
 
 
 def find_subsets(
@@ -203,8 +205,9 @@ def find_subsets(
     ``limit`` (None or an int of at least 1) stops early (the result is
     then not exhaustive).
 
-    A find-first search (``limit == 1``) is anchored: the first-placed
-    vertex only tries the lowest representative of its length class.
+    A find-first search (``limit == 1``) is anchored: the class of the
+    first vertex of :attr:`diagram.Diagram.plan` is masked down to the
+    lowest representative of its length class.
     W is transitive on the roots of each length (the system is
     irreducible) and keeps lengths, adjacency, independence and styles up
     to sign flips, so any realization has a W-image through that
@@ -219,9 +222,12 @@ def find_subsets(
         return []  # more vertices than independent roots, or G not positive definite
     rows, long, short = _reps_host(system)
     classes = [long if is_long else short for is_long in target.longs]
+    if limit == 1 and target.n:
+        first = target.plan[0][0]
+        classes[first] &= -classes[first]
     half = len(system.roots) // 2  # reps are the upper half of ``roots``
     return [LabeledDiagram(system, tuple(half + x for x in found))
-            for found in dg.embeddings(target, rows, classes, limit, anchor=limit == 1)]
+            for found in dg.embeddings(target, rows, classes, limit)]
 
 
 def verify_unique_class(
@@ -295,11 +301,10 @@ def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
     adj = rows[0]
     # Each element acts on reps: rep i goes to the sign class of its image.
     space = weyl.perm_space(system)
-    reps = [system.index(r) for r in system.sign_class_reps()]
+    half = len(system.roots) // 2  # reps are the upper half of ``roots``
 
     def on_reps(root) -> list[int]:
-        p = space.reflection_perm(root)
-        return [system.sign_class(p[i]) for i in reps]
+        return [system.sign_class(i) for i in space.reflection_perm(root)[half:]]
 
     simple = [on_reps(s) for s in system.simple_roots]
     edgeless = dg.make_diagram(k - 1, [])

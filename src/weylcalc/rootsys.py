@@ -174,8 +174,6 @@ class RootSystem:
         #: read off the simple roots, of which every root is a W-conjugate
         self.int_short_norm = min(idot(s, s) for s in simple)
         self.int_long_norm = max(idot(s, s) for s in simple)
-        self.short_norm = Q(self.int_short_norm, 4)
-        self.long_norm = Q(self.int_long_norm, 4)
         self.ratio = Q(self.int_long_norm, self.int_short_norm)  # the integer t
         #: W acts on the coordinate lines by signed permutations (A-D): every
         #: root is +-e_a +- e_b or a multiple of e_a (see signed_cycle_type)

@@ -633,11 +633,11 @@ def test_orbits_json_and_pretty_are_pinned(capsys, system, k):
 @pytest.mark.parametrize("argv,message", [
     (["diagram", "--system", "D4", "--roots", "e1-e2,,e3-e4"],
      "error: empty entry in the root list\n"),
-    (["render-dot", "--name", "Z9"], "error: unknown catalog name 'Z9'\n"),
+    (["render-dot", "--name", "Z9"], "error: unknown catalog name 'Z9'; valid names: {}\n"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run_capture(capsys, argv)
-    assert (code, out, err) == (2, "", message)
+    assert (code, out, err) == (2, "", message.format(", ".join(dg.catalog_names())))
 
 
 def test_output_is_deterministic(capsys):

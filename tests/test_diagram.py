@@ -902,13 +902,21 @@ def test_identification_matches_the_invariant_lookup_on_root_subsets(case):
     assert dg.identify_components(d) == reference_identify_components(d)
 
 
-@settings(max_examples=200, deadline=None)
-@given(independent_root_subsets(("A5", "B4", "C4", "D6", "E7", "F4", "G2")))
-def test_signed_rows_of_a_gram_are_the_rows_of_its_diagram(case):
-    """The two readings of one Gram matrix's signs agree: ``signed_rows``,
-    the search host, and the rows of the diagram ``from_roots`` reads."""
-    system, roots = case
-    assert dg.signed_rows(system.int_gram(roots)) == dg.from_roots(system, roots).rows
+@pytest.mark.parametrize("name", ["A5", "B4", "C4", "D6", "E7", "F4", "G2"])
+def test_signed_graph_reads_a_gram_of_dependent_roots(name):
+    """``signed_graph`` of the sign-class reps' Gram matrix, far more roots
+    than the rank: an edge where the inner product is nonzero, dotted where
+    it is positive, and a vertex long where its root is."""
+    system = build_by_name(name)
+    reps = system.sign_class_reps()
+    d = dg.signed_graph(system, system.int_gram(reps))
+    assert d.longs == tuple(system.is_long(r) for r in reps)
+    assert d.labels == tuple(f"v{i}" for i in range(len(reps)))
+    edges = [(i, j, dg.DOTTED if x > 0 else dg.SOLID)
+             for i, j in combinations(range(len(reps)), 2)
+             if (x := system.normalized_inner(reps[i], reps[j]))]
+    assert {style for *_, style in edges} == {dg.SOLID, dg.DOTTED}
+    assert d.edges == tuple(edges)
 
 
 def relabelled(d, perm, switched):

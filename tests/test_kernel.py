@@ -215,8 +215,9 @@ def test_closure_matches_fraction_closure(name):
     system = build_by_name(name)
     assert system.roots == ref_closure(system.simple_roots)
     assert all(doubled(r) == l for r, l in zip(system.roots, system.int_roots))
-    assert system.short_norm == min(ref_dot(r, r) for r in system.roots)
-    assert system.long_norm == max(ref_dot(r, r) for r in system.roots)
+    # the int norms are on doubled coordinates: 4x the Fraction ones
+    assert system.int_short_norm == 4 * min(ref_dot(r, r) for r in system.roots)
+    assert system.int_long_norm == 4 * max(ref_dot(r, r) for r in system.roots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,9 +229,9 @@ def test_reflect_and_inner_match_fraction_formulas(name, data):
     v = system.roots[data.draw(st.integers(0, n - 1))]
     space = perm_space(system)
     assert system.roots[space.reflection_perm(r)[system.index(v)]] == ref_reflect(r, v)
-    assert system.normalized_inner(r, v) == ref_dot(r, v) / system.short_norm
+    assert system.normalized_inner(r, v) == 4 * ref_dot(r, v) / system.int_short_norm
     assert system.is_long(r) == (
-        ref_dot(r, r) == system.long_norm != system.short_norm)
+        4 * ref_dot(r, r) == system.int_long_norm != system.int_short_norm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,7 +449,8 @@ def test_no_float_crosses_the_api(case):
 
     assert fractions(c for r in system.roots for c in r)
     assert fractions(c for r in system.simple_roots for c in r)
-    assert fractions((system.short_norm, system.long_norm, system.ratio))
+    assert type(system.int_short_norm) is int and type(system.int_long_norm) is int
+    assert fractions([system.ratio])
     space = perm_space(system)
     image = system.roots[space.reflection_perm(word[0])[system.index(word[-1])]]
     assert image == ref_reflect(word[0], word[-1]) and fractions(image)

@@ -392,6 +392,35 @@ def test_anchored_find_first_is_first_of_full_search_mixed_lengths(name, target)
     assert find_subsets(system, target, limit=1) == found[:1]
 
 
+@pytest.mark.parametrize("name,make_target", [
+    ("D4", lambda: dg.catalog("D4(a1)").diagram), ("B3", lambda: _B3)], ids=["D4(a1)", "B3"])
+def test_find_first_masks_the_first_planned_class_to_its_lowest_rep(
+        monkeypatch, name, make_target):
+    """A find-first search passes ``embeddings`` the class of the first
+    vertex of the plan cut down to the lowest rep of its length class; an
+    exhaustive one passes the whole class, and both pass the other classes
+    whole.  An unanchored find-first search returns the same realization,
+    only later, so the classes are where the anchor shows."""
+    system, target = build_by_name(name), make_target()
+    reps = system.sign_class_reps()
+    long_mask = sum(1 << i for i, r in enumerate(reps) if system.is_long(r))
+    whole = [long_mask if long else (1 << len(reps)) - 1 ^ long_mask for long in target.longs]
+    passed = []
+    embeddings = dg.embeddings
+
+    def spy(target, host, classes, limit=None):
+        passed.append(list(classes))
+        return embeddings(target, host, classes, limit)
+
+    monkeypatch.setattr(dg, "embeddings", spy)
+    assert find_subsets(system, target) and find_subsets(system, target, limit=1)
+    first = target.plan[0][0]
+    assert whole[first].bit_count() > 1
+    anchored = whole.copy()
+    anchored[first] &= -whole[first]
+    assert passed == [whole, anchored]
+
+
 def reference_find_subsets(system, target, limit=None):
     """The search as it was before styles were checked by switching: one
     Bareiss bordering of the running Gram matrix per candidate, and the
