@@ -197,8 +197,8 @@ def find_subsets(
     not positive definite has no realization, and otherwise every
     switching-consistent placement is independent.  The placements are
     :func:`diagram.embeddings` of the target on the reps, each vertex on
-    the reps of its length class, with the reps' signed rows as the
-    host.
+    the reps of its length class, with the rows of the reps' signed graph
+    as the host.
 
     Matches are reported once per root set, in the order the search
     finds them, each as the positions of its roots in ``system.roots``;
