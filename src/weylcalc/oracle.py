@@ -3,12 +3,12 @@
 Everything here is exhaustive and exact: group elements are permutations
 of their (finitely many) roots, conjugacy is settled in one place
 (:func:`conjugating_perm`) by a breadth-first walk of one conjugacy
-class (``weyl.walk``, which walks every orbit here) that either produces
-an explicit, checked witness or exhausts the class, and
-diagram-realization questions are settled by a backtracking search over
-root subsets that either lists every match or certifies that none
-exists.  Find-first searches and orbit counts are anchored by
-W-transitivity on the roots of each length, and |W| comes from the root
+class (``weyl.walk``) that either produces an explicit, checked witness
+or exhausts the class, and diagram-realization questions are settled by
+a backtracking search over root subsets that either lists every match or
+certifies that none exists.  Find-first searches are anchored by
+W-transitivity on the roots of each length, orbits of orthogonal root
+sets are counted by their dominant chains, and |W| comes from the root
 heights.  The module is the referee against which the algebraic
 shortcuts elsewhere in the package are checked.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from math import prod
 
 from . import diagram as dg
@@ -267,80 +268,36 @@ def verify_unique_class(
 
 
 def orthogonal_tuple_orbits(system: RootSystem, k: int) -> int:
-    """Number of W-orbits of unordered k-tuples of orthogonal root pairs.
+    """Number of W-orbits on unordered sets of k mutually orthogonal
+    roots, each root taken up to sign.
 
-    A tuple is a sorted k-subset of sign-class representatives, mutually
-    orthogonal; W acts through root permutations, with images reduced
-    back to representatives.  No group enumeration is needed, and only
-    the tuples through one anchor per length class are built:
-
-    - W is transitive on the roots of each length, so each orbit holds a
-      tuple through the dominant root ``a`` of one length class: the long
-      one when the tuple has a long root, else the short one (and then
-      the tuple has no long root).
-    - If w sends a tuple S through ``a`` to T, then w(a) = +-b for a
-      member b of T of a's length, and w_b w fixes +-a, where w_b is a
-      fixed element with w_b(b) = +-a.  So S and T share an orbit exactly
-      when g(S) = w_b(T) for some g fixing +-a.
-    - ``a`` is dominant, so the elements fixing it are generated by the
-      simple reflections orthogonal to it (Steinberg 1964; Humphreys
-      §1.12); with s_a they generate the elements fixing +-a.
-
-    The tuples through ``a`` are the :func:`diagram.embeddings` of the
-    edgeless (k-1)-vertex diagram on the reps orthogonal to ``a``, only
-    short ones when ``a`` is short.  Each one that no earlier walk
-    reached starts a walk, which applies those generators and each w_b
-    (b != a a member of a's length) to every tuple it reaches.  Moves
-    stay in the orbit, and from T, w_b then g^-1 reaches any S in T's
-    orbit (g^-1 is a word in the generators, which are involutions), so
-    the walks count the orbits of a's class.
+    Each W-orbit of ordered tuples holds exactly one dominant chain
+    (:meth:`weyl.PermSpace.dominant_chain`): a tuple of positive roots,
+    each orthogonal to the ones before it (s_c(r) = r) and raised by no
+    s_j with j in J, where J holds the simple roots whose reflections fix
+    every root before it.  The chains are grown here directly, with no
+    orbit walk.  A set's form is the least chain of its k! orderings, so
+    the orbits of sets are the distinct forms of the grown chains.
     """
     if type(k) is not int or k not in (2, 3):
         raise ValueError("only pairs and triples are supported")
-    rows, long_mask, short_mask = _reps_host(system)
-    adj = rows[0]
-    # Each element acts on reps: rep i goes to the sign class of its image.
     space = weyl.perm_space(system)
-    half = len(system.roots) // 2  # reps are the upper half of ``roots``
+    heights = system.heights
+    positive = [r for r, h in enumerate(heights) if h > 0]
+    forms = set()
 
-    def on_reps(root) -> list[int]:
-        return [system.sign_class(i) for i in space.reflection_perm(root)[half:]]
+    def grow(chain: tuple[int, ...], gens: list[weyl.Perm]) -> None:
+        if len(chain) == k:
+            forms.add(min(map(space.dominant_chain, permutations(chain))))
+            return
+        fixing = [space.reflection_at(c) for c in chain]
+        for r in positive:
+            if (all(s[r] == r for s in fixing)
+                    and all(heights[g[r]] <= heights[r] for g in gens)):
+                grow((*chain, r), [g for g in gens if g[r] == r])
 
-    simple = [on_reps(s) for s in system.simple_roots]
-    edgeless = dg.make_diagram(k - 1, [])
-    orbits = 0
-    for long in (True, False) if long_mask else (False,):
-        anchor = system.dominant_root(long)
-        a = system.sign_class(system.index(anchor))
-        same = long_mask if long else short_mask
-        reanchor = _transversal(simple, a)
-        if len(reanchor) != same.bit_count():
-            raise AssertionError("W is not transitive on a length class")
-        stabilizer = [g for g, s in zip(simple, system.simple_roots)
-                      if system.normalized_inner(s, anchor) == 0] + [on_reps(anchor)]
-
-        others = (long_mask | short_mask if long else same) & ~adj[a] & ~(1 << a)
-        seen: set[tuple[int, ...]] = set()
-        for rest in dg.embeddings(edgeless, rows, [others] * (k - 1)):
-            start = tuple(sorted((a, *rest)))
-            if start in seen:
-                continue
-            orbits += 1
-            seen.update(weyl.walk(start, lambda t: enumerate(
-                tuple(sorted(g[i] for i in t)) for g in
-                stabilizer + [reanchor[b] for b in t if b != a and same >> b & 1])))
-    return orbits
-
-
-def _transversal(gens: list[list[int]], a: int) -> dict[int, list[int]]:
-    """``{b: w_b}`` over the orbit of ``a`` under the involutions ``gens``
-    (permutations as lists), with w_b(b) = a.  Read off a breadth-first
-    walk from ``a``, parents first: w_{g(c)} = w_c g."""
-    parent = weyl.walk(a, lambda c: ((g, g[c]) for g in gens))
-    out = {a: list(range(len(gens[0])))}
-    for b, (c, g) in list(parent.items())[1:]:
-        out[b] = [out[c][x] for x in g]
-    return out
+    grow((), [g for _, g in space.generators])
+    return len(forms)
 
 
 def max_root_complement(system: RootSystem) -> list[str]:

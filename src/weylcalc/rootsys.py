@@ -335,12 +335,6 @@ class RootSystem:
         are the upper half of ``roots``."""
         return self.roots[len(self.roots) // 2:]
 
-    def sign_class(self, i: int) -> int:
-        """Position in :meth:`sign_class_reps` of the class {r, -r} of
-        ``roots[i]`` (``roots[n - 1 - i]`` is its negative)."""
-        n = len(self.roots)
-        return max(i, n - 1 - i) - n // 2
-
     @cached_property
     def positive(self) -> tuple[bool, ...]:
         """Whether each root of ``roots`` is a nonnegative combination of

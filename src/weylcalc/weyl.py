@@ -1,5 +1,6 @@
 """Weyl group elements as root permutations and exact matrices,
-reflection-word utilities, and the breadth-first walk behind every orbit.
+reflection-word utilities, the dominant chains that name the W-orbits of
+orthogonal root tuples, and the breadth-first walk behind the class walk.
 
 Composition convention
 ----------------------
@@ -272,6 +273,33 @@ class PermSpace:
             raise ValueError(f"the permutation of the roots of {system.name()} "
                              f"is not in its Weyl group")
         return tuple(reversed(letters))
+
+    def dominant_chain(self, idx: Sequence[int]) -> tuple[int, ...]:
+        """The canonical form of an ordered tuple of mutually orthogonal
+        roots, given by their positions ``idx`` in ``roots``, each taken up
+        to sign: two such tuples share a W-orbit exactly when their chains
+        are equal.  The members must be mutually orthogonal; nothing checks
+        it.
+
+        J starts as every simple root.  Each member r in turn is raised
+        while some s_j with j in J raises its height, each s_j applied to
+        the later members too (it fixes the earlier ones), and J then keeps
+        only the j whose s_j fixes r.  Sound because the members so far are
+        dominant in turn, so they are fixed pointwise by exactly W_J, and
+        the roots orthogonal to them are the roots of Φ_J (Humphreys
+        §1.12).  Each W_J-orbit there is closed under sign and holds one
+        J-dominant root, which is positive, and raising reaches it from
+        either sign."""
+        heights = self.system.heights
+        gens = [g for _, g in self.generators]
+        rest, chain = list(idx), []
+        while rest:
+            r = rest.pop(0)
+            while (g := next((g for g in gens if heights[g[r]] > heights[r]), None)) is not None:
+                r, rest = g[r], [g[x] for x in rest]
+            chain.append(r)
+            gens = [g for g in gens if g[r] == r]
+        return tuple(chain)
 
     def matrix_of_perm(self, p: Perm) -> Matrix:
         """Ambient matrix of the element: its reduced word, evaluated."""

@@ -12,7 +12,6 @@ from weylcalc.exactla import LeadingMinors, identity, mat_mul
 from weylcalc.oracle import (
     LabeledDiagram,
     _class_walk,
-    _transversal,
     are_conjugate,
     find_subsets,
     max_root_complement,
@@ -174,22 +173,6 @@ def test_class_walk_matches_a_walk_by_g_p_then_g():
     assert len(parent) > 1
 
 
-@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2", "E6"])
-def test_transversal_sends_each_member_of_a_length_class_to_its_anchor(name):
-    system = build_by_name(name)
-    space = weyl.perm_space(system)
-    reps = [system.index(r) for r in system.sign_class_reps()]
-    simple = [[system.sign_class(space.reflection_perm(s)[i]) for i in reps]
-              for s in system.simple_roots]
-    for long in {system.is_long(r) for r in system.roots}:
-        a = system.sign_class(system.index(system.dominant_root(long)))
-        members = {system.sign_class(i) for i, r in enumerate(system.roots)
-                   if system.is_long(r) == long}
-        w = _transversal(simple, a)
-        assert w.keys() == members
-        assert all(w[b][b] == a for b in members)
-
-
 def test_orthogonal_tuple_orbits_small():
     assert orthogonal_tuple_orbits(build_by_name("A3"), 2) == 1
     assert orthogonal_tuple_orbits(build_by_name("B2"), 2) == 2
@@ -277,16 +260,29 @@ def test_small_systems_cover_each_family():
     assert len(small_systems()) == 31
 
 
+def large_orbit_pins():
+    """``{system: (orbits of pairs, orbits of triples)}`` for every system of
+    rank 9 to 16, and for E7, E8, B8 and C8: all the systems past
+    :func:`full_tuple_orbits`' reach (more than 120 roots), and A9 and A10.
+    Recorded from an independent count: a walk of each orbit over the sets
+    through a dominant root, under its stabilizer and re-anchoring
+    elements."""
+    pins = {"E7": (1, 2), "E8": (1, 1), "B8": (4, 6), "C8": (4, 6)}
+    for rank in range(9, 17):
+        pins |= {f"A{rank}": (1, 1), f"B{rank}": (4, 6), f"C{rank}": (4, 6),
+                 f"D{rank}": (2, 2)}
+    return pins
+
+
 def test_orthogonal_tuple_orbits_large_pins():
-    """D16 and E8: the counts the full tuple table gives, in 30 s and 0.7 s.
-    B16 and C16: the two-length systems past the full table's reach, at
-    the counts the union-find over anchored tuples gave."""
-    assert orthogonal_tuple_orbits(build_by_name("D16"), 3) == 2
-    assert orthogonal_tuple_orbits(build_by_name("E8"), 3) == 1
-    for name in ("B16", "C16"):
+    pins = large_orbit_pins()
+    assert len(pins) == 36
+    beyond = {f"{family}{rank}" for family, (lo, hi) in _RANK_RANGE.items()
+              for rank in range(lo, hi + 1)} - set(small_systems())
+    assert beyond <= pins.keys()
+    for name, counts in pins.items():
         system = build_by_name(name)
-        assert orthogonal_tuple_orbits(system, 2) == 4, name
-        assert orthogonal_tuple_orbits(system, 3) == 6, name
+        assert tuple(orthogonal_tuple_orbits(system, k) for k in (2, 3)) == counts, name
 
 
 def test_max_root_complement_values():

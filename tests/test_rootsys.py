@@ -284,8 +284,6 @@ def test_sign_classes_are_the_upper_half():
         lex_positive = tuple(r for r in s.roots if next(c for c in r if c) > 0)
         assert s.sign_class_reps() == lex_positive, s.name()
         assert len(lex_positive) == len(s.roots) // 2
-        assert all(lex_positive[s.sign_class(i)] in (r, tuple(-x for x in r))
-                   for i, r in enumerate(s.roots)), s.name()
 
 
 @pytest.mark.parametrize("name", ["A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"])

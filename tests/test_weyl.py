@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weylcalc import diagram as dg
 from weylcalc import rewrite
 from weylcalc.exactla import (
-    charpoly, dot, identity, mat, mat_mul, solve)
+    charpoly, dot, identity, idot, mat, mat_mul, solve)
 from weylcalc.oracle import are_conjugate, conjugating_perm, find_subsets, verify_unique_class
 from weylcalc.rootsys import build_by_name
 from weylcalc.weyl import (
@@ -435,6 +435,63 @@ def test_reduced_word_ends_on_a_map_that_always_has_a_descent():
     negative = s.positive.index(False)
     with pytest.raises(ValueError, match="not in its Weyl group"):
         space.reduced_word(bytes([negative] * space.n))
+
+
+def orthogonal_tuple(system, data):
+    """Draw an ordered tuple of 1 to 4 mutually orthogonal roots, each of
+    either sign, as positions in ``system.roots``; fewer when no root is
+    orthogonal to those drawn."""
+    ints = system.int_roots
+    idx = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        free = [i for i, r in enumerate(ints) if all(idot(r, ints[j]) == 0 for j in idx)]
+        if not free:
+            break
+        idx.append(data.draw(st.sampled_from(free)))
+    return idx
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "E6", "F4", "G2"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dominant_chain_is_a_canonical_form_of_orthogonal_tuples(name, data):
+    """The chain of a tuple t is the chain of every g·t (g a word of simple
+    reflections), lies in the W-orbit of t up to signs, and is its own
+    chain.  Its members are positive, mutually orthogonal, and each
+    J-dominant: <r, a_j> >= 0 for the simple roots a_j orthogonal to every
+    member before r."""
+    s = build_by_name(name)
+    space = perm_space(s)
+    gens = [g for _, g in space.generators]
+    t = orthogonal_tuple(s, data)
+    chain = space.dominant_chain(t)
+    moved = t
+    for j in data.draw(st.lists(st.integers(0, s.rank - 1), max_size=30)):
+        moved = [gens[j][i] for i in moved]
+    assert space.dominant_chain(moved) == chain
+    assert space.dominant_chain(chain) == chain
+
+    def up_to_sign(u):
+        return tuple(i if s.positive[i] else space.n - 1 - i for i in u)
+
+    orbit = walk(up_to_sign(t), lambda u: enumerate(up_to_sign(g[i] for i in u) for g in gens))
+    assert chain in orbit
+    ints = s.int_roots
+    simple = [ints[s.index(a)] for a in s.simple_roots]
+    for m, r in enumerate(chain):
+        assert s.positive[r]
+        assert all(idot(ints[r], ints[b]) == 0 for b in chain[:m])
+        assert all(idot(ints[r], a) >= 0 for a in simple
+                   if all(idot(a, ints[b]) == 0 for b in chain[:m]))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "E8", "D12"])
+def test_dominant_chain_of_one_root_is_the_dominant_root_of_its_length(name):
+    s = build_by_name(name)
+    space = perm_space(s)
+    for i, r in enumerate(s.roots):
+        (top,) = space.dominant_chain([i])
+        assert s.roots[top] == s.dominant_root(s.is_long(r))
 
 
 def _steps_mod_12(n):
